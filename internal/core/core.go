@@ -99,8 +99,9 @@ type Process struct {
 	Sources map[string]string
 	Opt     Options
 
-	prog *source.Program
-	arts Artifacts
+	prog        *source.Program
+	arts        Artifacts
+	transformed bool // TransformCode completed (possibly with zero candidates)
 }
 
 // NewProcess prepares a run over filename→source-text pairs.
@@ -223,6 +224,7 @@ func (p *Process) TransformCode() error {
 		return err
 	}
 	p.arts.UnitTests = uts
+	p.transformed = true
 	p.log("  %d generated file(s), %d tuning parameter(s), %d parallel unit test(s)",
 		len(p.arts.Outputs), len(p.arts.TuningConfig.Entries), len(uts))
 	return nil
@@ -295,9 +297,11 @@ type ValidationResult struct {
 }
 
 // Validate implements operation mode 4's correctness half: run every
-// generated parallel unit test on the systematic scheduler.
+// generated parallel unit test on the systematic scheduler. A run whose
+// TransformCode found no candidates has nothing to validate: the result
+// is empty and the error nil.
 func (p *Process) Validate(opt sched.Options) ([]ValidationResult, error) {
-	if p.arts.UnitTests == nil {
+	if !p.transformed {
 		return nil, fmt.Errorf("core: TransformCode must run first")
 	}
 	var out []ValidationResult

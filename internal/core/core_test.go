@@ -93,6 +93,43 @@ func Scan(a []int) {
 	}
 }
 
+// TestValidateNeedsTransformNotCandidates: Validate refuses a process
+// TransformCode never ran on, but a run that transformed zero
+// candidates validates to an empty result.
+func TestValidateNeedsTransformNotCandidates(t *testing.T) {
+	const scanOnly = `package p
+func Scan(a []int) {
+	for i := 1; i < len(a); i++ {
+		a[i] = a[i-1] + a[i]
+	}
+}
+`
+	for _, tc := range []struct {
+		name    string
+		run     bool
+		wantErr bool
+	}{
+		{"zero candidates", true, false},
+		{"untransformed", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProcess(map[string]string{"m.go": scanOnly}, Options{})
+			if tc.run {
+				if _, err := p.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			results, err := p.Validate(sched.Options{})
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+			if len(results) != 0 {
+				t.Fatalf("results = %+v, want none", results)
+			}
+		})
+	}
+}
+
 func TestValidateOnProcess(t *testing.T) {
 	p := NewProcess(map[string]string{"m.go": src}, Options{})
 	if _, err := p.Run(); err != nil {

@@ -15,9 +15,10 @@ import (
 // well-formedly but with *wrong costs* is invisible to every transport
 // check, and one adopted lie poisons the deterministic merge that the
 // replay — and every downstream gate — trusts. So the coordinator
-// audits: for each completed shard it re-evaluates a seeded sample of
-// K configurations locally (the objective is pure, so the honest cost
-// is reproducible anywhere) and compares. A worker whose report
+// audits: for each shard it re-evaluates a seeded sample of K
+// configurations locally (the objective is pure, so the honest cost
+// is reproducible anywhere) while the shard is in flight, and compares
+// when the response arrives. A worker whose report
 // diverges beyond tolerance is quarantined through the breaker, its
 // in-flight shard is re-queued for an honest worker, and every
 // evaluation it previously contributed is re-verified locally —
@@ -197,35 +198,71 @@ func costsAgree(reported, truth, tol float64) bool {
 	return math.Abs(reported-truth) <= tol*math.Max(1, math.Max(math.Abs(reported), math.Abs(truth)))
 }
 
+// truthCell is one single-flight entry of the audit cache: the first
+// caller for a key measures and closes done; every later caller waits
+// on done and reads cost.
+type truthCell struct {
+	done chan struct{}
+	cost float64
+}
+
 // localTruth returns the honest cost of an assignment, evaluating
 // LocalObjective at most once per key (cached across audits and
-// re-verification).
+// re-verification). Concurrent callers for one key — an audit-ahead
+// beside a stolen shard's co-holder, or beside quarantine
+// re-verification — share a single measurement.
 func (s *scheduler) localTruth(a map[string]int, opts Options) float64 {
 	key := tuning.AssignKey(a)
 	s.mu.Lock()
-	if c, ok := s.truth[key]; ok {
-		s.mu.Unlock()
-		return c
+	c, ok := s.truth[key]
+	if !ok {
+		c = &truthCell{done: make(chan struct{})}
+		s.truth[key] = c
 	}
 	s.mu.Unlock()
-	cost := opts.LocalObjective(a) // outside the lock: may be slow
-	s.mu.Lock()
-	s.truth[key] = cost
-	s.mu.Unlock()
-	return cost
+	if ok {
+		<-c.done
+		return c.cost
+	}
+	c.cost = opts.LocalObjective(a) // outside the lock: may be slow
+	close(c.done)
+	return c.cost
 }
 
-// crossCheck audits one shard response: re-evaluate the seeded sample
-// locally and compare. Reports whether the worker diverged (in which
-// case the response must not be merged).
+// auditAhead measures the local truth of req's audit sample while the
+// shard is in flight, and returns the function that joins it. The
+// sample depends only on (seed, search signature, shard id, number of
+// configs), and dispatch rejects any response whose length differs
+// from len(req.Configs), so it is fully known before the response
+// arrives; crossCheck then finds every truth it needs already cached.
+// A failed dispatch keeps its truth cached for the shard's
+// re-dispatch, which draws the same sample.
+func (s *scheduler) auditAhead(req ShardRequest, opts Options) (join func()) {
+	if opts.CrossCheck <= 0 {
+		return func() {}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, idx := range pickSample(opts.CrossCheckSeed, req.Search, req.Shard, len(req.Configs), opts.CrossCheck) {
+			s.localTruth(req.Configs[idx], opts)
+		}
+	}()
+	return func() { <-done }
+}
+
+// crossCheck audits one shard response: compare the seeded sample
+// against its local truth (already measured by auditAhead). Reports
+// whether the worker diverged (in which case the response must not be
+// merged).
 func (s *scheduler) crossCheck(worker string, req ShardRequest, resp *ShardResponse, opts Options) bool {
-	if opts.CrossCheck <= 0 || len(resp.Evals) == 0 {
+	if opts.CrossCheck <= 0 {
 		return false
 	}
 	divergent := false
-	for _, idx := range pickSample(opts.CrossCheckSeed, req.Search, req.Shard, len(resp.Evals), opts.CrossCheck) {
+	for _, idx := range pickSample(opts.CrossCheckSeed, req.Search, req.Shard, len(req.Configs), opts.CrossCheck) {
 		reported := resp.Evals[idx].EffectiveCost()
-		truth := s.localTruth(resp.Evals[idx].Assignment, opts)
+		truth := s.localTruth(req.Configs[idx], opts)
 		s.mu.Lock()
 		h := s.healthOf(worker)
 		h.checked++

@@ -178,7 +178,7 @@ type scheduler struct {
 
 	table  map[string]tuning.EvalRecord // merged costs by assignment key
 	source map[string]string            // eval key -> worker that produced the merged record
-	truth  map[string]float64           // locally re-measured costs (audit cache)
+	truth  map[string]*truthCell        // locally re-measured costs (single-flight audit cache)
 	health map[string]*workerHealth     // per-worker scorecards
 	byz    *jobs.Breaker                // byzantine quarantine (keyed by worker URL)
 	ck     *tuning.Checkpointer         // nil when checkpointing is off
@@ -488,7 +488,7 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 		done:   make(map[int]bool),
 		table:  make(map[string]tuning.EvalRecord),
 		source: make(map[string]string),
-		truth:  make(map[string]float64),
+		truth:  make(map[string]*truthCell),
 		health: make(map[string]*workerHealth),
 		// One divergence is enough: a worker caught lying about a pure
 		// function stays out for the rest of the search.
@@ -603,7 +603,10 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 				}
 				sched.noteDispatch(worker)
 				t0 := time.Now()
+				joinAudit := sched.auditAhead(req, opts)
 				resp, err := dispatch(fctx, opts.Client, worker, req, opts.LeaseTTL)
+				rtt := time.Since(t0)
+				joinAudit() // on every path: no audit outlives its dispatch
 				var busy busyError
 				switch {
 				case err == nil:
@@ -618,7 +621,7 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 						sched.release(id, true)
 						return
 					}
-					sched.complete(id, worker, resp.Evals, time.Since(t0))
+					sched.complete(id, worker, resp.Evals, rtt)
 				case errors.As(err, &busy):
 					// Overloaded, not broken: hand the shard back and
 					// honor the advertised backoff, jittered so a crowd

@@ -1,0 +1,229 @@
+package fleet
+
+import (
+	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"patty/internal/ptest"
+	"patty/internal/tuning"
+)
+
+// TestCrossCheckTruthSingleFlight: N concurrent callers asking for the
+// truth of one key share a single LocalObjective call and all read its
+// cost.
+func TestCrossCheckTruthSingleFlight(t *testing.T) {
+	const n = 16
+	var calls atomic.Int64
+	var started sync.WaitGroup
+	started.Add(n)
+	opts := Options{LocalObjective: func(a map[string]int) float64 {
+		calls.Add(1)
+		started.Wait()                    // every caller is in flight before the first returns
+		time.Sleep(10 * time.Millisecond) // and has had time to reach the cache
+		return float64(a["x"]) + 0.5
+	}}
+	s := &scheduler{truth: make(map[string]*truthCell)}
+	costs := make([]float64, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			started.Done()
+			costs[i] = s.localTruth(map[string]int{"x": 3}, opts)
+		}()
+	}
+	wg.Wait()
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("LocalObjective called %d times for one key, want 1", got)
+	}
+	for i, c := range costs {
+		if c != 3.5 {
+			t.Fatalf("caller %d read %v, want 3.5", i, c)
+		}
+	}
+}
+
+// TestCrossCheckOverlapsDispatch: the audit sample is measured while
+// its shard is in flight. The worker withholds every response until the
+// coordinator has called LocalObjective for each sampled configuration
+// of that shard — a serial audit, which measures only after the
+// response arrives, would stall every shard until the timeout.
+func TestCrossCheckOverlapsDispatch(t *testing.T) {
+	t.Cleanup(ptest.NoLeaks(t))
+	dims, start, obj := testSpace()
+	tn := tuning.LinearSearch{}
+	ref := tn.TuneCtx(context.Background(), dims, start, obj, 120)
+	const ckSeed = 7
+
+	var mu sync.Mutex
+	measured := map[string]chan struct{}{}
+	measuredCh := func(key string) chan struct{} { // callers hold mu
+		c := measured[key]
+		if c == nil {
+			c = make(chan struct{})
+			measured[key] = c
+		}
+		return c
+	}
+	local := func(a map[string]int) float64 {
+		mu.Lock()
+		c := measuredCh(tuning.AssignKey(a))
+		select {
+		case <-c: // measured before
+		default:
+			close(c)
+		}
+		mu.Unlock()
+		return obj(a)
+	}
+
+	var stalled atomic.Bool
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req ShardRequest
+		if !DecodeJSON(w, r, MaxBodyBytes, &req) {
+			return
+		}
+		for _, idx := range pickSample(ckSeed, req.Search, req.Shard, len(req.Configs), 2) {
+			mu.Lock()
+			c := measuredCh(tuning.AssignKey(req.Configs[idx]))
+			mu.Unlock()
+			if stalled.Load() {
+				break
+			}
+			select {
+			case <-c:
+			case <-time.After(10 * time.Second):
+				stalled.Store(true)
+				t.Errorf("shard %d: sampled config %d not measured while the shard was in flight", req.Shard, idx)
+			}
+		}
+		resp := ShardResponse{Shard: req.Shard}
+		for _, a := range req.Configs {
+			resp.Evals = append(resp.Evals, tuning.EvalRecord{Assignment: a, Cost: obj(a)})
+		}
+		WriteJSON(w, http.StatusOK, resp)
+	}))
+	defer func() {
+		worker.Close()
+		http.DefaultClient.CloseIdleConnections()
+	}()
+
+	res, st, err := Tune(context.Background(), tn, dims, start, 120, Options{
+		Workers:        []string{worker.URL},
+		LocalObjective: local,
+		ShardSize:      4,
+		CrossCheck:     2,
+		CrossCheckSeed: ckSeed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, ref) {
+		t.Fatalf("result diverged:\n got %+v\nwant %+v", res, ref)
+	}
+	if st.CrossChecked == 0 || st.Divergent != 0 {
+		t.Fatalf("audit ledger: %d checked, %d divergent; want >0 checked, none divergent", st.CrossChecked, st.Divergent)
+	}
+}
+
+// TestCrossCheckAheadLiarLedger: auditing ahead changes when the truth
+// is measured, not what is decided. On the quarantine fixture the
+// liar's divergent shard is never merged (its scorecard holds only the
+// 4 evaluations of its first, dodged shard) and the byzantine ledger
+// matches the serial audit's exactly.
+func TestCrossCheckAheadLiarLedger(t *testing.T) {
+	t.Cleanup(ptest.NoLeaks(t))
+	st, liar := dodgingLiarSearch(t)
+	// 6 shards: the liar's dodged first shard (2 audits) and its caught
+	// second one (2 audits, both divergent), then the honest worker's 5
+	// shards of 4, 4, 4, 4 and 1 configs (9 audits).
+	want := [4]int{13, 2, 4, 2}
+	if got := [4]int{st.CrossChecked, st.Divergent, st.Reverified, st.Corrected}; got != want {
+		t.Fatalf("CrossChecked/Divergent/Reverified/Corrected = %v, want %v", got, want)
+	}
+	for _, h := range st.Health {
+		if h.Worker == liar && (h.Evals != 4 || !h.Quarantined) {
+			t.Fatalf("liar scorecard %+v: want 4 merged evals (its dodged shard only) and quarantined", h)
+		}
+	}
+}
+
+// TestCrossCheckAheadCancel: canceling the search while a shard and its
+// audit are both in flight returns only after the audit has finished —
+// no LocalObjective call is still running when Tune returns — and
+// leaks no goroutine.
+func TestCrossCheckAheadCancel(t *testing.T) {
+	t.Cleanup(ptest.NoLeaks(t))
+	dims, start, obj := testSpace()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	auditing := make(chan struct{}, 1)
+	var active atomic.Int64
+	local := func(a map[string]int) float64 { // slow, but honors ctx
+		active.Add(1)
+		defer active.Add(-1)
+		select {
+		case auditing <- struct{}{}:
+		default:
+		}
+		tm := time.NewTimer(time.Minute)
+		defer tm.Stop()
+		select {
+		case <-ctx.Done():
+			time.Sleep(50 * time.Millisecond) // winding down takes a moment
+		case <-tm.C:
+		}
+		return obj(a)
+	}
+
+	inflight := make(chan struct{}, 1)
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // lets the server notice the client hanging up
+		select {
+		case inflight <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done() // never answers; the coordinator gives up
+	}))
+	defer func() {
+		worker.Close()
+		http.DefaultClient.CloseIdleConnections()
+	}()
+
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := Tune(ctx, tuning.LinearSearch{}, dims, start, 120, Options{
+			Workers:        []string{worker.URL},
+			LocalObjective: local,
+			ShardSize:      4,
+		})
+		done <- err
+	}()
+	for _, c := range []chan struct{}{inflight, auditing} {
+		select {
+		case <-c:
+		case <-time.After(10 * time.Second):
+			cancel()
+			<-done
+			t.Fatal("shard dispatch and its audit were never in flight together")
+		}
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Tune did not return after cancellation")
+	}
+	if n := active.Load(); n != 0 {
+		t.Fatalf("%d LocalObjective call(s) still running after Tune returned", n)
+	}
+}

@@ -67,9 +67,9 @@ type ShardRequest struct {
 	// Program is the canonical content address of the workload
 	// (evalcache.ProgramHash / SpecHash); with Seed it lets a worker
 	// share its persistent evaluation store across searches, tenants
-	// and restarts. Empty on requests from older coordinators — the
-	// worker then falls back to "search:"+Search, which never matches
-	// a content address.
+	// and restarts. Empty when the coordinator has no evaluation store
+	// — the worker then falls back to "search:"+Search, which never
+	// matches a content address.
 	Program string `json:"program,omitempty"`
 	// Seed is the measurement seed completing the cache address.
 	Seed int64 `json:"seed,omitempty"`

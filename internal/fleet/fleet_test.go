@@ -656,6 +656,50 @@ func TestWorkerCacheResume(t *testing.T) {
 	}
 }
 
+// TestWorkerCacheScopedBySearch: a caching worker serving two
+// different searches for a coordinator without an evaluation store
+// (no Program in the requests) keys each search's entries by its
+// signature, so neither search is answered from the other's costs.
+func TestWorkerCacheScopedBySearch(t *testing.T) {
+	t.Cleanup(ptest.NoLeaks(t))
+	dims, start, obj := testSpace()
+	scaled := func(k int) tuning.Objective {
+		return func(a map[string]int) float64 { return obj(a)*float64(k) + 1 }
+	}
+	var calls atomic.Int64
+	url, _ := startWorker(t, func(spec json.RawMessage) (tuning.Objective, error) {
+		var k int
+		if err := json.Unmarshal(spec, &k); err != nil {
+			return nil, err
+		}
+		return func(a map[string]int) float64 {
+			calls.Add(1)
+			return scaled(k)(a)
+		}, nil
+	}, t.TempDir())
+
+	tn := tuning.LinearSearch{}
+	for _, tc := range []struct{ k, budget int }{{1, 120}, {2, 121}} {
+		calls.Store(0)
+		ref := tn.TuneCtx(context.Background(), dims, start, scaled(tc.k), tc.budget)
+		res, st, err := Tune(context.Background(), tn, dims, start, tc.budget, Options{
+			Workers:        []string{url},
+			Spec:           json.RawMessage(fmt.Sprint(tc.k)),
+			LocalObjective: scaled(tc.k),
+			CrossCheck:     -1, // a stale answer must show in the result, not in the audit
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, ref) {
+			t.Fatalf("search k=%d answered from another search's entries:\n got %+v\nwant %+v", tc.k, res, ref)
+		}
+		if int(calls.Load()) != st.Merged {
+			t.Fatalf("search k=%d: worker measured %d of %d merged configs", tc.k, calls.Load(), st.Merged)
+		}
+	}
+}
+
 // TestTuneInputValidation: no workers, missing objective, and an
 // oversized space are refused up front.
 func TestTuneInputValidation(t *testing.T) {

@@ -231,6 +231,28 @@ func TestRetryAfterHonored(t *testing.T) {
 // reference bit for bit.
 func TestQuarantineReverifiesAndCorrects(t *testing.T) {
 	t.Cleanup(ptest.NoLeaks(t))
+	st, liar := dodgingLiarSearch(t)
+	if len(st.ByzantineQuarantined) != 1 || st.ByzantineQuarantined[0] != liar {
+		t.Fatalf("quarantined %v, want the dodging liar", st.ByzantineQuarantined)
+	}
+	// The liar's first shard (4 configs: 2 audited honest, 2 lied) was
+	// merged, then re-verified in full when the second shard caught it;
+	// exactly the 2 lies needed correction.
+	if st.Reverified != 4 {
+		t.Fatalf("reverified %d contributions, want the liar's full first shard (4): %+v", st.Reverified, st)
+	}
+	if st.Corrected != 2 {
+		t.Fatalf("corrected %d lied costs, want 2: %+v", st.Corrected, st)
+	}
+}
+
+// dodgingLiarSearch runs the quarantine fixture: a slow honest worker
+// beside a fast liar that dodges its first audit, searched with
+// ShardSize 4 and CrossCheck 2. It fails t unless the result matches
+// the local reference bit for bit, and returns the fleet's Stats and
+// the liar's URL.
+func dodgingLiarSearch(t *testing.T) (*Stats, string) {
+	t.Helper()
 	dims, start, obj := testSpace()
 	tn := tuning.LinearSearch{}
 	ref := tn.TuneCtx(context.Background(), dims, start, obj, 120)
@@ -283,18 +305,7 @@ func TestQuarantineReverifiesAndCorrects(t *testing.T) {
 	if !reflect.DeepEqual(res, ref) {
 		t.Fatalf("result diverged despite reverification:\n got %+v\nwant %+v", res, ref)
 	}
-	if len(st.ByzantineQuarantined) != 1 || st.ByzantineQuarantined[0] != liar.URL {
-		t.Fatalf("quarantined %v, want the dodging liar", st.ByzantineQuarantined)
-	}
-	// The liar's first shard (4 configs: 2 audited honest, 2 lied) was
-	// merged, then re-verified in full when the second shard caught it;
-	// exactly the 2 lies needed correction.
-	if st.Reverified != 4 {
-		t.Fatalf("reverified %d contributions, want the liar's full first shard (4): %+v", st.Reverified, st)
-	}
-	if st.Corrected != 2 {
-		t.Fatalf("corrected %d lied costs, want 2: %+v", st.Corrected, st)
-	}
+	return st, liar.URL
 }
 
 // TestPickSampleDeterministic: the audit sample is a pure function of

@@ -59,9 +59,10 @@ func NewWorker(svc *jobs.Service, newObjective func(json.RawMessage) (tuning.Obj
 }
 
 // cacheKeyFor builds the store address for one configuration of a
-// shard. Requests from coordinators that predate content addressing
-// carry no Program; "search:"+Search keeps their entries correct
-// (scoped to one search identity) without ever colliding with a
+// shard. A coordinator without an evaluation store of its own (`patty
+// tune` without -cache-dir) sends no Program, so a caching worker must
+// still keep the searches it serves apart: "search:"+Search scopes
+// their entries to one search identity, and never collides with a
 // sha256 content address.
 func cacheKeyFor(req ShardRequest, a map[string]int) evalcache.Key {
 	prog := req.Program
