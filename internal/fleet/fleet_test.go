@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -535,6 +536,8 @@ func TestWorkerIntakeHardening(t *testing.T) {
 	t.Cleanup(ptest.NoLeaks(t))
 	_, _, obj := testSpace()
 	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
 	blocking := func(json.RawMessage) (tuning.Objective, error) {
 		return func(a map[string]int) float64 {
 			<-release
@@ -546,6 +549,9 @@ func TestWorkerIntakeHardening(t *testing.T) {
 	wk := NewWorker(svc, blocking, nil, c)
 	ts := httptest.NewServer(wk.Mux())
 	defer func() {
+		// On a failure path the blocked handlers still wait for
+		// release; ts.Close would wait for them forever.
+		unblock()
 		ts.Close()
 		svc.Close()
 		http.DefaultClient.CloseIdleConnections()
@@ -602,7 +608,7 @@ func TestWorkerIntakeHardening(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Fatalf("503 Retry-After = %q, want >= 1 second", ra)
 	}
-	close(release)
+	unblock()
 	<-inflight
 	<-inflight
 }

@@ -162,49 +162,83 @@ func abstractAccesses(fn *source.Function, lm *model.LoopModel) map[int][]access
 	return out
 }
 
-// declareVars declares one sched.Var per abstract cell touched by any
-// iteration.
-func declareVars(w *sched.World, perStmt map[int][]access, order []int, iters int) map[string]*sched.Var {
-	vars := make(map[string]*sched.Var)
-	get := func(name string) *sched.Var {
-		if v, ok := vars[name]; !ok {
-			vars[name] = w.Var(name, 0)
-			return vars[name]
-		} else {
-			return v
+// cellAccess is one resolved shared access: an index into the test's
+// cell list, and whether it writes.
+type cellAccess struct {
+	cell  int
+	write bool
+}
+
+// cells is a test's abstract shared memory, resolved once by Generate:
+// one named cell per variable or modelled element, in the order the
+// test declares them.
+type cells struct {
+	names []string
+	index map[string]int
+}
+
+// resolveCells names every abstract cell the statements in order touch
+// over iters iterations, in first-touch order.
+func resolveCells(perStmt map[int][]access, order []int, iters int) *cells {
+	c := &cells{index: make(map[string]int)}
+	add := func(name string) {
+		if _, ok := c.index[name]; !ok {
+			c.index[name] = len(c.names)
+			c.names = append(c.names, name)
 		}
 	}
 	for _, id := range order {
 		for _, a := range perStmt[id] {
-			if a.indexed {
-				for i := 0; i < iters; i++ {
-					get(fmt.Sprintf("%s[%d]", a.varName, i+a.offset))
-				}
-			} else {
-				get(a.varName)
+			for i := 0; i < iters; i++ {
+				add(cellName(a, i))
 			}
 		}
+	}
+	return c
+}
+
+// cellName is the cell a accesses in iteration iter.
+func cellName(a access, iter int) string {
+	if a.indexed {
+		return fmt.Sprintf("%s[%d]", a.varName, iter+a.offset)
+	}
+	return a.varName
+}
+
+// accesses lists, for each of iters iterations, the resolved accesses
+// of the statements stmts in program order.
+func (c *cells) accesses(perStmt map[int][]access, stmts []int, iters int) [][]cellAccess {
+	out := make([][]cellAccess, iters)
+	for i := range out {
+		for _, id := range stmts {
+			for _, a := range perStmt[id] {
+				cell, ok := c.index[cellName(a, i)]
+				if !ok {
+					continue // offset outside the modelled window
+				}
+				out[i] = append(out[i], cellAccess{cell: cell, write: a.write})
+			}
+		}
+	}
+	return out
+}
+
+// declare declares one sched.Var per cell.
+func (c *cells) declare(w *sched.World) []*sched.Var {
+	vars := make([]*sched.Var, len(c.names))
+	for i, name := range c.names {
+		vars[i] = w.Var(name, 0)
 	}
 	return vars
 }
 
-// replay performs one iteration's accesses for the given statements.
-func replay(ctx *sched.Context, vars map[string]*sched.Var, perStmt map[int][]access, stmts []int, iter int) {
-	for _, id := range stmts {
-		for _, a := range perStmt[id] {
-			name := a.varName
-			if a.indexed {
-				name = fmt.Sprintf("%s[%d]", a.varName, iter+a.offset)
-			}
-			v, ok := vars[name]
-			if !ok {
-				continue // offset outside the modelled window
-			}
-			if a.write {
-				ctx.Write(v, iter+1)
-			} else {
-				ctx.Read(v)
-			}
+// replay performs one iteration's resolved accesses.
+func replay(ctx *sched.Context, vars []*sched.Var, accs []cellAccess, iter int) {
+	for _, a := range accs {
+		if a.write {
+			ctx.Write(vars[a.cell], iter+1)
+		} else {
+			ctx.Read(vars[a.cell])
 		}
 	}
 }
@@ -213,23 +247,38 @@ func replay(ctx *sched.Context, vars map[string]*sched.Var, perStmt map[int][]ac
 // iterations dealt round-robin to worker threads.
 func generateWorkers(name string, c pattern.Candidate, lm *model.LoopModel, perStmt map[int][]access, opt Options) (*UnitTest, error) {
 	body := lm.Static.Body
+	cs := resolveCells(perStmt, body, opt.Iters)
+	perIter := cs.accesses(perStmt, body, opt.Iters)
+	workers := make([]string, opt.Threads)
+	for t := range workers {
+		workers[t] = fmt.Sprintf("worker%d", t)
+	}
 	return &UnitTest{
 		Name: name,
 		Kind: c.Kind,
 		Description: fmt.Sprintf("%d workers over %d independent iterations of %s",
 			opt.Threads, opt.Iters, c.Fn),
 		Body: func(w *sched.World) {
-			vars := declareVars(w, perStmt, body, opt.Iters)
+			vars := cs.declare(w)
 			for t := 0; t < opt.Threads; t++ {
 				tid := t
-				w.Spawn(fmt.Sprintf("worker%d", tid), func(ctx *sched.Context) {
+				w.Spawn(workers[tid], func(ctx *sched.Context) {
 					for i := tid; i < opt.Iters; i += opt.Threads {
-						replay(ctx, vars, perStmt, body, i)
+						replay(ctx, vars, perIter[i], i)
 					}
 				})
 			}
 		},
 	}, nil
+}
+
+// pipelineStage is one stage of a generated pipeline test, resolved
+// by Generate.
+type pipelineStage struct {
+	replicas int
+	threads  []string       // one name per replica
+	done, mu string         // the shutdown counter and its lock
+	perItem  [][]cellAccess // the stage's accesses per element
 }
 
 // generatePipeline models the stage-bound pipeline: one thread per
@@ -240,21 +289,40 @@ func generatePipeline(name string, c pattern.Candidate, lm *model.LoopModel, per
 	if len(stages) < 2 {
 		return nil, fmt.Errorf("ptest: pipeline candidate with %d stages", len(stages))
 	}
+	var order []int
+	for _, st := range stages {
+		order = append(order, st.Stmts...)
+	}
+	cs := resolveCells(perStmt, order, opt.Iters)
+	bufs := make([]string, len(stages)+1)
+	for i := range bufs {
+		bufs[i] = fmt.Sprintf("buf%d", i)
+	}
+	ps := make([]pipelineStage, len(stages))
+	for si, st := range stages {
+		p := &ps[si]
+		p.replicas = 1
+		if st.Replicable && st.ReplicationSuggested {
+			p.replicas = opt.Replication
+		}
+		for r := 0; r < p.replicas; r++ {
+			p.threads = append(p.threads, fmt.Sprintf("stage%d.%s.r%d", si, st.Label, r))
+		}
+		p.done = fmt.Sprintf("stage%d.done", si)
+		p.mu = fmt.Sprintf("stage%d.mu", si)
+		p.perItem = cs.accesses(perStmt, st.Stmts, opt.Iters)
+	}
 	return &UnitTest{
 		Name: name,
 		Kind: c.Kind,
 		Description: fmt.Sprintf("%d-stage pipeline over %d elements (replication %d on replicable stages, buffers %d)",
 			len(stages), opt.Iters, opt.Replication, opt.BufCap),
 		Body: func(w *sched.World) {
-			var order []int
-			for _, st := range stages {
-				order = append(order, st.Stmts...)
-			}
-			vars := declareVars(w, perStmt, order, opt.Iters)
+			vars := cs.declare(w)
 
-			chans := make([]*sched.Chan, len(stages)+1)
+			chans := make([]*sched.Chan, len(bufs))
 			for i := range chans {
-				chans[i] = w.Chan(fmt.Sprintf("buf%d", i), opt.BufCap)
+				chans[i] = w.Chan(bufs[i], opt.BufCap)
 			}
 
 			// StreamGenerator.
@@ -265,38 +333,33 @@ func generatePipeline(name string, c pattern.Candidate, lm *model.LoopModel, per
 				ctx.Close(chans[0])
 			})
 
-			for si, st := range stages {
-				replicas := 1
-				if st.Replicable && st.ReplicationSuggested {
-					replicas = opt.Replication
-				}
+			for si := range ps {
+				p := &ps[si]
 				in, out := chans[si], chans[si+1]
-				stmts := st.Stmts
 				// Replica shutdown coordination is part of the runtime
 				// (not the user pattern), so it is lock-protected here
 				// just as parrt uses a WaitGroup.
-				closer := w.Var(fmt.Sprintf("stage%d.done", si), 0)
-				closeMu := w.Mutex(fmt.Sprintf("stage%d.mu", si))
-				for r := 0; r < replicas; r++ {
-					w.Spawn(fmt.Sprintf("stage%d.%s.r%d", si, st.Label, r),
-						func(ctx *sched.Context) {
-							for {
-								item, ok := ctx.Recv(in)
-								if !ok {
-									break
-								}
-								replay(ctx, vars, perStmt, stmts, item)
-								ctx.Send(out, item)
+				closer := w.Var(p.done, 0)
+				closeMu := w.Mutex(p.mu)
+				for _, thread := range p.threads {
+					w.Spawn(thread, func(ctx *sched.Context) {
+						for {
+							item, ok := ctx.Recv(in)
+							if !ok {
+								break
 							}
-							// The last replica closes downstream.
-							ctx.Lock(closeMu)
-							done := ctx.Read(closer) + 1
-							ctx.Write(closer, done)
-							ctx.Unlock(closeMu)
-							if done == replicas {
-								ctx.Close(out)
-							}
-						})
+							replay(ctx, vars, p.perItem[item], item)
+							ctx.Send(out, item)
+						}
+						// The last replica closes downstream.
+						ctx.Lock(closeMu)
+						done := ctx.Read(closer) + 1
+						ctx.Write(closer, done)
+						ctx.Unlock(closeMu)
+						if done == p.replicas {
+							ctx.Close(out)
+						}
+					})
 				}
 			}
 

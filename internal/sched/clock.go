@@ -16,6 +16,28 @@ func (c vclock) copyOf(n int) vclock {
 	return out
 }
 
+// grow returns c itself when it already has n entries, else a copy
+// grown to n. Use it only on a clock no one else refers to.
+func (c vclock) grow(n int) vclock {
+	if len(c) >= n {
+		return c
+	}
+	return c.copyOf(n)
+}
+
+// copyInto is copyOf reusing dst's storage when it is large enough.
+func (c vclock) copyInto(dst vclock, n int) vclock {
+	if n < len(c) {
+		n = len(c)
+	}
+	if cap(dst) < n {
+		return c.copyOf(n)
+	}
+	dst = dst[:n]
+	clear(dst[copy(dst, c):])
+	return dst
+}
+
 // at returns c[i], treating missing entries as zero.
 func (c vclock) at(i int) uint32 {
 	if i < len(c) {

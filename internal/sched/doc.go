@@ -11,7 +11,11 @@
 //     access a scheduling yield point.
 //   - A cooperative scheduler runs exactly one thread at a time and
 //     owns all shared state, so each run is deterministic and fully
-//     replayable from its decision sequence.
+//     replayable from its decision sequence. The scheduler runs on
+//     whichever goroutine holds the baton: a thread that reaches a
+//     yield point makes the next decision itself, continues at once
+//     when it is chosen again, and hands the baton to the chosen
+//     thread with one channel send otherwise.
 //   - Explore performs a depth-first search over scheduling decisions,
 //     re-executing the program once per interleaving, with optional
 //     preemption bounding (CHESS's key scalability insight: most bugs

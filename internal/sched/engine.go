@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 type opKind int
 
@@ -13,7 +16,6 @@ const (
 	opRecv
 	opClose
 	opYield
-	opDone
 )
 
 func (k opKind) String() string {
@@ -34,8 +36,6 @@ func (k opKind) String() string {
 		return "close"
 	case opYield:
 		return "yield"
-	case opDone:
-		return "done"
 	default:
 		return fmt.Sprintf("op(%d)", int(k))
 	}
@@ -55,63 +55,82 @@ type response struct {
 	abort bool
 }
 
+// message is a thread's first report to the explorer: its first
+// request is waiting in thread.req, or the thread finished without
+// yielding at all.
 type message struct {
-	tid int
-	req request
+	tid  int
+	done bool
 }
 
 // thread is the runtime representation of one spawned thread.
 type thread struct {
 	id    int
 	name  string
-	grant chan response
+	ctx   Context
+	grant chan response // receiving a grant hands this thread the baton
 	vc    vclock
-	done  bool
+	// req is the thread's pending operation while pending[id] points
+	// here.
+	req     request
+	started bool // the first request went to the explorer
+	done    bool // finished, or ended the run itself: never granted again
+	aborted bool // unwinding: any further operation panics at once
 }
 
 // abortPanic unwinds a thread whose interleaving was abandoned
 // (deadlock, first-bug stop, or oracle abort).
 type abortPanic struct{}
 
-// execution is the per-run engine state.
+// execution is the per-run engine state. One goroutine at a time, the
+// baton holder, reads and writes it: the explorer until it makes the
+// first decision, then each thread in turn while it runs. The baton
+// passes only through a channel operation (a grant, or the end
+// signal), so every access is ordered after the previous holder's.
 type execution struct {
+	e       *explorer
 	world   *World
 	threads []*thread
-	reqs    chan message
-	pending map[int]*request
+	first   chan message  // first requests, collected by the explorer
+	end     chan struct{} // the holder that ends the run signals here
+	wg      sync.WaitGroup
+	// pending[tid] is tid's next operation, nil while it has none.
+	pending []*request
+	live    int // threads not yet finished
 
-	// race bookkeeping (dedup handled by the explorer)
+	// decision state: branch points replayed or pushed, operations
+	// executed, the thread that ran last and the preemptions so far
+	branch, step, lastTid, preemptions int
+
+	// races new to the exploration
 	races []Race
 	// failure of this run, if any
 	failure *Failure
 	// the schedule so far: granted thread ids in order
 	trace []int
-	// nondeterminism detection
-	nondet bool
+	// how the run ended
+	deadlock, nondet, aborted bool
 }
 
-func newExecution(w *World) *execution {
-	ex := &execution{
-		world:   w,
-		reqs:    make(chan message),
-		pending: make(map[int]*request),
-	}
-	w.ex = ex
-	return ex
-}
-
-// start launches the thread goroutines.
+// start launches the thread goroutines. Each runs up to its first
+// operation, reports it to the explorer and waits for its first grant.
 func (ex *execution) start() {
+	n := len(ex.world.threads)
+	ex.threads = make([]*thread, n)
+	ex.pending = make([]*request, n)
+	ex.live = n
 	for i, spec := range ex.world.threads {
 		t := &thread{
 			id:    i,
 			name:  spec.name,
 			grant: make(chan response),
-			vc:    newClock(len(ex.world.threads)),
+			vc:    newClock(n),
 		}
 		t.vc[i] = 1
-		ex.threads = append(ex.threads, t)
+		t.ctx = Context{ex: ex, t: t}
+		ex.threads[i] = t
 	}
+	ex.wg.Add(n)
 	for i, spec := range ex.world.threads {
 		t := ex.threads[i]
 		fn := spec.fn
@@ -122,33 +141,81 @@ func (ex *execution) start() {
 						panic(r)
 					}
 				}
-				ex.reqs <- message{tid: t.id, req: request{op: opDone}}
+				ex.wg.Done()
 			}()
-			fn(&Context{ex: ex, t: t})
+			fn(&t.ctx)
+			ex.finish(t)
 		}()
 	}
 }
 
-// yield is the thread side of the scheduling protocol: post the
-// request, wait for the grant, return the scheduler's response.
+// yield is the thread side of the scheduling protocol. The calling
+// thread holds the baton: it posts its request and makes the next
+// decision itself. Chosen again, it continues at once; otherwise it
+// grants the chosen thread and waits for its own turn.
 func (c *Context) yield(req request) response {
-	c.ex.reqs <- message{tid: c.t.id, req: req}
-	resp := <-c.t.grant
+	t, ex := c.t, c.ex
+	if t.aborted {
+		panic(abortPanic{}) // an operation deferred in an unwinding thread
+	}
+	t.req = req
+	if !t.started {
+		t.started = true
+		ex.first <- message{tid: t.id}
+		return t.wait()
+	}
+	ex.pending[t.id] = &t.req
+	next, resp := ex.schedule()
+	if next == t.id {
+		return resp
+	}
+	if next < 0 {
+		// The run is over; the explorer unwinds the others.
+		t.done = true
+		t.aborted = true
+		ex.end <- struct{}{}
+		panic(abortPanic{})
+	}
+	ex.threads[next].grant <- resp
+	return t.wait()
+}
+
+// finish retires t once its function has returned, then makes the
+// next decision with the baton it still holds.
+func (ex *execution) finish(t *thread) {
+	if !t.started {
+		ex.first <- message{tid: t.id, done: true}
+		return
+	}
+	t.done = true
+	ex.live--
+	next, resp := ex.schedule()
+	if next < 0 {
+		ex.end <- struct{}{}
+		return
+	}
+	ex.threads[next].grant <- resp
+}
+
+// wait blocks until t is granted the baton.
+func (t *thread) wait() response {
+	resp := <-t.grant
 	if resp.abort {
+		t.aborted = true
 		panic(abortPanic{})
 	}
 	return resp
 }
 
-// enabled reports whether t's pending request can execute now.
-func (ex *execution) enabled(req *request, tid int) bool {
+// enabled reports whether a pending request can execute now.
+func enabled(req *request) bool {
 	switch req.op {
 	case opLock:
 		return req.m.holder == -1
 	case opSend:
-		return req.ch.closed || len(req.ch.buf) < req.ch.cap
+		return req.ch.closed || req.ch.n < len(req.ch.slots)
 	case opRecv:
-		return len(req.ch.buf) > 0 || req.ch.closed
+		return req.ch.n > 0 || req.ch.closed
 	default:
 		return true
 	}
@@ -156,19 +223,22 @@ func (ex *execution) enabled(req *request, tid int) bool {
 
 // apply executes t's pending request against the shared state, runs
 // the race detector, and builds the response. A response with
-// abort=true also records the failure that caused it.
+// abort=true also records the failure that caused it. Clocks owned by
+// a Var, Mutex or Chan are updated in place once they have grown to
+// the thread count, so a step allocates nothing.
 func (ex *execution) apply(t *thread, req *request) response {
+	n := len(ex.threads)
 	switch req.op {
 	case opYield:
 		return response{}
 	case opRead:
 		ex.checkRead(t, req.v)
-		req.v.readVC = req.v.readVC.copyOf(len(ex.threads))
+		req.v.readVC = req.v.readVC.grow(n)
 		req.v.readVC[t.id] = t.vc.at(t.id)
 		return response{val: req.v.value}
 	case opWrite:
 		ex.checkWrite(t, req.v)
-		req.v.writeVC = req.v.writeVC.copyOf(len(ex.threads))
+		req.v.writeVC = req.v.writeVC.grow(n)
 		req.v.writeVC[t.id] = t.vc.at(t.id)
 		req.v.value = req.val
 		return response{}
@@ -182,28 +252,34 @@ func (ex *execution) apply(t *thread, req *request) response {
 			return response{abort: true}
 		}
 		req.m.holder = -1
-		req.m.vc = req.m.vc.copyOf(len(ex.threads)).join(t.vc)
+		req.m.vc = req.m.vc.grow(n).join(t.vc)
 		t.vc = t.vc.tick(t.id)
 		return response{}
 	case opSend:
-		if req.ch.closed {
-			ex.fail("thread %d (%s) sent on closed channel %q", t.id, t.name, req.ch.name)
+		ch := req.ch
+		if ch.closed {
+			ex.fail("thread %d (%s) sent on closed channel %q", t.id, t.name, ch.name)
 			return response{abort: true}
 		}
-		req.ch.buf = append(req.ch.buf, chanMsg{val: req.val, vc: t.vc.copyOf(len(ex.threads))})
+		slot := &ch.slots[(ch.head+ch.n)%len(ch.slots)]
+		slot.val = req.val
+		slot.vc = t.vc.copyInto(slot.vc, n)
+		ch.n++
 		// Order this send after the receives that freed buffer space.
-		t.vc = t.vc.join(req.ch.spaceVC)
+		t.vc = t.vc.join(ch.spaceVC)
 		t.vc = t.vc.tick(t.id)
 		return response{}
 	case opRecv:
-		if len(req.ch.buf) == 0 {
+		ch := req.ch
+		if ch.n == 0 {
 			// enabled only because the channel is closed
 			return response{ok: false}
 		}
-		msg := req.ch.buf[0]
-		req.ch.buf = req.ch.buf[1:]
+		msg := &ch.slots[ch.head]
+		ch.head = (ch.head + 1) % len(ch.slots)
+		ch.n--
 		t.vc = t.vc.join(msg.vc)
-		req.ch.spaceVC = req.ch.spaceVC.copyOf(len(ex.threads)).join(t.vc)
+		ch.spaceVC = ch.spaceVC.grow(n).join(t.vc)
 		t.vc = t.vc.tick(t.id)
 		return response{val: msg.val, ok: true}
 	case opClose:
@@ -251,7 +327,20 @@ func (ex *execution) checkWrite(t *thread, v *Var) {
 	}
 }
 
+// raceKey identifies a race for deduplication across interleavings.
+type raceKey struct {
+	v, kind string
+	a, b    int
+}
+
+// race records a race the exploration has not seen before, with the
+// schedule that exhibits it.
 func (ex *execution) race(v *Var, kind string, a, b int) {
+	k := raceKey{v.name, kind, a, b}
+	if ex.e.raceSeen[k] {
+		return
+	}
+	ex.e.raceSeen[k] = true
 	ex.races = append(ex.races, Race{
 		Var:      v.name,
 		Kind:     kind,

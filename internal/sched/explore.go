@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Options configures an exploration.
@@ -108,14 +107,23 @@ func sigOf(tid int, req *request) opSig {
 	return s
 }
 
+// explorer is the state that outlives one interleaving: the DFS
+// stack, the previous run's operation log and the step buffers every
+// run reuses.
 type explorer struct {
 	opt   Options
 	rng   *rand.Rand // non-nil: random-walk sampling instead of DFS
 	stack []decision
 	// prevOps is the operation log of the previous run; steps below
 	// replayLimit are a replayed prefix and must match it exactly.
-	prevOps     []opSig
-	replayLimit int
+	// oplog is the current run's log; the two swap after each run.
+	prevOps, oplog []opSig
+	replayLimit    int
+	// raceSeen deduplicates races across interleavings.
+	raceSeen map[raceKey]bool
+	// per-step scratch: the enabled set, the ordered candidates and
+	// the trace buffer
+	enabled, cands, trace []int
 }
 
 // Explore systematically executes body under every schedule (subject
@@ -126,7 +134,7 @@ func Explore(opt Options, body func(*World)) Result {
 	if opt.MaxSchedules <= 0 {
 		opt.MaxSchedules = DefaultMaxSchedules
 	}
-	e := &explorer{opt: opt}
+	e := &explorer{opt: opt, raceSeen: make(map[raceKey]bool)}
 	if opt.RandomWalks > 0 {
 		seed := opt.Seed
 		if seed == 0 {
@@ -135,19 +143,12 @@ func Explore(opt Options, body func(*World)) Result {
 		e.rng = rand.New(rand.NewSource(seed))
 	}
 	var res Result
-	raceSeen := make(map[string]bool)
 	failSeen := make(map[string]bool)
 	deadSeen := make(map[string]bool)
 	for {
 		ex := e.runOnce(body)
 		res.Schedules++
-		for _, rc := range ex.races {
-			key := rc.Var + "|" + rc.Kind + "|" + fmt.Sprint(rc.Threads)
-			if !raceSeen[key] {
-				raceSeen[key] = true
-				res.Races = append(res.Races, rc)
-			}
-		}
+		res.Races = append(res.Races, ex.races...)
 		if ex.failure != nil {
 			if ex.deadlock {
 				if !deadSeen[ex.failure.Msg] {
@@ -198,156 +199,165 @@ func (e *explorer) advance() bool {
 	return false
 }
 
-// runResult is the per-run view the explorer consumes.
-type runExec struct {
-	*execution
-	deadlock bool
-	nondet   bool
+// push records a new branch point, reusing the storage of a decision
+// popped earlier.
+func (e *explorer) push(cands []int, step int) {
+	n := len(e.stack)
+	if n < cap(e.stack) {
+		e.stack = e.stack[:n+1]
+	} else {
+		e.stack = append(e.stack, decision{})
+	}
+	d := &e.stack[n]
+	d.enabled = append(d.enabled[:0], cands...)
+	d.chosen = 0
+	d.step = step
 }
 
-func (e *explorer) runOnce(body func(*World)) runExec {
+// runOnce executes body under one schedule. The explorer holds the
+// baton until it makes the first decision; after that the threads
+// schedule each other, and the explorer waits for the end of the run,
+// unwinds the threads still waiting and joins them all.
+func (e *explorer) runOnce(body func(*World)) *execution {
 	w := &World{}
 	body(w)
-	ex := newExecution(w)
+	ex := &execution{
+		e:       e,
+		world:   w,
+		first:   make(chan message),
+		end:     make(chan struct{}),
+		lastTid: -1,
+		trace:   e.trace[:0],
+	}
+	e.oplog = e.oplog[:0]
 	ex.start()
-	rr := runExec{execution: ex}
-
-	n := len(ex.threads)
-	live := n
-	for collected := 0; collected < n; collected++ {
-		msg := <-ex.reqs
-		if msg.req.op == opDone {
+	for range ex.threads {
+		msg := <-ex.first
+		if msg.done {
 			ex.threads[msg.tid].done = true
-			live--
+			ex.live--
 		} else {
-			req := msg.req
-			ex.pending[msg.tid] = &req
+			ex.pending[msg.tid] = &ex.threads[msg.tid].req
 		}
 	}
-
-	branch := 0
-	step := 0
-	lastTid := -1
-	preemptions := 0
-	aborted := false
-	var oplog []opSig
-
-	for live > 0 {
-		enabled := ex.enabledSet()
-		if len(enabled) == 0 {
-			rr.deadlock = true
-			ex.fail("deadlock: %s", ex.blockedSummary())
-			ex.abortAll(&live)
-			aborted = true
-			break
-		}
-		cands := enabled
-		if e.opt.PreemptionBound >= 0 && preemptions >= e.opt.PreemptionBound && containsInt(enabled, lastTid) {
-			cands = []int{lastTid}
-		}
-		cands = orderCands(cands, lastTid)
-
-		var chosen int
-		if e.rng != nil {
-			chosen = cands[e.rng.Intn(len(cands))]
-		} else if len(cands) == 1 {
-			chosen = cands[0]
-		} else {
-			if branch < len(e.stack) {
-				d := e.stack[branch]
-				if !equalInts(d.enabled, cands) {
-					rr.nondet = true
-					ex.fail("nondeterministic replay: enabled set %v, expected %v", cands, d.enabled)
-					ex.abortAll(&live)
-					aborted = true
-					break
-				}
-				chosen = cands[d.chosen]
-			} else {
-				e.stack = append(e.stack, decision{enabled: append([]int(nil), cands...), chosen: 0, step: step})
-				chosen = cands[0]
-			}
-			branch++
-		}
-		if lastTid != -1 && chosen != lastTid && containsInt(enabled, lastTid) {
-			preemptions++
-		}
-
-		t := ex.threads[chosen]
-		req := ex.pending[chosen]
-		delete(ex.pending, chosen)
-		ex.trace = append(ex.trace, chosen)
-		sig := sigOf(chosen, req)
-		if step < e.replayLimit && (step >= len(e.prevOps) || e.prevOps[step] != sig) {
-			rr.nondet = true
-			ex.fail("nondeterministic replay at step %d: executed %+v", step, sig)
-			// Finish this thread's hand-off, then unwind everything.
+	if next, resp := ex.schedule(); next >= 0 {
+		ex.threads[next].grant <- resp
+		<-ex.end
+	}
+	for _, t := range ex.threads {
+		if !t.done {
 			t.grant <- response{abort: true}
-			<-ex.reqs
-			t.done = true
-			live--
-			ex.abortAll(&live)
-			aborted = true
-			break
-		}
-		oplog = append(oplog, sig)
-		step++
-		resp := ex.apply(t, req)
-		t.grant <- resp
-		if resp.abort {
-			<-ex.reqs // the aborted thread's done message
-			t.done = true
-			live--
-			ex.abortAll(&live)
-			aborted = true
-			break
-		}
-		lastTid = chosen
-
-		msg := <-ex.reqs
-		if msg.req.op == opDone {
-			ex.threads[msg.tid].done = true
-			live--
-		} else {
-			nreq := msg.req
-			ex.pending[msg.tid] = &nreq
 		}
 	}
+	ex.wg.Wait()
 
 	// A deterministic program replays the entire decision prefix the
 	// explorer is following; ending a run before the stack is consumed
 	// means the program changed behaviour between runs.
-	if e.rng == nil && !rr.nondet && branch < len(e.stack) {
-		rr.nondet = true
-		ex.fail("nondeterministic replay: run ended after %d branch points, expected %d", branch, len(e.stack))
+	if e.rng == nil && !ex.nondet && ex.branch < len(e.stack) {
+		ex.nondet = true
+		ex.fail("nondeterministic replay: run ended after %d branch points, expected %d", ex.branch, len(e.stack))
 	}
-	if !aborted && ex.failure == nil && w.check != nil {
+	if !ex.aborted && ex.failure == nil && w.check != nil {
 		if err := w.check(func(v *Var) int { return v.value }); err != nil {
 			ex.fail("oracle: %v", err)
 		}
 	}
-	e.prevOps = oplog
-	return rr
+	e.prevOps, e.oplog = e.oplog, e.prevOps
+	e.trace = ex.trace
+	return ex
+}
+
+// schedule makes one scheduling decision for the baton holder: it
+// picks the next thread, executes that thread's pending operation and
+// returns the thread's id with its response. It returns -1 when the
+// run is over: every thread finished, or the run was abandoned on a
+// deadlock, a nondeterministic replay or an illegal operation.
+func (ex *execution) schedule() (int, response) {
+	if ex.live == 0 {
+		return -1, response{}
+	}
+	e := ex.e
+	enabled := ex.enabledSet()
+	if len(enabled) == 0 {
+		ex.deadlock = true
+		ex.fail("deadlock: %s", ex.blockedSummary())
+		ex.aborted = true
+		return -1, response{}
+	}
+	cands := e.cands[:0]
+	if e.opt.PreemptionBound >= 0 && ex.preemptions >= e.opt.PreemptionBound && containsInt(enabled, ex.lastTid) {
+		cands = append(cands, ex.lastTid)
+	} else {
+		cands = append(cands, enabled...)
+	}
+	e.cands = orderCands(cands, ex.lastTid)
+	cands = e.cands
+
+	var chosen int
+	if e.rng != nil {
+		chosen = cands[e.rng.Intn(len(cands))]
+	} else if len(cands) == 1 {
+		chosen = cands[0]
+	} else {
+		if ex.branch < len(e.stack) {
+			d := &e.stack[ex.branch]
+			if !equalInts(d.enabled, cands) {
+				ex.nondet = true
+				ex.fail("nondeterministic replay: enabled set %v, expected %v", cands, d.enabled)
+				ex.aborted = true
+				return -1, response{}
+			}
+			chosen = cands[d.chosen]
+		} else {
+			e.push(cands, ex.step)
+			chosen = cands[0]
+		}
+		ex.branch++
+	}
+	if ex.lastTid != -1 && chosen != ex.lastTid && containsInt(enabled, ex.lastTid) {
+		ex.preemptions++
+	}
+
+	req := ex.pending[chosen]
+	ex.pending[chosen] = nil
+	ex.trace = append(ex.trace, chosen)
+	sig := sigOf(chosen, req)
+	if ex.step < e.replayLimit && (ex.step >= len(e.prevOps) || e.prevOps[ex.step] != sig) {
+		ex.nondet = true
+		ex.fail("nondeterministic replay at step %d: executed %+v", ex.step, sig)
+		ex.aborted = true
+		return -1, response{}
+	}
+	e.oplog = append(e.oplog, sig)
+	ex.step++
+	resp := ex.apply(ex.threads[chosen], req)
+	if resp.abort {
+		ex.aborted = true
+		return -1, response{}
+	}
+	ex.lastTid = chosen
+	return chosen, resp
 }
 
 // enabledSet returns the ids of pending threads whose operation can
-// execute, in ascending order.
+// execute, in ascending order, in a buffer reused by the next step.
 func (ex *execution) enabledSet() []int {
-	var out []int
-	for tid := 0; tid < len(ex.threads); tid++ {
-		if req, ok := ex.pending[tid]; ok && ex.enabled(req, tid) {
+	out := ex.e.enabled[:0]
+	for tid, req := range ex.pending {
+		if req != nil && enabled(req) {
 			out = append(out, tid)
 		}
 	}
+	ex.e.enabled = out
 	return out
 }
 
 // blockedSummary describes what every blocked thread is waiting for.
 func (ex *execution) blockedSummary() string {
 	var s string
-	for tid := 0; tid < len(ex.threads); tid++ {
-		req, ok := ex.pending[tid]
-		if !ok {
+	for tid, req := range ex.pending {
+		if req == nil {
 			continue
 		}
 		if s != "" {
@@ -365,20 +375,6 @@ func (ex *execution) blockedSummary() string {
 		}
 	}
 	return s
-}
-
-// abortAll unwinds every thread that still has a pending request.
-func (ex *execution) abortAll(live *int) {
-	for tid := 0; tid < len(ex.threads); tid++ {
-		if _, ok := ex.pending[tid]; !ok {
-			continue
-		}
-		delete(ex.pending, tid)
-		ex.threads[tid].grant <- response{abort: true}
-		<-ex.reqs // done message
-		ex.threads[tid].done = true
-		*live--
-	}
 }
 
 func containsInt(xs []int, x int) bool {
@@ -402,21 +398,19 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// orderCands orders candidates deterministically with last (the
+// orderCands orders ascending candidates in place with last (the
 // currently running thread) first, so the first-explored path of every
 // branch is the preemption-free one.
 func orderCands(cands []int, last int) []int {
-	out := append([]int(nil), cands...)
-	sort.Ints(out)
 	if last < 0 {
-		return out
+		return cands
 	}
-	for i, v := range out {
+	for i, v := range cands {
 		if v == last {
-			copy(out[1:i+1], out[:i])
-			out[0] = v
+			copy(cands[1:i+1], cands[:i])
+			cands[0] = v
 			break
 		}
 	}
-	return out
+	return cands
 }

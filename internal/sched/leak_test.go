@@ -1,0 +1,287 @@
+package sched_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"patty/internal/ptest"
+	"patty/internal/sched"
+)
+
+// TestEveryRunEndingLeavesNoGoroutine drives Explore through every way
+// an interleaving can end — normal completion, deadlock, a first-bug
+// stop, an illegal operation, both nondeterministic-replay checks, an
+// oracle failure and schedule-budget truncation — and requires each
+// exploration to return with every thread goroutine gone.
+func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
+	unbounded := sched.Options{PreemptionBound: -1}
+	cases := []struct {
+		name string
+		opt  sched.Options
+		body func() func(*sched.World)
+		want func(sched.Result) error
+	}{
+		{
+			// One thread never yields, one ends right after its first
+			// grant, one runs several operations.
+			name: "complete",
+			opt:  unbounded,
+			body: func() func(*sched.World) {
+				return func(w *sched.World) {
+					x := w.Var("x", 0)
+					w.Spawn("idle", func(*sched.Context) {})
+					w.Spawn("once", func(ctx *sched.Context) { ctx.Yield() })
+					w.Spawn("many", func(ctx *sched.Context) {
+						ctx.Write(x, 1)
+						ctx.Read(x)
+						ctx.Yield()
+					})
+				}
+			},
+			want: func(r sched.Result) error {
+				if !r.Exhausted || r.Buggy() || r.Schedules < 2 {
+					return fmt.Errorf("want a clean exhaustive search")
+				}
+				return nil
+			},
+		},
+		{
+			name: "deadlock",
+			opt:  unbounded,
+			body: func() func(*sched.World) {
+				return func(w *sched.World) {
+					m1, m2 := w.Mutex("m1"), w.Mutex("m2")
+					w.Spawn("a", func(ctx *sched.Context) {
+						ctx.Lock(m1)
+						ctx.Lock(m2)
+						ctx.Unlock(m2)
+						ctx.Unlock(m1)
+					})
+					w.Spawn("b", func(ctx *sched.Context) {
+						ctx.Lock(m2)
+						ctx.Lock(m1)
+						ctx.Unlock(m1)
+						ctx.Unlock(m2)
+					})
+				}
+			},
+			want: func(r sched.Result) error {
+				if len(r.Deadlocks) == 0 || !r.Exhausted {
+					return fmt.Errorf("want a deadlock in an exhaustive search")
+				}
+				return nil
+			},
+		},
+		{
+			name: "stop-at-first-bug",
+			opt:  sched.Options{PreemptionBound: -1, StopAtFirstBug: true},
+			body: func() func(*sched.World) {
+				return func(w *sched.World) {
+					c := w.Var("c", 0)
+					w.Spawn("a", func(ctx *sched.Context) { ctx.Write(c, 1); ctx.Yield() })
+					w.Spawn("b", func(ctx *sched.Context) { ctx.Write(c, 2); ctx.Yield() })
+				}
+			},
+			want: func(r sched.Result) error {
+				if len(r.Races) == 0 || r.Exhausted {
+					return fmt.Errorf("want a race and an early stop")
+				}
+				return nil
+			},
+		},
+		{
+			name: "unlock-unheld",
+			opt:  unbounded,
+			body: func() func(*sched.World) {
+				return func(w *sched.World) {
+					m := w.Mutex("m")
+					x, y := w.Var("x", 0), w.Var("y", 0)
+					w.Spawn("a", func(ctx *sched.Context) { ctx.Write(x, 1); ctx.Unlock(m) })
+					w.Spawn("b", func(ctx *sched.Context) { ctx.Write(y, 1); ctx.Write(y, 2) })
+				}
+			},
+			want: failureWith("unlocked mutex"),
+		},
+		{
+			name: "send-on-closed",
+			opt:  unbounded,
+			body: func() func(*sched.World) {
+				return func(w *sched.World) {
+					ch := w.Chan("ch", 1)
+					y := w.Var("y", 0)
+					w.Spawn("a", func(ctx *sched.Context) { ctx.Close(ch); ctx.Send(ch, 1) })
+					w.Spawn("b", func(ctx *sched.Context) { ctx.Write(y, 1); ctx.Write(y, 2) })
+				}
+			},
+			want: failureWith("sent on closed channel"),
+		},
+		{
+			name: "double-close",
+			opt:  unbounded,
+			body: func() func(*sched.World) {
+				return func(w *sched.World) {
+					ch := w.Chan("ch", 1)
+					y := w.Var("y", 0)
+					w.Spawn("a", func(ctx *sched.Context) { ctx.Close(ch); ctx.Close(ch) })
+					w.Spawn("b", func(ctx *sched.Context) { ctx.Write(y, 1); ctx.Write(y, 2) })
+				}
+			},
+			want: failureWith("closed channel \"ch\" twice"),
+		},
+		{
+			// The first run has two threads, later runs three: the
+			// replayed branch point sees a different enabled set.
+			name: "nondeterministic-enabled-set",
+			opt:  unbounded,
+			body: func() func(*sched.World) {
+				runs := 0
+				return func(w *sched.World) {
+					runs++
+					x := w.Var("x", 0)
+					n := 2
+					if runs > 1 {
+						n = 3
+					}
+					for i := 0; i < n; i++ {
+						w.Spawn(fmt.Sprintf("t%d", i), func(ctx *sched.Context) { ctx.Read(x); ctx.Read(x) })
+					}
+				}
+			},
+			want: nondetWith("nondeterministic replay: enabled set"),
+		},
+		{
+			// The first operation's value changes between runs, so the
+			// replayed prefix executes a different operation.
+			name: "nondeterministic-operation",
+			opt:  unbounded,
+			body: func() func(*sched.World) {
+				runs := 0
+				return func(w *sched.World) {
+					runs++
+					x, y := w.Var("x", 0), w.Var("y", 0)
+					local := runs
+					w.Spawn("a", func(ctx *sched.Context) {
+						ctx.Write(x, local%2)
+						ctx.Write(x, 9)
+						ctx.Write(x, 9)
+					})
+					w.Spawn("b", func(ctx *sched.Context) { ctx.Write(y, 1); ctx.Write(y, 2); ctx.Write(y, 3) })
+				}
+			},
+			want: nondetWith("nondeterministic replay at step"),
+		},
+		{
+			// Later runs lose a thread, so they end before consuming the
+			// decision stack.
+			name: "nondeterministic-early-end",
+			opt:  unbounded,
+			body: func() func(*sched.World) {
+				runs := 0
+				return func(w *sched.World) {
+					runs++
+					x := w.Var("x", 0)
+					w.Spawn("a", func(ctx *sched.Context) { ctx.Read(x) })
+					if runs == 1 {
+						w.Spawn("b", func(ctx *sched.Context) { ctx.Read(x) })
+					}
+				}
+			},
+			want: nondetWith("nondeterministic replay: run ended"),
+		},
+		{
+			name: "oracle",
+			opt:  unbounded,
+			body: func() func(*sched.World) {
+				return func(w *sched.World) {
+					c := w.Var("c", 0)
+					w.Spawn("a", func(ctx *sched.Context) { ctx.Add(c, 1) })
+					w.Spawn("b", func(ctx *sched.Context) { ctx.Add(c, 1) })
+					w.Check(func(get func(*sched.Var) int) error {
+						if get(c) != 2 {
+							return fmt.Errorf("lost update: c = %d", get(c))
+						}
+						return nil
+					})
+				}
+			},
+			want: failureWith("oracle: lost update"),
+		},
+		{
+			name: "max-schedules",
+			opt:  sched.Options{PreemptionBound: -1, MaxSchedules: 3},
+			body: func() func(*sched.World) {
+				return func(w *sched.World) {
+					c := w.Var("c", 0)
+					w.Spawn("a", func(ctx *sched.Context) { ctx.Add(c, 1) })
+					w.Spawn("b", func(ctx *sched.Context) { ctx.Add(c, 1) })
+				}
+			},
+			want: func(r sched.Result) error {
+				if !r.Truncated || r.Schedules != 3 {
+					return fmt.Errorf("want truncation at 3 schedules")
+				}
+				return nil
+			},
+		},
+		{
+			name: "random-walks",
+			opt:  sched.Options{RandomWalks: 20, Seed: 3},
+			body: func() func(*sched.World) {
+				return func(w *sched.World) {
+					ch := w.Chan("ch", 1)
+					w.Spawn("producer", func(ctx *sched.Context) {
+						ctx.Send(ch, 1)
+						ctx.Send(ch, 2)
+						ctx.Close(ch)
+					})
+					w.Spawn("consumer", func(ctx *sched.Context) {
+						for {
+							if _, ok := ctx.Recv(ch); !ok {
+								return
+							}
+						}
+					})
+				}
+			},
+			want: func(r sched.Result) error {
+				if r.Schedules != 20 || r.Buggy() {
+					return fmt.Errorf("want 20 clean random walks")
+				}
+				return nil
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer ptest.NoLeaks(t)()
+			res := sched.Explore(tc.opt, tc.body())
+			if err := tc.want(res); err != nil {
+				t.Fatalf("%v, got %+v", err, res)
+			}
+		})
+	}
+}
+
+// failureWith expects a Failure whose message contains msg.
+func failureWith(msg string) func(sched.Result) error {
+	return func(r sched.Result) error {
+		for _, f := range r.Failures {
+			if strings.Contains(f.Msg, msg) {
+				return nil
+			}
+		}
+		return fmt.Errorf("want a failure containing %q", msg)
+	}
+}
+
+// nondetWith expects nondeterminism reported with a Failure whose
+// message contains msg.
+func nondetWith(msg string) func(sched.Result) error {
+	return func(r sched.Result) error {
+		if !r.Nondeterministic {
+			return fmt.Errorf("want nondeterminism")
+		}
+		return failureWith(msg)(r)
+	}
+}

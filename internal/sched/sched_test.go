@@ -460,7 +460,7 @@ func TestVClockOps(t *testing.T) {
 func TestOpKindString(t *testing.T) {
 	for k, want := range map[opKind]string{
 		opRead: "read", opWrite: "write", opLock: "lock", opUnlock: "unlock",
-		opSend: "send", opRecv: "recv", opClose: "close", opYield: "yield", opDone: "done",
+		opSend: "send", opRecv: "recv", opClose: "close", opYield: "yield",
 	} {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), want)

@@ -32,9 +32,11 @@ func (m *Mutex) Name() string { return m.name }
 // rendezvous channels are not modelled (the pattern runtime only uses
 // bounded buffers).
 type Chan struct {
-	name    string
-	cap     int
-	buf     []chanMsg
+	name string
+	// slots is the ring buffer: n messages starting at head. A slot's
+	// clock storage is reused by later sends.
+	slots   []chanMsg
+	head, n int
 	closed  bool
 	spaceVC vclock // joined clocks of all receivers; orders send-after-free
 }
@@ -48,13 +50,12 @@ type chanMsg struct {
 func (c *Chan) Name() string { return c.name }
 
 // Len returns the current number of buffered messages.
-func (c *Chan) Len() int { return len(c.buf) }
+func (c *Chan) Len() int { return c.n }
 
 // World is the per-run universe of a program under test: its shared
 // state, its threads and its final-state oracle. The body function
 // passed to Explore receives a fresh World on every interleaving.
 type World struct {
-	ex      *execution
 	vars    []*Var
 	threads []*threadSpec
 	check   func(get func(*Var) int) error
@@ -83,7 +84,7 @@ func (w *World) Chan(name string, capacity int) *Chan {
 	if capacity < 1 {
 		panic(fmt.Sprintf("sched: Chan %q capacity %d; rendezvous channels are not modelled, capacity must be >= 1", name, capacity))
 	}
-	return &Chan{name: name, cap: capacity}
+	return &Chan{name: name, slots: make([]chanMsg, capacity)}
 }
 
 // Spawn registers a thread. Threads start when the body function
