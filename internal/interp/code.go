@@ -124,8 +124,8 @@ const (
 
 	// Loops and target-loop tracing. Loop indices are static nesting
 	// depths within the unit.
-	opLoopEnter  // A: local stmt id, B: loop index — maybe open the target
-	opLoopLeave  // A: loop index — maybe close the target
+	opLoopEnter  // A: local stmt id, B: loop index — open the loop's trace, if traced
+	opLoopLeave  // A: loop index — close the loop's trace, if traced
 	opIterInc    // A: loop index
 	opSetTop     // A: loop index, B: top-level stmt id (-1 resets)
 	opRangeStart // A: loop index, B: key slot or -1, C: value slot or -1

@@ -26,8 +26,8 @@ type slotCell struct {
 // loopState is the per-activation state of one loop (indexed by static
 // nesting depth within the unit).
 type loopState struct {
-	entered bool // this activation is the traced target loop
-	rng     rangeIter
+	trace *loopTrace // this activation's trace state; nil when untraced
+	rng   rangeIter
 }
 
 // vmState is the reusable execution state of the bytecode engine; it
@@ -56,18 +56,23 @@ type vmState struct {
 	distinct []int32  // refs with occurs > 0, in first-push order
 	refStack []int32
 	pend     uint64
+
+	// traceOf maps each dense ref id to its trace state in this run
+	// (nil when the statement is not a traced loop).
+	traceOf []*loopTrace
 }
 
 func newVMState(m *Machine, vmc *vmCompiled) *vmState {
 	n := len(vmc.refs)
 	return &vmState{
-		m:      m,
-		vmc:    vmc,
-		gSlots: make([]slotCell, len(vmc.globalNames)),
-		count:  make([]uint64, n),
-		self:   make([]uint64, n),
-		incl:   make([]uint64, n),
-		occurs: make([]uint32, n),
+		m:       m,
+		vmc:     vmc,
+		gSlots:  make([]slotCell, len(vmc.globalNames)),
+		count:   make([]uint64, n),
+		self:    make([]uint64, n),
+		incl:    make([]uint64, n),
+		occurs:  make([]uint32, n),
+		traceOf: make([]*loopTrace, n),
 	}
 }
 
@@ -99,6 +104,20 @@ func (vm *vmState) reset() {
 	vm.distinct = vm.distinct[:0]
 	vm.refStack = vm.refStack[:0]
 	vm.pend = 0
+	clear(vm.traceOf)
+}
+
+// resolveTraces points each traced loop's dense ref id at its trace
+// state, once per run, so loop entry needs no name lookup.
+func (vm *vmState) resolveTraces() {
+	for i := range vm.m.traces {
+		lt := &vm.m.traces[i]
+		code := vm.vmc.byName[lt.ref.Fn]
+		if code == nil || lt.ref.Stmt < 0 || lt.ref.Stmt >= code.fn.NumStmts() {
+			continue
+		}
+		vm.traceOf[code.refBase+lt.ref.Stmt] = lt
+	}
 }
 
 func clearValues(s []Value) []Value {
@@ -121,11 +140,7 @@ func (m *Machine) runVM(vmc *vmCompiled, fnName string, args []Value, opts Optio
 	}
 	m.output = opts.Output
 	m.prof = &Profile{}
-	m.target = opts.TargetLoop
-	m.hasTarget = opts.TargetLoop != Ref{}
-	m.inTarget = 0
-	m.iter = 0
-	m.topStmt = -1
+	m.beginTrace(opts.TargetLoop)
 	m.stack = m.stack[:0]
 	m.fnStack = m.fnStack[:0]
 
@@ -135,6 +150,7 @@ func (m *Machine) runVM(vmc *vmCompiled, fnName string, args []Value, opts Optio
 		m.vm = vm
 	}
 	vm.reset()
+	vm.resolveTraces()
 
 	savedDepth := m.depth
 	defer func() {
@@ -958,28 +974,21 @@ loop:
 
 		case opLoopEnter:
 			ls := &vm.loops[lbase+int(op.B)]
-			ls.entered = m.hasTarget && m.target.Fn == code.Name && m.target.Stmt == int(op.A)
-			if ls.entered {
-				m.inTarget++
-				if m.inTarget == 1 {
-					m.iter = 0
-				}
+			ls.trace = vm.traceOf[code.refBase+int(op.A)]
+			if ls.trace != nil {
+				m.openTrace(ls.trace)
 			}
 		case opLoopLeave:
-			ls := &vm.loops[lbase+int(op.A)]
-			if ls.entered {
-				if m.inTarget == 1 {
-					m.prof.TargetIters = m.iter
-				}
-				m.inTarget--
+			if lt := vm.loops[lbase+int(op.A)].trace; lt != nil {
+				m.closeTrace(lt)
 			}
 		case opIterInc:
-			if vm.loops[lbase+int(op.A)].entered && m.inTarget == 1 {
-				m.iter++
+			if lt := vm.loops[lbase+int(op.A)].trace; lt != nil && lt.depth == 1 {
+				lt.iter++
 			}
 		case opSetTop:
-			if vm.loops[lbase+int(op.A)].entered && m.inTarget == 1 {
-				m.topStmt = int(op.B)
+			if lt := vm.loops[lbase+int(op.A)].trace; lt != nil && lt.depth == 1 {
+				lt.top = int(op.B)
 			}
 		case opRangeStart:
 			ls := &vm.loops[lbase+int(op.A)]

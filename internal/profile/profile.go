@@ -102,13 +102,109 @@ func (lp *LoopProfile) HasCarried(stmt int) bool {
 }
 
 // AnalyzeLoop derives the dynamic summary of the target loop from a
-// profile collected with Options.TargetLoop set to that loop. body
-// lists the loop's top-level body statements (from deps.LoopInfo or
-// directly from the AST).
+// profile collected with Options.TargetLoop set to that loop, by
+// replaying its memory trace through a Pairer.
 func AnalyzeLoop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) *LoopProfile {
+	p := NewPairer()
+	for _, ev := range prof.Mem {
+		p.Access(ev)
+	}
+	p.Leave(prof.TargetIters)
+	return p.Loop(prof, fn, loop)
+}
+
+// Pairer pairs one loop's memory accesses into carried dependences as
+// they happen: it is the interp.TraceSink a traced run streams the
+// loop's loads and stores into, so no trace is ever stored. Every
+// address keeps its last writer and last reader; an access from a
+// different iteration than the last one forms a carried edge between
+// the two top-level body statements. Stores from loop-control context
+// (TopStmt < 0, e.g. the induction variable's increment) do not seed
+// dependences and reset the address: the pattern transformation
+// re-implements loop control as the stream generator, so control-only
+// state never crosses stages.
+type Pairer struct {
+	last  map[uint64]lastAccess
+	pairs map[pairKey]*CarriedPair
+	iters int
+}
+
+type access struct {
+	iter int
+	stmt int
+	ok   bool
+}
+
+// lastAccess is one address's pairing state: one map entry holds both
+// sides, so each access costs one lookup and one assignment.
+type lastAccess struct {
+	write, read access
+}
+
+type pairKey struct {
+	from, to int
+	kind     DepKind
+}
+
+// NewPairer returns an empty pairer.
+func NewPairer() *Pairer {
+	return &Pairer{
+		last:  make(map[uint64]lastAccess),
+		pairs: make(map[pairKey]*CarriedPair),
+	}
+}
+
+// Access pairs one load or store with the address's last accesses.
+func (p *Pairer) Access(ev interp.MemEvent) {
+	last := p.last[ev.Addr]
+	switch ev.Kind {
+	case interp.MemLoad:
+		if w := last.write; w.ok && w.iter != ev.Iter {
+			p.record(w.stmt, ev.TopStmt, Flow, abs(ev.Iter-w.iter))
+		}
+		last.read = access{ev.Iter, ev.TopStmt, true}
+	case interp.MemStore:
+		if ev.TopStmt < 0 {
+			// Loop-control store: reset tracking so control state
+			// does not seed body dependences.
+			last = lastAccess{}
+			break
+		}
+		if w := last.write; w.ok && w.iter != ev.Iter {
+			p.record(w.stmt, ev.TopStmt, Output, abs(ev.Iter-w.iter))
+		}
+		if r := last.read; r.ok && r.iter != ev.Iter && r.stmt >= 0 {
+			p.record(r.stmt, ev.TopStmt, Anti, abs(ev.Iter-r.iter))
+		}
+		last.write = access{ev.Iter, ev.TopStmt, true}
+	}
+	p.last[ev.Addr] = last
+}
+
+// Leave records the iteration count of the loop's latest outermost
+// activation.
+func (p *Pairer) Leave(iters int) { p.iters = iters }
+
+func (p *Pairer) record(from, to int, kind DepKind, dist int) {
+	key := pairKey{from, to, kind}
+	c, ok := p.pairs[key]
+	if !ok {
+		c = &CarriedPair{FromStmt: from, ToStmt: to, Kind: kind, MinDistance: dist}
+		p.pairs[key] = c
+	}
+	if dist < c.MinDistance {
+		c.MinDistance = dist
+	}
+	c.Count++
+}
+
+// Loop returns the dynamic summary of loop: the pairer's iteration
+// count and carried dependences, and each top-level body statement's
+// time and count from the run's profile.
+func (p *Pairer) Loop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) *LoopProfile {
 	lp := &LoopProfile{
 		Loop:     interp.Ref{Fn: fn.Name, Stmt: fn.StmtID(loop)},
-		Iters:    prof.TargetIters,
+		Iters:    p.iters,
 		InclTime: make(map[int]uint64),
 		Share:    make(map[int]float64),
 		Count:    make(map[int]uint64),
@@ -135,81 +231,27 @@ func AnalyzeLoop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) *Loop
 			lp.Share[id] = float64(t) / float64(lp.BodyTime)
 		}
 	}
-
-	lp.pairDependences(prof.Mem)
+	lp.Carried = p.carried()
 	return lp
 }
 
-// pairDependences runs the last-writer/last-reader pairing over the
-// memory trace. Stores from loop-control context (TopStmt < 0, e.g.
-// the induction variable's increment) do not seed dependences: the
-// pattern transformation re-implements loop control as the stream
-// generator, so control-only state never crosses stages.
-func (lp *LoopProfile) pairDependences(mem []interp.MemEvent) {
-	type access struct {
-		iter int
-		stmt int
-		ok   bool
+// carried returns the observed pairs sorted by (from, to, kind).
+func (p *Pairer) carried() []CarriedPair {
+	var out []CarriedPair
+	for _, c := range p.pairs {
+		out = append(out, *c)
 	}
-	lastWrite := make(map[uint64]access)
-	lastRead := make(map[uint64]access)
-	pairs := make(map[[3]int]*CarriedPair)
-
-	record := func(from, to int, kind DepKind, dist int) {
-		key := [3]int{from, to, int(kind)}
-		p, ok := pairs[key]
-		if !ok {
-			p = &CarriedPair{FromStmt: from, ToStmt: to, Kind: kind, MinDistance: dist}
-			pairs[key] = p
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.FromStmt != b.FromStmt {
+			return a.FromStmt < b.FromStmt
 		}
-		if dist < p.MinDistance {
-			p.MinDistance = dist
+		if a.ToStmt != b.ToStmt {
+			return a.ToStmt < b.ToStmt
 		}
-		p.Count++
-	}
-
-	for _, ev := range mem {
-		switch ev.Kind {
-		case interp.MemLoad:
-			if w := lastWrite[ev.Addr]; w.ok && w.iter != ev.Iter {
-				record(w.stmt, ev.TopStmt, Flow, abs(ev.Iter-w.iter))
-			}
-			lastRead[ev.Addr] = access{ev.Iter, ev.TopStmt, true}
-		case interp.MemStore:
-			if ev.TopStmt < 0 {
-				// Loop-control store: reset tracking so control state
-				// does not seed body dependences.
-				lastWrite[ev.Addr] = access{}
-				lastRead[ev.Addr] = access{}
-				continue
-			}
-			if w := lastWrite[ev.Addr]; w.ok && w.iter != ev.Iter {
-				record(w.stmt, ev.TopStmt, Output, abs(ev.Iter-w.iter))
-			}
-			if r := lastRead[ev.Addr]; r.ok && r.iter != ev.Iter && r.stmt >= 0 {
-				record(r.stmt, ev.TopStmt, Anti, abs(ev.Iter-r.iter))
-			}
-			lastWrite[ev.Addr] = access{ev.Iter, ev.TopStmt, true}
-		}
-	}
-
-	keys := make([][3]int, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return a[2] < b[2]
+		return a.Kind < b.Kind
 	})
-	for _, k := range keys {
-		lp.Carried = append(lp.Carried, *pairs[k])
-	}
+	return out
 }
 
 func abs(x int) int {
