@@ -107,3 +107,95 @@ func compareEngineRuns(tv []interp.Value, tp *interp.Profile, te string,
 	}
 	return ""
 }
+
+// loopRecord is a trace sink that keeps what one loop was delivered.
+type loopRecord struct {
+	mem    []interp.MemEvent
+	leaves []int
+}
+
+func (r *loopRecord) Access(ev interp.MemEvent) { r.mem = append(r.mem, ev) }
+func (r *loopRecord) Leave(iters int)           { r.leaves = append(r.leaves, iters) }
+
+// allLoopsRun executes entry on one engine with every loop in refs
+// traced in the same run.
+func allLoopsRun(prog *source.Program, entry string, args func(*interp.Machine) []interp.Value,
+	eng interp.Engine, refs []interp.Ref) ([]*loopRecord, string) {
+	m := interp.NewMachine(prog)
+	recs := make([]*loopRecord, len(refs))
+	sinks := make(map[interp.Ref]interp.TraceSink, len(refs))
+	for i, ref := range refs {
+		recs[i] = &loopRecord{}
+		sinks[ref] = recs[i]
+	}
+	m.TraceLoops(sinks)
+	if _, _, err := m.Run(entry, args(m), interp.Options{Engine: eng}); err != nil {
+		return recs, err.Error()
+	}
+	return recs, ""
+}
+
+// AllLoopsDiff checks the all-loops profiling run that model creation
+// makes: entry runs once per engine with every loop of the program
+// traced at the same time. Both engines must deliver each loop the same
+// event stream and the same per-activation iteration counts, and each
+// loop's stream must equal the single-target trace of that loop — the
+// Profile.Mem and TargetIters of a run with Options.TargetLoop set to
+// it. The single-target runs use the VM; the engine leg already holds
+// them equal to the tree-walker's. It returns the first disagreement,
+// or "".
+func AllLoopsDiff(prog *source.Program, entry string, args func(*interp.Machine) []interp.Value) string {
+	var refs []interp.Ref
+	for _, fn := range prog.Functions() {
+		for _, l := range fn.Loops() {
+			refs = append(refs, interp.Ref{Fn: fn.Name, Stmt: fn.StmtID(l)})
+		}
+	}
+	tree, te := allLoopsRun(prog, entry, args, interp.EngineTree, refs)
+	vm, ve := allLoopsRun(prog, entry, args, interp.EngineVM, refs)
+	if te != ve {
+		return fmt.Sprintf("all loops: error mismatch: tree=%q vm=%q", te, ve)
+	}
+	if te != "" {
+		return "" // both failed identically; a failed run's trace is partial
+	}
+	for i, ref := range refs {
+		label := fmt.Sprintf("all loops, %s#%d", ref.Fn, ref.Stmt)
+		t, v := tree[i], vm[i]
+		if fmt.Sprint(t.leaves) != fmt.Sprint(v.leaves) {
+			return fmt.Sprintf("%s: iterations per activation: tree=%v vm=%v", label, t.leaves, v.leaves)
+		}
+		if msg := diffMem("tree", t.mem, "vm", v.mem); msg != "" {
+			return label + ": " + msg
+		}
+		m := interp.NewMachine(prog)
+		_, prof, err := m.Run(entry, args(m), interp.Options{Engine: interp.EngineVM, TargetLoop: ref})
+		if err != nil {
+			return fmt.Sprintf("%s: single-target run failed: %v", label, err)
+		}
+		last := 0
+		if n := len(v.leaves); n > 0 {
+			last = v.leaves[n-1]
+		}
+		if last != prof.TargetIters {
+			return fmt.Sprintf("%s: last activation ran %d iterations, single-target TargetIters=%d", label, last, prof.TargetIters)
+		}
+		if msg := diffMem("all-loops", v.mem, "single-target", prof.Mem); msg != "" {
+			return label + ": " + msg
+		}
+	}
+	return ""
+}
+
+// diffMem describes the first difference between two memory traces.
+func diffMem(an string, a []interp.MemEvent, bn string, b []interp.MemEvent) string {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("memory event %d: %s=%+v %s=%+v", i, an, a[i], bn, b[i])
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("memory trace length: %s=%d %s=%d", an, len(a), bn, len(b))
+	}
+	return ""
+}

@@ -47,8 +47,9 @@ func FuzzDifferentialPipeline(f *testing.F) {
 
 // FuzzVMvsTreeWalker focuses exclusively on the engine differential:
 // generate a program, run it on the tree-walking interpreter and the
-// bytecode VM for every loop target, and crash on any disagreement in
-// values, error text, virtual time, profile or memory trace. Much
+// bytecode VM for every loop target and once with all loops traced
+// together, and crash on any disagreement in values, error text,
+// virtual time, profile or memory trace. Much
 // faster per input than the full pipeline targets, so it covers far
 // more of the generator space per fuzzing minute.
 // Run with: go test ./internal/difftest -fuzz FuzzVMvsTreeWalker
@@ -66,6 +67,9 @@ func FuzzVMvsTreeWalker(f *testing.F) {
 			small, d := Shrink(p, Options{Configs: 1}, 100)
 			t.Fatalf("engine divergence: %s\nshrunk reproducer (seed %d, %d loop lines):\n%s",
 				msg, small.Seed, small.LoopLines(), reproSource(small, d))
+		}
+		if msg := AllLoopsDiff(prog, "Kernel", kernelArgs(int64(p.N))); msg != "" {
+			t.Fatalf("engine divergence: %s\nprogram (seed %d):\n%s", msg, p.Seed, p.Render())
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"patty/internal/corpus"
+	"patty/internal/difftest"
 	"patty/internal/interp"
 )
 
@@ -13,8 +14,10 @@ import (
 // once per loop as the tracing target — and requires bit-identical
 // observables: return values, error text, total virtual time, target
 // iteration count, the full load/store trace, and every profile map
-// entry. The corpus programs are the realistic complement to the
-// generated programs covered by internal/difftest.
+// entry. Each program also runs once per engine with every loop traced
+// together, as model creation runs it (difftest.AllLoopsDiff). The
+// corpus programs are the realistic complement to the generated
+// programs covered by internal/difftest.
 func TestCorpusEngineEquivalence(t *testing.T) {
 	for _, p := range corpus.All() {
 		prog, err := p.Load()
@@ -33,6 +36,9 @@ func TestCorpusEngineEquivalence(t *testing.T) {
 				out[i] = interp.FormatValue(v)
 			}
 			return out, es, prof
+		}
+		if msg := difftest.AllLoopsDiff(prog, p.Entry, p.Args); msg != "" {
+			t.Fatalf("%s: %s", p.Name, msg)
 		}
 		targets := []interp.Ref{{}}
 		for _, fn := range prog.Functions() {

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"go/ast"
+	"reflect"
 	"testing"
 
 	"patty/internal/interp"
@@ -234,5 +235,96 @@ func F(n int) int {
 func TestDepKindString(t *testing.T) {
 	if Flow.String() != "flow" || Anti.String() != "anti" || Output.String() != "output" || DepKind(9).String() != "dep(9)" {
 		t.Fatal("DepKind names")
+	}
+}
+
+// TestPairerRules pins the last-writer/last-reader rules on a
+// hand-written stream: flow, anti and output edges across iterations,
+// nothing within one iteration, no anti edge from a loop-control read,
+// the reset on a loop-control store, and per-pair minimum distance,
+// count and sorted output.
+func TestPairerRules(t *testing.T) {
+	ld := func(addr uint64, iter, stmt int) interp.MemEvent {
+		return interp.MemEvent{Addr: addr, Kind: interp.MemLoad, Iter: iter, TopStmt: stmt}
+	}
+	st := func(addr uint64, iter, stmt int) interp.MemEvent {
+		return interp.MemEvent{Addr: addr, Kind: interp.MemStore, Iter: iter, TopStmt: stmt}
+	}
+	stream := []interp.MemEvent{
+		st(1, 0, 5), ld(1, 1, 6), st(1, 1, 5), // flow 5→6, output 5→5
+		ld(2, 0, 7), st(2, 2, 8), // anti 7→8 at distance 2
+		ld(3, 0, -1), st(3, 1, 9), // a control read seeds no anti edge
+		st(4, 0, 10), st(4, 1, -1), ld(4, 2, 11), // a control store resets the address
+		st(5, 0, 12), ld(5, 0, 12), // same iteration: no edge
+		st(6, 0, 5), ld(6, 3, 6), // flow 5→6 again, at distance 3
+	}
+	p := NewPairer()
+	for _, ev := range stream {
+		p.Access(ev)
+	}
+	p.Leave(4)
+	got := p.carried()
+	want := []CarriedPair{
+		{FromStmt: 5, ToStmt: 5, Kind: Output, MinDistance: 1, Count: 1},
+		{FromStmt: 5, ToStmt: 6, Kind: Flow, MinDistance: 1, Count: 2},
+		{FromStmt: 7, ToStmt: 8, Kind: Anti, MinDistance: 2, Count: 1},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("carried = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("carried[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if p.iters != 4 {
+		t.Fatalf("iters = %d, want 4", p.iters)
+	}
+}
+
+// TestPairerStreamsLikeReplay checks that pairing a loop's accesses as
+// a traced run streams them gives the summary AnalyzeLoop derives by
+// replaying the loop's recorded trace.
+func TestPairerStreamsLikeReplay(t *testing.T) {
+	src := `package p
+func F(a []int, n int) int {
+	s := 0
+	for i := 1; i < n; i++ {
+		a[i] = a[i-1] + s
+		s += a[i]
+	}
+	return s
+}`
+	prog, err := source.ParseFile("t.go", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := prog.Func("F")
+	loop := fn.Loops()[0]
+	ref := interp.Ref{Fn: "F", Stmt: fn.StmtID(loop)}
+	args := func(m *interp.Machine) []interp.Value {
+		return []interp.Value{m.NewSlice(int64(1), int64(2), int64(3), int64(4), int64(5)), int64(5)}
+	}
+
+	m := interp.NewMachine(prog)
+	_, prof, err := m.Run("F", args(m), interp.Options{TargetLoop: ref})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := AnalyzeLoop(prof, fn, loop)
+
+	m = interp.NewMachine(prog)
+	p := NewPairer()
+	m.TraceLoops(map[interp.Ref]interp.TraceSink{ref: p})
+	_, prof, err = m.Run("F", args(m), interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := p.Loop(prof, fn, loop)
+	if !reflect.DeepEqual(streamed, replayed) {
+		t.Fatalf("streamed %+v\nreplayed %+v", streamed, replayed)
+	}
+	if len(streamed.Carried) == 0 || streamed.Iters != 4 {
+		t.Fatalf("expected carried dependences over 4 iterations, got %+v", streamed)
 	}
 }
