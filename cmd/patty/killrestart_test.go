@@ -17,7 +17,7 @@ import (
 	"testing"
 	"time"
 
-	"patty/internal/checkpoint"
+	"patty/internal/durable"
 	"patty/internal/tuning"
 )
 
@@ -41,23 +41,36 @@ func cliCommand(args ...string) *exec.Cmd {
 	return cmd
 }
 
-// waitForEvals polls the snapshot at path until it records at least k
-// completed evaluations (checkpoint.Save renames atomically, so a
-// concurrent reader always sees a complete snapshot or none).
+// waitForEvals polls the tuning journal at path until it records at
+// least k completed evaluations. The child appends while this reads,
+// so only the valid prefix counts: a torn tail is an append in flight.
 func waitForEvals(t *testing.T, path string, k int, deadline time.Duration) {
 	t.Helper()
 	stop := time.Now().Add(deadline)
 	for {
-		var st tuning.SearchState
-		err := checkpoint.Load(path, tuning.CheckpointKind, &st)
-		if err == nil && len(st.Evals) >= k {
+		raw, err := os.ReadFile(path)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("journal poll: %v", err)
+		}
+		evals := 0
+		_, err = durable.Decode("tunerec ", raw, func(payload []byte) error {
+			var f struct{ Eval json.RawMessage }
+			if err := json.Unmarshal(payload, &f); err != nil {
+				return err
+			}
+			if f.Eval != nil {
+				evals++
+			}
+			return nil
+		})
+		if errors.Is(err, durable.ErrCorrupt) {
+			t.Fatalf("journal poll: %v", err)
+		}
+		if evals >= k {
 			return
 		}
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			t.Fatalf("snapshot poll: %v", err)
-		}
 		if time.Now().After(stop) {
-			t.Fatalf("snapshot never reached %d evals", k)
+			t.Fatalf("journal never reached %d evals", k)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -96,7 +109,7 @@ func TestTuneKillRestartConverges(t *testing.T) {
 			}
 			child.Wait()
 
-			// Leg 2: resume in-process from the killed run's snapshot.
+			// Leg 2: resume in-process from the killed run's journal.
 			spec.Checkpoint = ckpt
 			res, err := runTune(context.Background(), spec)
 			if err != nil {
@@ -170,7 +183,7 @@ func postJob(t *testing.T, base string, body string) (string, int) {
 // TestServeChaosKillRestart is the `make chaos` scenario: a tune job
 // submitted to `patty serve` is SIGKILLed (the whole process) mid-
 // search; a restarted server with the same checkpoint directory
-// resumes the resubmitted job from the snapshot and finishes with the
+// resumes the resubmitted job from its journal and finishes with the
 // same best configuration as an uninterrupted run, and a SIGTERM
 // drains the restarted server cleanly (exit 0).
 func TestServeChaosKillRestart(t *testing.T) {

@@ -148,7 +148,7 @@ func (s *server) memoize(req jobRequest, run jobs.Runner) jobs.Runner {
 // the resume-checkpoint path it will use (journaled as a
 // checkpoint-ref record). Checkpoint paths default into
 // -checkpoint-dir, derived deterministically from the job parameters,
-// so a recovered job after a crash re-attaches to the same snapshot —
+// so a recovered job after a crash re-attaches to the same journal —
 // the tuner resumes its search instead of restarting it. With a store
 // attached, deterministic jobs are additionally memoized whole (see
 // memoize); recovery goes through this same path, so a resubmitted
@@ -538,7 +538,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	queue := fs.Int("queue", 16, "admission-queue bound; a full queue sheds submissions with 503")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job deadline (0: none)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "hard deadline for the shutdown drain")
-	ckptDir := fs.String("checkpoint-dir", "", "directory for per-job resume snapshots")
+	ckptDir := fs.String("checkpoint-dir", "", "directory for per-job resume journals")
 	storeDir := fs.String("store-dir", "", "directory for the durable job store (WAL + snapshot); restarts recover acknowledged jobs")
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant admission rate in jobs/s (0: unlimited); over-quota answers 429")
 	tenantBurst := fs.Int("tenant-burst", 8, "per-tenant token-bucket burst")

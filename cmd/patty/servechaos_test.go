@@ -44,7 +44,7 @@ func postJobTenant(t *testing.T, base, tenant, body string) (string, int) {
 // A restarted server on the same directories must recover every
 // acknowledged job exactly once — finished jobs restore with their
 // journaled results and never re-run, the interrupted tune job resumes
-// from its snapshot to the same best as an uninterrupted run, and the
+// from its journal to the same best as an uninterrupted run, and the
 // tenant identity and accepted order of the ledger survive.
 func TestServeTrafficChaosRecovery(t *testing.T) {
 	t.Cleanup(http.DefaultClient.CloseIdleConnections)
@@ -196,7 +196,7 @@ func TestServeTrafficChaosRecovery(t *testing.T) {
 		}
 	}
 
-	// The interrupted tune job resumes from its snapshot — same id,
+	// The interrupted tune job resumes from its journal — same id,
 	// same best as the uninterrupted reference, no re-measured prefix.
 	resp, err := http.Get(fmt.Sprintf("%s/jobs/%s?wait=1", base2, tuneID))
 	if err != nil {

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"io/fs"
 
-	"patty/internal/checkpoint"
+	"patty/internal/durable"
 	"patty/internal/seed"
 )
 
-// BatchKind tags fuzz-sweep snapshots in the checkpoint envelope.
+// BatchKind tags fuzz-sweep snapshots in the durable.Save envelope.
 const BatchKind = "difftest-batch"
 
 // ErrBatchMismatch reports a snapshot written by a different sweep
@@ -40,11 +40,11 @@ type Batch struct {
 // NewBatch opens or creates the sweep snapshot at path. resumed
 // reports how many programs a previous run already checked. A
 // snapshot for a different (baseSeed, n) fails with ErrBatchMismatch;
-// a damaged one with checkpoint.ErrCorruptCheckpoint.
+// a damaged one with durable.ErrCorrupt.
 func NewBatch(path string, baseSeed int64, n int) (b *Batch, resumed int, err error) {
 	b = &Batch{path: path}
 	b.state = BatchState{BaseSeed: baseSeed, N: n, Kinds: make(map[string]int)}
-	err = checkpoint.Load(path, BatchKind, &b.state)
+	err = durable.Load(path, BatchKind, &b.state)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		// Fresh sweep.
@@ -65,10 +65,10 @@ func NewBatch(path string, baseSeed int64, n int) (b *Batch, resumed int, err er
 // Resumed is the number of programs loaded as already checked.
 func (b *Batch) Resumed() int { return b.state.Next }
 
-// save snapshots the sweep; checkpoint.Save is atomic, so a kill
+// save snapshots the sweep; durable.Save is atomic, so a kill
 // between programs loses at most the program in flight.
 func (b *Batch) save() error {
-	return checkpoint.Save(b.path, BatchKind, &b.state)
+	return durable.Save(b.path, BatchKind, &b.state)
 }
 
 // Run continues the sweep until it completes or ctx is canceled. The

@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"patty/internal/checkpoint"
+	"patty/internal/durable"
 )
 
 func batchOpts() Options {
@@ -112,8 +112,8 @@ func TestBatchCorruptSurfacesTyped(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewBatch(path, 7, 3); !errors.Is(err, checkpoint.ErrCorruptCheckpoint) {
-		t.Fatalf("corrupt snapshot: got %v, want ErrCorruptCheckpoint", err)
+	if _, _, err := NewBatch(path, 7, 3); !errors.Is(err, durable.ErrCorrupt) {
+		t.Fatalf("corrupt snapshot: got %v, want durable.ErrCorrupt", err)
 	}
 }
 

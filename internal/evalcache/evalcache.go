@@ -5,13 +5,13 @@
 // prior submission answers from cache instead of re-running the
 // measurement — the cross-job memoization leg of ROADMAP item 2.
 //
-// Entries live in CRC-framed append-only segment files
-// (seg-NNNNNNNN.cas) sharing the frame discipline of the serve WAL: a
-// SIGKILL at any byte leaves a segment whose maximal valid prefix is
-// recoverable. A torn tail is truncated and appending continues; a
-// segment damaged mid-file is quarantined (renamed aside) and its
-// valid prefix re-appended to a fresh segment, so damage is never
-// silently dropped and never yields a wrong hit. The store is
+// Entries live in append-only segment files (seg-NNNNNNNN.cas) of
+// internal/durable's record format: a SIGKILL at any byte leaves a
+// segment whose maximal valid prefix is recoverable. A torn tail is
+// truncated and appending continues; a segment damaged mid-file is
+// quarantined (renamed aside) and its valid prefix re-appended to a
+// fresh segment, so damage is never silently dropped and never yields
+// a wrong hit. The store is
 // size-bounded: when the on-disk footprint exceeds MaxBytes the oldest
 // sealed segments are evicted whole, FIFO.
 //
@@ -29,6 +29,7 @@
 package evalcache
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -37,8 +38,12 @@ import (
 	"strings"
 	"sync"
 
+	"patty/internal/durable"
 	"patty/internal/obs"
 )
+
+// segMagic opens every segment frame.
+const segMagic = "casrec "
 
 // Key addresses one evaluation: the canonical program hash (or spec
 // hash for non-program workloads), the configuration's canonical
@@ -203,14 +208,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		entries, validLen, derr := DecodeSegment(raw)
+		entries, validLen, derr := decodeSegment(raw)
 		s.rec.Segments++
 		switch {
 		case derr == nil:
 			s.adopt(sf.seq, sf.path, entries, int64(validLen))
-		case isTorn(derr):
+		case errors.Is(derr, durable.ErrTornTail):
 			// Expected crash damage: keep the valid prefix in place.
-			if err := truncateSync(sf.path, int64(validLen)); err != nil {
+			if err := durable.TruncateSync(sf.path, int64(validLen)); err != nil {
 				return nil, err
 			}
 			s.rec.TornBytes += int64(len(raw) - validLen)
@@ -222,9 +227,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			if err := os.Rename(sf.path, qpath); err != nil {
 				return nil, err
 			}
-			if err := syncDir(dir); err != nil {
-				return nil, err
-			}
+			durable.SyncDir(dir)
 			s.corrupt.Inc()
 			s.rec.Quarantined = append(s.rec.Quarantined, filepath.Base(qpath))
 			reappend = append(reappend, entries...)
@@ -323,10 +326,11 @@ func (s *Store) Correct(e Entry) error {
 // as needed. Caller holds s.mu.
 func (s *Store) append(e Entry, overwrite bool) error {
 	k := e.Key().String()
-	frame, err := EncodeEntry(e)
+	payload, err := json.Marshal(e)
 	if err != nil {
-		return err
+		return fmt.Errorf("evalcache: marshal entry: %w", err)
 	}
+	frame := durable.AppendFrame(nil, segMagic, payload)
 	needRotate := s.active == nil
 	if !needRotate {
 		cur := s.segs[s.activeSeq]
@@ -380,10 +384,7 @@ func (s *Store) rotate() error {
 	if err != nil {
 		return err
 	}
-	if err := syncDir(s.dir); err != nil {
-		f.Close()
-		return err
-	}
+	durable.SyncDir(s.dir)
 	s.active = f
 	s.activeSeq = seq
 	s.segs[seq] = &segment{seq: seq, path: path}
@@ -502,9 +503,7 @@ func (s *Store) Compact() error {
 	for _, p := range q {
 		os.Remove(p)
 	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
+	durable.SyncDir(s.dir)
 	s.publish()
 	return nil
 }
@@ -549,7 +548,7 @@ func VerifyDir(dir string) (VerifyReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		entries, validLen, derr := DecodeSegment(raw)
+		entries, validLen, derr := decodeSegment(raw)
 		rep.Segments++
 		rep.Entries += len(entries)
 		rep.Bytes += int64(validLen)
@@ -598,28 +597,16 @@ func segmentFiles(dir string) ([]segFile, error) {
 	return out, nil
 }
 
-func isTorn(err error) bool { return errors.Is(err, ErrTornTail) }
-
-// truncateSync cuts a torn tail and makes the cut durable.
-func truncateSync(path string, n int64) error {
-	if err := os.Truncate(path, n); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
-}
-
-// syncDir fsyncs a directory so renames and creations are durable —
-// the internal/checkpoint idiom: best-effort where the platform does
-// not support fsync on directories.
-func syncDir(dir string) error {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+// decodeSegment parses a segment image into its maximal valid entry
+// prefix (see durable.Decode for validLen and the error classes).
+func decodeSegment(raw []byte) (entries []Entry, validLen int, err error) {
+	validLen, err = durable.Decode(segMagic, raw, func(payload []byte) error {
+		var e Entry
+		if err := json.Unmarshal(payload, &e); err != nil {
+			return err
+		}
+		entries = append(entries, e)
+		return nil
+	})
+	return entries, validLen, err
 }

@@ -7,11 +7,11 @@ import (
 	"strings"
 
 	"patty/internal/baseline"
-	"patty/internal/checkpoint"
 	"patty/internal/corpus"
+	"patty/internal/durable"
 )
 
-// OutcomeKind tags measured-outcome snapshots in the checkpoint
+// OutcomeKind tags measured-outcome snapshots in the durable.Save
 // envelope.
 const OutcomeKind = "study-outcome"
 
@@ -62,18 +62,18 @@ func MeasuredOutcome() (ToolOutcome, error) {
 // the source of truth; the snapshot only saves time on restart).
 // resumed reports whether the outcome came from the snapshot.
 func MeasuredOutcomeCached(path string) (out ToolOutcome, resumed bool, err error) {
-	loadErr := checkpoint.Load(path, OutcomeKind, &out)
+	loadErr := durable.Load(path, OutcomeKind, &out)
 	if loadErr == nil {
 		return out, true, nil
 	}
-	if !errors.Is(loadErr, fs.ErrNotExist) && !errors.Is(loadErr, checkpoint.ErrCorruptCheckpoint) {
+	if !errors.Is(loadErr, fs.ErrNotExist) && !errors.Is(loadErr, durable.ErrCorrupt) {
 		return ToolOutcome{}, false, loadErr
 	}
 	out, err = MeasuredOutcome()
 	if err != nil {
 		return ToolOutcome{}, false, err
 	}
-	if err := checkpoint.Save(path, OutcomeKind, &out); err != nil {
+	if err := durable.Save(path, OutcomeKind, &out); err != nil {
 		return ToolOutcome{}, false, err
 	}
 	return out, false, nil

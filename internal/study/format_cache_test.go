@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"patty/internal/checkpoint"
+	"patty/internal/durable"
 )
 
 func TestMeasuredOutcomeCached(t *testing.T) {
@@ -32,7 +32,7 @@ func TestMeasuredOutcomeCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	var probe ToolOutcome
-	if err := checkpoint.Load(path, OutcomeKind, &probe); !errors.Is(err, checkpoint.ErrCorruptCheckpoint) {
+	if err := durable.Load(path, OutcomeKind, &probe); !errors.Is(err, durable.ErrCorrupt) {
 		t.Fatalf("sanity: snapshot should be corrupt, got %v", err)
 	}
 	healed, resumed, err := MeasuredOutcomeCached(path)

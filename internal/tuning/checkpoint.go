@@ -1,18 +1,22 @@
 package tuning
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 
-	"patty/internal/checkpoint"
+	"patty/internal/durable"
 )
 
-// CheckpointKind tags tuner-search snapshots in the checkpoint
-// envelope, so a fuzz-sweep file can never be mistaken for one.
-const CheckpointKind = "tuning-search"
+// journalMagic opens every frame of a tuning journal (internal/durable's
+// record format), so no other durable file decodes as one.
+const journalMagic = "tunerec "
 
 // ErrCheckpointMismatch reports a checkpoint written by a different
 // search (other algorithm, budget, dimensions or start point):
@@ -56,81 +60,173 @@ type EvalRecord struct {
 	Faulted    bool           `json:"faulted,omitempty"`
 }
 
-// SearchState is the serialized progress of a tuning search: which
-// configurations were measured, at what cost, and which ones the
-// circuit breaker quarantined.
-type SearchState struct {
-	Meta        SearchMeta   `json:"meta"`
-	Evals       []EvalRecord `json:"evals"`
-	Quarantined []string     `json:"quarantined,omitempty"`
+// journalFrame is one record of the journal; one field is set. The
+// first frame carries the search's meta; eval frames follow, the last
+// one per key winning, and a quarantine frame replaces the quarantine
+// set whenever it changes.
+type journalFrame struct {
+	Meta        *SearchMeta `json:"meta,omitempty"`
+	Eval        *EvalRecord `json:"eval,omitempty"`
+	Quarantined *[]string   `json:"quarantined,omitempty"`
 }
 
 // Checkpointer makes a search resumable by journaling every objective
-// evaluation to a snapshot file. Wrap sits between the tuner and the
-// objective: a configuration already in the snapshot returns its
+// evaluation to an append-only log. Wrap sits between the tuner and
+// the objective: a configuration already in the journal returns its
 // recorded cost instantly (no re-measurement), so a restarted
 // deterministic search fast-forwards through the completed prefix and
 // continues exactly where the killed run stopped.
 type Checkpointer struct {
 	path string
 	// Quarantine, when non-nil, supplies the currently quarantined
-	// configuration keys (jobs.Breaker.Quarantined) to persist with
-	// every snapshot.
+	// configuration keys (jobs.Breaker.Quarantined); a changed set is
+	// journaled with the next write.
 	Quarantine func() []string
 
-	state   SearchState
-	cache   map[string]EvalRecord
-	resumed int
-	saveErr error
+	order       []string // keys in first-journaled order
+	cache       map[string]EvalRecord
+	quarantined []string // the set last journaled or replayed
+	pending     []byte   // frames waiting for the next write
+	resumed     int
+	saveErr     error
 }
 
-// NewCheckpointer opens or creates the snapshot at path for the given
+// NewCheckpointer opens or creates the journal at path for the given
 // search. resumed reports how many completed evaluations were loaded.
-// A snapshot for a different search fails with ErrCheckpointMismatch;
-// a damaged snapshot fails with checkpoint.ErrCorruptCheckpoint — the
-// caller decides whether to delete and start over.
+// A torn tail (a crash mid-append) is cut off and the search resumes
+// from the intact prefix. A journal for a different search fails with
+// ErrCheckpointMismatch; a damaged complete frame fails with
+// durable.ErrCorrupt — the caller decides whether to delete and start
+// over.
 func NewCheckpointer(path string, meta SearchMeta) (c *Checkpointer, resumed int, err error) {
 	c = &Checkpointer{path: path, cache: make(map[string]EvalRecord)}
-	c.state.Meta = meta
-	err = checkpoint.Load(path, CheckpointKind, &c.state)
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		// Fresh run; first Save creates the file.
-	case err != nil:
-		return nil, 0, err
-	default:
-		if c.state.Meta.signature() != meta.signature() {
-			return nil, 0, fmt.Errorf("%w: snapshot %q holds %s, this run is %s",
-				ErrCheckpointMismatch, path, c.state.Meta.signature(), meta.signature())
-		}
-		for _, rec := range c.state.Evals {
-			c.cache[assignKey(rec.Assignment)] = rec
-		}
-		c.resumed = len(c.state.Evals)
+	raw, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, 0, fmt.Errorf("tuning: %w", err)
 	}
-	c.state.Meta = meta
+	var prev *SearchMeta
+	validLen, derr := durable.Decode(journalMagic, raw, func(payload []byte) error {
+		var f journalFrame
+		if err := json.Unmarshal(payload, &f); err != nil {
+			return err
+		}
+		switch {
+		case (prev == nil) != (f.Meta != nil):
+			return errors.New("journal frame out of place")
+		case f.Meta != nil:
+			prev = f.Meta
+		case f.Eval != nil:
+			c.remember(*f.Eval)
+		case f.Quarantined != nil:
+			c.quarantined = *f.Quarantined
+		default:
+			return errors.New("empty journal frame")
+		}
+		return nil
+	})
+	switch {
+	case errors.Is(derr, durable.ErrCorrupt):
+		return nil, 0, fmt.Errorf("tuning: journal %s: %w", path, derr)
+	case prev != nil && prev.signature() != meta.signature():
+		return nil, 0, fmt.Errorf("%w: journal %q holds %s, this run is %s",
+			ErrCheckpointMismatch, path, prev.signature(), meta.signature())
+	case derr != nil:
+		if err := durable.TruncateSync(path, int64(validLen)); err != nil {
+			return nil, 0, fmt.Errorf("tuning: %w", err)
+		}
+	}
+	if prev == nil {
+		// Fresh (or torn before its first frame completed): the meta
+		// frame creates the journal, made durable with its directory.
+		c.queue(journalFrame{Meta: &meta})
+		if err := c.write(os.O_CREATE); err != nil {
+			return nil, 0, err
+		}
+		durable.SyncDir(filepath.Dir(path))
+	}
+	c.resumed = len(c.order)
 	return c, c.resumed, nil
 }
 
+// newRecord builds the journal record of one evaluation.
+func newRecord(a map[string]int, cost float64) EvalRecord {
+	rec := EvalRecord{Assignment: copyAssign(a), Cost: cost}
+	if math.IsInf(cost, 0) || math.IsNaN(cost) {
+		rec.Cost, rec.Faulted = 0, true
+	}
+	return rec
+}
+
+// remember folds a record into the in-memory table: the last record
+// of a key wins, and keys keep the order they first appeared in.
+func (c *Checkpointer) remember(rec EvalRecord) {
+	key := assignKey(rec.Assignment)
+	if _, ok := c.cache[key]; !ok {
+		c.order = append(c.order, key)
+	}
+	c.cache[key] = rec
+}
+
+// queue encodes one frame into the pending buffer.
+func (c *Checkpointer) queue(f journalFrame) {
+	payload, err := json.Marshal(f)
+	if err != nil {
+		c.fail(fmt.Errorf("tuning: marshal journal frame: %w", err))
+		return
+	}
+	c.pending = durable.AppendFrame(c.pending, journalMagic, payload)
+}
+
+// fail records the first journal error.
+func (c *Checkpointer) fail(err error) {
+	if err != nil && c.saveErr == nil {
+		c.saveErr = err
+	}
+}
+
+// write appends the pending frames, plus a quarantine frame if the set
+// changed, with one write and one fsync. After a failed write the
+// journal stops growing, so it stays an intact prefix with at most a
+// torn tail.
+func (c *Checkpointer) write(flag int) error {
+	if c.Quarantine != nil {
+		if q := c.Quarantine(); !slices.Equal(q, c.quarantined) {
+			c.quarantined = append([]string{}, q...) // never null in JSON
+			c.queue(journalFrame{Quarantined: &c.quarantined})
+		}
+	}
+	if len(c.pending) == 0 || c.saveErr != nil {
+		return c.saveErr
+	}
+	f, err := os.OpenFile(c.path, os.O_WRONLY|os.O_APPEND|flag, 0o644)
+	if err == nil {
+		_, err = f.Write(c.pending)
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	c.pending = c.pending[:0]
+	if err != nil {
+		c.fail(fmt.Errorf("tuning: journal: %w", err))
+	}
+	return c.saveErr
+}
+
 // Wrap interposes the journal: cached assignments replay their
-// recorded cost, new assignments run obj and are persisted before the
-// cost is returned to the search.
+// recorded cost, new assignments run obj and are appended durably
+// before the cost is returned to the search.
 func (c *Checkpointer) Wrap(obj Objective) Objective {
 	return func(a map[string]int) float64 {
-		key := assignKey(a)
-		if rec, ok := c.cache[key]; ok {
+		if rec, ok := c.cache[assignKey(a)]; ok {
 			return rec.cost()
 		}
-		cost := obj(a)
-		rec := EvalRecord{Assignment: copyAssign(a), Cost: cost}
-		if math.IsInf(cost, 1) || math.IsNaN(cost) || math.IsInf(cost, -1) {
-			rec.Cost, rec.Faulted = 0, true
-		}
-		c.cache[key] = rec
-		c.state.Evals = append(c.state.Evals, rec)
-		if err := c.save(); err != nil && c.saveErr == nil {
-			c.saveErr = err
-		}
+		rec := newRecord(a, obj(a))
+		c.remember(rec)
+		c.queue(journalFrame{Eval: &rec})
+		c.write(0)
 		return rec.cost()
 	}
 }
@@ -138,47 +234,27 @@ func (c *Checkpointer) Wrap(obj Objective) Objective {
 // Record journals an externally produced evaluation — the fleet
 // coordinator merges worker-computed costs through it — without
 // invoking an objective. A key already journaled is ignored, so merges
-// are idempotent under duplicate shard completions. The snapshot is
-// persisted by the next Flush; callers batch one Flush per merged
-// shard instead of one write per evaluation.
+// are idempotent under duplicate shard completions. The frame is
+// written by the next Flush; callers batch one Flush per merged shard
+// instead of one write per evaluation.
 func (c *Checkpointer) Record(a map[string]int, cost float64) {
-	key := assignKey(a)
-	if _, ok := c.cache[key]; ok {
+	if _, ok := c.cache[assignKey(a)]; ok {
 		return
 	}
-	rec := EvalRecord{Assignment: copyAssign(a), Cost: cost}
-	if math.IsInf(cost, 1) || math.IsNaN(cost) || math.IsInf(cost, -1) {
-		rec.Cost, rec.Faulted = 0, true
-	}
-	c.cache[key] = rec
-	c.state.Evals = append(c.state.Evals, rec)
+	c.Correct(a, cost)
 }
 
-// Correct overwrites the journaled cost of an assignment in place —
-// the fleet coordinator's byzantine re-verification replaces a
-// quarantined worker's lied costs with locally re-measured truth
-// (Record alone cannot: it ignores keys already journaled, which is
-// right for idempotent merges and wrong for repairs). An unknown key
-// falls through to Record semantics. The snapshot is persisted by the
-// next Flush.
+// Correct journals a cost for an assignment whether or not it is
+// already known — the fleet coordinator's byzantine re-verification
+// replaces a quarantined worker's lied costs with locally re-measured
+// truth (Record alone cannot: it ignores keys already journaled, which
+// is right for idempotent merges and wrong for repairs). Replay is
+// last-wins, so the repair supersedes the lie. The frame is written by
+// the next Flush.
 func (c *Checkpointer) Correct(a map[string]int, cost float64) {
-	key := assignKey(a)
-	rec := EvalRecord{Assignment: copyAssign(a), Cost: cost}
-	if math.IsInf(cost, 1) || math.IsNaN(cost) || math.IsInf(cost, -1) {
-		rec.Cost, rec.Faulted = 0, true
-	}
-	if _, ok := c.cache[key]; !ok {
-		c.cache[key] = rec
-		c.state.Evals = append(c.state.Evals, rec)
-		return
-	}
-	c.cache[key] = rec
-	for i := range c.state.Evals {
-		if assignKey(c.state.Evals[i].Assignment) == key {
-			c.state.Evals[i] = rec
-			break
-		}
-	}
+	rec := newRecord(a, cost)
+	c.remember(rec)
+	c.queue(journalFrame{Eval: &rec})
 }
 
 // Lookup returns the journaled record for a canonical assignment key.
@@ -187,11 +263,16 @@ func (c *Checkpointer) Lookup(key string) (EvalRecord, bool) {
 	return rec, ok
 }
 
-// Records returns a copy of every journaled evaluation, in journal
-// order — the fleet coordinator seeds its merge table from it on
+// Records returns every journaled evaluation, one per configuration
+// with its latest cost, in the order the configurations were first
+// journaled — the fleet coordinator seeds its merge table from it on
 // resume.
 func (c *Checkpointer) Records() []EvalRecord {
-	return append([]EvalRecord(nil), c.state.Evals...)
+	out := make([]EvalRecord, len(c.order))
+	for i, key := range c.order {
+		out[i] = c.cache[key]
+	}
+	return out
 }
 
 // EffectiveCost reconstructs the in-memory cost of a record (+Inf
@@ -206,34 +287,21 @@ func (r EvalRecord) cost() float64 {
 	return r.Cost
 }
 
-// save snapshots the current state (including the live quarantine set).
-func (c *Checkpointer) save() error {
-	if c.Quarantine != nil {
-		c.state.Quarantined = c.Quarantine()
-	}
-	return checkpoint.Save(c.path, CheckpointKind, &c.state)
-}
-
-// Flush persists the final state once more (picking up quarantine
-// changes after the last evaluation) and reports the first error any
-// save hit; a search whose journal could not be written must not
-// advertise itself as resumable.
-func (c *Checkpointer) Flush() error {
-	if err := c.save(); err != nil && c.saveErr == nil {
-		c.saveErr = err
-	}
-	return c.saveErr
-}
+// Flush writes every frame not yet persisted (and the quarantine set,
+// if it changed) and reports the first error any write hit; a search
+// whose journal could not be written must not advertise itself as
+// resumable.
+func (c *Checkpointer) Flush() error { return c.write(0) }
 
 // Explored is the number of distinct configurations measured across
 // all runs of this search (resumed prefix included).
 func (c *Checkpointer) Explored() int { return len(c.cache) }
 
-// Resumed is the number of evaluations replayed from the snapshot.
+// Resumed is the number of evaluations replayed from the journal.
 func (c *Checkpointer) Resumed() int { return c.resumed }
 
-// Quarantined returns the configuration keys the snapshot recorded as
+// Quarantined returns the configuration keys the journal recorded as
 // circuit-breaker quarantined, for Breaker.Restore on resume.
 func (c *Checkpointer) Quarantined() []string {
-	return append([]string(nil), c.state.Quarantined...)
+	return append([]string(nil), c.quarantined...)
 }

@@ -1,14 +1,17 @@
 package tuning
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
-	"patty/internal/checkpoint"
+	"patty/internal/durable"
 )
 
 // rastrigin-ish deterministic objective with a unique optimum.
@@ -158,18 +161,28 @@ func TestCheckpointQuarantinePersists(t *testing.T) {
 	}
 	ck.Quarantine = func() []string { return []string{"x=1;y=2;"} }
 	ck.Wrap(bowl)(bowlStart())
-	if err := ck.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	ck2, _, err := NewCheckpointer(path, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q := ck2.Quarantined(); len(q) != 1 || q[0] != "x=1;y=2;" {
-		t.Fatalf("quarantine set lost: %v", q)
+	// Wrap journals a changed set with its evaluation, so a kill before
+	// any Flush keeps it.
+	for _, flush := range []bool{false, true} {
+		if flush {
+			if err := ck.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ck2, _, err := NewCheckpointer(path, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := ck2.Quarantined(); len(q) != 1 || q[0] != "x=1;y=2;" {
+			t.Fatalf("quarantine set lost (flushed %v): %v", flush, q)
+		}
 	}
 }
 
+// TestCheckpointCorruptSurfacesTyped: a byte flipped inside a complete
+// journal frame that later frames follow is corruption, not a crash
+// shape, and surfaces as the typed error; a torn tail (the file cut
+// mid-frame) resumes instead.
 func TestCheckpointCorruptSurfacesTyped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "search.ckpt")
 	meta := SearchMeta{Algo: "linear", Budget: 50, Dims: bowlDims(), Start: bowlStart()}
@@ -178,15 +191,132 @@ func TestCheckpointCorruptSurfacesTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck.Wrap(bowl)(bowlStart())
+	ck.Wrap(bowl)(map[string]int{"x": 1, "y": 15})
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+	flipped := bytes.Clone(raw)
+	flipped[bytes.Index(raw, []byte(`"algo"`))] ^= 0x01 // inside the meta frame
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewCheckpointer(path, meta); !errors.Is(err, checkpoint.ErrCorruptCheckpoint) {
-		t.Fatalf("truncated snapshot: got %v, want ErrCorruptCheckpoint", err)
+	if _, _, err := NewCheckpointer(path, meta); !errors.Is(err, durable.ErrCorrupt) {
+		t.Fatalf("flipped journal: got %v, want durable.ErrCorrupt", err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, resumed, err := NewCheckpointer(path, meta); err != nil || resumed != 1 {
+		t.Fatalf("torn journal: resumed %d, err %v; want 1, nil", resumed, err)
+	}
+}
+
+// TestJournalCrashShapes builds a multi-frame journal the way a
+// search and the fleet write one — fresh evaluations through Wrap, a
+// merged lie and its correction, a quarantine change — then:
+//   - cuts it at every byte offset: each cut opens cleanly, the file
+//     is truncated to its intact prefix (a cut meta frame is written
+//     afresh), Resumed counts the distinct configurations of the intact
+//     eval frames, the quarantine set is the last intact one, and the
+//     resumed search reaches the uninterrupted best;
+//   - flips every byte of every complete frame another frame follows:
+//     each flip is durable.ErrCorrupt.
+func TestJournalCrashShapes(t *testing.T) {
+	dims := []Dim{{Key: "x", Min: 0, Max: 7}, {Key: "y", Min: 0, Max: 7}}
+	start := map[string]int{"x": 0, "y": 7}
+	meta := SearchMeta{Algo: "linear", Budget: 40, Dims: dims, Start: start}
+	ref := LinearSearch{}.Tune(dims, start, bowl, meta.Budget)
+	path := filepath.Join(t.TempDir(), "search.ckpt")
+	ck, _, err := NewCheckpointer(path, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var quarantine []string
+	ck.Quarantine = func() []string { return quarantine }
+	ctx, cancel := context.WithCancel(context.Background())
+	fresh := 0
+	LinearSearch{}.TuneCtx(ctx, dims, start, ck.Wrap(func(a map[string]int) float64 {
+		if fresh++; fresh == 5 {
+			cancel()
+		}
+		return bowl(a)
+	}), meta.Budget)
+	// The lie is costlier than the truth on a point the sweep passes
+	// over, so no cut between it and its repair changes the best.
+	lie, merged := map[string]int{"x": 5, "y": 7}, map[string]int{"x": 7, "y": 7}
+	ck.Record(lie, 1e9)
+	ck.Record(merged, bowl(merged))
+	quarantine = []string{"x=1;y=7;"}
+	ck.Flush()
+	ck.Correct(lie, bowl(lie))
+	quarantine = nil
+	if err := ck.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := os.ReadFile(path)
+	full, _, err := NewCheckpointer(path, meta)
+	if recs := full.Records(); err != nil || len(recs) != 7 || AssignKey(recs[5].Assignment) != AssignKey(lie) || recs[5].Cost != bowl(lie) {
+		t.Fatalf("replay must keep the repair in the lie's first-journaled place: %v, %v", recs, err)
+	}
+
+	// replay is the test's own reading of an image: its intact length,
+	// distinct configurations and last quarantine set.
+	replay := func(img []byte) (validLen, keys int, q []string) {
+		seen := map[string]bool{}
+		validLen, _ = durable.Decode(journalMagic, img, func(payload []byte) error {
+			var f journalFrame
+			json.Unmarshal(payload, &f)
+			if f.Eval != nil {
+				seen[AssignKey(f.Eval.Assignment)] = true
+			}
+			if f.Quarantined != nil {
+				q = *f.Quarantined
+			}
+			return nil
+		})
+		return validLen, len(seen), q
+	}
+	ends := []int{0} // offsets just past each frame
+	for cut := 1; cut <= len(raw); cut++ {
+		if validLen, _, _ := replay(raw[:cut]); validLen == cut {
+			ends = append(ends, cut)
+		}
+	}
+	if _, keys, _ := replay(raw); keys != 7 || len(ends) != 12 {
+		t.Fatalf("journal: %d configurations in %d frames, want 5 searched + 2 merged in 11", keys, len(ends)-1)
+	}
+	cutPath := filepath.Join(t.TempDir(), "cut.ckpt")
+	for cut := 0; cut <= len(raw); cut++ {
+		validLen, keys, wantQ := replay(raw[:cut])
+		os.WriteFile(cutPath, raw[:cut], 0o644)
+		ck2, resumed, err := NewCheckpointer(cutPath, meta)
+		if err != nil || resumed != keys || !slices.Equal(ck2.Quarantined(), wantQ) {
+			t.Fatalf("cut at %d: resumed %d, err %v; want %d, nil (quarantine %v, want %v)",
+				cut, resumed, err, keys, ck2.Quarantined(), wantQ)
+		}
+		if got, _ := os.ReadFile(cutPath); !bytes.Equal(got, raw[:max(validLen, ends[1])]) {
+			t.Fatalf("cut at %d: file after open is %d byte(s), want the intact prefix", cut, len(got))
+		}
+		res := LinearSearch{}.Tune(dims, start, ck2.Wrap(bowl), meta.Budget)
+		if AssignKey(res.Best) != AssignKey(ref.Best) || res.BestCost != ref.BestCost {
+			t.Fatalf("cut at %d: resumed best %v (%.1f), uninterrupted %v (%.1f)",
+				cut, res.Best, res.BestCost, ref.Best, ref.BestCost)
+		}
+	}
+
+	// No flipped length digit here reaches past the end of the file
+	// (which the grammar would read as a torn tail), so every flip
+	// before the last frame is corruption.
+	for off := 0; off < ends[len(ends)-2]; off++ {
+		for _, mask := range []byte{0x01, 0xFF} {
+			mut := bytes.Clone(raw)
+			mut[off] ^= mask
+			os.WriteFile(cutPath, mut, 0o644)
+			if _, _, err := NewCheckpointer(cutPath, meta); !errors.Is(err, durable.ErrCorrupt) {
+				t.Fatalf("flip %#02x at %d: got %v, want durable.ErrCorrupt", mask, off, err)
+			}
+		}
 	}
 }
 
