@@ -428,34 +428,43 @@ func F(a []int, n int) int {
 		LoopID: lm.LoopID,
 		Stages: []pattern.Stage{{Label: "A", Stmts: lm.Static.Body, Replicable: true}},
 	}
-	bounds := []int{0, 1, 2, -1}
+	settings := []struct {
+		label string
+		opt   sched.Options
+	}{
+		{"0", sched.Options{PreemptionBound: 0, MaxSchedules: 50000}},
+		{"1", sched.Options{PreemptionBound: 1, MaxSchedules: 50000}},
+		{"2", sched.Options{PreemptionBound: 2, MaxSchedules: 50000}},
+		{"unbounded", sched.Options{PreemptionBound: -1, MaxSchedules: 50000}},
+		{"reduced", sched.Options{PreemptionBound: -1, MaxSchedules: 50000, Reduction: true}},
+	}
 	type row struct {
-		bound     int
+		label     string
 		schedules int
 		races     int
 	}
 	var rows []row
 	for i := 0; i < b.N; i++ {
 		rows = rows[:0]
-		for _, bound := range bounds {
+		for _, st := range settings {
 			ut, err := ptest.Generate(m, cand, ptest.Options{Threads: 2, Iters: 2})
 			if err != nil {
 				b.Fatal(err)
 			}
-			res := ut.Run(sched.Options{PreemptionBound: bound, MaxSchedules: 50000})
-			rows = append(rows, row{bound, res.Schedules, len(res.Races)})
+			res := ut.Run(st.opt)
+			rows = append(rows, row{st.label, res.Schedules, len(res.Races)})
 		}
 	}
-	body := fmt.Sprintf("%-18s %10s %6s\n", "preemption bound", "schedules", "races")
+	body := fmt.Sprintf("%-18s %10s %6s\n", "search", "schedules", "races")
 	for _, r := range rows {
-		bound := fmt.Sprint(r.bound)
-		if r.bound < 0 {
-			bound = "unbounded"
-		}
-		body += fmt.Sprintf("%-18s %10d %6d\n", bound, r.schedules, r.races)
+		body += fmt.Sprintf("%-18s %10d %6d\n", r.label, r.schedules, r.races)
 	}
 	printHeader("E10 / CHESS-style race search on a planted bug (paper [22]: high accuracy in minutes)", body)
-	b.ReportMetric(float64(rows[len(rows)-1].schedules), "schedules-unbounded")
+	b.ReportMetric(float64(rows[3].schedules), "schedules-unbounded")
+	b.ReportMetric(float64(rows[4].schedules), "schedules-reduced")
+	if rows[4].races != rows[3].races {
+		b.Fatalf("reduced search found %d races, unbounded %d", rows[4].races, rows[3].races)
+	}
 	if rows[1].races == 0 {
 		b.Fatal("preemption bound 1 must already find the planted race")
 	}

@@ -325,8 +325,9 @@ func cmdTransform(args []string) error {
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	corpusName := fs.String("corpus", "", "verify a corpus benchmark")
-	bound := fs.Int("bound", 2, "preemption bound (-1: exhaustive)")
-	maxSched := fs.Int("max-schedules", 5000, "schedule budget per test")
+	def := patty.ValidateOptions()
+	bound := fs.Int("bound", def.PreemptionBound, "preemption bound of an unreduced search (-1: exhaustive search under partial-order reduction)")
+	maxSched := fs.Int("max-schedules", def.MaxSchedules, "schedule budget per test")
 	fs.Parse(args)
 	srcs, workload, err := loadSources(*corpusName, fs.Args())
 	if err != nil {
@@ -336,7 +337,8 @@ func cmdVerify(args []string) error {
 	if _, err := p.Run(); err != nil {
 		return err
 	}
-	results, err := p.Validate(sched.Options{PreemptionBound: *bound, MaxSchedules: *maxSched})
+	opt := sched.Options{PreemptionBound: *bound, MaxSchedules: *maxSched, Reduction: *bound < 0}
+	results, err := p.Validate(opt)
 	if err != nil {
 		return err
 	}

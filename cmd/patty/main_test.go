@@ -230,6 +230,31 @@ func TestCmdVerifyCleanCorpus(t *testing.T) {
 	}
 }
 
+// TestCmdVerifyDefaultsToValidate: without -bound, verify runs
+// patty.Validate's reduced exhaustive search, which covers the indexer
+// pipeline's whole trace space in 744 runs; -bound 2 still runs the
+// bounded search, which stops at the schedule cap.
+func TestCmdVerifyDefaultsToValidate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow: full model + exploration")
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-corpus", "indexer"}, " 744 schedules"},
+		{[]string{"-corpus", "indexer", "-bound", "2", "-max-schedules", "800"}, " 800 schedules"},
+	} {
+		out, err := capture(t, func() error { return cmdVerify(tc.args) })
+		if err != nil {
+			t.Fatalf("verify %v failed: %v\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("verify %v: want %q in\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
 func TestCmdEvalBottleneckTable(t *testing.T) {
 	out, err := capture(t, func() error { return cmdEval(context.Background(), []string{"-static"}) })
 	if err != nil {

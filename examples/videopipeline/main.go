@@ -18,7 +18,6 @@ import (
 	"patty/internal/obs"
 	"patty/internal/parrt"
 	"patty/internal/report"
-	"patty/internal/sched"
 )
 
 // Image is a video frame; the filters below are latency-bound (they
@@ -73,8 +72,11 @@ func main() {
 	}
 	fmt.Println(code)
 
-	// Correctness validation (the CHESS-style step).
-	results, err := p.Validate(sched.Options{PreemptionBound: 2, MaxSchedules: 3000})
+	// Correctness validation (the CHESS-style step): patty.Validate's
+	// reduced exhaustive search, with a smaller budget.
+	opt := patty.ValidateOptions()
+	opt.MaxSchedules = 3000
+	results, err := p.Validate(opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,19 +32,26 @@ func corpusUnitTest(b *testing.B, prog, test string) *ptest.UnitTest {
 	return nil
 }
 
-// BenchmarkExplore times one bounded exploration (patty.Validate's
-// settings) of a corpus unit test: the video pipeline, the most
-// expensive test in the corpus (it stops at the 5000-schedule cap),
-// and a data-parallel loop that is explored exhaustively. Beside the
+// BenchmarkExplore times one exploration of a corpus unit test: the
+// video pipeline, the most expensive test in the corpus (it stops at
+// the 5000-schedule cap), and a data-parallel loop that is explored
+// exhaustively. The plain cases run the bounded search, the reduced
+// ones patty.Validate's partial-order-reduced search. Beside the
 // per-exploration figures it reports ns and allocations per schedule.
 func BenchmarkExplore(b *testing.B) {
-	for _, bc := range []struct{ name, prog, test string }{
-		{"video", "video", "Process.L1.pipeline"},
-		{"nbody", "nbody", "Integrate.L0.data-parallel"},
+	bounded := sched.Options{PreemptionBound: 2, MaxSchedules: 5000}
+	for _, bc := range []struct {
+		name, prog, test string
+		opt              sched.Options
+	}{
+		{"video", "video", "Process.L1.pipeline", bounded},
+		{"nbody", "nbody", "Integrate.L0.data-parallel", bounded},
+		{"video-reduced", "video", "Process.L1.pipeline", patty.ValidateOptions()},
+		{"nbody-reduced", "nbody", "Integrate.L0.data-parallel", patty.ValidateOptions()},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			ut := corpusUnitTest(b, bc.prog, bc.test)
-			opt := sched.Options{PreemptionBound: 2, MaxSchedules: 5000}
+			opt := bc.opt
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,8 +20,9 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/explore_corpus.golden")
 
 // goldenOptions are the exploration settings the bit-identity gate
-// pins: the bounded search patty.Validate uses, an unbounded search
-// capped by MaxSchedules, and seeded random walks.
+// pins: the bounded search patty.Validate used before partial-order
+// reduction, an unbounded search capped by MaxSchedules, seeded
+// random walks, and the reduced search patty.Validate uses.
 var goldenOptions = []struct {
 	name string
 	opt  sched.Options
@@ -28,6 +30,7 @@ var goldenOptions = []struct {
 	{"bounded", sched.Options{PreemptionBound: 2, MaxSchedules: 5000}},
 	{"unbounded", sched.Options{PreemptionBound: -1, MaxSchedules: 3000}},
 	{"random", sched.Options{RandomWalks: 200, Seed: 7}},
+	{"reduced", patty.ValidateOptions()},
 }
 
 // corpusUnitTests parallelizes every corpus program with its sample
@@ -99,4 +102,39 @@ func TestExploreCorpusGolden(t *testing.T) {
 			t.Fatalf("line %d differs from %s:\n got: %s\nwant: %s", i+1, path, g, e)
 		}
 	}
+}
+
+// TestValidateKeepsBoundedVerdicts: under patty.Validate's reduced
+// search every corpus unit test reports the races (Var, Kind,
+// Threads), deadlocks and failures of the bounded search it replaced,
+// and every test but the video pipeline exhausts its trace space.
+func TestValidateKeepsBoundedVerdicts(t *testing.T) {
+	keys, uts := corpusUnitTests(t)
+	for i, ut := range uts {
+		got := ut.Run(patty.ValidateOptions())
+		want := ut.Run(sched.Options{PreemptionBound: 2, MaxSchedules: 5000})
+		if g, w := verdict(got), verdict(want); !slices.Equal(g, w) {
+			t.Errorf("%s: reduced verdict %v, bounded %v", keys[i], g, w)
+		}
+		if !got.Exhausted && keys[i] != "video/Process.L1.pipeline" {
+			t.Errorf("%s: the reduced search stopped after %d schedules", keys[i], got.Schedules)
+		}
+	}
+}
+
+// verdict lists a result's races by Var, Kind and Threads, and its
+// deadlock and failure messages, sorted.
+func verdict(r sched.Result) []string {
+	var out []string
+	for _, x := range r.Races {
+		out = append(out, fmt.Sprintf("race %s %s %v", x.Var, x.Kind, x.Threads))
+	}
+	for _, d := range r.Deadlocks {
+		out = append(out, "deadlock "+d.Msg)
+	}
+	for _, f := range r.Failures {
+		out = append(out, "failure "+f.Msg)
+	}
+	slices.Sort(out)
+	return out
 }

@@ -103,7 +103,7 @@ func Generate(m *model.Model, c pattern.Candidate, opt Options) (*UnitTest, erro
 		return nil, fmt.Errorf("ptest: no loop %d in %s", c.LoopID, c.Fn)
 	}
 
-	perStmt := abstractAccesses(fm.Fn, lm)
+	perStmt := abstractAccesses(lm)
 	name := fmt.Sprintf("%s.L%d.%s", c.Fn, c.LoopID, c.Kind)
 
 	switch c.Kind {
@@ -120,10 +120,8 @@ func Generate(m *model.Model, c pattern.Candidate, opt Options) (*UnitTest, erro
 // accesses: iteration-local symbols, the induction variable and
 // recognized reductions are privatized by the transformation and
 // excluded.
-func abstractAccesses(fn *source.Function, lm *model.LoopModel) map[int][]access {
+func abstractAccesses(lm *model.LoopModel) map[int][]access {
 	li := lm.Static
-	res := deps.Resolve(fn) // same resolver rules as the analysis
-	_ = res
 	isReduction := make(map[int]bool)
 	for _, r := range li.Reductions {
 		isReduction[r.StmtID] = true

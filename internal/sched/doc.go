@@ -19,7 +19,9 @@
 //   - Explore performs a depth-first search over scheduling decisions,
 //     re-executing the program once per interleaving, with optional
 //     preemption bounding (CHESS's key scalability insight: most bugs
-//     surface within <= 2 preemptions).
+//     surface within <= 2 preemptions) or, for the unbounded search,
+//     partial-order reduction, which runs one interleaving per
+//     Mazurkiewicz trace (por.go).
 //   - A vector-clock happens-before detector (Djit+-style) flags data
 //     races on Vars even in interleavings where the race happens to be
 //     benign, and the engine additionally reports deadlocks and

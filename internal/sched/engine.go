@@ -108,8 +108,8 @@ type execution struct {
 	failure *Failure
 	// the schedule so far: granted thread ids in order
 	trace []int
-	// how the run ended
-	deadlock, nondet, aborted bool
+	// how the run ended; sleepBlocked: every enabled thread slept
+	deadlock, nondet, aborted, sleepBlocked bool
 }
 
 // start launches the thread goroutines. Each runs up to its first
@@ -165,6 +165,9 @@ func (c *Context) yield(req request) response {
 		return t.wait()
 	}
 	ex.pending[t.id] = &t.req
+	if ex.e.por != nil {
+		ex.e.por.posted(ex, t.id)
+	}
 	next, resp := ex.schedule()
 	if next == t.id {
 		return resp

@@ -24,6 +24,12 @@ type Options struct {
 	RandomWalks int
 	// Seed makes random walks reproducible (0 means seed 1).
 	Seed int64
+	// Reduction prunes the unbounded DFS with partial-order reduction
+	// (source sets and sleep sets): it runs at least one interleaving
+	// of every Mazurkiewicz trace, so races, deadlocks and failures
+	// are those of the full search. It requires PreemptionBound < 0
+	// and RandomWalks == 0; Explore panics otherwise.
+	Reduction bool
 }
 
 // DefaultMaxSchedules is the schedule budget used when
@@ -124,6 +130,8 @@ type explorer struct {
 	// per-step scratch: the enabled set, the ordered candidates and
 	// the trace buffer
 	enabled, cands, trace []int
+	// por is the partial-order reduction state, nil without Reduction.
+	por *por
 }
 
 // Explore systematically executes body under every schedule (subject
@@ -131,10 +139,21 @@ type explorer struct {
 // deterministic apart from scheduling: it is re-invoked with a fresh
 // World for every interleaving.
 func Explore(opt Options, body func(*World)) Result {
+	return newExplorer(opt).run(body)
+}
+
+// newExplorer checks opt and fills in its defaults.
+func newExplorer(opt Options) *explorer {
 	if opt.MaxSchedules <= 0 {
 		opt.MaxSchedules = DefaultMaxSchedules
 	}
 	e := &explorer{opt: opt, raceSeen: make(map[raceKey]bool)}
+	if opt.Reduction {
+		if opt.PreemptionBound >= 0 || opt.RandomWalks > 0 {
+			panic(fmt.Sprintf("sched: Reduction with PreemptionBound %d and RandomWalks %d; it needs the unbounded DFS (PreemptionBound < 0, RandomWalks 0), sleep sets are unsound under preemption bounding", opt.PreemptionBound, opt.RandomWalks))
+		}
+		e.por = newPOR()
+	}
 	if opt.RandomWalks > 0 {
 		seed := opt.Seed
 		if seed == 0 {
@@ -142,6 +161,12 @@ func Explore(opt Options, body func(*World)) Result {
 		}
 		e.rng = rand.New(rand.NewSource(seed))
 	}
+	return e
+}
+
+// run explores body and aggregates the runs' results.
+func (e *explorer) run(body func(*World)) Result {
+	opt := e.opt
 	var res Result
 	failSeen := make(map[string]bool)
 	deadSeen := make(map[string]bool)
@@ -187,6 +212,13 @@ func Explore(opt Options, body func(*World)) Result {
 // advance moves the decision stack to the next unexplored schedule,
 // reporting false when the space is exhausted.
 func (e *explorer) advance() bool {
+	if e.por != nil {
+		if !e.por.advance() {
+			return false
+		}
+		e.replayLimit = e.por.replay
+		return true
+	}
 	for len(e.stack) > 0 {
 		d := &e.stack[len(e.stack)-1]
 		d.chosen++
@@ -230,6 +262,11 @@ func (e *explorer) runOnce(body func(*World)) *execution {
 		trace:   e.trace[:0],
 	}
 	e.oplog = e.oplog[:0]
+	if e.por != nil && !e.por.begin(len(w.threads), w.objects) {
+		ex.nondet = true
+		ex.fail("nondeterministic replay: %d threads, expected %d", len(w.threads), e.por.threads)
+		return ex
+	}
 	ex.start()
 	for range ex.threads {
 		msg := <-ex.first
@@ -258,7 +295,14 @@ func (e *explorer) runOnce(body func(*World)) *execution {
 		ex.nondet = true
 		ex.fail("nondeterministic replay: run ended after %d branch points, expected %d", ex.branch, len(e.stack))
 	}
-	if !ex.aborted && ex.failure == nil && w.check != nil {
+	if e.por != nil && !ex.nondet && ex.step <= e.por.replay {
+		ex.nondet = true
+		ex.fail("nondeterministic replay: run ended after %d steps, expected more than %d", ex.step, e.por.replay)
+	}
+	if ex.sleepBlocked {
+		e.por.blocked++
+	}
+	if !ex.aborted && !ex.sleepBlocked && ex.failure == nil && w.check != nil {
 		if err := w.check(func(v *Var) int { return v.value }); err != nil {
 			ex.fail("oracle: %v", err)
 		}
@@ -285,35 +329,18 @@ func (ex *execution) schedule() (int, response) {
 		ex.aborted = true
 		return -1, response{}
 	}
-	cands := e.cands[:0]
-	if e.opt.PreemptionBound >= 0 && ex.preemptions >= e.opt.PreemptionBound && containsInt(enabled, ex.lastTid) {
-		cands = append(cands, ex.lastTid)
-	} else {
-		cands = append(cands, enabled...)
-	}
-	e.cands = orderCands(cands, ex.lastTid)
-	cands = e.cands
-
 	var chosen int
-	if e.rng != nil {
-		chosen = cands[e.rng.Intn(len(cands))]
-	} else if len(cands) == 1 {
-		chosen = cands[0]
-	} else {
-		if ex.branch < len(e.stack) {
-			d := &e.stack[ex.branch]
-			if !equalInts(d.enabled, cands) {
-				ex.nondet = true
-				ex.fail("nondeterministic replay: enabled set %v, expected %v", cands, d.enabled)
+	if e.por != nil {
+		if chosen = e.por.choose(ex, ex.step, enabled); chosen < 0 {
+			if ex.nondet {
 				ex.aborted = true
-				return -1, response{}
+			} else {
+				ex.sleepBlocked = true
 			}
-			chosen = cands[d.chosen]
-		} else {
-			e.push(cands, ex.step)
-			chosen = cands[0]
+			return -1, response{}
 		}
-		ex.branch++
+	} else if chosen = ex.choose(enabled); chosen < 0 {
+		return -1, response{}
 	}
 	if ex.lastTid != -1 && chosen != ex.lastTid && containsInt(enabled, ex.lastTid) {
 		ex.preemptions++
@@ -331,13 +358,60 @@ func (ex *execution) schedule() (int, response) {
 	}
 	e.oplog = append(e.oplog, sig)
 	ex.step++
+	if e.por == nil {
+		resp := ex.apply(ex.threads[chosen], req)
+		if resp.abort {
+			ex.aborted = true
+			return -1, response{}
+		}
+		ex.lastTid = chosen
+		return chosen, resp
+	}
+	idx := e.por.record(chosen, req)
 	resp := ex.apply(ex.threads[chosen], req)
 	if resp.abort {
 		ex.aborted = true
+		e.por.aborted(idx)
 		return -1, response{}
 	}
+	e.por.executed(ex, idx, req)
 	ex.lastTid = chosen
 	return chosen, resp
+}
+
+// choose picks the next thread of the unreduced search among the
+// enabled ones, or returns -1 after a nondeterministic replay.
+func (ex *execution) choose(enabled []int) int {
+	e := ex.e
+	cands := e.cands[:0]
+	if e.opt.PreemptionBound >= 0 && ex.preemptions >= e.opt.PreemptionBound && containsInt(enabled, ex.lastTid) {
+		cands = append(cands, ex.lastTid)
+	} else {
+		cands = append(cands, enabled...)
+	}
+	e.cands = orderCands(cands, ex.lastTid)
+	cands = e.cands
+
+	if e.rng != nil {
+		return cands[e.rng.Intn(len(cands))]
+	}
+	if len(cands) == 1 {
+		return cands[0]
+	}
+	if ex.branch < len(e.stack) {
+		d := &e.stack[ex.branch]
+		if !equalInts(d.enabled, cands) {
+			ex.nondet = true
+			ex.fail("nondeterministic replay: enabled set %v, expected %v", cands, d.enabled)
+			ex.aborted = true
+			return -1
+		}
+		ex.branch++
+		return cands[d.chosen]
+	}
+	e.push(cands, ex.step)
+	ex.branch++
+	return cands[0]
 }
 
 // enabledSet returns the ids of pending threads whose operation can

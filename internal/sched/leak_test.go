@@ -12,15 +12,43 @@ import (
 // TestEveryRunEndingLeavesNoGoroutine drives Explore through every way
 // an interleaving can end — normal completion, deadlock, a first-bug
 // stop, an illegal operation, both nondeterministic-replay checks, an
-// oracle failure and schedule-budget truncation — and requires each
-// exploration to return with every thread goroutine gone.
+// oracle failure, schedule-budget truncation and, under partial-order
+// reduction, a sleep-blocked run — and requires each exploration to
+// return with every thread goroutine gone.
 func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 	unbounded := sched.Options{PreemptionBound: -1}
+	reduced := sched.Options{PreemptionBound: -1, Reduction: true}
+	lockInversion := func() func(*sched.World) {
+		return func(w *sched.World) {
+			m1, m2 := w.Mutex("m1"), w.Mutex("m2")
+			w.Spawn("a", func(ctx *sched.Context) {
+				ctx.Lock(m1)
+				ctx.Lock(m2)
+				ctx.Unlock(m2)
+				ctx.Unlock(m1)
+			})
+			w.Spawn("b", func(ctx *sched.Context) {
+				ctx.Lock(m2)
+				ctx.Lock(m1)
+				ctx.Unlock(m1)
+				ctx.Unlock(m2)
+			})
+		}
+	}
+	racyAdds := func() func(*sched.World) {
+		return func(w *sched.World) {
+			c := w.Var("c", 0)
+			w.Spawn("a", func(ctx *sched.Context) { ctx.Add(c, 1) })
+			w.Spawn("b", func(ctx *sched.Context) { ctx.Add(c, 1) })
+		}
+	}
 	cases := []struct {
 		name string
 		opt  sched.Options
 		body func() func(*sched.World)
 		want func(sched.Result) error
+		// blocked requires at least one sleep-blocked run.
+		blocked bool
 	}{
 		{
 			// One thread never yields, one ends right after its first
@@ -49,29 +77,8 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 		{
 			name: "deadlock",
 			opt:  unbounded,
-			body: func() func(*sched.World) {
-				return func(w *sched.World) {
-					m1, m2 := w.Mutex("m1"), w.Mutex("m2")
-					w.Spawn("a", func(ctx *sched.Context) {
-						ctx.Lock(m1)
-						ctx.Lock(m2)
-						ctx.Unlock(m2)
-						ctx.Unlock(m1)
-					})
-					w.Spawn("b", func(ctx *sched.Context) {
-						ctx.Lock(m2)
-						ctx.Lock(m1)
-						ctx.Unlock(m1)
-						ctx.Unlock(m2)
-					})
-				}
-			},
-			want: func(r sched.Result) error {
-				if len(r.Deadlocks) == 0 || !r.Exhausted {
-					return fmt.Errorf("want a deadlock in an exhaustive search")
-				}
-				return nil
-			},
+			body: lockInversion,
+			want: exhaustiveDeadlock,
 		},
 		{
 			name: "stop-at-first-bug",
@@ -210,19 +217,8 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 		{
 			name: "max-schedules",
 			opt:  sched.Options{PreemptionBound: -1, MaxSchedules: 3},
-			body: func() func(*sched.World) {
-				return func(w *sched.World) {
-					c := w.Var("c", 0)
-					w.Spawn("a", func(ctx *sched.Context) { ctx.Add(c, 1) })
-					w.Spawn("b", func(ctx *sched.Context) { ctx.Add(c, 1) })
-				}
-			},
-			want: func(r sched.Result) error {
-				if !r.Truncated || r.Schedules != 3 {
-					return fmt.Errorf("want truncation at 3 schedules")
-				}
-				return nil
-			},
+			body: racyAdds,
+			want: truncatedAt(3),
 		},
 		{
 			name: "random-walks",
@@ -251,15 +247,83 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 				return nil
 			},
 		},
+		{
+			name: "reduced-deadlock",
+			opt:  reduced,
+			body: lockInversion,
+			want: exhaustiveDeadlock,
+		},
+		{
+			name: "reduced-stop-at-first-bug",
+			opt:  sched.Options{PreemptionBound: -1, Reduction: true, StopAtFirstBug: true},
+			body: racyAdds,
+			want: func(r sched.Result) error {
+				if len(r.Races) == 0 || r.Exhausted || r.Schedules != 1 {
+					return fmt.Errorf("want a race in the first run and an early stop")
+				}
+				return nil
+			},
+		},
+		{
+			name: "reduced-max-schedules",
+			opt:  sched.Options{PreemptionBound: -1, Reduction: true, MaxSchedules: 3},
+			body: racyAdds,
+			want: truncatedAt(3),
+		},
+		{
+			// The first run ends when b sends after a's close. The
+			// second lets b write before a's close; then a's close,
+			// independent of that write, sleeps and b's send waits on
+			// the full channel, so the run is sleep-blocked: its
+			// trace is the first run's. The third deadlocks.
+			name: "reduced-sleep-blocked",
+			opt:  reduced,
+			body: func() func(*sched.World) {
+				return func(w *sched.World) {
+					x := w.Var("x", 0)
+					ch := w.Chan("ch", 1)
+					w.Spawn("a", func(ctx *sched.Context) { ctx.Send(ch, 1); ctx.Close(ch) })
+					w.Spawn("b", func(ctx *sched.Context) { ctx.Write(x, 1); ctx.Send(ch, 2) })
+				}
+			},
+			want: func(r sched.Result) error {
+				if !r.Exhausted || len(r.Deadlocks) != 1 || len(r.Failures) != 1 {
+					return fmt.Errorf("want an exhaustive search with one deadlock and one failure")
+				}
+				return nil
+			},
+			blocked: true,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer ptest.NoLeaks(t)()
-			res := sched.Explore(tc.opt, tc.body())
+			res, blocked := sched.ExploreBlocked(tc.opt, tc.body())
 			if err := tc.want(res); err != nil {
 				t.Fatalf("%v, got %+v", err, res)
 			}
+			if tc.blocked && blocked == 0 {
+				t.Fatalf("want a sleep-blocked run, got none in %d", res.Schedules)
+			}
 		})
+	}
+}
+
+// exhaustiveDeadlock expects a deadlock found by an exhaustive search.
+func exhaustiveDeadlock(r sched.Result) error {
+	if len(r.Deadlocks) == 0 || !r.Exhausted {
+		return fmt.Errorf("want a deadlock in an exhaustive search")
+	}
+	return nil
+}
+
+// truncatedAt expects the search cut by MaxSchedules n.
+func truncatedAt(n int) func(sched.Result) error {
+	return func(r sched.Result) error {
+		if !r.Truncated || r.Schedules != n {
+			return fmt.Errorf("want truncation at %d schedules", n)
+		}
+		return nil
 	}
 }
 

@@ -7,6 +7,7 @@ import "fmt"
 // inputs to the happens-before race detector.
 type Var struct {
 	name    string
+	id      int // dense object id, in declaration order
 	value   int
 	readVC  vclock // per-thread clock of the last read by that thread
 	writeVC vclock // per-thread clock of the last write by that thread
@@ -19,6 +20,7 @@ func (v *Var) Name() string { return v.name }
 // happens-before edges between critical sections.
 type Mutex struct {
 	name   string
+	id     int
 	holder int // thread id, or -1
 	vc     vclock
 }
@@ -33,6 +35,7 @@ func (m *Mutex) Name() string { return m.name }
 // bounded buffers).
 type Chan struct {
 	name string
+	id   int
 	// slots is the ring buffer: n messages starting at head. A slot's
 	// clock storage is reused by later sends.
 	slots   []chanMsg
@@ -59,6 +62,15 @@ type World struct {
 	vars    []*Var
 	threads []*threadSpec
 	check   func(get func(*Var) int) error
+	// objects counts the declared Vars, Mutexes and Chans; each gets
+	// the next count as its id.
+	objects int
+}
+
+// newObject returns the next dense object id.
+func (w *World) newObject() int {
+	w.objects++
+	return w.objects - 1
 }
 
 type threadSpec struct {
@@ -69,14 +81,14 @@ type threadSpec struct {
 // Var declares a shared variable with an initial value. The
 // initialization happens-before every thread.
 func (w *World) Var(name string, init int) *Var {
-	v := &Var{name: name, value: init}
+	v := &Var{name: name, id: w.newObject(), value: init}
 	w.vars = append(w.vars, v)
 	return v
 }
 
 // Mutex declares a shared mutex.
 func (w *World) Mutex(name string) *Mutex {
-	return &Mutex{name: name, holder: -1}
+	return &Mutex{name: name, id: w.newObject(), holder: -1}
 }
 
 // Chan declares a bounded channel with the given capacity (>= 1).
@@ -84,7 +96,7 @@ func (w *World) Chan(name string, capacity int) *Chan {
 	if capacity < 1 {
 		panic(fmt.Sprintf("sched: Chan %q capacity %d; rendezvous channels are not modelled, capacity must be >= 1", name, capacity))
 	}
-	return &Chan{name: name, slots: make([]chanMsg, capacity)}
+	return &Chan{name: name, id: w.newObject(), slots: make([]chanMsg, capacity)}
 }
 
 // Spawn registers a thread. Threads start when the body function

@@ -82,8 +82,15 @@ func TransformAnnotated(sources map[string]string) (*Artifacts, error) {
 	return NewProcess(sources, Options{}).TransformAnnotated()
 }
 
+// ValidateOptions returns Validate's exploration settings: the
+// exhaustive search under partial-order reduction, which runs every
+// trace of a unit test once, capped at 5000 schedules.
+func ValidateOptions() sched.Options {
+	return sched.Options{PreemptionBound: -1, MaxSchedules: 5000, Reduction: true}
+}
+
 // Validate runs the generated parallel unit tests of a completed
 // process under the systematic scheduler (operation mode 4).
 func Validate(p *Process) ([]core.ValidationResult, error) {
-	return p.Validate(sched.Options{PreemptionBound: 2, MaxSchedules: 5000})
+	return p.Validate(ValidateOptions())
 }
