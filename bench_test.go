@@ -22,6 +22,7 @@ package patty
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -435,8 +436,10 @@ func F(a []int, n int) int {
 		{"0", sched.Options{PreemptionBound: 0, MaxSchedules: 50000}},
 		{"1", sched.Options{PreemptionBound: 1, MaxSchedules: 50000}},
 		{"2", sched.Options{PreemptionBound: 2, MaxSchedules: 50000}},
-		{"unbounded", sched.Options{PreemptionBound: -1, MaxSchedules: 50000}},
-		{"reduced", sched.Options{PreemptionBound: -1, MaxSchedules: 50000, Reduction: true}},
+		// unbounded: a bound no run reaches, the full search;
+		// reduced: a negative bound, the partial-order-reduced one.
+		{"unbounded", sched.Options{PreemptionBound: math.MaxInt, MaxSchedules: 50000}},
+		{"reduced", sched.Options{PreemptionBound: -1, MaxSchedules: 50000}},
 	}
 	type row struct {
 		label     string
@@ -592,7 +595,7 @@ func BenchmarkInterpreter(b *testing.B) {
 func BenchmarkSchedExploration(b *testing.B) {
 	var total int
 	for i := 0; i < b.N; i++ {
-		res := sched.Explore(sched.Options{PreemptionBound: -1}, func(w *sched.World) {
+		res := sched.Explore(sched.Options{PreemptionBound: math.MaxInt}, func(w *sched.World) {
 			c := w.Var("c", 0)
 			m := w.Mutex("m")
 			for t := 0; t < 3; t++ {

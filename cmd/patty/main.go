@@ -337,8 +337,7 @@ func cmdVerify(args []string) error {
 	if _, err := p.Run(); err != nil {
 		return err
 	}
-	opt := sched.Options{PreemptionBound: *bound, MaxSchedules: *maxSched, Reduction: *bound < 0}
-	results, err := p.Validate(opt)
+	results, err := p.Validate(sched.Options{PreemptionBound: *bound, MaxSchedules: *maxSched})
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -21,14 +22,15 @@ var update = flag.Bool("update", false, "rewrite testdata/explore_corpus.golden"
 
 // goldenOptions are the exploration settings the bit-identity gate
 // pins: the bounded search patty.Validate used before partial-order
-// reduction, an unbounded search capped by MaxSchedules, seeded
-// random walks, and the reduced search patty.Validate uses.
+// reduction, the full search (a preemption bound no run reaches)
+// capped by MaxSchedules, seeded random walks, and the reduced search
+// patty.Validate uses.
 var goldenOptions = []struct {
 	name string
 	opt  sched.Options
 }{
 	{"bounded", sched.Options{PreemptionBound: 2, MaxSchedules: 5000}},
-	{"unbounded", sched.Options{PreemptionBound: -1, MaxSchedules: 3000}},
+	{"unbounded", sched.Options{PreemptionBound: math.MaxInt, MaxSchedules: 3000}},
 	{"random", sched.Options{RandomWalks: 200, Seed: 7}},
 	{"reduced", patty.ValidateOptions()},
 }

@@ -1,6 +1,7 @@
 package ptest
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -39,7 +40,8 @@ func F(a, b []int, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ut.Run(sched.Options{PreemptionBound: -1})
+	// A bound no run reaches: the full search, not the reduced one.
+	res := ut.Run(sched.Options{PreemptionBound: math.MaxInt})
 	if !res.Exhausted {
 		t.Fatalf("expected exhaustive exploration: %+v", res)
 	}
@@ -83,7 +85,7 @@ func F(a []int, n int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ut.Run(sched.Options{PreemptionBound: -1})
+	res := ut.Run(sched.Options{PreemptionBound: math.MaxInt})
 	if len(res.Races) == 0 {
 		t.Fatalf("planted race not found: %+v", res)
 	}
@@ -191,7 +193,7 @@ func Process(in []int, s *Stream) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ut.Run(sched.Options{PreemptionBound: -1, MaxSchedules: 20000, StopAtFirstBug: true})
+	res := ut.Run(sched.Options{PreemptionBound: math.MaxInt, MaxSchedules: 20000, StopAtFirstBug: true})
 	if len(res.Races) == 0 {
 		t.Fatalf("unsafe replication must race: %+v", res)
 	}

@@ -12,7 +12,13 @@ type Options struct {
 	MaxSchedules int
 	// PreemptionBound limits the number of preemptive context
 	// switches per interleaving (CHESS's iterative context bounding).
-	// Negative means unbounded.
+	// Negative means unbounded: the depth-first search is then pruned
+	// by partial-order reduction (source sets and sleep sets, por.go),
+	// which runs at least one interleaving of every Mazurkiewicz
+	// trace, so races, deadlocks and failures are those of the full
+	// search. Sleep sets are unsound under preemption bounding, so a
+	// bounded search is never reduced; a bound no run reaches gives
+	// the full, unreduced search.
 	PreemptionBound int
 	// StopAtFirstBug ends the exploration as soon as any race,
 	// deadlock or failure is recorded.
@@ -24,12 +30,6 @@ type Options struct {
 	RandomWalks int
 	// Seed makes random walks reproducible (0 means seed 1).
 	Seed int64
-	// Reduction prunes the unbounded DFS with partial-order reduction
-	// (source sets and sleep sets): it runs at least one interleaving
-	// of every Mazurkiewicz trace, so races, deadlocks and failures
-	// are those of the full search. It requires PreemptionBound < 0
-	// and RandomWalks == 0; Explore panics otherwise.
-	Reduction bool
 }
 
 // DefaultMaxSchedules is the schedule budget used when
@@ -130,7 +130,8 @@ type explorer struct {
 	// per-step scratch: the enabled set, the ordered candidates and
 	// the trace buffer
 	enabled, cands, trace []int
-	// por is the partial-order reduction state, nil without Reduction.
+	// por is the partial-order reduction state of an unbounded DFS,
+	// nil for a bounded search or random walks.
 	por *por
 }
 
@@ -142,16 +143,13 @@ func Explore(opt Options, body func(*World)) Result {
 	return newExplorer(opt).run(body)
 }
 
-// newExplorer checks opt and fills in its defaults.
+// newExplorer fills in opt's defaults and picks the search.
 func newExplorer(opt Options) *explorer {
 	if opt.MaxSchedules <= 0 {
 		opt.MaxSchedules = DefaultMaxSchedules
 	}
 	e := &explorer{opt: opt, raceSeen: make(map[raceKey]bool)}
-	if opt.Reduction {
-		if opt.PreemptionBound >= 0 || opt.RandomWalks > 0 {
-			panic(fmt.Sprintf("sched: Reduction with PreemptionBound %d and RandomWalks %d; it needs the unbounded DFS (PreemptionBound < 0, RandomWalks 0), sleep sets are unsound under preemption bounding", opt.PreemptionBound, opt.RandomWalks))
-		}
+	if opt.PreemptionBound < 0 && opt.RandomWalks <= 0 {
 		e.por = newPOR()
 	}
 	if opt.RandomWalks > 0 {

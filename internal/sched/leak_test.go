@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -11,13 +12,15 @@ import (
 
 // TestEveryRunEndingLeavesNoGoroutine drives Explore through every way
 // an interleaving can end — normal completion, deadlock, a first-bug
-// stop, an illegal operation, both nondeterministic-replay checks, an
+// stop, an illegal operation, every nondeterministic-replay check, an
 // oracle failure, schedule-budget truncation and, under partial-order
 // reduction, a sleep-blocked run — and requires each exploration to
 // return with every thread goroutine gone.
 func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
-	unbounded := sched.Options{PreemptionBound: -1}
-	reduced := sched.Options{PreemptionBound: -1, Reduction: true}
+	// unbounded is the full search (a preemption bound no run
+	// reaches), reduced the partial-order-reduced one.
+	unbounded := sched.Options{PreemptionBound: math.MaxInt}
+	reduced := sched.Options{PreemptionBound: -1}
 	lockInversion := func() func(*sched.World) {
 		return func(w *sched.World) {
 			m1, m2 := w.Mutex("m1"), w.Mutex("m2")
@@ -82,7 +85,7 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 		},
 		{
 			name: "stop-at-first-bug",
-			opt:  sched.Options{PreemptionBound: -1, StopAtFirstBug: true},
+			opt:  sched.Options{PreemptionBound: math.MaxInt, StopAtFirstBug: true},
 			body: func() func(*sched.World) {
 				return func(w *sched.World) {
 					c := w.Var("c", 0)
@@ -216,7 +219,7 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 		},
 		{
 			name: "max-schedules",
-			opt:  sched.Options{PreemptionBound: -1, MaxSchedules: 3},
+			opt:  sched.Options{PreemptionBound: math.MaxInt, MaxSchedules: 3},
 			body: racyAdds,
 			want: truncatedAt(3),
 		},
@@ -255,7 +258,7 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 		},
 		{
 			name: "reduced-stop-at-first-bug",
-			opt:  sched.Options{PreemptionBound: -1, Reduction: true, StopAtFirstBug: true},
+			opt:  sched.Options{PreemptionBound: -1, StopAtFirstBug: true},
 			body: racyAdds,
 			want: func(r sched.Result) error {
 				if len(r.Races) == 0 || r.Exhausted || r.Schedules != 1 {
@@ -266,7 +269,7 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 		},
 		{
 			name: "reduced-max-schedules",
-			opt:  sched.Options{PreemptionBound: -1, Reduction: true, MaxSchedules: 3},
+			opt:  sched.Options{PreemptionBound: -1, MaxSchedules: 3},
 			body: racyAdds,
 			want: truncatedAt(3),
 		},
@@ -293,6 +296,79 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 				return nil
 			},
 			blocked: true,
+		},
+		{
+			// Two writes of x race, so a second run replays the
+			// first; it has a third thread.
+			name: "reduced-nondeterministic-threads",
+			opt:  reduced,
+			body: func() func(*sched.World) {
+				runs := 0
+				return func(w *sched.World) {
+					runs++
+					x := w.Var("x", 0)
+					n := 2
+					if runs > 1 {
+						n = 3
+					}
+					for i := 0; i < n; i++ {
+						w.Spawn(fmt.Sprintf("t%d", i), func(ctx *sched.Context) { ctx.Write(x, i) })
+					}
+				}
+			},
+			want: nondetWith("nondeterministic replay: 3 threads, expected 2"),
+		},
+		{
+			// The second run reverses the writes of x at step 0, where
+			// b now waits on an empty channel instead.
+			name: "reduced-nondeterministic-enabled-set",
+			opt:  reduced,
+			body: func() func(*sched.World) {
+				runs := 0
+				return func(w *sched.World) {
+					runs++
+					x := w.Var("x", 0)
+					ch := w.Chan("ch", 1)
+					later := runs > 1
+					w.Spawn("a", func(ctx *sched.Context) { ctx.Write(x, 1) })
+					w.Spawn("b", func(ctx *sched.Context) {
+						if later {
+							ctx.Recv(ch)
+						}
+						ctx.Write(x, 2)
+					})
+				}
+			},
+			want: nondetWith("differs from the replayed run"),
+		},
+		{
+			// In the first run b receives a's message and then writes
+			// x after a does, so the second run takes b at step 1. In
+			// the second, both threads stop after a's send at step 0.
+			name: "reduced-nondeterministic-early-end",
+			opt:  reduced,
+			body: func() func(*sched.World) {
+				runs := 0
+				return func(w *sched.World) {
+					runs++
+					x := w.Var("x", 0)
+					ch := w.Chan("ch", 1)
+					first := runs == 1
+					w.Spawn("a", func(ctx *sched.Context) {
+						ctx.Send(ch, 1)
+						if first {
+							ctx.Write(x, 1)
+						}
+					})
+					w.Spawn("b", func(ctx *sched.Context) {
+						if first {
+							ctx.Recv(ch)
+							ctx.Write(x, 2)
+						}
+					})
+				}
+			},
+			want: nondetWith("nondeterministic replay: run ended after 1 steps, expected more than 1"),
 		},
 	}
 	for _, tc := range cases {

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -12,9 +13,11 @@ import (
 	"patty/internal/sched"
 )
 
+// full is the unreduced search (a preemption bound no run reaches),
+// reduced the partial-order-reduced one (a negative bound).
 var (
-	full    = sched.Options{PreemptionBound: -1, MaxSchedules: 20000}
-	reduced = sched.Options{PreemptionBound: -1, MaxSchedules: 20000, Reduction: true}
+	full    = sched.Options{PreemptionBound: math.MaxInt, MaxSchedules: 20000}
+	reduced = sched.Options{PreemptionBound: -1, MaxSchedules: 20000}
 )
 
 // verdict is what an exploration must agree on with and without the
@@ -212,25 +215,5 @@ func TestReductionScheduleCounts(t *testing.T) {
 			t.Errorf("%s: %d schedules, %d sleep-blocked, exhausted %v; want %d, 0, true",
 				tc.name, res.Schedules, blocked, res.Exhausted, tc.want)
 		}
-	}
-}
-
-// TestReductionNeedsUnboundedDFS: the reduction panics with a bounded
-// search or random walks instead of being silently ignored.
-func TestReductionNeedsUnboundedDFS(t *testing.T) {
-	for _, opt := range []sched.Options{
-		{Reduction: true},
-		{Reduction: true, PreemptionBound: 2},
-		{Reduction: true, PreemptionBound: -1, RandomWalks: 5},
-	} {
-		func() {
-			defer func() {
-				r := recover()
-				if msg, _ := r.(string); !strings.Contains(msg, "unsound under preemption bounding") {
-					t.Errorf("%+v: recovered %v, want the preemption-bounding panic", opt, r)
-				}
-			}()
-			sched.Explore(opt, func(w *sched.World) { w.Spawn("a", func(*sched.Context) {}) })
-		}()
 	}
 }

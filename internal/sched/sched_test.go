@@ -2,10 +2,14 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
-func unbounded() Options { return Options{PreemptionBound: -1} }
+// unbounded is the full, unreduced search: a preemption bound no run
+// reaches never narrows a choice, while a negative bound would select
+// the partial-order-reduced search.
+func unbounded() Options { return Options{PreemptionBound: math.MaxInt} }
 
 func TestRacyCounterFound(t *testing.T) {
 	res := Explore(unbounded(), func(w *World) {
@@ -191,7 +195,7 @@ func TestRecvOnClosedChannel(t *testing.T) {
 }
 
 func TestSendOnClosedChannelFails(t *testing.T) {
-	res := Explore(Options{PreemptionBound: -1, StopAtFirstBug: true}, func(w *World) {
+	res := Explore(Options{PreemptionBound: math.MaxInt, StopAtFirstBug: true}, func(w *World) {
 		ch := w.Chan("ch", 1)
 		w.Spawn("a", func(ctx *Context) {
 			ctx.Close(ch)
@@ -282,7 +286,7 @@ func TestPreemptionBoundStillFindsSimpleRace(t *testing.T) {
 }
 
 func TestStopAtFirstBug(t *testing.T) {
-	res := Explore(Options{PreemptionBound: -1, StopAtFirstBug: true}, func(w *World) {
+	res := Explore(Options{PreemptionBound: math.MaxInt, StopAtFirstBug: true}, func(w *World) {
 		c := w.Var("c", 0)
 		w.Spawn("a", func(ctx *Context) { ctx.Write(c, 1) })
 		w.Spawn("b", func(ctx *Context) { ctx.Write(c, 2) })
@@ -296,7 +300,7 @@ func TestStopAtFirstBug(t *testing.T) {
 }
 
 func TestMaxSchedulesTruncates(t *testing.T) {
-	res := Explore(Options{PreemptionBound: -1, MaxSchedules: 3}, func(w *World) {
+	res := Explore(Options{PreemptionBound: math.MaxInt, MaxSchedules: 3}, func(w *World) {
 		c := w.Var("c", 0)
 		w.Spawn("a", func(ctx *Context) { ctx.Add(c, 1) })
 		w.Spawn("b", func(ctx *Context) { ctx.Add(c, 1) })

@@ -86,7 +86,7 @@ func TransformAnnotated(sources map[string]string) (*Artifacts, error) {
 // exhaustive search under partial-order reduction, which runs every
 // trace of a unit test once, capped at 5000 schedules.
 func ValidateOptions() sched.Options {
-	return sched.Options{PreemptionBound: -1, MaxSchedules: 5000, Reduction: true}
+	return sched.Options{PreemptionBound: -1, MaxSchedules: 5000}
 }
 
 // Validate runs the generated parallel unit tests of a completed
