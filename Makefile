@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz faults chaos serve-chaos cachechaos fleet netchaos vm bench bench-fleet bench-interp bench-serve bench-cache lint eval study examples clean
+.PHONY: all build test race fuzz faults chaos serve-chaos cachechaos fleet netchaos vm bench bench-interp bench-serve bench-cache lint eval study examples clean
 
 all: build test
 
@@ -132,12 +132,6 @@ lint:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x .
 	$(GO) test -bench 'BenchmarkEngine' -benchmem -benchtime 1x ./internal/interp/
-
-# bench-fleet refreshes BENCH_fleet.json: the fixed-seed search at 1,
-# 2 and 4 in-process workers against the local reference, asserting
-# the merged best matches at every point.
-bench-fleet:
-	$(GO) run ./cmd/patty fleetbench -o BENCH_fleet.json
 
 # bench-interp refreshes BENCH_interp.json: corpus throughput on the
 # bytecode VM vs the tree-walking reference, failing below the 10x

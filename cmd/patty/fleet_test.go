@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -14,9 +15,29 @@ import (
 	"testing"
 	"time"
 
+	"patty/internal/fleet"
 	"patty/internal/jobs"
+	"patty/internal/obs"
 	"patty/internal/ptest"
 )
+
+// startInprocWorker runs a fleet worker inside this process, so a test
+// exercises the wire protocol without spawning child processes.
+func startInprocWorker(pool int) (url string, stop func(), err error) {
+	svc := jobs.New(jobs.Options{Workers: pool, QueueDepth: 64})
+	wk := fleet.NewWorker(svc, workerObjective, nil, obs.New())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		svc.Close()
+		return "", nil, err
+	}
+	hs := &http.Server{Handler: wk.Mux()}
+	go hs.Serve(ln)
+	return "http://" + ln.Addr().String(), func() {
+		hs.Close()
+		svc.Close()
+	}, nil
+}
 
 // startWorkerProc launches `patty worker` as a real child process (via
 // the PATTY_CLI_MAIN re-exec) and returns its base URL from the stdout

@@ -84,8 +84,6 @@ func main() {
 		err = interruptible(cmdWorker, args)
 	case "cache":
 		err = cmdCache(args)
-	case "fleetbench":
-		err = interruptible(cmdFleetbench, args)
 	case "servebench":
 		err = interruptible(cmdServebench, args)
 	case "interpbench":
@@ -183,9 +181,6 @@ commands:
             operate on a content-addressed evaluation store: print its
             stats, run a read-only integrity scan (non-zero exit on
             damage), or compact away superseded and quarantined data
-  fleetbench [-counts 1,2,4] [-eval-delay ms] [-o BENCH_fleet.json]
-            wall-clock baseline of the distributed search vs the local
-            reference, with the determinism check inline
   servebench [-duration d] [-clients n] [-hog-factor k] [-tenant-rate r]
             [-smoke] [-o BENCH_serve.json]
             multi-tenant load harness for patty serve: one hog tenant

@@ -203,7 +203,7 @@ func (s tuneSpec) openCache() (*evalcache.Store, func(), error) {
 
 // workload builds the tuning workload with the fault and delay shims
 // applied — the one objective stack local runs, fleet workers, and the
-// replay's table-miss fallback all share, which is what makes a
+// coordinator's audits all share, which is what makes a
 // worker-measured cost interchangeable with a local one.
 func (e evalSpec) workload(ctx context.Context) (dims []tuning.Dim, start map[string]int, obj tuning.Objective) {
 	cores := e.Cores
@@ -335,10 +335,10 @@ func runTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 }
 
 // runFleetTune executes one auto-tuning search sharded across `patty
-// worker` processes (internal/fleet): the coordinator leases shards of
-// the enumerated space to the workers, merges the per-configuration
-// costs, and replays the search algorithm locally against the merged
-// table. The outcome matches runTune's for the same spec by
+// worker` processes (internal/fleet): the search algorithm runs locally
+// against a table of merged costs, and the coordinator leases each
+// batch the algorithm asks for to the workers before it reads the
+// costs. The outcome matches runTune's for the same spec by
 // construction; the Stats report what the fleet did to get there.
 func runFleetTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 	spec = spec.withDefaults()

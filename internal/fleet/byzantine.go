@@ -14,7 +14,7 @@ import (
 // The byzantine defense: a worker that answers quickly and
 // well-formedly but with *wrong costs* is invisible to every transport
 // check, and one adopted lie poisons the deterministic merge that the
-// replay — and every downstream gate — trusts. So the coordinator
+// search — and every downstream gate — trusts. So the coordinator
 // audits: for each shard it re-evaluates a seeded sample of K
 // configurations locally (the objective is pure, so the honest cost
 // is reproducible anywhere) while the shard is in flight, and compares
@@ -130,11 +130,12 @@ func (s *scheduler) noteFault(worker string, class FaultClass, failed bool) {
 // failures.
 func (s *scheduler) noteBenched(worker string) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	h := s.healthOf(worker)
 	h.benched = true
 	h.inst.benched.Set(1)
-	s.mu.Unlock()
-	s.benched()
+	s.stats.WorkersLost++
+	s.inst.lost.Inc()
 }
 
 // healthRows exports the scorecards, sorted by worker, for Stats.
@@ -287,8 +288,9 @@ func (s *scheduler) crossCheck(worker string, req ShardRequest, resp *ShardRespo
 // previously contributed to the merge — records whose cost disagrees
 // with the locally re-measured truth are corrected in the table and
 // the checkpoint journal. After this the merged table contains only
-// honest costs, which is what keeps the replay bit-identical to a
-// local run.
+// honest costs; a correction of a cost the running search already read
+// marks the run stale, and Tune reruns it over the repaired table. That
+// is what keeps the result bit-identical to a local run.
 func (s *scheduler) quarantine(worker string, opts Options) {
 	s.mu.Lock()
 	s.byz.Record(worker, true)
@@ -302,6 +304,7 @@ func (s *scheduler) quarantine(worker string, opts Options) {
 	s.stats.ByzantineQuarantined = append(s.stats.ByzantineQuarantined, worker)
 	sort.Strings(s.stats.ByzantineQuarantined)
 	s.inst.quarantined.Inc()
+	s.repairing++
 	// Snapshot the worker's prior contributions under the lock; the
 	// re-measurement happens outside it.
 	var suspect []tuning.EvalRecord
@@ -318,13 +321,11 @@ func (s *scheduler) quarantine(worker string, opts Options) {
 		s.stats.Reverified++
 		s.inst.reverified.Inc()
 		if !costsAgree(rec.EffectiveCost(), truth, opts.CrossCheckTol) {
-			fixed := tuning.EvalRecord{Assignment: rec.Assignment, Cost: truth}
-			if math.IsInf(truth, 0) || math.IsNaN(truth) {
-				fixed.Cost, fixed.Faulted = 0, true
-			}
+			fixed := tuning.NewRecord(rec.Assignment, truth)
 			key := tuning.AssignKey(rec.Assignment)
 			s.table[key] = fixed
-			delete(s.source, key) // now locally vouched for
+			delete(s.source, key)            // now locally vouched for
+			s.stale = s.stale || s.read[key] // the running search used the lie
 			if s.ck != nil {
 				s.ck.Correct(rec.Assignment, truth)
 			}
@@ -347,6 +348,7 @@ func (s *scheduler) quarantine(worker string, opts Options) {
 	if s.ck != nil && s.stats.Corrected > 0 {
 		s.ck.Flush() // best effort; the final Flush reports errors
 	}
+	s.repairing--
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -29,9 +28,9 @@ type Options struct {
 	// Spec is the opaque objective specification shipped with every
 	// shard; the worker's NewObjective hook interprets it.
 	Spec json.RawMessage
-	// LocalObjective evaluates a configuration in-process. Required: it
-	// is the replay's fallback for table misses, keeping the distributed
-	// result identical even for configurations no shard covered.
+	// LocalObjective evaluates a configuration in-process. Required: the
+	// byzantine audit measures with it, and so does a search step no
+	// batch announced (a tuner other than the stock four).
 	LocalObjective tuning.Objective
 	// Checkpoint, when non-empty, journals merged evaluations to this
 	// path in the `patty tune -checkpoint` format: a crashed coordinator
@@ -40,16 +39,17 @@ type Options struct {
 	// Collector receives the fleet.* metrics (nil: discarded).
 	Collector *obs.Collector
 
-	// BreakerThreshold is the replay's config-quarantine threshold
+	// BreakerThreshold is the search's config-quarantine threshold
 	// (default 3), matching the local runTune breaker.
 	BreakerThreshold int
-	// Observed, when set, mediates the replay's fault attribution the
+	// Observed, when set, mediates the search's fault attribution the
 	// way the local tune path does: only panics and fault-policy
 	// analyses count as faults, not a bare +Inf cost. Nil keeps the
 	// stricter default where any Inf/NaN cost trips the breaker.
 	Observed *tuning.Observed
-	// ShardSize caps configurations per shard. Default: the space split
-	// four ways per worker, so stealing has slack to work with.
+	// ShardSize caps configurations per shard (default: a batch of n
+	// configurations splits ⌈n/workers⌉ per shard, one per worker, and
+	// never more than maxShardConfigs).
 	ShardSize int
 	// LeaseTTL bounds one shard dispatch: when it elapses the in-flight
 	// HTTP request is canceled and the shard is re-dispatched
@@ -58,9 +58,6 @@ type Options struct {
 	// StealAfter is the in-flight age past which an idle worker may
 	// speculatively duplicate-dispatch a shard (default LeaseTTL/4).
 	StealAfter time.Duration
-	// MaxSpace refuses to enumerate spaces larger than this many
-	// configurations (default 65536).
-	MaxSpace int
 	// WorkerFailLimit benches a worker permanently after this many
 	// consecutive dispatch failures (default 3).
 	WorkerFailLimit int
@@ -69,9 +66,9 @@ type Options struct {
 	Client *http.Client
 
 	// Cache, when non-nil (and CacheProgram non-empty), is the
-	// persistent content-addressed evaluation store: enumerated
-	// configurations already cached are merged into the table before
-	// sharding (they never hit the wire), every fresh merged
+	// persistent content-addressed evaluation store: configurations a
+	// batch asks for that are already cached are merged into the table
+	// before sharding (they never hit the wire), every fresh merged
 	// evaluation is journaled into it, and byzantine repairs correct
 	// it. CacheProgram/CacheSeed complete the (program, config, seed)
 	// address; CacheTenant attributes hits.
@@ -98,22 +95,15 @@ type Options struct {
 	RetryJitterSeed int64
 }
 
-func (o Options) withDefaults(space int) Options {
+func (o Options) withDefaults() Options {
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 3
-	}
-	if o.ShardSize <= 0 {
-		per := space / (4 * max(len(o.Workers), 1))
-		o.ShardSize = max(per, 1)
 	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 30 * time.Second
 	}
 	if o.StealAfter <= 0 {
 		o.StealAfter = o.LeaseTTL / 4
-	}
-	if o.MaxSpace <= 0 {
-		o.MaxSpace = 1 << 16
 	}
 	if o.WorkerFailLimit <= 0 {
 		o.WorkerFailLimit = 3
@@ -142,15 +132,16 @@ func (o Options) withDefaults(space int) Options {
 type Stats struct {
 	Workers      int      // workers the search started with
 	WorkersLost  int      // workers benched after repeated failures
-	Shards       int      // shards the space was partitioned into
+	Shards       int      // shards the asked batches were split into
 	Merged       int      // distinct evaluations merged into the table
 	Duplicates   int      // worker evaluations discarded as duplicates
 	Redispatched int      // lease expiries / failures re-queued
 	Stolen       int      // speculative duplicate dispatches
-	LocalEvals   int      // replay table misses evaluated locally
+	LocalEvals   int      // table misses (configs no batch asked for) evaluated locally
 	Resumed      int      // evaluations re-adopted from the checkpoint
 	CacheHits    int      // configs answered from the shared store before sharding
-	Quarantined  []string // configs the replay breaker quarantined
+	Reruns       int      // searches discarded because a correction changed a cost they read
+	Quarantined  []string // configs the search's breaker quarantined
 
 	// Hostile-network ledger.
 	NetFaults map[string]int // classified dispatch faults by FaultClass
@@ -165,16 +156,22 @@ type Stats struct {
 }
 
 // scheduler is the coordinator's shared shard state. All fields are
-// guarded by mu; cond wakes workers blocked in next.
+// guarded by mu; cond wakes workers blocked in next and the search
+// blocked in ask.
 type scheduler struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	shards  []Shard
+	shards  []Shard          // every shard of every batch, indexed by id
 	pending []int            // shard ids awaiting (re-)dispatch
 	lease   map[int]*leaseIn // shard id -> in-flight state
 	done    map[int]bool
-	nDone   int
+	live    int  // dispatchers of the running search still running
+	lost    bool // every dispatcher quit with a batch outstanding
+
+	read      map[string]bool // table keys the running search has read
+	stale     bool            // a correction changed one: rerun the search
+	repairing int             // quarantines still re-verifying
 
 	table  map[string]tuning.EvalRecord // merged costs by assignment key
 	source map[string]string            // eval key -> worker that produced the merged record
@@ -201,17 +198,12 @@ type scheduler struct {
 // without a cache). The cache fields are immutable after setup and the
 // store has its own lock, so this is safe with or without s.mu held.
 func (s *scheduler) cachePut(key string, rec tuning.EvalRecord) {
-	if s.cache == nil {
-		return
+	if s.cache != nil {
+		s.cache.Put(evalcache.Entry{
+			Program: s.cacheProg, Config: key, Seed: s.cacheSeed,
+			Cost: rec.Cost, Faulted: rec.Faulted, Tenant: s.cacheTenant,
+		})
 	}
-	e := evalcache.Entry{
-		Program: s.cacheProg, Config: key, Seed: s.cacheSeed,
-		Cost: rec.Cost, Faulted: rec.Faulted, Tenant: s.cacheTenant,
-	}
-	if math.IsInf(e.Cost, 0) || math.IsNaN(e.Cost) {
-		e.Cost, e.Faulted = 0, true // +Inf is not JSON-encodable; the flag carries it
-	}
-	s.cache.Put(e)
 }
 
 type leaseIn struct {
@@ -260,14 +252,14 @@ func newInstruments(c *obs.Collector) fleetInstruments {
 // next blocks until a shard is available for this worker and leases it.
 // Pending shards are served first; with none pending it steals the
 // oldest in-flight shard that has been out longer than stealAfter and
-// has fewer than two holders. Returns ok=false when every shard is done
-// or ctx is canceled.
-func (s *scheduler) next(ctx context.Context, stealAfter time.Duration) (int, bool) {
+// has fewer than two holders. Returns ok=false once ctx is canceled
+// (the search is over).
+func (s *scheduler) next(ctx context.Context, stealAfter time.Duration) (Shard, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if ctx.Err() != nil || s.nDone == len(s.shards) {
-			return 0, false
+		if ctx.Err() != nil {
+			return Shard{}, false
 		}
 		if len(s.pending) > 0 {
 			id := s.pending[0]
@@ -278,7 +270,7 @@ func (s *scheduler) next(ctx context.Context, stealAfter time.Duration) (int, bo
 				s.lease[id] = l
 			}
 			l.holders++
-			return id, true
+			return s.shards[id], true
 		}
 		// Steal: oldest in-flight shard past the speculation age.
 		best, bestAge := -1, stealAfter
@@ -294,7 +286,7 @@ func (s *scheduler) next(ctx context.Context, stealAfter time.Duration) (int, bo
 			s.lease[best].holders++
 			s.stats.Stolen++
 			s.inst.stolen.Inc()
-			return best, true
+			return s.shards[best], true
 		}
 		// Nothing to do yet. If an in-flight shard will become
 		// steal-eligible, wake up in time to take it.
@@ -379,22 +371,12 @@ func (s *scheduler) complete(id int, worker string, evals []tuning.EvalRecord, r
 	}
 	if !s.done[id] {
 		s.done[id] = true
-		s.nDone++
 		delete(s.lease, id)
 		s.inst.shardsDone.Inc()
 		if s.ck != nil && fresh > 0 {
 			s.ck.Flush() // best effort; the final Flush reports errors
 		}
 	}
-	s.cond.Broadcast()
-}
-
-// benched records a permanently lost worker.
-func (s *scheduler) benched() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.WorkersLost++
-	s.inst.lost.Inc()
 	s.cond.Broadcast()
 }
 
@@ -464,11 +446,86 @@ func dispatch(ctx context.Context, client *http.Client, worker string, req Shard
 	return &sr, nil
 }
 
-// Tune runs the distributed search: enumerate, partition, lease shards
-// to workers, merge, then replay tn locally against the merged cost
-// table. The returned Result is identical to an uninterrupted local
-// tn.TuneCtx run with the same inputs (see the package comment for the
-// argument); Stats reports what the fleet did along the way.
+// Shard is one leasable unit of a batch.
+type Shard struct {
+	ID      int
+	Configs []map[string]int
+}
+
+// ask is the search's tuning.Ask hook. It merges the configurations
+// of batch the table lacks and the breaker has not quarantined, from
+// the evaluation store where it can and by sharding the rest
+// ⌈n/workers⌉ per shard (capped by capSize and maxShardConfigs), and
+// returns once all are merged and no quarantine is still repairing the
+// table, the search is canceled, or every worker is lost. It reports
+// whether the running search may go on.
+func (s *scheduler) ask(ctx context.Context, batch []map[string]int, br *jobs.Breaker, workers, capSize int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stale {
+		return false
+	}
+	var todo []map[string]int
+	for _, a := range batch {
+		key := tuning.AssignKey(a)
+		if _, ok := s.table[key]; ok || br.State(key) != jobs.Closed {
+			continue
+		}
+		if s.cache != nil {
+			if e, ok := s.cache.Get(evalcache.Key{Program: s.cacheProg, Config: key, Seed: s.cacheSeed}, s.cacheTenant); ok {
+				s.table[key] = tuning.EvalRecord{Assignment: tuning.CopyAssign(a), Cost: e.Cost, Faulted: e.Faulted}
+				s.stats.CacheHits++
+				s.stats.Merged++
+				s.inst.merged.Inc()
+				if s.ck != nil {
+					s.ck.Record(a, e.EffectiveCost())
+				}
+				continue
+			}
+		}
+		todo = append(todo, tuning.CopyAssign(a)) // the search owns batch's maps
+	}
+	if s.ck != nil {
+		s.ck.Flush() // the store's hits, if any; the final Flush reports errors
+	}
+	size := min((len(todo)+workers-1)/workers, maxShardConfigs)
+	if capSize > 0 {
+		size = min(size, capSize)
+	}
+	first := len(s.shards)
+	for len(todo) > 0 {
+		n := min(size, len(todo))
+		s.pending = append(s.pending, len(s.shards))
+		s.shards = append(s.shards, Shard{ID: len(s.shards), Configs: todo[:n]})
+		todo = todo[n:]
+	}
+	s.stats.Shards = len(s.shards)
+	s.coll.Gauge("fleet.shards.total").Set(int64(len(s.shards)))
+	s.cond.Broadcast()
+	// A quarantine still re-verifying may yet correct a cost this run
+	// read: wait for it, so the run stops here rather than going on.
+	for id := first; ctx.Err() == nil; {
+		switch {
+		case id < len(s.shards) && s.done[id]:
+			id++
+		case id < len(s.shards) && s.live == 0:
+			s.lost = true
+			return false
+		case id == len(s.shards) && s.repairing == 0:
+			return !s.stale
+		default:
+			s.cond.Wait()
+		}
+	}
+	return false
+}
+
+// Tune runs the distributed search: it runs tn against the merged cost
+// table, and every batch tn announces (see tuning.Ask) is measured on
+// the workers before tn reads it. The returned Result is identical to
+// an uninterrupted local tn.TuneCtx run with the same inputs (see the
+// package comment for the argument); Stats reports what the fleet did
+// along the way.
 func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[string]int, budget int, opts Options) (tuning.Result, *Stats, error) {
 	if len(opts.Workers) == 0 {
 		return tuning.Result{}, nil, errors.New("fleet: no workers")
@@ -476,11 +533,7 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 	if opts.LocalObjective == nil {
 		return tuning.Result{}, nil, errors.New("fleet: LocalObjective is required")
 	}
-	space := SpaceSize(dims, start)
-	opts = opts.withDefaults(space)
-	if space > opts.MaxSpace {
-		return tuning.Result{}, nil, fmt.Errorf("fleet: search space has %d configurations, above the %d cap; tune locally or raise MaxSpace", space, opts.MaxSpace)
-	}
+	opts = opts.withDefaults()
 
 	meta := tuning.SearchMeta{Algo: tn.Name(), Budget: budget, Dims: dims, Start: start}
 	sched := &scheduler{
@@ -507,8 +560,8 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 	}
 
 	// Resume: re-adopt the merged prefix and the quarantine set from the
-	// journal; only the remainder of the space is sharded out.
-	exclude := make(map[string]bool)
+	// journal; a batch then ships only what the table lacks.
+	var restored []string
 	if opts.Checkpoint != "" {
 		ck, resumed, err := tuning.NewCheckpointer(opts.Checkpoint, meta)
 		if err != nil {
@@ -517,190 +570,211 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 		sched.ck = ck
 		sched.stats.Resumed = resumed
 		for _, rec := range ck.Records() {
-			key := tuning.AssignKey(rec.Assignment)
-			sched.table[key] = rec
-			exclude[key] = true
+			sched.table[tuning.AssignKey(rec.Assignment)] = rec
 			sched.inst.resumed.Inc()
 		}
-		for _, key := range ck.Quarantined() {
-			exclude[key] = true
-		}
-	}
-
-	// Cache pre-filter: enumerated configurations already in the shared
-	// store merge straight into the table — they never hit the wire.
-	// Journaling them through the checkpointer keeps the resume path
-	// agnostic to where a cost came from.
-	if sched.cache != nil {
-		for _, a := range Enumerate(dims, start) {
-			key := tuning.AssignKey(a)
-			if exclude[key] {
-				continue
-			}
-			e, ok := sched.cache.Get(evalcache.Key{Program: sched.cacheProg, Config: key, Seed: sched.cacheSeed}, sched.cacheTenant)
-			if !ok {
-				continue
-			}
-			sched.table[key] = tuning.EvalRecord{Assignment: copyAssign(a), Cost: e.Cost, Faulted: e.Faulted}
-			exclude[key] = true
-			sched.stats.CacheHits++
-			sched.stats.Merged++
-			sched.inst.merged.Inc()
-			if sched.ck != nil {
-				sched.ck.Record(a, e.EffectiveCost())
-			}
-		}
-		if sched.ck != nil && sched.stats.CacheHits > 0 {
-			sched.ck.Flush()
-		}
-	}
-
-	sched.shards = Partition(Enumerate(dims, start), opts.ShardSize, exclude)
-	for i := range sched.shards {
-		sched.pending = append(sched.pending, i)
+		restored = ck.Quarantined()
 	}
 	sched.stats.Workers = len(opts.Workers)
-	sched.stats.Shards = len(sched.shards)
 	opts.Collector.Gauge("fleet.workers").Set(int64(len(opts.Workers)))
-	opts.Collector.Gauge("fleet.shards.total").Set(int64(len(sched.shards)))
 
-	// Dispatch loop: one goroutine per worker; a canceled ctx or the
-	// last merged shard drains them all.
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	watch := make(chan struct{})
-	go func() { // wake cond waiters on cancellation
-		defer close(watch)
-		<-fctx.Done()
-		sched.cond.Broadcast()
-	}()
-
-	var wg sync.WaitGroup
-	for widx, worker := range opts.Workers {
-		wg.Add(1)
-		go func(widx int, worker string) {
-			defer wg.Done()
-			// Per-worker jitter stream: deterministic under the seed,
-			// different per worker so synchronized refusals de-correlate.
-			rng := rand.New(rand.NewSource(seed.Mix(opts.RetryJitterSeed, int64(widx))))
-			consecFail := 0
-			backoff := 50 * time.Millisecond
-			for {
-				if !sched.byz.Allow(worker) {
-					return // quarantined: out for the rest of the search
-				}
-				id, ok := sched.next(fctx, opts.StealAfter)
-				if !ok {
-					return
-				}
-				req := ShardRequest{
-					Search:  meta.Signature(),
-					Shard:   id,
-					Spec:    opts.Spec,
-					Program: opts.CacheProgram,
-					Seed:    opts.CacheSeed,
-					Configs: sched.shards[id].Configs,
-				}
-				sched.noteDispatch(worker)
-				t0 := time.Now()
-				joinAudit := sched.auditAhead(req, opts)
-				resp, err := dispatch(fctx, opts.Client, worker, req, opts.LeaseTTL)
-				rtt := time.Since(t0)
-				joinAudit() // on every path: no audit outlives its dispatch
-				var busy busyError
-				switch {
-				case err == nil:
-					consecFail = 0
-					backoff = 50 * time.Millisecond
-					if sched.crossCheck(worker, req, resp, opts) {
-						// The audit caught a lie: never merge this
-						// response; quarantine the worker, repair its
-						// past contributions, and hand the shard to an
-						// honest worker.
-						sched.quarantine(worker, opts)
-						sched.release(id, true)
-						return
-					}
-					sched.complete(id, worker, resp.Evals, rtt)
-				case errors.As(err, &busy):
-					// Overloaded, not broken: hand the shard back and
-					// honor the advertised backoff, jittered so a crowd
-					// of refused dispatchers spreads out (capped).
-					class := ClassBusy
-					if busy.throttle {
-						class = ClassThrottle
-					}
-					sched.noteFault(worker, class, false)
-					sched.release(id, false)
-					sleepCtx(fctx, min(jobs.Jitter(rng, busy.after), 2*time.Second))
-				case fctx.Err() != nil:
-					// The search is shutting down, not the worker
-					// failing: hand the shard back uncounted.
-					sched.release(id, false)
-				default:
-					sched.noteFault(worker, classOf(err), true)
-					sched.release(id, true)
-					consecFail++
-					if consecFail >= opts.WorkerFailLimit {
-						sched.noteBenched(worker)
-						return
-					}
-					sleepCtx(fctx, jobs.Jitter(rng, backoff))
-					backoff = min(backoff*2, time.Second)
-				}
+	// Dispatch loop: one goroutine per worker not benched or quarantined,
+	// serving the shards of whatever batch the search is waiting on,
+	// until ctx ends. It returns the function that joins them all.
+	dispatchers := func(ctx context.Context) (join func()) {
+		watch := make(chan struct{})
+		go func() { // wake cond waiters on cancellation
+			defer close(watch)
+			<-ctx.Done()
+			sched.mu.Lock()
+			sched.cond.Broadcast()
+			sched.mu.Unlock()
+		}()
+		var wg sync.WaitGroup
+		sched.mu.Lock()
+		defer sched.mu.Unlock()
+		sched.live = 0
+		for widx, worker := range opts.Workers {
+			if sched.healthOf(worker).benched {
+				continue // lost in an earlier run of the search
 			}
-		}(widx, worker)
+			sched.live++
+			wg.Add(1)
+			go func(widx int, worker string) {
+				defer wg.Done()
+				defer func() {
+					sched.mu.Lock()
+					sched.live--
+					sched.cond.Broadcast()
+					sched.mu.Unlock()
+				}()
+				// Per-worker jitter stream: deterministic under the seed,
+				// different per worker so synchronized refusals de-correlate.
+				rng := rand.New(rand.NewSource(seed.Mix(opts.RetryJitterSeed, int64(widx))))
+				consecFail := 0
+				backoff := 50 * time.Millisecond
+				for {
+					if !sched.byz.Allow(worker) {
+						return // quarantined: out for the rest of the search
+					}
+					shard, ok := sched.next(ctx, opts.StealAfter)
+					if !ok {
+						return
+					}
+					id := shard.ID
+					req := ShardRequest{
+						Search:  meta.Signature(),
+						Shard:   id,
+						Spec:    opts.Spec,
+						Program: opts.CacheProgram,
+						Seed:    opts.CacheSeed,
+						Configs: shard.Configs,
+					}
+					sched.noteDispatch(worker)
+					t0 := time.Now()
+					joinAudit := sched.auditAhead(req, opts)
+					resp, err := dispatch(ctx, opts.Client, worker, req, opts.LeaseTTL)
+					rtt := time.Since(t0)
+					joinAudit() // on every path: no audit outlives its dispatch
+					var busy busyError
+					switch {
+					case err == nil:
+						consecFail = 0
+						backoff = 50 * time.Millisecond
+						if sched.crossCheck(worker, req, resp, opts) {
+							// The audit caught a lie: never merge this
+							// response; quarantine the worker, repair its
+							// past contributions, and hand the shard to an
+							// honest worker.
+							sched.quarantine(worker, opts)
+							sched.release(id, true)
+							return
+						}
+						sched.complete(id, worker, resp.Evals, rtt)
+					case errors.As(err, &busy):
+						// Overloaded, not broken: hand the shard back and
+						// honor the advertised backoff, jittered so a crowd
+						// of refused dispatchers spreads out (capped).
+						class := ClassBusy
+						if busy.throttle {
+							class = ClassThrottle
+						}
+						sched.noteFault(worker, class, false)
+						sched.release(id, false)
+						sleepCtx(ctx, min(jobs.Jitter(rng, busy.after), 2*time.Second))
+					case ctx.Err() != nil:
+						// The search is shutting down, not the worker
+						// failing: hand the shard back uncounted.
+						sched.release(id, false)
+					default:
+						sched.noteFault(worker, classOf(err), true)
+						sched.release(id, true)
+						consecFail++
+						if consecFail >= opts.WorkerFailLimit {
+							sched.noteBenched(worker)
+							return
+						}
+						sleepCtx(ctx, jobs.Jitter(rng, backoff))
+						backoff = min(backoff*2, time.Second)
+					}
+				}
+			}(widx, worker)
+		}
+		return func() {
+			wg.Wait()
+			<-watch
+		}
 	}
-	wg.Wait()
-	cancel()
-	<-watch
+
+	// The search reads the merged table, noting what it read. A
+	// configuration no batch asked for (a tuner other than the stock
+	// four) is measured locally, which purity keeps identical.
+	tableObj := func(a map[string]int) float64 {
+		key := tuning.AssignKey(a)
+		sched.mu.Lock()
+		defer sched.mu.Unlock()
+		rec, ok := sched.table[key]
+		if !ok {
+			sched.mu.Unlock() // the objective may be slow
+			rec = tuning.NewRecord(a, opts.LocalObjective(a))
+			sched.mu.Lock()
+			sched.stats.LocalEvals++
+			sched.inst.local.Inc()
+			sched.table[key] = rec
+			if sched.ck != nil {
+				sched.ck.Record(a, rec.EffectiveCost())
+			}
+			sched.cachePut(key, rec)
+		}
+		sched.read[key] = true
+		return rec.EffectiveCost()
+	}
+	guarded := tableObj
+	if opts.Observed != nil {
+		guarded = opts.Observed.Wrap(guarded)
+	}
+
+	// Run the search. Each run ends by stopping its dispatchers, which
+	// waits out every audit and quarantine in flight, so a correction of
+	// a cost the run read is never missed. Such a run is discarded, and
+	// the tuner reruns from start over the corrected table with a fresh
+	// breaker and Observed; each quarantined worker causes one rerun at
+	// most.
+	var initial tuning.Observed
+	if opts.Observed != nil {
+		initial = *opts.Observed
+	}
+	var res tuning.Result
+	var br *jobs.Breaker
+	var lost bool
+	for {
+		sched.read = make(map[string]bool)
+		sched.stale = false
+		br = jobs.NewBreaker(opts.BreakerThreshold, 30*time.Second).Instrument(opts.Collector)
+		br.Restore(restored)
+		if opts.Observed != nil {
+			*opts.Observed = initial
+		}
+		rctx, stop := context.WithCancel(ctx)
+		join := dispatchers(rctx)
+		ask := func(batch []map[string]int) {
+			if !sched.ask(rctx, batch, br, len(opts.Workers), opts.ShardSize) {
+				stop() // the run is lost or discarded: end it at once
+			}
+		}
+		res = tn.TuneCtx(tuning.WithAsk(rctx, ask), dims, start, jobs.GuardObjective(br, opts.Observed, guarded), budget)
+		// The search is over: abandon straggling duplicates of merged
+		// shards and wait for every dispatcher (and its audit) to stop.
+		stop()
+		join()
+		sched.mu.Lock()
+		lost = ctx.Err() == nil && sched.lost
+		rerun := sched.stale && !lost && ctx.Err() == nil
+		if rerun {
+			sched.stats.Reruns++
+		}
+		// Shards of a discarded run that were never merged: a rerun asks
+		// again for what it needs.
+		sched.pending = nil
+		clear(sched.lease)
+		sched.mu.Unlock()
+		if !rerun {
+			break
+		}
+	}
 	sched.stats.Health = sched.healthRows(opts.Workers)
 
-	sched.mu.Lock()
-	unfinished := len(sched.shards) - sched.nDone
-	sched.mu.Unlock()
-	if unfinished > 0 && ctx.Err() == nil {
-		// Every worker was benched or quarantined with shards
+	if lost {
+		// Every worker was benched or quarantined with a batch
 		// outstanding. The merged prefix is journaled; a re-run (fleet
 		// or local) resumes it.
 		if sched.ck != nil {
 			sched.ck.Flush()
 		}
 		st := sched.stats
-		return tuning.Result{}, &st, fmt.Errorf("fleet: all %d workers lost (%d benched, %d quarantined) with %d of %d shards unfinished",
-			len(opts.Workers), st.WorkersLost, len(st.ByzantineQuarantined), unfinished, len(sched.shards))
+		return tuning.Result{}, &st, fmt.Errorf("fleet: all %d workers lost (%d benched, %d quarantined) with %d of %d shards unmerged",
+			len(opts.Workers), st.WorkersLost, len(st.ByzantineQuarantined), len(sched.shards)-len(sched.done), len(sched.shards))
 	}
-
-	// Replay: run the actual search algorithm locally against the merged
-	// table. The breaker mirrors the local runTune quarantine semantics;
-	// a table miss (exotic tuner step outside the enumerated superset)
-	// falls back to one local evaluation, which objective purity keeps
-	// identical to what a worker would have measured.
-	br := jobs.NewBreaker(opts.BreakerThreshold, 30*time.Second).Instrument(opts.Collector)
-	if sched.ck != nil {
-		br.Restore(sched.ck.Quarantined())
-	}
-	tableObj := func(a map[string]int) float64 {
-		key := tuning.AssignKey(a)
-		if rec, ok := sched.table[key]; ok {
-			return rec.EffectiveCost()
-		}
-		cost := opts.LocalObjective(a)
-		sched.stats.LocalEvals++
-		sched.inst.local.Inc()
-		rec := tuning.EvalRecord{Assignment: copyAssign(a), Cost: cost}
-		sched.table[key] = rec
-		if sched.ck != nil {
-			sched.ck.Record(a, cost)
-		}
-		sched.cachePut(key, rec)
-		return cost
-	}
-	guarded := tableObj
-	if opts.Observed != nil {
-		guarded = opts.Observed.Wrap(guarded)
-	}
-	res := tn.TuneCtx(ctx, dims, start, jobs.GuardObjective(br, opts.Observed, guarded), budget)
 
 	sched.stats.Quarantined = br.Quarantined()
 	if sched.ck != nil {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -142,10 +143,11 @@ func TestCrossCheckOverlapsDispatch(t *testing.T) {
 func TestCrossCheckAheadLiarLedger(t *testing.T) {
 	t.Cleanup(ptest.NoLeaks(t))
 	st, liar := dodgingLiarSearch(t)
-	// 6 shards: the liar's dodged first shard (2 audits) and its caught
-	// second one (2 audits, both divergent), then the honest worker's 5
-	// shards of 4, 4, 4, 4 and 1 configs (9 audits).
-	want := [4]int{13, 2, 4, 2}
+	// 4 shards of 4, 4, 4 and 1 configs: the liar's dodged first shard
+	// (2 audits) and its caught second one (2 audits, both divergent),
+	// then the honest worker's first shard, the liar's re-queued one and
+	// the last (2 + 2 + 1 audits).
+	want := [4]int{9, 2, 4, 2}
 	if got := [4]int{st.CrossChecked, st.Divergent, st.Reverified, st.Corrected}; got != want {
 		t.Fatalf("CrossChecked/Divergent/Reverified/Corrected = %v, want %v", got, want)
 	}
@@ -225,5 +227,232 @@ func TestCrossCheckAheadCancel(t *testing.T) {
 	}
 	if n := active.Load(); n != 0 {
 		t.Fatalf("%d LocalObjective call(s) still running after Tune returned", n)
+	}
+}
+
+// TestCrossCheckRestartOnConsumedLie: a liar that dodges its first audit
+// gets lies merged, and the running search reads them and walks toward
+// them; the liar is caught in the next batch. The coordinator discards
+// that run and reruns the tuner over the corrected table, so the result
+// equals the local reference, and the rerun ships no configuration the
+// table already holds: the honest worker measures every configuration
+// at most once, and never one the liar's merged shard answered.
+func TestCrossCheckRestartOnConsumedLie(t *testing.T) {
+	t.Cleanup(ptest.NoLeaks(t))
+	dims, start, obj := testSpace()
+	tn := tuning.LinearSearch{}
+	ref := tn.TuneCtx(context.Background(), dims, start, obj, 120)
+	const ckSeed = 5
+
+	// The liar claims cost -1 (better than any true cost) wherever it
+	// lies. Its first answer is honest exactly on the one sampled
+	// configuration; every later answer lies throughout. Responses are
+	// sequential, one coordinator goroutine per worker.
+	var mu sync.Mutex
+	var liarFirst []string // configs of the liar's first (merged) answer
+	var responses atomic.Int64
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req ShardRequest
+		if !DecodeJSON(w, r, MaxBodyBytes, &req) {
+			return
+		}
+		first := responses.Add(1) == 1
+		sampled := map[int]bool{}
+		for _, i := range pickSample(ckSeed, req.Search, req.Shard, len(req.Configs), 1) {
+			sampled[i] = true
+		}
+		resp := ShardResponse{Shard: req.Shard}
+		for i, a := range req.Configs {
+			cost := -1.0
+			if first && sampled[i] {
+				cost = obj(a)
+			}
+			if first {
+				mu.Lock()
+				liarFirst = append(liarFirst, tuning.AssignKey(a))
+				mu.Unlock()
+			}
+			resp.Evals = append(resp.Evals, tuning.EvalRecord{Assignment: a, Cost: cost})
+		}
+		WriteJSON(w, http.StatusOK, resp)
+	}))
+	defer func() {
+		liar.Close()
+		http.DefaultClient.CloseIdleConnections()
+	}()
+
+	// The honest worker is slow, so the fast liar takes a shard of each
+	// early batch.
+	measured := map[string]int{}
+	honest, _ := startWorker(t, func(json.RawMessage) (tuning.Objective, error) {
+		return func(a map[string]int) float64 {
+			mu.Lock()
+			measured[tuning.AssignKey(a)]++
+			mu.Unlock()
+			time.Sleep(20 * time.Millisecond)
+			return obj(a)
+		}, nil
+	}, "")
+
+	res, st, err := Tune(context.Background(), tn, dims, start, 120, Options{
+		Workers:        []string{honest, liar.URL},
+		LocalObjective: obj,
+		CrossCheck:     1,
+		CrossCheckSeed: ckSeed,
+		StealAfter:     time.Hour, // no speculative duplicates
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, ref) {
+		t.Fatalf("result diverged despite the rerun:\n got %+v\nwant %+v", res, ref)
+	}
+	if len(st.ByzantineQuarantined) != 1 || st.ByzantineQuarantined[0] != liar.URL {
+		t.Fatalf("quarantined %v, want the liar", st.ByzantineQuarantined)
+	}
+	if st.Corrected < 1 || st.Reruns != 1 {
+		t.Fatalf("corrected %d, reruns %d: want the read lie corrected and one rerun", st.Corrected, st.Reruns)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for key, n := range measured {
+		if n > 1 {
+			t.Errorf("honest worker measured %s %d times", key, n)
+		}
+	}
+	for _, key := range liarFirst {
+		if measured[key] > 0 {
+			t.Errorf("%s, answered by the liar's merged shard, was dispatched again", key)
+		}
+	}
+	liarEvals := 0
+	for _, h := range st.Health {
+		if h.Worker == liar.URL {
+			liarEvals = h.Evals
+		}
+	}
+	if liarEvals != len(liarFirst) || len(measured) != st.Merged-liarEvals || st.Duplicates != 0 || st.LocalEvals != 0 {
+		t.Fatalf("liar merged %d of its %d first configs; honest measured %d of %d merged; %d duplicates, %d local",
+			liarEvals, len(liarFirst), len(measured), st.Merged, st.Duplicates, st.LocalEvals)
+	}
+}
+
+// TestCrossCheckRerunAfterLateQuarantine: a liar dodges its first
+// audit, so the search reads its lies, and is caught only on a shard it
+// steals from a slow honest worker. The honest worker then finishes
+// that shard while the liar's quarantine is still re-verifying its past
+// answers, so the batch is complete before the correction lands. The
+// search must still end on the corrected table: the result equals the
+// local reference after exactly one rerun.
+func TestCrossCheckRerunAfterLateQuarantine(t *testing.T) {
+	t.Cleanup(ptest.NoLeaks(t))
+	dims, start, obj := testSpace()
+	tn := tuning.LinearSearch{}
+	ref := tn.TuneCtx(context.Background(), dims, start, obj, 120)
+	const ckSeed = 5
+
+	var mu sync.Mutex
+	honestShards := map[int]bool{} // shard ids the honest worker received
+	liarFirst := map[string]bool{} // configs of the liar's first answer
+	var caught atomic.Bool         // the liar has sent its stolen lie
+
+	// The honest worker answers the first batch (shards 0 and 1) at
+	// once, and every later shard only after 150 ms until the liar is
+	// caught, so the liar, idle, steals it.
+	honest := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req ShardRequest
+		if !DecodeJSON(w, r, MaxBodyBytes, &req) {
+			return
+		}
+		mu.Lock()
+		honestShards[req.Shard] = true
+		mu.Unlock()
+		if req.Shard >= 2 && !caught.Load() {
+			select {
+			case <-time.After(150 * time.Millisecond):
+			case <-r.Context().Done():
+				return
+			}
+		}
+		resp := ShardResponse{Shard: req.Shard}
+		for _, a := range req.Configs {
+			resp.Evals = append(resp.Evals, tuning.EvalRecord{Assignment: a, Cost: obj(a)})
+		}
+		WriteJSON(w, http.StatusOK, resp)
+	}))
+	// The liar claims cost -1 (better than any true cost) wherever it
+	// lies. Its first answer lies everywhere but on the sampled
+	// configuration; a shard it stole from the honest worker it lies on
+	// throughout, which the audit catches; anything else it answers
+	// honestly. Responses are sequential, one coordinator goroutine per
+	// worker.
+	var responses atomic.Int64
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req ShardRequest
+		if !DecodeJSON(w, r, MaxBodyBytes, &req) {
+			return
+		}
+		first := responses.Add(1) == 1
+		mu.Lock()
+		stolen := honestShards[req.Shard]
+		mu.Unlock()
+		sampled := map[int]bool{}
+		for _, i := range pickSample(ckSeed, req.Search, req.Shard, len(req.Configs), 1) {
+			sampled[i] = true
+		}
+		resp := ShardResponse{Shard: req.Shard}
+		for i, a := range req.Configs {
+			cost := obj(a)
+			if stolen || first && !sampled[i] {
+				cost = -1
+			}
+			if first {
+				mu.Lock()
+				liarFirst[tuning.AssignKey(a)] = true
+				mu.Unlock()
+			}
+			resp.Evals = append(resp.Evals, tuning.EvalRecord{Assignment: a, Cost: cost})
+		}
+		if stolen {
+			caught.Store(true)
+		}
+		WriteJSON(w, http.StatusOK, resp)
+	}))
+	defer func() {
+		honest.Close()
+		liar.Close()
+		http.DefaultClient.CloseIdleConnections()
+	}()
+
+	// Re-verifying the liar's first answer is slow: the quarantine is
+	// still running when the honest worker completes the stolen shard.
+	local := func(a map[string]int) float64 {
+		mu.Lock()
+		slow := caught.Load() && liarFirst[tuning.AssignKey(a)]
+		mu.Unlock()
+		if slow {
+			time.Sleep(400 * time.Millisecond)
+		}
+		return obj(a)
+	}
+
+	res, st, err := Tune(context.Background(), tn, dims, start, 120, Options{
+		Workers:        []string{honest.URL, liar.URL},
+		LocalObjective: local,
+		CrossCheck:     1,
+		CrossCheckSeed: ckSeed,
+		StealAfter:     20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, ref) {
+		t.Fatalf("result diverged despite the quarantine:\n got %+v\nwant %+v", res, ref)
+	}
+	if len(st.ByzantineQuarantined) != 1 || st.ByzantineQuarantined[0] != liar.URL || st.Stolen < 1 {
+		t.Fatalf("quarantined %v after %d steals, want the liar caught on a stolen shard", st.ByzantineQuarantined, st.Stolen)
+	}
+	if st.Corrected < 1 || st.Reruns != 1 {
+		t.Fatalf("corrected %d, reruns %d: want the read lie corrected and one rerun", st.Corrected, st.Reruns)
 	}
 }

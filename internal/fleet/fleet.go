@@ -1,9 +1,11 @@
-// Package fleet shards an auto-tuning search across worker processes:
-// a coordinator partitions the search's configuration space into
-// shards, leases them to `patty worker` instances over HTTP, merges
-// the per-configuration costs into one table, and finally replays the
-// tuner locally against that table — producing a tuning.Result that is
-// bit-identical to an uninterrupted single-process TuneCtx run.
+// Package fleet shards an auto-tuning search across worker processes.
+// The coordinator runs the tuner in-process against a table of merged
+// per-configuration costs. Before each batch a stock tuner evaluates,
+// it announces the batch (tuning.Ask); the coordinator leases the
+// configurations the table lacks to `patty worker` instances over
+// HTTP, merges their costs, and only then lets the tuner read them —
+// producing a tuning.Result that is bit-identical to an uninterrupted
+// single-process TuneCtx run.
 //
 // The determinism argument has two legs:
 //
@@ -12,18 +14,18 @@
 //     deterministic and the fault shim is a hash of the canonical
 //     assignment key). A cost computed on worker 3 equals the cost the
 //     local run would have measured.
-//  2. The replay runs the *same search algorithm* with the *same
-//     inputs*: algo, dims, start, budget, and per-assignment costs.
-//     Which worker produced a cost — or whether a shard was evaluated
-//     twice because of a steal, a lease expiry or a worker death —
-//     cannot change the value, so the replayed Result (Best, BestCost,
-//     Evaluations, Trace) is identical for 1, 2 or N workers.
+//  2. The coordinator runs the *same search algorithm* with the *same
+//     inputs*: algo, dims, start, budget, and per-assignment costs,
+//     read one by one in the tuner's own order. Which worker produced
+//     a cost — or whether a shard was evaluated twice because of a
+//     steal, a lease expiry or a worker death — cannot change the
+//     value, so the Result (Best, BestCost, Evaluations, Trace) is
+//     identical for 1, 2 or N workers.
 //
-// Enumerate returns a provable superset of every configuration the
-// stock tuners can visit (Min-anchored lattice ∪ start-anchored
-// lattice ∪ clamp targets, per dimension), so the replay normally
-// never misses the table; a miss (an exotic future tuner) falls back
-// to one local evaluation, which purity keeps identical.
+// A batch holds exactly what the tuner goes on to evaluate, so the
+// fleet measures nothing the search does not use and never enumerates
+// a space. A byzantine correction of a cost the running search already
+// read discards that run and reruns the tuner (see Tune).
 //
 // Fault tolerance: a shard lease is an in-flight HTTP dispatch with a
 // TTL'd context. Worker death surfaces as a transport error, a hang as
@@ -34,8 +36,8 @@
 // in a row is benched for good. The coordinator journals every
 // merged evaluation into the same checkpoint format `patty tune
 // -checkpoint` uses, so a crashed coordinator resumes by re-adopting
-// the merged prefix and re-leasing only the remainder — and a fleet
-// checkpoint is even resumable by a plain local search.
+// the merged prefix and asking the workers only for the remainder —
+// and a fleet checkpoint is even resumable by a plain local search.
 package fleet
 
 import (
@@ -86,9 +88,15 @@ type ShardResponse struct {
 }
 
 // MaxBodyBytes is the default POST body cap of the hardened intakes
-// (`patty serve` and `patty worker`). A shard of every configuration
-// of a maximal search fits comfortably.
+// (`patty serve` and `patty worker`), and the cap on a shard response
+// the coordinator reads.
 const MaxBodyBytes = 1 << 20
+
+// maxShardConfigs caps the configurations of one shard, so that its
+// request and its response fit in MaxBodyBytes as long as one indented
+// evaluation record encodes in under 512 bytes (`patty tune`'s records
+// take about 150).
+const maxShardConfigs = MaxBodyBytes / 512
 
 // WriteJSON writes v as indented JSON with the given status code.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
@@ -147,13 +155,4 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBody int64, v any) bo
 		return false
 	}
 	return true
-}
-
-// copyAssign clones an assignment map.
-func copyAssign(a map[string]int) map[string]int {
-	out := make(map[string]int, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
 }

@@ -52,7 +52,7 @@ func countingHook(obj tuning.Objective, calls *atomic.Int64) func(json.RawMessag
 
 // startWorker runs a real fleet Worker on httptest and tears it down
 // with the test.
-func startWorker(t *testing.T, hook func(json.RawMessage) (tuning.Objective, error), cacheDir string) (string, *obs.Collector) {
+func startWorker(t testing.TB, hook func(json.RawMessage) (tuning.Objective, error), cacheDir string) (string, *obs.Collector) {
 	t.Helper()
 	c := obs.New()
 	var cache *evalcache.Store
@@ -75,125 +75,59 @@ func startWorker(t *testing.T, hook func(json.RawMessage) (tuning.Objective, err
 	return ts.URL, c
 }
 
-func TestDimValues(t *testing.T) {
-	got := dimValues(tuning.Dim{Key: "x", Min: 0, Max: 10, Step: 3}, 5)
-	want := []int{0, 2, 3, 5, 6, 8, 9, 10} // Min lattice ∪ start lattice ∪ {Min,Max}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("dimValues = %v, want %v", got, want)
-	}
-	// A start outside the range contributes nothing.
-	got = dimValues(tuning.Dim{Key: "x", Min: 0, Max: 4, Step: 2}, 99)
-	if !reflect.DeepEqual(got, []int{0, 2, 4}) {
-		t.Fatalf("out-of-range start: %v", got)
-	}
-}
-
-func TestSpaceSizeMatchesEnumerate(t *testing.T) {
-	dims, start, _ := testSpace()
-	configs := Enumerate(dims, start)
-	if len(configs) != SpaceSize(dims, start) {
-		t.Fatalf("SpaceSize = %d, Enumerate produced %d", SpaceSize(dims, start), len(configs))
-	}
-	seen := map[string]bool{}
-	for _, a := range configs {
-		key := tuning.AssignKey(a)
-		if seen[key] {
-			t.Fatalf("duplicate enumerated config %s", key)
-		}
-		seen[key] = true
-	}
-}
-
-// TestEnumerateCoversTunerVisits is the superset property behind the
-// replay: every configuration any stock tuner requests must be in the
-// enumerated space, so the merged table answers the whole replay.
+// TestEnumerateCoversTunerVisits is the property the fleet's table
+// rests on: every configuration a stock tuner evaluates appeared in an
+// ask before the tuner evaluated it, and every configuration it asked
+// for was evaluated, so the fleet measures exactly the search.
 func TestEnumerateCoversTunerVisits(t *testing.T) {
 	dims, start, obj := testSpace()
-	enumerated := map[string]bool{}
-	for _, a := range Enumerate(dims, start) {
-		enumerated[tuning.AssignKey(a)] = true
-	}
 	tuners := []tuning.Tuner{
 		tuning.LinearSearch{}, tuning.RandomSearch{Seed: 1},
 		tuning.TabuSearch{}, tuning.NelderMead{},
 	}
 	for _, tn := range tuners {
-		var missed []string
-		rec := func(a map[string]int) float64 {
-			if key := tuning.AssignKey(a); !enumerated[key] {
-				missed = append(missed, key)
+		for _, budget := range []int{1, 5, 300} {
+			asked := map[string]bool{}
+			ctx := tuning.WithAsk(context.Background(), func(batch []map[string]int) {
+				for _, a := range batch {
+					key := tuning.AssignKey(a)
+					if asked[key] {
+						t.Errorf("%s/%d: %s asked twice", tn.Name(), budget, key)
+					}
+					asked[key] = true
+				}
+			})
+			evaluated := map[string]bool{}
+			rec := func(a map[string]int) float64 {
+				key := tuning.AssignKey(a)
+				if !asked[key] {
+					t.Errorf("%s/%d: evaluated %s before any ask named it", tn.Name(), budget, key)
+				}
+				evaluated[key] = true
+				return obj(a)
 			}
-			return obj(a)
-		}
-		tn.TuneCtx(context.Background(), dims, start, rec, 300)
-		if len(missed) > 0 {
-			t.Errorf("%s visited configs outside the enumerated space: %v", tn.Name(), missed)
-		}
-	}
-}
-
-func TestPartitionEdgeCases(t *testing.T) {
-	dims, start, _ := testSpace()
-	configs := Enumerate(dims, start)
-
-	// Space smaller than the worker count: fewer shards than workers is
-	// fine, the extras just idle.
-	few := Partition(configs[:3], 1, nil)
-	if len(few) != 3 {
-		t.Fatalf("3 configs at size 1: %d shards", len(few))
-	}
-	// One big shard when the size exceeds the space.
-	if one := Partition(configs, len(configs)*2, nil); len(one) != 1 || len(one[0].Configs) != len(configs) {
-		t.Fatalf("oversized shard split wrong: %+v", one)
-	}
-	// Quarantined configs spanning what would be a shard boundary are
-	// excluded before slicing: boundaries shift, no shard carries them.
-	exclude := map[string]bool{
-		tuning.AssignKey(configs[1]): true,
-		tuning.AssignKey(configs[2]): true,
-	}
-	shards := Partition(configs[:6], 2, exclude)
-	if len(shards) != 2 {
-		t.Fatalf("exclusion across boundary: %d shards, want 2", len(shards))
-	}
-	total := 0
-	for i, sh := range shards {
-		if sh.ID != i {
-			t.Fatalf("shard ids not dense: %+v", shards)
-		}
-		for _, a := range sh.Configs {
-			if exclude[tuning.AssignKey(a)] {
-				t.Fatalf("excluded config leaked into shard %d", sh.ID)
+			res := tn.TuneCtx(ctx, dims, start, rec, budget)
+			if len(asked) != len(evaluated) || res.Evaluations != len(evaluated) {
+				t.Errorf("%s/%d: asked %d configs, evaluated %d (%d evaluations)",
+					tn.Name(), budget, len(asked), len(evaluated), res.Evaluations)
 			}
-			total++
+			if ref := tn.TuneCtx(context.Background(), dims, start, obj, budget); !reflect.DeepEqual(res, ref) {
+				t.Errorf("%s/%d: asking changed the search:\n got %+v\nwant %+v", tn.Name(), budget, res, ref)
+			}
 		}
-	}
-	if total != 4 {
-		t.Fatalf("partition carried %d configs, want 4", total)
-	}
-	// Everything excluded: zero shards.
-	all := map[string]bool{}
-	for _, a := range configs {
-		all[tuning.AssignKey(a)] = true
-	}
-	if s := Partition(configs, 2, all); len(s) != 0 {
-		t.Fatalf("fully excluded space still produced %d shards", len(s))
-	}
-	// size <= 0 is clamped to 1.
-	if s := Partition(configs[:2], 0, nil); len(s) != 2 {
-		t.Fatalf("size 0: %d shards", len(s))
 	}
 }
 
 // TestTuneDeterministicAcrossWorkerCounts is the tentpole property:
 // with a fixed seed the merged result at 1, 2 and 4 workers is
 // bit-identical to the uninterrupted single-process run, for every
-// stock tuner, and every configuration is evaluated exactly once
-// across the whole fleet.
+// stock tuner; every configuration the search evaluates was asked for
+// and measured exactly once across the whole fleet, and nothing else
+// was.
 func TestTuneDeterministicAcrossWorkerCounts(t *testing.T) {
 	t.Cleanup(ptest.NoLeaks(t))
 	dims, start, obj := testSpace()
-	for _, tn := range []tuning.Tuner{tuning.LinearSearch{}, tuning.TabuSearch{}, tuning.RandomSearch{Seed: 1}} {
+	for _, tn := range []tuning.Tuner{tuning.LinearSearch{}, tuning.TabuSearch{}, tuning.RandomSearch{Seed: 1}, tuning.NelderMead{}} {
 		ref := tn.TuneCtx(context.Background(), dims, start, obj, 120)
 		for _, n := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/%dw", tn.Name(), n), func(t *testing.T) {
@@ -215,10 +149,10 @@ func TestTuneDeterministicAcrossWorkerCounts(t *testing.T) {
 					t.Fatalf("fleet result diverged:\n got %+v\nwant %+v", res, ref)
 				}
 				if st.LocalEvals != 0 {
-					t.Fatalf("replay missed the table %d times", st.LocalEvals)
+					t.Fatalf("search evaluated %d configs no batch asked for", st.LocalEvals)
 				}
-				if int(calls.Load()) != SpaceSize(dims, start) {
-					t.Fatalf("workers evaluated %d configs, space is %d", calls.Load(), SpaceSize(dims, start))
+				if int(calls.Load()) != st.Merged || st.Merged != ref.Evaluations {
+					t.Fatalf("workers evaluated %d configs, merged %d, search evaluated %d", calls.Load(), st.Merged, ref.Evaluations)
 				}
 			})
 		}
@@ -229,7 +163,7 @@ func TestTuneDeterministicAcrossWorkerCounts(t *testing.T) {
 // evaluation store: a search run against a warm cache must produce the
 // bit-identical Result of a cold run — and do so without measuring a
 // single configuration or dispatching a single shard, because the
-// pre-filter answers the entire enumerated space from the store.
+// store answers every batch the search asks for.
 func TestTuneWarmCacheBitIdentical(t *testing.T) {
 	t.Cleanup(ptest.NoLeaks(t))
 	dims, start, obj := testSpace()
@@ -258,8 +192,8 @@ func TestTuneWarmCacheBitIdentical(t *testing.T) {
 	if stCold.CacheHits != 0 {
 		t.Fatalf("cold run reported %d cache hits", stCold.CacheHits)
 	}
-	if cold.Len() != SpaceSize(dims, start) {
-		t.Fatalf("store holds %d entries after the cold run, space is %d", cold.Len(), SpaceSize(dims, start))
+	if cold.Len() != resCold.Evaluations {
+		t.Fatalf("store holds %d entries after the cold run, the search evaluated %d", cold.Len(), resCold.Evaluations)
 	}
 	if err := cold.Close(); err != nil {
 		t.Fatal(err)
@@ -285,14 +219,14 @@ func TestTuneWarmCacheBitIdentical(t *testing.T) {
 	if warmCalls.Load() != 0 {
 		t.Fatalf("warm run re-measured %d configs", warmCalls.Load())
 	}
-	if stWarm.CacheHits != SpaceSize(dims, start) {
-		t.Fatalf("warm run hit %d of %d configs", stWarm.CacheHits, SpaceSize(dims, start))
+	if stWarm.CacheHits != resCold.Evaluations {
+		t.Fatalf("warm run hit %d of %d configs", stWarm.CacheHits, resCold.Evaluations)
 	}
 	if stWarm.Shards != 0 {
 		t.Fatalf("warm run still dispatched %d shards", stWarm.Shards)
 	}
 	if stWarm.LocalEvals != 0 {
-		t.Fatalf("warm replay missed the table %d times", stWarm.LocalEvals)
+		t.Fatalf("warm search missed the table %d times", stWarm.LocalEvals)
 	}
 }
 
@@ -356,21 +290,64 @@ func TestStealFirstResultWins(t *testing.T) {
 	tn := tuning.LinearSearch{}
 	ref := tn.TuneCtx(context.Background(), dims, start, obj, 120)
 
-	straggle := func(d time.Duration) func(json.RawMessage) (tuning.Objective, error) {
-		return func(json.RawMessage) (tuning.Objective, error) {
-			return func(a map[string]int) float64 {
-				time.Sleep(d)
-				return obj(a)
-			}, nil
+	answer := func(w http.ResponseWriter, req ShardRequest) {
+		resp := ShardResponse{Shard: req.Shard}
+		for _, a := range req.Configs {
+			resp.Evals = append(resp.Evals, tuning.EvalRecord{Assignment: a, Cost: obj(a)})
+		}
+		WriteJSON(w, http.StatusOK, resp)
+	}
+	// The straggler holds its first shard until the fast worker is sent
+	// a shard of the second batch, so the first batch was merged through
+	// the steal. The fast worker answers that shard only once the
+	// straggler's late answer is on the wire, so the loser's
+	// evaluations reach the coordinator while the search still runs.
+	release, lateSent := make(chan struct{}), make(chan struct{})
+	var straggled, released atomic.Bool
+	wait := func(r *http.Request, c chan struct{}, what string) {
+		select {
+		case <-c:
+		case <-r.Context().Done():
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s never happened", what)
 		}
 	}
-	slow, _ := startWorker(t, straggle(80*time.Millisecond), "")
-	fast, _ := startWorker(t, straggle(2*time.Millisecond), "")
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req ShardRequest
+		if !DecodeJSON(w, r, MaxBodyBytes, &req) {
+			return
+		}
+		if !straggled.CompareAndSwap(false, true) {
+			answer(w, req)
+			return
+		}
+		wait(r, release, "the second batch")
+		answer(w, req)
+		w.(http.Flusher).Flush()
+		close(lateSent)
+	}))
+	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req ShardRequest
+		if !DecodeJSON(w, r, MaxBodyBytes, &req) {
+			return
+		}
+		// The first batch (start plus the x sweep: 5 configs) is shards
+		// 0 and 1.
+		if req.Shard >= 2 && released.CompareAndSwap(false, true) {
+			close(release)
+			wait(r, lateSent, "the straggler's answer")
+		}
+		answer(w, req)
+	}))
+	defer func() {
+		slow.Close()
+		fast.Close()
+		http.DefaultClient.CloseIdleConnections()
+	}()
 
 	res, st, err := Tune(context.Background(), tn, dims, start, 120, Options{
-		Workers:        []string{slow, fast},
+		Workers:        []string{slow.URL, fast.URL},
 		LocalObjective: obj,
-		ShardSize:      (SpaceSize(dims, start) + 1) / 2, // exactly two shards
 		LeaseTTL:       30 * time.Second,
 		StealAfter:     30 * time.Millisecond,
 	})
@@ -386,8 +363,14 @@ func TestStealFirstResultWins(t *testing.T) {
 	if st.Duplicates < 1 {
 		t.Fatalf("steal loser's evaluations not deduplicated: %+v", st)
 	}
-	if st.Merged != SpaceSize(dims, start) {
-		t.Fatalf("merged %d evals, space is %d", st.Merged, SpaceSize(dims, start))
+	if st.Merged != ref.Evaluations {
+		t.Fatalf("merged %d evals, the search evaluated %d", st.Merged, ref.Evaluations)
+	}
+	// Exactly two shards per batch: the batches ask for 5, 2 and 3 new
+	// configurations (start and the x sweep, the y sweep at x=6, the x
+	// sweep at y=2), split ⌈n/2⌉ per shard.
+	if st.Shards != 6 {
+		t.Fatalf("%d shards, want 2 per batch of 3 batches", st.Shards)
 	}
 }
 
@@ -503,10 +486,9 @@ func TestCoordinatorCrashResume(t *testing.T) {
 	if st2.Resumed != st1.Merged {
 		t.Fatalf("resumed %d evals, first run merged %d", st2.Resumed, st1.Merged)
 	}
-	space := SpaceSize(dims, start)
-	if int(calls.Load()) != space-st1.Merged {
+	if int(calls.Load()) != ref.Evaluations-st1.Merged {
 		t.Fatalf("second run re-evaluated the merged prefix: %d worker evals for %d remaining configs",
-			calls.Load(), space-st1.Merged)
+			calls.Load(), ref.Evaluations-st1.Merged)
 	}
 	// The fleet checkpoint is a plain tuning checkpoint: a local search
 	// resumes it without re-measuring anything.
@@ -516,8 +498,8 @@ func TestCoordinatorCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed != space {
-		t.Fatalf("local resume sees %d journaled evals, space is %d", resumed, space)
+	if resumed != ref.Evaluations {
+		t.Fatalf("local resume sees %d journaled evals, the search evaluated %d", resumed, ref.Evaluations)
 	}
 	localRes := tn.TuneCtx(context.Background(), dims, start, ck.Wrap(func(map[string]int) float64 {
 		t.Fatal("local resume re-measured a configuration")
@@ -583,9 +565,12 @@ func TestWorkerIntakeHardening(t *testing.T) {
 	}
 
 	// Fill the service: one shard running, one queued; the third sheds
-	// with 503 and the breaker-backed Retry-After.
+	// with 503 and the breaker-backed Retry-After. The second shard is
+	// posted only once the worker runs the first: posted together, the
+	// second could arrive while the first still holds the one queue
+	// slot, and be shed itself.
 	inflight := make(chan struct{}, 2)
-	for i := 0; i < 2; i++ {
+	fill := func(admitted func(obs.Snapshot) bool) {
 		go func() {
 			resp, err := http.Post(ts.URL+"/shards", "application/json", bytes.NewReader([]byte(shard)))
 			if err == nil {
@@ -593,14 +578,16 @@ func TestWorkerIntakeHardening(t *testing.T) {
 			}
 			inflight <- struct{}{}
 		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Snapshot().Counters["jobs.submitted"] < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("blocking shards never admitted")
+		deadline := time.Now().Add(5 * time.Second)
+		for !admitted(c.Snapshot()) {
+			if time.Now().After(deadline) {
+				t.Fatal("blocking shards never admitted")
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
+	fill(func(s obs.Snapshot) bool { return s.Gauges["jobs.running"] >= 1 })
+	fill(func(s obs.Snapshot) bool { return s.Counters["jobs.submitted"] >= 2 })
 	resp := post(shard, "application/json")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("overload: HTTP %d, want 503", resp.StatusCode)
@@ -618,9 +605,11 @@ func TestWorkerIntakeHardening(t *testing.T) {
 // re-measuring them.
 func TestWorkerCacheResume(t *testing.T) {
 	t.Cleanup(ptest.NoLeaks(t))
-	dims, start, obj := testSpace()
+	_, _, obj := testSpace()
 	dir := t.TempDir()
-	configs := Enumerate(dims, start)[:5]
+	configs := []map[string]int{
+		{"x": 0, "y": 0}, {"x": 2, "y": 0}, {"x": 4, "y": 0}, {"x": 6, "y": 0}, {"x": 0, "y": 1},
+	}
 	req, _ := json.Marshal(ShardRequest{Search: "cache-test", Shard: 0, Configs: configs})
 
 	var calls1 atomic.Int64
@@ -706,9 +695,13 @@ func TestWorkerCacheScopedBySearch(t *testing.T) {
 	}
 }
 
-// TestTuneInputValidation: no workers, missing objective, and an
-// oversized space are refused up front.
+// TestTuneInputValidation: no workers and a missing objective are
+// refused up front, but the size of the space is not: a million
+// configurations (far above any space that could be enumerated and
+// sharded whole) tune on a worker pair, bit-identical to the local run,
+// measuring only what the search asks for.
 func TestTuneInputValidation(t *testing.T) {
+	t.Cleanup(ptest.NoLeaks(t))
 	dims, start, obj := testSpace()
 	tn := tuning.LinearSearch{}
 	if _, _, err := Tune(context.Background(), tn, dims, start, 10, Options{LocalObjective: obj}); err == nil {
@@ -717,9 +710,53 @@ func TestTuneInputValidation(t *testing.T) {
 	if _, _, err := Tune(context.Background(), tn, dims, start, 10, Options{Workers: []string{"http://x"}}); err == nil {
 		t.Fatal("missing LocalObjective must be an error")
 	}
-	if _, _, err := Tune(context.Background(), tn, dims, start, 10, Options{
-		Workers: []string{"http://x"}, LocalObjective: obj, MaxSpace: 3,
-	}); err == nil {
-		t.Fatal("oversized space must be refused")
+
+	big := []tuning.Dim{
+		{Key: "a", Min: 0, Max: 99},
+		{Key: "b", Min: 0, Max: 99},
+		{Key: "c", Min: 0, Max: 99},
+	}
+	bigStart := map[string]int{"a": 50, "b": 50, "c": 50}
+	bigObj := func(a map[string]int) float64 {
+		return float64((a["a"]-17)*(a["a"]-17) + 3*(a["b"]-71)*(a["b"]-71) + (a["c"]-40)*(a["c"]-40))
+	}
+	const budget = 250
+	ref := tn.TuneCtx(context.Background(), big, bigStart, bigObj, budget)
+	var calls atomic.Int64
+	w1, _ := startWorker(t, countingHook(bigObj, &calls), "")
+	w2, _ := startWorker(t, countingHook(bigObj, &calls), "")
+	res, st, err := Tune(context.Background(), tn, big, bigStart, budget, Options{
+		Workers:        []string{w1, w2},
+		LocalObjective: bigObj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, ref) {
+		t.Fatalf("large-space fleet result diverged:\n got %+v\nwant %+v", res, ref)
+	}
+	if st.Merged > budget || int(calls.Load()) != st.Merged || st.LocalEvals != 0 {
+		t.Fatalf("merged %d (budget %d), workers measured %d, %d local", st.Merged, budget, calls.Load(), st.LocalEvals)
+	}
+
+	// RandomSearch asks for all its draws at once: on one worker the
+	// batch splits into shards of maxShardConfigs, each of whose request
+	// and response fit the worker's and the coordinator's body caps.
+	const draws = 30000
+	rs := tuning.RandomSearch{Seed: 1}
+	ref = rs.TuneCtx(context.Background(), big, bigStart, bigObj, draws)
+	calls.Store(0)
+	res, st, err = Tune(context.Background(), rs, big, bigStart, draws, Options{
+		Workers:        []string{w1},
+		LocalObjective: bigObj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, ref) {
+		t.Fatalf("large-batch fleet result diverged:\n got %+v\nwant %+v", res, ref)
+	}
+	if int(calls.Load()) != st.Merged || st.LocalEvals != 0 || st.Shards < (st.Merged+maxShardConfigs-1)/maxShardConfigs {
+		t.Fatalf("merged %d in %d shards, workers measured %d, %d local", st.Merged, st.Shards, calls.Load(), st.LocalEvals)
 	}
 }

@@ -248,13 +248,16 @@ func TestQuarantineReverifiesAndCorrects(t *testing.T) {
 
 // dodgingLiarSearch runs the quarantine fixture: a slow honest worker
 // beside a fast liar that dodges its first audit, searched with
-// ShardSize 4 and CrossCheck 2. It fails t unless the result matches
-// the local reference bit for bit, and returns the fleet's Stats and
-// the liar's URL.
+// ShardSize 4 and CrossCheck 2. The search is RandomSearch, whose one
+// batch (start plus the 12 lattice points it draws) splits into shards
+// of 4, 4, 4 and 1 configs, so the liar's first two shards hold 4
+// configs each whichever the two dispatchers take first. It fails t
+// unless the result matches the local reference bit for bit, and
+// returns the fleet's Stats and the liar's URL.
 func dodgingLiarSearch(t *testing.T) (*Stats, string) {
 	t.Helper()
 	dims, start, obj := testSpace()
-	tn := tuning.LinearSearch{}
+	tn := tuning.RandomSearch{Seed: 1}
 	ref := tn.TuneCtx(context.Background(), dims, start, obj, 120)
 
 	const ckSeed = 99

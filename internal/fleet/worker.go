@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"time"
 
@@ -87,16 +86,12 @@ func (wk *Worker) evaluate(ctx context.Context, req ShardRequest) (*ShardRespons
 		if wk.cache != nil {
 			if e, ok := wk.cache.Get(cacheKeyFor(req, a), ""); ok {
 				resp.Evals = append(resp.Evals, tuning.EvalRecord{
-					Assignment: copyAssign(a), Cost: e.Cost, Faulted: e.Faulted,
+					Assignment: tuning.CopyAssign(a), Cost: e.Cost, Faulted: e.Faulted,
 				})
 				continue
 			}
 		}
-		cost := obj(a)
-		rec := tuning.EvalRecord{Assignment: copyAssign(a), Cost: cost}
-		if math.IsInf(cost, 1) || math.IsNaN(cost) || math.IsInf(cost, -1) {
-			rec.Cost, rec.Faulted = 0, true
-		}
+		rec := tuning.NewRecord(a, obj(a))
 		if wk.cache != nil {
 			k := cacheKeyFor(req, a)
 			wk.cache.Put(evalcache.Entry{

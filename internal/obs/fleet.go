@@ -11,13 +11,13 @@ import (
 //
 //	fleet.workers              gauge    (workers the search started with)
 //	fleet.workers.lost         counter  (workers benched after repeated failures)
-//	fleet.shards.total         gauge    (shards the space was partitioned into)
+//	fleet.shards.total         gauge    (shards the asked batches were split into)
 //	fleet.shards.done          counter  (shards merged)
 //	fleet.shards.redispatched  counter  (lease expiries / transport errors re-queued)
 //	fleet.shards.stolen        counter  (speculative duplicate dispatches)
 //	fleet.evals.merged         counter  (distinct evaluations merged into the table)
 //	fleet.evals.duplicate      counter  (evaluations discarded as duplicates)
-//	fleet.evals.local          counter  (replay table misses evaluated locally)
+//	fleet.evals.local          counter  (configs no batch asked for, evaluated locally)
 //	fleet.evals.resumed        counter  (evaluations re-adopted from a checkpoint)
 //	fleet.shard.rtt_ns         histogram (dispatch -> merged, per shard attempt)
 //
@@ -225,7 +225,7 @@ func (h FleetHealth) DuplicateRate() float64 {
 }
 
 // Degraded reports whether the fleet showed distress: lost workers,
-// re-dispatched leases, replay misses evaluated locally, or a worker
+// re-dispatched leases, unasked configs evaluated locally, or a worker
 // quarantined for lying.
 func (h FleetHealth) Degraded() bool {
 	return h.WorkersLost > 0 || h.ShardsRedispatched > 0 || h.EvalsLocal > 0 ||

@@ -73,7 +73,7 @@ func FleetTable(h obs.FleetHealth) string {
 			fmt.Fprintf(&b, "   %d lease(s) expired or failed and were re-dispatched\n", h.ShardsRedispatched)
 		}
 		if h.EvalsLocal > 0 {
-			fmt.Fprintf(&b, "   %d replay miss(es) evaluated locally (table incomplete)\n", h.EvalsLocal)
+			fmt.Fprintf(&b, "   %d config(s) no batch asked for, evaluated locally\n", h.EvalsLocal)
 		}
 		if h.ByzQuarantined > 0 {
 			fmt.Fprintf(&b, "   %d worker(s) quarantined for divergent costs; contributions re-verified\n", h.ByzQuarantined)

@@ -148,9 +148,10 @@ func NewCheckpointer(path string, meta SearchMeta) (c *Checkpointer, resumed int
 	return c, c.resumed, nil
 }
 
-// newRecord builds the journal record of one evaluation.
-func newRecord(a map[string]int, cost float64) EvalRecord {
-	rec := EvalRecord{Assignment: copyAssign(a), Cost: cost}
+// NewRecord builds the record of one evaluation: a faulted (infinite
+// or NaN) cost is stored as the Faulted flag.
+func NewRecord(a map[string]int, cost float64) EvalRecord {
+	rec := EvalRecord{Assignment: CopyAssign(a), Cost: cost}
 	if math.IsInf(cost, 0) || math.IsNaN(cost) {
 		rec.Cost, rec.Faulted = 0, true
 	}
@@ -223,7 +224,7 @@ func (c *Checkpointer) Wrap(obj Objective) Objective {
 		if rec, ok := c.cache[assignKey(a)]; ok {
 			return rec.cost()
 		}
-		rec := newRecord(a, obj(a))
+		rec := NewRecord(a, obj(a))
 		c.remember(rec)
 		c.queue(journalFrame{Eval: &rec})
 		c.write(0)
@@ -252,7 +253,7 @@ func (c *Checkpointer) Record(a map[string]int, cost float64) {
 // last-wins, so the repair supersedes the lie. The frame is written by
 // the next Flush.
 func (c *Checkpointer) Correct(a map[string]int, cost float64) {
-	rec := newRecord(a, cost)
+	rec := NewRecord(a, cost)
 	c.remember(rec)
 	c.queue(journalFrame{Eval: &rec})
 }

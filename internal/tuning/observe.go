@@ -83,7 +83,7 @@ func (o *Observed) Wrap(obj Objective) Objective {
 			if e, ok := o.Cache.Get(key, o.CacheTenant); ok {
 				cost := e.EffectiveCost()
 				o.Metrics = append(o.Metrics, ConfigMetrics{
-					Assignment: copyAssign(a),
+					Assignment: CopyAssign(a),
 					Cost:       cost,
 					Faulted:    e.Faulted,
 				})
@@ -106,7 +106,7 @@ func (o *Observed) Wrap(obj Objective) Objective {
 		}
 		o.byKey[assignKey(a)] = analyses
 		o.Metrics = append(o.Metrics, ConfigMetrics{
-			Assignment: copyAssign(a),
+			Assignment: CopyAssign(a),
 			Cost:       cost,
 			Analyses:   analyses,
 			Faulted:    faulted,

@@ -166,11 +166,29 @@ type Tuner interface {
 	TuneCtx(ctx context.Context, dims []Dim, start map[string]int, obj Objective, budget int) Result
 }
 
+// Ask receives each batch a stock tuner is about to evaluate, before
+// the Objective sees any of it: a LinearSearch sweep, a TabuSearch
+// neighbourhood, RandomSearch's draws, a NelderMead step (the first
+// batch also carries the start point). A batch holds the configurations
+// not evaluated yet, once each, in evaluation order, cut at the budget
+// left. Costs still come back through the Objective in the tuner's own
+// order, so an Ask can prepare answers but never changes the search.
+type Ask func(batch []map[string]int)
+
+type askKey struct{}
+
+// WithAsk returns a context under which every stock tuner announces
+// its batches to ask. Without one, announcing does nothing.
+func WithAsk(ctx context.Context, ask Ask) context.Context {
+	return context.WithValue(ctx, askKey{}, ask)
+}
+
 // --- helpers shared by the tuners ---
 
 type evaluator struct {
 	ctx    context.Context
 	obj    Objective
+	ask    Ask // nil: announce does nothing
 	budget int
 	res    Result
 	cache  map[string]float64
@@ -181,9 +199,44 @@ type evaluator struct {
 
 func newEvaluator(ctx context.Context, obj Objective, budget int, start map[string]int) *evaluator {
 	e := &evaluator{ctx: ctx, obj: obj, budget: budget, cache: make(map[string]float64)}
-	e.res.Best = copyAssign(start)
+	e.ask, _ = ctx.Value(askKey{}).(Ask)
+	e.res.Best = CopyAssign(start)
 	e.res.BestCost = math.Inf(1)
 	return e
+}
+
+// announce hands the Ask hook the configurations of batch the coming
+// evals will measure: not evaluated yet, once each, within the budget.
+func (e *evaluator) announce(batch []map[string]int) {
+	if e.ask == nil || e.exhausted() {
+		return
+	}
+	var fresh []map[string]int
+	seen := make(map[string]bool, len(batch))
+	for _, a := range batch {
+		key := assignKey(a)
+		if _, done := e.cache[key]; !done && !seen[key] && len(fresh) < e.budget-e.res.Evaluations {
+			seen[key] = true
+			fresh = append(fresh, a)
+		}
+	}
+	if len(fresh) > 0 {
+		e.ask(fresh)
+	}
+}
+
+// evalBatch announces batch, then evaluates it in order until the
+// budget runs out, and returns the costs it read.
+func (e *evaluator) evalBatch(batch []map[string]int) []float64 {
+	e.announce(batch)
+	var cs []float64
+	for _, a := range batch {
+		cs = append(cs, e.eval(a))
+		if e.exhausted() {
+			break
+		}
+	}
+	return cs
 }
 
 func (e *evaluator) exhausted() bool {
@@ -214,13 +267,14 @@ func (e *evaluator) eval(a map[string]int) float64 {
 	e.cache[key] = c
 	if c < e.res.BestCost {
 		e.res.BestCost = c
-		e.res.Best = copyAssign(a)
+		e.res.Best = CopyAssign(a)
 		e.res.Trace = append(e.res.Trace, TracePoint{Eval: e.res.Evaluations, Cost: c})
 	}
 	return c
 }
 
-func copyAssign(a map[string]int) map[string]int {
+// CopyAssign clones an assignment.
+func CopyAssign(a map[string]int) map[string]int {
 	out := make(map[string]int, len(a))
 	for k, v := range a {
 		out[k] = v
@@ -282,15 +336,26 @@ func (ls LinearSearch) Tune(dims []Dim, start map[string]int, obj Objective, bud
 // TuneCtx implements Tuner.
 func (ls LinearSearch) TuneCtx(ctx context.Context, dims []Dim, start map[string]int, obj Objective, budget int) Result {
 	e := newEvaluator(ctx, obj, budget, start)
-	cur := copyAssign(start)
+	cur := CopyAssign(start)
+	// The start point rides along with the first sweep's batch.
+	var first []map[string]int
+	if len(dims) > 0 {
+		first = sweep(cur, dims[0])
+	}
+	e.announce(append([]map[string]int{cur}, first...))
 	e.eval(cur)
 	for improved := true; improved && !e.exhausted(); {
 		improved = false
 		for _, d := range dims {
+			cands := first
+			if cands == nil {
+				cands = sweep(cur, d)
+				e.announce(cands)
+			}
+			first = nil
 			bestV, bestC := cur[d.Key], math.Inf(1)
-			for v := d.Min; v <= d.Max; v += d.step() {
-				cand := copyAssign(cur)
-				cand[d.Key] = v
+			for _, cand := range cands {
+				v := cand[d.Key]
 				c := e.eval(cand)
 				if c < bestC {
 					bestC, bestV = c, v
@@ -313,6 +378,17 @@ func (ls LinearSearch) TuneCtx(ctx context.Context, dims []Dim, start map[string
 		}
 	}
 	return e.finish()
+}
+
+// sweep is one LinearSearch batch: cur with d set to each of its values.
+func sweep(cur map[string]int, d Dim) []map[string]int {
+	var cands []map[string]int
+	for v := d.Min; v <= d.Max; v += d.step() {
+		cand := CopyAssign(cur)
+		cand[d.Key] = v
+		cands = append(cands, cand)
+	}
+	return cands
 }
 
 // RandomSearch samples uniformly — the sanity baseline every smarter
@@ -338,14 +414,18 @@ func (r RandomSearch) TuneCtx(ctx context.Context, dims []Dim, start map[string]
 	}
 	rng := rand.New(rand.NewSource(seed))
 	e := newEvaluator(ctx, obj, budget, start)
-	e.eval(start)
-	for !e.exhausted() {
-		cand := copyAssign(start)
-		for _, d := range dims {
-			steps := (d.Max-d.Min)/d.step() + 1
-			cand[d.Key] = d.Min + rng.Intn(steps)*d.step()
+	// No draw depends on a cost, so a batch draws as many configurations
+	// as the budget has left; the first also carries the start point.
+	for batch := []map[string]int{start}; !e.exhausted(); batch = batch[:0] {
+		for n := e.budget - e.res.Evaluations - len(batch); n > 0; n-- {
+			cand := CopyAssign(start)
+			for _, d := range dims {
+				steps := (d.Max-d.Min)/d.step() + 1
+				cand[d.Key] = d.Min + rng.Intn(steps)*d.step()
+			}
+			batch = append(batch, cand)
 		}
-		e.eval(cand)
+		e.evalBatch(batch)
 	}
 	return e.finish()
 }
@@ -372,9 +452,26 @@ func (t TabuSearch) TuneCtx(ctx context.Context, dims []Dim, start map[string]in
 		tenure = 16
 	}
 	e := newEvaluator(ctx, obj, budget, start)
-	cur := copyAssign(start)
-	e.eval(cur)
+	cur := CopyAssign(start)
 	tabu := map[string]bool{assignKey(cur): true}
+	// neighbours is one batch: every non-tabu single-step move.
+	neighbours := func() []map[string]int {
+		var cands []map[string]int
+		for _, d := range dims {
+			for _, delta := range []int{-d.step(), d.step()} {
+				cand := CopyAssign(cur)
+				cand[d.Key] = clampDim(d, cand[d.Key]+delta)
+				if !tabu[assignKey(cand)] {
+					cands = append(cands, cand)
+				}
+			}
+		}
+		return cands
+	}
+	cands := neighbours()
+	// The start point rides along with the first neighbourhood.
+	e.announce(append([]map[string]int{cur}, cands...))
+	e.eval(cur)
 	var order []string
 	for !e.exhausted() {
 		type move struct {
@@ -382,21 +479,10 @@ func (t TabuSearch) TuneCtx(ctx context.Context, dims []Dim, start map[string]in
 			c float64
 		}
 		var bestMove *move
-		for _, d := range dims {
-			for _, delta := range []int{-d.step(), d.step()} {
-				cand := copyAssign(cur)
-				cand[d.Key] = clampDim(d, cand[d.Key]+delta)
-				key := assignKey(cand)
-				if tabu[key] {
-					continue
-				}
-				c := e.eval(cand)
-				if bestMove == nil || c < bestMove.c {
-					bestMove = &move{cand, c}
-				}
-				if e.exhausted() {
-					break
-				}
+		for _, cand := range cands {
+			c := e.eval(cand)
+			if bestMove == nil || c < bestMove.c {
+				bestMove = &move{cand, c}
 			}
 			if e.exhausted() {
 				break
@@ -413,6 +499,8 @@ func (t TabuSearch) TuneCtx(ctx context.Context, dims []Dim, start map[string]in
 			delete(tabu, order[0])
 			order = order[1:]
 		}
+		cands = neighbours()
+		e.announce(cands)
 	}
 	return e.finish()
 }
@@ -435,13 +523,14 @@ func (NelderMead) TuneCtx(ctx context.Context, dims []Dim, start map[string]int,
 	e := newEvaluator(ctx, obj, budget, start)
 	n := len(dims)
 	if n == 0 {
+		e.announce([]map[string]int{start})
 		e.eval(start)
 		return e.finish()
 	}
 	rng := rand.New(rand.NewSource(1))
 
 	toAssign := func(x []float64) map[string]int {
-		a := copyAssign(start)
+		a := CopyAssign(start)
 		for i, d := range dims {
 			v := int(math.Round(x[i]))
 			v = d.Min + ((v-d.Min)/d.step())*d.step()
@@ -449,7 +538,14 @@ func (NelderMead) TuneCtx(ctx context.Context, dims []Dim, start map[string]int,
 		}
 		return a
 	}
-	evalX := func(x []float64) float64 { return e.eval(toAssign(x)) }
+	// evalX evaluates the lattice points of vertices xs as one batch.
+	evalX := func(xs ...[]float64) []float64 {
+		batch := make([]map[string]int, len(xs))
+		for i, x := range xs {
+			batch[i] = toAssign(x)
+		}
+		return e.evalBatch(batch)
+	}
 
 	// Initial simplex: start plus one vertex stepped in each dimension.
 	simplex := make([][]float64, n+1)
@@ -471,9 +567,7 @@ func (NelderMead) TuneCtx(ctx context.Context, dims []Dim, start map[string]int,
 		}
 		simplex[i+1] = v
 	}
-	for i := range simplex {
-		costs[i] = evalX(simplex[i])
-	}
+	copy(costs, evalX(simplex...))
 
 	for !e.exhausted() {
 		idx := make([]int, n+1)
@@ -493,14 +587,14 @@ func (NelderMead) TuneCtx(ctx context.Context, dims []Dim, start map[string]int,
 		for j := 0; j < n; j++ {
 			reflect[j] = centroid[j] + (centroid[j] - simplex[worstI][j])
 		}
-		rc := evalX(reflect)
+		rc := evalX(reflect)[0]
 		switch {
 		case rc < costs[bestI]:
 			expand := make([]float64, n)
 			for j := 0; j < n; j++ {
 				expand[j] = centroid[j] + 2*(centroid[j]-simplex[worstI][j])
 			}
-			ec := evalX(expand)
+			ec := evalX(expand)[0]
 			if ec < rc {
 				simplex[worstI], costs[worstI] = expand, ec
 			} else {
@@ -513,19 +607,20 @@ func (NelderMead) TuneCtx(ctx context.Context, dims []Dim, start map[string]int,
 			for j := 0; j < n; j++ {
 				contract[j] = centroid[j] + 0.5*(simplex[worstI][j]-centroid[j])
 			}
-			cc := evalX(contract)
+			cc := evalX(contract)[0]
 			if cc < costs[worstI] {
 				simplex[worstI], costs[worstI] = contract, cc
 			} else {
 				// Shrink toward the best vertex.
+				var shrunk [][]float64
 				for _, i := range idx[1:] {
 					for j := 0; j < n; j++ {
 						simplex[i][j] = simplex[bestI][j] + 0.5*(simplex[i][j]-simplex[bestI][j])
 					}
-					costs[i] = evalX(simplex[i])
-					if e.exhausted() {
-						break
-					}
+					shrunk = append(shrunk, simplex[i])
+				}
+				for k, c := range evalX(shrunk...) {
+					costs[idx[1+k]] = c
 				}
 			}
 		}
@@ -554,11 +649,8 @@ func (NelderMead) TuneCtx(ctx context.Context, dims []Dim, start map[string]int,
 					}
 				}
 				simplex[i] = v
-				costs[i] = evalX(v)
-				if e.exhausted() {
-					break
-				}
 			}
+			copy(costs, evalX(simplex...))
 		}
 	}
 	return e.finish()
