@@ -12,8 +12,9 @@ import (
 )
 
 // setDefaultEngine applies a subcommand's -engine flag: it pins the
-// package-wide default, so every Machine created downstream (model
-// enrichment, difftest legs, corpus evaluation) runs on that engine.
+// package-wide default, so every Machine created downstream that does
+// not pick its own engine (model enrichment, corpus evaluation) runs on
+// that engine. difftest's engine leg always runs both.
 func setDefaultEngine(name string) error {
 	eng, err := interp.ParseEngine(name)
 	if err != nil {
@@ -42,7 +43,7 @@ func cmdFuzz(ctx context.Context, args []string) error {
 	reproDir := fs.String("repro-dir", "patty-out", "directory for reproducer files")
 	checkSeed := fs.Int64("check-seed", 0, "replay one exact program seed (from a reproducer file) and exit")
 	ckpt := fs.String("checkpoint", "", "journal sweep progress to this file and resume from it")
-	engineFlag := fs.String("engine", "auto", "interpreter engine for the oracle and execution legs: auto | tree | vm")
+	engineFlag := fs.String("engine", "auto", "interpreter engine for model creation's profiling run; the oracle is always the tree-walker, checked against the vm: auto | tree | vm")
 	fs.Parse(args)
 	if err := setDefaultEngine(*engineFlag); err != nil {
 		return err

@@ -3,14 +3,8 @@ package difftest
 import (
 	"testing"
 
-	"patty/internal/interp"
 	"patty/internal/source"
 )
-
-// kernelArgs is the argument list generated programs' Kernel takes.
-func kernelArgs(n int64) func(*interp.Machine) []interp.Value {
-	return func(*interp.Machine) []interp.Value { return []interp.Value{n} }
-}
 
 // TestEngineAllLoopsSweep runs AllLoopsDiff over generated programs:
 // with every loop traced in one run, the tree-walker and the VM must

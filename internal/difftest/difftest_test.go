@@ -165,7 +165,7 @@ func TestRegressionSeeds(t *testing.T) {
 				continue
 			}
 			for _, n := range []int64{1, 2, 5, 13} {
-				if msg := engineDiff(prog, n); msg != "" {
+				if _, msg, _ := engineLeg(prog, "Kernel", kernelArgs(n)); msg != "" {
 					t.Errorf("regression seed %d (engine, n=%d): %s", rs.seed, n, msg)
 				}
 			}

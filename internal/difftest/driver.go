@@ -146,10 +146,15 @@ func runWithTimeout(p *Prog, cand *pattern.Candidate, fn *source.Function, loop 
 		st, err := runPattern(p, cand, fn, loop, patName, cfg)
 		ch <- outcome{st, err}
 	}()
+	// A stopped timer is freed at once; an unstopped one (time.After)
+	// stays live until it fires, so a fast sweep would hold one per
+	// execution of the last Timeout.
+	timer := time.NewTimer(d)
+	defer timer.Stop()
 	select {
 	case o := <-ch:
 		return o.st, o.err
-	case <-time.After(d):
+	case <-timer.C:
 		return nil, errTimeout
 	}
 }
@@ -258,22 +263,20 @@ func Check(p *Prog, opt Options) *Result {
 		return res
 	}
 
-	// 1. Sequential interpreter oracle.
+	// 1. Sequential interpreter oracle: the tree-walker's run of the
+	// engine leg, which the bytecode VM must reproduce bit-for-bit —
+	// values, virtual time, profile and every loop's load/store trace
+	// (engineleg.go).
 	oracleProg, err := source.ParseSources(sources)
 	if err != nil {
 		return div("harness", "generated source does not parse: %v", err)
 	}
-	vals, _, err := interp.NewMachine(oracleProg).Run("Kernel",
-		[]interp.Value{int64(p.N)}, interp.Options{})
+	vals, msg, err := engineLeg(oracleProg, "Kernel", kernelArgs(int64(p.N)))
+	if msg != "" {
+		return div("engine", "vm disagrees with tree-walker: %s", msg)
+	}
 	if err != nil {
 		return div("harness", "oracle run failed: %v", err)
-	}
-
-	// 1b. Engine differential: the bytecode VM must reproduce the
-	// tree-walking oracle bit-for-bit — values, virtual time, profile
-	// and the load/store trace for every loop target (engineleg.go).
-	if msg := engineDiff(oracleProg, int64(p.N)); msg != "" {
-		return div("engine", "vm disagrees with tree-walker: %s", msg)
 	}
 
 	// 2. The native reference executor must agree with the
@@ -291,9 +294,7 @@ func Check(p *Prog, opt Options) *Result {
 	if !opt.Static {
 		procOpt.Workload = &model.Workload{
 			Entry: "Kernel",
-			Args: func(m *interp.Machine) []interp.Value {
-				return []interp.Value{int64(p.N)}
-			},
+			Args:  kernelArgs(int64(p.N)),
 		}
 	}
 	proc := core.NewProcess(sources, procOpt)

@@ -7,108 +7,36 @@ import (
 	"patty/internal/source"
 )
 
-// The engine leg: every generated program is executed on both the
-// tree-walking interpreter and the bytecode VM, and the two runs must
-// agree bit-for-bit — return values, error text, total virtual time,
-// per-statement profile, target-loop iteration count and the full
-// load/store trace for every loop target. The tree-walker is the
-// oracle; any disagreement is an "engine" divergence and shrinks like
-// any other difftest finding.
+// The engine leg: every generated program runs once on the
+// tree-walking interpreter and once on the bytecode VM, each run with
+// every loop of the program traced at the same time, and the two runs
+// must agree bit-for-bit — return values, error text, total virtual
+// time, per-statement profile, and for every loop the full load/store
+// event stream and the iteration count of each activation. The
+// tree-walker is the oracle: its run records, the VM's run checks each
+// event against that record as it arrives. Any disagreement is an
+// "engine" divergence and shrinks like any other difftest finding.
 
-// engineRun executes Kernel on one engine and captures everything the
-// comparison needs. A fresh Machine per run keeps the traced address
-// space identical across engines.
-func engineRun(prog *source.Program, n int64, eng interp.Engine, target interp.Ref) ([]interp.Value, *interp.Profile, string) {
-	m := interp.NewMachine(prog)
-	vals, prof, err := m.Run("Kernel", []interp.Value{n}, interp.Options{Engine: eng, TargetLoop: target})
-	if err != nil {
-		return vals, prof, err.Error()
-	}
-	return vals, prof, ""
-}
-
-// engineDiff runs the program on both engines — once untargeted, then
-// once per loop of every function as the tracing target — and returns
-// a description of the first disagreement, or "".
-func engineDiff(prog *source.Program, n int64) string {
-	targets := []interp.Ref{{}}
+// loopRefs lists every loop of prog, in function and source order.
+func loopRefs(prog *source.Program) []interp.Ref {
+	var refs []interp.Ref
 	for _, fn := range prog.Functions() {
 		for _, l := range fn.Loops() {
 			if id := fn.StmtID(l); id >= 0 {
-				targets = append(targets, interp.Ref{Fn: fn.Name, Stmt: id})
+				refs = append(refs, interp.Ref{Fn: fn.Name, Stmt: id})
 			}
 		}
 	}
-	for _, target := range targets {
-		label := "untargeted"
-		if (target != interp.Ref{}) {
-			label = fmt.Sprintf("target %s#%d", target.Fn, target.Stmt)
-		}
-		tv, tp, te := engineRun(prog, n, interp.EngineTree, target)
-		vv, vp, ve := engineRun(prog, n, interp.EngineVM, target)
-		if msg := compareEngineRuns(tv, tp, te, vv, vp, ve); msg != "" {
-			return label + ": " + msg
-		}
-	}
-	return ""
+	return refs
 }
 
-// compareEngineRuns checks one tree run against one VM run for exact
-// equality of every observable.
-func compareEngineRuns(tv []interp.Value, tp *interp.Profile, te string,
-	vv []interp.Value, vp *interp.Profile, ve string) string {
-	if te != ve {
-		return fmt.Sprintf("error mismatch: tree=%q vm=%q", te, ve)
-	}
-	if len(tv) != len(vv) {
-		return fmt.Sprintf("tree returned %d values, vm %d", len(tv), len(vv))
-	}
-	for i := range tv {
-		ts, vs := interp.FormatValue(tv[i]), interp.FormatValue(vv[i])
-		if ts != vs {
-			return fmt.Sprintf("value %d: tree=%s vm=%s", i, ts, vs)
-		}
-	}
-	if te != "" {
-		return "" // both failed identically; no profile to compare
-	}
-	if tp.Total != vp.Total {
-		return fmt.Sprintf("virtual time: tree=%d vm=%d", tp.Total, vp.Total)
-	}
-	if tp.TargetIters != vp.TargetIters {
-		return fmt.Sprintf("target iterations: tree=%d vm=%d", tp.TargetIters, vp.TargetIters)
-	}
-	if len(tp.Mem) != len(vp.Mem) {
-		return fmt.Sprintf("memory trace length: tree=%d vm=%d", len(tp.Mem), len(vp.Mem))
-	}
-	for i := range tp.Mem {
-		if tp.Mem[i] != vp.Mem[i] {
-			return fmt.Sprintf("memory event %d: tree=%+v vm=%+v", i, tp.Mem[i], vp.Mem[i])
-		}
-	}
-	if len(tp.Incl) != len(vp.Incl) || len(tp.Self) != len(vp.Self) || len(tp.Count) != len(vp.Count) {
-		return fmt.Sprintf("profile sizes: tree incl/self/count=%d/%d/%d vm=%d/%d/%d",
-			len(tp.Incl), len(tp.Self), len(tp.Count), len(vp.Incl), len(vp.Self), len(vp.Count))
-	}
-	for r, v := range tp.Incl {
-		if vp.Incl[r] != v {
-			return fmt.Sprintf("incl[%s#%d]: tree=%d vm=%d", r.Fn, r.Stmt, v, vp.Incl[r])
-		}
-	}
-	for r, v := range tp.Self {
-		if vp.Self[r] != v {
-			return fmt.Sprintf("self[%s#%d]: tree=%d vm=%d", r.Fn, r.Stmt, v, vp.Self[r])
-		}
-	}
-	for r, v := range tp.Count {
-		if vp.Count[r] != v {
-			return fmt.Sprintf("count[%s#%d]: tree=%d vm=%d", r.Fn, r.Stmt, v, vp.Count[r])
-		}
-	}
-	return ""
+// kernelArgs is the argument list generated programs' Kernel takes.
+func kernelArgs(n int64) func(*interp.Machine) []interp.Value {
+	return func(*interp.Machine) []interp.Value { return []interp.Value{n} }
 }
 
-// loopRecord is a trace sink that keeps what one loop was delivered.
+// loopRecord is the tree-walker's sink for one loop: it keeps the
+// loop's event stream and each outermost activation's iteration count.
 type loopRecord struct {
 	mem    []interp.MemEvent
 	leaves []int
@@ -117,71 +45,200 @@ type loopRecord struct {
 func (r *loopRecord) Access(ev interp.MemEvent) { r.mem = append(r.mem, ev) }
 func (r *loopRecord) Leave(iters int)           { r.leaves = append(r.leaves, iters) }
 
-// allLoopsRun executes entry on one engine with every loop in refs
-// traced in the same run.
-func allLoopsRun(prog *source.Program, entry string, args func(*interp.Machine) []interp.Value,
-	eng interp.Engine, refs []interp.Ref) ([]*loopRecord, string) {
+// loopCheck is the VM's sink for one loop. It compares every event and
+// activation with the tree-walker's record as it arrives and keeps the
+// first difference; it stores no stream of its own.
+type loopCheck struct {
+	want        *loopRecord
+	events, act int
+	diff        string
+}
+
+func (c *loopCheck) Access(ev interp.MemEvent) {
+	if c.diff == "" && c.events < len(c.want.mem) && c.want.mem[c.events] != ev {
+		c.diff = fmt.Sprintf("memory event %d: tree=%+v vm=%+v", c.events, c.want.mem[c.events], ev)
+	}
+	c.events++
+}
+
+func (c *loopCheck) Leave(iters int) {
+	if c.diff == "" && c.act < len(c.want.leaves) && c.want.leaves[c.act] != iters {
+		c.diff = fmt.Sprintf("activation %d ran %d iterations on the tree-walker, %d on the vm",
+			c.act, c.want.leaves[c.act], iters)
+	}
+	c.act++
+}
+
+// result is the first difference the check saw, or a difference in
+// the number of events or activations.
+func (c *loopCheck) result() string {
+	switch {
+	case c.diff != "":
+		return c.diff
+	case c.events != len(c.want.mem):
+		return fmt.Sprintf("memory trace length: tree=%d vm=%d", len(c.want.mem), c.events)
+	case c.act != len(c.want.leaves):
+		return fmt.Sprintf("activations: tree=%d vm=%d", len(c.want.leaves), c.act)
+	}
+	return ""
+}
+
+// runResult is what one interpreter run returns.
+type runResult struct {
+	vals []interp.Value
+	prof *interp.Profile
+	err  error
+}
+
+// runOn runs entry on m.
+func runOn(m *interp.Machine, entry string, args func(*interp.Machine) []interp.Value, opt interp.Options) runResult {
+	vals, prof, err := m.Run(entry, args(m), opt)
+	return runResult{vals, prof, err}
+}
+
+// treeRecord is the tree-walker's all-loops run: what the VM's run is
+// checked against, and the oracle's values.
+type treeRecord struct {
+	runResult
+	refs  []interp.Ref
+	loops []loopRecord // loops[i] is the record of refs[i]
+}
+
+// recordTree runs entry on the tree-walker with every loop of prog
+// traced, recording each loop's stream and activations.
+func recordTree(prog *source.Program, entry string, args func(*interp.Machine) []interp.Value) *treeRecord {
+	r := &treeRecord{refs: loopRefs(prog)}
+	r.loops = make([]loopRecord, len(r.refs))
+	sinks := make(map[interp.Ref]interp.TraceSink, len(r.refs))
+	for i, ref := range r.refs {
+		sinks[ref] = &r.loops[i]
+	}
 	m := interp.NewMachine(prog)
-	recs := make([]*loopRecord, len(refs))
-	sinks := make(map[interp.Ref]interp.TraceSink, len(refs))
-	for i, ref := range refs {
-		recs[i] = &loopRecord{}
-		sinks[ref] = recs[i]
-	}
 	m.TraceLoops(sinks)
-	if _, _, err := m.Run(entry, args(m), interp.Options{Engine: eng}); err != nil {
-		return recs, err.Error()
+	r.runResult = runOn(m, entry, args, interp.Options{Engine: interp.EngineTree})
+	return r
+}
+
+// checkVM runs entry on the VM with every loop traced, checking each
+// loop against r, and returns the first disagreement, or "".
+func (r *treeRecord) checkVM(prog *source.Program, entry string, args func(*interp.Machine) []interp.Value) string {
+	checks := make([]loopCheck, len(r.refs))
+	sinks := make(map[interp.Ref]interp.TraceSink, len(r.refs))
+	for i, ref := range r.refs {
+		checks[i].want = &r.loops[i]
+		sinks[ref] = &checks[i]
 	}
-	return recs, ""
+	m := interp.NewMachine(prog)
+	m.TraceLoops(sinks)
+	vm := runOn(m, entry, args, interp.Options{Engine: interp.EngineVM})
+	if msg := compareRuns("tree", r.runResult, "vm", vm); msg != "" || r.err != nil {
+		return msg // an identical failure leaves partial traces; nothing more to compare
+	}
+	for i, ref := range r.refs {
+		if msg := checks[i].result(); msg != "" {
+			return fmt.Sprintf("loop %s#%d: %s", ref.Fn, ref.Stmt, msg)
+		}
+	}
+	return ""
+}
+
+// engineLeg runs entry once on each engine with every loop of prog
+// traced. It returns the tree-walker's values and error, which are the
+// oracle's, and the first disagreement of the VM with them, or "".
+func engineLeg(prog *source.Program, entry string, args func(*interp.Machine) []interp.Value) ([]interp.Value, string, error) {
+	r := recordTree(prog, entry, args)
+	return r.vals, r.checkVM(prog, entry, args), r.err
+}
+
+// compareRuns checks the run-wide observables of two runs for exact
+// equality: error text, values, virtual time and the profile maps.
+func compareRuns(an string, a runResult, bn string, b runResult) string {
+	if ae, be := errText(a.err), errText(b.err); ae != be {
+		return fmt.Sprintf("error mismatch: %s=%q %s=%q", an, ae, bn, be)
+	}
+	if len(a.vals) != len(b.vals) {
+		return fmt.Sprintf("%s returned %d values, %s %d", an, len(a.vals), bn, len(b.vals))
+	}
+	for i := range a.vals {
+		as, bs := interp.FormatValue(a.vals[i]), interp.FormatValue(b.vals[i])
+		if as != bs {
+			return fmt.Sprintf("value %d: %s=%s %s=%s", i, an, as, bn, bs)
+		}
+	}
+	if a.err != nil {
+		return "" // both failed identically; no profile to compare
+	}
+	ap, bp := a.prof, b.prof
+	if ap.Total != bp.Total {
+		return fmt.Sprintf("virtual time: %s=%d %s=%d", an, ap.Total, bn, bp.Total)
+	}
+	if len(ap.Incl) != len(bp.Incl) || len(ap.Self) != len(bp.Self) || len(ap.Count) != len(bp.Count) {
+		return fmt.Sprintf("profile sizes: %s incl/self/count=%d/%d/%d %s=%d/%d/%d",
+			an, len(ap.Incl), len(ap.Self), len(ap.Count), bn, len(bp.Incl), len(bp.Self), len(bp.Count))
+	}
+	for _, m := range []struct {
+		name string
+		a, b map[interp.Ref]uint64
+	}{{"incl", ap.Incl, bp.Incl}, {"self", ap.Self, bp.Self}, {"count", ap.Count, bp.Count}} {
+		for r, v := range m.a {
+			if w, ok := m.b[r]; !ok || w != v {
+				return fmt.Sprintf("%s[%s#%d]: %s=%d %s=%d", m.name, r.Fn, r.Stmt, an, v, bn, w)
+			}
+		}
+	}
+	return ""
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // AllLoopsDiff checks the all-loops profiling run that model creation
-// makes: entry runs once per engine with every loop of the program
-// traced at the same time. Both engines must deliver each loop the same
-// event stream and the same per-activation iteration counts, and each
-// loop's stream must equal the single-target trace of that loop — the
-// Profile.Mem and TargetIters of a run with Options.TargetLoop set to
-// it. The single-target runs use the VM; the engine leg already holds
-// them equal to the tree-walker's. It returns the first disagreement,
-// or "".
+// makes against untraced runs and the single-target runs it replaced.
+// entry runs once per engine with every loop of the program traced at
+// the same time, and the VM must agree with the tree-walker as in the
+// engine leg. Then entry runs on each engine untraced, and once with
+// each loop as Options.TargetLoop, and every such run must equal the
+// tree-walker's all-loops run: the same values, virtual time and
+// profile, and for a single-target run the loop's stream as
+// Profile.Mem and its last activation's iteration count as
+// TargetIters. It returns the first disagreement, or "".
 func AllLoopsDiff(prog *source.Program, entry string, args func(*interp.Machine) []interp.Value) string {
-	var refs []interp.Ref
-	for _, fn := range prog.Functions() {
-		for _, l := range fn.Loops() {
-			refs = append(refs, interp.Ref{Fn: fn.Name, Stmt: fn.StmtID(l)})
-		}
+	r := recordTree(prog, entry, args)
+	if msg := r.checkVM(prog, entry, args); msg != "" {
+		return "all loops: " + msg
 	}
-	tree, te := allLoopsRun(prog, entry, args, interp.EngineTree, refs)
-	vm, ve := allLoopsRun(prog, entry, args, interp.EngineVM, refs)
-	if te != ve {
-		return fmt.Sprintf("all loops: error mismatch: tree=%q vm=%q", te, ve)
-	}
-	if te != "" {
+	if r.err != nil {
 		return "" // both failed identically; a failed run's trace is partial
 	}
-	for i, ref := range refs {
-		label := fmt.Sprintf("all loops, %s#%d", ref.Fn, ref.Stmt)
-		t, v := tree[i], vm[i]
-		if fmt.Sprint(t.leaves) != fmt.Sprint(v.leaves) {
-			return fmt.Sprintf("%s: iterations per activation: tree=%v vm=%v", label, t.leaves, v.leaves)
+	engines := []interp.Engine{interp.EngineTree, interp.EngineVM}
+	for _, eng := range engines {
+		untraced := runOn(interp.NewMachine(prog), entry, args, interp.Options{Engine: eng})
+		if msg := compareRuns("all-loops", r.runResult, "untraced", untraced); msg != "" {
+			return fmt.Sprintf("untraced %s run: %s", eng, msg)
 		}
-		if msg := diffMem("tree", t.mem, "vm", v.mem); msg != "" {
-			return label + ": " + msg
-		}
-		m := interp.NewMachine(prog)
-		_, prof, err := m.Run(entry, args(m), interp.Options{Engine: interp.EngineVM, TargetLoop: ref})
-		if err != nil {
-			return fmt.Sprintf("%s: single-target run failed: %v", label, err)
-		}
+	}
+	for i, ref := range r.refs {
+		rec := &r.loops[i]
 		last := 0
-		if n := len(v.leaves); n > 0 {
-			last = v.leaves[n-1]
+		if n := len(rec.leaves); n > 0 {
+			last = rec.leaves[n-1]
 		}
-		if last != prof.TargetIters {
-			return fmt.Sprintf("%s: last activation ran %d iterations, single-target TargetIters=%d", label, last, prof.TargetIters)
-		}
-		if msg := diffMem("all-loops", v.mem, "single-target", prof.Mem); msg != "" {
-			return label + ": " + msg
+		for _, eng := range engines {
+			label := fmt.Sprintf("%s#%d, single-target %s run", ref.Fn, ref.Stmt, eng)
+			single := runOn(interp.NewMachine(prog), entry, args, interp.Options{Engine: eng, TargetLoop: ref})
+			if msg := compareRuns("all-loops", r.runResult, "single-target", single); msg != "" {
+				return label + ": " + msg
+			}
+			if last != single.prof.TargetIters {
+				return fmt.Sprintf("%s: all-loops last activation ran %d iterations, TargetIters=%d", label, last, single.prof.TargetIters)
+			}
+			if msg := diffMem("all-loops", rec.mem, "single-target", single.prof.Mem); msg != "" {
+				return label + ": " + msg
+			}
 		}
 	}
 	return ""

@@ -60,10 +60,12 @@ func checkFaultLegs(p *Prog, cand *pattern.Candidate, fn *source.Function, loop 
 			st, ierrs, err := runPatternInj(p, cand, fn, loop, patName, cfg, inj)
 			ch <- outcome{st, ierrs, err}
 		}()
+		timer := time.NewTimer(opt.Timeout) // stopped at once, see runWithTimeout
+		defer timer.Stop()
 		select {
 		case o := <-ch:
 			return o, true
-		case <-time.After(opt.Timeout):
+		case <-timer.C:
 			return outcome{}, false
 		}
 	}

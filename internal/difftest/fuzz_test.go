@@ -46,12 +46,13 @@ func FuzzDifferentialPipeline(f *testing.F) {
 }
 
 // FuzzVMvsTreeWalker focuses exclusively on the engine differential:
-// generate a program, run it on the tree-walking interpreter and the
-// bytecode VM for every loop target and once with all loops traced
-// together, and crash on any disagreement in values, error text,
-// virtual time, profile or memory trace. Much
-// faster per input than the full pipeline targets, so it covers far
-// more of the generator space per fuzzing minute.
+// generate a program and run AllLoopsDiff on it — the engine leg's
+// all-loops run on the tree-walking interpreter and the bytecode VM,
+// then every loop as the single target on both — and crash on any
+// disagreement in values, error text, virtual time, profile, iteration
+// counts or memory trace. Much faster per input than the full pipeline
+// targets, so it covers far more of the generator space per fuzzing
+// minute. A divergence Check also sees is shrunk.
 // Run with: go test ./internal/difftest -fuzz FuzzVMvsTreeWalker
 func FuzzVMvsTreeWalker(f *testing.F) {
 	for i := int64(0); i < 8; i++ {
@@ -63,13 +64,10 @@ func FuzzVMvsTreeWalker(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated source does not parse: %v", err)
 		}
-		if msg := engineDiff(prog, int64(p.N)); msg != "" {
+		if msg := AllLoopsDiff(prog, "Kernel", kernelArgs(int64(p.N))); msg != "" {
 			small, d := Shrink(p, Options{Configs: 1}, 100)
 			t.Fatalf("engine divergence: %s\nshrunk reproducer (seed %d, %d loop lines):\n%s",
 				msg, small.Seed, small.LoopLines(), reproSource(small, d))
-		}
-		if msg := AllLoopsDiff(prog, "Kernel", kernelArgs(int64(p.N))); msg != "" {
-			t.Fatalf("engine divergence: %s\nprogram (seed %d):\n%s", msg, p.Seed, p.Render())
 		}
 	})
 }
