@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz faults chaos serve-chaos cachechaos fleet netchaos vm bench bench-interp bench-serve bench-cache lint eval study examples clean
+.PHONY: all build test race fuzz faults chaos serve-chaos cachechaos fleet netchaos vm bench lint eval study examples clean
 
 all: build test
 
@@ -49,40 +49,28 @@ chaos:
 # recover every acknowledged job exactly once on restart (finished
 # jobs restored from the WAL, interrupted searches resumed from their
 # journals); the WAL's record format survives a bit-flip/truncation
-# sweep at every offset; and the multi-tenant load smoke must hold the
-# fair-share gate under -race.
+# sweep at every offset; and under a 10-client hog every tenant must
+# finish jobs with max/min goodput <= 2.0
+# (TestServeTenantFairnessUnderSkew), all under -race.
 serve-chaos:
 	$(GO) test -race -count=1 -timeout 120s \
 		-run 'TrafficChaos|StoreRecovery|Quota429|TenantF|DurableCorruption|WALCorruptionEveryOffset|TornTail' \
 		./cmd/patty/ ./internal/store/ ./internal/jobs/ ./internal/durable/
-	$(GO) run -race ./cmd/patty servebench -smoke
 
 # cachechaos is the evaluation-store gate: a `patty serve -cache-dir`
 # process SIGKILLed mid-insert under two-tenant duplicate traffic must
 # recover the store on restart (torn tail truncated, corrupt segments
 # quarantined — never a wrong hit), answer a third tenant's duplicate
 # job byte-identically from the store, and converge the resubmitted
-# search to the same best as a cache-free run; plus the record-format
+# search to the same best as a cache-free run; every comment-perturbed
+# duplicate of a served tune job must hit the store
+# (TestServeJobMemoizationDuplicateTraffic); plus the record-format
 # and segment-recovery corruption sweeps, the canonical-hash invariance
 # suite, and the warm-vs-cold bit-identity gates, all under -race.
 cachechaos:
 	$(GO) test -race -count=1 -timeout 120s \
 		-run 'CacheChaos|WarmCache|DurableCorruption|SegmentCorruption|StoreOpenCorruption|ProgramHash|CacheResume|AnalyzeCache|CacheTable|JobCacheKey|CacheIdentity|ServeJobMemoization' \
 		./cmd/patty/ ./internal/evalcache/ ./internal/fleet/ ./internal/obs/ ./internal/report/ ./internal/durable/
-
-# bench-serve refreshes BENCH_serve.json: the skewed multi-tenant load
-# harness (one hog tenant at 10x concurrency) against an in-process
-# `patty serve`, failing if max/min per-tenant goodput exceeds 2.0.
-bench-serve:
-	$(GO) run ./cmd/patty servebench -o BENCH_serve.json
-
-# bench-cache refreshes BENCH_cache.json: the duplicate-resubmission
-# leg — a skewed tenant mix resubmits comment-perturbed copies of
-# previously-answered programs against a `patty serve` with an
-# evaluation store, failing unless every duplicate hits; the artifact
-# records the hit rate and the cold-vs-cached p50/p99 latency delta.
-bench-cache:
-	$(GO) run ./cmd/patty servebench -dup -cache-o BENCH_cache.json
 
 # fleet is the distributed-tuning gate: the coordinator/worker suite
 # under -race — shard partitioning, lease expiry, work stealing,
@@ -132,12 +120,6 @@ lint:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x .
 	$(GO) test -bench 'BenchmarkEngine' -benchmem -benchtime 1x ./internal/interp/
-
-# bench-interp refreshes BENCH_interp.json: corpus throughput on the
-# bytecode VM vs the tree-walking reference, failing below the 10x
-# speedup gate.
-bench-interp:
-	$(GO) run ./cmd/patty interpbench -o BENCH_interp.json
 
 eval:
 	$(GO) run ./cmd/patty eval

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -189,5 +191,51 @@ func TestServeJobMemoization(t *testing.T) {
 	raw, ok = res.(json.RawMessage)
 	if !ok || string(raw) != string(want) {
 		t.Fatalf("post-restart answer diverged: %v", res)
+	}
+}
+
+// TestServeJobMemoizationDuplicateTraffic is the duplicate-traffic
+// leg of the cache gate: after a cold pass of three corpus tune jobs,
+// t1, t2 and a hog resubmit each program five times over HTTP with a
+// comment appended, so only the canonical program hash can match
+// them. Every one of the 15 duplicates must be answered by the store.
+func TestServeJobMemoizationDuplicateTraffic(t *testing.T) {
+	c := obs.New()
+	cache, err := evalcache.Open(filepath.Join(t.TempDir(), "cas"), evalcache.Options{Collector: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.Close() })
+	srv, ts := newTestServer(t, jobs.Options{Workers: 4, QueueDepth: 64, Collector: c})
+	srv.cache = cache
+
+	programs := corpus.All()[:3]
+	submit := func(tenant string, i int, src string) {
+		t.Helper()
+		// cores varies per program, so each cold job is cold at the
+		// evaluation level too.
+		body, _ := json.Marshal(map[string]any{
+			"kind": "tune", "algo": "linear", "budget": 120, "cores": 4 + i,
+			"sources": map[string]string{programs[i].Name + ".go": src},
+		})
+		id, code := postJobTenant(t, ts.URL, tenant, string(body))
+		if code != http.StatusAccepted {
+			t.Fatalf("%s %s: HTTP %d", tenant, programs[i].Name, code)
+		}
+		waitJobDone(t, ts.URL, id)
+	}
+	for i, p := range programs {
+		submit("t1", i, p.Source)
+	}
+	cold := cache.Stats().Hits
+	dups := 0
+	for i, p := range programs {
+		for k, tenant := range []string{"t1", "t2", "hog", "hog", "hog"} {
+			submit(tenant, i, p.Source+fmt.Sprintf("\n// resubmission %d by %s\n", k, tenant))
+			dups++
+		}
+	}
+	if hits := cache.Stats().Hits - cold; hits != int64(dups) {
+		t.Fatalf("%d store hits for %d duplicates, want one each", hits, dups)
 	}
 }

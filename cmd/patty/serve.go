@@ -250,9 +250,9 @@ func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
 			return study.Run(seed, outcome), nil
 		}, ckpt, nil
 	case "bench":
-		// A calibrated sleep job: the servebench load harness measures
-		// queueing and fairness with it, without dragging tuner cost
-		// variance into the latency numbers. Honors cancellation.
+		// A calibrated sleep job: the serve, chaos and fairness tests
+		// load the queue with it, without dragging tuner cost variance
+		// into their timing. Honors cancellation.
 		sleep := time.Duration(req.SleepMs) * time.Millisecond
 		if sleep < 0 {
 			return nil, "", fmt.Errorf("sleep_ms must be >= 0")

@@ -3,9 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -224,6 +226,105 @@ func TestServeQuota429AndTenantFilter(t *testing.T) {
 	if got := strings.TrimSpace(string(body[:n])); got != "[]" {
 		t.Fatalf("empty filter body = %q, want []", got)
 	}
+}
+
+// TestServeTenantFairnessUnderSkew is the fair-share gate: three
+// tenants with two closed-loop clients each and a hog with ten share
+// four workers at equal weights for 800 ms. The dispatcher, not the
+// offered load, must set goodput: every tenant finishes jobs, and the
+// max/min per-tenant goodput that /statusz reports stays within 2.0.
+func TestServeTenantFairnessUnderSkew(t *testing.T) {
+	c := obs.New()
+	_, ts := newTestServer(t, jobs.Options{
+		Workers: 4, QueueDepth: 64, Collector: c,
+		TenantRate: 300, TenantBurst: 16,
+	})
+	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}}
+	defer hc.CloseIdleConnections()
+	clients := map[string]int{"t1": 2, "t2": 2, "t3": 2, "hog": 10}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 800*time.Millisecond)
+	defer cancel()
+	var wg sync.WaitGroup
+	for tenant, n := range clients {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := benchClient(ctx, hc, ts.URL, tenant); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+
+	ths := obs.AnalyzeTenants(c.Snapshot())
+	for _, th := range ths {
+		t.Logf("%-4s %2d client(s): %4d done, %d x 429, %d x 503",
+			th.Tenant, clients[th.Tenant], th.Goodput(), th.QuotaDenied, th.Shed)
+		if th.Goodput() == 0 {
+			t.Errorf("tenant %s finished no job", th.Tenant)
+		}
+	}
+	if len(ths) != len(clients) {
+		t.Fatalf("digest covers %d tenants, want %d", len(ths), len(clients))
+	}
+	if ratio := obs.FairnessRatio(ths); ratio > 2.0 {
+		t.Fatalf("fairness: max/min goodput %.2f > 2.0", ratio)
+	}
+}
+
+// benchClient is one closed-loop client: it submits a 5 ms bench job as
+// tenant, waits for it, and repeats until ctx ends; a refused
+// submission (429 or 503) retries after a millisecond.
+func benchClient(ctx context.Context, hc *http.Client, base, tenant string) error {
+	for ctx.Err() == nil {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/jobs",
+			strings.NewReader(`{"kind":"bench","sleep_ms":5}`))
+		if err != nil {
+			return err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Tenant", tenant)
+		resp, err := hc.Do(req)
+		if err != nil {
+			return ignoreDeadline(ctx, err)
+		}
+		var out struct {
+			ID string `json:"id"`
+		}
+		json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusAccepted:
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/jobs/"+out.ID+"?wait=1", nil)
+			if err != nil {
+				return err
+			}
+			resp, err := hc.Do(req)
+			if err != nil {
+				return ignoreDeadline(ctx, err)
+			}
+			resp.Body.Close()
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			select {
+			case <-ctx.Done():
+			case <-time.After(time.Millisecond):
+			}
+		default:
+			return fmt.Errorf("tenant %s: submit: HTTP %d", tenant, resp.StatusCode)
+		}
+	}
+	return nil
+}
+
+// ignoreDeadline drops a request error caused by ctx ending mid-request.
+func ignoreDeadline(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return nil
+	}
+	return err
 }
 
 // TestServeStoreRecoveryInProcess is the unit-level half of the chaos

@@ -12,69 +12,86 @@ import (
 	"testing"
 )
 
-// TestMakefileGatesSelectTests keeps the Make gates honest: every
-// `$(GO) test … -run '<re>' <pkgs>` line must select at least one Test
-// or Fuzz function in each package it lists (a `/...` pattern counts
-// as one package, the union of its tree), so renaming or deleting a
-// test cannot silently drop it out of its gate. With -fuzz the fuzz
-// pattern is the selector instead, since -run '^$' deliberately runs
-// nothing. Test names come from go/parser over the *_test.go files; no
-// go command runs.
+// TestMakefileGatesSelectTests keeps the gates honest: every
+// `go test` line of the Makefile and of the CI workflow that names a
+// -run, -fuzz or -bench pattern must select at least one matching Test,
+// Fuzz or Benchmark function in each package it lists (a `/...`
+// pattern counts as one package, the union of its tree), so renaming
+// or deleting a test cannot silently drop it out of its gate. A -run
+// '^$' deliberately runs no test and is not checked; `go -C bench …`
+// lines are skipped, because bench/ is a module of its own. Function
+// names come from go/parser over the *_test.go files; no go command
+// runs.
 func TestMakefileGatesSelectTests(t *testing.T) {
-	raw, err := os.ReadFile("Makefile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := strings.ReplaceAll(string(raw), "\\\n", " ")
-	text = strings.ReplaceAll(text, "$$", "$")
-	lines := 0
-	for _, line := range strings.Split(text, "\n") {
-		args := shellWords(line)
-		if len(args) < 2 || args[0] != "$(GO)" || args[1] != "test" {
-			continue
-		}
-		var run, fuzz string
-		var pkgs []string
-		for i, a := range args {
-			switch {
-			case a == "-run" && i+1 < len(args):
-				run = args[i+1]
-			case a == "-fuzz" && i+1 < len(args):
-				fuzz = args[i+1]
-			case a == "." || strings.HasPrefix(a, "./"):
-				pkgs = append(pkgs, a)
-			}
-		}
-		pattern, prefixes := run, []string{"Test", "Fuzz"}
-		if fuzz != "" {
-			pattern, prefixes = fuzz, []string{"Fuzz"}
-		}
-		if pattern == "" {
-			continue // runs every test of its packages
-		}
-		lines++
-		// -run matches subtests level by level; the gate names top-level
-		// functions with the first level.
-		top, _, _ := strings.Cut(pattern, "/")
-		re, err := regexp.Compile(top)
+	for _, file := range []string{"Makefile", ".github/workflows/ci.yml"} {
+		raw, err := os.ReadFile(file)
 		if err != nil {
-			t.Fatalf("Makefile: %q: %v", pattern, err)
+			t.Fatal(err)
 		}
-		for _, pkg := range pkgs {
-			n := 0
-			for _, name := range testFuncs(t, pkg, prefixes) {
-				if re.MatchString(name) {
-					n++
+		text := strings.ReplaceAll(string(raw), "\\\n", " ")
+		text = strings.ReplaceAll(text, "$$", "$")
+		selectors := 0
+		for _, line := range strings.Split(text, "\n") {
+			args := shellWords(strings.TrimPrefix(strings.TrimSpace(line), "run:"))
+			if len(args) < 2 || (args[0] != "$(GO)" && args[0] != "go") || args[1] != "test" {
+				continue
+			}
+			type selector struct {
+				flag, pattern string
+				prefixes      []string
+			}
+			var sels []selector
+			var pkgs []string
+			for i := 2; i < len(args); i++ {
+				flag, val, inline := strings.Cut(args[i], "=")
+				if !inline && i+1 < len(args) {
+					val = args[i+1]
+				}
+				switch flag {
+				case "-run":
+					if val != "^$" {
+						sels = append(sels, selector{flag, val, []string{"Test", "Fuzz"}})
+					}
+				case "-fuzz":
+					sels = append(sels, selector{flag, val, []string{"Fuzz"}})
+				case "-bench":
+					sels = append(sels, selector{flag, val, []string{"Benchmark"}})
+				default:
+					if flag == "." || strings.HasPrefix(flag, "./") {
+						pkgs = append(pkgs, flag)
+					}
+					continue
+				}
+				if !inline {
+					i++ // the flag's value is the next word
 				}
 			}
-			if n == 0 {
-				t.Errorf("Makefile: -run/-fuzz %q selects no test in %s", pattern, pkg)
+			for _, sel := range sels {
+				selectors++
+				// -run and -bench match subtests level by level; the gate
+				// names top-level functions with the first level.
+				top, _, _ := strings.Cut(sel.pattern, "/")
+				re, err := regexp.Compile(top)
+				if err != nil {
+					t.Fatalf("%s: %q: %v", file, sel.pattern, err)
+				}
+				for _, pkg := range pkgs {
+					n := 0
+					for _, name := range testFuncs(t, pkg, sel.prefixes) {
+						if re.MatchString(name) {
+							n++
+						}
+					}
+					if n == 0 {
+						t.Errorf("%s: %s %q selects nothing in %s", file, sel.flag, sel.pattern, pkg)
+					}
+					t.Logf("%-24s %-6s %-60.60s %-22s %d", file, sel.flag, sel.pattern, pkg, n)
+				}
 			}
-			t.Logf("%-60.60s %-22s %d", pattern, pkg, n)
 		}
-	}
-	if lines == 0 {
-		t.Fatal("Makefile: no `$(GO) test -run` lines found")
+		if selectors == 0 {
+			t.Fatalf("%s: no `go test` line with a -run, -fuzz or -bench pattern", file)
+		}
 	}
 }
 

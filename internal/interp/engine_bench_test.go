@@ -10,8 +10,7 @@ import (
 // benchCorpus runs one full pass over every corpus program per
 // iteration on the given engine. The Machines are built (and for the
 // VM, compiled) outside the timed region, so the ratio between the two
-// benchmarks is the pure interpretation speedup; `patty interpbench`
-// asserts the same ratio from the CLI.
+// benchmarks is the pure interpretation speedup.
 func benchCorpus(b *testing.B, eng interp.Engine) {
 	type loadedProg struct {
 		p *corpus.Program

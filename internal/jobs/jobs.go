@@ -556,12 +556,14 @@ func (s *Service) finish(j *job, res any, err error) {
 }
 
 // finalizeUnstarted finalizes a job that never reached the queue or
-// was canceled while queued, journaling the terminal record.
-func (s *Service) finalizeUnstarted(j *job, tn *tenantState, reason string) {
+// was canceled while queued, journaling the terminal record. It
+// reports false, and leaves the job alone, once a worker has started
+// it or it has finished.
+func (s *Service) finalizeUnstarted(j *job, tn *tenantState, reason string) bool {
 	j.mu.Lock()
-	if j.info.Status.Finished() {
+	if j.info.Status != StatusQueued {
 		j.mu.Unlock()
-		return
+		return false
 	}
 	j.info.Status = StatusCanceled
 	j.info.Error = reason
@@ -578,6 +580,7 @@ func (s *Service) finalizeUnstarted(j *job, tn *tenantState, reason string) {
 	s.latency.Record(info.Finished.Sub(info.Submitted).Nanoseconds())
 	tn.mLatency.Record(info.Finished.Sub(info.Submitted).Nanoseconds())
 	close(j.done)
+	return true
 }
 
 // lookup fetches a job by id.
@@ -625,22 +628,22 @@ func (s *Service) Cancel(id string) error {
 		return err
 	}
 	j.mu.Lock()
-	switch {
-	case j.info.Status == StatusQueued:
-		tenant := j.info.Tenant
-		j.mu.Unlock()
+	status, tenant := j.info.Status, j.info.Tenant
+	j.mu.Unlock()
+	if status == StatusQueued {
 		s.mu.Lock()
 		tn := s.tenantLocked(tenant)
 		s.mu.Unlock()
-		s.finalizeUnstarted(j, tn, "canceled while queued")
-	case j.info.Status == StatusRunning:
-		cancel := j.cancel
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
+		if s.finalizeUnstarted(j, tn, "canceled while queued") {
+			return nil
 		}
-	default:
-		j.mu.Unlock()
+		// A worker started the job after the status read: cancel the run.
+	}
+	j.mu.Lock()
+	cancel := j.cancel
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel()
 	}
 	return nil
 }

@@ -355,6 +355,55 @@ func TestStormSubmitCancelDrain(t *testing.T) {
 	}
 }
 
+// TestCancelQueuedNeverRuns races Cancel against dispatch: every job is
+// canceled right after admission, while idle workers are picking it up.
+// A job reported "canceled while queued" must never have invoked its
+// runner, and a job a worker started first must still leave the running
+// gauge balanced once the service drains.
+func TestCancelQueuedNeverRuns(t *testing.T) {
+	defer leakCheck(t)()
+	for round := 0; round < 30; round++ {
+		c := obs.New()
+		s := New(Options{Workers: 4, QueueDepth: 800, Collector: c})
+		var mu sync.Mutex
+		ran := map[string]bool{}
+		var ids []string
+		for i := 0; i < 800; i++ {
+			var id string
+			mu.Lock()
+			id, err := s.Submit("probe", func(ctx context.Context) (any, error) {
+				mu.Lock()
+				ran[id] = true
+				mu.Unlock()
+				return nil, nil
+			})
+			mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+			if err := s.Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := s.Drain(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("round %d: drain: %v", round, err)
+		}
+		for _, id := range ids {
+			info, _ := s.Status(id)
+			if info.Error == "canceled while queued" && ran[id] {
+				t.Fatalf("round %d: job %s reported %q but its runner ran", round, id, info.Error)
+			}
+		}
+		if g := c.Snapshot().Gauges["jobs.running"]; g != 0 {
+			t.Fatalf("round %d: running gauge = %d after drain", round, g)
+		}
+	}
+}
+
 // TestCloseIdempotent: Close after Drain, and double Close, are no-ops.
 func TestCloseIdempotent(t *testing.T) {
 	defer leakCheck(t)()
