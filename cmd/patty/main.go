@@ -36,7 +36,6 @@ import (
 	"patty/internal/pattern"
 	"patty/internal/perfmodel"
 	"patty/internal/report"
-	"patty/internal/sched"
 	"patty/internal/study"
 )
 
@@ -307,9 +306,8 @@ func cmdTransform(args []string) error {
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	corpusName := fs.String("corpus", "", "verify a corpus benchmark")
-	def := patty.ValidateOptions()
-	bound := fs.Int("bound", def.PreemptionBound, "preemption bound of an unreduced search (-1: exhaustive search under partial-order reduction)")
-	maxSched := fs.Int("max-schedules", def.MaxSchedules, "schedule budget per test")
+	opt := patty.ValidateOptions()
+	fs.IntVar(&opt.MaxSchedules, "max-schedules", opt.MaxSchedules, "schedule budget per test")
 	fs.Parse(args)
 	srcs, workload, err := loadSources(*corpusName, fs.Args())
 	if err != nil {
@@ -319,7 +317,7 @@ func cmdVerify(args []string) error {
 	if _, err := p.Run(); err != nil {
 		return err
 	}
-	results, err := p.Validate(sched.Options{PreemptionBound: *bound, MaxSchedules: *maxSched})
+	results, err := p.Validate(opt)
 	if err != nil {
 		return err
 	}
@@ -330,9 +328,13 @@ func cmdVerify(args []string) error {
 			status = "BUGGY"
 			buggy++
 		}
-		fmt.Printf("%-6s %-40s %d schedules, %d races, %d deadlocks, %d failures\n",
+		capped := ""
+		if r.Result.Truncated {
+			capped = " (stopped at cap)"
+		}
+		fmt.Printf("%-6s %-40s %d schedules, %d races, %d deadlocks, %d failures%s\n",
 			status, r.Test.Name, r.Result.Schedules,
-			len(r.Result.Races), len(r.Result.Deadlocks), len(r.Result.Failures))
+			len(r.Result.Races), len(r.Result.Deadlocks), len(r.Result.Failures), capped)
 		for _, race := range r.Result.Races {
 			fmt.Printf("       race: %s\n", race)
 		}

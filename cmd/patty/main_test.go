@@ -220,7 +220,7 @@ func TestCmdVerifyCleanCorpus(t *testing.T) {
 		t.Skip("slow: full model + exploration")
 	}
 	out, err := capture(t, func() error {
-		return cmdVerify([]string{"-corpus", "video", "-bound", "2", "-max-schedules", "1500"})
+		return cmdVerify([]string{"-corpus", "video", "-max-schedules", "1500"})
 	})
 	if err != nil {
 		t.Fatalf("verify failed: %v\n%s", err, out)
@@ -230,20 +230,22 @@ func TestCmdVerifyCleanCorpus(t *testing.T) {
 	}
 }
 
-// TestCmdVerifyDefaultsToValidate: without -bound, verify runs
-// patty.Validate's reduced exhaustive search, which covers the indexer
-// pipeline's whole trace space in 744 runs; -bound 2 still runs the
-// bounded search, which stops at the schedule cap.
+// TestCmdVerifyDefaultsToValidate: verify runs patty.Validate's
+// reduced exhaustive search, which covers the indexer pipeline's whole
+// trace space in 744 runs; a smaller -max-schedules stops it at the
+// cap, and the report says so.
 func TestCmdVerifyDefaultsToValidate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow: full model + exploration")
 	}
+	const capped = "(stopped at cap)"
 	for _, tc := range []struct {
-		args []string
-		want string
+		args   []string
+		want   string
+		capped bool
 	}{
-		{[]string{"-corpus", "indexer"}, " 744 schedules"},
-		{[]string{"-corpus", "indexer", "-bound", "2", "-max-schedules", "800"}, " 800 schedules"},
+		{[]string{"-corpus", "indexer"}, " 744 schedules", false},
+		{[]string{"-corpus", "indexer", "-max-schedules", "500"}, " 500 schedules", true},
 	} {
 		out, err := capture(t, func() error { return cmdVerify(tc.args) })
 		if err != nil {
@@ -251,6 +253,9 @@ func TestCmdVerifyDefaultsToValidate(t *testing.T) {
 		}
 		if !strings.Contains(out, tc.want) {
 			t.Errorf("verify %v: want %q in\n%s", tc.args, tc.want, out)
+		}
+		if got := strings.Contains(out, capped); got != tc.capped {
+			t.Errorf("verify %v: %q shown = %v, want %v in\n%s", tc.args, capped, got, tc.capped, out)
 		}
 	}
 }

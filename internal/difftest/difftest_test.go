@@ -82,13 +82,13 @@ func reproSource(p *Prog, d *Divergence) string {
 }
 
 // TestDifferentialSched runs the scheduler leg on a few small
-// instances: the generated parallel unit tests must survive bounded
-// CHESS-style exploration.
+// instances: the generated parallel unit tests must survive the
+// reduced schedule search.
 func TestDifferentialSched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sched exploration is slow under -short")
 	}
-	sum := Run(2, 15, Options{Configs: 1, Sched: true, SchedMax: 80}, func(msg string) { t.Log(msg) })
+	sum := Run(2, 15, Options{Configs: 1, Sched: true}, func(msg string) { t.Log(msg) })
 	if len(sum.Divergences) > 0 {
 		t.Fatalf("%d/15 programs diverged under schedule exploration; first: %s",
 			len(sum.Divergences), sum.Divergences[0].Div)
@@ -154,7 +154,7 @@ func regressionSeeds(t *testing.T) []regressionSeed {
 func TestRegressionSeeds(t *testing.T) {
 	for _, rs := range regressionSeeds(t) {
 		p := Generate(rs.seed, GenOptions{})
-		res := Check(p, Options{Configs: 3, Sched: !testing.Short(), SchedMax: 100, Faults: rs.faults})
+		res := Check(p, Options{Configs: 3, Sched: !testing.Short(), Faults: rs.faults})
 		if res.Div != nil {
 			t.Errorf("regression seed %d: %s", rs.seed, res.Div)
 		}
@@ -213,6 +213,41 @@ func TestMutationCaught(t *testing.T) {
 	if caught == 0 {
 		t.Fatal("mutation testing found zero divergences: the harness validates nothing")
 	}
+}
+
+// TestSchedLegCatchesForgottenReduction proves the schedule leg can
+// catch a bug on its own: with the reductions forgotten after code
+// transformation, the generated unit test treats each accumulator as
+// shared, while the transformed code and the verdict stay correct. Every
+// divergence must come from the schedule leg, and each caught seed
+// must shrink to a small reproducer.
+func TestSchedLegCatchesForgottenReduction(t *testing.T) {
+	opt := Options{Configs: 1, Sched: true, Mut: MutForgetReductions}
+	caught := 0
+	for s := int64(0); s < 15; s++ {
+		p := Generate(s, GenOptions{Shape: ShapeForall})
+		res := Check(p, opt)
+		if res.Div == nil {
+			continue
+		}
+		caught++
+		if res.Div.Kind != "sched" {
+			t.Errorf("seed %d: divergence kind %q, want sched: %s", s, res.Div.Kind, res.Div)
+			continue
+		}
+		small, d := Shrink(p, opt, 0)
+		if d == nil || d.Kind != "sched" {
+			t.Errorf("seed %d: shrink lost the sched divergence (got %v)", s, d)
+			continue
+		}
+		if got := small.LoopLines(); got > 10 {
+			t.Errorf("seed %d: shrunk reproducer has %d loop lines, want <= 10:\n%s", s, got, small.Render())
+		}
+	}
+	if caught < 5 {
+		t.Fatalf("schedule leg caught %d of 15 forgotten-reduction seeds, want >= 5", caught)
+	}
+	t.Logf("schedule leg caught %d of 15 seeds", caught)
 }
 
 // TestMutationShrinks: a caught mutation must delta-debug down to a

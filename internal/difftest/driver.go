@@ -33,7 +33,16 @@ const (
 	// static-only model (the dynamic refinement would re-observe the
 	// dependences this mutation is supposed to hide).
 	MutIgnoreCarried
+	// MutForgetReductions clears every loop's recognized reductions
+	// after code transformation, before the parallel unit test is
+	// generated: the unit test then treats the accumulator as shared.
+	// The transformed code and the verdict are untouched, so only the
+	// schedule leg can catch it.
+	MutForgetReductions
 )
+
+// schedMax bounds the schedule leg's exploration.
+const schedMax = 200
 
 // Options tunes one differential check.
 type Options struct {
@@ -46,8 +55,6 @@ type Options struct {
 	// Sched additionally explores the candidate's generated parallel
 	// unit test under the CHESS-style scheduler.
 	Sched bool
-	// SchedMax bounds the exploration (default 200 schedules).
-	SchedMax int
 	// Mut optionally breaks a detector rule (see Mutation).
 	Mut Mutation
 	// Timeout bounds each parallel execution; expiry is reported as a
@@ -70,13 +77,10 @@ func (o Options) withDefaults() Options {
 	if o.Configs <= 0 {
 		o.Configs = 3
 	}
-	if o.SchedMax <= 0 {
-		o.SchedMax = 200
-	}
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Second
 	}
-	if o.Mut != MutNone {
+	if o.Mut == MutIgnoreCarried {
 		o.Static = true
 	}
 	if o.Faults {
@@ -159,11 +163,8 @@ func runWithTimeout(p *Prog, cand *pattern.Candidate, fn *source.Function, loop 
 	}
 }
 
-// mutateModel applies the configured detector mutation to the model.
-func mutateModel(m *model.Model, mut Mutation) {
-	if mut != MutIgnoreCarried {
-		return
-	}
+// ignoreCarried applies MutIgnoreCarried to the model.
+func ignoreCarried(m *model.Model) {
 	for _, lm := range m.AllLoops() {
 		li := lm.Static
 		kept := li.Deps[:0]
@@ -301,8 +302,8 @@ func Check(p *Prog, opt Options) *Result {
 	if err := proc.CreateModel(); err != nil {
 		return div("phase", "model creation failed: %v", err)
 	}
-	if opt.Mut != MutNone {
-		mutateModel(proc.Artifacts().Model, opt.Mut)
+	if opt.Mut == MutIgnoreCarried {
+		ignoreCarried(proc.Artifacts().Model)
 	}
 	if err := proc.AnalyzePatterns(); err != nil {
 		return div("phase", "pattern analysis failed: %v", err)
@@ -314,6 +315,11 @@ func Check(p *Prog, opt Options) *Result {
 		return div("phase", "code transform failed: %v", err)
 	}
 	arts := proc.Artifacts()
+	if opt.Mut == MutForgetReductions {
+		for _, lm := range arts.Model.AllLoops() {
+			lm.Static.Reductions = nil
+		}
+	}
 
 	// The target loop is the last loop of Kernel (prologue fills come
 	// first in source order).
@@ -424,10 +430,7 @@ func Check(p *Prog, opt Options) *Result {
 	// and soundly, for this workload — ignored.
 	if opt.Sched && p.HasCarried() == carried {
 		if ut, err := ptest.Generate(arts.Model, *cand, ptest.Options{Threads: 2, Iters: 3}); err == nil {
-			sr := ut.Run(sched.Options{
-				MaxSchedules: opt.SchedMax, PreemptionBound: 2,
-				StopAtFirstBug: true, Seed: p.Seed,
-			})
+			sr := ut.Run(sched.Options{MaxSchedules: schedMax, PreemptionBound: -1, StopAtFirstBug: true})
 			if sr.Buggy() {
 				return div("sched", "schedule exploration: %d race(s), %d deadlock(s), %d failure(s)",
 					len(sr.Races), len(sr.Deadlocks), len(sr.Failures))

@@ -23,15 +23,13 @@ var update = flag.Bool("update", false, "rewrite testdata/explore_corpus.golden"
 // goldenOptions are the exploration settings the bit-identity gate
 // pins: the bounded search patty.Validate used before partial-order
 // reduction, the full search (a preemption bound no run reaches)
-// capped by MaxSchedules, seeded random walks, and the reduced search
-// patty.Validate uses.
+// capped by MaxSchedules, and the reduced search patty.Validate uses.
 var goldenOptions = []struct {
 	name string
 	opt  sched.Options
 }{
 	{"bounded", sched.Options{PreemptionBound: 2, MaxSchedules: 5000}},
 	{"unbounded", sched.Options{PreemptionBound: math.MaxInt, MaxSchedules: 3000}},
-	{"random", sched.Options{RandomWalks: 200, Seed: 7}},
 	{"reduced", patty.ValidateOptions()},
 }
 

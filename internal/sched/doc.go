@@ -17,11 +17,13 @@
 //     when it is chosen again, and hands the baton to the chosen
 //     thread with one channel send otherwise.
 //   - Explore performs a depth-first search over scheduling decisions,
-//     re-executing the program once per interleaving, with optional
-//     preemption bounding (CHESS's key scalability insight: most bugs
-//     surface within <= 2 preemptions) or, for the unbounded search,
-//     partial-order reduction, which runs one interleaving per
-//     Mazurkiewicz trace (por.go).
+//     re-executing the program once per interleaving. The unbounded
+//     search, which every production caller runs, is pruned by
+//     partial-order reduction to one interleaving per Mazurkiewicz
+//     trace (por.go). Preemption bounding (CHESS's key scalability
+//     insight: most bugs surface within <= 2 preemptions) gives an
+//     unreduced search that tests and the E10 bound table use as a
+//     reference.
 //   - A vector-clock happens-before detector (Djit+-style) flags data
 //     races on Vars even in interleavings where the race happens to be
 //     benign, and the engine additionally reports deadlocks and

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Options configures an exploration.
 type Options struct {
@@ -23,12 +20,7 @@ type Options struct {
 	// StopAtFirstBug ends the exploration as soon as any race,
 	// deadlock or failure is recorded.
 	StopAtFirstBug bool
-	// RandomWalks switches from systematic DFS to sampling: that many
-	// schedules are drawn by choosing uniformly among enabled threads
-	// at every step (a PCT-style randomized search for spaces too
-	// large to enumerate). Exhausted is never reported in this mode.
-	RandomWalks int
-	// Seed makes random walks reproducible (0 means seed 1).
+	// Seed has no effect: every search is deterministic.
 	Seed int64
 }
 
@@ -118,7 +110,6 @@ func sigOf(tid int, req *request) opSig {
 // run reuses.
 type explorer struct {
 	opt   Options
-	rng   *rand.Rand // non-nil: random-walk sampling instead of DFS
 	stack []decision
 	// prevOps is the operation log of the previous run; steps below
 	// replayLimit are a replayed prefix and must match it exactly.
@@ -131,7 +122,7 @@ type explorer struct {
 	// the trace buffer
 	enabled, cands, trace []int
 	// por is the partial-order reduction state of an unbounded DFS,
-	// nil for a bounded search or random walks.
+	// nil for a bounded search.
 	por *por
 }
 
@@ -149,15 +140,8 @@ func newExplorer(opt Options) *explorer {
 		opt.MaxSchedules = DefaultMaxSchedules
 	}
 	e := &explorer{opt: opt, raceSeen: make(map[raceKey]bool)}
-	if opt.PreemptionBound < 0 && opt.RandomWalks <= 0 {
+	if opt.PreemptionBound < 0 {
 		e.por = newPOR()
-	}
-	if opt.RandomWalks > 0 {
-		seed := opt.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		e.rng = rand.New(rand.NewSource(seed))
 	}
 	return e
 }
@@ -193,12 +177,6 @@ func (e *explorer) run(body func(*World)) Result {
 		if res.Schedules >= opt.MaxSchedules {
 			res.Truncated = true
 			return res
-		}
-		if e.rng != nil {
-			if res.Schedules >= opt.RandomWalks {
-				return res // sampling cannot prove exhaustion
-			}
-			continue
 		}
 		if !e.advance() {
 			res.Exhausted = true
@@ -289,7 +267,7 @@ func (e *explorer) runOnce(body func(*World)) *execution {
 	// A deterministic program replays the entire decision prefix the
 	// explorer is following; ending a run before the stack is consumed
 	// means the program changed behaviour between runs.
-	if e.rng == nil && !ex.nondet && ex.branch < len(e.stack) {
+	if !ex.nondet && ex.branch < len(e.stack) {
 		ex.nondet = true
 		ex.fail("nondeterministic replay: run ended after %d branch points, expected %d", ex.branch, len(e.stack))
 	}
@@ -390,9 +368,6 @@ func (ex *execution) choose(enabled []int) int {
 	e.cands = orderCands(cands, ex.lastTid)
 	cands = e.cands
 
-	if e.rng != nil {
-		return cands[e.rng.Intn(len(cands))]
-	}
 	if len(cands) == 1 {
 		return cands[0]
 	}

@@ -224,33 +224,6 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 			want: truncatedAt(3),
 		},
 		{
-			name: "random-walks",
-			opt:  sched.Options{RandomWalks: 20, Seed: 3},
-			body: func() func(*sched.World) {
-				return func(w *sched.World) {
-					ch := w.Chan("ch", 1)
-					w.Spawn("producer", func(ctx *sched.Context) {
-						ctx.Send(ch, 1)
-						ctx.Send(ch, 2)
-						ctx.Close(ch)
-					})
-					w.Spawn("consumer", func(ctx *sched.Context) {
-						for {
-							if _, ok := ctx.Recv(ch); !ok {
-								return
-							}
-						}
-					})
-				}
-			},
-			want: func(r sched.Result) error {
-				if r.Schedules != 20 || r.Buggy() {
-					return fmt.Errorf("want 20 clean random walks")
-				}
-				return nil
-			},
-		},
-		{
 			name: "reduced-deadlock",
 			opt:  reduced,
 			body: lockInversion,

@@ -492,56 +492,3 @@ func TestYieldAndNames(t *testing.T) {
 		t.Fatalf("unexpected %+v", res)
 	}
 }
-
-func TestRandomWalkSampling(t *testing.T) {
-	// A space too large to enumerate cheaply: 4 threads x 4 ops.
-	body := func(w *World) {
-		c := w.Var("c", 0)
-		for i := 0; i < 4; i++ {
-			w.Spawn(fmt.Sprintf("t%d", i), func(ctx *Context) {
-				ctx.Add(c, 1)
-				ctx.Add(c, 1)
-			})
-		}
-	}
-	res := Explore(Options{RandomWalks: 50, Seed: 3, PreemptionBound: -1}, body)
-	if res.Schedules != 50 {
-		t.Fatalf("Schedules = %d, want 50 walks", res.Schedules)
-	}
-	if res.Exhausted {
-		t.Fatal("sampling must never claim exhaustion")
-	}
-	if len(res.Races) == 0 {
-		t.Fatal("random walks should stumble onto the counter race")
-	}
-}
-
-func TestRandomWalkDeterministicPerSeed(t *testing.T) {
-	body := func(w *World) {
-		x := w.Var("x", 0)
-		w.Spawn("a", func(ctx *Context) { ctx.Add(x, 1) })
-		w.Spawn("b", func(ctx *Context) { ctx.Add(x, 2) })
-	}
-	a := Explore(Options{RandomWalks: 20, Seed: 9}, body)
-	b := Explore(Options{RandomWalks: 20, Seed: 9}, body)
-	if len(a.Races) != len(b.Races) || a.Schedules != b.Schedules {
-		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
-	}
-}
-
-func TestRandomWalkCleanProgramStaysClean(t *testing.T) {
-	res := Explore(Options{RandomWalks: 60, Seed: 5}, func(w *World) {
-		c := w.Var("c", 0)
-		m := w.Mutex("m")
-		for i := 0; i < 3; i++ {
-			w.Spawn(fmt.Sprintf("t%d", i), func(ctx *Context) {
-				ctx.Lock(m)
-				ctx.Add(c, 1)
-				ctx.Unlock(m)
-			})
-		}
-	})
-	if res.Buggy() {
-		t.Fatalf("locked counter sampled buggy: %+v", res)
-	}
-}
