@@ -95,7 +95,7 @@ fleet:
 netchaos:
 	$(GO) test -race -count=1 -timeout 180s ./internal/netchaos/
 	$(GO) test -race -count=1 -timeout 180s \
-		-run 'NetChaos|Byzantine|CrossCheck|CostsAgree|PickSample|PeerKey|RetryAfter|ContentLength|Jitter|CheckpointCorrect|DurableCorruption|DecodeWALEdge|FleetTableHostile|AnalyzeFleetHostile' \
+		-run 'NetChaos|Byzantine|CrossCheck|CostsAgree|PickSample|RetryAfter|ContentLength|Jitter|CheckpointCorrect|DurableCorruption|DecodeWALEdge|FleetTableHostile|AnalyzeFleetHostile' \
 		./internal/fleet/ ./internal/jobs/ ./internal/store/ ./internal/durable/ ./internal/tuning/ ./internal/obs/ ./internal/report/ ./cmd/patty/
 
 # vm is the bytecode-engine gate: the VM must stay bit-identical to

@@ -160,7 +160,7 @@ func TestServeCacheChaosKillRestart(t *testing.T) {
 	if snap.Counters["cache.hits"] == 0 {
 		t.Fatal("restarted server recorded no cache hits")
 	}
-	if snap.Counters["cache.tenant.gamma.hits"] == 0 {
+	if snap.CounterFamilies["cache.tenant.hits"]["gamma"] == 0 {
 		t.Fatal("gamma's duplicate was not attributed as a tenant hit")
 	}
 

@@ -79,7 +79,7 @@ func TestCLITuneNetChaosFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	before := metrics.Snapshot().Counters["fleet.net.injected.latency"]
+	before := metrics.Snapshot().CounterFamilies["fleet.net.injected"]["latency"]
 	err = cmdTune(context.Background(), []string{
 		"-algo", "linear", "-budget", "60",
 		"-workers", url,
@@ -90,7 +90,7 @@ func TestCLITuneNetChaosFlags(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tune -net-chaos: %v", err)
 	}
-	after := metrics.Snapshot().Counters["fleet.net.injected.latency"]
+	after := metrics.Snapshot().CounterFamilies["fleet.net.injected"]["latency"]
 	if after <= before {
 		t.Fatalf("client-side injector never fired latency (counter %d -> %d)", before, after)
 	}

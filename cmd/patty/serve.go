@@ -279,8 +279,9 @@ const maxTenantLen = 64
 
 // tenantOf resolves the submission's tenant: the X-Tenant header wins
 // over the body field; absent both, jobs.DefaultTenant applies (via
-// the service). The id must be short and [A-Za-z0-9._-] so arbitrary
-// input cannot forge metric keys or bloat the store.
+// the service). The id is outside input that is journaled, labels the
+// per-tenant metric families and is printed in /statusz, so it must be
+// short and [A-Za-z0-9._-]: bounded and printable.
 func tenantOf(r *http.Request, req jobRequest) (string, error) {
 	id := r.Header.Get("X-Tenant")
 	if id == "" {

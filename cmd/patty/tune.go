@@ -355,8 +355,8 @@ func runFleetTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 	var client *http.Client
 	if spec.NetChaos != nil {
 		// The injector is instrumented into the process-wide collector, so
-		// the fired fault classes (fleet.net.injected.*) land next to the
-		// coordinator's observed ones (fleet.net.*) in the same report.
+		// the fired fault classes (fleet.net.injected) land next to the
+		// coordinator's observed ones (fleet.net.faults) in the same report.
 		inj := netchaos.New(spec.NetChaos.Plan()).Instrument(metrics)
 		client = &http.Client{Transport: inj.Transport(http.DefaultTransport)}
 		defer client.CloseIdleConnections()
@@ -452,11 +452,8 @@ func cmdTune(ctx context.Context, args []string) error {
 			out.Algo, out.Best, out.Cost, out.Evaluations)
 	}
 	if out.Fleet != nil {
-		st := out.Fleet
-		fmt.Printf("fleet: %d worker(s), %d lost; %d shard(s); merged %d eval(s), %d duplicate, %d stolen, %d redispatched, %d local\n",
-			st.Workers, st.WorkersLost, st.Shards, st.Merged, st.Duplicates, st.Stolen, st.Redispatched, st.LocalEvals)
-		if st.CacheHits > 0 {
-			fmt.Printf("fleet: %d config(s) answered by the evaluation store before dispatch\n", st.CacheHits)
+		if n := out.Fleet.CacheHits; n > 0 {
+			fmt.Printf("fleet: %d config(s) answered by the evaluation store before dispatch\n", n)
 		}
 		if fh, ok := obs.AnalyzeFleet(metrics.Snapshot()); ok {
 			fmt.Print(report.FleetTable(fh))

@@ -16,12 +16,13 @@ import (
 // `go test` line of the Makefile and of the CI workflow that names a
 // -run, -fuzz or -bench pattern must select at least one matching Test,
 // Fuzz or Benchmark function in each package it lists (a `/...`
-// pattern counts as one package, the union of its tree), so renaming
-// or deleting a test cannot silently drop it out of its gate. A -run
-// '^$' deliberately runs no test and is not checked; `go -C bench …`
-// lines are skipped, because bench/ is a module of its own. Function
-// names come from go/parser over the *_test.go files; no go command
-// runs.
+// pattern counts as one package, the union of its tree), and each
+// top-level `|` alternative of the pattern must select one in some
+// package of the line, so renaming or deleting a test cannot silently
+// drop it out of its gate. A -run '^$' deliberately runs no test and is
+// not checked; `go -C bench …` lines are skipped, because bench/ is a
+// module of its own. Function names come from go/parser over the
+// *_test.go files; no go command runs.
 func TestMakefileGatesSelectTests(t *testing.T) {
 	for _, file := range []string{"Makefile", ".github/workflows/ci.yml"} {
 		raw, err := os.ReadFile(file)
@@ -75,11 +76,22 @@ func TestMakefileGatesSelectTests(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %q: %v", file, sel.pattern, err)
 				}
+				alts := alternatives(top)
+				altRes := make([]*regexp.Regexp, len(alts))
+				for i, alt := range alts {
+					altRes[i] = regexp.MustCompile(alt) // a part of a valid top-level split compiles
+				}
+				altHits := make([]int, len(alts))
 				for _, pkg := range pkgs {
 					n := 0
 					for _, name := range testFuncs(t, pkg, sel.prefixes) {
 						if re.MatchString(name) {
 							n++
+						}
+						for i, altRe := range altRes {
+							if altRe.MatchString(name) {
+								altHits[i]++
+							}
 						}
 					}
 					if n == 0 {
@@ -87,12 +99,43 @@ func TestMakefileGatesSelectTests(t *testing.T) {
 					}
 					t.Logf("%-24s %-6s %-60.60s %-22s %d", file, sel.flag, sel.pattern, pkg, n)
 				}
+				for i, alt := range alts {
+					if altHits[i] == 0 {
+						t.Errorf("%s: %s %q: alternative %q selects nothing in %s",
+							file, sel.flag, sel.pattern, alt, strings.Join(pkgs, " "))
+					}
+				}
 			}
 		}
 		if selectors == 0 {
 			t.Fatalf("%s: no `go test` line with a -run, -fuzz or -bench pattern", file)
 		}
 	}
+}
+
+// alternatives splits a regular expression at each '|' outside
+// parentheses, brackets and escapes: the terms it matches any one of.
+func alternatives(re string) []string {
+	var out []string
+	depth, inClass, start := 0, false, 0
+	for i := 0; i < len(re); i++ {
+		switch c := re[i]; {
+		case c == '\\':
+			i++ // the escaped byte is a literal
+		case inClass:
+			inClass = c != ']'
+		case c == '[':
+			inClass = true
+		case c == '(':
+			depth++
+		case c == ')':
+			depth--
+		case c == '|' && depth == 0:
+			out = append(out, re[start:i])
+			start = i + 1
+		}
+	}
+	return append(out, re[start:])
 }
 
 // shellWords splits a recipe line on blanks, keeping single-quoted

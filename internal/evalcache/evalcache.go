@@ -15,7 +15,7 @@
 // size-bounded: when the on-disk footprint exceeds MaxBytes the oldest
 // sealed segments are evicted whole, FIFO.
 //
-// Metric grammar (on the Collector passed in Options):
+// Metrics (on the Collector passed in Options):
 //
 //	cache.hits                 counter  lookups answered from the store
 //	cache.misses               counter  lookups that fell through to measurement
@@ -25,7 +25,7 @@
 //	cache.entries              gauge    live entries in the index
 //	cache.bytes                gauge    on-disk footprint across segments
 //	cache.segments             gauge    segment files (incl. active)
-//	cache.tenant.<id>.hits     counter  per-tenant hit attribution
+//	cache.tenant.hits{tenant}  counter  per-tenant hit attribution, labelled by tenant id
 package evalcache
 
 import (
@@ -279,8 +279,8 @@ func (s *Store) Get(k Key, tenant string) (Entry, bool) {
 		return Entry{}, false
 	}
 	s.hits.Inc()
-	if tenant != "" && s.coll != nil {
-		s.coll.Counter("cache.tenant." + tenant + ".hits").Inc()
+	if tenant != "" {
+		s.coll.CounterOf("cache.tenant.hits", tenant).Inc()
 	}
 	return e, true
 }

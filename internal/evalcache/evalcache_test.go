@@ -211,10 +211,10 @@ func TestStoreTenantHitAttribution(t *testing.T) {
 	if got := snap.Counters["cache.misses"]; got != 1 {
 		t.Fatalf("cache.misses = %d, want 1", got)
 	}
-	if got := snap.Counters["cache.tenant.alice.hits"]; got != 2 {
+	if got := snap.CounterFamilies["cache.tenant.hits"]["alice"]; got != 2 {
 		t.Fatalf("alice hits = %d, want 2", got)
 	}
-	if got := snap.Counters["cache.tenant.bob.hits"]; got != 1 {
+	if got := snap.CounterFamilies["cache.tenant.hits"]["bob"]; got != 1 {
 		t.Fatalf("bob hits = %d, want 1", got)
 	}
 }

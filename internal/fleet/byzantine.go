@@ -3,7 +3,6 @@ package fleet
 import (
 	"math"
 	"sort"
-	"strings"
 
 	"patty/internal/evalcache"
 	"patty/internal/obs"
@@ -54,32 +53,12 @@ type workerHealth struct {
 	inst                                          peerInstruments
 }
 
-// peerInstruments are the live fleet.peer.<name>.* metrics for one
-// worker.
+// peerInstruments are the live fleet.peer.* metrics for one worker,
+// labelled by its base URL.
 type peerInstruments struct {
 	dispatched, failed, evals *obs.Counter
 	crosschecked, divergent   *obs.Counter
 	quarantined, benched      *obs.Gauge
-}
-
-// peerKey turns a worker base URL into a metric-key segment:
-// scheme stripped, ':' and '/' folded to '-'
-// ("http://127.0.0.1:4713" -> "127.0.0.1-4713").
-func peerKey(worker string) string {
-	s := worker
-	if i := strings.Index(s, "://"); i >= 0 {
-		s = s[i+3:]
-	}
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			return r
-		case r == '.', r == '-', r == '_':
-			return r
-		default:
-			return '-'
-		}
-	}, s)
 }
 
 // healthOf returns (creating on first use) the scorecard for worker.
@@ -87,15 +66,14 @@ func peerKey(worker string) string {
 func (s *scheduler) healthOf(worker string) *workerHealth {
 	h := s.health[worker]
 	if h == nil {
-		pk := "fleet.peer." + peerKey(worker) + "."
 		h = &workerHealth{inst: peerInstruments{
-			dispatched:   s.coll.Counter(pk + "dispatched"),
-			failed:       s.coll.Counter(pk + "failed"),
-			evals:        s.coll.Counter(pk + "evals"),
-			crosschecked: s.coll.Counter(pk + "crosschecked"),
-			divergent:    s.coll.Counter(pk + "divergent"),
-			quarantined:  s.coll.Gauge(pk + "quarantined"),
-			benched:      s.coll.Gauge(pk + "benched"),
+			dispatched:   s.coll.CounterOf("fleet.peer.dispatched", worker),
+			failed:       s.coll.CounterOf("fleet.peer.failed", worker),
+			evals:        s.coll.CounterOf("fleet.peer.evals", worker),
+			crosschecked: s.coll.CounterOf("fleet.peer.crosschecked", worker),
+			divergent:    s.coll.CounterOf("fleet.peer.divergent", worker),
+			quarantined:  s.coll.GaugeOf("fleet.peer.quarantined", worker),
+			benched:      s.coll.GaugeOf("fleet.peer.benched", worker),
 		}}
 		s.health[worker] = h
 	}
@@ -118,7 +96,7 @@ func (s *scheduler) noteFault(worker string, class FaultClass, failed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.NetFaults[string(class)]++
-	s.coll.Counter("fleet.net." + string(class)).Inc()
+	s.coll.CounterOf("fleet.net.faults", string(class)).Inc()
 	if failed {
 		h := s.healthOf(worker)
 		h.failed++

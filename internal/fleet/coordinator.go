@@ -182,7 +182,7 @@ type scheduler struct {
 
 	stats Stats
 	inst  fleetInstruments
-	coll  *obs.Collector // for dynamic fleet.net.* / fleet.peer.* keys
+	coll  *obs.Collector // for the fleet.net.* / fleet.peer.* families
 
 	// Shared evaluation store (nil when caching is off): merged costs
 	// are journaled into it and byzantine repairs correct it.

@@ -156,19 +156,19 @@ func TestNetChaosByzantineGate(t *testing.T) {
 
 	// And each is observable downstream: injected counters in the
 	// collector, classified dispatch faults in the coordinator's
-	// fleet.net.* ledger.
+	// fleet.net.faults family.
 	snap := c.Snapshot()
 	for _, class := range netchaos.Classes {
-		if snap.Counters["fleet.net.injected."+class] == 0 {
-			t.Errorf("fleet.net.injected.%s = 0, want > 0", class)
+		if snap.CounterFamilies["fleet.net.injected"][class] == 0 {
+			t.Errorf("fleet.net.injected{%s} = 0, want > 0", class)
 		}
 	}
 	if snap.Counters["fleet.byzantine.quarantined"] < 1 {
 		t.Fatalf("fleet.byzantine.quarantined = %d, want >= 1", snap.Counters["fleet.byzantine.quarantined"])
 	}
 	for _, class := range []FaultClass{ClassDrop, ClassTimeout, ClassTruncated, ClassCorrupt, ClassThrottle} {
-		if snap.Counters["fleet.net."+string(class)] == 0 {
-			t.Errorf("fleet.net.%s = 0, want > 0 (coordinator never observed one)", class)
+		if snap.CounterFamilies["fleet.net.faults"][string(class)] == 0 {
+			t.Errorf("fleet.net.faults{%s} = 0, want > 0 (coordinator never observed one)", class)
 		}
 	}
 }
@@ -377,16 +377,18 @@ func TestCostsAgree(t *testing.T) {
 	}
 }
 
-// TestPeerKey: worker URLs become stable metric-key segments.
-func TestPeerKey(t *testing.T) {
-	cases := map[string]string{
-		"http://127.0.0.1:4713":  "127.0.0.1-4713",
-		"https://worker-3.local": "worker-3.local",
-		"host:80/path":           "host-80-path",
-	}
-	for in, want := range cases {
-		if got := peerKey(in); got != want {
-			t.Errorf("peerKey(%q) = %q, want %q", in, got, want)
-		}
+// TestPeerScorecardsKeepWorkerURLs: a worker's scorecard is labelled by
+// its URL as given, so two workers whose URLs differ only in scheme
+// keep two scorecards.
+func TestPeerScorecardsKeepWorkerURLs(t *testing.T) {
+	c := obs.New()
+	s := &scheduler{health: make(map[string]*workerHealth), coll: c}
+	s.noteDispatch("http://h:1")
+	s.noteDispatch("http://h:1")
+	s.noteDispatch("https://h:1")
+	h, _ := obs.AnalyzeFleet(c.Snapshot())
+	want := []obs.PeerHealth{{Name: "http://h:1", Dispatched: 2}, {Name: "https://h:1", Dispatched: 1}}
+	if !reflect.DeepEqual(h.Peers, want) {
+		t.Fatalf("Peers = %+v, want %+v", h.Peers, want)
 	}
 }

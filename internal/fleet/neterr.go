@@ -11,7 +11,7 @@ import (
 
 // FaultClass labels a coordinator-observed dispatch failure by wire
 // symptom — the observation-side mirror of the injection taxonomy in
-// internal/netchaos. Classes surface as fleet.net.<class> counters and
+// internal/netchaos. Classes surface as fleet.net.faults{class} counters and
 // in Stats.NetFaults, so an operator can tell a flaky link (drop,
 // timeout) from a corrupting middlebox (truncated, corrupt) from a
 // misbehaving worker (mismatch) without reading logs.

@@ -3,7 +3,6 @@ package jobs
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"patty/internal/obs"
@@ -110,21 +109,6 @@ type tenantState struct {
 	mLatency   *obs.Histogram
 }
 
-// metricTenant maps a tenant id onto the jobs.tenant.<id>.* key space;
-// characters outside [A-Za-z0-9._-] are folded to '_' so arbitrary ids
-// cannot forge other metric keys.
-func metricTenant(id string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, id)
-}
-
 // tenantLocked returns (creating on first sight) the tenant record.
 // Callers hold s.mu.
 func (s *Service) tenantLocked(id string) *tenantState {
@@ -153,15 +137,14 @@ func (s *Service) tenantLocked(id string) *tenantState {
 		bucket: tokenBucket{rate: s.opts.TenantRate, burst: burst, tokens: burst},
 	}
 	c := s.opts.Collector
-	key := "jobs.tenant." + metricTenant(id)
-	tn.mSubmitted = c.Counter(key + ".submitted")
-	tn.mDone = c.Counter(key + ".done")
-	tn.mFailed = c.Counter(key + ".failed")
-	tn.mCanceled = c.Counter(key + ".canceled")
-	tn.mShed = c.Counter(key + ".shed")
-	tn.mQuota = c.Counter(key + ".quota")
-	tn.mQueued = c.Gauge(key + ".queued")
-	tn.mLatency = c.Histogram(key + ".latency_ns")
+	tn.mSubmitted = c.CounterOf("jobs.tenant.submitted", id)
+	tn.mDone = c.CounterOf("jobs.tenant.done", id)
+	tn.mFailed = c.CounterOf("jobs.tenant.failed", id)
+	tn.mCanceled = c.CounterOf("jobs.tenant.canceled", id)
+	tn.mShed = c.CounterOf("jobs.tenant.shed", id)
+	tn.mQuota = c.CounterOf("jobs.tenant.quota", id)
+	tn.mQueued = c.GaugeOf("jobs.tenant.queued", id)
+	tn.mLatency = c.HistogramOf("jobs.tenant.latency_ns", id)
 	s.tenants[id] = tn
 	return tn
 }

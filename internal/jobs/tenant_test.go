@@ -182,16 +182,52 @@ func TestTenantQuota429DistinctFromShed(t *testing.T) {
 	if snap.Counters["jobs.quota_denied"] != 1 {
 		t.Fatalf("jobs.quota_denied = %d, want 1", snap.Counters["jobs.quota_denied"])
 	}
-	if snap.Counters["jobs.tenant.greedy.quota"] != 1 {
-		t.Fatalf("tenant quota counter = %d", snap.Counters["jobs.tenant.greedy.quota"])
+	if got := snap.CounterFamilies["jobs.tenant.quota"]["greedy"]; got != 1 {
+		t.Fatalf("tenant quota counter = %d", got)
 	}
-	if snap.Counters["jobs.tenant.greedy.submitted"] != 2 ||
-		snap.Counters["jobs.tenant.polite.submitted"] != 1 {
-		t.Fatalf("tenant submitted counters: %v", snap.Counters)
+	if submitted := snap.CounterFamilies["jobs.tenant.submitted"]; submitted["greedy"] != 2 ||
+		submitted["polite"] != 1 {
+		t.Fatalf("tenant submitted counters: %v", submitted)
 	}
 	// Quota refusals burn no queue slot and leave no job-table trace.
 	if got := len(s.Jobs()); got != 3 {
 		t.Fatalf("job table has %d entries, want 3", got)
+	}
+}
+
+// TestTenantIdsKeptAsGiven: a library caller skips serve's intake
+// check, so any id reaches the service; ids that differ only in a
+// character outside [A-Za-z0-9._-] still get a row each, with their
+// own counts.
+func TestTenantIdsKeptAsGiven(t *testing.T) {
+	defer leakCheck(t)()
+	c := obs.New()
+	s := New(Options{Workers: 1, QueueDepth: 8, Collector: c})
+	defer s.Close()
+	quick := func(ctx context.Context) (any, error) { return nil, nil }
+	for tenant, n := range map[string]int{"a/b": 1, "a_b": 2} {
+		for i := 0; i < n; i++ {
+			if _, err := s.SubmitJob(Submission{Tenant: tenant, Kind: "w", Run: quick}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ths := obs.AnalyzeTenants(c.Snapshot())
+	if len(ths) != 2 {
+		t.Fatalf("analyzed %d tenants, want 2: %+v", len(ths), ths)
+	}
+	for i, want := range []struct {
+		id string
+		n  int64
+	}{{"a/b", 1}, {"a_b", 2}} {
+		if th := ths[i]; th.Tenant != want.id || th.Submitted != want.n || th.Done != want.n {
+			t.Fatalf("tenant %d: %+v, want %s with %d submitted and done", i, th, want.id, want.n)
+		}
 	}
 }
 

@@ -34,8 +34,8 @@ import (
 	"patty/internal/seed"
 )
 
-// Fault classes, as they appear in Stats and in the
-// fleet.net.injected.<class> metric keys.
+// Fault classes, as they appear in Stats and as the label values of
+// the fleet.net.injected metric family.
 const (
 	ClassLatency   = "latency"
 	ClassDrop      = "drop"
@@ -286,10 +286,10 @@ func New(plan Plan) *Injector {
 	return inj
 }
 
-// Instrument mirrors every fired fault into c as a
-// fleet.net.injected.<class> counter, the observability half of the
+// Instrument mirrors every fired fault into c as the
+// fleet.net.injected{class} counter, the observability half of the
 // netchaos gate ("every injected fault class is visible in the
-// fleet.net.* grammar"). Returns the injector for chaining.
+// fleet.net.* families"). Returns the injector for chaining.
 func (inj *Injector) Instrument(c *obs.Collector) *Injector {
 	if c == nil {
 		return inj
@@ -298,7 +298,7 @@ func (inj *Injector) Instrument(c *obs.Collector) *Injector {
 	defer inj.mu.Unlock()
 	inj.inst = make(map[string]*obs.Counter, len(Classes))
 	for _, class := range Classes {
-		inj.inst[class] = c.Counter("fleet.net.injected." + class)
+		inj.inst[class] = c.CounterOf("fleet.net.injected", class)
 	}
 	return inj
 }

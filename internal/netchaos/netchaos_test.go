@@ -27,7 +27,7 @@ var itemClasses = []string{
 // TestGateSeedCoversAllClasses pins the gate plan's seed: every
 // item-keyed fault class must fire within the first GateCoverageBudget
 // arrivals at the /shards site. This is what lets `make netchaos`
-// assert non-zero fleet.net.injected.* counters for every class
+// assert non-zero fleet.net.injected{class} counters for every class
 // without flakiness — coverage is a provable property of the seed, not
 // a hope about sampling.
 func TestGateSeedCoversAllClasses(t *testing.T) {
@@ -324,8 +324,8 @@ func TestMiddlewareDrop(t *testing.T) {
 	}
 }
 
-// TestInstrument: fired faults mirror into fleet.net.injected.*
-// counters on the collector.
+// TestInstrument: fired faults mirror into the fleet.net.injected
+// family on the collector.
 func TestInstrument(t *testing.T) {
 	defer ptest.NoLeaks(t)()
 	c := obs.New()
@@ -340,8 +340,8 @@ func TestInstrument(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	snap := c.Snapshot()
-	if snap.Counters["fleet.net.injected."+ClassCorrupt] != 1 {
-		t.Fatalf("collector counter = %d, want 1", snap.Counters["fleet.net.injected."+ClassCorrupt])
+	if got := snap.CounterFamilies["fleet.net.injected"][ClassCorrupt]; got != 1 {
+		t.Fatalf("collector counter = %d, want 1", got)
 	}
 }
 

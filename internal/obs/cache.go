@@ -1,11 +1,8 @@
 package obs
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
-// Evaluation-cache metric key grammar, published by internal/evalcache
+// Evaluation-cache metrics, published by internal/evalcache
 // (the persistent content-addressed store shared by tune, fleet and
 // serve):
 //
@@ -17,13 +14,11 @@ import (
 //	cache.entries             gauge    (live entries in the index)
 //	cache.bytes               gauge    (on-disk footprint across segments)
 //	cache.segments            gauge    (segment files, incl. active)
-//	cache.tenant.<id>.hits    counter  (per-tenant hit attribution)
+//	cache.tenant.hits{tenant} counter  (per-tenant hit attribution)
 //
-// Like the jobs.* and fleet.* keys, these live beside the pattern keys
-// in one Collector; Analyze skips them and AnalyzeCache digests them.
-
-// cacheTenantPrefix roots the per-tenant cache-hit key space.
-const cacheTenantPrefix = "cache.tenant."
+// Like the jobs.* and fleet.* metrics, these live beside the pattern
+// keys in one Collector; Analyze skips them and AnalyzeCache digests
+// them.
 
 // CacheHealth is the digest of the cache.* keys in a Snapshot, feeding
 // report.CacheTable and the /statusz pages of serve and worker.
@@ -64,10 +59,7 @@ func (h CacheHealth) Degraded() bool { return h.Corrupt > 0 }
 
 // AnalyzeCache extracts the cache digest from a snapshot. ok is false
 // when the snapshot holds no cache.* signal at all (no store was
-// attached, or it saw no traffic). Tenant ids may themselves contain
-// dots, so per-tenant keys parse from the right: the segment after the
-// last dot is the field, everything between the prefix and it is the
-// id.
+// attached, or it saw no traffic).
 func AnalyzeCache(s Snapshot) (h CacheHealth, ok bool) {
 	h = CacheHealth{
 		Hits:      s.Counters["cache.hits"],
@@ -79,15 +71,7 @@ func AnalyzeCache(s Snapshot) (h CacheHealth, ok bool) {
 		Bytes:     s.Gauges["cache.bytes"],
 		Segments:  s.Gauges["cache.segments"],
 	}
-	for key, v := range s.Counters {
-		if !strings.HasPrefix(key, cacheTenantPrefix) {
-			continue
-		}
-		rest := strings.TrimPrefix(key, cacheTenantPrefix)
-		id, found := strings.CutSuffix(rest, ".hits")
-		if !found || id == "" {
-			continue
-		}
+	for id, v := range s.CounterFamilies["cache.tenant.hits"] {
 		h.TenantHits = append(h.TenantHits, CacheTenantHits{Tenant: id, Hits: v})
 	}
 	sort.Slice(h.TenantHits, func(i, j int) bool { return h.TenantHits[i].Tenant < h.TenantHits[j].Tenant })

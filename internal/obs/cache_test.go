@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestAnalyzeCache(t *testing.T) {
 	c := New()
@@ -11,8 +14,10 @@ func TestAnalyzeCache(t *testing.T) {
 	c.Gauge("cache.entries").Set(8)
 	c.Gauge("cache.bytes").Set(4096)
 	c.Gauge("cache.segments").Set(2)
-	c.Counter("cache.tenant.alice.hits").Add(20)
-	c.Counter("cache.tenant.team.us-east.hits").Add(10) // dotted tenant id
+	c.CounterOf("cache.tenant.hits", "alice").Add(20)
+	c.CounterOf("cache.tenant.hits", "team.us-east").Add(10) // dotted tenant ids
+	c.CounterOf("cache.tenant.hits", "eu.west").Add(3)
+	c.CounterOf("cache.tenant.hits", "eu.west.done").Add(4)
 
 	h, ok := AnalyzeCache(c.Snapshot())
 	if !ok {
@@ -27,15 +32,10 @@ func TestAnalyzeCache(t *testing.T) {
 	if got := h.HitRate(); got != 0.75 {
 		t.Fatalf("HitRate = %v, want 0.75", got)
 	}
-	if len(h.TenantHits) != 2 {
-		t.Fatalf("tenant hits: %+v", h.TenantHits)
-	}
-	// Sorted by id; dotted ids parse whole.
-	if h.TenantHits[0].Tenant != "alice" || h.TenantHits[0].Hits != 20 {
-		t.Fatalf("tenant[0]: %+v", h.TenantHits[0])
-	}
-	if h.TenantHits[1].Tenant != "team.us-east" || h.TenantHits[1].Hits != 10 {
-		t.Fatalf("tenant[1]: %+v", h.TenantHits[1])
+	// Sorted by id; dotted ids are kept whole.
+	want := []CacheTenantHits{{"alice", 20}, {"eu.west", 3}, {"eu.west.done", 4}, {"team.us-east", 10}}
+	if !reflect.DeepEqual(h.TenantHits, want) {
+		t.Fatalf("tenant hits: %+v, want %+v", h.TenantHits, want)
 	}
 	if h.Degraded() {
 		t.Fatal("clean cache reported degraded")

@@ -1,11 +1,8 @@
 package obs
 
-import (
-	"sort"
-	"strings"
-)
+import "maps"
 
-// Fleet-layer metric key grammar, published by internal/fleet:
+// Fleet-layer metrics, published by internal/fleet:
 //
 // Coordinator side:
 //
@@ -30,11 +27,11 @@ import (
 // the cache.* grammar (see AnalyzeCache), the same keys local tuning
 // uses — fleet and local hit accounting agree by construction.
 //
-// Hostile-network ledger (coordinator side; <class> per
-// fleet.FaultClass / netchaos class names):
+// Hostile-network ledger (coordinator side), labelled by fault class
+// (fleet.FaultClass / netchaos class names):
 //
-//	fleet.net.<class>            counter (classified dispatch faults observed)
-//	fleet.net.injected.<class>   counter (faults a netchaos.Injector fired)
+//	fleet.net.faults{class}      counter (classified dispatch faults observed)
+//	fleet.net.injected{class}    counter (faults a netchaos.Injector fired)
 //
 // Byzantine-defense ledger (coordinator side):
 //
@@ -44,17 +41,18 @@ import (
 //	fleet.byzantine.reverified   counter (prior contributions re-measured)
 //	fleet.byzantine.corrected    counter (re-verified records repaired)
 //
-// Per-worker scorecards (<peer> is fleet.peerKey of the worker URL):
+// Per-worker scorecards, labelled by the worker base URL as given (the
+// name fleet.Stats.Health[].Worker uses):
 //
-//	fleet.peer.<peer>.dispatched   counter
-//	fleet.peer.<peer>.failed       counter
-//	fleet.peer.<peer>.evals        counter
-//	fleet.peer.<peer>.crosschecked counter
-//	fleet.peer.<peer>.divergent    counter
-//	fleet.peer.<peer>.quarantined  gauge (0/1)
-//	fleet.peer.<peer>.benched      gauge (0/1)
+//	fleet.peer.dispatched{peer}   counter
+//	fleet.peer.failed{peer}       counter
+//	fleet.peer.evals{peer}        counter
+//	fleet.peer.crosschecked{peer} counter
+//	fleet.peer.divergent{peer}    counter
+//	fleet.peer.quarantined{peer}  gauge (0/1)
+//	fleet.peer.benched{peer}      gauge (0/1)
 //
-// Like the jobs.* keys, these live beside the pattern keys in one
+// Like the jobs.* metrics, these live beside the pattern keys in one
 // Collector; Analyze skips them and AnalyzeFleet digests them.
 
 // FleetHealth is the digest of the fleet.* keys in a Snapshot, feeding
@@ -78,9 +76,9 @@ type FleetHealth struct {
 	WorkerShards int64 `json:"worker_shards"`
 	WorkerEvals  int64 `json:"worker_evals"`
 
-	// NetFaults maps fault class -> count for every fleet.net.* key
-	// (including the injected.* sub-keys), so both what the wire did and
-	// what a chaos injector fired are in one ledger.
+	// NetFaults maps fault class -> count from fleet.net.faults, and
+	// "injected.<class>" -> count from fleet.net.injected, so both what
+	// the wire did and what a chaos injector fired are in one ledger.
 	NetFaults map[string]int64 `json:"net_faults,omitempty"`
 
 	// Byzantine-defense ledger.
@@ -90,8 +88,8 @@ type FleetHealth struct {
 	ByzReverified   int64 `json:"byz_reverified,omitempty"`
 	ByzCorrected    int64 `json:"byz_corrected,omitempty"`
 
-	// Peers are the per-worker scorecards parsed from the
-	// fleet.peer.<name>.* keys, sorted by name.
+	// Peers are the per-worker scorecards from the fleet.peer.*
+	// families, sorted by name (the worker URL).
 	Peers []PeerHealth `json:"peers,omitempty"`
 }
 
@@ -131,65 +129,31 @@ func AnalyzeFleet(s Snapshot) (h FleetHealth, ok bool) {
 		ByzReverified:      s.Counters["fleet.byzantine.reverified"],
 		ByzCorrected:       s.Counters["fleet.byzantine.corrected"],
 	}
-	peers := map[string]*PeerHealth{}
-	peer := func(rest string) (*PeerHealth, string, bool) {
-		i := strings.LastIndex(rest, ".")
-		if i <= 0 || i == len(rest)-1 {
-			return nil, "", false
-		}
-		name, field := rest[:i], rest[i+1:]
-		p := peers[name]
-		if p == nil {
-			p = &PeerHealth{Name: name}
-			peers[name] = p
-		}
-		return p, field, true
-	}
-	for key, n := range s.Counters {
-		switch {
-		case strings.HasPrefix(key, "fleet.net."):
-			if h.NetFaults == nil {
-				h.NetFaults = make(map[string]int64)
-			}
-			h.NetFaults[strings.TrimPrefix(key, "fleet.net.")] = n
-		case strings.HasPrefix(key, "fleet.peer."):
-			p, field, pok := peer(strings.TrimPrefix(key, "fleet.peer."))
-			if !pok {
-				continue
-			}
-			switch field {
-			case "dispatched":
-				p.Dispatched = n
-			case "failed":
-				p.Failed = n
-			case "evals":
-				p.Evals = n
-			case "crosschecked":
-				p.CrossChecked = n
-			case "divergent":
-				p.Divergent = n
-			}
+	faults, injected := s.CounterFamilies["fleet.net.faults"], s.CounterFamilies["fleet.net.injected"]
+	if len(faults)+len(injected) > 0 {
+		h.NetFaults = make(map[string]int64, len(faults)+len(injected))
+		maps.Copy(h.NetFaults, faults)
+		for class, n := range injected {
+			h.NetFaults["injected."+class] = n
 		}
 	}
-	for key, n := range s.Gauges {
-		if !strings.HasPrefix(key, "fleet.peer.") {
-			continue
-		}
-		p, field, pok := peer(strings.TrimPrefix(key, "fleet.peer."))
-		if !pok {
-			continue
-		}
-		switch field {
-		case "quarantined":
-			p.Quarantined = n > 0
-		case "benched":
-			p.Benched = n > 0
-		}
+	cf, gf := s.CounterFamilies, s.GaugeFamilies
+	names := map[string]bool{}
+	members(names, cf, "fleet.peer.dispatched", "fleet.peer.failed", "fleet.peer.evals",
+		"fleet.peer.crosschecked", "fleet.peer.divergent")
+	members(names, gf, "fleet.peer.quarantined", "fleet.peer.benched")
+	for _, name := range sorted(names) {
+		h.Peers = append(h.Peers, PeerHealth{
+			Name:         name,
+			Dispatched:   cf["fleet.peer.dispatched"][name],
+			Failed:       cf["fleet.peer.failed"][name],
+			Evals:        cf["fleet.peer.evals"][name],
+			CrossChecked: cf["fleet.peer.crosschecked"][name],
+			Divergent:    cf["fleet.peer.divergent"][name],
+			Quarantined:  gf["fleet.peer.quarantined"][name] > 0,
+			Benched:      gf["fleet.peer.benched"][name] > 0,
+		})
 	}
-	for _, p := range peers {
-		h.Peers = append(h.Peers, *p)
-	}
-	sort.Slice(h.Peers, func(i, j int) bool { return h.Peers[i].Name < h.Peers[j].Name })
 	ok = h.Workers > 0 || h.ShardsTotal > 0 || h.WorkerShards > 0 ||
 		h.WorkerEvals > 0 ||
 		len(h.NetFaults) > 0 || len(h.Peers) > 0 || h.ByzCrossChecked > 0

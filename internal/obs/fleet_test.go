@@ -6,29 +6,30 @@ import (
 )
 
 // A snapshot with only hostile-network / byzantine / peer signal must
-// still register as fleet signal, and every key family must land in
-// the right FleetHealth field.
+// still register as fleet signal, and every family must land in the
+// right FleetHealth field.
 func TestAnalyzeFleetHostileNetwork(t *testing.T) {
+	const liarURL, benchedURL = "http://127.0.0.1:4713", "http://127.0.0.1:9000"
 	s := Snapshot{
 		Counters: map[string]int64{
-			"fleet.net.drop":                         3,
-			"fleet.net.timeout":                      2,
-			"fleet.net.injected.corrupt":             5,
-			"fleet.byzantine.crosschecked":           7,
-			"fleet.byzantine.divergent":              2,
-			"fleet.byzantine.quarantined":            1,
-			"fleet.byzantine.reverified":             4,
-			"fleet.byzantine.corrected":              3,
-			"fleet.peer.127.0.0.1-4713.dispatched":   9,
-			"fleet.peer.127.0.0.1-4713.failed":       1,
-			"fleet.peer.127.0.0.1-4713.evals":        40,
-			"fleet.peer.127.0.0.1-4713.crosschecked": 6,
-			"fleet.peer.127.0.0.1-4713.divergent":    2,
-			"fleet.peer.127.0.0.1-9000.dispatched":   4,
+			"fleet.byzantine.crosschecked": 7,
+			"fleet.byzantine.divergent":    2,
+			"fleet.byzantine.quarantined":  1,
+			"fleet.byzantine.reverified":   4,
+			"fleet.byzantine.corrected":    3,
 		},
-		Gauges: map[string]int64{
-			"fleet.peer.127.0.0.1-4713.quarantined": 1,
-			"fleet.peer.127.0.0.1-9000.benched":     1,
+		CounterFamilies: map[string]map[string]int64{
+			"fleet.net.faults":        {"drop": 3, "timeout": 2},
+			"fleet.net.injected":      {"corrupt": 5},
+			"fleet.peer.dispatched":   {liarURL: 9, benchedURL: 4},
+			"fleet.peer.failed":       {liarURL: 1},
+			"fleet.peer.evals":        {liarURL: 40},
+			"fleet.peer.crosschecked": {liarURL: 6},
+			"fleet.peer.divergent":    {liarURL: 2},
+		},
+		GaugeFamilies: map[string]map[string]int64{
+			"fleet.peer.quarantined": {liarURL: 1},
+			"fleet.peer.benched":     {benchedURL: 1},
 		},
 	}
 	h, ok := AnalyzeFleet(s)
@@ -46,10 +47,9 @@ func TestAnalyzeFleetHostileNetwork(t *testing.T) {
 	if len(h.Peers) != 2 {
 		t.Fatalf("Peers = %v, want 2 rows", h.Peers)
 	}
-	// Sorted by name; peer names contain dots, so the parser must split
-	// on the LAST dot.
+	// Sorted by name; a peer is named by its worker URL as given.
 	liar := h.Peers[0]
-	if liar.Name != "127.0.0.1-4713" {
+	if liar.Name != liarURL {
 		t.Fatalf("Peers[0].Name = %q", liar.Name)
 	}
 	if liar.Dispatched != 9 || liar.Failed != 1 || liar.Evals != 40 ||
@@ -57,7 +57,7 @@ func TestAnalyzeFleetHostileNetwork(t *testing.T) {
 		t.Fatalf("Peers[0] = %+v", liar)
 	}
 	benched := h.Peers[1]
-	if benched.Name != "127.0.0.1-9000" || benched.Dispatched != 4 ||
+	if benched.Name != benchedURL || benched.Dispatched != 4 ||
 		!benched.Benched || benched.Quarantined {
 		t.Fatalf("Peers[1] = %+v", benched)
 	}

@@ -17,9 +17,13 @@
 //   - Writers never take a lock; all state is atomic. Snapshots are
 //     per-field atomic reads: totals are exact once writers quiesce
 //     and monotonically consistent while they run.
-//   - Instruments are identified by dotted keys mirroring the tuning
+//   - An instrument is a name plus, in a labelled family, one label
+//     value kept exactly as given. Unlabelled names mirror the tuning
 //     parameter scheme, e.g. "pipeline.video.stage.2.service_ns", so
 //     that metric streams and tuning configurations join trivially.
+//     Per-tenant, per-worker and per-fault-class series are families
+//     (CounterOf("cache.tenant.hits", tenant)), so an id never has to
+//     be split back out of a key.
 package obs
 
 import (
@@ -235,68 +239,75 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 // nil instrument, which records nothing.
 type Collector struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	counters map[series]*Counter
+	gauges   map[series]*Gauge
+	hists    map[series]*Histogram
 	labels   map[string]string
 }
+
+// series identifies one instrument: a metric name and, for a member of
+// a labelled family, its label value ("" for an unlabelled instrument).
+type series struct{ name, label string }
 
 // New returns an empty Collector.
 func New() *Collector {
 	return &Collector{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		counters: make(map[series]*Counter),
+		gauges:   make(map[series]*Gauge),
+		hists:    make(map[series]*Histogram),
 		labels:   make(map[string]string),
 	}
 }
 
-// Counter returns (creating if needed) the counter named key.
-// Returns nil on a nil Collector.
-func (c *Collector) Counter(key string) *Counter {
-	if c == nil {
-		return nil
-	}
+// lookup returns (creating if needed) the instrument s in m.
+func lookup[T any](c *Collector, m map[series]*T, s series) *T {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ct, ok := c.counters[key]
+	v, ok := m[s]
 	if !ok {
-		ct = &Counter{}
-		c.counters[key] = ct
+		v = new(T)
+		m[s] = v
 	}
-	return ct
+	return v
 }
 
-// Gauge returns (creating if needed) the gauge named key.
-// Returns nil on a nil Collector.
-func (c *Collector) Gauge(key string) *Gauge {
+// Counter returns (creating if needed) the unlabelled counter named
+// key. Returns nil on a nil Collector.
+func (c *Collector) Counter(key string) *Counter { return c.CounterOf(key, "") }
+
+// CounterOf returns (creating if needed) the counter of family name
+// whose label is value, kept as given. Returns nil on a nil Collector.
+func (c *Collector) CounterOf(name, value string) *Counter {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	g, ok := c.gauges[key]
-	if !ok {
-		g = &Gauge{}
-		c.gauges[key] = g
-	}
-	return g
+	return lookup(c, c.counters, series{name, value})
 }
 
-// Histogram returns (creating if needed) the histogram named key.
+// Gauge returns (creating if needed) the unlabelled gauge named key.
 // Returns nil on a nil Collector.
-func (c *Collector) Histogram(key string) *Histogram {
+func (c *Collector) Gauge(key string) *Gauge { return c.GaugeOf(key, "") }
+
+// GaugeOf returns (creating if needed) the gauge of family name whose
+// label is value, kept as given. Returns nil on a nil Collector.
+func (c *Collector) GaugeOf(name, value string) *Gauge {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.hists[key]
-	if !ok {
-		h = &Histogram{}
-		c.hists[key] = h
+	return lookup(c, c.gauges, series{name, value})
+}
+
+// Histogram returns (creating if needed) the unlabelled histogram named
+// key. Returns nil on a nil Collector.
+func (c *Collector) Histogram(key string) *Histogram { return c.HistogramOf(key, "") }
+
+// HistogramOf returns (creating if needed) the histogram of family name
+// whose label is value, kept as given. Returns nil on a nil Collector.
+func (c *Collector) HistogramOf(name, value string) *Histogram {
+	if c == nil {
+		return nil
 	}
-	return h
+	return lookup(c, c.hists, series{name, value})
 }
 
 // SetLabel attaches a static string (e.g. a stage name) to key.
@@ -312,12 +323,17 @@ func (c *Collector) SetLabel(key, value string) {
 
 // Snapshot is a point-in-time copy of every instrument in a
 // Collector. Maps are fresh copies; mutating a snapshot never affects
-// the live collector.
+// the live collector. Unlabelled instruments are keyed by name; the
+// *Families maps hold labelled ones as name -> label value -> value.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters,omitempty"`
 	Gauges     map[string]int64        `json:"gauges,omitempty"`
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 	Labels     map[string]string       `json:"labels,omitempty"`
+
+	CounterFamilies   map[string]map[string]int64        `json:"counter_families,omitempty"`
+	GaugeFamilies     map[string]map[string]int64        `json:"gauge_families,omitempty"`
+	HistogramFamilies map[string]map[string]HistSnapshot `json:"histogram_families,omitempty"`
 }
 
 // Snapshot copies the current value of every instrument. Individual
@@ -331,23 +347,36 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s.Counters = make(map[string]int64, len(c.counters))
+	s.Counters, s.CounterFamilies = make(map[string]int64, len(c.counters)), make(map[string]map[string]int64)
 	for k, ct := range c.counters {
-		s.Counters[k] = ct.Value()
+		put(s.Counters, s.CounterFamilies, k, ct.Value())
 	}
-	s.Gauges = make(map[string]int64, len(c.gauges))
+	s.Gauges, s.GaugeFamilies = make(map[string]int64, len(c.gauges)), make(map[string]map[string]int64)
 	for k, g := range c.gauges {
-		s.Gauges[k] = g.Value()
+		put(s.Gauges, s.GaugeFamilies, k, g.Value())
 	}
-	s.Histograms = make(map[string]HistSnapshot, len(c.hists))
+	s.Histograms, s.HistogramFamilies = make(map[string]HistSnapshot, len(c.hists)), make(map[string]map[string]HistSnapshot)
 	for k, h := range c.hists {
-		s.Histograms[k] = h.snapshot()
+		put(s.Histograms, s.HistogramFamilies, k, h.snapshot())
 	}
 	s.Labels = make(map[string]string, len(c.labels))
 	for k, v := range c.labels {
 		s.Labels[k] = v
 	}
 	return s
+}
+
+// put stores v under k: in flat when k is unlabelled, else in its
+// family of fams.
+func put[V any](flat map[string]V, fams map[string]map[string]V, k series, v V) {
+	if k.label == "" {
+		flat[k.name] = v
+		return
+	}
+	if fams[k.name] == nil {
+		fams[k.name] = make(map[string]V)
+	}
+	fams[k.name][k.label] = v
 }
 
 // Reset zeroes every registered instrument (keys and labels survive),
@@ -376,27 +405,21 @@ func (c *Collector) Reset() {
 	}
 }
 
-// Keys returns the sorted union of all instrument keys.
-func (c *Collector) Keys() []string {
-	if c == nil {
-		return nil
+// members adds to ids the label values of the named families in fams.
+func members[V any](ids map[string]bool, fams map[string]map[string]V, names ...string) {
+	for _, name := range names {
+		for v := range fams[name] {
+			ids[v] = true
+		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seen := make(map[string]bool, len(c.counters)+len(c.gauges)+len(c.hists))
-	for k := range c.counters {
-		seen[k] = true
+}
+
+// sorted returns the keys of set in ascending order.
+func sorted(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
 	}
-	for k := range c.gauges {
-		seen[k] = true
-	}
-	for k := range c.hists {
-		seen[k] = true
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	sort.Strings(out)
+	return out
 }

@@ -92,6 +92,12 @@ func TestNilInstrumentsAreNoops(t *testing.T) {
 	if ct != nil || g != nil || h != nil {
 		t.Fatal("nil collector must hand out nil instruments")
 	}
+	if c.CounterOf("x", "a") != nil || c.GaugeOf("x", "a") != nil || c.HistogramOf("x", "a") != nil {
+		t.Fatal("nil collector must hand out nil family instruments")
+	}
+	c.CounterOf("x", "a").Inc() // must not panic
+	c.GaugeOf("x", "a").Set(1)
+	c.HistogramOf("x", "a").Record(1)
 	ct.Add(1) // must not panic
 	ct.Inc()
 	g.Set(3)
@@ -103,7 +109,7 @@ func TestNilInstrumentsAreNoops(t *testing.T) {
 	c.SetLabel("x", "y")
 	c.Reset()
 	c.PublishExpvar("obs-test-nil")
-	if s := c.Snapshot(); s.Counters != nil || len(c.Keys()) != 0 {
+	if s := c.Snapshot(); s.Counters != nil || s.CounterFamilies != nil {
 		t.Fatalf("nil collector snapshot = %+v", s)
 	}
 }
@@ -201,13 +207,13 @@ func TestResetAndKeys(t *testing.T) {
 	c.Counter("b").Add(2)
 	c.Gauge("a").Set(9)
 	c.Histogram("c").Record(5)
+	c.CounterOf("b", "t").Add(4)
 	c.SetLabel("c", "hot")
-	keys := c.Keys()
-	if len(keys) != 3 || keys[0] != "a" || keys[1] != "b" || keys[2] != "c" {
-		t.Fatalf("keys = %v", keys)
-	}
 	c.Reset()
 	s := c.Snapshot()
+	if v, ok := s.CounterFamilies["b"]["t"]; !ok || v != 0 {
+		t.Fatalf("reset must zero and keep family members: %+v", s.CounterFamilies)
+	}
 	if s.Counters["b"] != 0 || s.Gauges["a"] != 0 || s.Histograms["c"].Count != 0 {
 		t.Fatalf("reset left values: %+v", s)
 	}

@@ -1,26 +1,18 @@
 package obs
 
-import (
-	"sort"
-	"strings"
-)
-
-// Tenant-layer metric key grammar, published by internal/jobs for each
-// tenant id (sanitized to [A-Za-z0-9._-]):
+// Tenant-layer metric families, published by internal/jobs and
+// labelled by the tenant id as given:
 //
-//	jobs.tenant.<id>.submitted   counter  (admitted jobs)
-//	jobs.tenant.<id>.done        counter
-//	jobs.tenant.<id>.failed      counter
-//	jobs.tenant.<id>.canceled    counter
-//	jobs.tenant.<id>.shed        counter  (refused: shared queue full)
-//	jobs.tenant.<id>.quota       counter  (refused: token bucket empty)
-//	jobs.tenant.<id>.queued      gauge    (jobs waiting in this tenant's FIFO)
-//	jobs.tenant.<id>.latency_ns  histogram (submit -> terminal)
+//	jobs.tenant.submitted{tenant}   counter  (admitted jobs)
+//	jobs.tenant.done{tenant}        counter
+//	jobs.tenant.failed{tenant}      counter
+//	jobs.tenant.canceled{tenant}    counter
+//	jobs.tenant.shed{tenant}        counter  (refused: shared queue full)
+//	jobs.tenant.quota{tenant}       counter  (refused: token bucket empty)
+//	jobs.tenant.queued{tenant}      gauge    (jobs waiting in this tenant's FIFO)
+//	jobs.tenant.latency_ns{tenant}  histogram (submit -> terminal)
 
-// tenantPrefix roots the per-tenant key space.
-const tenantPrefix = "jobs.tenant."
-
-// TenantHealth is the digest of one tenant's jobs.tenant.<id>.* keys.
+// TenantHealth is the digest of one tenant's jobs.tenant.* series.
 type TenantHealth struct {
 	Tenant string `json:"tenant"`
 
@@ -50,76 +42,28 @@ func (t TenantHealth) RefusalRate() float64 {
 }
 
 // AnalyzeTenants extracts the per-tenant digests from a snapshot,
-// sorted by tenant id. Tenant ids may themselves contain dots, so keys
-// parse from the right: the segment after the last dot is the field,
-// everything between the prefix and it is the id.
+// sorted by tenant id: one row per id seen in any jobs.tenant.* family.
 func AnalyzeTenants(s Snapshot) []TenantHealth {
-	byID := make(map[string]*TenantHealth)
-	get := func(key string) (*TenantHealth, string) {
-		rest := strings.TrimPrefix(key, tenantPrefix)
-		cut := strings.LastIndexByte(rest, '.')
-		if cut <= 0 || cut == len(rest)-1 {
-			return nil, ""
-		}
-		id, field := rest[:cut], rest[cut+1:]
-		th := byID[id]
-		if th == nil {
-			th = &TenantHealth{Tenant: id}
-			byID[id] = th
-		}
-		return th, field
+	cf := s.CounterFamilies
+	ids := map[string]bool{}
+	members(ids, cf, "jobs.tenant.submitted", "jobs.tenant.done", "jobs.tenant.failed",
+		"jobs.tenant.canceled", "jobs.tenant.shed", "jobs.tenant.quota")
+	members(ids, s.GaugeFamilies, "jobs.tenant.queued")
+	members(ids, s.HistogramFamilies, "jobs.tenant.latency_ns")
+	out := make([]TenantHealth, 0, len(ids))
+	for _, id := range sorted(ids) {
+		out = append(out, TenantHealth{
+			Tenant:      id,
+			Submitted:   cf["jobs.tenant.submitted"][id],
+			Done:        cf["jobs.tenant.done"][id],
+			Failed:      cf["jobs.tenant.failed"][id],
+			Canceled:    cf["jobs.tenant.canceled"][id],
+			Shed:        cf["jobs.tenant.shed"][id],
+			QuotaDenied: cf["jobs.tenant.quota"][id],
+			Queued:      s.GaugeFamilies["jobs.tenant.queued"][id],
+			Latency:     s.HistogramFamilies["jobs.tenant.latency_ns"][id],
+		})
 	}
-	for key, v := range s.Counters {
-		if !strings.HasPrefix(key, tenantPrefix) {
-			continue
-		}
-		th, field := get(key)
-		if th == nil {
-			continue
-		}
-		switch field {
-		case "submitted":
-			th.Submitted = v
-		case "done":
-			th.Done = v
-		case "failed":
-			th.Failed = v
-		case "canceled":
-			th.Canceled = v
-		case "shed":
-			th.Shed = v
-		case "quota":
-			th.QuotaDenied = v
-		}
-	}
-	for key, v := range s.Gauges {
-		if !strings.HasPrefix(key, tenantPrefix) {
-			continue
-		}
-		if th, field := get(key); th != nil && field == "queued" {
-			th.Queued = v
-		}
-	}
-	for key, h := range s.Histograms {
-		if !strings.HasPrefix(key, tenantPrefix) {
-			continue
-		}
-		// The histogram field is "latency_ns": strip it as one suffix
-		// (LastIndexByte would split inside "latency_ns" at no dot).
-		if id, ok := strings.CutSuffix(strings.TrimPrefix(key, tenantPrefix), ".latency_ns"); ok && id != "" {
-			th := byID[id]
-			if th == nil {
-				th = &TenantHealth{Tenant: id}
-				byID[id] = th
-			}
-			th.Latency = h
-		}
-	}
-	out := make([]TenantHealth, 0, len(byID))
-	for _, th := range byID {
-		out = append(out, *th)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Tenant < out[k].Tenant })
 	return out
 }
 

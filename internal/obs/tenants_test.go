@@ -6,22 +6,25 @@ import (
 
 func TestAnalyzeTenants(t *testing.T) {
 	c := New()
-	c.Counter("jobs.tenant.acme.submitted").Add(10)
-	c.Counter("jobs.tenant.acme.done").Add(7)
-	c.Counter("jobs.tenant.acme.failed").Add(1)
-	c.Counter("jobs.tenant.acme.canceled").Add(2)
-	c.Counter("jobs.tenant.acme.quota").Add(5)
-	c.Counter("jobs.tenant.acme.shed").Add(3)
-	c.Gauge("jobs.tenant.acme.queued").Set(4)
-	c.Histogram("jobs.tenant.acme.latency_ns").Record(1000)
-	// A tenant id containing dots must parse as one id.
-	c.Counter("jobs.tenant.eu.west.prod.done").Add(2)
+	c.CounterOf("jobs.tenant.submitted", "acme").Add(10)
+	c.CounterOf("jobs.tenant.done", "acme").Add(7)
+	c.CounterOf("jobs.tenant.failed", "acme").Add(1)
+	c.CounterOf("jobs.tenant.canceled", "acme").Add(2)
+	c.CounterOf("jobs.tenant.quota", "acme").Add(5)
+	c.CounterOf("jobs.tenant.shed", "acme").Add(3)
+	c.GaugeOf("jobs.tenant.queued", "acme").Set(4)
+	c.HistogramOf("jobs.tenant.latency_ns", "acme").Record(1000)
+	// Tenant ids containing dots, even ones ending in a field name, are
+	// kept whole.
+	c.CounterOf("jobs.tenant.done", "eu.west.prod").Add(2)
+	c.CounterOf("jobs.tenant.done", "eu.west").Add(5)
+	c.CounterOf("jobs.tenant.done", "eu.west.done").Add(6)
 	// Non-tenant jobs.* keys must not leak in.
 	c.Counter("jobs.submitted").Add(99)
 
 	ths := AnalyzeTenants(c.Snapshot())
-	if len(ths) != 2 {
-		t.Fatalf("analyzed %d tenants, want 2: %+v", len(ths), ths)
+	if len(ths) != 4 {
+		t.Fatalf("analyzed %d tenants, want 4: %+v", len(ths), ths)
 	}
 	acme := ths[0]
 	if acme.Tenant != "acme" || acme.Submitted != 10 || acme.Done != 7 ||
@@ -32,8 +35,14 @@ func TestAnalyzeTenants(t *testing.T) {
 	if got := acme.RefusalRate(); got < 0.44 || got > 0.45 { // 8/18
 		t.Fatalf("acme refusal rate = %v", got)
 	}
-	if ths[1].Tenant != "eu.west.prod" || ths[1].Done != 2 {
-		t.Fatalf("dotted tenant digest: %+v", ths[1])
+	for i, want := range []TenantHealth{
+		{Tenant: "eu.west", Done: 5},
+		{Tenant: "eu.west.done", Done: 6},
+		{Tenant: "eu.west.prod", Done: 2},
+	} {
+		if got := ths[i+1]; got.Tenant != want.Tenant || got.Done != want.Done || got.Submitted != 0 {
+			t.Fatalf("dotted tenant digest %d: %+v, want %+v", i+1, got, want)
+		}
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 
 func TestTenantTable(t *testing.T) {
 	c := obs.New()
-	c.Counter("jobs.tenant.hog.submitted").Add(100)
-	c.Counter("jobs.tenant.hog.done").Add(40)
-	c.Counter("jobs.tenant.hog.quota").Add(60)
-	c.Counter("jobs.tenant.modest.submitted").Add(30)
-	c.Counter("jobs.tenant.modest.done").Add(30)
+	c.CounterOf("jobs.tenant.submitted", "hog").Add(100)
+	c.CounterOf("jobs.tenant.done", "hog").Add(40)
+	c.CounterOf("jobs.tenant.quota", "hog").Add(60)
+	c.CounterOf("jobs.tenant.submitted", "modest").Add(30)
+	c.CounterOf("jobs.tenant.done", "modest").Add(30)
 	out := TenantTable(obs.AnalyzeTenants(c.Snapshot()))
 	for _, want := range []string{"tenant", "hog", "modest", "429s", "fairness", "1.33"} {
 		if !strings.Contains(out, want) {
