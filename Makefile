@@ -120,6 +120,7 @@ lint:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x .
 	$(GO) test -bench 'BenchmarkEngine' -benchmem -benchtime 1x ./internal/interp/
+	$(GO) test -run '^$$' -bench ObservedWrap -benchmem -benchtime 1x ./internal/tuning/
 
 eval:
 	$(GO) run ./cmd/patty eval

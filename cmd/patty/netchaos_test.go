@@ -4,9 +4,11 @@ import (
 	"context"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"patty/internal/jobs"
 	"patty/internal/ptest"
 )
 
@@ -112,5 +114,20 @@ func TestCLIChaosPlanParsing(t *testing.T) {
 	}
 	if _, err := parseChaosPlan("{nope"); err == nil {
 		t.Fatal("garbage plan accepted")
+	}
+	if _, err := parseChaosPlan(badChaosPlan); err == nil || !strings.Contains(err.Error(), "drop_rate") {
+		t.Fatalf("out-of-range rate: err %v, want one naming drop_rate", err)
+	}
+}
+
+// badChaosPlan gives a percent where a rate in [0,1] belongs.
+const badChaosPlan = `{"seed":1,"drop_rate":5}`
+
+// TestServeRejectsBadChaosPlan: serve admission checks a tune job's
+// net_chaos plan like the CLI flags do.
+func TestServeRejectsBadChaosPlan(t *testing.T) {
+	_, ts := newTestServer(t, jobs.Options{Workers: 1})
+	if _, code := postJob(t, ts.URL, `{"kind":"tune","net_chaos":`+badChaosPlan+`}`); code != http.StatusBadRequest {
+		t.Fatalf("tune job with drop_rate 5: HTTP %d, want 400", code)
 	}
 }

@@ -166,6 +166,11 @@ func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
 	switch req.Kind {
 	case "tune":
 		spec := req.tuneSpec.withDefaults()
+		if spec.NetChaos != nil {
+			if err := spec.NetChaos.Validate(); err != nil {
+				return nil, "", err
+			}
+		}
 		if spec.Checkpoint == "" && s.ckptDir != "" {
 			spec.Checkpoint = filepath.Join(s.ckptDir,
 				fmt.Sprintf("tune-%s-b%d-c%d.ckpt", spec.Algo, spec.Budget, spec.Cores))

@@ -251,6 +251,9 @@ func parseChaosPlan(s string) (*netchaos.PlanSpec, error) {
 	if err := json.Unmarshal([]byte(s), &ps); err != nil {
 		return nil, fmt.Errorf("bad chaos plan %q: %w", s, err)
 	}
+	if err := ps.Validate(); err != nil {
+		return nil, fmt.Errorf("bad chaos plan %q: %w", s, err)
+	}
 	return &ps, nil
 }
 

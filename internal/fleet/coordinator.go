@@ -645,9 +645,10 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 							// The audit caught a lie: never merge this
 							// response; quarantine the worker, repair its
 							// past contributions, and hand the shard to an
-							// honest worker.
+							// honest worker — uncounted, since no lease
+							// failed and the quarantine has its own count.
 							sched.quarantine(worker, opts)
-							sched.release(id, true)
+							sched.release(id, false)
 							return
 						}
 						sched.complete(id, worker, resp.Evals, rtt)

@@ -7,12 +7,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"patty/internal/obs"
 	"patty/internal/ptest"
+	"patty/internal/report"
 	"patty/internal/tuning"
 )
 
@@ -454,5 +457,46 @@ func TestCrossCheckRerunAfterLateQuarantine(t *testing.T) {
 	}
 	if st.Corrected < 1 || st.Reruns != 1 {
 		t.Fatalf("corrected %d, reruns %d: want the read lie corrected and one rerun", st.Corrected, st.Reruns)
+	}
+}
+
+// TestQuarantinedLiarShardNotRedispatched: the shard a caught liar
+// answered goes back to the honest worker, but no lease expired or
+// failed, so neither Stats nor the fleet table report a re-dispatch;
+// the quarantine is counted on its own.
+func TestQuarantinedLiarShardNotRedispatched(t *testing.T) {
+	t.Cleanup(ptest.NoLeaks(t))
+	dims, start, obj := testSpace()
+	liar := httptest.NewServer(liarHandler(obj, func(ShardRequest, int) bool { return true }))
+	defer func() {
+		liar.Close()
+		http.DefaultClient.CloseIdleConnections()
+	}()
+	// The honest worker is slow, so the fast liar takes a shard.
+	honest, _ := startWorker(t, func(json.RawMessage) (tuning.Objective, error) {
+		return func(a map[string]int) float64 {
+			time.Sleep(10 * time.Millisecond)
+			return obj(a)
+		}, nil
+	}, "")
+	c := obs.New()
+	_, st, err := Tune(context.Background(), tuning.RandomSearch{Seed: 1}, dims, start, 120, Options{
+		Workers:        []string{honest, liar.URL},
+		LocalObjective: obj,
+		ShardSize:      4,
+		Collector:      c,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.ByzantineQuarantined) != 1 || st.ByzantineQuarantined[0] != liar.URL {
+		t.Fatalf("quarantined %v, want the liar", st.ByzantineQuarantined)
+	}
+	if st.Redispatched != 0 {
+		t.Fatalf("redispatched = %d, want 0: no lease expired or failed", st.Redispatched)
+	}
+	fh, _ := obs.AnalyzeFleet(c.Snapshot())
+	if table := report.FleetTable(fh); strings.Contains(table, "re-dispatched") {
+		t.Fatalf("fleet table reports a re-dispatch:\n%s", table)
 	}
 }

@@ -145,6 +145,40 @@ type PlanSpec struct {
 	PartitionEveryMs int     `json:"partition_every_ms,omitempty"`
 }
 
+// Validate rejects a rate outside [0,1] or a negative millisecond
+// field, naming the field: a plan arrives from a flag or a job body,
+// and a rate meant as a percent would silently fail every request.
+func (s PlanSpec) Validate() error {
+	rates := []struct {
+		field string
+		v     float64
+	}{
+		{"latency_rate", s.LatencyRate}, {"drop_rate", s.DropRate},
+		{"timeout_rate", s.TimeoutRate}, {"truncate_rate", s.TruncateRate},
+		{"corrupt_rate", s.CorruptRate}, {"duplicate_rate", s.DuplicateRate},
+		{"reorder_rate", s.ReorderRate}, {"throttle_rate", s.ThrottleRate},
+	}
+	for _, r := range rates {
+		if !(r.v >= 0 && r.v <= 1) {
+			return fmt.Errorf("netchaos: %s %v outside [0,1]", r.field, r.v)
+		}
+	}
+	millis := []struct {
+		field string
+		v     int
+	}{
+		{"latency_ms", s.LatencyMs}, {"reorder_delay_ms", s.ReorderDelayMs},
+		{"partition_after_ms", s.PartitionAfterMs}, {"partition_for_ms", s.PartitionForMs},
+		{"partition_every_ms", s.PartitionEveryMs},
+	}
+	for _, m := range millis {
+		if m.v < 0 {
+			return fmt.Errorf("netchaos: %s %d is negative", m.field, m.v)
+		}
+	}
+	return nil
+}
+
 // Plan converts the wire form into an executable Plan.
 func (s PlanSpec) Plan() Plan {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }

@@ -393,6 +393,25 @@ func TestPlanSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPlanSpecValidate: a rate outside [0,1] or a negative millisecond
+// field is rejected with an error naming the field.
+func TestPlanSpecValidate(t *testing.T) {
+	if err := GateSpec().Validate(); err != nil {
+		t.Fatalf("gate spec rejected: %v", err)
+	}
+	for field, spec := range map[string]PlanSpec{
+		"drop_rate":        {Seed: 1, DropRate: 5},
+		"throttle_rate":    {ThrottleRate: -0.1},
+		"latency_ms":       {LatencyMs: -1},
+		"partition_for_ms": {PartitionForMs: -60},
+	} {
+		err := spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%+v: error %v, want one naming %s", spec, err, field)
+		}
+	}
+}
+
 // TestMissingClasses lists unfired classes in stable order.
 func TestMissingClasses(t *testing.T) {
 	inj := New(Plan{Seed: 7})

@@ -1,41 +1,8 @@
 package obs
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
-// Metric key grammar shared by the parrt patterns and this analyzer.
-// Pattern names must not contain dots; the parrt constructors use
-// plain identifiers ("video", "indexer") in practice.
-//
-//	pipeline.<name>.wall_ns                       counter
-//	pipeline.<name>.queue_cap                     gauge
-//	pipeline.<name>.reorder.pending               gauge
-//	pipeline.<name>.reorder.held                  counter
-//	pipeline.<name>.stage.<i>.service_ns          histogram
-//	pipeline.<name>.stage.<i>.blocked_ns          counter
-//	pipeline.<name>.stage.<i>.queue_sum           counter
-//	pipeline.<name>.stage.<i>.replicas            gauge
-//	pipeline.<name>.stage.<i>.label               label
-//	masterworker.<name>.wall_ns                   counter
-//	masterworker.<name>.tasks                     counter
-//	masterworker.<name>.worker.<w>.items          counter
-//	masterworker.<name>.worker.<w>.busy_ns        counter
-//	masterworker.<name>.worker.<w>.idle_ns        counter
-//	parallelfor.<name>.wall_ns                    counter
-//	parallelfor.<name>.items                      counter
-//	parallelfor.<name>.chunk_ns                   histogram
-//	parallelfor.<name>.worker.<w>.busy_ns         counter
-//
-// Every pattern kind additionally publishes its fault-layer counters:
-//
-//	<kind>.<name>.faults.errors                   counter
-//	<kind>.<name>.faults.retries                  counter
-//	<kind>.<name>.faults.timeouts                 counter
-//	<kind>.<name>.faults.drained                  counter
+// Pattern kinds, as registered with Collector.Pattern.
 const (
 	KindPipeline     = "pipeline"
 	KindMasterWorker = "masterworker"
@@ -50,7 +17,7 @@ const SaturationThreshold = 0.95
 // StageMetrics summarizes one pipeline stage from a snapshot.
 type StageMetrics struct {
 	Index   int
-	Name    string       // stage label, or "stage i" when unlabeled
+	Name    string       // stage name given at registration, or "stage i" when empty
 	Service HistSnapshot // per-item service time (ns)
 	// BlockedNs is time stage workers spent blocked pushing downstream
 	// — back-pressure from the next stage or the reorder buffer.
@@ -147,165 +114,47 @@ func (a PatternAnalysis) Saturated() bool {
 	return a.BottleneckUtil >= SaturationThreshold
 }
 
-// patternKey identifies one pattern instance while grouping keys.
-type patternKey struct {
-	kind, name string
-}
-
 // Analyze digests a snapshot into one PatternAnalysis per pattern
-// instance found in it, sorted by kind then name. Keys that do not
-// follow the metric grammar are ignored.
+// instance registered in it, sorted by kind then name.
 func Analyze(s Snapshot) []PatternAnalysis {
-	groups := make(map[patternKey]*PatternAnalysis)
-	get := func(kind, name string) *PatternAnalysis {
-		k := patternKey{kind, name}
-		a, ok := groups[k]
-		if !ok {
-			a = &PatternAnalysis{Kind: kind, Name: name, BottleneckStage: -1}
-			groups[k] = a
+	out := make([]PatternAnalysis, 0, len(s.Patterns))
+	for _, p := range s.Patterns {
+		a := PatternAnalysis{
+			Kind:            p.Kind,
+			Name:            p.Name,
+			WallNs:          p.WallNs,
+			Items:           p.Items,
+			Workers:         p.Workers,
+			BottleneckStage: -1,
+			ReorderPending:  p.ReorderPending,
+			ReorderHeld:     p.ReorderHeld,
+			ChunkNs:         p.ChunkNs,
+			FaultErrors:     p.FaultErrors,
+			FaultRetries:    p.FaultRetries,
+			FaultTimeouts:   p.FaultTimeouts,
+			FaultDrained:    p.FaultDrained,
 		}
-		return a
-	}
-	stage := func(a *PatternAnalysis, i int) *StageMetrics {
-		for len(a.Stages) <= i {
+		for i, st := range p.Stages {
+			name := st.Name
+			if name == "" {
+				name = fmt.Sprintf("stage %d", i)
+			}
 			a.Stages = append(a.Stages, StageMetrics{
-				Index: len(a.Stages),
-				Name:  fmt.Sprintf("stage %d", len(a.Stages)),
+				Index:     i,
+				Name:      name,
+				Service:   st.Service,
+				BlockedNs: st.BlockedNs,
+				Replicas:  st.Replicas,
 			})
 		}
-		return &a.Stages[i]
+		finalize(&a, p.Stages, p.QueueCap)
+		out = append(out, a)
 	}
-	worker := func(a *PatternAnalysis, w int) *WorkerMetrics {
-		for len(a.Workers) <= w {
-			a.Workers = append(a.Workers, WorkerMetrics{Index: len(a.Workers)})
-		}
-		return &a.Workers[w]
-	}
-
-	queueSums := make(map[patternKey]map[int]int64)
-
-	visit := func(key string, apply func(a *PatternAnalysis, sub []string)) {
-		parts := strings.Split(key, ".")
-		if len(parts) < 3 {
-			return
-		}
-		kind := parts[0]
-		if kind != KindPipeline && kind != KindMasterWorker && kind != KindParallelFor {
-			return
-		}
-		apply(get(kind, parts[1]), parts[2:])
-	}
-
-	for key, v := range s.Counters {
-		v := v
-		visit(key, func(a *PatternAnalysis, sub []string) {
-			switch {
-			case len(sub) == 1 && sub[0] == "wall_ns":
-				a.WallNs = v
-			case len(sub) == 1 && (sub[0] == "items" || sub[0] == "tasks"):
-				a.Items = v
-			case len(sub) == 2 && sub[0] == "reorder" && sub[1] == "held":
-				a.ReorderHeld = v
-			case len(sub) == 2 && sub[0] == "faults":
-				switch sub[1] {
-				case "errors":
-					a.FaultErrors = v
-				case "retries":
-					a.FaultRetries = v
-				case "timeouts":
-					a.FaultTimeouts = v
-				case "drained":
-					a.FaultDrained = v
-				}
-			case len(sub) == 3 && sub[0] == "stage":
-				i, err := strconv.Atoi(sub[1])
-				if err != nil || i < 0 {
-					return
-				}
-				switch sub[2] {
-				case "blocked_ns":
-					stage(a, i).BlockedNs = v
-				case "queue_sum":
-					m := queueSums[patternKey{a.Kind, a.Name}]
-					if m == nil {
-						m = make(map[int]int64)
-						queueSums[patternKey{a.Kind, a.Name}] = m
-					}
-					m[i] = v
-					stage(a, i) // make sure the stage exists
-				}
-			case len(sub) == 3 && sub[0] == "worker":
-				w, err := strconv.Atoi(sub[1])
-				if err != nil || w < 0 {
-					return
-				}
-				switch sub[2] {
-				case "items":
-					worker(a, w).Items = v
-				case "busy_ns":
-					worker(a, w).BusyNs = v
-				case "idle_ns":
-					worker(a, w).IdleNs = v
-				}
-			}
-		})
-	}
-	queueCaps := make(map[patternKey]int64)
-	for key, v := range s.Gauges {
-		v := v
-		visit(key, func(a *PatternAnalysis, sub []string) {
-			switch {
-			case len(sub) == 1 && sub[0] == "queue_cap":
-				queueCaps[patternKey{a.Kind, a.Name}] = v
-			case len(sub) == 2 && sub[0] == "reorder" && sub[1] == "pending":
-				a.ReorderPending = v
-			case len(sub) == 3 && sub[0] == "stage" && sub[2] == "replicas":
-				if i, err := strconv.Atoi(sub[1]); err == nil && i >= 0 {
-					stage(a, i).Replicas = v
-				}
-			}
-		})
-	}
-	for key, h := range s.Histograms {
-		h := h
-		visit(key, func(a *PatternAnalysis, sub []string) {
-			switch {
-			case len(sub) == 1 && sub[0] == "chunk_ns":
-				a.ChunkNs = h
-			case len(sub) == 3 && sub[0] == "stage" && sub[2] == "service_ns":
-				if i, err := strconv.Atoi(sub[1]); err == nil && i >= 0 {
-					stage(a, i).Service = h
-				}
-			}
-		})
-	}
-	for key, label := range s.Labels {
-		label := label
-		visit(key, func(a *PatternAnalysis, sub []string) {
-			if len(sub) == 3 && sub[0] == "stage" && sub[2] == "label" {
-				if i, err := strconv.Atoi(sub[1]); err == nil && i >= 0 && label != "" {
-					stage(a, i).Name = label
-				}
-			}
-		})
-	}
-
-	out := make([]PatternAnalysis, 0, len(groups))
-	for k, a := range groups {
-		finalize(a, queueSums[k], queueCaps[k])
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Name < out[j].Name
-	})
 	return out
 }
 
 // finalize computes the derived ratios once all raw values are in.
-func finalize(a *PatternAnalysis, queueSums map[int]int64, queueCap int64) {
+func finalize(a *PatternAnalysis, raw []StageSnapshot, queueCap int64) {
 	wall := float64(a.WallNs)
 	for i := range a.Stages {
 		st := &a.Stages[i]
@@ -321,7 +170,7 @@ func finalize(a *PatternAnalysis, queueSums map[int]int64, queueCap int64) {
 			}
 		}
 		if queueCap > 0 && st.Service.Count > 0 {
-			st.QueueFill = float64(queueSums[i]) / float64(st.Service.Count) / float64(queueCap)
+			st.QueueFill = float64(raw[i].QueueSum) / float64(st.Service.Count) / float64(queueCap)
 			if st.QueueFill > 1 {
 				st.QueueFill = 1
 			}

@@ -11,8 +11,6 @@ import (
 func syntheticPipeline() Snapshot {
 	c := New()
 	wall := int64(1_000_000_000)
-	c.Counter("pipeline.video.wall_ns").Add(wall)
-	c.Gauge("pipeline.video.queue_cap").Set(8)
 	stages := []struct {
 		name     string
 		busy     int64
@@ -25,20 +23,25 @@ func syntheticPipeline() Snapshot {
 		{"oil", 2_850_000_000, 100, 3, 800, 0},      // util 0.95, fill 1.0
 		{"add", 100_000_000, 100, 1, 0, 50_000_000}, // util 0.10
 	}
+	names := make([]string, len(stages))
 	for i, st := range stages {
-		prefix := "pipeline.video.stage." + string(rune('0'+i))
-		h := c.Histogram(prefix + ".service_ns")
+		names[i] = st.name
+	}
+	p := c.Pattern(KindPipeline, "video", names, 0)
+	p.Wall.Add(wall)
+	p.QueueCap.Set(8)
+	for i, st := range stages {
+		in := p.Stages[i]
 		per := st.busy / st.items
 		for j := int64(0); j < st.items; j++ {
-			h.Record(per)
+			in.Service.Record(per)
 		}
-		c.Gauge(prefix + ".replicas").Set(st.replicas)
-		c.Counter(prefix + ".queue_sum").Add(st.queueSum)
-		c.Counter(prefix + ".blocked_ns").Add(st.blocked)
-		c.SetLabel(prefix+".label", st.name)
+		in.Replicas.Set(st.replicas)
+		in.QueueSum.Add(st.queueSum)
+		in.Blocked.Add(st.blocked)
 	}
-	c.Gauge("pipeline.video.reorder.pending").Set(2)
-	c.Counter("pipeline.video.reorder.held").Add(17)
+	p.ReorderPending.Set(2)
+	p.ReorderHeld.Add(17)
 	return c.Snapshot()
 }
 
@@ -85,17 +88,18 @@ func TestAnalyzePipeline(t *testing.T) {
 
 func TestAnalyzeWorkers(t *testing.T) {
 	c := New()
-	c.Counter("masterworker.pool.wall_ns").Add(1_000_000)
-	c.Counter("masterworker.pool.tasks").Add(30)
 	busies := []int64{900_000, 300_000, 300_000}
+	pool := c.Pattern(KindMasterWorker, "pool", nil, len(busies))
+	pool.Wall.Add(1_000_000)
+	pool.Items.Add(30)
 	for w, b := range busies {
-		prefix := "masterworker.pool.worker." + string(rune('0'+w))
-		c.Counter(prefix + ".busy_ns").Add(b)
-		c.Counter(prefix + ".items").Add(10)
-		c.Counter(prefix + ".idle_ns").Add(1_000_000 - b)
+		pool.Workers[w].Busy.Add(b)
+		pool.Workers[w].Items.Add(10)
+		pool.Workers[w].Idle.Add(1_000_000 - b)
 	}
-	c.Counter("parallelfor.loop.wall_ns").Add(500)
-	c.Histogram("parallelfor.loop.chunk_ns").Record(100)
+	loop := c.Pattern(KindParallelFor, "loop", nil, 0)
+	loop.Wall.Add(500)
+	loop.Chunk.Record(100)
 
 	as := Analyze(c.Snapshot())
 	if len(as) != 2 {
@@ -125,16 +129,17 @@ func TestAnalyzeWorkers(t *testing.T) {
 }
 
 // TestAnalyzeFaultCounters: the fault-layer counters every runtime
-// publishes under <kind>.<name>.faults.* must land in the analysis,
-// and any activity there must flip Faulted().
+// records in its pattern instance must land in the analysis, and any
+// activity there must flip Faulted().
 func TestAnalyzeFaultCounters(t *testing.T) {
 	c := New()
-	c.Counter("parallelfor.loop.wall_ns").Add(1_000)
-	c.Counter("parallelfor.loop.faults.errors").Add(3)
-	c.Counter("parallelfor.loop.faults.retries").Add(7)
-	c.Counter("parallelfor.loop.faults.timeouts").Add(1)
-	c.Counter("parallelfor.loop.faults.drained").Add(12)
-	c.Counter("masterworker.pool.wall_ns").Add(1_000)
+	loop := c.Pattern(KindParallelFor, "loop", nil, 0)
+	loop.Wall.Add(1_000)
+	loop.Faults.Errors.Add(3)
+	loop.Faults.Retries.Add(7)
+	loop.Faults.Timeouts.Add(1)
+	loop.Faults.Drained.Add(12)
+	c.Pattern(KindMasterWorker, "pool", nil, 0).Wall.Add(1_000)
 
 	as := Analyze(c.Snapshot())
 	if len(as) != 2 {
@@ -153,11 +158,13 @@ func TestAnalyzeFaultCounters(t *testing.T) {
 	}
 }
 
+// TestAnalyzeIgnoresForeignKeys: plain instruments, even ones named
+// like a pattern, are not pattern instances.
 func TestAnalyzeIgnoresForeignKeys(t *testing.T) {
 	c := New()
 	c.Counter("http.requests").Add(3)
-	c.Counter("pipeline.x").Add(1)               // too short
-	c.Counter("pipeline.x.stage.q.items").Add(1) // bad index
+	c.Counter("pipeline.x.stage.0.service_ns").Add(1)
+	c.Pattern(KindPipeline, "x", nil, 0)
 	if as := Analyze(c.Snapshot()); len(as) != 1 || len(as[0].Stages) != 0 {
 		t.Fatalf("analyses = %+v", as)
 	}

@@ -2,11 +2,10 @@ package obs
 
 import "testing"
 
-// The pipeline hot path holds instrument pointers hoisted out of the
-// loop at Instrument time; when the pattern is uninstrumented the
-// pointers are nil and each record must cost a single predictable
-// branch. These benchmarks pin that contract; TestNoopOverheadBound
-// (see noop_bound_test.go helpers) enforces the <5ns budget in CI.
+// The parrt runtimes hold their Pattern's instrument pointers; when
+// the pattern is uninstrumented the pointers are nil and each record
+// must cost a single predictable branch. These benchmarks pin that
+// contract; TestNoopOverheadBound enforces the <5ns budget in CI.
 
 func BenchmarkNoopHistogramRecord(b *testing.B) {
 	var h *Histogram
@@ -24,25 +23,21 @@ func BenchmarkNoopCounterAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkNoopStageStep mimics one instrumented pipeline stage
-// iteration (service histogram + item counter) with instrumentation
-// disabled — the exact shape of parrt's hot loop.
+// BenchmarkNoopStageStep is one stage iteration of parrt's pipeline
+// hot loop (service histogram + input-queue counter) through the
+// Stage of an uninstrumented Pattern, as NewPipeline builds it.
 func BenchmarkNoopStageStep(b *testing.B) {
-	type stageObs struct {
-		service *Histogram
-		items   *Counter
-	}
-	var so stageObs
+	m := Pattern{Stages: make([]Stage, 1)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		so.service.Record(int64(i))
-		so.items.Inc()
+		m.Stages[0].Service.Record(int64(i))
+		m.Stages[0].QueueSum.Add(1)
 	}
 }
 
 func BenchmarkEnabledHistogramRecord(b *testing.B) {
 	c := New()
-	h := c.Histogram("pipeline.bench.stage.0.service_ns")
+	h := c.Pattern(KindPipeline, "bench", []string{"s"}, 0).Stages[0].Service
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Record(int64(i & 1023))
@@ -51,7 +46,7 @@ func BenchmarkEnabledHistogramRecord(b *testing.B) {
 
 func BenchmarkEnabledCounterAdd(b *testing.B) {
 	c := New()
-	ct := c.Counter("pipeline.bench.stage.0.items")
+	ct := c.Pattern(KindPipeline, "bench", []string{"s"}, 0).Stages[0].QueueSum
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ct.Add(1)
@@ -60,14 +55,15 @@ func BenchmarkEnabledCounterAdd(b *testing.B) {
 
 func BenchmarkSnapshot(b *testing.B) {
 	c := New()
+	st := c.Pattern(KindPipeline, "bench", []string{"s"}, 0).Stages[0]
 	for i := 0; i < 64; i++ {
-		c.Histogram("pipeline.bench.stage.0.service_ns").Record(int64(i))
-		c.Counter("pipeline.bench.stage.0.items").Add(1)
+		st.Service.Record(int64(i))
+		st.QueueSum.Add(1)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := c.Snapshot()
-		if len(s.Histograms) == 0 {
+		if len(s.Patterns) == 0 {
 			b.Fatal("empty snapshot")
 		}
 	}

@@ -18,12 +18,13 @@
 //     per-field atomic reads: totals are exact once writers quiesce
 //     and monotonically consistent while they run.
 //   - An instrument is a name plus, in a labelled family, one label
-//     value kept exactly as given. Unlabelled names mirror the tuning
-//     parameter scheme, e.g. "pipeline.video.stage.2.service_ns", so
-//     that metric streams and tuning configurations join trivially.
-//     Per-tenant, per-worker and per-fault-class series are families
+//     value kept exactly as given. Per-tenant, per-worker and
+//     per-fault-class series are families
 //     (CounterOf("cache.tenant.hits", tenant)), so an id never has to
 //     be split back out of a key.
+//   - A parrt pattern instance registers as one typed Pattern, keyed
+//     by its kind and its name as given, holding its stage and worker
+//     instruments; Analyze reads those instances, never a key string.
 package obs
 
 import (
@@ -153,6 +154,17 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
+// reset zeroes the histogram.
+func (h *Histogram) reset() {
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
+	h.count.Store(0)
+	h.sum.Store(0)
+	h.min.Store(0)
+	h.max.Store(0)
+}
+
 // snapshot copies the histogram state with per-field atomic reads.
 func (h *Histogram) snapshot() HistSnapshot {
 	s := HistSnapshot{
@@ -242,7 +254,7 @@ type Collector struct {
 	counters map[series]*Counter
 	gauges   map[series]*Gauge
 	hists    map[series]*Histogram
-	labels   map[string]string
+	patterns map[patternKey]*Pattern
 }
 
 // series identifies one instrument: a metric name and, for a member of
@@ -255,7 +267,7 @@ func New() *Collector {
 		counters: make(map[series]*Counter),
 		gauges:   make(map[series]*Gauge),
 		hists:    make(map[series]*Histogram),
-		labels:   make(map[string]string),
+		patterns: make(map[patternKey]*Pattern),
 	}
 }
 
@@ -310,26 +322,16 @@ func (c *Collector) HistogramOf(name, value string) *Histogram {
 	return lookup(c, c.hists, series{name, value})
 }
 
-// SetLabel attaches a static string (e.g. a stage name) to key.
-// No-op on a nil Collector.
-func (c *Collector) SetLabel(key, value string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.labels[key] = value
-}
-
 // Snapshot is a point-in-time copy of every instrument in a
 // Collector. Maps are fresh copies; mutating a snapshot never affects
 // the live collector. Unlabelled instruments are keyed by name; the
-// *Families maps hold labelled ones as name -> label value -> value.
+// *Families maps hold labelled ones as name -> label value -> value;
+// Patterns holds the pattern instances, sorted by kind then name.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters,omitempty"`
 	Gauges     map[string]int64        `json:"gauges,omitempty"`
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
-	Labels     map[string]string       `json:"labels,omitempty"`
+	Patterns   []PatternSnapshot       `json:"patterns,omitempty"`
 
 	CounterFamilies   map[string]map[string]int64        `json:"counter_families,omitempty"`
 	GaugeFamilies     map[string]map[string]int64        `json:"gauge_families,omitempty"`
@@ -359,10 +361,7 @@ func (c *Collector) Snapshot() Snapshot {
 	for k, h := range c.hists {
 		put(s.Histograms, s.HistogramFamilies, k, h.snapshot())
 	}
-	s.Labels = make(map[string]string, len(c.labels))
-	for k, v := range c.labels {
-		s.Labels[k] = v
-	}
+	s.Patterns = c.snapshotPatterns()
 	return s
 }
 
@@ -379,9 +378,9 @@ func put[V any](flat map[string]V, fams map[string]map[string]V, k series, v V) 
 	fams[k.name][k.label] = v
 }
 
-// Reset zeroes every registered instrument (keys and labels survive),
-// so one Collector can be reused across tuning evaluations without
-// re-instrumenting the patterns. No-op on a nil Collector.
+// Reset zeroes every registered instrument (keys and pattern instances
+// survive), so one Collector can be reused across tuning evaluations
+// without re-instrumenting the patterns. No-op on a nil Collector.
 func (c *Collector) Reset() {
 	if c == nil {
 		return
@@ -395,13 +394,10 @@ func (c *Collector) Reset() {
 		g.v.Store(0)
 	}
 	for _, h := range c.hists {
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sum.Store(0)
-		h.min.Store(0)
-		h.max.Store(0)
+		h.reset()
+	}
+	for _, p := range c.patterns {
+		p.reset()
 	}
 }
 

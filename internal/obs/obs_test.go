@@ -106,7 +106,9 @@ func TestNilInstrumentsAreNoops(t *testing.T) {
 	if ct.Value() != 0 || g.Value() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
-	c.SetLabel("x", "y")
+	if p := c.Pattern(KindPipeline, "x", []string{"s"}, 2); p.Enabled() || p.Stages != nil || p.Workers != nil {
+		t.Fatalf("nil collector must hand out the zero pattern: %+v", p)
+	}
 	c.Reset()
 	c.PublishExpvar("obs-test-nil")
 	if s := c.Snapshot(); s.Counters != nil || s.CounterFamilies != nil {
@@ -123,8 +125,8 @@ func TestSnapshotConsistencyUnderConcurrentWriters(t *testing.T) {
 	const writers = 8
 	const perWriter = 5000
 	c := New()
-	h := c.Histogram("pipeline.x.stage.0.service_ns")
-	ct := c.Counter("pipeline.x.stage.0.blocked_ns")
+	st := c.Pattern(KindPipeline, "x", []string{"s"}, 0).Stages[0]
+	h, ct := st.Service, st.Blocked
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -150,8 +152,7 @@ func TestSnapshotConsistencyUnderConcurrentWriters(t *testing.T) {
 				return
 			default:
 			}
-			s := c.Snapshot()
-			hs := s.Histograms["pipeline.x.stage.0.service_ns"]
+			hs := c.Snapshot().Patterns[0].Stages[0].Service
 			if hs.Count > writers*perWriter {
 				snapErr <- "count exceeded total writes"
 				return
@@ -174,8 +175,8 @@ func TestSnapshotConsistencyUnderConcurrentWriters(t *testing.T) {
 		t.Fatal(msg)
 	}
 
-	s := c.Snapshot()
-	hs := s.Histograms["pipeline.x.stage.0.service_ns"]
+	ss := c.Snapshot().Patterns[0].Stages[0]
+	hs := ss.Service
 	total := int64(writers * perWriter)
 	if hs.Count != total {
 		t.Fatalf("final count = %d, want %d", hs.Count, total)
@@ -197,7 +198,7 @@ func TestSnapshotConsistencyUnderConcurrentWriters(t *testing.T) {
 	if hs.Min != 0 || hs.Max != 999 {
 		t.Fatalf("min/max = %d/%d, want 0/999", hs.Min, hs.Max)
 	}
-	if s.Counters["pipeline.x.stage.0.blocked_ns"] != total {
+	if ss.BlockedNs != total {
 		t.Fatal("counter total wrong")
 	}
 }
@@ -208,7 +209,9 @@ func TestResetAndKeys(t *testing.T) {
 	c.Gauge("a").Set(9)
 	c.Histogram("c").Record(5)
 	c.CounterOf("b", "t").Add(4)
-	c.SetLabel("c", "hot")
+	p := c.Pattern(KindMasterWorker, "Process.L1", nil, 1)
+	p.Wall.Add(7)
+	p.Workers[0].Busy.Add(3)
 	c.Reset()
 	s := c.Snapshot()
 	if v, ok := s.CounterFamilies["b"]["t"]; !ok || v != 0 {
@@ -217,8 +220,35 @@ func TestResetAndKeys(t *testing.T) {
 	if s.Counters["b"] != 0 || s.Gauges["a"] != 0 || s.Histograms["c"].Count != 0 {
 		t.Fatalf("reset left values: %+v", s)
 	}
-	if s.Labels["c"] != "hot" {
-		t.Fatal("reset must keep labels")
+	if len(s.Patterns) != 1 || s.Patterns[0].Name != "Process.L1" || len(s.Patterns[0].Workers) != 1 ||
+		s.Patterns[0].WallNs != 0 || s.Patterns[0].Workers[0].BusyNs != 0 {
+		t.Fatalf("reset must zero and keep pattern instances: %+v", s.Patterns)
+	}
+}
+
+// TestPatternRegistrationGrows: registering an instance again hands
+// out the same instruments, grown to the larger stage and worker
+// counts, and keeps a dotted name whole.
+func TestPatternRegistrationGrows(t *testing.T) {
+	c := New()
+	a := c.Pattern(KindPipeline, "Process.L1", []string{"crop"}, 1)
+	b := c.Pattern(KindPipeline, "Process.L1", []string{"crop", "oil"}, 2)
+	if a.Wall != b.Wall || a.Stages[0].Service != b.Stages[0].Service || a.Workers[0].Busy != b.Workers[0].Busy {
+		t.Fatal("a second registration must share the first one's instruments")
+	}
+	if len(a.Stages) != 1 || len(b.Stages) != 2 || len(b.Workers) != 2 {
+		t.Fatalf("stages %d/%d, workers %d: want 1/2 and 2", len(a.Stages), len(b.Stages), len(b.Workers))
+	}
+	a.Wall.Add(5)
+	b.Stages[1].Service.Record(9)
+	s := c.Snapshot()
+	if len(s.Patterns) != 1 {
+		t.Fatalf("patterns = %+v, want one instance", s.Patterns)
+	}
+	p := s.Patterns[0]
+	if p.Kind != KindPipeline || p.Name != "Process.L1" || p.WallNs != 5 ||
+		len(p.Stages) != 2 || p.Stages[1].Name != "oil" || p.Stages[1].Service.Count != 1 {
+		t.Fatalf("snapshot = %+v", p)
 	}
 }
 
@@ -235,6 +265,7 @@ func TestSnapshotIsDetachedCopy(t *testing.T) {
 func TestPublishExpvar(t *testing.T) {
 	c := New()
 	c.Counter("pipeline.pub.wall_ns").Add(123)
+	c.Pattern(KindPipeline, "Process.L1", []string{"crop"}, 0).Stages[0].Service.Record(5)
 	c.PublishExpvar("obs-test-publish")
 	c.PublishExpvar("obs-test-publish") // idempotent, must not panic
 	v := expvar.Get("obs-test-publish")
@@ -245,7 +276,8 @@ func TestPublishExpvar(t *testing.T) {
 	if err := json.Unmarshal([]byte(v.String()), &s); err != nil {
 		t.Fatalf("expvar payload not JSON: %v", err)
 	}
-	if s.Counters["pipeline.pub.wall_ns"] != 123 {
+	if s.Counters["pipeline.pub.wall_ns"] != 123 || len(s.Patterns) != 1 ||
+		s.Patterns[0].Name != "Process.L1" || s.Patterns[0].Stages[0].Name != "crop" || s.Patterns[0].Stages[0].Service.Sum != 5 {
 		t.Fatalf("payload = %+v", s)
 	}
 }

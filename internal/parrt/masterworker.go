@@ -39,19 +39,7 @@ type MasterWorker[T, R any] struct {
 
 	items     stageCounters
 	busyTotal time.Duration
-	m         mwMetrics
-}
-
-// mwMetrics holds the pattern's observability instruments; nil (and
-// enabled == false) until Instrument is called.
-type mwMetrics struct {
-	enabled     bool
-	wall        *obs.Counter
-	tasks       *obs.Counter
-	workerItems []*obs.Counter
-	workerBusy  []*obs.Counter
-	workerIdle  []*obs.Counter
-	faults      faultCounters
+	m         obs.Pattern // zero until Instrument
 }
 
 // NewMasterWorker constructs the pattern around the worker function
@@ -85,32 +73,15 @@ func NewMasterWorker[T, R any](name string, ps *Params, maxWorkers int, work fun
 	return mw
 }
 
-// Instrument attaches the pattern to a metrics collector and returns
-// the pattern. Per worker w it records items, busy time and idle time
-// (time blocked waiting for the next task) under
-// "masterworker.<name>.worker.<w>.", plus wall time, the task count
-// and the fault-layer counters (faults.errors, faults.retries,
-// faults.timeouts, faults.drained) under "masterworker.<name>.". The
-// per-worker series expose the imbalance ratio the bottleneck table
-// reports. A nil collector leaves the pattern uninstrumented.
+// Instrument registers the pattern with a metrics collector as one
+// obs.Pattern of kind masterworker under its name, and returns the
+// pattern. Per worker it records items, busy time and idle time (time
+// blocked waiting for the next task), plus wall time, the task count
+// and the fault-layer counters. The per-worker series expose the
+// imbalance ratio the bottleneck table reports. A nil collector leaves
+// the pattern uninstrumented.
 func (mw *MasterWorker[T, R]) Instrument(c *obs.Collector) *MasterWorker[T, R] {
-	if c == nil {
-		return mw
-	}
-	prefix := "masterworker." + mw.name
-	mw.m.enabled = true
-	mw.m.wall = c.Counter(prefix + ".wall_ns")
-	mw.m.tasks = c.Counter(prefix + ".tasks")
-	mw.m.faults = instrumentFaults(c, prefix)
-	mw.m.workerItems = make([]*obs.Counter, mw.maxWorkers)
-	mw.m.workerBusy = make([]*obs.Counter, mw.maxWorkers)
-	mw.m.workerIdle = make([]*obs.Counter, mw.maxWorkers)
-	for w := 0; w < mw.maxWorkers; w++ {
-		wp := fmt.Sprintf("%s.worker.%d", prefix, w)
-		mw.m.workerItems[w] = c.Counter(wp + ".items")
-		mw.m.workerBusy[w] = c.Counter(wp + ".busy_ns")
-		mw.m.workerIdle[w] = c.Counter(wp + ".idle_ns")
-	}
+	mw.m = c.Pattern(obs.KindMasterWorker, mw.name, nil, mw.maxWorkers)
 	return mw
 }
 
@@ -144,13 +115,13 @@ func (mw *MasterWorker[T, R]) Process(tasks []T) []R {
 // *StallError when the stall watchdog fired.
 func (mw *MasterWorker[T, R]) ProcessCtx(ctx context.Context, tasks []T) ([]R, []*ItemError, error) {
 	pol := policyFromParams(mw.params, "masterworker."+mw.name)
-	fr, finish := newFaultRun(ctx, mw.name, pol, mw.m.faults)
+	fr, finish := newFaultRun(ctx, mw.name, pol, mw.m.Faults)
 	defer finish()
 	var wallStart time.Time
-	if mw.m.enabled {
+	if mw.m.Enabled() {
 		wallStart = time.Now()
-		mw.m.tasks.Add(int64(len(tasks)))
-		defer func() { mw.m.wall.Add(int64(time.Since(wallStart))) }()
+		mw.m.Items.Add(int64(len(tasks)))
+		defer func() { mw.m.Wall.Add(int64(time.Since(wallStart))) }()
 	}
 	if mw.seq.Bool() || len(tasks) < mw.minPl.Value {
 		out := mw.processSequentialCtx(fr, tasks)
@@ -187,9 +158,9 @@ func (mw *MasterWorker[T, R]) ProcessCtx(ctx context.Context, tasks []T) ([]R, [
 	for w := 0; w < n; w++ {
 		go func(w int) {
 			defer wg.Done()
-			var items, busy, idle *obs.Counter
-			if mw.m.enabled {
-				items, busy, idle = mw.m.workerItems[w], mw.m.workerBusy[w], mw.m.workerIdle[w]
+			var wk obs.Worker
+			if mw.m.Enabled() {
+				wk = mw.m.Workers[w]
 			}
 			for {
 				idleStart := time.Now()
@@ -197,20 +168,20 @@ func (mw *MasterWorker[T, R]) ProcessCtx(ctx context.Context, tasks []T) ([]R, [
 				if !ok {
 					return
 				}
-				idle.Add(int64(time.Since(idleStart)))
+				wk.Idle.Add(int64(time.Since(idleStart)))
 				if fr.canceled() {
-					fr.fc.drained.Inc()
+					fr.fc.Drained.Inc()
 					continue
 				}
 				busyStart := time.Now()
 				var res R
 				okItem := fr.item("worker", j.idx, func() { res = mw.work(j.task) })
-				busy.Add(int64(time.Since(busyStart)))
+				wk.Busy.Add(int64(time.Since(busyStart)))
 				if okItem {
 					results <- done{j.idx, res}
 					mw.items.items.Add(1)
 					completed.Add(1)
-					items.Inc()
+					wk.Items.Inc()
 				}
 			}
 		}(w)
@@ -275,15 +246,15 @@ func (mw *MasterWorker[T, R]) processSequentialCtx(fr *faultRun, tasks []T) []R 
 	}
 	for i, t := range tasks {
 		if fr.canceled() {
-			fr.fc.drained.Add(int64(len(tasks) - i))
+			fr.fc.Drained.Add(int64(len(tasks) - i))
 			break
 		}
 		i, t := i, t
 		start := time.Now()
 		var res R
 		ok := fr.item("worker", i, func() { res = mw.work(t) })
-		if mw.m.enabled {
-			mw.m.workerBusy[0].Add(int64(time.Since(start)))
+		if mw.m.Enabled() {
+			mw.m.Workers[0].Busy.Add(int64(time.Since(start)))
 		}
 		if !ok {
 			continue
@@ -294,8 +265,8 @@ func (mw *MasterWorker[T, R]) processSequentialCtx(fr *faultRun, tasks []T) []R 
 			out = append(out, res)
 		}
 		mw.items.items.Add(1)
-		if mw.m.enabled {
-			mw.m.workerItems[0].Inc()
+		if mw.m.Enabled() {
+			mw.m.Workers[0].Items.Inc()
 		}
 	}
 	return out

@@ -73,18 +73,7 @@ type ParallelFor struct {
 	seq      *Param
 	minPl    *Param
 
-	m pfMetrics
-}
-
-// pfMetrics holds the loop's observability instruments; nil (and
-// enabled == false) until Instrument is called.
-type pfMetrics struct {
-	enabled    bool
-	wall       *obs.Counter
-	items      *obs.Counter
-	chunkNs    *obs.Histogram
-	workerBusy []*obs.Counter
-	faults     faultCounters
+	m obs.Pattern // zero until Instrument
 }
 
 // NewParallelFor constructs a data-parallel loop instance, registering
@@ -120,51 +109,16 @@ func NewParallelFor(name string, ps *Params, maxWorkers int) *ParallelFor {
 	return pf
 }
 
-// Instrument attaches the loop to a metrics collector and returns the
-// loop. It records the chunk-latency distribution (chunk_ns — the
-// signal behind chunk-size tuning: too-small chunks show scheduling
-// overhead, too-large ones imbalance), the processed iteration count
-// (items), per-worker busy time (worker.<w>.busy_ns), wall time and
-// the fault-layer counters (faults.errors, faults.retries,
-// faults.timeouts, faults.drained) under "parallelfor.<name>.". A nil
-// collector leaves the loop uninstrumented.
+// Instrument registers the loop with a metrics collector as one
+// obs.Pattern of kind parallelfor under its name, and returns the
+// loop. It records the chunk-latency distribution (the signal behind
+// chunk-size tuning: too-small chunks show scheduling overhead,
+// too-large ones imbalance), the processed iteration count, per-worker
+// busy time, wall time and the fault-layer counters. A nil collector
+// leaves the loop uninstrumented.
 func (pf *ParallelFor) Instrument(c *obs.Collector) *ParallelFor {
-	if c == nil {
-		return pf
-	}
-	prefix := "parallelfor." + pf.name
-	pf.m.enabled = true
-	pf.m.wall = c.Counter(prefix + ".wall_ns")
-	pf.m.items = c.Counter(prefix + ".items")
-	pf.m.chunkNs = c.Histogram(prefix + ".chunk_ns")
-	pf.m.faults = instrumentFaults(c, prefix)
-	pf.m.workerBusy = make([]*obs.Counter, pf.maxWorkers)
-	for w := 0; w < pf.maxWorkers; w++ {
-		pf.m.workerBusy[w] = c.Counter(fmt.Sprintf("%s.worker.%d.busy_ns", prefix, w))
-	}
+	pf.m = c.Pattern(obs.KindParallelFor, pf.name, nil, pf.maxWorkers)
 	return pf
-}
-
-// runChunk executes body over [lo, hi) for worker w, recording the
-// chunk latency when instrumented. The uninstrumented path is the
-// plain loop plus one predictable branch per chunk.
-func (pf *ParallelFor) runChunk(w, lo, hi int, body func(int)) {
-	if !pf.m.enabled {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-		return
-	}
-	start := time.Now()
-	for i := lo; i < hi; i++ {
-		body(i)
-	}
-	d := int64(time.Since(start))
-	pf.m.chunkNs.Record(d)
-	pf.m.items.Add(int64(hi - lo))
-	if w >= 0 && w < len(pf.m.workerBusy) {
-		pf.m.workerBusy[w].Add(d)
-	}
 }
 
 // faultBlock bounds how many iterations run inside one panic-capture
@@ -173,24 +127,30 @@ func (pf *ParallelFor) runChunk(w, lo, hi int, body func(int)) {
 const faultBlock = 1024
 
 // runChunkCtx executes body over [lo, hi) for worker w under the fault
-// policy, recording the same instruments as runChunk. It reports false
+// policy, recording the chunk instruments. It reports false
 // once the run is canceled, telling the scheduler to stop handing out
 // chunks.
 func (pf *ParallelFor) runChunkCtx(fr *faultRun, w, lo, hi int, body func(int)) bool {
 	var start time.Time
-	if pf.m.enabled {
+	if pf.m.Enabled() {
 		start = time.Now()
 	}
 	cont := pf.chunkBodyCtx(fr, lo, hi, body)
-	if pf.m.enabled {
-		d := int64(time.Since(start))
-		pf.m.chunkNs.Record(d)
-		pf.m.items.Add(int64(hi - lo))
-		if w >= 0 && w < len(pf.m.workerBusy) {
-			pf.m.workerBusy[w].Add(d)
-		}
+	if pf.m.Enabled() {
+		pf.recordChunk(w, hi-lo, start)
 	}
 	return cont
+}
+
+// recordChunk records a chunk of n iterations that worker w started at
+// start. Callers check pf.m.Enabled() first.
+func (pf *ParallelFor) recordChunk(w, n int, start time.Time) {
+	d := int64(time.Since(start))
+	pf.m.Chunk.Record(d)
+	pf.m.Items.Add(int64(n))
+	if w >= 0 && w < len(pf.m.Workers) {
+		pf.m.Workers[w].Busy.Add(d)
+	}
 }
 
 func (pf *ParallelFor) chunkBodyCtx(fr *faultRun, lo, hi int, body func(int)) bool {
@@ -199,7 +159,7 @@ func (pf *ParallelFor) chunkBodyCtx(fr *faultRun, lo, hi int, body func(int)) bo
 		// iterations instead of per iteration.
 		for blockLo := lo; blockLo < hi; blockLo += faultBlock {
 			if fr.canceled() {
-				fr.fc.drained.Add(int64(hi - blockLo))
+				fr.fc.Drained.Add(int64(hi - blockLo))
 				return false
 			}
 			blockHi := blockLo + faultBlock
@@ -231,7 +191,7 @@ func (pf *ParallelFor) chunkBodyCtx(fr *faultRun, lo, hi int, body func(int)) bo
 	}
 	for i := lo; i < hi; i++ {
 		if fr.canceled() {
-			fr.fc.drained.Add(int64(hi - i))
+			fr.fc.Drained.Add(int64(hi - i))
 			return false
 		}
 		i := i
@@ -269,12 +229,12 @@ func (pf *ParallelFor) ForCtx(ctx context.Context, n int, body func(i int)) ([]*
 		return nil, nil
 	}
 	pol := policyFromParams(pf.params, "parallelfor."+pf.name)
-	fr, finish := newFaultRun(ctx, pf.name, pol, pf.m.faults)
+	fr, finish := newFaultRun(ctx, pf.name, pol, pf.m.Faults)
 	defer finish()
 	var wallStart time.Time
-	if pf.m.enabled {
+	if pf.m.Enabled() {
 		wallStart = time.Now()
-		defer func() { pf.m.wall.Add(int64(time.Since(wallStart))) }()
+		defer func() { pf.m.Wall.Add(int64(time.Since(wallStart))) }()
 	}
 	if pf.seq.Bool() || n < pf.minPl.Value {
 		pf.runChunkCtx(fr, 0, 0, n, body)
@@ -442,12 +402,12 @@ func ReduceCtx[R any](ctx context.Context, pf *ParallelFor, n int, identity R, b
 		return identity, nil, nil
 	}
 	pol := policyFromParams(pf.params, "parallelfor."+pf.name)
-	fr, finish := newFaultRun(ctx, pf.name, pol, pf.m.faults)
+	fr, finish := newFaultRun(ctx, pf.name, pol, pf.m.Faults)
 	defer finish()
 	var wallStart time.Time
-	if pf.m.enabled {
+	if pf.m.Enabled() {
 		wallStart = time.Now()
-		defer func() { pf.m.wall.Add(int64(time.Since(wallStart))) }()
+		defer func() { pf.m.Wall.Add(int64(time.Since(wallStart))) }()
 	}
 	if pf.seq.Bool() || n < pf.minPl.Value {
 		acc := reduceRange(pf, fr, 0, 0, n, identity, body, combine)
@@ -491,13 +451,13 @@ func ReduceCtx[R any](ctx context.Context, pf *ParallelFor, n int, identity R, b
 // policy, recording the chunk instruments.
 func reduceRange[R any](pf *ParallelFor, fr *faultRun, w, lo, hi int, identity R, body func(int) R, combine func(a, b R) R) R {
 	var start time.Time
-	if pf.m.enabled {
+	if pf.m.Enabled() {
 		start = time.Now()
 	}
 	acc := identity
 	for i := lo; i < hi; i++ {
 		if fr.canceled() {
-			fr.fc.drained.Add(int64(hi - i))
+			fr.fc.Drained.Add(int64(hi - i))
 			break
 		}
 		i := i
@@ -506,13 +466,8 @@ func reduceRange[R any](pf *ParallelFor, fr *faultRun, w, lo, hi int, identity R
 			acc = combine(acc, part)
 		}
 	}
-	if pf.m.enabled {
-		d := int64(time.Since(start))
-		pf.m.chunkNs.Record(d)
-		pf.m.items.Add(int64(hi - lo))
-		if w >= 0 && w < len(pf.m.workerBusy) {
-			pf.m.workerBusy[w].Add(d)
-		}
+	if pf.m.Enabled() {
+		pf.recordChunk(w, hi-lo, start)
 	}
 	return acc
 }

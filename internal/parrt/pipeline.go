@@ -107,25 +107,9 @@ type Pipeline[T any] struct {
 	minPl *Param   // global: stream-length threshold below which Process runs sequentially
 
 	counters []stageCounters
-	m        pipeMetrics
-}
-
-// pipeMetrics holds the pipeline's observability instruments, hoisted
-// out of the hot loops at Instrument time. All pointers are nil until
-// Instrument is called; recording through a nil instrument is a noop
-// costing one branch (see internal/obs), so an uninstrumented
-// pipeline stays on its original fast path.
-type pipeMetrics struct {
-	enabled        bool
-	service        []*obs.Histogram // per stage: per-item service time
-	blocked        []*obs.Counter   // per stage: time blocked pushing downstream
-	queueSum       []*obs.Counter   // per stage: input-queue occupancy at dequeue
-	replicas       []*obs.Gauge     // per stage: worker lanes in the last plan
-	queueCap       *obs.Gauge
-	reorderPending *obs.Gauge
-	reorderHeld    *obs.Counter
-	wall           *obs.Counter
-	faults         faultCounters
+	// m holds the observability instruments; zero (every instrument
+	// nil, each record a one-branch no-op) until Instrument.
+	m obs.Pattern
 }
 
 // Pipeline tuning-parameter key suffixes.
@@ -160,12 +144,7 @@ func NewPipeline[T any](name string, ps *Params, stages ...Stage[T]) *Pipeline[T
 		stages:   stages,
 		params:   ps,
 		counters: make([]stageCounters, len(stages)),
-		m: pipeMetrics{
-			service:  make([]*obs.Histogram, len(stages)),
-			blocked:  make([]*obs.Counter, len(stages)),
-			queueSum: make([]*obs.Counter, len(stages)),
-			replicas: make([]*obs.Gauge, len(stages)),
-		},
+		m:        obs.Pattern{Stages: make([]obs.Stage, len(stages))},
 	}
 	prefix := "pipeline." + name
 	for i, s := range stages {
@@ -206,36 +185,24 @@ func NewPipeline[T any](name string, ps *Params, stages ...Stage[T]) *Pipeline[T
 	return p
 }
 
-// Instrument attaches the pipeline to a metrics collector and returns
-// the pipeline. Per stage i it records under
-// "pipeline.<name>.stage.<i>." the service-time histogram
-// (service_ns), downstream back-pressure (blocked_ns), input-queue
-// occupancy (queue_sum, sampled at each dequeue) and the replica
-// gauge, plus wall time, queue capacity, reorder-buffer pressure and
-// the fault-layer counters (faults.errors, faults.retries,
-// faults.timeouts, faults.drained) under "pipeline.<name>.". A nil
-// collector leaves the pipeline uninstrumented. Call before
-// Process/Run; instrumenting a running pipeline races with its
+// Instrument registers the pipeline with a metrics collector as one
+// obs.Pattern of kind pipeline under its name, and returns the
+// pipeline. Per stage it records the service-time histogram,
+// downstream back-pressure, input-queue occupancy (sampled at each
+// dequeue), the replica gauge and the stage name, plus wall time,
+// queue capacity, reorder-buffer pressure and the fault-layer
+// counters. A nil collector leaves the pipeline uninstrumented. Call
+// before Process/Run; instrumenting a running pipeline races with its
 // workers.
 func (p *Pipeline[T]) Instrument(c *obs.Collector) *Pipeline[T] {
 	if c == nil {
 		return p
 	}
-	prefix := "pipeline." + p.name
-	p.m.enabled = true
-	p.m.wall = c.Counter(prefix + ".wall_ns")
-	p.m.queueCap = c.Gauge(prefix + ".queue_cap")
-	p.m.reorderPending = c.Gauge(prefix + ".reorder.pending")
-	p.m.reorderHeld = c.Counter(prefix + ".reorder.held")
-	p.m.faults = instrumentFaults(c, prefix)
+	names := make([]string, len(p.stages))
 	for i, s := range p.stages {
-		sp := fmt.Sprintf("%s.stage.%d", prefix, i)
-		p.m.service[i] = c.Histogram(sp + ".service_ns")
-		p.m.blocked[i] = c.Counter(sp + ".blocked_ns")
-		p.m.queueSum[i] = c.Counter(sp + ".queue_sum")
-		p.m.replicas[i] = c.Gauge(sp + ".replicas")
-		c.SetLabel(sp+".label", s.Name)
+		names[i] = s.Name
 	}
+	p.m = c.Pattern(obs.KindPipeline, p.name, names, 0)
 	return p
 }
 
@@ -303,7 +270,7 @@ func (p *Pipeline[T]) Process(items []*T) []*T {
 // the watchdog.
 func (p *Pipeline[T]) ProcessCtx(ctx context.Context, items []*T) ([]*T, []*ItemError, error) {
 	pol := policyFromParams(p.params, "pipeline."+p.name)
-	fr, finish := newFaultRun(ctx, p.name, pol, p.m.faults)
+	fr, finish := newFaultRun(ctx, p.name, pol, p.m.Faults)
 	defer finish()
 	if p.seq.Bool() || len(items) < p.minPl.Value {
 		res := p.processSequentialCtx(fr, items)
@@ -348,16 +315,16 @@ collect:
 // per element and stopping on cancellation or fail-fast abort.
 func (p *Pipeline[T]) processSequentialCtx(fr *faultRun, items []*T) []*T {
 	var wallStart time.Time
-	if p.m.enabled {
+	if p.m.Enabled() {
 		wallStart = time.Now()
 		for i := range p.stages {
-			p.m.replicas[i].Set(1)
+			p.m.Stages[i].Replicas.Set(1)
 		}
 	}
 	res := make([]*T, 0, len(items))
 	for idx, it := range items {
 		if fr.canceled() {
-			fr.fc.drained.Add(int64(len(items) - idx))
+			fr.fc.Drained.Add(int64(len(items) - idx))
 			break
 		}
 		ok := true
@@ -366,7 +333,7 @@ func (p *Pipeline[T]) processSequentialCtx(fr *faultRun, items []*T) []*T {
 			ok = fr.item(p.stages[i].Name, idx, func() { p.stages[i].Fn(it) })
 			d := time.Since(start)
 			p.counters[i].busyNanos.Add(int64(d))
-			p.m.service[i].Record(int64(d))
+			p.m.Stages[i].Service.Record(int64(d))
 			if !ok {
 				break
 			}
@@ -376,8 +343,8 @@ func (p *Pipeline[T]) processSequentialCtx(fr *faultRun, items []*T) []*T {
 			res = append(res, it)
 		}
 	}
-	if p.m.enabled {
-		p.m.wall.Add(int64(time.Since(wallStart)))
+	if p.m.Enabled() {
+		p.m.Wall.Add(int64(time.Since(wallStart)))
 	}
 	return res
 }
@@ -414,7 +381,7 @@ func (p *Pipeline[T]) Run(in <-chan *T) <-chan *T {
 // elements settle.
 func (p *Pipeline[T]) RunCtx(ctx context.Context, in <-chan *T) (<-chan *T, *Report) {
 	pol := policyFromParams(p.params, "pipeline."+p.name)
-	fr, _ := newFaultRun(ctx, p.name, pol, p.m.faults)
+	fr, _ := newFaultRun(ctx, p.name, pol, p.m.Faults)
 	return p.runCtx(fr, in), fr.report
 }
 
@@ -498,12 +465,12 @@ func (p *Pipeline[T]) runCtx(fr *faultRun, in <-chan *T) <-chan *T {
 		bufCap = 1
 	}
 	var wallStart time.Time
-	if p.m.enabled {
+	if p.m.Enabled() {
 		wallStart = time.Now()
-		p.m.queueCap.Set(int64(bufCap))
+		p.m.QueueCap.Set(int64(bufCap))
 		for _, sg := range segs {
 			for k := sg.lo; k <= sg.hi; k++ {
-				p.m.replicas[k].Set(int64(sg.replication))
+				p.m.Stages[k].Replicas.Set(int64(sg.replication))
 			}
 		}
 	}
@@ -518,7 +485,7 @@ func (p *Pipeline[T]) runCtx(fr *faultRun, in <-chan *T) <-chan *T {
 			if fr.canceled() {
 				// Keep draining so the producer never blocks, but
 				// stop admitting new work.
-				fr.fc.drained.Inc()
+				fr.fc.Drained.Inc()
 				continue
 			}
 			select {
@@ -526,7 +493,7 @@ func (p *Pipeline[T]) runCtx(fr *faultRun, in <-chan *T) <-chan *T {
 				seq++
 				generated.Add(1)
 			case <-fr.ctx.Done():
-				fr.fc.drained.Inc()
+				fr.fc.Drained.Inc()
 			}
 		}
 	}()
@@ -546,17 +513,17 @@ func (p *Pipeline[T]) runCtx(fr *faultRun, in <-chan *T) <-chan *T {
 				continue
 			}
 			if fr.canceled() {
-				fr.fc.drained.Inc()
+				fr.fc.Drained.Inc()
 				continue
 			}
 			select {
 			case out <- it.v:
 			case <-fr.ctx.Done():
-				fr.fc.drained.Inc()
+				fr.fc.Drained.Inc()
 			}
 		}
-		if p.m.enabled {
-			p.m.wall.Add(int64(time.Since(wallStart)))
+		if p.m.Enabled() {
+			p.m.Wall.Add(int64(time.Since(wallStart)))
 		}
 		stopWatchdog()
 		fr.finalizeCause()
@@ -598,8 +565,8 @@ func (p *Pipeline[T]) runSegment(fr *faultRun, sg segment, in chan seqItem[T]) c
 	out := make(chan seqItem[T], bufCap)
 	var wg sync.WaitGroup
 	wg.Add(sg.replication)
-	queueSum := p.m.queueSum[sg.lo]
-	blocked := p.m.blocked[sg.lo]
+	queueSum := p.m.Stages[sg.lo].QueueSum
+	blocked := p.m.Stages[sg.lo].Blocked
 	// forward pushes downstream, accounting for back-pressure and
 	// giving up (counting the element drained) when the run is
 	// canceled while blocked.
@@ -613,7 +580,7 @@ func (p *Pipeline[T]) runSegment(fr *faultRun, sg segment, in chan seqItem[T]) c
 			select {
 			case out <- it:
 			case <-fr.ctx.Done():
-				fr.fc.drained.Inc()
+				fr.fc.Drained.Inc()
 			}
 			return
 		}
@@ -622,7 +589,7 @@ func (p *Pipeline[T]) runSegment(fr *faultRun, sg segment, in chan seqItem[T]) c
 		case out <- it:
 			blocked.Add(int64(time.Since(start)))
 		case <-fr.ctx.Done():
-			fr.fc.drained.Inc()
+			fr.fc.Drained.Inc()
 		}
 	}
 	for w := 0; w < sg.replication; w++ {
@@ -632,7 +599,7 @@ func (p *Pipeline[T]) runSegment(fr *faultRun, sg segment, in chan seqItem[T]) c
 				if fr.canceled() {
 					// Drain without processing so upstream closes
 					// cascade; nothing is forwarded.
-					fr.fc.drained.Inc()
+					fr.fc.Drained.Inc()
 					continue
 				}
 				queueSum.Add(int64(len(in)))
@@ -642,7 +609,7 @@ func (p *Pipeline[T]) runSegment(fr *faultRun, sg segment, in chan seqItem[T]) c
 						ok := fr.item(p.stages[k].Name, int(it.seq), func() { p.stages[k].Fn(it.v) })
 						d := time.Since(start)
 						p.counters[k].busyNanos.Add(int64(d))
-						p.m.service[k].Record(int64(d))
+						p.m.Stages[k].Service.Record(int64(d))
 						if !ok {
 							it.failed = true
 							break
@@ -659,7 +626,7 @@ func (p *Pipeline[T]) runSegment(fr *faultRun, sg segment, in chan seqItem[T]) c
 		close(out)
 	}()
 	if sg.preserve {
-		return reorder(out, bufCap, p.m.reorderPending, p.m.reorderHeld)
+		return reorder(out, bufCap, p.m.ReorderPending, p.m.ReorderHeld)
 	}
 	return out
 }

@@ -101,26 +101,6 @@ func policyFromParams(ps *Params, prefix string) FaultPolicy {
 	}
 }
 
-// faultCounters are the nil-safe observability instruments of the
-// fault layer; recording through nil counters is a noop, so
-// uninstrumented runs pay one predictable branch per event.
-type faultCounters struct {
-	errors   *obs.Counter // items that exhausted their policy
-	retries  *obs.Counter // extra attempts under RetryItem
-	timeouts *obs.Counter // per-item timeout expiries
-	drained  *obs.Counter // items discarded during a cancel/fail-fast drain
-}
-
-// instrumentFaults creates the fault counters under prefix.
-func instrumentFaults(c *obs.Collector, prefix string) faultCounters {
-	return faultCounters{
-		errors:   c.Counter(prefix + ".faults.errors"),
-		retries:  c.Counter(prefix + ".faults.retries"),
-		timeouts: c.Counter(prefix + ".faults.timeouts"),
-		drained:  c.Counter(prefix + ".faults.drained"),
-	}
-}
-
 // faultRun is the shared per-run state of the fault layer: the policy,
 // the cancelable context, the error report and the progress counter
 // the stall watchdog reads.
@@ -132,13 +112,13 @@ type faultRun struct {
 	cancel   context.CancelCauseFunc
 	report   *Report
 	progress atomic.Int64
-	fc       faultCounters
+	fc       obs.Faults // all nil when the pattern is uninstrumented
 }
 
 // newFaultRun derives the run context (cancelable with cause) and the
 // empty report. The returned finish func must be called once the run
 // has drained; it releases the context.
-func newFaultRun(ctx context.Context, pattern string, pol FaultPolicy, fc faultCounters) (*faultRun, func()) {
+func newFaultRun(ctx context.Context, pattern string, pol FaultPolicy, fc obs.Faults) (*faultRun, func()) {
 	runCtx, cancel := context.WithCancelCause(ctx)
 	fr := &faultRun{
 		pattern: pattern,
@@ -177,7 +157,7 @@ func (fr *faultRun) finalizeCause() {
 // fail records a terminal item error and applies the policy: under
 // FailFast it cancels the run with the error as cause.
 func (fr *faultRun) fail(e *ItemError) {
-	fr.fc.errors.Inc()
+	fr.fc.Errors.Inc()
 	fr.report.record(e)
 	if fr.pol.Kind == FailFast {
 		fr.report.abort(e)
@@ -202,7 +182,7 @@ func (fr *faultRun) item(site string, item int, fn func()) bool {
 			return true
 		}
 		if timedOut {
-			fr.fc.timeouts.Inc()
+			fr.fc.Timeouts.Inc()
 		}
 		last = &ItemError{
 			Pattern:   fr.pattern,
@@ -215,7 +195,7 @@ func (fr *faultRun) item(site string, item int, fn func()) bool {
 		if a == attempts {
 			break
 		}
-		fr.fc.retries.Inc()
+		fr.fc.Retries.Inc()
 		if !fr.backoff(a, item) {
 			// Canceled while waiting: report the attempts made so far.
 			break

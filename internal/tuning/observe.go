@@ -1,9 +1,8 @@
 package tuning
 
 import (
+	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"patty/internal/evalcache"
 	"patty/internal/obs"
@@ -173,34 +172,27 @@ func (o *Observed) AnalysesFor(a map[string]int) []obs.PatternAnalysis {
 //   - buffersize when any stage is saturated (a compute-bound
 //     pipeline gains nothing from deeper queues).
 //
+// Both keys are built from the saturated pipeline's analysis, so a
+// pipeline name may contain dots (transform names patterns
+// "<Fn>.L<i>").
+//
 // Worker-count parameters of masterworker/parallelfor are never
 // pruned — adding workers attacks the busiest-worker bottleneck
 // directly. Returns false when a was never observed.
 func (o *Observed) DominatesAbove(key string, a map[string]int) bool {
-	analyses := o.AnalysesFor(a)
-	if len(analyses) == 0 {
-		return false
-	}
-	parts := strings.Split(key, ".")
-	if len(parts) < 3 || parts[0] != obs.KindPipeline {
-		return false
-	}
-	var an *obs.PatternAnalysis
-	for i := range analyses {
-		if analyses[i].Kind == obs.KindPipeline && analyses[i].Name == parts[1] {
-			an = &analyses[i]
-			break
+	for _, an := range o.AnalysesFor(a) {
+		if an.Kind != obs.KindPipeline || !an.Saturated() {
+			continue
 		}
-	}
-	if an == nil || !an.Saturated() {
-		return false
-	}
-	switch {
-	case len(parts) == 5 && parts[2] == "stage" && parts[4] == "replication":
-		i, err := strconv.Atoi(parts[3])
-		return err == nil && i != an.BottleneckStage
-	case len(parts) == 3 && parts[2] == "buffersize":
-		return true
+		prefix := obs.KindPipeline + "." + an.Name + "."
+		if key == prefix+"buffersize" {
+			return true
+		}
+		for j := range an.Stages {
+			if j != an.BottleneckStage && key == fmt.Sprintf("%sstage.%d.replication", prefix, j) {
+				return true
+			}
+		}
 	}
 	return false
 }

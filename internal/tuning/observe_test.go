@@ -1,6 +1,7 @@
 package tuning
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -10,12 +11,13 @@ import (
 // simPipeline models a two-stage pipeline deterministically: stage s
 // costs serviceNs[s] per item per lane, the run processes items
 // elements, and the wall time is the throughput bound
-// max_s(total_s / replicas_s). Each evaluation writes exactly the
-// metrics an instrumented parrt.Pipeline would record, so the test
+// max_s(total_s / replicas_s). Each evaluation records exactly what
+// an instrumented parrt.Pipeline would, so the test
 // exercises the real Analyze -> DominatesAbove path without timing
 // noise.
 type simPipeline struct {
 	collector *obs.Collector
+	name      string
 	serviceNs [2]int64
 	items     int64
 	runs      int
@@ -23,37 +25,38 @@ type simPipeline struct {
 
 func (s *simPipeline) run(a map[string]int) float64 {
 	s.runs++
-	repl := [2]int64{int64(a["pipeline.p.stage.0.replication"]), int64(a["pipeline.p.stage.1.replication"])}
+	repl := [2]int64{int64(a[simKey(s.name, 0)]), int64(a[simKey(s.name, 1)])}
 	var wall int64
 	for i := range s.serviceNs {
 		if t := s.serviceNs[i] * s.items / repl[i]; t > wall {
 			wall = t
 		}
 	}
-	c := s.collector
-	c.Counter("pipeline.p.wall_ns").Add(wall)
+	p := s.collector.Pattern(obs.KindPipeline, s.name, make([]string, len(s.serviceNs)), 0)
+	p.Wall.Add(wall)
 	for i := range s.serviceNs {
-		st := c.Histogram("pipeline.p.stage." + string(rune('0'+i)) + ".service_ns")
 		for j := int64(0); j < s.items; j++ {
-			st.Record(s.serviceNs[i])
+			p.Stages[i].Service.Record(s.serviceNs[i])
 		}
-		c.Gauge("pipeline.p.stage." + string(rune('0'+i)) + ".replicas").Set(repl[i])
+		p.Stages[i].Replicas.Set(repl[i])
 	}
 	return float64(wall)
 }
 
-func simDims() []Dim {
+// simKey is the replication parameter key of stage i of pipeline name.
+func simKey(name string, i int) string {
+	return fmt.Sprintf("pipeline.%s.stage.%d.replication", name, i)
+}
+
+func simDims(name string) []Dim {
 	return []Dim{
-		{Key: "pipeline.p.stage.0.replication", Min: 1, Max: 4},
-		{Key: "pipeline.p.stage.1.replication", Min: 1, Max: 4},
+		{Key: simKey(name, 0), Min: 1, Max: 4},
+		{Key: simKey(name, 1), Min: 1, Max: 4},
 	}
 }
 
-func simStart() map[string]int {
-	return map[string]int{
-		"pipeline.p.stage.0.replication": 1,
-		"pipeline.p.stage.1.replication": 1,
-	}
+func simStart(name string) map[string]int {
+	return map[string]int{simKey(name, 0): 1, simKey(name, 1): 1}
 }
 
 // TestLinearSearchEarlyStopPrunesDominated is the acceptance test for
@@ -63,12 +66,12 @@ func simStart() map[string]int {
 // configurations, spend fewer evaluations than the blind search, and
 // still find the same optimum.
 func TestLinearSearchEarlyStopPrunesDominated(t *testing.T) {
-	blind := &simPipeline{collector: obs.New(), serviceNs: [2]int64{100, 400}, items: 100}
-	blindRes := LinearSearch{}.Tune(simDims(), simStart(), blind.run, 100)
+	blind := &simPipeline{collector: obs.New(), name: "p", serviceNs: [2]int64{100, 400}, items: 100}
+	blindRes := LinearSearch{}.Tune(simDims("p"), simStart("p"), blind.run, 100)
 
-	sim := &simPipeline{collector: obs.New(), serviceNs: [2]int64{100, 400}, items: 100}
+	sim := &simPipeline{collector: obs.New(), name: "p", serviceNs: [2]int64{100, 400}, items: 100}
 	o := &Observed{Collector: sim.collector}
-	res := LinearSearch{Observer: o}.Tune(simDims(), simStart(), o.Wrap(sim.run), 100)
+	res := LinearSearch{Observer: o}.Tune(simDims("p"), simStart("p"), o.Wrap(sim.run), 100)
 
 	if res.Pruned == 0 {
 		t.Fatal("observer-guided search pruned nothing")
@@ -87,13 +90,25 @@ func TestLinearSearchEarlyStopPrunesDominated(t *testing.T) {
 	t.Logf("blind: %d evals; observed: %d evals, %d pruned", blindRes.Evaluations, res.Evaluations, res.Pruned)
 }
 
+// TestLinearSearchPrunesGeneratedName: transform names every pattern
+// "<Fn>.L<i>", so the pruning rule must find a saturated pipeline
+// whose name contains a dot.
+func TestLinearSearchPrunesGeneratedName(t *testing.T) {
+	sim := &simPipeline{collector: obs.New(), name: "Process.L1", serviceNs: [2]int64{100, 400}, items: 100}
+	o := &Observed{Collector: sim.collector}
+	res := LinearSearch{Observer: o}.Tune(simDims(sim.name), simStart(sim.name), o.Wrap(sim.run), 100)
+	if res.Pruned == 0 {
+		t.Fatalf("observer-guided search over %q pruned nothing (%d evaluations)", sim.name, res.Evaluations)
+	}
+}
+
 // TestObservedMetricsTrace checks requirement (b): each evaluated
 // configuration leaves one ConfigMetrics entry whose analysis carries
 // the per-stage utilizations of that very run.
 func TestObservedMetricsTrace(t *testing.T) {
-	sim := &simPipeline{collector: obs.New(), serviceNs: [2]int64{100, 400}, items: 100}
+	sim := &simPipeline{collector: obs.New(), name: "p", serviceNs: [2]int64{100, 400}, items: 100}
 	o := &Observed{Collector: sim.collector}
-	res := LinearSearch{Observer: o}.Tune(simDims(), simStart(), o.Wrap(sim.run), 100)
+	res := LinearSearch{Observer: o}.Tune(simDims("p"), simStart("p"), o.Wrap(sim.run), 100)
 
 	if len(o.Metrics) != res.Evaluations {
 		t.Fatalf("metrics trace has %d entries, want %d (one per evaluation)",
@@ -112,7 +127,7 @@ func TestObservedMetricsTrace(t *testing.T) {
 		}
 	}
 	// The recorded analysis must survive evaluator cache hits.
-	if got := o.AnalysesFor(simStart()); len(got) != 1 {
+	if got := o.AnalysesFor(simStart("p")); len(got) != 1 {
 		t.Fatalf("AnalysesFor(start) = %v", got)
 	}
 	if o.AnalysesFor(map[string]int{"never": 1}) != nil {
@@ -139,8 +154,9 @@ func TestObservedFaultPenalized(t *testing.T) {
 
 	// Lost work in the fault counters taints the measurement.
 	lossy := o.Wrap(func(a map[string]int) float64 {
-		c.Counter("parallelfor.p.wall_ns").Add(1000)
-		c.Counter("parallelfor.p.faults.errors").Add(2)
+		p := c.Pattern(obs.KindParallelFor, "p", nil, 0)
+		p.Wall.Add(1000)
+		p.Faults.Errors.Add(2)
 		return 1000
 	})
 	if cost := lossy(map[string]int{"k": 2}); !math.IsInf(cost, 1) {
@@ -152,8 +168,9 @@ func TestObservedFaultPenalized(t *testing.T) {
 
 	// Healed retries are not lost work: real cost, not penalized.
 	healed := o.Wrap(func(a map[string]int) float64 {
-		c.Counter("parallelfor.p.wall_ns").Add(1000)
-		c.Counter("parallelfor.p.faults.retries").Add(5)
+		p := c.Pattern(obs.KindParallelFor, "p", nil, 0)
+		p.Wall.Add(1000)
+		p.Faults.Retries.Add(5)
 		return 1000
 	})
 	if cost := healed(map[string]int{"k": 3}); cost != 1000 {
@@ -166,10 +183,10 @@ func TestObservedFaultPenalized(t *testing.T) {
 
 // TestDominatesAboveRules pins the pruning rule table.
 func TestDominatesAboveRules(t *testing.T) {
-	sim := &simPipeline{collector: obs.New(), serviceNs: [2]int64{100, 400}, items: 100}
+	sim := &simPipeline{collector: obs.New(), name: "p", serviceNs: [2]int64{100, 400}, items: 100}
 	o := &Observed{Collector: sim.collector}
 	obj := o.Wrap(sim.run)
-	start := simStart()
+	start := simStart("p")
 	obj(start) // stage 1 saturated, stage 0 at 0.25
 
 	cases := []struct {
