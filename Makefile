@@ -101,12 +101,13 @@ netchaos:
 # vm is the bytecode-engine gate: the VM must stay bit-identical to
 # the tree-walking oracle — engine equivalence and golden-disassembly
 # suites under -race, the VM-vs-tree fuzz corpus replay, and a CLI
-# fuzzing smoke with every machine pinned to the VM.
+# fuzzing smoke (model creation runs on the VM, the only production
+# engine).
 vm:
 	$(GO) test -race -count=1 -run 'Engine|CorpusEngineEquivalence|GoldenDisassembly|RegressionSeeds' \
 		./internal/interp/ ./internal/difftest/
 	$(GO) test ./internal/difftest -run '^$$' -fuzz FuzzVMvsTreeWalker -fuzztime 30s
-	$(GO) run ./cmd/patty fuzz -n 50 -engine vm
+	$(GO) run ./cmd/patty fuzz -n 50
 
 # lint fails when any file needs gofmt or go vet finds an issue; CI
 # runs this on every push (see .github/workflows/ci.yml).

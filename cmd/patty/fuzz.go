@@ -7,22 +7,8 @@ import (
 	"fmt"
 
 	"patty/internal/difftest"
-	"patty/internal/interp"
 	"patty/internal/seed"
 )
-
-// setDefaultEngine applies a subcommand's -engine flag: it pins the
-// package-wide default, so every Machine created downstream that does
-// not pick its own engine (model enrichment, corpus evaluation) runs on
-// that engine. difftest's engine leg always runs both.
-func setDefaultEngine(name string) error {
-	eng, err := interp.ParseEngine(name)
-	if err != nil {
-		return err
-	}
-	interp.DefaultEngine = eng
-	return nil
-}
 
 // cmdFuzz drives the differential fuzzing harness: generate programs,
 // run each through detect → TADL → transform → parrt against the
@@ -43,11 +29,7 @@ func cmdFuzz(ctx context.Context, args []string) error {
 	reproDir := fs.String("repro-dir", "patty-out", "directory for reproducer files")
 	checkSeed := fs.Int64("check-seed", 0, "replay one exact program seed (from a reproducer file) and exit")
 	ckpt := fs.String("checkpoint", "", "journal sweep progress to this file and resume from it")
-	engineFlag := fs.String("engine", "auto", "interpreter engine for model creation's profiling run; the oracle is always the tree-walker, checked against the vm: auto | tree | vm")
 	fs.Parse(args)
-	if err := setDefaultEngine(*engineFlag); err != nil {
-		return err
-	}
 
 	opt := difftest.Options{Configs: *configs, Static: *static, Faults: *faults}
 

@@ -144,13 +144,13 @@ commands:
             store and later runs answer from it
   study     [-seed n] [-measured] [-checkpoint f.ckpt]
             regenerate the user-study tables
-  eval      [-static] [-engine auto|tree|vm]
+  eval      [-static] [-no-obs]
             corpus precision/recall vs baselines
   corpus                                list benchmark programs
   model     [-corpus name | files...] [-dot cfg|callgraph|stages] [-fn name]
   sweep     [-kind cores|replication|length]
   fuzz      [-seed n] [-n m] [-shrink] [-faults] [-check-seed s]
-            [-checkpoint f.ckpt] [-engine auto|tree|vm]
+            [-checkpoint f.ckpt]
             differential fuzzing: generated programs through
             detect -> transform -> execute vs the sequential oracle
             (-faults adds deterministic fault-injection legs)
@@ -385,11 +385,7 @@ func cmdEval(ctx context.Context, args []string) error {
 	fs := newFlagSet("eval")
 	staticOnly := fs.Bool("static", false, "evaluate without dynamic analysis")
 	noObs := fs.Bool("no-obs", false, "skip the runtime observability probe")
-	engineFlag := fs.String("engine", "auto", "interpreter engine for dynamic analysis: auto | tree | vm")
 	fs.Parse(args)
-	if err := setDefaultEngine(*engineFlag); err != nil {
-		return err
-	}
 	dets := []baseline.Detector{
 		baseline.Patty{},
 		baseline.HotspotProfiler{},

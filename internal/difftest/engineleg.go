@@ -90,8 +90,11 @@ type runResult struct {
 	err  error
 }
 
-// runOn runs entry on m.
-func runOn(m *interp.Machine, entry string, args func(*interp.Machine) []interp.Value, opt interp.Options) runResult {
+// runOn runs entry on a new machine for prog, on eng, tracing sinks.
+func runOn(prog *source.Program, eng interp.Engine, sinks map[interp.Ref]interp.TraceSink, entry string, args func(*interp.Machine) []interp.Value, opt interp.Options) runResult {
+	m := interp.NewMachine(prog)
+	m.SetEngine(eng)
+	m.TraceLoops(sinks)
 	vals, prof, err := m.Run(entry, args(m), opt)
 	return runResult{vals, prof, err}
 }
@@ -113,9 +116,7 @@ func recordTree(prog *source.Program, entry string, args func(*interp.Machine) [
 	for i, ref := range r.refs {
 		sinks[ref] = &r.loops[i]
 	}
-	m := interp.NewMachine(prog)
-	m.TraceLoops(sinks)
-	r.runResult = runOn(m, entry, args, interp.Options{Engine: interp.EngineTree})
+	r.runResult = runOn(prog, interp.EngineTree, sinks, entry, args, interp.Options{})
 	return r
 }
 
@@ -128,9 +129,7 @@ func (r *treeRecord) checkVM(prog *source.Program, entry string, args func(*inte
 		checks[i].want = &r.loops[i]
 		sinks[ref] = &checks[i]
 	}
-	m := interp.NewMachine(prog)
-	m.TraceLoops(sinks)
-	vm := runOn(m, entry, args, interp.Options{Engine: interp.EngineVM})
+	vm := runOn(prog, interp.EngineVM, sinks, entry, args, interp.Options{})
 	if msg := compareRuns("tree", r.runResult, "vm", vm); msg != "" || r.err != nil {
 		return msg // an identical failure leaves partial traces; nothing more to compare
 	}
@@ -216,7 +215,7 @@ func AllLoopsDiff(prog *source.Program, entry string, args func(*interp.Machine)
 	}
 	engines := []interp.Engine{interp.EngineTree, interp.EngineVM}
 	for _, eng := range engines {
-		untraced := runOn(interp.NewMachine(prog), entry, args, interp.Options{Engine: eng})
+		untraced := runOn(prog, eng, nil, entry, args, interp.Options{})
 		if msg := compareRuns("all-loops", r.runResult, "untraced", untraced); msg != "" {
 			return fmt.Sprintf("untraced %s run: %s", eng, msg)
 		}
@@ -229,7 +228,7 @@ func AllLoopsDiff(prog *source.Program, entry string, args func(*interp.Machine)
 		}
 		for _, eng := range engines {
 			label := fmt.Sprintf("%s#%d, single-target %s run", ref.Fn, ref.Stmt, eng)
-			single := runOn(interp.NewMachine(prog), entry, args, interp.Options{Engine: eng, TargetLoop: ref})
+			single := runOn(prog, eng, nil, entry, args, interp.Options{TargetLoop: ref})
 			if msg := compareRuns("all-loops", r.runResult, "single-target", single); msg != "" {
 				return label + ": " + msg
 			}

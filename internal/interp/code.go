@@ -8,18 +8,15 @@ import (
 )
 
 // This file defines the bytecode form the VM engine executes: a flat
-// op stream per compilation unit (one per function or method, plus the
-// package-level initializer), in the style of a classic stack machine.
-// The compiler (compile.go) lowers the same AST the tree-walker
-// interprets; the VM (vm.go) executes it with preallocated stacks and
-// the identical virtual-time cost model, so profiles and memory traces
-// are bit-for-bit those of the tree-walker.
+// op stream per compilation unit (one per function or method, one per
+// function literal, plus the package-level initializer), in the style
+// of a classic stack machine. The compiler (compile.go) lowers the same
+// AST the tree-walker interprets; the VM (vm.go) executes it with
+// preallocated stacks and the identical virtual-time cost model, so
+// profiles and memory traces are bit-for-bit those of the tree-walker.
 //
-// The compiler covers the closure-free core of the interpreted subset.
-// Programs using constructs outside it (function literals, corner
-// cases the compiler does not model) make the whole program fall back
-// to the tree-walking engine, which is always semantically identical;
-// the VM never runs a partially compiled program.
+// Closures capture Lua-style: a slot that a function literal names
+// lives in a heap cell, which the closure value shares with its frame.
 
 // OpCode enumerates the VM instructions.
 type OpCode uint8
@@ -59,8 +56,11 @@ const (
 	opCheckName    // A: resolution idx — multi-assign resolve phase
 	opDefineSlot   // A: slot — pop, allocate a fresh address, store event
 	opDefineSlotAt // A: slot, B: depth of the value
-	opStoreSlot    // A: slot — := redeclaration in the same scope
-	opStoreSlotAt  // A: slot, B: depth of the value
+	opStoreSlotAt  // A: slot, B: depth of the value — := redeclaration
+	opDefineCell   // opDefineSlot for a captured slot: fills its heap cell
+	opDefineCellAt // opDefineSlotAt for a captured slot
+	opStoreCellAt  // opStoreSlotAt for a captured slot
+	opClosure      // A: index into Lits — push a closure over its captured cells
 	opDefineGlobal // A: global index — pop, allocate (no event: init semantics)
 	opIntrFuncVal  // A: name idx — fresh *Func for a qualified intrinsic
 	opZeroVal      // A: type expr idx — push zero value (allocates for structs)
@@ -155,7 +155,9 @@ type Op struct {
 type resKind uint8
 
 const (
-	resSlot resKind = iota
+	resSlot  resKind = iota
+	resCell          // a captured slot, through its heap cell
+	resUpval         // a cell the running closure captured
 	resGlobal
 	resFunc
 	resIntrinsic
@@ -164,7 +166,7 @@ const (
 
 type resolution struct {
 	kind resKind
-	idx  int32 // slot / global / unit / intrinsic index
+	idx  int32 // slot / cell / global / unit / intrinsic index
 	name string
 	next *resolution // tried when a slot or global is undefined
 }
@@ -172,7 +174,7 @@ type resolution struct {
 // Code is one compiled unit: a function, a method, or the
 // package-level variable initializer.
 type Code struct {
-	Name string           // diagnostic name ("F", "T.M", "init")
+	Name string           // diagnostic name ("F", "T.M", "closure", "init")
 	fn   *source.Function // statement-id context; nil for the initializer
 
 	Ops    []Op
@@ -191,6 +193,10 @@ type Code struct {
 	paramSlots  []int32
 	resultSlots []int32
 	resultTypes []int32 // indices into Types, aligned with resultSlots
+	boxedFrame  []int32 // frame slots a closure captures
+
+	Lits     []*Code   // closures this unit creates, by opClosure A
+	captures []capture // for a closure: where each of its cells comes from
 
 	refBase int // program-wide ref id = refBase + local stmt id
 }
@@ -243,16 +249,6 @@ type vmCompiled struct {
 
 	refs []Ref // dense ref table; refBase+stmt indexes into it
 }
-
-// errBail aborts compilation of the whole program: the construct needs
-// tree-walker semantics (closures, or corner cases the compiler does
-// not model). The engine then falls back to the tree-walking
-// interpreter for this program.
-type errBail struct{ reason string }
-
-func (e *errBail) Error() string { return e.reason }
-
-func bailf(reason string) { panic(&errBail{reason: reason}) }
 
 // calleeFunc is an internal callee produced by opLoadCallee and
 // opMethodResolve; it never escapes the value stack.

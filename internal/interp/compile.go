@@ -9,20 +9,10 @@ import (
 	"patty/internal/source"
 )
 
-// compileProgram lowers the whole program to bytecode. It returns an
-// error (the bail reason) when any reachable construct needs
-// tree-walker semantics; the program then runs on the tree engine.
-func (m *Machine) compileProgram() (vmc *vmCompiled, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if b, ok := r.(*errBail); ok {
-				vmc, err = nil, b
-				return
-			}
-			panic(r)
-		}
-	}()
-
+// compileProgram lowers the whole program to bytecode. Every program
+// compiles: constructs the tree-walker rejects only when it executes
+// them compile to a fail op with the same message.
+func (m *Machine) compileProgram() *vmCompiled {
 	c := &progCompiler{
 		m:       m,
 		vmc:     &vmCompiled{byName: make(map[string]*Code)},
@@ -50,14 +40,23 @@ func (m *Machine) compileProgram() (vmc *vmCompiled, err error) {
 	// counters, converted back to Ref maps when a run finishes.
 	base := 0
 	for _, code := range c.vmc.units {
-		code.refBase = base
+		code.setRefBase(base)
 		n := code.fn.NumStmts()
 		for s := 0; s < n; s++ {
 			c.vmc.refs = append(c.vmc.refs, Ref{Fn: code.Name, Stmt: s})
 		}
 		base += n
 	}
-	return c.vmc, nil
+	return c.vmc
+}
+
+// setRefBase gives a function's closures its ref base: the function
+// numbers their statements as its own.
+func (c *Code) setRefBase(base int) {
+	c.refBase = base
+	for _, l := range c.Lits {
+		l.setRefBase(base)
+	}
 }
 
 type progCompiler struct {
@@ -82,7 +81,9 @@ func (c *progCompiler) intrinsic(name string) (int32, bool) {
 	return idx, true
 }
 
-// compileInit lowers package-level var declarations in file order.
+// compileInit lowers package-level var declarations in file order. A
+// redeclared global reuses its index, so that, as in initGlobals, the
+// last definition replaces the earlier cell.
 func (c *progCompiler) compileInit() *Code {
 	code := &Code{Name: "init"}
 	u := &unitCompiler{c: c, code: code}
@@ -104,12 +105,12 @@ func (c *progCompiler) compileInit() *Code {
 						u.emit(Op{Code: opZeroVal, A: code.typeIdx(vs.Type)})
 						u.depth++
 					}
-					if _, dup := c.globals[name.Name]; dup {
-						bailf("duplicate global " + name.Name)
+					gi, dup := c.globals[name.Name]
+					if !dup {
+						gi = int32(len(c.vmc.globalNames))
+						c.vmc.globalNames = append(c.vmc.globalNames, name.Name)
+						c.globals[name.Name] = gi
 					}
-					gi := int32(len(c.vmc.globalNames))
-					c.vmc.globalNames = append(c.vmc.globalNames, name.Name)
-					c.globals[name.Name] = gi
 					u.emit(Op{Code: opDefineGlobal, A: gi})
 					u.depth--
 				}
@@ -117,6 +118,7 @@ func (c *progCompiler) compileInit() *Code {
 		}
 	}
 	u.emit(Op{Code: opReturnBare})
+	u.finish()
 	return code
 }
 
@@ -125,38 +127,98 @@ func (c *progCompiler) compileFunc(fn *source.Function) *Code {
 	code := &Code{Name: fn.Name, fn: fn}
 	u := &unitCompiler{c: c, code: code, fn: fn}
 	u.scope = &cscope{names: make(map[string]int32)}
+	if fn.Decl.Recv != nil {
+		code.recvSlots = u.fieldSlots(fn.Decl.Recv)
+	}
+	u.compileBody(fn.Decl.Type, fn.Decl.Body)
+	return code
+}
 
-	decl := fn.Decl
-	if decl.Recv != nil {
-		for _, f := range decl.Recv.List {
+// compileClosure lowers a function literal recorded by outer. The
+// closure runs as its own unit; its statements keep the enclosing
+// function's ids.
+func (c *progCompiler) compileClosure(outer *unitCompiler, site litSite) *Code {
+	code := &Code{Name: "closure", fn: outer.fn}
+	u := &unitCompiler{c: c, code: code, fn: outer.fn, outer: outer, outerScope: site.scope}
+	u.scope = &cscope{names: make(map[string]int32)}
+	if outer.fn == nil {
+		// A literal in a package-level initializer has no enclosing
+		// function; the tree-walker fails once the call is set up.
+		code.paramSlots = u.fieldSlots(site.lit.Type.Params)
+		u.emitFail("closure outside any function")
+		return code
+	}
+	u.compileBody(site.lit.Type, site.lit.Body)
+	return code
+}
+
+// fieldSlots allocates one slot per name of a parameter-like list.
+func (u *unitCompiler) fieldSlots(fl *ast.FieldList) []int32 {
+	var slots []int32
+	if fl != nil {
+		for _, f := range fl.List {
 			for _, name := range f.Names {
-				code.recvSlots = append(code.recvSlots, u.newSlot(name.Name))
+				slots = append(slots, u.newSlot(name.Name))
 			}
 		}
 	}
-	if decl.Type.Params != nil {
-		for _, f := range decl.Type.Params.List {
-			for _, name := range f.Names {
-				code.paramSlots = append(code.paramSlots, u.newSlot(name.Name))
-			}
-		}
-	}
-	if decl.Type.Results != nil {
-		for _, f := range decl.Type.Results.List {
-			for _, name := range f.Names {
-				code.resultSlots = append(code.resultSlots, u.newSlot(name.Name))
+	return slots
+}
+
+// compileBody lays out the frame of a function or closure (slots for
+// parameters, then named results, replicating call's allocation
+// order), lowers its body, then compiles the closures it creates.
+func (u *unitCompiler) compileBody(ft *ast.FuncType, body *ast.BlockStmt) {
+	code := u.code
+	code.paramSlots = u.fieldSlots(ft.Params)
+	code.resultSlots = u.fieldSlots(ft.Results)
+	if ft.Results != nil {
+		for _, f := range ft.Results.List {
+			for range f.Names {
 				code.resultTypes = append(code.resultTypes, code.typeIdx(f.Type))
 			}
 		}
 	}
-
 	u.pushScope()
-	for _, s := range decl.Body.List {
+	for _, s := range body.List {
 		u.compileStmt(s)
 	}
 	u.popScope()
 	u.emit(Op{Code: opReturnBare})
-	return code
+	u.finish()
+}
+
+// finish compiles the closures the unit creates, then reroutes every
+// access to a slot that one of them captured through the slot's heap
+// cell. Only captured slots change, so a closure-free unit keeps
+// exactly the ops it was emitted with.
+func (u *unitCompiler) finish() {
+	for _, site := range u.sites {
+		u.code.Lits = append(u.code.Lits, u.c.compileClosure(u, site))
+	}
+	if len(u.captured) == 0 {
+		return
+	}
+	for _, r := range u.code.Res {
+		for ; r != nil; r = r.next {
+			if r.kind == resSlot && u.captured[r.idx] {
+				r.kind = resCell
+			}
+		}
+	}
+	boxed := map[OpCode]OpCode{opDefineSlot: opDefineCell, opDefineSlotAt: opDefineCellAt, opStoreSlotAt: opStoreCellAt}
+	for i, op := range u.code.Ops {
+		if to, ok := boxed[op.Code]; ok && u.captured[op.A] {
+			u.code.Ops[i].Code = to
+		}
+	}
+	for _, slots := range [][]int32{u.code.recvSlots, u.code.paramSlots, u.code.resultSlots} {
+		for _, si := range slots {
+			if u.captured[si] {
+				u.code.boxedFrame = append(u.code.boxedFrame, si)
+			}
+		}
+	}
 }
 
 type cscope struct {
@@ -174,11 +236,43 @@ type flowCtx struct {
 	contJumps    []int
 }
 
+// capture is where a new closure takes one of its cells from: the
+// creating unit's captured slot idx, or, when upval is set, that
+// unit's own captured cell idx.
+type capture struct {
+	upval bool
+	idx   int32
+}
+
+func (c capture) String() string {
+	if c.upval {
+		return fmt.Sprintf("up%d", c.idx)
+	}
+	return fmt.Sprintf("s%d", c.idx)
+}
+
+// litSite is a function literal met while compiling a unit, with the
+// scope it appears in; the closure compiles once the unit is done, so
+// that it sees every name those scopes ever bind, as the tree-walker's
+// lookup at call time does.
+type litSite struct {
+	lit   *ast.FuncLit
+	scope *cscope
+}
+
 type unitCompiler struct {
 	c        *progCompiler
 	code     *Code
 	fn       *source.Function
 	scope    *cscope
+	sites    []litSite      // function literals, indexed like code.Lits
+	captured map[int32]bool // slots a closure of this unit captures
+
+	// For a closure: the unit that creates it and the scope of the
+	// literal there, where the closure's free names resolve.
+	outer      *unitCompiler
+	outerScope *cscope
+
 	pendTick int64 // merged opTick accumulator
 	depth    int   // static value-stack depth
 	refDepth int   // statement refs pushed on the fall-through path
@@ -259,7 +353,9 @@ func (u *unitCompiler) newSlot(name string) int32 {
 // current compile position. The snapshot of scope bindings mirrors the
 // tree-walker's env chain exactly: a cell exists dynamically iff the
 // binding is in the compile-time scope map and the slot's define has
-// executed, which the VM tracks with per-slot defined flags.
+// executed, which the VM tracks with per-slot defined flags. In a
+// closure the chain continues with the captured cells of every binding
+// of the name in the scopes around the literal.
 func (u *unitCompiler) resolve(name string) *resolution {
 	var head, tail *resolution
 	add := func(r *resolution) {
@@ -275,6 +371,11 @@ func (u *unitCompiler) resolve(name string) *resolution {
 			add(&resolution{kind: resSlot, idx: idx, name: name})
 		}
 	}
+	if u.outer != nil {
+		for _, c := range u.outer.captures(name, u.outerScope) {
+			add(&resolution{kind: resUpval, idx: u.upval(c), name: name})
+		}
+	}
 	if gi, ok := u.c.globals[name]; ok {
 		add(&resolution{kind: resGlobal, idx: gi, name: name})
 	}
@@ -288,21 +389,59 @@ func (u *unitCompiler) resolve(name string) *resolution {
 	return head
 }
 
+// captures lists, innermost first, where a closure created at scope s
+// of this unit finds each binding of name: a slot of this unit, which
+// becomes captured, or for a closure one of its own captured cells.
+func (u *unitCompiler) captures(name string, s *cscope) []capture {
+	var out []capture
+	for ; s != nil; s = s.parent {
+		if idx, ok := s.names[name]; ok {
+			if u.captured == nil {
+				u.captured = make(map[int32]bool)
+			}
+			u.captured[idx] = true
+			out = append(out, capture{idx: idx})
+		}
+	}
+	if u.outer != nil {
+		for _, c := range u.outer.captures(name, u.outerScope) {
+			out = append(out, capture{upval: true, idx: u.upval(c)})
+		}
+	}
+	return out
+}
+
+// upval returns the index of the closure's cell taken from c,
+// adding it on first use.
+func (u *unitCompiler) upval(c capture) int32 {
+	for i, have := range u.code.captures {
+		if have == c {
+			return int32(i)
+		}
+	}
+	u.code.captures = append(u.code.captures, c)
+	return int32(len(u.code.captures) - 1)
+}
+
 func (u *unitCompiler) resolveIdx(name string) int32 {
 	return u.code.resIdx(u.resolve(name))
 }
 
-// lexicallyBound reports whether name has any slot or global binding —
-// the static analogue of env.lookup(name) != nil for the package-
-// qualifier checks.
+// lexicallyBound reports whether name has any slot, captured or global
+// binding — the static analogue of env.lookup(name) != nil for the
+// package-qualifier checks.
 func (u *unitCompiler) lexicallyBound(name string) bool {
-	for s := u.scope; s != nil; s = s.parent {
-		if _, ok := s.names[name]; ok {
-			return true
+	if _, ok := u.c.globals[name]; ok {
+		return true
+	}
+	for v, s := u, u.scope; v != nil; v, s = v.outer, v.outerScope {
+		for ; s != nil; s = s.parent {
+			if _, ok := s.names[name]; ok {
+				return true
+			}
 		}
 	}
-	_, ok := u.c.globals[name]
-	return ok
+	return false
 }
 
 // --- statements -------------------------------------------------------
@@ -600,10 +739,7 @@ func (u *unitCompiler) compileSwitch(st *ast.SwitchStmt) {
 	var arms []*armTarget
 	var defaultClause *ast.CaseClause
 	for _, cc := range st.Body.List {
-		clause, ok := cc.(*ast.CaseClause)
-		if !ok {
-			bailf("non-case clause in switch")
-		}
+		clause := cc.(*ast.CaseClause) // go/parser allows nothing else
 		if clause.List == nil {
 			defaultClause = clause
 			continue
@@ -988,7 +1124,11 @@ func (u *unitCompiler) compileExpr(e ast.Expr) {
 	case *ast.CompositeLit:
 		u.compileComposite(ex)
 	case *ast.FuncLit:
-		bailf("function literal (closure) needs the tree engine")
+		// The closure's unit compiles in finish, once this unit's
+		// scopes are complete.
+		u.emit(Op{Code: opClosure, A: int32(len(u.sites))})
+		u.sites = append(u.sites, litSite{lit: ex, scope: u.scope})
+		u.depth++
 	default:
 		u.emitFail(fmt.Sprintf("unsupported expression %T", e))
 		u.depth++ // unreachable at run time; keep bookkeeping balanced
@@ -1000,39 +1140,39 @@ func (u *unitCompiler) compileExpr(e ast.Expr) {
 // expression is actually evaluated.
 func (u *unitCompiler) compileLit(lit *ast.BasicLit) {
 	u.depth++
-	push := func(v Value) { u.emit(Op{Code: opConst, A: u.code.constIdx(v)}) }
+	if v, msg := parseLit(lit); msg != "" {
+		u.emitFail(msg)
+	} else {
+		u.emit(Op{Code: opConst, A: u.code.constIdx(v)})
+	}
+}
+
+// parseLit evaluates a basic literal, or returns the failure both
+// engines raise for it.
+func parseLit(lit *ast.BasicLit) (Value, string) {
 	switch lit.Kind {
 	case token.INT:
-		v, err := strconv.ParseInt(lit.Value, 0, 64)
-		if err != nil {
-			u.emitFail(fmt.Sprintf("bad int literal %s", lit.Value))
-			return
+		if v, err := strconv.ParseInt(lit.Value, 0, 64); err == nil {
+			return v, ""
 		}
-		push(v)
+		return nil, fmt.Sprintf("bad int literal %s", lit.Value)
 	case token.FLOAT:
-		v, err := strconv.ParseFloat(lit.Value, 64)
-		if err != nil {
-			u.emitFail(fmt.Sprintf("bad float literal %s", lit.Value))
-			return
+		if v, err := strconv.ParseFloat(lit.Value, 64); err == nil {
+			return v, ""
 		}
-		push(v)
+		return nil, fmt.Sprintf("bad float literal %s", lit.Value)
 	case token.STRING:
-		s, err := strconv.Unquote(lit.Value)
-		if err != nil {
-			u.emitFail("bad string literal")
-			return
+		if s, err := strconv.Unquote(lit.Value); err == nil {
+			return s, ""
 		}
-		push(s)
+		return nil, "bad string literal"
 	case token.CHAR:
-		s, err := strconv.Unquote(lit.Value)
-		if err != nil || len(s) == 0 {
-			u.emitFail("bad rune literal")
-			return
+		if s, err := strconv.Unquote(lit.Value); err == nil && len(s) > 0 {
+			return int64([]rune(s)[0]), ""
 		}
-		push(int64([]rune(s)[0]))
-	default:
-		u.emitFail(fmt.Sprintf("unsupported literal kind %s", lit.Kind))
+		return nil, "bad rune literal"
 	}
+	return nil, fmt.Sprintf("unsupported literal kind %s", lit.Kind)
 }
 
 func (u *unitCompiler) compileIdent(id *ast.Ident) {
@@ -1139,7 +1279,8 @@ func (u *unitCompiler) compileComposite(ex *ast.CompositeLit) {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
 				key, ok := kv.Key.(*ast.Ident)
 				if !ok {
-					bailf("non-identifier struct literal key")
+					u.emitFail(errStructKey)
+					return
 				}
 				u.compileExpr(kv.Value)
 				u.emit(Op{Code: opSetField, A: u.code.nameIdx(key.Name)})
@@ -1256,50 +1397,43 @@ func (u *unitCompiler) dropArgs(n int32) {
 	}
 }
 
-// needArgs bails out of compilation when a builtin call would make the
-// tree-walker panic on a missing argument (a raw index panic, not a
-// RuntimeError); the tree engine then reproduces the panic exactly.
-// A single call argument fans out, so its arity is only known at run
-// time and the check is skipped.
-func (u *unitCompiler) needArgs(call *ast.CallExpr, n int) {
-	if len(call.Args) == 1 {
-		if _, ok := call.Args[0].(*ast.CallExpr); ok {
-			return
-		}
-	}
-	if len(call.Args) < n {
-		bailf("builtin call with too few arguments")
-	}
-}
+// argsBuiltins are the builtins whose op takes the evaluated argument
+// list (or a call's fanned-out results) and checks its length.
+var argsBuiltins = map[string]OpCode{"append": opAppend, "copy": opCopy, "delete": opDelete,
+	"println": opPrintln, "print": opPrintln, "panic": opPanic}
 
 // compileBuiltin lowers builtins and conversions dispatched by bare
 // name (before any user binding, exactly like builtinCall). The bool
-// result reports whether name was handled.
+// result reports whether name was handled. Arity is checked where
+// builtinCall checks it: before the operand for the one-operand forms,
+// and by the ops, after the arguments ran, for the others.
 func (u *unitCompiler) compileBuiltin(name string, call *ast.CallExpr) bool {
 	switch name {
-	case "len", "cap":
-		u.needArgs(call, 1)
-		u.compileExpr(call.Args[0])
-		code := opLen
-		if name == "cap" {
-			code = opCap
+	case "len", "cap", "int", "int64", "byte", "rune", "int32", "float64", "string":
+		if len(call.Args) == 0 {
+			u.emitFail(notEnoughArgs(name))
+			return true
 		}
-		u.emit(Op{Code: code})
+		u.compileExpr(call.Args[0])
+		switch name {
+		case "len":
+			u.emit(Op{Code: opLen})
+		case "cap":
+			u.emit(Op{Code: opCap})
+		case "float64":
+			u.emit(Op{Code: opToFloat})
+			u.emit(Op{Code: opRes1})
+		case "string":
+			u.emit(Op{Code: opConvStr})
+			u.emit(Op{Code: opRes1})
+		default:
+			u.emit(Op{Code: opToInt})
+			u.emit(Op{Code: opRes1})
+		}
 		u.depth--
-	case "append":
-		u.needArgs(call, 1)
+	case "append", "copy", "delete", "println", "print", "panic":
 		n := u.compileArgs(call.Args)
-		u.emit(Op{Code: opAppend, B: n})
-		u.dropArgs(n)
-	case "copy":
-		u.needArgs(call, 2)
-		n := u.compileArgs(call.Args)
-		u.emit(Op{Code: opCopy, B: n})
-		u.dropArgs(n)
-	case "delete":
-		u.needArgs(call, 1)
-		n := u.compileArgs(call.Args)
-		u.emit(Op{Code: opDelete, B: n})
+		u.emit(Op{Code: argsBuiltins[name], B: n})
 		u.dropArgs(n)
 	case "make":
 		if len(call.Args) == 0 {
@@ -1332,40 +1466,12 @@ func (u *unitCompiler) compileBuiltin(name string, call *ast.CallExpr) bool {
 		}
 		u.emitFail("unsupported new()")
 	case "min", "max":
-		u.needArgs(call, 1)
 		isMax := int32(0)
 		if name == "max" {
 			isMax = 1
 		}
 		n := u.compileArgs(call.Args)
 		u.emit(Op{Code: opMin, A: isMax, B: n})
-		u.dropArgs(n)
-	case "int", "int64", "byte", "rune", "int32":
-		u.needArgs(call, 1)
-		u.compileExpr(call.Args[0])
-		u.emit(Op{Code: opToInt})
-		u.emit(Op{Code: opRes1})
-		u.depth--
-	case "float64":
-		u.needArgs(call, 1)
-		u.compileExpr(call.Args[0])
-		u.emit(Op{Code: opToFloat})
-		u.emit(Op{Code: opRes1})
-		u.depth--
-	case "string":
-		u.needArgs(call, 1)
-		u.compileExpr(call.Args[0])
-		u.emit(Op{Code: opConvStr})
-		u.emit(Op{Code: opRes1})
-		u.depth--
-	case "println", "print":
-		n := u.compileArgs(call.Args)
-		u.emit(Op{Code: opPrintln, B: n})
-		u.dropArgs(n)
-	case "panic":
-		u.needArgs(call, 1)
-		n := u.compileArgs(call.Args)
-		u.emit(Op{Code: opPanic, B: n})
 		u.dropArgs(n)
 	default:
 		return false

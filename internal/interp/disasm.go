@@ -3,7 +3,6 @@ package interp
 import (
 	"fmt"
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -11,22 +10,21 @@ import (
 // readable text, one block per compilation unit. The golden tests pin
 // this output for every corpus program, so bytecode-layout regressions
 // show up as reviewable diffs.
-func (m *Machine) Disassemble() (string, error) {
-	vmc, err := m.compiled()
-	if err != nil {
-		return "", err
-	}
+func (m *Machine) Disassemble() string {
+	vmc := m.compiled()
 	var b strings.Builder
-	writeUnit(&b, vmc.initCode)
+	writeUnit(&b, vmc.initCode.Name, vmc.initCode)
 	for _, u := range vmc.units {
 		b.WriteByte('\n')
-		writeUnit(&b, u)
+		writeUnit(&b, u.Name, u)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
-func writeUnit(b *strings.Builder, c *Code) {
-	fmt.Fprintf(b, "unit %s: %d slots, %d loops", c.Name, c.NumSlots, c.NumLoops)
+// writeUnit renders c under name, then the closures it creates, each
+// named after its creator and its opClosure index.
+func writeUnit(b *strings.Builder, name string, c *Code) {
+	fmt.Fprintf(b, "unit %s: %d slots, %d loops", name, c.NumSlots, c.NumLoops)
 	if len(c.SlotNames) > 0 {
 		fmt.Fprintf(b, "  [%s]", strings.Join(c.SlotNames, " "))
 	}
@@ -34,8 +32,15 @@ func writeUnit(b *strings.Builder, c *Code) {
 	if len(c.recvSlots) > 0 || len(c.paramSlots) > 0 || len(c.resultSlots) > 0 {
 		fmt.Fprintf(b, "  frame: recv=%v params=%v results=%v\n", c.recvSlots, c.paramSlots, c.resultSlots)
 	}
+	if len(c.captures) > 0 {
+		fmt.Fprintf(b, "  captures: %v\n", c.captures)
+	}
 	for pc, op := range c.Ops {
 		fmt.Fprintf(b, "  %4d  %-14s%s\n", pc, opName(op.Code), operands(c, op))
+	}
+	for i, l := range c.Lits {
+		b.WriteByte('\n')
+		writeUnit(b, fmt.Sprintf("%s/closure%d", name, i), l)
 	}
 }
 
@@ -44,7 +49,7 @@ func operands(c *Code, op Op) string {
 	switch op.Code {
 	case opConst:
 		return fmt.Sprintf(" %s", constRepr(c.Consts[op.A]))
-	case opDropN, opExpectN, opTick, opPushRef, opPopRefs, opMakeSliceLit, opIncDec:
+	case opDropN, opExpectN, opTick, opPushRef, opPopRefs, opMakeSliceLit, opIncDec, opClosure:
 		return fmt.Sprintf(" %d", op.A)
 	case opJump, opJfalse, opAndShort, opOrShort, opCaseEq:
 		return fmt.Sprintf(" -> %d", op.A)
@@ -52,9 +57,9 @@ func operands(c *Code, op Op) string {
 		return fmt.Sprintf(" %s", resRepr(c.Res[op.A]))
 	case opStoreNameAt:
 		return fmt.Sprintf(" %s @%d", resRepr(c.Res[op.A]), op.B)
-	case opDefineSlot, opStoreSlot:
+	case opDefineSlot, opDefineCell:
 		return fmt.Sprintf(" %s", slotRepr(c, op.A))
-	case opDefineSlotAt, opStoreSlotAt:
+	case opDefineSlotAt, opStoreSlotAt, opDefineCellAt, opStoreCellAt:
 		return fmt.Sprintf(" %s @%d", slotRepr(c, op.A), op.B)
 	case opDefineGlobal:
 		return fmt.Sprintf(" g%d", op.A)
@@ -122,6 +127,10 @@ func resRepr(r *resolution) string {
 		switch r.kind {
 		case resSlot:
 			parts = append(parts, fmt.Sprintf("s%d", r.idx))
+		case resCell:
+			parts = append(parts, fmt.Sprintf("cell s%d", r.idx))
+		case resUpval:
+			parts = append(parts, fmt.Sprintf("up%d", r.idx))
 		case resGlobal:
 			parts = append(parts, fmt.Sprintf("g%d", r.idx))
 		case resFunc:
@@ -159,8 +168,11 @@ var opNames = map[OpCode]string{
 	opCheckName:     "checkname",
 	opDefineSlot:    "defineslot",
 	opDefineSlotAt:  "defineslotat",
-	opStoreSlot:     "storeslot",
 	opStoreSlotAt:   "storeslotat",
+	opDefineCell:    "definecell",
+	opDefineCellAt:  "definecellat",
+	opStoreCellAt:   "storecellat",
+	opClosure:       "closure",
 	opDefineGlobal:  "defineglobal",
 	opIntrFuncVal:   "intrfuncval",
 	opZeroVal:       "zeroval",
@@ -224,24 +236,4 @@ func opName(c OpCode) string {
 		return n
 	}
 	return fmt.Sprintf("op%d", c)
-}
-
-// DisassembleFunc renders one unit by name (diagnostics helper).
-func (m *Machine) DisassembleFunc(name string) (string, error) {
-	vmc, err := m.compiled()
-	if err != nil {
-		return "", err
-	}
-	u, ok := vmc.byName[name]
-	if !ok {
-		names := make([]string, 0, len(vmc.byName))
-		for n := range vmc.byName {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return "", fmt.Errorf("interp: no unit %q (have %s)", name, strings.Join(names, ", "))
-	}
-	var b strings.Builder
-	writeUnit(&b, u)
-	return b.String(), nil
 }

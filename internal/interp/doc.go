@@ -1,14 +1,13 @@
 // Package interp executes the analyzed sequential program on sample
 // inputs, producing the *runtime information* of the paper's semantic
 // model: per-statement execution counts and (virtual) running times,
-// plus a full memory-access trace for a selected loop from which the
-// dynamic dependence profiler (package profile) derives observed
-// loop-carried dependencies.
+// plus the loops' memory-access traces from which package profile
+// derives observed loop-carried dependencies.
 //
 // The paper instruments .NET executions; a Go reproduction cannot
-// instrument arbitrary compiled Go, so this tree-walking interpreter is
-// the documented substitution (DESIGN.md §2). It covers a defined Go
-// subset and has two properties the original lacks:
+// instrument arbitrary compiled Go, so this interpreter (a bytecode VM,
+// checked against a tree-walking reference) is the documented
+// substitution (DESIGN.md §2), with two properties the original lacks:
 //
 //   - Determinism: time is a virtual cost counter (every AST node has
 //     a fixed cost; intrinsics declare theirs), so profiles are

@@ -2,93 +2,47 @@ package interp
 
 import "fmt"
 
-// Engine selects the execution engine for a run. Both engines implement
-// identical semantics — virtual time, per-statement profile, and memory
-// trace are bit-for-bit equal; the differential suite in
-// internal/difftest enforces this across the generator space.
+// Engine selects how a Machine executes a run. The bytecode VM is the
+// production engine. The tree-walking interpreter is the reference it
+// is checked against: both give bit-for-bit the same values, virtual
+// time, per-statement profile and memory trace, which the differential
+// suite in internal/difftest enforces across the generator space.
 type Engine int
 
 const (
-	// EngineAuto compiles to bytecode when the program is inside the
-	// compiler's subset and falls back to the tree-walker otherwise.
-	EngineAuto Engine = iota
-	// EngineTree forces the reference tree-walking interpreter.
+	// EngineVM runs the compiled bytecode; it is the zero value.
+	EngineVM Engine = iota
+	// EngineTree runs the reference tree-walking interpreter.
 	EngineTree
-	// EngineVM forces the bytecode VM; programs outside the compiled
-	// subset fail with the compiler's bail reason.
-	EngineVM
 )
 
-// DefaultEngine applies when neither the Machine nor the run Options
-// pick an engine; the -engine CLI flag sets it before any work starts.
-var DefaultEngine = EngineAuto
-
 func (e Engine) String() string {
-	switch e {
-	case EngineTree:
+	if e == EngineTree {
 		return "tree"
-	case EngineVM:
-		return "vm"
-	default:
-		return "auto"
 	}
+	return "vm"
 }
 
-// ParseEngine parses "auto", "tree" or "vm".
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "auto":
-		return EngineAuto, nil
-	case "tree":
-		return EngineTree, nil
-	case "vm":
-		return EngineVM, nil
-	}
-	return EngineAuto, fmt.Errorf("unknown engine %q (want auto, tree or vm)", s)
-}
-
-// SetEngine pins this machine to an engine regardless of DefaultEngine;
-// per-run Options.Engine still takes precedence.
+// SetEngine pins this machine to an engine for every later run.
 func (m *Machine) SetEngine(e Engine) { m.engine = e }
 
 // compiled returns the cached bytecode program, compiling on first use.
-func (m *Machine) compiled() (*vmCompiled, error) {
-	if !m.vmcDone {
-		m.vmc, m.vmcErr = m.compileProgram()
-		m.vmcDone = true
+func (m *Machine) compiled() *vmCompiled {
+	if m.vmc == nil {
+		m.vmc = m.compileProgram()
 	}
-	return m.vmc, m.vmcErr
+	return m.vmc
 }
 
 // Run executes the named function with the given arguments on the
-// selected engine and returns its results together with the collected
-// profile. Engine precedence: Options.Engine, then SetEngine, then the
-// package-level DefaultEngine.
+// machine's engine and returns its results together with the collected
+// profile.
 func (m *Machine) Run(fnName string, args []Value, opts Options) ([]Value, *Profile, error) {
 	if m.prog.Func(fnName) == nil {
 		return nil, nil, fmt.Errorf("interp: function %q not found", fnName)
 	}
-	eng := opts.Engine
-	if eng == EngineAuto {
-		eng = m.engine
-	}
-	if eng == EngineAuto {
-		eng = DefaultEngine
-	}
-	switch eng {
-	case EngineTree:
+	if m.engine == EngineTree {
 		return m.runTree(fnName, args, opts)
-	case EngineVM:
-		vmc, err := m.compiled()
-		if err != nil {
-			return nil, nil, fmt.Errorf("interp: vm: %w", err)
-		}
-		return m.runVM(vmc, fnName, args, opts)
-	default:
-		vmc, err := m.compiled()
-		if err != nil {
-			return m.runTree(fnName, args, opts)
-		}
-		return m.runVM(vmc, fnName, args, opts)
 	}
+	return m.runVM(m.compiled(), fnName, args, opts)
 }

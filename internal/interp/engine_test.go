@@ -3,6 +3,7 @@ package interp
 import (
 	"go/ast"
 	"go/token"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -219,15 +220,12 @@ func F() {
 
 // TestEngineEquivalenceFeatures runs a feature-panel of handwritten
 // programs on both engines and requires identical values, errors, total
-// virtual time and profile — a fast in-package complement to the
-// generator-driven differential suite in internal/difftest.
+// virtual time and profile maps — a fast in-package complement to the
+// generator-driven differential suite in internal/difftest. The panel
+// covers what the generator never produces: closures, and ill-formed
+// programs that must fail with a runtime error, not a Go panic.
 func TestEngineEquivalenceFeatures(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		fn   string
-		args []Value
-	}{
+	cases := []panelCase{
 		{"loop-scoped-redefine", `package p
 func F() int {
 	s := 0
@@ -237,7 +235,7 @@ func F() int {
 		s += x + y
 	}
 	return s
-}`, "F", nil},
+}`, "F", nil, "", ""},
 		{"range-map-mutation", `package p
 func F() int {
 	m := map[string]int{"a": 1, "b": 2, "c": 3}
@@ -249,7 +247,7 @@ func F() int {
 		s += v
 	}
 	return s + len(m)
-}`, "F", nil},
+}`, "F", nil, "", ""},
 		{"switch-fallthrough-free", `package p
 func F(x int) string {
 	switch x % 3 {
@@ -260,7 +258,7 @@ func F(x int) string {
 	default:
 		return "many"
 	}
-}`, "F", []Value{int64(7)}},
+}`, "F", []Value{int64(7)}, "", ""},
 		{"methods-and-fields", `package p
 type Acc struct{ Sum, N int }
 func (a *Acc) Add(x int) { a.Sum += x; a.N++ }
@@ -270,7 +268,7 @@ func F() int {
 		a.Add(i)
 	}
 	return a.Sum*10 + a.N
-}`, "F", nil},
+}`, "F", nil, "", ""},
 		{"string-ops", `package p
 func F(s string) int {
 	n := 0
@@ -278,7 +276,7 @@ func F(s string) int {
 		n += i + int(r)
 	}
 	return n + len(s[1:3])
-}`, "F", []Value{"héllo"}},
+}`, "F", []Value{"héllo"}, "", ""},
 		{"named-results", `package p
 func div(a, b int) (q, r int) {
 	q = a / b
@@ -288,23 +286,30 @@ func div(a, b int) (q, r int) {
 func F() int {
 	q, r := div(17, 5)
 	return q*100 + r
-}`, "F", nil},
+}`, "F", nil, "", ""},
 		{"runtime-error", `package p
 func F(n int) int {
 	a := make([]int, 3)
 	return a[n]
-}`, "F", []Value{int64(7)}},
+}`, "F", []Value{int64(7)}, "slice index 7 out of range", ""},
 		{"division-by-zero", `package p
-func F(n int) int { return 10 / n }`, "F", []Value{int64(0)}},
+func F(n int) int { return 10 / n }`, "F", []Value{int64(0)}, "integer division by zero", ""},
 		{"global-init-order", `package p
 var a = 10
 var b = a * 2
 var c = helper()
 func helper() int { return b + 1 }
-func F() int { return a + b + c }`, "F", nil},
+func F() int { return a + b + c }`, "F", nil, "", ""},
 		{"min-max-varargs", `package p
-func F() int { return min(3, 1, 2)*100 + max(3, 1, 2) }`, "F", nil},
+func F() int { return min(3, 1, 2)*100 + max(3, 1, 2) }`, "F", nil, "", ""},
+		{"duplicate-global", `package p
+var a = 1
+var b = a * 10
+var a = 2
+func F() int { return a + b }`, "F", nil, "", ""},
 	}
+	cases = append(cases, closureCases...)
+	cases = append(cases, illFormedCases...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, err := source.ParseFile("t.go", tc.src)
@@ -312,24 +317,21 @@ func F() int { return min(3, 1, 2)*100 + max(3, 1, 2) }`, "F", nil},
 				t.Fatal(err)
 			}
 			type outcome struct {
-				vals  []string
-				errS  string
-				total uint64
-				nProf int
+				vals []string
+				errS string
+				prof *Profile
 			}
 			runOn := func(eng Engine) outcome {
 				m := NewMachine(prog)
-				vals, prof, err := m.Run(tc.fn, tc.args, Options{Engine: eng})
-				var o outcome
+				m.SetEngine(eng)
+				vals, prof, err := m.Run(tc.fn, tc.args, Options{})
+				o := outcome{prof: prof}
 				for _, v := range vals {
 					o.vals = append(o.vals, formatValue(v))
 				}
 				if err != nil {
 					o.errS = err.Error()
-					return o
 				}
-				o.total = prof.Total
-				o.nProf = len(prof.Count)
 				return o
 			}
 			tr := runOn(EngineTree)
@@ -337,58 +339,196 @@ func F() int { return min(3, 1, 2)*100 + max(3, 1, 2) }`, "F", nil},
 			if tr.errS != vm.errS {
 				t.Fatalf("error mismatch: tree=%q vm=%q", tr.errS, vm.errS)
 			}
+			if tc.wantErr != "" && !strings.Contains(tr.errS, tc.wantErr) {
+				t.Fatalf("error %q, want %q", tr.errS, tc.wantErr)
+			}
+			if got := strings.Join(tr.vals, ","); tc.want != "" && (got != tc.want || tr.errS != "") {
+				t.Fatalf("got %s (error %q), want %s", got, tr.errS, tc.want)
+			}
 			if strings.Join(tr.vals, ",") != strings.Join(vm.vals, ",") {
 				t.Fatalf("value mismatch: tree=%v vm=%v", tr.vals, vm.vals)
 			}
-			if tr.total != vm.total || tr.nProf != vm.nProf {
-				t.Fatalf("profile mismatch: tree total=%d n=%d, vm total=%d n=%d",
-					tr.total, tr.nProf, vm.total, vm.nProf)
+			if tr.prof == nil || vm.prof == nil {
+				return // both failed with the same error
+			}
+			if tr.prof.Total != vm.prof.Total {
+				t.Fatalf("virtual time: tree=%d vm=%d", tr.prof.Total, vm.prof.Total)
+			}
+			for _, p := range []struct {
+				name   string
+				tr, vm map[Ref]uint64
+			}{{"incl", tr.prof.Incl, vm.prof.Incl}, {"self", tr.prof.Self, vm.prof.Self}, {"count", tr.prof.Count, vm.prof.Count}} {
+				if !reflect.DeepEqual(p.tr, p.vm) {
+					t.Fatalf("%s profile: tree=%v vm=%v", p.name, p.tr, p.vm)
+				}
 			}
 		})
 	}
 }
 
-// TestEngineFallback: programs with closures are outside the compiled
-// subset; EngineAuto must transparently fall back to the tree engine
-// while EngineVM reports the bail reason.
-func TestEngineFallback(t *testing.T) {
-	src := `package p
-func F() int {
-	add := func(a, b int) int { return a + b }
-	return add(2, 3)
-}`
-	prog, err := source.ParseFile("t.go", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMachine(prog)
-	vals, _, err := m.Run("F", nil, Options{Engine: EngineAuto})
-	if err != nil || vals[0] != int64(5) {
-		t.Fatalf("auto fallback: vals=%v err=%v", vals, err)
-	}
-	_, _, err = m.Run("F", nil, Options{Engine: EngineVM})
-	if err == nil || !strings.Contains(err.Error(), "vm:") {
-		t.Fatalf("forced vm should report the bail reason, got %v", err)
-	}
+type panelCase struct {
+	name, src, fn string
+	args          []Value
+	wantErr       string // when set, a substring of the run's error
+	want          string // when set, the run's formatted results
 }
 
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Engine
-		ok   bool
-	}{
-		{"auto", EngineAuto, true},
-		{"tree", EngineTree, true},
-		{"vm", EngineVM, true},
-		{"jit", EngineAuto, false},
-	} {
-		got, err := ParseEngine(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Fatalf("ParseEngine(%q) = %v, %v", tc.in, got, err)
-		}
-		if tc.ok && got.String() != tc.in {
-			t.Fatalf("String() roundtrip failed for %q", tc.in)
-		}
+// closureCases are the closure programs of the engine panel.
+var closureCases = []panelCase{
+	{"closure-counter", `package p
+func F() int {
+	n := 0
+	inc := func() int { n++; return n }
+	inc()
+	inc()
+	return inc()*10 + n
+}`, "F", nil, "", "33"},
+	{"closure-per-iteration", `package p
+func F() int {
+	var fs []func() int
+	for i := 0; i < 3; i++ {
+		j := i
+		fs = append(fs, func() int { return j * 10 })
 	}
+	for _, v := range []int{4, 5} {
+		fs = append(fs, func() int { return v })
+	}
+	s := 0
+	for _, f := range fs {
+		s = s*100 + f()
+	}
+	return s
+}`, "F", nil, "", "10200405"},
+	{"closure-for-clause-var", `package p
+func F() int {
+	var fs []func() int
+	for i := 0; i < 3; i++ {
+		fs = append(fs, func() int { i += 10; return i })
+	}
+	return fs[0]()*100 + fs[2]()
+}`, "F", nil, "", ""},
+	{"closure-returned", `package p
+func adder(base int) func(int) int {
+	return func(x int) int { base += x; return base }
+}
+func F() int {
+	a := adder(10)
+	b := adder(100)
+	a(1)
+	b(2)
+	return a(5)*1000 + b(3)
+}`, "F", nil, "", "16105"},
+	{"closure-nested", `package p
+func F() int {
+	x := 1
+	outer := func(y int) func() int {
+		z := y * 2
+		return func() int { x += z; return x + y }
+	}
+	g := outer(3)
+	g()
+	return g()*100 + x
+}`, "F", nil, "", "1613"},
+	{"closure-argument", `package p
+func apply(f func(int) int, xs []int) int {
+	s := 0
+	for _, x := range xs {
+		s += f(x)
+	}
+	return s
+}
+func F() int {
+	k := 3
+	calls := 0
+	return apply(func(x int) int { calls++; return x * k }, []int{1, 2, 3})*10 + calls
+}`, "F", nil, "", "183"},
+	{"closure-recursion", `package p
+func F(n int) int {
+	var fib func(int) int
+	fib = func(k int) int {
+		if k < 2 {
+			return k
+		}
+		return fib(k-1) + fib(k-2)
+	}
+	return fib(n)
+}`, "F", []Value{int64(12)}, "", "144"},
+	{"closure-frame-captures", `package p
+type Acc struct{ N int }
+func (a *Acc) Twice(k int) (out int) {
+	add := func() { a.N += k; out += a.N }
+	add()
+	add()
+	return
+}
+func F() int {
+	a := &Acc{N: 1}
+	r := a.Twice(5)
+	x := 1
+	f := func() int { return x }
+	x, y := 7, 2
+	sq := func(v int) (r int) { r = v * v; return }(4)
+	return r*1000 + f()*100 + y*10 + sq
+}`, "F", nil, "", "17736"},
+	{"closure-late-binding", `package p
+func F() int {
+	x := 1
+	{
+		f := func() int { return x }
+		x := 2
+		_ = x
+		g := func(n int) int {
+			if n == 0 {
+				return 0
+			}
+			return g(n-1) + 1
+		}
+		return f()*10 + g(3)
+	}
+}`, "F", nil, "", ""},
+	{"closure-depth-guard", `package p
+func F() int {
+	var f func(int) int
+	f = func(n int) int { return f(n + 1) }
+	return f(0)
+}`, "F", nil, "call depth exceeds 4096 (runaway recursion in closure?)", ""},
+	{"closure-arity", `package p
+func F() int {
+	f := func(a int) int { return a }
+	return f(1, 2)
+}`, "F", nil, "argument count mismatch calling closure: have 2, want 1", ""},
+	{"closure-outside-function", `package p
+var g = func() int { return 1 }
+func F() int { return g() }`, "F", nil, "closure outside any function", ""},
+}
+
+// illFormedCases must each fail with the same runtime error on both
+// engines instead of a Go panic; most of them parse but type-check
+// nowhere.
+var illFormedCases = []panelCase{
+	{"len-no-args", `package p
+func F() int { return len() }`, "F", nil, "not enough arguments in call to len", ""},
+	{"conversion-no-args", `package p
+func F() int { return int() }`, "F", nil, "not enough arguments in call to int", ""},
+	{"append-no-args", `package p
+func F() []int { return append() }`, "F", nil, "not enough arguments in call to append", ""},
+	{"append-fan-out-none", `package p
+func none() {}
+func F() []int { return append(none()) }`, "F", nil, "not enough arguments in call to append", ""},
+	{"append-non-slice", `package p
+func F() []int { return append(5, 1) }`, "F", nil, "first argument to append must be a slice", ""},
+	{"min-fan-out-none", `package p
+func none() {}
+func F() int { return min(none()) }`, "F", nil, "not enough arguments in call to min", ""},
+	{"copy-one-arg", `package p
+func F() int { a := []int{1}; return copy(a) }`, "F", nil, "not enough arguments in call to copy", ""},
+	{"delete-one-arg", `package p
+func F() { m := map[int]int{1: 2}; delete(m) }`, "F", nil, "not enough arguments in call to delete", ""},
+	{"panic-no-args", `package p
+func F() { panic() }`, "F", nil, "not enough arguments in call to panic", ""},
+	{"make-negative-length", `package p
+func F(n int) int { a := make([]int, n); return len(a) }`, "F", []Value{int64(-1)}, "negative length -1 in make", ""},
+	{"struct-key-expression", `package p
+type T struct{ A int }
+func F() int { t := T{A: 1, 1 + 1: 3}; return t.A }`, "F", nil, "struct literal key must be a field name", ""},
 }

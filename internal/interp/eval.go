@@ -3,8 +3,6 @@ package interp
 import (
 	"go/ast"
 	"go/token"
-	"strconv"
-	"strings"
 
 	"patty/internal/source"
 )
@@ -66,35 +64,11 @@ func (m *Machine) evalSingle(e ast.Expr, env *env, fn *source.Function) Value {
 }
 
 func (m *Machine) evalLit(lit *ast.BasicLit) Value {
-	switch lit.Kind {
-	case token.INT:
-		v, err := strconv.ParseInt(lit.Value, 0, 64)
-		if err != nil {
-			fail("bad int literal %s", lit.Value)
-		}
-		return v
-	case token.FLOAT:
-		v, err := strconv.ParseFloat(lit.Value, 64)
-		if err != nil {
-			fail("bad float literal %s", lit.Value)
-		}
-		return v
-	case token.STRING:
-		s, err := strconv.Unquote(lit.Value)
-		if err != nil {
-			fail("bad string literal")
-		}
-		return s
-	case token.CHAR:
-		s, err := strconv.Unquote(lit.Value)
-		if err != nil || len(s) == 0 {
-			fail("bad rune literal")
-		}
-		return int64([]rune(s)[0])
-	default:
-		fail("unsupported literal kind %s", lit.Kind)
-		return nil
+	v, msg := parseLit(lit)
+	if msg != "" {
+		fail("%s", msg)
 	}
+	return v
 }
 
 func (m *Machine) evalIdent(id *ast.Ident, env *env) Value {
@@ -389,14 +363,16 @@ func (m *Machine) evalComposite(ex *ast.CompositeLit, env *env, fn *source.Funct
 		if !ok {
 			fail("unknown composite type %s", t.Name)
 		}
+		// Fields start untyped nil: arithmetic on a field that was never
+		// set fails loudly rather than computing with a wrong zero.
 		st := m.newStruct(t.Name, fields)
-		for i, f := range fields {
-			st.fields[f] = m.zeroFieldGuess()
-			_ = i
-		}
 		for i, el := range ex.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				key := kv.Key.(*ast.Ident).Name
+				id, ok := kv.Key.(*ast.Ident)
+				if !ok {
+					fail(errStructKey)
+				}
+				key := id.Name
 				st.fields[key] = m.eval(kv.Value, env, fn)
 				m.store(st.fieldAddr(key))
 				continue
@@ -431,12 +407,6 @@ func (m *Machine) evalComposite(ex *ast.CompositeLit, env *env, fn *source.Funct
 	fail("unsupported composite literal type %T", ex.Type)
 	return nil
 }
-
-// zeroFieldGuess initializes struct fields before explicit values are
-// assigned. Without static types the interpreter uses untyped nil;
-// arithmetic on a truly-unset field fails loudly rather than silently
-// computing with a wrong zero.
-func (m *Machine) zeroFieldGuess() Value { return nil }
 
 // lvalue resolves an assignable expression to getter/setter closures.
 func (m *Machine) lvalue(e ast.Expr, env *env, fn *source.Function) (func() Value, func(Value)) {
@@ -607,33 +577,11 @@ func (m *Machine) callFuncValue(f *Func, args []Value) []Value {
 	}
 }
 
-// callClosure invokes a function literal with its captured environment.
+// callClosure invokes a function literal with its captured
+// environment. Its statements are attributed to the lexically
+// enclosing function, which numbers them as its own.
 func (m *Machine) callClosure(f *Func, lit *ast.FuncLit, args []Value) []Value {
-	frame := newEnv(f.env)
-	idx := 0
-	if lit.Type.Params != nil {
-		for _, fld := range lit.Type.Params.List {
-			for _, name := range fld.Names {
-				if idx >= len(args) {
-					fail("too few arguments calling closure")
-				}
-				frame.define(name.Name, &cell{addr: m.alloc(1), val: args[idx]})
-				idx++
-			}
-		}
-	}
-	m.tick(5)
-	// Closures execute within their lexically enclosing function for
-	// statement attribution; find it by position.
-	encl := m.enclosingFunction(lit)
-	if encl == nil {
-		fail("closure outside any function")
-	}
-	ctrl := m.execBlock(lit.Body, frame, encl)
-	if ctrl.kind == ctrlReturn {
-		return ctrl.values
-	}
-	return nil
+	return m.call(f.Name, lit.Type, lit.Body, newEnv(f.env), m.enclosingFunction(lit), args)
 }
 
 func (m *Machine) enclosingFunction(lit *ast.FuncLit) *source.Function {
@@ -646,63 +594,38 @@ func (m *Machine) enclosingFunction(lit *ast.FuncLit) *source.Function {
 }
 
 // builtinCall implements the supported builtins; the bool result
-// reports whether name was handled.
+// reports whether name was handled. The helpers it shares with the VM
+// (builtins.go) raise the same failures on both engines.
 func (m *Machine) builtinCall(name string, call *ast.CallExpr, env *env, fn *source.Function) ([]Value, bool) {
 	switch name {
-	case "len":
+	case "len", "cap", "int", "int64", "byte", "rune", "int32", "float64", "string":
+		needArgs(name, len(call.Args), 1)
 		v := m.eval(call.Args[0], env, fn)
-		switch x := v.(type) {
-		case *Slice:
-			return []Value{int64(len(x.Elems))}, true
-		case *Map:
-			return []Value{int64(len(x.M))}, true
-		case string:
-			return []Value{int64(len(x))}, true
-		case nil:
-			return []Value{int64(0)}, true
+		switch name {
+		case "len":
+			return []Value{lenOf(v)}, true
+		case "cap":
+			return []Value{capOf(v)}, true
+		case "float64":
+			return []Value{toFloat(v)}, true
+		case "string":
+			return []Value{toString(v)}, true
 		}
-		fail("len of %s", formatValue(v))
-	case "cap":
-		v := m.eval(call.Args[0], env, fn)
-		if s, ok := v.(*Slice); ok {
-			return []Value{int64(cap(s.Elems))}, true
-		}
-		return []Value{int64(0)}, true
+		return []Value{toInt(v)}, true
 	case "append":
-		args := m.evalArgs(call.Args, env, fn)
-		var s *Slice
-		if args[0] == nil {
-			s = &Slice{base: m.alloc(1)}
-		} else {
-			s = args[0].(*Slice)
-		}
-		// Exact capacity keeps cap() deterministic across runs.
-		elems := make([]Value, 0, len(s.Elems)+len(args)-1)
-		elems = append(elems, s.Elems...)
-		elems = append(elems, args[1:]...)
-		ns := &Slice{Elems: elems}
-		ns.base = m.alloc(len(ns.Elems) + 1)
+		ns := m.appendSlice(m.evalArgs(call.Args, env, fn))
 		for i := range ns.Elems {
 			m.store(ns.base + uint64(i))
 		}
 		return []Value{ns}, true
 	case "copy":
-		args := m.evalArgs(call.Args, env, fn)
-		dst, ok1 := args[0].(*Slice)
-		src, ok2 := args[1].(*Slice)
-		if !ok1 || !ok2 {
-			fail("copy expects slices")
-		}
-		n := copy(dst.Elems, src.Elems)
+		dst, n := copySlices(m.evalArgs(call.Args, env, fn))
 		for i := 0; i < n; i++ {
 			m.store(dst.base + uint64(i))
 		}
 		return []Value{int64(n)}, true
 	case "delete":
-		args := m.evalArgs(call.Args, env, fn)
-		if mp, ok := args[0].(*Map); ok {
-			delete(mp.M, args[1])
-		}
+		deleteEntry(m.evalArgs(call.Args, env, fn))
 		return nil, true
 	case "make":
 		return []Value{m.makeValue(call, env, fn)}, true
@@ -715,53 +638,14 @@ func (m *Machine) builtinCall(name string, call *ast.CallExpr, env *env, fn *sou
 			}
 		}
 		fail("unsupported new()")
-	case "min":
-		args := m.evalArgs(call.Args, env, fn)
-		best := args[0]
-		for _, a := range args[1:] {
-			if lessValue(a, best) {
-				best = a
-			}
-		}
-		return []Value{best}, true
-	case "max":
-		args := m.evalArgs(call.Args, env, fn)
-		best := args[0]
-		for _, a := range args[1:] {
-			if lessValue(best, a) {
-				best = a
-			}
-		}
-		return []Value{best}, true
-	case "int", "int64":
-		return []Value{toInt(m.eval(call.Args[0], env, fn))}, true
-	case "float64":
-		return []Value{toFloat(m.eval(call.Args[0], env, fn))}, true
-	case "byte", "rune", "int32":
-		return []Value{toInt(m.eval(call.Args[0], env, fn))}, true
-	case "string":
-		v := m.eval(call.Args[0], env, fn)
-		if r, ok := v.(int64); ok {
-			return []Value{string(rune(r))}, true
-		}
-		if s, ok := v.(string); ok {
-			return []Value{s}, true
-		}
-		fail("unsupported string conversion")
+	case "min", "max":
+		return []Value{minMax(name == "max", m.evalArgs(call.Args, env, fn))}, true
 	case "println", "print":
-		args := m.evalArgs(call.Args, env, fn)
-		if m.output != nil {
-			parts := make([]string, len(args))
-			for i, a := range args {
-				parts[i] = formatValue(a)
-			}
-			m.output(strings.Join(parts, " "))
-		}
+		m.println(m.evalArgs(call.Args, env, fn))
 		m.tick(10)
 		return nil, true
 	case "panic":
-		args := m.evalArgs(call.Args, env, fn)
-		fail("program panic: %s", formatValue(args[0]))
+		programPanic(m.evalArgs(call.Args, env, fn))
 	}
 	return nil, false
 }
@@ -776,14 +660,7 @@ func (m *Machine) makeValue(call *ast.CallExpr, env *env, fn *source.Function) V
 		if len(call.Args) > 1 {
 			n = toInt(m.eval(call.Args[1], env, fn))
 		}
-		s := &Slice{Elems: make([]Value, n), base: m.alloc(int(n) + 1)}
-		// Elements of a made slice start at int zero — the dominant
-		// numeric case; float slices must be written before read or
-		// will carry int64(0), which arithmetic promotes correctly.
-		for i := range s.Elems {
-			s.Elems[i] = int64(0)
-		}
-		return s
+		return m.makeSlice(n)
 	case *ast.MapType:
 		return &Map{M: make(map[Value]Value), addrs: make(map[Value]uint64)}
 	}

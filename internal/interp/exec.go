@@ -403,29 +403,8 @@ func (m *Machine) execAssign(st *ast.AssignStmt, env *env, fn *source.Function) 
 		get, set := m.lvalue(st.Lhs[0], env, fn)
 		cur := get()
 		rhs := m.eval(st.Rhs[0], env, fn)
-		var op token.Token
-		switch st.Tok {
-		case token.ADD_ASSIGN:
-			op = token.ADD
-		case token.SUB_ASSIGN:
-			op = token.SUB
-		case token.MUL_ASSIGN:
-			op = token.MUL
-		case token.QUO_ASSIGN:
-			op = token.QUO
-		case token.REM_ASSIGN:
-			op = token.REM
-		case token.AND_ASSIGN:
-			op = token.AND
-		case token.OR_ASSIGN:
-			op = token.OR
-		case token.XOR_ASSIGN:
-			op = token.XOR
-		case token.SHL_ASSIGN:
-			op = token.SHL
-		case token.SHR_ASSIGN:
-			op = token.SHR
-		default:
+		op, ok := compoundOp(st.Tok)
+		if !ok {
 			fail("unsupported assignment operator %s", st.Tok)
 		}
 		set(m.binop(op, cur, rhs))

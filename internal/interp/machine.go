@@ -86,9 +86,6 @@ type Options struct {
 	MaxTicks uint64
 	// Output receives println output; nil discards it.
 	Output func(string)
-	// Engine overrides the engine for this run (zero value: the
-	// machine's engine, then DefaultEngine).
-	Engine Engine
 }
 
 // Machine interprets one program.
@@ -104,10 +101,9 @@ type Machine struct {
 	output   func(string)
 
 	// profiling
-	prof    *Profile
-	depth   int // live call frames; guards against runaway recursion
-	stack   []Ref
-	fnStack []string
+	prof  *Profile
+	depth int // live call frames; guards against runaway recursion
+	stack []Ref
 
 	// loop tracing (trace.go)
 	sinks    map[Ref]TraceSink
@@ -116,15 +112,13 @@ type Machine struct {
 	traceRef map[Ref]*loopTrace // tree-walker lookup into traces
 
 	// bytecode engine state
-	engine  Engine
-	vmc     *vmCompiled
-	vmcErr  error
-	vmcDone bool
-	vm      *vmState
+	engine Engine
+	vmc    *vmCompiled // nil until the first VM run compiles the program
+	vm     *vmState
 }
 
 type funcDecl struct{ d *ast.FuncDecl }
-type funcLit struct{ l *ast.FuncLit }
+type funcLit struct{ l *ast.FuncLit } // a tree-walker closure
 
 func (funcDecl) isDecl() {}
 func (funcLit) isDecl()  {}
@@ -150,8 +144,7 @@ func (m *Machine) RegisterIntrinsic(in Intrinsic) {
 	cp := in
 	m.intrinsics[in.Name] = &cp
 	// The compiled form binds intrinsic pointers; recompile lazily.
-	m.vmc, m.vmcErr, m.vmcDone = nil, nil, false
-	m.vm = nil
+	m.vmc, m.vm = nil, nil
 }
 
 func (m *Machine) registerStdIntrinsics() {
@@ -267,10 +260,6 @@ func (m *Machine) tick(cost uint64) {
 // runTree executes the named function on the reference tree-walking
 // engine (see Run in engine.go for dispatch).
 func (m *Machine) runTree(fnName string, args []Value, opts Options) (results []Value, prof *Profile, err error) {
-	fn := m.prog.Func(fnName)
-	if fn == nil {
-		return nil, nil, fmt.Errorf("interp: function %q not found", fnName)
-	}
 	m.clock = 0
 	m.maxTicks = opts.MaxTicks
 	if m.maxTicks == 0 {
@@ -285,7 +274,6 @@ func (m *Machine) runTree(fnName string, args []Value, opts Options) (results []
 	m.beginTrace(opts.TargetLoop)
 	m.indexTraces()
 	m.stack = m.stack[:0]
-	m.fnStack = m.fnStack[:0]
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -300,7 +288,7 @@ func (m *Machine) runTree(fnName string, args []Value, opts Options) (results []
 	m.globals = newEnv(nil)
 	m.initGlobals()
 
-	ret := m.callFunction(fn, nil, args)
+	ret := m.callFunction(m.prog.Func(fnName), nil, args)
 	m.prof.Total = m.clock
 	return ret, m.prof, nil
 }
@@ -343,54 +331,63 @@ func (m *Machine) callFunction(fn *source.Function, recv Value, args []Value) []
 			}
 		}
 	}
+	return m.call(fn.Name, decl.Type, decl.Body, frame, fn, args)
+}
+
+// call runs a function, method or closure body in frame: parameters
+// and named results get cells in declaration order, the call counts
+// against the depth guard and costs 5 ticks. fn attributes the body's
+// statements; it is nil only for a closure declared outside every
+// function, which fails once called.
+func (m *Machine) call(name string, ft *ast.FuncType, body *ast.BlockStmt, frame *env, fn *source.Function, args []Value) []Value {
 	idx := 0
-	if decl.Type.Params != nil {
-		for _, f := range decl.Type.Params.List {
-			for _, name := range f.Names {
+	if ft.Params != nil {
+		for _, f := range ft.Params.List {
+			for _, pn := range f.Names {
 				if idx >= len(args) {
-					fail("too few arguments calling %s", fn.Name)
+					fail("too few arguments calling %s", name)
 				}
-				frame.define(name.Name, &cell{addr: m.alloc(1), val: args[idx]})
+				frame.define(pn.Name, &cell{addr: m.alloc(1), val: args[idx]})
 				idx++
 			}
 		}
 	}
 	if idx != len(args) {
-		fail("argument count mismatch calling %s: have %d, want %d", fn.Name, len(args), idx)
+		fail("argument count mismatch calling %s: have %d, want %d", name, len(args), idx)
 	}
 	// Named results start at zero values.
-	if decl.Type.Results != nil {
-		for _, f := range decl.Type.Results.List {
-			for _, name := range f.Names {
-				frame.define(name.Name, &cell{addr: m.alloc(1), val: m.zeroValueFor(f.Type)})
+	if ft.Results != nil {
+		for _, f := range ft.Results.List {
+			for _, rn := range f.Names {
+				frame.define(rn.Name, &cell{addr: m.alloc(1), val: m.zeroValueFor(f.Type)})
 			}
 		}
 	}
 
 	m.depth++
 	if m.depth > 4096 {
-		fail("call depth exceeds 4096 (runaway recursion in %s?)", fn.Name)
+		fail("call depth exceeds 4096 (runaway recursion in %s?)", name)
 	}
 	defer func() { m.depth-- }()
-	m.fnStack = append(m.fnStack, fn.Name)
 	m.tick(5) // call overhead
-	ctrl := m.execBlock(decl.Body, frame, fn)
-	m.fnStack = m.fnStack[:len(m.fnStack)-1]
+	if fn == nil {
+		fail("closure outside any function")
+	}
+	ctrl := m.execBlock(body, frame, fn)
 
 	if ctrl.kind == ctrlReturn && ctrl.hasValues {
 		return ctrl.values
 	}
 	// Bare return or fell off the end: collect named results.
-	if decl.Type.Results != nil && len(decl.Type.Results.List) > 0 {
-		var out []Value
-		for _, f := range decl.Type.Results.List {
-			for _, name := range f.Names {
-				out = append(out, frame.lookup(name.Name).val)
+	var out []Value
+	if ft.Results != nil {
+		for _, f := range ft.Results.List {
+			for _, rn := range f.Names {
+				out = append(out, frame.lookup(rn.Name).val)
 			}
 		}
-		return out
 	}
-	return nil
+	return out
 }
 
 // zeroValueFor produces a zero value from a type expression.

@@ -30,6 +30,14 @@ type loopState struct {
 	rng   rangeIter
 }
 
+// vmClosure is a closure the VM created: its unit and captured cells.
+type vmClosure struct {
+	code  *Code
+	cells []*slotCell
+}
+
+func (*vmClosure) isDecl() {}
+
 // vmState is the reusable execution state of the bytecode engine; it
 // lives on the Machine so repeated runs reuse the arenas.
 type vmState struct {
@@ -142,7 +150,6 @@ func (m *Machine) runVM(vmc *vmCompiled, fnName string, args []Value, opts Optio
 	m.prof = &Profile{}
 	m.beginTrace(opts.TargetLoop)
 	m.stack = m.stack[:0]
-	m.fnStack = m.fnStack[:0]
 
 	vm := m.vm
 	if vm == nil || vm.vmc != vmc {
@@ -164,8 +171,8 @@ func (m *Machine) runVM(vmc *vmCompiled, fnName string, args []Value, opts Optio
 		}
 	}()
 
-	vm.runUnit(vmc.initCode, nil, nil, true)
-	ret := vm.runUnit(vmc.byName[fnName], nil, args, false)
+	vm.runUnit(vmc.initCode, nil, nil, nil, true)
+	ret := vm.runUnit(vmc.byName[fnName], nil, nil, args, false)
 
 	vm.flushPend()
 	m.prof.Total = m.clock
@@ -288,32 +295,46 @@ func (vm *vmState) setRes1(v Value) {
 	vm.res = vm.res1[:1]
 }
 
-// loadName resolves an identifier in value position: defined slot or
-// global (with load event), else program function, intrinsic function
-// value, or failure — the compiled image of evalIdent's lookup chain.
-func (vm *vmState) loadName(r *resolution, sbase int) Value {
+// variable walks the variable entries of r — slots, captured cells
+// and globals, which lead every chain — and returns the first defined
+// one, or nil and the first entry that is not a variable.
+func (vm *vmState) variable(r *resolution, sbase int, cells []*slotCell) (*slotCell, *resolution) {
 	for ; r != nil; r = r.next {
+		var c *slotCell
 		switch r.kind {
 		case resSlot:
-			c := &vm.slots[sbase+int(r.idx)]
-			if c.defined {
-				vm.load(c.addr)
-				return c.val
-			}
+			c = &vm.slots[sbase+int(r.idx)]
+		case resCell:
+			c, _ = vm.slots[sbase+int(r.idx)].val.(*slotCell)
+		case resUpval:
+			c = cells[r.idx]
 		case resGlobal:
-			g := &vm.gSlots[r.idx]
-			if g.defined {
-				vm.load(g.addr)
-				return g.val
-			}
-		case resFunc:
-			u := vm.vmc.units[r.idx]
-			return &Func{Name: r.name, decl: funcDecl{u.fn.Decl}}
-		case resIntrinsic:
-			return &Func{Name: vm.vmc.intrinsics[r.idx].Name}
-		case resUndef:
-			fail("undefined identifier %q", r.name)
+			c = &vm.gSlots[r.idx]
+		default:
+			return nil, r
 		}
+		if c != nil && c.defined {
+			return c, r
+		}
+	}
+	return nil, nil
+}
+
+// loadName resolves an identifier in value position: defined variable
+// (with load event), else program function, intrinsic function value,
+// or failure — the compiled image of evalIdent's lookup chain.
+func (vm *vmState) loadName(r *resolution, sbase int, cells []*slotCell) Value {
+	c, r := vm.variable(r, sbase, cells)
+	if c != nil {
+		vm.load(c.addr)
+		return c.val
+	}
+	switch r.kind {
+	case resFunc:
+		u := vm.vmc.units[r.idx]
+		return &Func{Name: r.name, decl: funcDecl{u.fn.Decl}}
+	case resIntrinsic:
+		return &Func{Name: vm.vmc.intrinsics[r.idx].Name}
 	}
 	fail("undefined identifier %q", r.name)
 	return nil
@@ -322,65 +343,46 @@ func (vm *vmState) loadName(r *resolution, sbase int) Value {
 // storeTarget resolves an identifier in assignment position: only
 // variable cells qualify; functions and intrinsics are not cells, so
 // the chain skips them exactly like env.lookup missing them.
-func (vm *vmState) storeTarget(r *resolution, sbase int) *slotCell {
-	for ; r != nil; r = r.next {
-		switch r.kind {
-		case resSlot:
-			c := &vm.slots[sbase+int(r.idx)]
-			if c.defined {
-				return c
-			}
-		case resGlobal:
-			g := &vm.gSlots[r.idx]
-			if g.defined {
-				return g
-			}
-		case resFunc, resIntrinsic:
-			// not addressable; keep falling through
-		case resUndef:
-			fail("assignment to undefined variable %q", r.name)
-		}
+func (vm *vmState) storeTarget(r *resolution, sbase int, cells []*slotCell) *slotCell {
+	c, r := vm.variable(r, sbase, cells)
+	if c == nil {
+		fail("assignment to undefined variable %q", r.name)
 	}
-	fail("assignment to undefined variable %q", r.name)
-	return nil
+	return c
 }
 
 // resolveCallee resolves a called identifier: the compiled image of
 // evalCallMulti's plain-ident dispatch, including the "value is not a
 // function" check firing before the load event.
-func (vm *vmState) resolveCallee(r *resolution, sbase int) Value {
-	for ; r != nil; r = r.next {
-		switch r.kind {
-		case resSlot:
-			c := &vm.slots[sbase+int(r.idx)]
-			if c.defined {
-				f, ok := c.val.(*Func)
-				if !ok {
-					fail("%q is not a function", r.name)
-				}
-				vm.load(c.addr)
-				return f
-			}
-		case resGlobal:
-			g := &vm.gSlots[r.idx]
-			if g.defined {
-				f, ok := g.val.(*Func)
-				if !ok {
-					fail("%q is not a function", r.name)
-				}
-				vm.load(g.addr)
-				return f
-			}
-		case resFunc:
-			return calleeFunc{code: vm.vmc.units[r.idx]}
-		case resIntrinsic:
-			return calleeIntr{in: vm.vmc.intrinsics[r.idx]}
-		case resUndef:
-			fail("undefined function %q", r.name)
+func (vm *vmState) resolveCallee(r *resolution, sbase int, cells []*slotCell) Value {
+	c, r := vm.variable(r, sbase, cells)
+	if c != nil {
+		f, ok := c.val.(*Func)
+		if !ok {
+			fail("%q is not a function", r.name)
 		}
+		vm.load(c.addr)
+		return f
+	}
+	switch r.kind {
+	case resFunc:
+		return calleeFunc{code: vm.vmc.units[r.idx]}
+	case resIntrinsic:
+		return calleeIntr{in: vm.vmc.intrinsics[r.idx]}
 	}
 	fail("undefined function %q", r.name)
 	return nil
+}
+
+// cell returns the heap cell of the captured slot i, creating an
+// undefined one the first time the current scope activation needs it.
+func (vm *vmState) cell(i int) *slotCell {
+	if c, ok := vm.slots[i].val.(*slotCell); ok {
+		return c
+	}
+	c := &slotCell{}
+	vm.slots[i] = slotCell{val: c}
+	return c
 }
 
 // callValue invokes a resolved callee. Intrinsic results go through the
@@ -389,24 +391,21 @@ func (vm *vmState) callValue(callee Value, args []Value) []Value {
 	m := vm.m
 	switch c := callee.(type) {
 	case calleeFunc:
-		return vm.runUnit(c.code, c.recv, args, false)
+		return vm.runUnit(c.code, c.recv, nil, args, false)
 	case calleeIntr:
 		vm.tick(c.in.Cost)
 		vm.setRes1(c.in.Fn(args))
 		return vm.res
 	case *Func:
 		switch d := c.decl.(type) {
+		case *vmClosure:
+			return vm.runUnit(d.code, nil, d.cells, args, false)
 		case funcDecl:
 			pf := m.prog.Func(source.FuncName(d.d))
 			if pf == nil {
 				fail("dangling function value %s", c.Name)
 			}
-			return vm.runUnit(vm.vmc.byName[pf.Name], c.recv, args, false)
-		case funcLit:
-			// Closures bail the whole program out of compilation, so a
-			// compiled program can never construct one.
-			fail("cannot call %s", c.Name)
-			return nil
+			return vm.runUnit(vm.vmc.byName[pf.Name], c.recv, nil, args, false)
 		default:
 			if in, ok := m.intrinsics[c.Name]; ok {
 				vm.tick(in.Cost)
@@ -424,10 +423,11 @@ func (vm *vmState) callValue(callee Value, args []Value) []Value {
 
 // runUnit executes one compiled unit to completion and returns its
 // results. Program-level calls recurse through the Go stack, bounded by
-// the interpreter's own 4096-frame guard. isInit marks the package
-// initializer, which runs without call overhead or a depth frame
-// (initGlobals is not a call in the tree-walker).
-func (vm *vmState) runUnit(code *Code, recv Value, args []Value, isInit bool) []Value {
+// the interpreter's own 4096-frame guard. cells are a closure's
+// captured cells. isInit marks the package initializer, which runs
+// without call overhead or a depth frame (initGlobals is not a call in
+// the tree-walker).
+func (vm *vmState) runUnit(code *Code, recv Value, cells []*slotCell, args []Value, isInit bool) []Value {
 	m := vm.m
 
 	sbase := len(vm.slots)
@@ -440,7 +440,7 @@ func (vm *vmState) runUnit(code *Code, recv Value, args []Value, isInit bool) []
 	}
 	vbase := len(vm.stk)
 
-	// Frame setup replays callFunction's allocation order: receiver,
+	// Frame setup replays call's allocation order: receiver,
 	// parameters, then named results (cell address before zero value).
 	for _, si := range code.recvSlots {
 		vm.slots[sbase+int(si)] = slotCell{val: recv, addr: m.alloc(1), defined: true}
@@ -459,6 +459,10 @@ func (vm *vmState) runUnit(code *Code, recv Value, args []Value, isInit bool) []
 	for i, si := range code.resultSlots {
 		a := m.alloc(1)
 		vm.slots[sbase+int(si)] = slotCell{val: m.zeroValueFor(code.Types[code.resultTypes[i]]), addr: a, defined: true}
+	}
+	for _, si := range code.boxedFrame {
+		c := vm.slots[sbase+int(si)]
+		vm.slots[sbase+int(si)] = slotCell{val: &c}
 	}
 	if !isInit {
 		m.depth++
@@ -539,21 +543,21 @@ loop:
 			vm.stk[len(vm.stk)-1] = b
 
 		case opLoadName:
-			vm.push(vm.loadName(code.Res[op.A], sbase))
+			vm.push(vm.loadName(code.Res[op.A], sbase, cells))
 		case opNameLVGet:
-			c := vm.storeTarget(code.Res[op.A], sbase)
+			c := vm.storeTarget(code.Res[op.A], sbase, cells)
 			vm.load(c.addr)
 			vm.push(c.val)
 		case opStoreName:
-			c := vm.storeTarget(code.Res[op.A], sbase)
+			c := vm.storeTarget(code.Res[op.A], sbase, cells)
 			c.val = vm.pop()
 			vm.store(c.addr)
 		case opStoreNameAt:
-			c := vm.storeTarget(code.Res[op.A], sbase)
+			c := vm.storeTarget(code.Res[op.A], sbase, cells)
 			c.val = vm.stk[len(vm.stk)-1-int(op.B)]
 			vm.store(c.addr)
 		case opCheckName:
-			vm.storeTarget(code.Res[op.A], sbase)
+			vm.storeTarget(code.Res[op.A], sbase, cells)
 		case opDefineSlot:
 			v := vm.pop()
 			c := &vm.slots[sbase+int(op.A)]
@@ -564,12 +568,25 @@ loop:
 			c := &vm.slots[sbase+int(op.A)]
 			*c = slotCell{val: v, addr: m.alloc(1), defined: true}
 			vm.store(c.addr)
-		case opStoreSlot:
-			v := vm.pop()
-			vm.redeclareSlot(sbase+int(op.A), v)
 		case opStoreSlotAt:
-			v := vm.stk[len(vm.stk)-1-int(op.B)]
-			vm.redeclareSlot(sbase+int(op.A), v)
+			vm.redeclare(&vm.slots[sbase+int(op.A)], vm.stk[len(vm.stk)-1-int(op.B)])
+		case opDefineCell:
+			vm.define(vm.cell(sbase+int(op.A)), vm.pop())
+		case opDefineCellAt:
+			vm.define(vm.cell(sbase+int(op.A)), vm.stk[len(vm.stk)-1-int(op.B)])
+		case opStoreCellAt:
+			vm.redeclare(vm.cell(sbase+int(op.A)), vm.stk[len(vm.stk)-1-int(op.B)])
+		case opClosure:
+			lit := code.Lits[op.A]
+			clo := &vmClosure{code: lit, cells: make([]*slotCell, len(lit.captures))}
+			for i, c := range lit.captures {
+				if c.upval {
+					clo.cells[i] = cells[c.idx]
+				} else {
+					clo.cells[i] = vm.cell(sbase + int(c.idx))
+				}
+			}
+			vm.push(&Func{Name: lit.Name, decl: clo})
 		case opDefineGlobal:
 			v := vm.pop()
 			vm.gSlots[op.A] = slotCell{val: v, addr: m.alloc(1), defined: true}
@@ -608,14 +625,7 @@ loop:
 		case opToFloat:
 			vm.stk[len(vm.stk)-1] = toFloat(vm.stk[len(vm.stk)-1])
 		case opConvStr:
-			switch x := vm.stk[len(vm.stk)-1].(type) {
-			case int64:
-				vm.stk[len(vm.stk)-1] = string(rune(x))
-			case string:
-				// identity
-			default:
-				fail("unsupported string conversion")
-			}
+			vm.stk[len(vm.stk)-1] = toString(vm.stk[len(vm.stk)-1])
 		case opIncDec:
 			vm.stk[len(vm.stk)-1] = toInt(vm.stk[len(vm.stk)-1]) + int64(op.A)
 
@@ -799,110 +809,44 @@ loop:
 			mp.addrs[k] = m.alloc(1)
 
 		case opLen:
-			v := vm.pop()
-			var n int64
-			switch x := v.(type) {
-			case *Slice:
-				n = int64(len(x.Elems))
-			case *Map:
-				n = int64(len(x.M))
-			case string:
-				n = int64(len(x))
-			case nil:
-				n = 0
-			default:
-				fail("len of %s", formatValue(v))
-			}
-			vm.setRes1(n)
+			vm.setRes1(lenOf(vm.pop()))
 		case opCap:
-			v := vm.pop()
-			if s, ok := v.(*Slice); ok {
-				vm.setRes1(int64(cap(s.Elems)))
-			} else {
-				vm.setRes1(int64(0))
-			}
+			vm.setRes1(capOf(vm.pop()))
 		case opAppend:
-			args := vm.callArgs(op.B)
-			var s *Slice
-			if args[0] == nil {
-				s = &Slice{base: m.alloc(1)}
-			} else {
-				s = args[0].(*Slice)
-			}
-			elems := make([]Value, 0, len(s.Elems)+len(args)-1)
-			elems = append(elems, s.Elems...)
-			elems = append(elems, args[1:]...)
-			ns := &Slice{Elems: elems}
-			ns.base = m.alloc(len(ns.Elems) + 1)
+			ns := m.appendSlice(vm.callArgs(op.B))
 			for i := range ns.Elems {
 				vm.store(ns.base + uint64(i))
 			}
 			vm.dropCallArgs(op.B)
 			vm.setRes1(ns)
 		case opCopy:
-			args := vm.callArgs(op.B)
-			dst, ok1 := args[0].(*Slice)
-			src, ok2 := args[1].(*Slice)
-			if !ok1 || !ok2 {
-				fail("copy expects slices")
-			}
-			n := copy(dst.Elems, src.Elems)
+			dst, n := copySlices(vm.callArgs(op.B))
 			for i := 0; i < n; i++ {
 				vm.store(dst.base + uint64(i))
 			}
 			vm.dropCallArgs(op.B)
 			vm.setRes1(int64(n))
 		case opDelete:
-			args := vm.callArgs(op.B)
-			if mp, ok := args[0].(*Map); ok {
-				delete(mp.M, args[1])
-			}
+			deleteEntry(vm.callArgs(op.B))
 			vm.dropCallArgs(op.B)
 			vm.res = nil
 		case opMin:
-			args := vm.callArgs(op.B)
-			best := args[0]
-			if op.A == 1 {
-				for _, a := range args[1:] {
-					if lessValue(best, a) {
-						best = a
-					}
-				}
-			} else {
-				for _, a := range args[1:] {
-					if lessValue(a, best) {
-						best = a
-					}
-				}
-			}
+			best := minMax(op.A == 1, vm.callArgs(op.B))
 			vm.dropCallArgs(op.B)
 			vm.setRes1(best)
 		case opPrintln:
-			args := vm.callArgs(op.B)
-			if m.output != nil {
-				parts := make([]string, len(args))
-				for i, a := range args {
-					parts[i] = formatValue(a)
-				}
-				m.output(strings.Join(parts, " "))
-			}
+			m.println(vm.callArgs(op.B))
 			vm.tick(10)
 			vm.dropCallArgs(op.B)
 			vm.res = nil
 		case opPanic:
-			args := vm.callArgs(op.B)
-			fail("program panic: %s", formatValue(args[0]))
+			programPanic(vm.callArgs(op.B))
 		case opMakeSlice:
 			var n int64
 			if op.A == 1 {
 				n = vm.pop().(int64)
 			}
-			s := &Slice{Elems: make([]Value, n)}
-			for i := range s.Elems {
-				s.Elems[i] = int64(0)
-			}
-			s.base = m.alloc(int(n) + 1)
-			vm.setRes1(s)
+			vm.setRes1(m.makeSlice(n))
 		case opMakeMap:
 			vm.setRes1(&Map{M: make(map[Value]Value), addrs: make(map[Value]uint64)})
 		case opNewNamed:
@@ -910,7 +854,7 @@ loop:
 			vm.setRes1(m.newStruct(name, m.structTypes[name]))
 
 		case opLoadCallee:
-			vm.push(vm.resolveCallee(code.Res[op.A], sbase))
+			vm.push(vm.resolveCallee(code.Res[op.A], sbase, cells))
 		case opCheckFunc:
 			if _, ok := vm.stk[len(vm.stk)-1].(*Func); !ok {
 				fail("cannot call %s", formatValue(vm.stk[len(vm.stk)-1]))
@@ -968,6 +912,9 @@ loop:
 				rets = make([]Value, n)
 				for i, si := range code.resultSlots {
 					rets[i] = vm.slots[sbase+int(si)].val
+					if c, ok := rets[i].(*slotCell); ok {
+						rets[i] = c.val // a captured named result
+					}
 				}
 			}
 			break loop
@@ -1095,15 +1042,153 @@ loop:
 	return rets
 }
 
-// redeclareSlot implements := redeclaration: reuse the live cell (its
+// define gives c a fresh address and value, with a store event.
+func (vm *vmState) define(c *slotCell, v Value) {
+	*c = slotCell{val: v, addr: vm.m.alloc(1), defined: true}
+	vm.store(c.addr)
+}
+
+// redeclare implements := redeclaration: reuse the live cell (its
 // address is stable) or, when the slot was cleared by loop re-entry,
 // define a fresh cell — exactly execAssign's dynamic env.vars check.
-func (vm *vmState) redeclareSlot(i int, v Value) {
-	c := &vm.slots[i]
+func (vm *vmState) redeclare(c *slotCell, v Value) {
 	if !c.defined {
-		*c = slotCell{val: v, addr: vm.m.alloc(1), defined: true}
-	} else {
-		c.val = v
+		vm.define(c, v)
+		return
 	}
+	c.val = v
 	vm.store(c.addr)
+}
+
+// Builtin semantics shared with the tree-walker; each caller charges
+// the builtin's ticks and memory events itself.
+
+// needArgs fails a builtin call that got fewer than n arguments.
+func needArgs(name string, have, n int) {
+	if have < n {
+		fail("%s", notEnoughArgs(name))
+	}
+}
+
+func notEnoughArgs(name string) string { return "not enough arguments in call to " + name }
+
+// errStructKey is the failure of a struct literal whose key is not a
+// field name.
+const errStructKey = "struct literal key must be a field name"
+
+func lenOf(v Value) int64 {
+	switch x := v.(type) {
+	case *Slice:
+		return int64(len(x.Elems))
+	case *Map:
+		return int64(len(x.M))
+	case string:
+		return int64(len(x))
+	case nil:
+		return 0
+	}
+	fail("len of %s", formatValue(v))
+	return 0
+}
+
+func capOf(v Value) int64 {
+	if s, ok := v.(*Slice); ok {
+		return int64(cap(s.Elems))
+	}
+	return 0
+}
+
+func toString(v Value) string {
+	switch x := v.(type) {
+	case int64:
+		return string(rune(x))
+	case string:
+		return x
+	}
+	fail("unsupported string conversion")
+	return ""
+}
+
+// appendSlice builds append's result at fresh addresses, with exact
+// capacity so that cap() is deterministic across runs. The caller
+// stores each element.
+func (m *Machine) appendSlice(args []Value) *Slice {
+	needArgs("append", len(args), 1)
+	var s *Slice
+	switch x := args[0].(type) {
+	case nil:
+		s = &Slice{base: m.alloc(1)}
+	case *Slice:
+		s = x
+	default:
+		fail("first argument to append must be a slice, not %s", formatValue(x))
+	}
+	elems := make([]Value, 0, len(s.Elems)+len(args)-1)
+	elems = append(elems, s.Elems...)
+	elems = append(elems, args[1:]...)
+	return &Slice{Elems: elems, base: m.alloc(len(elems) + 1)}
+}
+
+// makeSlice is make([]T, n). Elements start at int zero — the dominant
+// numeric case; float slices must be written before read or will carry
+// int64(0), which arithmetic promotes correctly.
+func (m *Machine) makeSlice(n int64) *Slice {
+	if n < 0 {
+		fail("negative length %d in make", n)
+	}
+	s := &Slice{Elems: make([]Value, n), base: m.alloc(int(n) + 1)}
+	for i := range s.Elems {
+		s.Elems[i] = int64(0)
+	}
+	return s
+}
+
+// copySlices copies and returns the destination and the count; the
+// caller stores each copied element.
+func copySlices(args []Value) (*Slice, int) {
+	needArgs("copy", len(args), 2)
+	dst, ok1 := args[0].(*Slice)
+	src, ok2 := args[1].(*Slice)
+	if !ok1 || !ok2 {
+		fail("copy expects slices")
+	}
+	return dst, copy(dst.Elems, src.Elems)
+}
+
+func deleteEntry(args []Value) {
+	needArgs("delete", len(args), 2)
+	if mp, ok := args[0].(*Map); ok {
+		delete(mp.M, args[1])
+	}
+}
+
+func minMax(isMax bool, args []Value) Value {
+	name := "min"
+	if isMax {
+		name = "max"
+	}
+	needArgs(name, len(args), 1)
+	best := args[0]
+	for _, a := range args[1:] {
+		if isMax && lessValue(best, a) || !isMax && lessValue(a, best) {
+			best = a
+		}
+	}
+	return best
+}
+
+func (m *Machine) println(args []Value) {
+	if m.output == nil {
+		return
+	}
+	parts := make([]string, len(args))
+	for i, a := range args {
+		parts[i] = formatValue(a)
+	}
+	m.output(strings.Join(parts, " "))
+}
+
+func programPanic(args []Value) {
+	needArgs("panic", len(args), 1)
+	fail("program panic: %s", formatValue(args[0]))
 }

@@ -196,3 +196,25 @@ func TestProcessLogging(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelizeIllFormedBuiltinCall: a workload that reaches a
+// builtin call without arguments fails Parallelize with the
+// interpreter's runtime error; it must not escape as a Go panic.
+func TestParallelizeIllFormedBuiltinCall(t *testing.T) {
+	src := `package p
+func Size(xs []int) int {
+	for i := range xs {
+		xs[i] = i
+	}
+	return len()
+}`
+	_, err := Parallelize(map[string]string{"size.go": src}, &Workload{
+		Entry: "Size",
+		Args: func(m *interp.Machine) []interp.Value {
+			return []interp.Value{m.NewSlice(int64(1), int64(2))}
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "not enough arguments in call to len") {
+		t.Fatalf("Parallelize error = %v, want the len arity failure", err)
+	}
+}
