@@ -125,7 +125,7 @@ func TestServeCacheChaosKillRestart(t *testing.T) {
 		`{"kind":"tune","algo":"tabu","budget":120,"fault_rate":10,"fault_seed":3,"eval_delay_ms":30}`); code != http.StatusAccepted {
 		t.Fatalf("tune submit: HTTP %d", code)
 	}
-	waitForEvals(t, filepath.Join(ckptDir, "tune-tabu-b120-c8.ckpt"), 3, 30*time.Second)
+	waitForEvals(t, filepath.Join(ckptDir, journalName(jobRequest{Kind: "tune", tuneSpec: spec})), 3, 30*time.Second)
 	if err := srv1.Process.Kill(); err != nil { // SIGKILL mid-insert
 		t.Fatal(err)
 	}

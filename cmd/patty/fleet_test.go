@@ -89,6 +89,9 @@ func TestFleetTuneMatchesLocal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
+			if len(ref.Quarantined) == 0 {
+				t.Fatal("reference run quarantined nothing under -fault-rate 10")
+			}
 			for _, n := range []int{1, 2, 4} {
 				fspec := spec
 				fspec.Workers = nil

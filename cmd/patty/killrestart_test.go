@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -126,9 +127,13 @@ func TestTuneKillRestartConverges(t *testing.T) {
 				t.Fatalf("resumed run explored %d configs, uninterrupted evaluated %d",
 					res.Explored, ref.Evaluations)
 			}
-			// The breaker's quarantine survives the kill too.
-			if len(ref.Quarantined) > 0 && len(res.Quarantined) == 0 {
-				t.Fatalf("quarantine set lost across restart (reference had %v)", ref.Quarantined)
+			// The fixture faults, so the breaker quarantines, and its
+			// quarantine survives the kill.
+			if len(ref.Quarantined) == 0 {
+				t.Fatal("reference run quarantined nothing under -fault-rate 10")
+			}
+			if !reflect.DeepEqual(res.Quarantined, ref.Quarantined) {
+				t.Fatalf("resumed quarantine %v != uninterrupted %v", res.Quarantined, ref.Quarantined)
 			}
 		})
 	}
@@ -199,7 +204,7 @@ func TestServeChaosKillRestart(t *testing.T) {
 	if _, code := postJob(t, base1, jobBody); code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
-	ckpt := filepath.Join(ckptDir, "tune-tabu-b120-c8.ckpt")
+	ckpt := filepath.Join(ckptDir, journalName(jobRequest{Kind: "tune", tuneSpec: spec}))
 	waitForEvals(t, ckpt, 3, 30*time.Second)
 	if err := srv1.Process.Kill(); err != nil { // kill -9 mid-search
 		t.Fatal(err)
@@ -259,6 +264,11 @@ func TestServeChaosKillRestart(t *testing.T) {
 	}
 	if err := srv2.Wait(); err != nil {
 		t.Fatalf("SIGTERM drain must exit 0, got %v", err)
+	}
+	// Checked last, so a failure leaves no server running.
+	if len(ref.Quarantined) == 0 || !reflect.DeepEqual(got.Result.Quarantined, ref.Quarantined) {
+		t.Fatalf("resumed job quarantined %v, uninterrupted %v (want equal and non-empty)",
+			got.Result.Quarantined, ref.Quarantined)
 	}
 }
 

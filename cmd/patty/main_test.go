@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -160,6 +161,29 @@ func TestCmdTuneAlgorithms(t *testing.T) {
 	}
 	if _, err := capture(t, func() error { return cmdTune(context.Background(), []string{"-algo", "bogus"}) }); err == nil {
 		t.Fatal("expected error for unknown algorithm")
+	}
+}
+
+// TestBreakerTuneFaultRatePrintsQuarantine: `patty tune -fault-rate`
+// quarantines the configurations that fault and prints the set.
+func TestBreakerTuneFaultRatePrintsQuarantine(t *testing.T) {
+	spec := tuneSpec{Algo: "tabu", Budget: 120, FaultRate: 10, FaultSeed: 3}
+	ref, err := runTune(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Quarantined) == 0 {
+		t.Fatal("the fixture quarantined nothing")
+	}
+	out, err := capture(t, func() error {
+		return cmdTune(context.Background(), []string{"-algo", "tabu", "-budget", "120", "-fault-rate", "10", "-fault-seed", "3"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("breaker quarantined %d configuration(s): %v\n", len(ref.Quarantined), ref.Quarantined)
+	if !strings.Contains(out, want) {
+		t.Fatalf("output lacks %q:\n%s", want, out)
 	}
 }
 

@@ -161,6 +161,21 @@ func (s *server) runnerFor(req jobRequest) (jobs.Runner, string, error) {
 	return s.memoize(req, run), ckpt, nil
 }
 
+// journalName is the file in -checkpoint-dir that a served tune or fuzz
+// job resumes from. It names the question the job asks, so only a
+// resubmission of that question resumes it: a tune journal carries
+// algo, budget, breaker threshold and the workload's store address
+// (cacheIdentity: cores and fault shape, not eval_delay_ms pacing); a
+// fuzz journal carries seed, count and configurations per program.
+func journalName(req jobRequest) string {
+	if req.Kind == "fuzz" {
+		return fmt.Sprintf("fuzz-s%d-n%d-k%d.ckpt", req.Seed, req.N, req.Configs)
+	}
+	spec := req.tuneSpec.withDefaults()
+	prog, seed := spec.cacheIdentity()
+	return fmt.Sprintf("tune-%s-b%d-t%d-%.16s-f%d.ckpt", spec.Algo, spec.Budget, spec.BreakerThreshold, prog, seed)
+}
+
 // buildRunner is runnerFor without the memoization layer.
 func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
 	switch req.Kind {
@@ -172,8 +187,7 @@ func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
 			}
 		}
 		if spec.Checkpoint == "" && s.ckptDir != "" {
-			spec.Checkpoint = filepath.Join(s.ckptDir,
-				fmt.Sprintf("tune-%s-b%d-c%d.ckpt", spec.Algo, spec.Budget, spec.Cores))
+			spec.Checkpoint = filepath.Join(s.ckptDir, journalName(req))
 		}
 		if s.cache != nil {
 			// Even when the whole job misses (say, a different budget),
@@ -193,17 +207,17 @@ func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
 			return runTune(ctx, spec)
 		}, spec.Checkpoint, nil
 	case "fuzz":
+		if req.N <= 0 {
+			req.N = 50
+		}
+		if req.Configs <= 0 {
+			req.Configs = 2
+		}
 		seed, n := req.Seed, req.N
-		if n <= 0 {
-			n = 50
-		}
 		opt := difftest.Options{Configs: req.Configs}
-		if opt.Configs <= 0 {
-			opt.Configs = 2
-		}
 		ckpt := ""
 		if s.ckptDir != "" {
-			ckpt = filepath.Join(s.ckptDir, fmt.Sprintf("fuzz-s%d-n%d.ckpt", seed, n))
+			ckpt = filepath.Join(s.ckptDir, journalName(req))
 		}
 		return func(ctx context.Context) (any, error) {
 			var sum *difftest.Summary

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -36,6 +38,53 @@ func newTestServer(t *testing.T, opts jobs.Options) (*server, *httptest.Server) 
 		svc.Close()
 	})
 	return srv, ts
+}
+
+// TestServeChaosJournalPerSpec: served jobs that ask different
+// questions never share a resume journal. A tune job that differs from
+// an earlier one only in its fault shape answers like a fresh `patty
+// tune` of its own spec, and fuzz jobs that differ only in configs
+// journal to different files.
+func TestServeChaosJournalPerSpec(t *testing.T) {
+	t.Cleanup(ptest.NoLeaks(t))
+	t.Cleanup(http.DefaultClient.CloseIdleConnections)
+	dir := t.TempDir()
+	svc := jobs.New(jobs.Options{Workers: 1, Collector: obs.New()})
+	ts := httptest.NewServer(newServer(svc, dir).mux())
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+	})
+	run := func(body string) []byte {
+		id, code := postJob(t, ts.URL, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: HTTP %d", body, code)
+		}
+		waitJobDone(t, ts.URL, id)
+		return jobResultRaw(t, ts.URL, id)
+	}
+
+	run(`{"kind":"tune","algo":"linear","budget":60}`)
+	var got tuneOutcome
+	if err := json.Unmarshal(run(`{"kind":"tune","algo":"linear","budget":60,"fault_rate":60,"fault_seed":7}`), &got); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := runTune(context.Background(), tuneSpec{Algo: "linear", Budget: 60, FaultRate: 60, FaultSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Resumed != 0 || !reflect.DeepEqual(got.Best, ref.Best) || got.Cost != ref.Cost ||
+		got.Evaluations != ref.Evaluations || !reflect.DeepEqual(got.Trace, ref.Trace) ||
+		!reflect.DeepEqual(got.Quarantined, ref.Quarantined) {
+		t.Fatalf("served fault-shaped job replayed another spec's journal:\n got %+v\nwant %+v", got, *ref)
+	}
+
+	run(`{"kind":"fuzz","seed":5,"n":2,"configs":1}`)
+	run(`{"kind":"fuzz","seed":5,"n":2,"configs":2}`)
+	fuzz, err := filepath.Glob(filepath.Join(dir, "fuzz-*"))
+	if err != nil || len(fuzz) != 2 {
+		t.Fatalf("fuzz jobs with different configs share a journal: %v (%v)", fuzz, err)
+	}
 }
 
 func TestServeSubmitStatusResult(t *testing.T) {

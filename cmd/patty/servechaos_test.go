@@ -108,7 +108,7 @@ func TestServeTrafficChaosRecovery(t *testing.T) {
 
 	// Kill only once the tune search has journaled progress AND the
 	// bench traffic has acknowledged work in flight.
-	ckpt := filepath.Join(ckptDir, "tune-tabu-b120-c8.ckpt")
+	ckpt := filepath.Join(ckptDir, journalName(jobRequest{Kind: "tune", tuneSpec: spec}))
 	waitForEvals(t, ckpt, 3, 30*time.Second)
 	deadline := time.Now().Add(10 * time.Second)
 	for {

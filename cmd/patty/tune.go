@@ -182,23 +182,27 @@ func (s tuneSpec) cacheIdentity() (string, int64) {
 	return h, s.FaultSeed
 }
 
-// openCache resolves the spec's evaluation store: the serve-injected
-// shared one (no-op closer — the server owns its lifetime), a private
-// one opened from CacheDir, or none.
-func (s tuneSpec) openCache() (*evalcache.Store, func(), error) {
-	if s.cache != nil {
-		return s.cache, func() {}, nil
+// openCache addresses the spec's workload (cacheIdentity) in its
+// evaluation store: the serve-injected shared one (no-op closer — the
+// server owns its lifetime), a private one opened from CacheDir, or
+// none (the memo is off).
+func (s tuneSpec) openCache() (tuning.Memo, func(), error) {
+	cs, closer := s.cache, func() {}
+	if cs == nil && s.CacheDir != "" {
+		var err error
+		cs, err = evalcache.Open(s.CacheDir, evalcache.Options{
+			MaxBytes: s.CacheMaxBytes, Collector: metrics,
+		})
+		if err != nil {
+			return tuning.Memo{}, nil, err
+		}
+		closer = func() { cs.Close() }
 	}
-	if s.CacheDir == "" {
-		return nil, func() {}, nil
+	if cs == nil {
+		return tuning.Memo{}, closer, nil
 	}
-	cs, err := evalcache.Open(s.CacheDir, evalcache.Options{
-		MaxBytes: s.CacheMaxBytes, Collector: metrics,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return cs, func() { cs.Close() }, nil
+	prog, seed := s.cacheIdentity()
+	return tuning.Memo{Store: cs, Program: prog, Seed: seed, Tenant: s.cacheTenant}, closer, nil
 }
 
 // workload builds the tuning workload with the fault and delay shims
@@ -271,11 +275,13 @@ func faultsConfig(a map[string]int, rate int, fseed int64) bool {
 }
 
 // runTune executes one auto-tuning search with the full supervision
-// stack: Observed measurement, circuit breaker quarantine, and
-// (optionally) the crash-safe evaluation journal. The wrapper order,
-// innermost first: raw objective → fault/delay shims → Observed.Wrap
-// (measures, flags faults) → GuardObjective (retries, quarantines) →
-// Checkpointer.Wrap (journals, replays) → the tuner's own evaluator.
+// stack: Observed measurement, the evaluation store, circuit breaker
+// quarantine, and (optionally) the crash-safe evaluation journal. The
+// wrapper order, innermost first: raw objective → fault/delay shims →
+// Observed.Wrap (measures; a panic or lost work costs +Inf) → Memo.Wrap
+// (answers from the store, stores fresh costs) → GuardObjective
+// (retries a +Inf or NaN cost, quarantines) → Checkpointer.Wrap
+// (journals, replays) → the tuner's own evaluator.
 func runTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 	spec = spec.withDefaults()
 	tn, err := tunerFor(spec.Algo)
@@ -284,7 +290,7 @@ func runTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 	}
 	dims, start, obj := spec.evalSpec().workload(ctx)
 
-	cache, closeCache, err := spec.openCache()
+	memo, closeCache, err := spec.openCache()
 	if err != nil {
 		return nil, err
 	}
@@ -293,13 +299,8 @@ func runTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 	// The Observed gets a private collector: its per-evaluation Reset
 	// must not wipe the process-wide jobs.* instruments.
 	o := &tuning.Observed{Collector: obs.New()}
-	if cache != nil {
-		prog, cseed := spec.cacheIdentity()
-		o.Cache, o.CacheProgram, o.CacheSeed = cache, prog, cseed
-		o.CacheTenant = spec.cacheTenant
-	}
 	br := jobs.NewBreaker(spec.BreakerThreshold, 30*time.Second).Instrument(metrics)
-	obj = jobs.GuardObjective(br, o, o.Wrap(obj))
+	obj = jobs.GuardObjective(br, nil, memo.Wrap(o.Wrap(obj)))
 
 	var ck *tuning.Checkpointer
 	if spec.Checkpoint != "" {
@@ -364,7 +365,7 @@ func runFleetTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 		client = &http.Client{Transport: inj.Transport(http.DefaultTransport)}
 		defer client.CloseIdleConnections()
 	}
-	cache, closeCache, err := spec.openCache()
+	memo, closeCache, err := spec.openCache()
 	if err != nil {
 		return nil, err
 	}
@@ -380,11 +381,7 @@ func runFleetTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 		Client:           client,
 		CrossCheck:       spec.CrossCheck,
 		LeaseTTL:         time.Duration(spec.LeaseTTLMs) * time.Millisecond,
-	}
-	if cache != nil {
-		prog, cseed := spec.cacheIdentity()
-		fopts.Cache, fopts.CacheProgram, fopts.CacheSeed = cache, prog, cseed
-		fopts.CacheTenant = spec.cacheTenant
+		Cache:            memo,
 	}
 	res, st, err := fleet.Tune(ctx, tn, dims, start, spec.Budget, fopts)
 	if err != nil {

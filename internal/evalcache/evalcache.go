@@ -285,16 +285,6 @@ func (s *Store) Get(k Key, tenant string) (Entry, bool) {
 	return e, true
 }
 
-// Contains reports whether k is cached without counting a hit or miss
-// — for planning passes (fleet shard pre-filtering) that will consume
-// the entry immediately after.
-func (s *Store) Contains(k Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[k.String()]
-	return ok
-}
-
 // Put stores e if its key is absent; an existing entry wins (costs are
 // deterministic per key, so first-wins keeps replay order irrelevant).
 func (s *Store) Put(e Entry) error {

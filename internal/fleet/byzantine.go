@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"patty/internal/evalcache"
 	"patty/internal/obs"
 	"patty/internal/seed"
 	"patty/internal/tuning"
@@ -307,16 +306,10 @@ func (s *scheduler) quarantine(worker string, opts Options) {
 			if s.ck != nil {
 				s.ck.Correct(rec.Assignment, truth)
 			}
-			if s.cache != nil {
-				// The liar's cost reached the shared store when its shard
-				// merged; a poisoned entry must not outlive the search,
-				// let alone answer another tenant's job. Correct appends
-				// the repair durably (replay is last-wins).
-				s.cache.Correct(evalcache.Entry{
-					Program: s.cacheProg, Config: key, Seed: s.cacheSeed,
-					Cost: fixed.Cost, Faulted: fixed.Faulted,
-				})
-			}
+			// The liar's cost reached the shared store when its shard
+			// merged; a poisoned entry must not outlive the search, let
+			// alone answer another tenant's job.
+			s.cache.Correct(fixed)
 			s.stats.Corrected++
 			s.inst.corrected.Inc()
 		}

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"patty/internal/evalcache"
 	"patty/internal/jobs"
 	"patty/internal/obs"
 	"patty/internal/seed"
@@ -42,10 +41,8 @@ type Options struct {
 	// BreakerThreshold is the search's config-quarantine threshold
 	// (default 3), matching the local runTune breaker.
 	BreakerThreshold int
-	// Observed, when set, mediates the search's fault attribution the
-	// way the local tune path does: only panics and fault-policy
-	// analyses count as faults, not a bare +Inf cost. Nil keeps the
-	// stricter default where any Inf/NaN cost trips the breaker.
+	// Observed, when set, wraps the search's reads of the merged table
+	// (tuning.Observed.Wrap). It holds no state, so a rerun reuses it.
 	Observed *tuning.Observed
 	// ShardSize caps configurations per shard (default: a batch of n
 	// configurations splits ⌈n/workers⌉ per shard, one per worker, and
@@ -65,17 +62,13 @@ type Options struct {
 	// http.DefaultClient). A netchaos.Injector Transport plugs in here.
 	Client *http.Client
 
-	// Cache, when non-nil (and CacheProgram non-empty), is the
-	// persistent content-addressed evaluation store: configurations a
-	// batch asks for that are already cached are merged into the table
-	// before sharding (they never hit the wire), every fresh merged
-	// evaluation is journaled into it, and byzantine repairs correct
-	// it. CacheProgram/CacheSeed complete the (program, config, seed)
-	// address; CacheTenant attributes hits.
-	Cache        *evalcache.Store
-	CacheProgram string
-	CacheSeed    int64
-	CacheTenant  string
+	// Cache, when on, addresses the workload in the persistent
+	// content-addressed evaluation store: configurations a batch asks
+	// for that are already cached are merged into the table before
+	// sharding (they never hit the wire), every fresh merged evaluation
+	// is journaled into it, and byzantine repairs correct it. Its
+	// Program and Seed also travel with every shard.
+	Cache tuning.Memo
 
 	// CrossCheck is the byzantine audit width: per completed shard, this
 	// many sampled configurations are re-evaluated locally and compared
@@ -184,26 +177,13 @@ type scheduler struct {
 	inst  fleetInstruments
 	coll  *obs.Collector // for the fleet.net.* / fleet.peer.* families
 
-	// Shared evaluation store (nil when caching is off): merged costs
-	// are journaled into it and byzantine repairs correct it.
-	cache       *evalcache.Store
-	cacheProg   string
-	cacheSeed   int64
-	cacheTenant string
+	// cache is the shared evaluation store: merged costs are journaled
+	// into it (cache.Put) and byzantine repairs correct it. It is
+	// immutable after setup and the store has its own lock, so it is
+	// safe to use with or without mu held.
+	cache tuning.Memo
 
 	now func() time.Time
-}
-
-// cachePut journals one merged record into the shared store (no-op
-// without a cache). The cache fields are immutable after setup and the
-// store has its own lock, so this is safe with or without s.mu held.
-func (s *scheduler) cachePut(key string, rec tuning.EvalRecord) {
-	if s.cache != nil {
-		s.cache.Put(evalcache.Entry{
-			Program: s.cacheProg, Config: key, Seed: s.cacheSeed,
-			Cost: rec.Cost, Faulted: rec.Faulted, Tenant: s.cacheTenant,
-		})
-	}
 }
 
 type leaseIn struct {
@@ -367,7 +347,7 @@ func (s *scheduler) complete(id int, worker string, evals []tuning.EvalRecord, r
 		if s.ck != nil {
 			s.ck.Record(rec.Assignment, rec.EffectiveCost())
 		}
-		s.cachePut(key, rec)
+		s.cache.Put(rec)
 	}
 	if !s.done[id] {
 		s.done[id] = true
@@ -471,17 +451,15 @@ func (s *scheduler) ask(ctx context.Context, batch []map[string]int, br *jobs.Br
 		if _, ok := s.table[key]; ok || br.State(key) != jobs.Closed {
 			continue
 		}
-		if s.cache != nil {
-			if e, ok := s.cache.Get(evalcache.Key{Program: s.cacheProg, Config: key, Seed: s.cacheSeed}, s.cacheTenant); ok {
-				s.table[key] = tuning.EvalRecord{Assignment: tuning.CopyAssign(a), Cost: e.Cost, Faulted: e.Faulted}
-				s.stats.CacheHits++
-				s.stats.Merged++
-				s.inst.merged.Inc()
-				if s.ck != nil {
-					s.ck.Record(a, e.EffectiveCost())
-				}
-				continue
+		if rec, ok := s.cache.Get(a); ok {
+			s.table[key] = rec
+			s.stats.CacheHits++
+			s.stats.Merged++
+			s.inst.merged.Inc()
+			if s.ck != nil {
+				s.ck.Record(a, rec.EffectiveCost())
 			}
+			continue
 		}
 		todo = append(todo, tuning.CopyAssign(a)) // the search owns batch's maps
 	}
@@ -545,19 +523,14 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 		health: make(map[string]*workerHealth),
 		// One divergence is enough: a worker caught lying about a pure
 		// function stays out for the rest of the search.
-		byz:  jobs.NewBreaker(1, time.Hour),
-		inst: newInstruments(opts.Collector),
-		coll: opts.Collector,
-		now:  time.Now,
+		byz:   jobs.NewBreaker(1, time.Hour),
+		inst:  newInstruments(opts.Collector),
+		coll:  opts.Collector,
+		cache: opts.Cache,
+		now:   time.Now,
 	}
 	sched.stats.NetFaults = make(map[string]int)
 	sched.cond = sync.NewCond(&sched.mu)
-	if opts.Cache != nil && opts.CacheProgram != "" {
-		sched.cache = opts.Cache
-		sched.cacheProg = opts.CacheProgram
-		sched.cacheSeed = opts.CacheSeed
-		sched.cacheTenant = opts.CacheTenant
-	}
 
 	// Resume: re-adopt the merged prefix and the quarantine set from the
 	// journal; a batch then ships only what the table lacks.
@@ -626,8 +599,8 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 						Search:  meta.Signature(),
 						Shard:   id,
 						Spec:    opts.Spec,
-						Program: opts.CacheProgram,
-						Seed:    opts.CacheSeed,
+						Program: opts.Cache.Program,
+						Seed:    opts.Cache.Seed,
 						Configs: shard.Configs,
 					}
 					sched.noteDispatch(worker)
@@ -705,7 +678,7 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 			if sched.ck != nil {
 				sched.ck.Record(a, rec.EffectiveCost())
 			}
-			sched.cachePut(key, rec)
+			sched.cache.Put(rec)
 		}
 		sched.read[key] = true
 		return rec.EffectiveCost()
@@ -719,12 +692,7 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 	// waits out every audit and quarantine in flight, so a correction of
 	// a cost the run read is never missed. Such a run is discarded, and
 	// the tuner reruns from start over the corrected table with a fresh
-	// breaker and Observed; each quarantined worker causes one rerun at
-	// most.
-	var initial tuning.Observed
-	if opts.Observed != nil {
-		initial = *opts.Observed
-	}
+	// breaker; each quarantined worker causes one rerun at most.
 	var res tuning.Result
 	var br *jobs.Breaker
 	var lost bool
@@ -733,9 +701,6 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 		sched.stale = false
 		br = jobs.NewBreaker(opts.BreakerThreshold, 30*time.Second).Instrument(opts.Collector)
 		br.Restore(restored)
-		if opts.Observed != nil {
-			*opts.Observed = initial
-		}
 		rctx, stop := context.WithCancel(ctx)
 		join := dispatchers(rctx)
 		ask := func(batch []map[string]int) {
@@ -743,7 +708,7 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 				stop() // the run is lost or discarded: end it at once
 			}
 		}
-		res = tn.TuneCtx(tuning.WithAsk(rctx, ask), dims, start, jobs.GuardObjective(br, opts.Observed, guarded), budget)
+		res = tn.TuneCtx(tuning.WithAsk(rctx, ask), dims, start, jobs.GuardObjective(br, nil, guarded), budget)
 		// The search is over: abandon straggling duplicates of merged
 		// shards and wait for every dispatcher (and its audit) to stop.
 		stop()

@@ -181,9 +181,7 @@ func TestTuneWarmCacheBitIdentical(t *testing.T) {
 	opts := Options{
 		Workers:        []string{urlCold},
 		LocalObjective: obj,
-		Cache:          cold,
-		CacheProgram:   "sha256:test-program",
-		CacheSeed:      7,
+		Cache:          tuning.Memo{Store: cold, Program: "sha256:test-program", Seed: 7},
 	}
 	resCold, stCold, err := Tune(context.Background(), tn, dims, start, 120, opts)
 	if err != nil {
@@ -208,7 +206,7 @@ func TestTuneWarmCacheBitIdentical(t *testing.T) {
 	var warmCalls atomic.Int64
 	urlWarm, _ := startWorker(t, countingHook(obj, &warmCalls), "")
 	opts.Workers = []string{urlWarm}
-	opts.Cache = warm
+	opts.Cache.Store = warm
 	resWarm, stWarm, err := Tune(context.Background(), tn, dims, start, 120, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -57,18 +57,18 @@ func NewWorker(svc *jobs.Service, newObjective func(json.RawMessage) (tuning.Obj
 	}
 }
 
-// cacheKeyFor builds the store address for one configuration of a
-// shard. A coordinator without an evaluation store of its own (`patty
-// tune` without -cache-dir) sends no Program, so a caching worker must
-// still keep the searches it serves apart: "search:"+Search scopes
-// their entries to one search identity, and never collides with a
-// sha256 content address.
-func cacheKeyFor(req ShardRequest, a map[string]int) evalcache.Key {
+// cacheFor addresses a shard's workload in the worker's store. A
+// coordinator without an evaluation store of its own (`patty tune`
+// without -cache-dir) sends no Program, so a caching worker must still
+// keep the searches it serves apart: "search:"+Search scopes their
+// entries to one search identity, and never collides with a sha256
+// content address.
+func (wk *Worker) cacheFor(req ShardRequest) tuning.Memo {
 	prog := req.Program
 	if prog == "" {
 		prog = "search:" + req.Search
 	}
-	return evalcache.Key{Program: prog, Config: tuning.AssignKey(a), Seed: req.Seed}
+	return tuning.Memo{Store: wk.cache, Program: prog, Seed: req.Seed}
 }
 
 // evaluate runs one shard, honoring cancellation between
@@ -78,29 +78,17 @@ func (wk *Worker) evaluate(ctx context.Context, req ShardRequest) (*ShardRespons
 	if err != nil {
 		return nil, fmt.Errorf("bad shard spec: %w", err)
 	}
+	measure := wk.cacheFor(req).Wrap(func(a map[string]int) float64 {
+		cost := obj(a)
+		wk.evals.Inc()
+		return cost
+	})
 	resp := &ShardResponse{Shard: req.Shard, Evals: make([]tuning.EvalRecord, 0, len(req.Configs))}
 	for _, a := range req.Configs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if wk.cache != nil {
-			if e, ok := wk.cache.Get(cacheKeyFor(req, a), ""); ok {
-				resp.Evals = append(resp.Evals, tuning.EvalRecord{
-					Assignment: tuning.CopyAssign(a), Cost: e.Cost, Faulted: e.Faulted,
-				})
-				continue
-			}
-		}
-		rec := tuning.NewRecord(a, obj(a))
-		if wk.cache != nil {
-			k := cacheKeyFor(req, a)
-			wk.cache.Put(evalcache.Entry{
-				Program: k.Program, Config: k.Config, Seed: k.Seed,
-				Cost: rec.Cost, Faulted: rec.Faulted,
-			})
-		}
-		wk.evals.Inc()
-		resp.Evals = append(resp.Evals, rec)
+		resp.Evals = append(resp.Evals, tuning.NewRecord(a, measure(a)))
 	}
 	wk.shards.Inc()
 	return resp, nil

@@ -247,7 +247,7 @@ func F() int {
 		s += v
 	}
 	return s + len(m)
-}`, "F", nil, "", ""},
+}`, "F", nil, "", "6"},
 		{"switch-fallthrough-free", `package p
 func F(x int) string {
 	switch x % 3 {

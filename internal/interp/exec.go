@@ -285,6 +285,9 @@ func (m *Machine) execRange(st *ast.RangeStmt, parent *env, fn *source.Function,
 		}
 	case *Map:
 		for _, k := range xs.sortedKeys() {
+			if _, ok := xs.M[k]; !ok {
+				continue // deleted during the loop: Go never visits it
+			}
 			if a, ok := xs.addrs[k]; ok {
 				m.load(a)
 			}

@@ -977,6 +977,12 @@ loop:
 				rng.curV = rng.s.Elems[rng.i]
 				rng.i++
 			case rangeMap:
+				for rng.i < len(rng.keys) {
+					if _, ok := rng.mp.M[rng.keys[rng.i]]; ok {
+						break
+					}
+					rng.i++ // deleted during the loop: Go never visits it
+				}
 				if rng.i >= len(rng.keys) {
 					pc = int(op.A)
 					break

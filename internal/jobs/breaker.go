@@ -40,10 +40,10 @@ func (s BreakerState) String() string {
 
 // Breaker is a keyed circuit breaker. The jobs layer uses it to
 // quarantine tuning configurations whose evaluations repeatedly fault
-// (tuning.ConfigMetrics.Faulted): after Threshold consecutive faults
-// on one key, the key trips Open and every further call is refused
-// without burning a measurement, until a cooldown probe proves the key
-// healed. The quarantine set round-trips through tuner checkpoints
+// (tuning.IsFault): after Threshold consecutive faults on one key, the
+// key trips Open and every further call is refused without burning a
+// measurement, until a cooldown probe proves the key healed. The
+// quarantine set round-trips through tuner checkpoints
 // (tuning.Checkpointer.Quarantine / Breaker.Restore), so a restarted
 // job does not re-probe configurations a previous run already
 // condemned.
@@ -254,13 +254,13 @@ func (b *Breaker) Restore(keys []string) {
 
 // GuardObjective interposes the breaker between a tuner and its
 // objective. A quarantined configuration returns +Inf without running;
-// a configuration that faults is retried immediately up to the
-// breaker's threshold (transient faults heal and keep their measured
-// cost — see internal/faultinject), and one that faults every attempt
-// trips the breaker and is quarantined. When o is non-nil the fault
-// verdict is read from the tuning.ConfigMetrics entry Observed just
-// recorded; otherwise an infinite cost counts as the fault signal.
-func GuardObjective(b *Breaker, o *tuning.Observed, obj tuning.Objective) tuning.Objective {
+// a configuration whose cost is a fault (tuning.IsFault: infinite or
+// NaN) is retried immediately up to the breaker's threshold (transient
+// faults heal and keep their measured cost — see internal/faultinject),
+// and one that faults every attempt trips the breaker and is
+// quarantined. The Observed argument has no effect: the cost alone
+// decides.
+func GuardObjective(b *Breaker, _ *tuning.Observed, obj tuning.Objective) tuning.Objective {
 	return func(a map[string]int) float64 {
 		key := tuning.AssignKey(a)
 		if !b.Allow(key) {
@@ -268,12 +268,7 @@ func GuardObjective(b *Breaker, o *tuning.Observed, obj tuning.Objective) tuning
 		}
 		for {
 			cost := obj(a)
-			faulted := math.IsInf(cost, 1) || math.IsNaN(cost)
-			if o != nil && len(o.Metrics) > 0 {
-				if last := o.Metrics[len(o.Metrics)-1]; tuning.AssignKey(last.Assignment) == key {
-					faulted = last.Faulted
-				}
-			}
+			faulted := tuning.IsFault(cost)
 			b.Record(key, faulted)
 			if !faulted {
 				return cost

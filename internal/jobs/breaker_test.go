@@ -175,9 +175,8 @@ func TestGuardObjectiveHealsTransientFault(t *testing.T) {
 	}
 }
 
-// TestGuardObjectiveReadsObservedVerdict: the fault signal comes from
-// tuning.ConfigMetrics.Faulted when an Observed is wired in — a
-// finite-but-tainted measurement still counts as a fault.
+// TestGuardObjectiveReadsObservedVerdict: a run Observed turns into
+// +Inf — here a panic — counts as a fault.
 func TestGuardObjectiveReadsObservedVerdict(t *testing.T) {
 	c := obs.New()
 	o := &tuning.Observed{Collector: c}
@@ -197,10 +196,30 @@ func TestGuardObjectiveReadsObservedVerdict(t *testing.T) {
 		t.Fatalf("threshold 2: want 2 attempts, got %d", panics)
 	}
 	if b.State(tuning.AssignKey(map[string]int{"x": 1})) != Open {
-		t.Fatal("panicking config must trip the breaker via ConfigMetrics.Faulted")
+		t.Fatal("panicking config must trip the breaker")
 	}
-	if len(o.Metrics) != 2 || !o.Metrics[0].Faulted || !o.Metrics[1].Faulted {
-		t.Fatalf("observed metrics: %+v", o.Metrics)
+}
+
+// TestBreakerTripsOnObservedBareInf: an Observed-wrapped objective
+// that returns +Inf without panicking or losing work (the fault shim
+// of `patty tune -fault-rate`) trips the breaker like any other fault.
+func TestBreakerTripsOnObservedBareInf(t *testing.T) {
+	o := &tuning.Observed{Collector: obs.New()}
+	b, _ := newTestBreaker(3, time.Minute)
+	calls := 0
+	obj := GuardObjective(b, o, o.Wrap(func(a map[string]int) float64 {
+		calls++
+		return math.Inf(1)
+	}))
+	bad := map[string]int{"x": 1}
+	if got := obj(bad); !math.IsInf(got, 1) {
+		t.Fatalf("cost = %v, want +Inf", got)
+	}
+	if calls != 3 {
+		t.Fatalf("threshold 3: want 3 attempts, got %d", calls)
+	}
+	if got := b.Quarantined(); len(got) != 1 || got[0] != tuning.AssignKey(bad) {
+		t.Fatalf("quarantined %v, want [%s]", got, tuning.AssignKey(bad))
 	}
 }
 

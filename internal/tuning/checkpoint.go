@@ -52,8 +52,8 @@ func (m SearchMeta) signature() string {
 }
 
 // EvalRecord is one completed objective evaluation. Faulted
-// evaluations (cost +Inf under Observed) are stored with the flag
-// instead of the non-JSON-encodable infinity.
+// evaluations (cost +Inf or NaN) are stored with the flag instead of
+// the non-JSON-encodable value.
 type EvalRecord struct {
 	Assignment map[string]int `json:"assignment"`
 	Cost       float64        `json:"cost"`
@@ -148,11 +148,13 @@ func NewCheckpointer(path string, meta SearchMeta) (c *Checkpointer, resumed int
 	return c, c.resumed, nil
 }
 
-// NewRecord builds the record of one evaluation: a faulted (infinite
-// or NaN) cost is stored as the Faulted flag.
+// IsFault reports whether cost is the fault signal: infinite or NaN.
+func IsFault(cost float64) bool { return math.IsInf(cost, 0) || math.IsNaN(cost) }
+
+// NewRecord builds the record of one evaluation; a fault sets Faulted.
 func NewRecord(a map[string]int, cost float64) EvalRecord {
 	rec := EvalRecord{Assignment: CopyAssign(a), Cost: cost}
-	if math.IsInf(cost, 0) || math.IsNaN(cost) {
+	if IsFault(cost) {
 		rec.Cost, rec.Faulted = 0, true
 	}
 	return rec
@@ -222,13 +224,13 @@ func (c *Checkpointer) write(flag int) error {
 func (c *Checkpointer) Wrap(obj Objective) Objective {
 	return func(a map[string]int) float64 {
 		if rec, ok := c.cache[assignKey(a)]; ok {
-			return rec.cost()
+			return rec.EffectiveCost()
 		}
 		rec := NewRecord(a, obj(a))
 		c.remember(rec)
 		c.queue(journalFrame{Eval: &rec})
 		c.write(0)
-		return rec.cost()
+		return rec.EffectiveCost()
 	}
 }
 
@@ -278,10 +280,7 @@ func (c *Checkpointer) Records() []EvalRecord {
 
 // EffectiveCost reconstructs the in-memory cost of a record (+Inf
 // when the evaluation faulted).
-func (r EvalRecord) EffectiveCost() float64 { return r.cost() }
-
-// cost reconstructs the in-memory cost of a record.
-func (r EvalRecord) cost() float64 {
+func (r EvalRecord) EffectiveCost() float64 {
 	if r.Faulted {
 		return math.Inf(1)
 	}

@@ -9,6 +9,14 @@
 // algorithms the paper names as future work ([29] Karcher/Pankratius,
 // [30] Nelder-Mead, [31] tabu search) are implemented as NelderMead,
 // TabuSearch and RandomSearch and compared in the E11 ablation bench.
+//
+// An Objective may be wrapped before a tuner sees it: Observed measures
+// a run and turns a panic or lost work into cost +Inf, Memo answers
+// configurations from the persistent evaluation store, and Checkpointer
+// journals every evaluation so a killed search resumes. A +Inf or NaN
+// cost is the stack's one fault signal: records store it as Faulted,
+// jobs.GuardObjective quarantines on it, and a search whose every cost
+// is one ends with ErrAllConfigsFaulted.
 package tuning
 
 import (
@@ -25,10 +33,10 @@ import (
 )
 
 // ErrAllConfigsFaulted reports a search in which every evaluated
-// configuration faulted (Observed gives faulted runs +Inf cost): there
-// is no meaningful best, and Result.Best is only the start assignment
-// echoed back. Callers must treat the run as failed rather than apply
-// that configuration.
+// configuration faulted (cost +Inf or NaN): there is no meaningful
+// best, and Result.Best is only the start assignment echoed back.
+// Callers must treat the run as failed rather than apply that
+// configuration.
 var ErrAllConfigsFaulted = errors.New("tuning: every evaluated configuration faulted; no usable best")
 
 // Entry is one tuning parameter as serialized to the configuration
@@ -134,10 +142,6 @@ type Result struct {
 	// Trace records (evaluation index, cost) pairs of improving steps
 	// for the Fig. 4c runtime-tuning visualization.
 	Trace []TracePoint
-	// Pruned counts candidate configurations skipped without
-	// evaluation because runtime metrics proved them dominated
-	// (LinearSearch with an Observer; see Observed.DominatesAbove).
-	Pruned int
 	// Interrupted is set when the search stopped because its context
 	// was canceled (SIGINT, job cancellation, deadline): Best is the
 	// best-so-far configuration, not the converged one.
@@ -314,16 +318,7 @@ func clampDim(d Dim, v int) int {
 // time by sweeping its whole range while holding the others fixed,
 // then move to the next dimension, cycling until the budget is spent
 // or a full cycle brings no improvement.
-type LinearSearch struct {
-	// Observer, when non-nil, supplies runtime metrics for each
-	// evaluated configuration (wire the workload through
-	// Observer.Wrap). The search then cuts each ascending dimension
-	// sweep as soon as the measured analysis proves the remaining
-	// larger values dominated — the workload's bottleneck is already
-	// saturated somewhere this dimension cannot relieve. Skipped
-	// candidates are counted in Result.Pruned.
-	Observer *Observed
-}
+type LinearSearch struct{}
 
 // Name implements Tuner.
 func (LinearSearch) Name() string { return "linear" }
@@ -334,7 +329,7 @@ func (ls LinearSearch) Tune(dims []Dim, start map[string]int, obj Objective, bud
 }
 
 // TuneCtx implements Tuner.
-func (ls LinearSearch) TuneCtx(ctx context.Context, dims []Dim, start map[string]int, obj Objective, budget int) Result {
+func (LinearSearch) TuneCtx(ctx context.Context, dims []Dim, start map[string]int, obj Objective, budget int) Result {
 	e := newEvaluator(ctx, obj, budget, start)
 	cur := CopyAssign(start)
 	// The start point rides along with the first sweep's batch.
@@ -355,16 +350,11 @@ func (ls LinearSearch) TuneCtx(ctx context.Context, dims []Dim, start map[string
 			first = nil
 			bestV, bestC := cur[d.Key], math.Inf(1)
 			for _, cand := range cands {
-				v := cand[d.Key]
 				c := e.eval(cand)
 				if c < bestC {
-					bestC, bestV = c, v
+					bestC, bestV = c, cand[d.Key]
 				}
 				if e.exhausted() {
-					break
-				}
-				if ls.Observer != nil && v < d.Max && ls.Observer.DominatesAbove(d.Key, cand) {
-					e.res.Pruned += (d.Max - v) / d.step()
 					break
 				}
 			}
