@@ -256,7 +256,7 @@ func TestCmdVerifyCleanCorpus(t *testing.T) {
 
 // TestCmdVerifyDefaultsToValidate: verify runs patty.Validate's
 // reduced exhaustive search, which covers the indexer pipeline's whole
-// trace space in 744 runs; a smaller -max-schedules stops it at the
+// trace space in 576 runs, one per trace; a smaller -max-schedules stops it at the
 // cap, and the report says so.
 func TestCmdVerifyDefaultsToValidate(t *testing.T) {
 	if testing.Short() {
@@ -268,7 +268,7 @@ func TestCmdVerifyDefaultsToValidate(t *testing.T) {
 		want   string
 		capped bool
 	}{
-		{[]string{"-corpus", "indexer"}, " 744 schedules", false},
+		{[]string{"-corpus", "indexer"}, " 576 schedules", false},
 		{[]string{"-corpus", "indexer", "-max-schedules", "500"}, " 500 schedules", true},
 	} {
 		out, err := capture(t, func() error { return cmdVerify(tc.args) })

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -346,22 +347,66 @@ func TestCrossCheckRestartOnConsumedLie(t *testing.T) {
 // that shard while the liar's quarantine is still re-verifying its past
 // answers, so the batch is complete before the correction lands. The
 // search must still end on the corrected table: the result equals the
-// local reference after exactly one rerun.
+// local reference after exactly one rerun. Channels and the
+// coordinator's per-worker merge counts force that order, whatever the
+// scheduling; a step that does not happen within a generous deadline
+// fails the test instead of hanging it.
 func TestCrossCheckRerunAfterLateQuarantine(t *testing.T) {
 	t.Cleanup(ptest.NoLeaks(t))
 	dims, start, obj := testSpace()
 	tn := tuning.LinearSearch{}
 	ref := tn.TuneCtx(context.Background(), dims, start, obj, 120)
 	const ckSeed = 5
+	const deadline = 10 * time.Second
+	c := obs.New()
+	var honestURL, liarURL string
+	merged := func(worker string) int64 { return c.CounterOf("fleet.peer.evals", worker).Value() }
 
 	var mu sync.Mutex
+	liarShards := map[int]bool{}   // shard ids the liar received
 	honestShards := map[int]bool{} // shard ids the honest worker received
 	liarFirst := map[string]bool{} // configs of the liar's first answer
-	var caught atomic.Bool         // the liar has sent its stolen lie
+	// holding is closed once the honest worker holds a shard for the
+	// liar to steal, caught once the liar has sent its stolen lie, and
+	// reverifying once the quarantine has started re-verifying the
+	// liar's first answer.
+	holding, caught, reverifying := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var holdOnce, catchOnce, reverifyOnce sync.Once
+	var honestRequests atomic.Int64
+	closed := func(ch chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	await := func(ch chan struct{}, r *http.Request, what string) bool {
+		select {
+		case <-ch:
+		case <-r.Context().Done():
+			return false
+		case <-time.After(deadline):
+			t.Errorf("%s within %v", what, deadline)
+		}
+		return true
+	}
+	waitFor := func(cond func() bool, what string) {
+		for give := time.Now().Add(deadline); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(give) {
+				t.Errorf("%s within %v", what, deadline)
+				return
+			}
+		}
+	}
 
-	// The honest worker answers the first batch (shards 0 and 1) at
-	// once, and every later shard only after 150 ms until the liar is
-	// caught, so the liar, idle, steals it.
+	// The honest worker answers its first request at once. A later
+	// request that arrives before the liar's first answer has merged it
+	// answers after that, so that the liar's first answer is a shard of
+	// the first batch (2 or 3 configs) and the search reads its lie.
+	// It answers a shard the liar also holds at once. Any other shard
+	// it holds until the liar's quarantine is under way, so the liar
+	// steals it and is caught on it.
 	honest := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req ShardRequest
 		if !DecodeJSON(w, r, MaxBodyBytes, &req) {
@@ -369,11 +414,16 @@ func TestCrossCheckRerunAfterLateQuarantine(t *testing.T) {
 		}
 		mu.Lock()
 		honestShards[req.Shard] = true
+		liarHas := liarShards[req.Shard]
 		mu.Unlock()
-		if req.Shard >= 2 && !caught.Load() {
-			select {
-			case <-time.After(150 * time.Millisecond):
-			case <-r.Context().Done():
+		switch {
+		case honestRequests.Add(1) == 1:
+		case merged(liarURL) == 0:
+			waitFor(func() bool { return merged(liarURL) > 0 }, "the liar's first answer did not merge")
+		case liarHas:
+		default:
+			holdOnce.Do(func() { close(holding) })
+			if !await(reverifying, r, fmt.Sprintf("the liar was not caught on shard %d", req.Shard)) {
 				return
 			}
 		}
@@ -385,10 +435,11 @@ func TestCrossCheckRerunAfterLateQuarantine(t *testing.T) {
 	}))
 	// The liar claims cost -1 (better than any true cost) wherever it
 	// lies. Its first answer lies everywhere but on the sampled
-	// configuration; a shard it stole from the honest worker it lies on
-	// throughout, which the audit catches; anything else it answers
-	// honestly. Responses are sequential, one coordinator goroutine per
-	// worker.
+	// configuration; a later shard it stole from the honest worker it
+	// lies on throughout, which the audit catches; anything else it
+	// answers honestly, once the honest worker holds a shard, so that
+	// the liar cannot take every shard itself. Responses are
+	// sequential, one coordinator goroutine per worker.
 	var responses atomic.Int64
 	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req ShardRequest
@@ -397,8 +448,12 @@ func TestCrossCheckRerunAfterLateQuarantine(t *testing.T) {
 		}
 		first := responses.Add(1) == 1
 		mu.Lock()
-		stolen := honestShards[req.Shard]
+		liarShards[req.Shard] = true
+		stolen := honestShards[req.Shard] && !first
 		mu.Unlock()
+		if !first && !stolen && !await(holding, r, "the honest worker did not hold a shard") {
+			return
+		}
 		sampled := map[int]bool{}
 		for _, i := range pickSample(ckSeed, req.Search, req.Shard, len(req.Configs), 1) {
 			sampled[i] = true
@@ -417,24 +472,33 @@ func TestCrossCheckRerunAfterLateQuarantine(t *testing.T) {
 			resp.Evals = append(resp.Evals, tuning.EvalRecord{Assignment: a, Cost: cost})
 		}
 		if stolen {
-			caught.Store(true)
+			catchOnce.Do(func() { close(caught) })
 		}
 		WriteJSON(w, http.StatusOK, resp)
 	}))
+	honestURL, liarURL = honest.URL, liar.URL
 	defer func() {
 		honest.Close()
 		liar.Close()
 		http.DefaultClient.CloseIdleConnections()
 	}()
 
-	// Re-verifying the liar's first answer is slow: the quarantine is
-	// still running when the honest worker completes the stolen shard.
+	// Re-verifying the liar's first answer releases the honest worker
+	// and waits until its answer to the stolen shard has merged: the
+	// quarantine is still running when the batch completes. The honest
+	// worker is held on that shard, so it has merged nothing since.
 	local := func(a map[string]int) float64 {
 		mu.Lock()
-		slow := caught.Load() && liarFirst[tuning.AssignKey(a)]
+		slow := liarFirst[tuning.AssignKey(a)]
 		mu.Unlock()
-		if slow {
-			time.Sleep(400 * time.Millisecond)
+		if slow && closed(caught) {
+			var before int64
+			reverifyOnce.Do(func() {
+				before = merged(honestURL)
+				close(reverifying)
+				waitFor(func() bool { return merged(honestURL) > before },
+					"the honest worker's answer to the stolen shard did not merge")
+			})
 		}
 		return obj(a)
 	}
@@ -445,6 +509,7 @@ func TestCrossCheckRerunAfterLateQuarantine(t *testing.T) {
 		CrossCheck:     1,
 		CrossCheckSeed: ckSeed,
 		StealAfter:     20 * time.Millisecond,
+		Collector:      c,
 	})
 	if err != nil {
 		t.Fatal(err)

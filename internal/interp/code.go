@@ -90,7 +90,7 @@ const (
 	opSliceExpr    // A: 1 when low is present, B: 1 when high is present
 
 	// Composite construction (all stack-valued).
-	opNewStruct    // A: type name idx — allocate struct, push
+	opNewStruct    // A: type name idx, B|C<<32: fields the literal sets — allocate struct, push
 	opSetField     // A: field name idx — pop value, peek struct, store event
 	opMakeSliceLit // A: element count — pop elements, allocate, push
 	opNewMap       // push an empty map

@@ -1267,13 +1267,15 @@ func (u *unitCompiler) compileSelector(ex *ast.SelectorExpr) {
 func (u *unitCompiler) compileComposite(ex *ast.CompositeLit) {
 	switch t := ex.Type.(type) {
 	case *ast.Ident:
-		fields, ok := u.c.m.structTypes[t.Name]
+		typ, ok := u.c.m.structTypes[t.Name]
 		if !ok {
 			u.emitFail(fmt.Sprintf("unknown composite type %s", t.Name))
 			u.depth++
 			return
 		}
-		u.emit(Op{Code: opNewStruct, A: u.code.nameIdx(t.Name)})
+		fields := typ.fields
+		set := typ.literalSet(ex.Elts)
+		u.emit(Op{Code: opNewStruct, A: u.code.nameIdx(t.Name), B: int32(uint32(set)), C: int32(uint32(set >> 32))})
 		u.depth++
 		for i, el := range ex.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {

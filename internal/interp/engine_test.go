@@ -268,7 +268,28 @@ func F() int {
 		a.Add(i)
 	}
 	return a.Sum*10 + a.N
-}`, "F", nil, "", ""},
+}`, "F", nil, "", "105"},
+		{"struct-zero-fields", `package p
+type In struct{ N int }
+type P struct {
+	X, Y float64
+	Tag  string
+	Ok   bool
+	In   In
+	Next *P
+}
+func F() int {
+	p := P{X: 1}
+	p.Y += 2
+	p.In.N++
+	q := new(P)
+	q.In.N += 3
+	n := 0
+	if !p.Ok && p.Next == nil && p.Tag == "" {
+		n = 100
+	}
+	return n + int(p.X+p.Y)*10 + p.In.N + q.In.N
+}`, "F", nil, "", "134"},
 		{"string-ops", `package p
 func F(s string) int {
 	n := 0

@@ -359,13 +359,12 @@ func (m *Machine) evalSelector(ex *ast.SelectorExpr, env *env, fn *source.Functi
 func (m *Machine) evalComposite(ex *ast.CompositeLit, env *env, fn *source.Function) Value {
 	switch t := ex.Type.(type) {
 	case *ast.Ident:
-		fields, ok := m.structTypes[t.Name]
+		typ, ok := m.structTypes[t.Name]
 		if !ok {
 			fail("unknown composite type %s", t.Name)
 		}
-		// Fields start untyped nil: arithmetic on a field that was never
-		// set fails loudly rather than computing with a wrong zero.
-		st := m.newStruct(t.Name, fields)
+		fields := typ.fields
+		st := m.newStruct(typ, typ.literalSet(ex.Elts))
 		for i, el := range ex.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
 				id, ok := kv.Key.(*ast.Ident)
@@ -632,8 +631,8 @@ func (m *Machine) builtinCall(name string, call *ast.CallExpr, env *env, fn *sou
 	case "new":
 		if len(call.Args) == 1 {
 			if id, ok := call.Args[0].(*ast.Ident); ok {
-				if fields, ok := m.structTypes[id.Name]; ok {
-					return []Value{m.newStruct(id.Name, fields)}, true
+				if st, ok := m.structTypes[id.Name]; ok {
+					return []Value{m.newStruct(st, 0)}, true
 				}
 			}
 		}

@@ -92,7 +92,7 @@ type Options struct {
 type Machine struct {
 	prog        *source.Program
 	globals     *env
-	structTypes map[string][]string
+	structTypes map[string]*structType
 	intrinsics  map[string]*Intrinsic
 
 	clock    uint64
@@ -129,7 +129,7 @@ func (funcLit) isDecl()  {}
 func NewMachine(prog *source.Program) *Machine {
 	m := &Machine{
 		prog:        prog,
-		structTypes: make(map[string][]string),
+		structTypes: make(map[string]*structType),
 		intrinsics:  make(map[string]*Intrinsic),
 		nextAddr:    1,
 	}
@@ -210,13 +210,15 @@ func (m *Machine) collectTypes() {
 				if !ok {
 					continue
 				}
-				var fields []string
+				t := &structType{name: ts.Name.Name, index: make(map[string]int)}
 				for _, f := range st.Fields.List {
 					for _, name := range f.Names {
-						fields = append(fields, name.Name)
+						t.index[name.Name] = len(t.fields)
+						t.fields = append(t.fields, name.Name)
+						t.types = append(t.types, f.Type)
 					}
 				}
-				m.structTypes[ts.Name.Name] = fields
+				m.structTypes[t.name] = t
 			}
 		}
 	}
@@ -406,8 +408,8 @@ func (m *Machine) zeroValueFor(texpr ast.Expr) Value {
 		case "string":
 			return ""
 		default:
-			if fields, ok := m.structTypes[t.Name]; ok {
-				return m.newStruct(t.Name, fields)
+			if st, ok := m.structTypes[t.Name]; ok {
+				return m.newStruct(st, 0)
 			}
 			return nil
 		}
@@ -423,18 +425,54 @@ func (m *Machine) zeroValueFor(texpr ast.Expr) Value {
 	return nil
 }
 
-func (m *Machine) newStruct(typeName string, fields []string) *Struct {
-	s := &Struct{
-		Type:   typeName,
-		order:  append([]string(nil), fields...),
-		fields: make(map[string]Value, len(fields)),
-		index:  make(map[string]int, len(fields)),
-		base:   0,
+// structType is a declared struct type: its field names in declaration
+// order with their indexes and type expressions. Its instances share
+// the names and the index.
+type structType struct {
+	name   string
+	fields []string
+	types  []ast.Expr
+	index  map[string]int
+}
+
+// literalSet returns the fields a composite literal of st with
+// elements elts assigns, as newStruct's set.
+func (st *structType) literalSet(elts []ast.Expr) uint64 {
+	var set uint64
+	for i, el := range elts {
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			id, ok := kv.Key.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			if i, ok = st.index[id.Name]; !ok {
+				continue
+			}
+		}
+		if i < 64 {
+			set |= 1 << i
+		}
 	}
-	s.base = m.alloc(len(fields) + 1)
-	for i, f := range fields {
-		s.fields[f] = nil
-		s.index[f] = i
+	return set
+}
+
+// newStruct returns an instance of st whose fields hold their types'
+// zero values, except the fields in set (bit i for field i, among the
+// first 64), which the caller assigns next: a literal's fields get no
+// zero value first.
+func (m *Machine) newStruct(st *structType, set uint64) *Struct {
+	s := &Struct{
+		Type:   st.name,
+		order:  st.fields,
+		fields: make(map[string]Value, len(st.fields)),
+		index:  st.index,
+	}
+	s.base = m.alloc(len(st.fields) + 1)
+	for i, f := range st.fields {
+		if i < 64 && set&(1<<i) != 0 {
+			continue
+		}
+		s.fields[f] = m.zeroValueFor(st.types[i])
 	}
 	return s
 }
@@ -456,14 +494,18 @@ func (m *Machine) NewSlice(vals ...Value) *Slice {
 // NewStructValue builds a host-provided struct instance of a declared
 // type, with fields assigned in declaration order.
 func (m *Machine) NewStructValue(typeName string, fieldValues ...Value) *Struct {
-	fields, ok := m.structTypes[typeName]
+	st, ok := m.structTypes[typeName]
 	if !ok {
 		fail("unknown struct type %s", typeName)
 	}
-	s := m.newStruct(typeName, fields)
+	var set uint64
+	for i := range min(len(fieldValues), len(st.fields), 64) {
+		set |= 1 << i
+	}
+	s := m.newStruct(st, set)
 	for i, v := range fieldValues {
-		if i < len(fields) {
-			s.fields[fields[i]] = v
+		if i < len(st.fields) {
+			s.fields[st.fields[i]] = v
 		}
 	}
 	return s

@@ -784,7 +784,7 @@ loop:
 
 		case opNewStruct:
 			name := code.Names[op.A]
-			vm.push(m.newStruct(name, m.structTypes[name]))
+			vm.push(m.newStruct(m.structTypes[name], uint64(uint32(op.B))|uint64(uint32(op.C))<<32))
 		case opSetField:
 			name := code.Names[op.A]
 			v := vm.pop()
@@ -851,7 +851,7 @@ loop:
 			vm.setRes1(&Map{M: make(map[Value]Value), addrs: make(map[Value]uint64)})
 		case opNewNamed:
 			name := code.Names[op.A]
-			vm.setRes1(m.newStruct(name, m.structTypes[name]))
+			vm.setRes1(m.newStruct(m.structTypes[name], 0))
 
 		case opLoadCallee:
 			vm.push(vm.resolveCallee(code.Res[op.A], sbase, cells))

@@ -12,7 +12,7 @@ import (
 
 // corpusUnitTest returns the generated unit test named test of corpus
 // program prog.
-func corpusUnitTest(b *testing.B, prog, test string) *ptest.UnitTest {
+func corpusUnitTest(b testing.TB, prog, test string) *ptest.UnitTest {
 	b.Helper()
 	p := corpus.Get(prog)
 	if p == nil {
@@ -33,11 +33,12 @@ func corpusUnitTest(b *testing.B, prog, test string) *ptest.UnitTest {
 }
 
 // BenchmarkExplore times one exploration of a corpus unit test: the
-// video pipeline, the most expensive test in the corpus (it stops at
-// the 5000-schedule cap), and a data-parallel loop that is explored
-// exhaustively. The plain cases run the bounded search, the reduced
-// ones patty.Validate's partial-order-reduced search. Beside the
-// per-exploration figures it reports ns and allocations per schedule.
+// video pipeline, the most expensive test in the corpus (the bounded
+// search stops at its 5000-schedule cap, the reduced one exhausts the
+// pipeline's 4608 traces), and a data-parallel loop. The plain cases
+// run the bounded search, the reduced ones patty.Validate's
+// partial-order-reduced search. Beside the per-exploration figures it
+// reports ns and allocations per schedule.
 func BenchmarkExplore(b *testing.B) {
 	bounded := sched.Options{PreemptionBound: 2, MaxSchedules: 5000}
 	for _, bc := range []struct {
@@ -64,5 +65,23 @@ func BenchmarkExplore(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(schedules), "ns/schedule")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(schedules), "allocs/schedule")
 		})
+	}
+}
+
+// TestExploreAllocsPerSchedule bounds the garbage of patty.Validate's
+// search on the video pipeline at 57 allocations per schedule, half
+// the 114.8 a schedule cost while every run set up fresh threads,
+// objects and clocks. Runs now reuse them, and the search measures
+// about 10 per schedule (2 vCPUs, Go 1.24), most of them the test
+// body's own closures; the bound leaves the rest as slack for the
+// runtime and the toolchain.
+func TestExploreAllocsPerSchedule(t *testing.T) {
+	ut := corpusUnitTest(t, "video", "Process.L1.pipeline")
+	schedules := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		schedules = ut.Run(patty.ValidateOptions()).Schedules
+	})
+	if per := allocs / float64(schedules); per > 57 {
+		t.Errorf("%.1f allocations per schedule over %d schedules, want at most 57", per, schedules)
 	}
 }

@@ -4,7 +4,15 @@ package sched
 // known logical time of thread i.
 type vclock []uint32
 
-func newClock(n int) vclock { return make(vclock, n) }
+// reset returns c cleared to n entries, reusing its storage.
+func (c vclock) reset(n int) vclock {
+	if cap(c) < n {
+		return make(vclock, n)
+	}
+	c = c[:n]
+	clear(c)
+	return c
+}
 
 // copyOf returns an independent copy of c grown to at least n entries.
 func (c vclock) copyOf(n int) vclock {
@@ -14,28 +22,6 @@ func (c vclock) copyOf(n int) vclock {
 	out := make(vclock, n)
 	copy(out, c)
 	return out
-}
-
-// grow returns c itself when it already has n entries, else a copy
-// grown to n. Use it only on a clock no one else refers to.
-func (c vclock) grow(n int) vclock {
-	if len(c) >= n {
-		return c
-	}
-	return c.copyOf(n)
-}
-
-// copyInto is copyOf reusing dst's storage when it is large enough.
-func (c vclock) copyInto(dst vclock, n int) vclock {
-	if n < len(c) {
-		n = len(c)
-	}
-	if cap(dst) < n {
-		return c.copyOf(n)
-	}
-	dst = dst[:n]
-	clear(dst[copy(dst, c):])
-	return dst
 }
 
 // at returns c[i], treating missing entries as zero.

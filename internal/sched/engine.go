@@ -63,12 +63,16 @@ type message struct {
 	done bool
 }
 
-// thread is the runtime representation of one spawned thread.
+// thread is one thread of the program under test. An exploration
+// keeps its threads, and their goroutines, from run to run: between
+// runs a thread's goroutine waits for its next function on job,
+// keeping its grown stack.
 type thread struct {
 	id    int
 	name  string
 	ctx   Context
-	grant chan response // receiving a grant hands this thread the baton
+	job   chan func(*Context) // the thread's function for the next run
+	grant chan response       // receiving a grant hands this thread the baton
 	vc    vclock
 	// req is the thread's pending operation while pending[id] points
 	// here.
@@ -82,11 +86,12 @@ type thread struct {
 // (deadlock, first-bug stop, or oracle abort).
 type abortPanic struct{}
 
-// execution is the per-run engine state. One goroutine at a time, the
-// baton holder, reads and writes it: the explorer until it makes the
-// first decision, then each thread in turn while it runs. The baton
-// passes only through a channel operation (a grant, or the end
-// signal), so every access is ordered after the previous holder's.
+// execution is the per-run engine state, which an exploration reuses
+// from run to run. One goroutine at a time, the baton holder, reads
+// and writes it: the explorer until it makes the first decision, then
+// each thread in turn while it runs. The baton passes only through a
+// channel operation (a grant, or the end signal), so every access is
+// ordered after the previous holder's.
 type execution struct {
 	e       *explorer
 	world   *World
@@ -110,43 +115,100 @@ type execution struct {
 	trace []int
 	// how the run ended; sleepBlocked: every enabled thread slept
 	deadlock, nondet, aborted, sleepBlocked bool
+	// slab is the block the objects' clocks are carved from
+	slab []uint32
 }
 
-// start launches the thread goroutines. Each runs up to its first
-// operation, reports it to the explorer and waits for its first grant.
+// fit returns c if it has an entry per thread, else a copy of c with
+// that many entries, carved from the block the objects' clocks share.
+// An object's clocks keep their storage from run to run.
+func (ex *execution) fit(c vclock) vclock {
+	n := len(ex.threads)
+	if len(c) >= n {
+		return c
+	}
+	if cap(c) >= n {
+		old := len(c)
+		c = c[:n]
+		clear(c[old:])
+		return c
+	}
+	k := len(ex.slab)
+	if k+n > cap(ex.slab) {
+		ex.slab, k = make([]uint32, 0, max(256, n)), 0
+	}
+	ex.slab = ex.slab[:k+n]
+	out := vclock(ex.slab[k : k+n : k+n])
+	copy(out, c)
+	return out
+}
+
+// reset prepares ex for a run of world.
+func (ex *execution) reset(world *World) {
+	ex.world = world
+	ex.races = ex.races[:0]
+	ex.failure = nil
+	ex.trace = ex.trace[:0]
+	ex.branch, ex.step, ex.lastTid, ex.preemptions = 0, 0, -1, 0
+	ex.deadlock, ex.nondet, ex.aborted, ex.sleepBlocked = false, false, false, false
+}
+
+// start hands every thread its function for this run, starting the
+// goroutines the exploration does not have yet. Each thread runs up to
+// its first operation, reports it to the explorer and waits for its
+// first grant.
 func (ex *execution) start() {
+	e := ex.e
 	n := len(ex.world.threads)
-	ex.threads = make([]*thread, n)
-	ex.pending = make([]*request, n)
-	ex.live = n
-	for i, spec := range ex.world.threads {
+	for len(e.pool) < n {
 		t := &thread{
-			id:    i,
-			name:  spec.name,
+			id:    len(e.pool),
+			job:   make(chan func(*Context), 1),
 			grant: make(chan response),
-			vc:    newClock(n),
 		}
-		t.vc[i] = 1
 		t.ctx = Context{ex: ex, t: t}
-		ex.threads[i] = t
+		e.pool = append(e.pool, t)
+		e.workers.Add(1)
+		go t.serve(&e.workers)
+	}
+	ex.threads = e.pool[:n]
+	ex.pending = grow(ex.pending, n)
+	clear(ex.pending)
+	ex.live = n
+	for i, t := range ex.threads {
+		t.name = ex.world.threads[i].name
+		t.vc = t.vc.reset(n)
+		t.vc[i] = 1
+		t.started, t.done, t.aborted = false, false, false
 	}
 	ex.wg.Add(n)
-	for i, spec := range ex.world.threads {
-		t := ex.threads[i]
-		fn := spec.fn
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(abortPanic); !ok {
-						panic(r)
-					}
-				}
-				ex.wg.Done()
-			}()
-			fn(&t.ctx)
-			ex.finish(t)
-		}()
+	for i, t := range ex.threads {
+		t.job <- ex.world.threads[i].fn
 	}
+}
+
+// serve runs t's function once per run until the exploration closes
+// job.
+func (t *thread) serve(workers *sync.WaitGroup) {
+	defer workers.Done()
+	for fn := range t.job {
+		t.run(fn)
+	}
+}
+
+// run runs fn as t for one run and retires t.
+func (t *thread) run(fn func(*Context)) {
+	ex := t.ctx.ex
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(abortPanic); !ok {
+				panic(r)
+			}
+		}
+		ex.wg.Done()
+	}()
+	fn(&t.ctx)
+	ex.finish(t)
 }
 
 // yield is the thread side of the scheduling protocol. The calling
@@ -165,8 +227,8 @@ func (c *Context) yield(req request) response {
 		return t.wait()
 	}
 	ex.pending[t.id] = &t.req
-	if ex.e.por != nil {
-		ex.e.por.posted(ex, t.id)
+	if p := ex.e.por; p != nil && ex.step > p.replay {
+		p.posted(ex, t.id)
 	}
 	next, resp := ex.schedule()
 	if next == t.id {
@@ -230,18 +292,17 @@ func enabled(req *request) bool {
 // a Var, Mutex or Chan are updated in place once they have grown to
 // the thread count, so a step allocates nothing.
 func (ex *execution) apply(t *thread, req *request) response {
-	n := len(ex.threads)
 	switch req.op {
 	case opYield:
 		return response{}
 	case opRead:
 		ex.checkRead(t, req.v)
-		req.v.readVC = req.v.readVC.grow(n)
+		req.v.readVC = ex.fit(req.v.readVC)
 		req.v.readVC[t.id] = t.vc.at(t.id)
 		return response{val: req.v.value}
 	case opWrite:
 		ex.checkWrite(t, req.v)
-		req.v.writeVC = req.v.writeVC.grow(n)
+		req.v.writeVC = ex.fit(req.v.writeVC)
 		req.v.writeVC[t.id] = t.vc.at(t.id)
 		req.v.value = req.val
 		return response{}
@@ -255,7 +316,7 @@ func (ex *execution) apply(t *thread, req *request) response {
 			return response{abort: true}
 		}
 		req.m.holder = -1
-		req.m.vc = req.m.vc.grow(n).join(t.vc)
+		req.m.vc = ex.fit(req.m.vc).join(t.vc)
 		t.vc = t.vc.tick(t.id)
 		return response{}
 	case opSend:
@@ -266,7 +327,8 @@ func (ex *execution) apply(t *thread, req *request) response {
 		}
 		slot := &ch.slots[(ch.head+ch.n)%len(ch.slots)]
 		slot.val = req.val
-		slot.vc = t.vc.copyInto(slot.vc, n)
+		slot.vc = ex.fit(slot.vc[:0])
+		copy(slot.vc, t.vc)
 		ch.n++
 		// Order this send after the receives that freed buffer space.
 		t.vc = t.vc.join(ch.spaceVC)
@@ -282,7 +344,7 @@ func (ex *execution) apply(t *thread, req *request) response {
 		ch.head = (ch.head + 1) % len(ch.slots)
 		ch.n--
 		t.vc = t.vc.join(msg.vc)
-		ch.spaceVC = ch.spaceVC.grow(n).join(t.vc)
+		ch.spaceVC = ex.fit(ch.spaceVC).join(t.vc)
 		t.vc = t.vc.tick(t.id)
 		return response{val: msg.val, ok: true}
 	case opClose:

@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Options configures an exploration.
 type Options struct {
@@ -10,10 +13,10 @@ type Options struct {
 	// PreemptionBound limits the number of preemptive context
 	// switches per interleaving (CHESS's iterative context bounding).
 	// Negative means unbounded: the depth-first search is then pruned
-	// by partial-order reduction (source sets and sleep sets, por.go),
-	// which runs at least one interleaving of every Mazurkiewicz
-	// trace, so races, deadlocks and failures are those of the full
-	// search. Sleep sets are unsound under preemption bounding, so a
+	// by optimal partial-order reduction (wakeup trees and sleep
+	// sets, por.go), which runs exactly one interleaving of every
+	// Mazurkiewicz trace, so races, deadlocks and failures are those
+	// of the full search. Sleep sets are unsound under preemption bounding, so a
 	// bounded search is never reduced; a bound no run reaches gives
 	// the full, unreduced search.
 	PreemptionBound int
@@ -27,6 +30,11 @@ type Options struct {
 // DefaultMaxSchedules is the schedule budget used when
 // Options.MaxSchedules is zero.
 const DefaultMaxSchedules = 20000
+
+// stepHint is the run length, in steps, the per-step buffers start
+// with room for: about a corpus unit test's, so that a short
+// exploration does not regrow them step by step.
+const stepHint = 64
 
 // Race is one detected data race, deduplicated by variable, kind and
 // thread pair across interleavings.
@@ -106,8 +114,8 @@ func sigOf(tid int, req *request) opSig {
 }
 
 // explorer is the state that outlives one interleaving: the DFS
-// stack, the previous run's operation log and the step buffers every
-// run reuses.
+// stack, the previous run's operation log, the step buffers every run
+// reuses, and the world, execution and threads each run resets.
 type explorer struct {
 	opt   Options
 	stack []decision
@@ -118,20 +126,29 @@ type explorer struct {
 	replayLimit    int
 	// raceSeen deduplicates races across interleavings.
 	raceSeen map[raceKey]bool
-	// per-step scratch: the enabled set, the ordered candidates and
-	// the trace buffer
-	enabled, cands, trace []int
+	// per-step scratch: the enabled set and the ordered candidates
+	enabled, cands []int
 	// por is the partial-order reduction state of an unbounded DFS,
 	// nil for a bounded search.
 	por *por
+
+	world World
+	ex    execution
+	// pool holds a thread per thread id any run has spawned; workers
+	// counts their goroutines.
+	pool    []*thread
+	workers sync.WaitGroup
 }
 
 // Explore systematically executes body under every schedule (subject
 // to Options) and aggregates all bugs found. body must be
-// deterministic apart from scheduling: it is re-invoked with a fresh
-// World for every interleaving.
+// deterministic apart from scheduling: it is re-invoked for every
+// interleaving, with a World that hands back the previous run's
+// objects, reset, while body declares the same ones.
 func Explore(opt Options, body func(*World)) Result {
-	return newExplorer(opt).run(body)
+	e := newExplorer(opt)
+	defer e.close()
+	return e.run(body)
 }
 
 // newExplorer fills in opt's defaults and picks the search.
@@ -139,11 +156,25 @@ func newExplorer(opt Options) *explorer {
 	if opt.MaxSchedules <= 0 {
 		opt.MaxSchedules = DefaultMaxSchedules
 	}
-	e := &explorer{opt: opt, raceSeen: make(map[raceKey]bool)}
+	e := &explorer{
+		opt:      opt,
+		raceSeen: make(map[raceKey]bool),
+		prevOps:  make([]opSig, 0, stepHint),
+		oplog:    make([]opSig, 0, stepHint),
+	}
+	e.ex = execution{e: e, first: make(chan message), end: make(chan struct{}), trace: make([]int, 0, stepHint)}
 	if opt.PreemptionBound < 0 {
 		e.por = newPOR()
 	}
 	return e
+}
+
+// close ends the thread goroutines and waits for them to exit.
+func (e *explorer) close() {
+	for _, t := range e.pool {
+		close(t.job)
+	}
+	e.workers.Wait()
 }
 
 // run explores body and aggregates the runs' results.
@@ -225,18 +256,14 @@ func (e *explorer) push(cands []int, step int) {
 // runOnce executes body under one schedule. The explorer holds the
 // baton until it makes the first decision; after that the threads
 // schedule each other, and the explorer waits for the end of the run,
-// unwinds the threads still waiting and joins them all.
+// unwinds the threads still waiting and waits for each to finish its
+// run.
 func (e *explorer) runOnce(body func(*World)) *execution {
-	w := &World{}
+	w := &e.world
+	w.reset()
 	body(w)
-	ex := &execution{
-		e:       e,
-		world:   w,
-		first:   make(chan message),
-		end:     make(chan struct{}),
-		lastTid: -1,
-		trace:   e.trace[:0],
-	}
+	ex := &e.ex
+	ex.reset(w)
 	e.oplog = e.oplog[:0]
 	if e.por != nil && !e.por.begin(len(w.threads), w.objects) {
 		ex.nondet = true
@@ -284,7 +311,6 @@ func (e *explorer) runOnce(body func(*World)) *execution {
 		}
 	}
 	e.prevOps, e.oplog = e.oplog, e.prevOps
-	e.trace = ex.trace
 	return ex
 }
 
@@ -333,8 +359,11 @@ func (ex *execution) schedule() (int, response) {
 		return -1, response{}
 	}
 	e.oplog = append(e.oplog, sig)
+	k := ex.step
 	ex.step++
-	if e.por == nil {
+	if e.por == nil || k < e.por.replay {
+		// The unreduced search, or a replayed step whose event the
+		// reduction kept from the run it repeats.
 		resp := ex.apply(ex.threads[chosen], req)
 		if resp.abort {
 			ex.aborted = true
@@ -347,7 +376,7 @@ func (ex *execution) schedule() (int, response) {
 	resp := ex.apply(ex.threads[chosen], req)
 	if resp.abort {
 		ex.aborted = true
-		e.por.aborted(idx)
+		e.por.aborted(ex, idx)
 		return -1, response{}
 	}
 	e.por.executed(ex, idx, req)

@@ -1,13 +1,72 @@
 package sched
 
+import (
+	"fmt"
+	"strings"
+)
+
 // ExploreBlocked is Explore that also returns the number of runs that
 // ended sleep-blocked. Result has no such field: adding one would
 // change every recorded exploration.
 func ExploreBlocked(opt Options, body func(*World)) (Result, int) {
 	e := newExplorer(opt)
+	defer e.close()
 	res := e.run(body)
 	if e.por == nil {
 		return res, 0
 	}
 	return res, e.por.blocked
+}
+
+// ExploreTraces runs the reduced search on body to exhaustion and
+// returns, for every run, its Mazurkiewicz trace in a canonical form:
+// the run's operations (an illegal one, which ends the run, dependent
+// on every other) in the order that always takes, among the operations
+// whose dependent and same-thread predecessors have been taken, the
+// one of the lowest thread. Two runs have the same canonical form
+// exactly when they are equivalent.
+func ExploreTraces(body func(*World)) []string {
+	e := newExplorer(Options{PreemptionBound: -1})
+	defer e.close()
+	var traces []string
+	for {
+		ex := e.runOnce(body)
+		evs := make([]step, len(e.por.events))
+		for i, ev := range e.por.events {
+			evs[i] = ev.step
+		}
+		if ex.aborted && !ex.deadlock && len(evs) > 0 {
+			evs[len(evs)-1].abort = true
+		}
+		traces = append(traces, canonical(evs))
+		if ex.nondet || !e.advance() {
+			return traces
+		}
+	}
+}
+
+func canonical(evs []step) string {
+	taken := make([]bool, len(evs))
+	var b strings.Builder
+	for range evs {
+		next := -1
+		for i, ev := range evs {
+			if taken[i] || next >= 0 && ev.tid >= evs[next].tid {
+				continue
+			}
+			ready := true
+			for k := range i {
+				if !taken[k] && (evs[k].tid == ev.tid || evs[k].dependsOn(ev)) {
+					ready = false
+					break
+				}
+			}
+			if ready {
+				next = i
+			}
+		}
+		taken[next] = true
+		fmt.Fprintf(&b, "%v ", evs[next])
+	}
+	return b.String()
 }

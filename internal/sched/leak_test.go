@@ -12,10 +12,12 @@ import (
 
 // TestEveryRunEndingLeavesNoGoroutine drives Explore through every way
 // an interleaving can end — normal completion, deadlock, a first-bug
-// stop, an illegal operation, every nondeterministic-replay check, an
-// oracle failure, schedule-budget truncation and, under partial-order
-// reduction, a sleep-blocked run — and requires each exploration to
-// return with every thread goroutine gone.
+// stop, an illegal operation, every nondeterministic-replay check
+// (including a run with more and one with fewer threads than the run
+// it replays), an oracle failure and schedule-budget truncation, with
+// and without partial-order reduction — and requires each exploration
+// to return with every pooled thread goroutine gone and, under the
+// reduction, no run sleep-blocked.
 func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 	// unbounded is the full search (a preemption bound no run
 	// reaches), reduced the partial-order-reduced one.
@@ -50,8 +52,6 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 		opt  sched.Options
 		body func() func(*sched.World)
 		want func(sched.Result) error
-		// blocked requires at least one sleep-blocked run.
-		blocked bool
 	}{
 		{
 			// One thread never yields, one ends right after its first
@@ -230,6 +230,37 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 			want: exhaustiveDeadlock,
 		},
 		{
+			name: "reduced-unlock-unheld",
+			opt:  reduced,
+			body: func() func(*sched.World) {
+				return func(w *sched.World) {
+					m := w.Mutex("m")
+					x, y := w.Var("x", 0), w.Var("y", 0)
+					w.Spawn("a", func(ctx *sched.Context) { ctx.Write(x, 1); ctx.Unlock(m) })
+					w.Spawn("b", func(ctx *sched.Context) { ctx.Lock(m); ctx.Write(y, 1); ctx.Unlock(m) })
+				}
+			},
+			want: failureWith("unlocked mutex \"m\" held by 1"),
+		},
+		{
+			name: "reduced-oracle",
+			opt:  reduced,
+			body: func() func(*sched.World) {
+				return func(w *sched.World) {
+					c := w.Var("c", 0)
+					w.Spawn("a", func(ctx *sched.Context) { ctx.Add(c, 1) })
+					w.Spawn("b", func(ctx *sched.Context) { ctx.Add(c, 1) })
+					w.Check(func(get func(*sched.Var) int) error {
+						if get(c) != 2 {
+							return fmt.Errorf("lost update: c = %d", get(c))
+						}
+						return nil
+					})
+				}
+			},
+			want: failureWith("oracle: lost update"),
+		},
+		{
 			name: "reduced-stop-at-first-bug",
 			opt:  sched.Options{PreemptionBound: -1, StopAtFirstBug: true},
 			body: racyAdds,
@@ -247,11 +278,12 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 			want: truncatedAt(3),
 		},
 		{
-			// The first run ends when b sends after a's close. The
-			// second lets b write before a's close; then a's close,
-			// independent of that write, sleeps and b's send waits on
-			// the full channel, so the run is sleep-blocked: its
-			// trace is the first run's. The third deadlocks.
+			// The first run ends when b sends after a's close. A run
+			// that let b write before a's close would then end with
+			// a's close, independent of that write, asleep and b's
+			// send waiting on the full channel: its trace is the first
+			// run's. The wakeup tree never starts it; another run
+			// deadlocks.
 			name: "reduced-sleep-blocked",
 			opt:  reduced,
 			body: func() func(*sched.World) {
@@ -268,7 +300,6 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 				}
 				return nil
 			},
-			blocked: true,
 		},
 		{
 			// Two writes of x race, so a second run replays the
@@ -290,6 +321,26 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 				}
 			},
 			want: nondetWith("nondeterministic replay: 3 threads, expected 2"),
+		},
+		{
+			// As above, but the second run has one thread.
+			name: "reduced-nondeterministic-fewer-threads",
+			opt:  reduced,
+			body: func() func(*sched.World) {
+				runs := 0
+				return func(w *sched.World) {
+					runs++
+					x := w.Var("x", 0)
+					n := 2
+					if runs > 1 {
+						n = 1
+					}
+					for i := 0; i < n; i++ {
+						w.Spawn(fmt.Sprintf("t%d", i), func(ctx *sched.Context) { ctx.Write(x, i) })
+					}
+				}
+			},
+			want: nondetWith("nondeterministic replay: 1 threads, expected 2"),
 		},
 		{
 			// The second run reverses the writes of x at step 0, where
@@ -351,8 +402,8 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 			if err := tc.want(res); err != nil {
 				t.Fatalf("%v, got %+v", err, res)
 			}
-			if tc.blocked && blocked == 0 {
-				t.Fatalf("want a sleep-blocked run, got none in %d", res.Schedules)
+			if blocked != 0 {
+				t.Fatalf("%d of %d runs ended sleep-blocked", blocked, res.Schedules)
 			}
 		})
 	}

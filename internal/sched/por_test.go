@@ -39,15 +39,19 @@ func verdict(r sched.Result) string {
 }
 
 // compareSearches explores body with the reduction and requires the
-// verdict of want, body's full search, from at most as many runs.
+// verdict of want, body's full search, from at most as many runs, none
+// of them sleep-blocked.
 func compareSearches(t *testing.T, name string, body func(*sched.World), want sched.Result) {
 	t.Helper()
-	got := sched.Explore(reduced, body)
+	got, blocked := sched.ExploreBlocked(reduced, body)
 	if !want.Exhausted || !got.Exhausted {
 		t.Fatalf("%s: exhausted: full %v, reduced %v", name, want.Exhausted, got.Exhausted)
 	}
 	if got.Schedules > want.Schedules {
 		t.Errorf("%s: reduced search ran %d schedules, full search %d", name, got.Schedules, want.Schedules)
+	}
+	if blocked != 0 {
+		t.Errorf("%s: %d of the reduced search's %d runs ended sleep-blocked", name, blocked, got.Schedules)
 	}
 	if g, w := verdict(got), verdict(want); g != w {
 		t.Errorf("%s: reduced verdict\n%s\nfull verdict\n%s", name, g, w)
@@ -135,8 +139,9 @@ func randomProgram(seed int64) (string, func(*sched.World)) {
 // TestReductionMatchesFullSearch is the reduction's differential
 // soundness gate on seeded random programs: the reduced and the full
 // exhaustive search must report the same races, deadlocks and
-// failures. Some programs must deadlock on a lock-order inversion,
-// send after close and unlock a mutex they do not hold.
+// failures, and no reduced run may end sleep-blocked. Some programs
+// must deadlock on a lock-order inversion, send after close and
+// unlock a mutex they do not hold.
 func TestReductionMatchesFullSearch(t *testing.T) {
 	shapes := map[string]int{"waits for mutex": 0, "sent on closed channel": 0, "unlocked mutex": 0}
 	for seed := int64(1); seed <= 300; seed++ {
@@ -154,6 +159,35 @@ func TestReductionMatchesFullSearch(t *testing.T) {
 		if n == 0 {
 			t.Errorf("no program's full search reports %q", shape)
 		}
+	}
+}
+
+// TestReductionRunsAreDistinctTraces: the reduction is optimal, so no
+// two runs of an exploration are equivalent, on the random programs
+// of TestReductionMatchesFullSearch and on a corpus pipeline.
+func TestReductionRunsAreDistinctTraces(t *testing.T) {
+	check := func(name string, body func(*sched.World)) {
+		seen := map[string]int{}
+		for run, tr := range sched.ExploreTraces(body) {
+			if first, ok := seen[tr]; ok {
+				t.Errorf("%s: run %d repeats the trace of run %d", name, run, first)
+				return
+			}
+			seen[tr] = run
+		}
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		desc, body := randomProgram(seed)
+		check(fmt.Sprintf("seed %d (%s)", seed, desc), body)
+	}
+	p := corpus.Get("indexer")
+	w := p.Workload()
+	arts, err := patty.Parallelize(map[string]string{p.Name + ".go": p.Source}, &w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ut := range arts.UnitTests {
+		check("indexer/"+ut.Name, ut.Body)
 	}
 }
 
@@ -215,5 +249,50 @@ func TestReductionScheduleCounts(t *testing.T) {
 			t.Errorf("%s: %d schedules, %d sleep-blocked, exhausted %v; want %d, 0, true",
 				tc.name, res.Schedules, blocked, res.Exhausted, tc.want)
 		}
+	}
+}
+
+// TestReductionRunCountsOnCorpus pins the run count of every corpus
+// unit test under patty.ValidateOptions(): one run per Mazurkiewicz
+// trace, none sleep-blocked, and every search exhaustive. The
+// source-set search that wakeup trees replaced ran the same traces
+// plus sleep-blocked runs: 744 for indexer (168 blocked), 1506 for
+// montecarlo (354) and 6486 for video (1878, so video stopped at the
+// 5000-run cap); its other 19 tests had no blocked run and keep their
+// counts.
+func TestReductionRunCountsOnCorpus(t *testing.T) {
+	want := map[string]int{
+		"conv2d/Conv.L4.data-parallel":               3,
+		"gatherupdate/GatherUpdate.L0.data-parallel": 9,
+		"indexer/BuildIndex.L0.pipeline":             576,
+		"matmul/MatMul.L4.data-parallel":             3,
+		"montecarlo/EstimatePi.L1.pipeline":          1152,
+		"raytrace/NormalizeLights.L0.data-parallel":  9,
+		"scatter/Scatter.L0.data-parallel":           3,
+		"video/Process.L1.pipeline":                  4608,
+	}
+	tests := 0
+	for _, p := range corpus.All() {
+		w := p.Workload()
+		arts, err := patty.Parallelize(map[string]string{p.Name + ".go": p.Source}, &w)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		for _, ut := range arts.UnitTests {
+			key := p.Name + "/" + ut.Name
+			runs, ok := want[key]
+			if !ok {
+				runs = 1 // a single trace
+			}
+			res, blocked := sched.ExploreBlocked(patty.ValidateOptions(), ut.Body)
+			if res.Schedules != runs || blocked != 0 || !res.Exhausted {
+				t.Errorf("%s: %d runs, %d sleep-blocked, exhausted %v; want %d, 0, true",
+					key, res.Schedules, blocked, res.Exhausted, runs)
+			}
+			tests++
+		}
+	}
+	if tests != 22 {
+		t.Errorf("the corpus has %d unit tests, want 22", tests)
 	}
 }

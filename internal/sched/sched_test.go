@@ -440,10 +440,10 @@ func TestMutexProtectsAgainstRaceDetectorFalsePositive(t *testing.T) {
 }
 
 func TestVClockOps(t *testing.T) {
-	a := newClock(2)
+	a := vclock(nil).reset(2)
 	a = a.tick(0)
 	a = a.tick(0)
-	b := newClock(2)
+	b := vclock(nil).reset(2)
 	b = b.tick(1)
 	if a.leq(b) || b.leq(a) {
 		t.Fatal("independent clocks must be concurrent")
@@ -458,6 +458,9 @@ func TestVClockOps(t *testing.T) {
 	c := vclock{1}.tick(3)
 	if c.at(3) != 1 || len(c) != 4 {
 		t.Fatalf("tick growth failed: %v", c)
+	}
+	if r := c.reset(2); len(r) != 2 || r.at(0) != 0 || &r[0] != &c[0] {
+		t.Fatalf("reset must clear in place: %v", r)
 	}
 }
 

@@ -57,20 +57,26 @@ func (c *Chan) Len() int { return c.n }
 
 // World is the per-run universe of a program under test: its shared
 // state, its threads and its final-state oracle. The body function
-// passed to Explore receives a fresh World on every interleaving.
+// passed to Explore declares them anew on every interleaving; while it
+// declares the same objects as in the previous run, the World hands
+// back that run's Var, Mutex and Chan values, reset in place.
 type World struct {
-	vars    []*Var
-	threads []*threadSpec
+	threads []threadSpec
 	check   func(get func(*Var) int) error
 	// objects counts the declared Vars, Mutexes and Chans; each gets
 	// the next count as its id.
 	objects int
+	// decls are the objects declared so far, by id, from this run or
+	// an earlier one; exactly one field of each is set.
+	decls []decl
+	// varSlab is the block new Vars are carved from.
+	varSlab []Var
 }
 
-// newObject returns the next dense object id.
-func (w *World) newObject() int {
-	w.objects++
-	return w.objects - 1
+type decl struct {
+	v  *Var
+	m  *Mutex
+	ch *Chan
 }
 
 type threadSpec struct {
@@ -78,17 +84,57 @@ type threadSpec struct {
 	fn   func(*Context)
 }
 
+// reset empties w for the next run, keeping its declared objects.
+func (w *World) reset() {
+	clear(w.threads)
+	w.threads = w.threads[:0]
+	w.check = nil
+	w.objects = 0
+}
+
+// newObject returns the next dense object id and the object the
+// previous run declared with it, if any.
+func (w *World) newObject() (int, *decl) {
+	id := w.objects
+	w.objects++
+	if id == len(w.decls) {
+		w.decls = append(w.decls, decl{})
+	}
+	return id, &w.decls[id]
+}
+
 // Var declares a shared variable with an initial value. The
 // initialization happens-before every thread.
 func (w *World) Var(name string, init int) *Var {
-	v := &Var{name: name, id: w.newObject(), value: init}
-	w.vars = append(w.vars, v)
+	id, d := w.newObject()
+	v := d.v
+	if v != nil && v.name == name {
+		v.value = init
+		clear(v.readVC)
+		clear(v.writeVC)
+	} else {
+		if len(w.varSlab) == cap(w.varSlab) {
+			w.varSlab = make([]Var, 0, 16)
+		}
+		w.varSlab = append(w.varSlab, Var{name: name, id: id, value: init})
+		v = &w.varSlab[len(w.varSlab)-1]
+		*d = decl{v: v}
+	}
 	return v
 }
 
 // Mutex declares a shared mutex.
 func (w *World) Mutex(name string) *Mutex {
-	return &Mutex{name: name, id: w.newObject(), holder: -1}
+	id, d := w.newObject()
+	m := d.m
+	if m != nil && m.name == name {
+		m.holder = -1
+		clear(m.vc)
+	} else {
+		m = &Mutex{name: name, id: id, holder: -1}
+		*d = decl{m: m}
+	}
+	return m
 }
 
 // Chan declares a bounded channel with the given capacity (>= 1).
@@ -96,13 +142,22 @@ func (w *World) Chan(name string, capacity int) *Chan {
 	if capacity < 1 {
 		panic(fmt.Sprintf("sched: Chan %q capacity %d; rendezvous channels are not modelled, capacity must be >= 1", name, capacity))
 	}
-	return &Chan{name: name, id: w.newObject(), slots: make([]chanMsg, capacity)}
+	id, d := w.newObject()
+	ch := d.ch
+	if ch != nil && ch.name == name && len(ch.slots) == capacity {
+		ch.head, ch.n, ch.closed = 0, 0, false
+		clear(ch.spaceVC)
+	} else {
+		ch = &Chan{name: name, id: id, slots: make([]chanMsg, capacity)}
+		*d = decl{ch: ch}
+	}
+	return ch
 }
 
 // Spawn registers a thread. Threads start when the body function
 // returns; their ids are assigned in spawn order starting at 0.
 func (w *World) Spawn(name string, fn func(*Context)) {
-	w.threads = append(w.threads, &threadSpec{name: name, fn: fn})
+	w.threads = append(w.threads, threadSpec{name: name, fn: fn})
 }
 
 // Check registers the final-state oracle, evaluated after all threads
