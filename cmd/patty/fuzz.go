@@ -16,7 +16,8 @@ import (
 // persist it. Exit status is non-zero when a divergence survives, so
 // the command doubles as a CI gate. With -checkpoint the sweep is
 // journaled and a killed run resumes at the next unchecked program; a
-// SIGINT prints the summary so far.
+// SIGINT prints the summary so far. Both run the one sweep loop,
+// difftest.Batch.
 func cmdFuzz(ctx context.Context, args []string) error {
 	fs := newFlagSet("fuzz")
 	baseSeed := fs.Int64("seed", seed.Default, "base seed; program i is generated from seed.Mix(seed, i)")
@@ -25,7 +26,7 @@ func cmdFuzz(ctx context.Context, args []string) error {
 	configs := fs.Int("configs", 3, "random tuning configurations per candidate")
 	static := fs.Bool("static", false, "skip dynamic model enrichment")
 	faults := fs.Bool("faults", false, "run fault-injection legs (retry must heal, skip must drop exactly the killed items)")
-	schedEvery := fs.Int("sched-every", 25, "schedule-explore every k-th program (0: never; ignored with -checkpoint)")
+	schedEvery := fs.Int("sched-every", 25, "schedule-explore every k-th program (0: never)")
 	reproDir := fs.String("repro-dir", "patty-out", "directory for reproducer files")
 	checkSeed := fs.Int64("check-seed", 0, "replay one exact program seed (from a reproducer file) and exit")
 	ckpt := fs.String("checkpoint", "", "journal sweep progress to this file and resume from it")
@@ -44,75 +45,36 @@ func cmdFuzz(ctx context.Context, args []string) error {
 		return fuzzOne(difftest.Generate(*checkSeed, difftest.GenOptions{}), opt, *shrink, *reproDir)
 	}
 
-	if *ckpt != "" {
-		return fuzzCheckpointed(ctx, *ckpt, *baseSeed, *n, opt, *shrink, *reproDir)
-	}
-
-	kinds := make(map[string]int)
-	divergences := 0
-	checked := 0
-	interrupted := false
-	for i := 0; i < *n; i++ {
-		if ctx.Err() != nil {
-			interrupted = true
-			break
-		}
-		p := difftest.Generate(seed.Mix(*baseSeed, int64(i)), difftest.GenOptions{})
-		opt.Sched = *schedEvery > 0 && i%*schedEvery == 0
-		res, err := checkSafe(p, opt)
-		if err != nil {
-			return err
-		}
-		checked++
-		kinds[res.Kind]++
-		if res.Div == nil {
-			continue
-		}
-		divergences++
-		if err := fuzzOne(p, opt, *shrink, *reproDir); err != nil {
-			fmt.Println(err)
-		}
-	}
-	printFuzzSummary(checked, *baseSeed, kinds, divergences, interrupted)
-	if divergences > 0 {
-		return fmt.Errorf("%d divergence(s) found", divergences)
-	}
-	if interrupted {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// fuzzCheckpointed runs the sweep through the crash-safe journal: a
-// previous run's progress (kill -9 included) is resumed instead of
-// redone, and divergent seeds recorded before the crash are re-derived
-// into the summary.
-func fuzzCheckpointed(ctx context.Context, path string, baseSeed int64, n int, opt difftest.Options, shrink bool, reproDir string) error {
-	b, resumed, err := difftest.NewBatch(path, baseSeed, n)
+	b, resumed, err := difftest.NewBatch(*ckpt, *baseSeed, *n)
 	if err != nil {
 		return err
 	}
 	if resumed > 0 {
-		fmt.Printf("checkpoint %s: resuming at program %d of %d\n", path, resumed, n)
+		fmt.Printf("checkpoint %s: resuming at program %d of %d\n", *ckpt, resumed, *n)
 	}
-	sum, runErr := b.Run(ctx, opt, func(msg string) { fmt.Println(msg) })
-	interrupted := errors.Is(runErr, context.Canceled)
-	if runErr != nil && !interrupted {
-		return runErr
-	}
-	printFuzzSummary(sum.Programs, baseSeed, sum.Kinds, len(sum.Divergences), interrupted)
-	for _, res := range sum.Divergences {
-		if err := fuzzOne(difftest.Generate(res.Div.Seed, difftest.GenOptions{}), opt, shrink, reproDir); err != nil {
-			fmt.Println(err)
+	// Each divergence is shrunk and written as it is found; on resume,
+	// those of the journaled prefix are re-derived first.
+	sum, err := b.Run(ctx, func(i int, p *difftest.Prog) (*difftest.Result, error) {
+		o := opt
+		o.Sched = *schedEvery > 0 && i%*schedEvery == 0
+		res, err := checkSafe(p, o)
+		if err == nil && res.Div != nil {
+			fmt.Println(reportDivergence(p, res.Div, o, *shrink, *reproDir))
 		}
+		return res, err
+	}, nil)
+	interrupted := errors.Is(err, context.Canceled)
+	if err != nil && !interrupted {
+		return err
 	}
+	printFuzzSummary(sum.Programs, *baseSeed, sum.Kinds, len(sum.Divergences), interrupted)
 	if len(sum.Divergences) > 0 {
 		return fmt.Errorf("%d divergence(s) found", len(sum.Divergences))
 	}
-	return runErr
+	return err
 }
 
-// printFuzzSummary renders the per-kind tally shared by both sweep modes.
+// printFuzzSummary renders the sweep's per-kind tally.
 func printFuzzSummary(checked int, baseSeed int64, kinds map[string]int, divergences int, interrupted bool) {
 	if interrupted {
 		fmt.Print("interrupted: ")
@@ -155,7 +117,12 @@ func fuzzOne(p *difftest.Prog, opt difftest.Options, shrink bool, reproDir strin
 		fmt.Printf("seed %d: %s, no divergence\n", p.Seed, res.Kind)
 		return nil
 	}
-	d := res.Div
+	return reportDivergence(p, res.Div, opt, shrink, reproDir)
+}
+
+// reportDivergence shrinks a divergent program (when shrink is set),
+// writes its reproducer file and returns the divergence as an error.
+func reportDivergence(p *difftest.Prog, d *difftest.Divergence, opt difftest.Options, shrink bool, reproDir string) error {
 	small := p
 	if shrink {
 		small, d = difftest.Shrink(p, opt, 0)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -184,6 +185,38 @@ func TestBreakerTuneFaultRatePrintsQuarantine(t *testing.T) {
 	want := fmt.Sprintf("breaker quarantined %d configuration(s): %v\n", len(ref.Quarantined), ref.Quarantined)
 	if !strings.Contains(out, want) {
 		t.Fatalf("output lacks %q:\n%s", want, out)
+	}
+}
+
+// TestBreakerTuneFaultRateColdStore: on an empty evaluation store a
+// faulting search gets no hits — the guard's retries of a fault are
+// measured, not answered with the stored fault — and quarantines
+// exactly what a run without a store does; a warm rerun is
+// bit-identical to the cold one.
+func TestBreakerTuneFaultRateColdStore(t *testing.T) {
+	spec := tuneSpec{Algo: "tabu", Budget: 120, FaultRate: 10, FaultSeed: 3}
+	ref, err := runTune(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.CacheDir = filepath.Join(t.TempDir(), "cas")
+	before := metrics.Snapshot().Counters["cache.hits"]
+	cold, err := runTune(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := metrics.Snapshot().Counters["cache.hits"] - before; d != 0 {
+		t.Fatalf("cold run on an empty store hit %d times", d)
+	}
+	if !reflect.DeepEqual(cold.Quarantined, ref.Quarantined) || len(ref.Quarantined) == 0 {
+		t.Fatalf("quarantine with a store %v, without %v", cold.Quarantined, ref.Quarantined)
+	}
+	warm, err := runTune(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm, cold) {
+		t.Fatalf("warm outcome diverged:\n got %+v\nwant %+v", warm, cold)
 	}
 }
 

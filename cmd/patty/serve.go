@@ -220,18 +220,13 @@ func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
 			ckpt = filepath.Join(s.ckptDir, journalName(req))
 		}
 		return func(ctx context.Context) (any, error) {
-			var sum *difftest.Summary
-			var err error
-			if ckpt != "" {
-				var b *difftest.Batch
-				b, _, err = difftest.NewBatch(ckpt, seed, n)
-				if err != nil {
-					return nil, err
-				}
-				sum, err = b.Run(ctx, opt, nil)
-			} else {
-				sum, err = difftest.RunCtx(ctx, seed, n, opt, nil)
+			b, _, err := difftest.NewBatch(ckpt, seed, n)
+			if err != nil {
+				return nil, err
 			}
+			sum, err := b.Run(ctx, func(_ int, p *difftest.Prog) (*difftest.Result, error) {
+				return difftest.Check(p, opt), nil
+			}, nil)
 			if err != nil {
 				return nil, err
 			}

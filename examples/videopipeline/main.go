@@ -125,15 +125,16 @@ func main() {
 	fmt.Printf("\nspeedup pipeline vs sequential:   %.2fx\n", float64(seq)/float64(pipelined))
 	fmt.Printf("speedup with StageReplication:    %.2fx\n", float64(seq)/float64(replicated))
 
+	// The observability layer's view of the tuned run: how busy each
+	// stage was, which stage bounds throughput, how congested the
+	// queues are, what the reorder buffer cost — the feedback the
+	// auto-tuner consumes.
+	analyses := obs.Analyze(metrics.Snapshot())
 	fmt.Println("\nper-stage runtime distribution (Fig. 4c view):")
-	for _, st := range pipe.Stats() {
-		fmt.Printf("  %-4s items=%4d busy=%8.1f ms\n", st.Name, st.Items,
-			float64(st.Busy.Microseconds())/1000)
+	for _, st := range analyses[0].Stages {
+		fmt.Printf("  %-4s items=%4d busy=%8.1f ms\n", st.Name, st.Service.Count,
+			float64(st.Service.Sum)/1e6)
 	}
-
-	// The observability layer's view of the same runs: which stage
-	// bounds throughput, how congested the queues are, what the
-	// reorder buffer cost — the feedback the auto-tuner consumes.
 	fmt.Println()
-	fmt.Print(report.BottleneckTable(obs.Analyze(metrics.Snapshot())))
+	fmt.Print(report.BottleneckTable(analyses))
 }

@@ -100,8 +100,9 @@ func TestExampleVideoPipeline(t *testing.T) {
 		// Scheduler exploration: exact schedule count, zero defects.
 		"3000 schedule(s): 0 race(s), 0 deadlock(s), 0 failure(s)",
 		"unit test Process.L1.pipeline: 3000 schedules, buggy=false",
-		// 48 frames through 3 runtime executions = 144 items per stage.
-		"items= 144",
+		// The per-stage distribution covers the tuned run: 48 frames
+		// per stage.
+		"items=  48",
 	)
 	// All three runtime executions must produce the sequential result.
 	if n := strings.Count(out, "(results identical to sequential)"); n != 3 {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 
 	"patty/internal/pattern"
+	"patty/internal/tadl"
 )
 
 // sampleConfigs draws the tuning configurations one candidate is
@@ -55,7 +56,7 @@ func sampleConfigs(r *rand.Rand, cand *pattern.Candidate, patName string, orderS
 		// Parameter keys index the runtime's stages, which are the
 		// TADL groups (a (A || B) section is ONE parrt stage), not
 		// the candidate's label list.
-		groups, err := archGroups(cand.Annotation.Arch)
+		groups, err := tadl.Stages(cand.Annotation.Arch)
 		if err != nil {
 			return configs
 		}
@@ -66,11 +67,7 @@ func sampleConfigs(r *rand.Rand, cand *pattern.Candidate, patName string, orderS
 				prefix + ".buffersize":     bufs[r.Intn(len(bufs))],
 			}
 			for i, grp := range groups {
-				repl := false
-				for _, l := range grp {
-					repl = repl || l.repl
-				}
-				if repl && r.Intn(2) == 1 {
+				if grp.Replicable && r.Intn(2) == 1 {
 					a[fmt.Sprintf("%s.stage.%d.replication", prefix, i)] = 1 + r.Intn(4)
 				}
 				order := 1

@@ -58,7 +58,7 @@ func TestDifferential(t *testing.T) {
 		n = 30
 	}
 	opt := Options{Configs: 2}
-	sum := Run(1, n, opt, func(msg string) { t.Log(msg) })
+	sum := sweep(t, 1, n, opt)
 	if len(sum.Divergences) > 0 {
 		first := sum.Divergences[0]
 		p := Generate(first.Seed, GenOptions{})
@@ -88,7 +88,7 @@ func TestDifferentialSched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sched exploration is slow under -short")
 	}
-	sum := Run(2, 15, Options{Configs: 1, Sched: true}, func(msg string) { t.Log(msg) })
+	sum := sweep(t, 2, 15, Options{Configs: 1, Sched: true})
 	if len(sum.Divergences) > 0 {
 		t.Fatalf("%d/15 programs diverged under schedule exploration; first: %s",
 			len(sum.Divergences), sum.Divergences[0].Div)
@@ -182,7 +182,7 @@ func TestDifferentialFaults(t *testing.T) {
 	if testing.Short() {
 		n = 15
 	}
-	sum := Run(4713, n, Options{Configs: 1, Faults: true}, func(msg string) { t.Log(msg) })
+	sum := sweep(t, 4713, n, Options{Configs: 1, Faults: true})
 	if len(sum.Divergences) > 0 {
 		first := sum.Divergences[0]
 		t.Fatalf("%d/%d programs diverged under fault injection; first: %s\n%s",

@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -451,12 +450,4 @@ type Summary struct {
 	Programs    int
 	Kinds       map[string]int
 	Divergences []*Result
-}
-
-// Run generates and checks n programs with per-program seeds derived
-// from baseSeed, reporting each divergence through progress (which
-// may be nil). It is RunCtx without cancellation (batch.go).
-func Run(baseSeed int64, n int, opt Options, progress func(string)) *Summary {
-	sum, _ := RunCtx(context.Background(), baseSeed, n, opt, progress)
-	return sum
 }

@@ -256,46 +256,6 @@ type felem struct {
 	temps []int64
 }
 
-// archLabel describes one pipeline stage label from the TADL tree.
-type archLabel struct {
-	name string
-	repl bool // the '+' suffix: PLTP's replication suggestion
-}
-
-// archGroups flattens a TADL architecture into sequential groups of
-// labels; a group with several labels is a (A || B) parallel section.
-// This mirrors transform's stageSpecs so the executed structure
-// matches the emitted code.
-func archGroups(n tadl.Node) ([][]archLabel, error) {
-	switch t := n.(type) {
-	case *tadl.Label:
-		return [][]archLabel{{{name: t.Name, repl: t.Replicable}}}, nil
-	case *tadl.Call:
-		return archGroups(t.Arg)
-	case *tadl.Par:
-		var grp []archLabel
-		for _, b := range t.Branches {
-			l, ok := b.(*tadl.Label)
-			if !ok {
-				return nil, fmt.Errorf("difftest: nested non-label in Par: %T", b)
-			}
-			grp = append(grp, archLabel{name: l.Name, repl: l.Replicable})
-		}
-		return [][]archLabel{grp}, nil
-	case *tadl.Seq:
-		var out [][]archLabel
-		for _, s := range t.Stages {
-			sub, err := archGroups(s)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sub...)
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("difftest: unknown TADL node %T", n)
-}
-
 // loopBodyList returns the top-level statements of a for/range loop.
 func loopBodyList(loop ast.Stmt) []ast.Stmt {
 	switch l := loop.(type) {
@@ -396,7 +356,7 @@ func runPatternInj(p *Prog, cand *pattern.Candidate, fn *source.Function, loop a
 		return st, es, nil
 
 	case pattern.PipelineKind:
-		groups, gerr := archGroups(cand.Annotation.Arch)
+		groups, gerr := tadl.Stages(cand.Annotation.Arch)
 		if gerr != nil {
 			return nil, nil, gerr
 		}
@@ -427,28 +387,18 @@ func runPatternInj(p *Prog, cand *pattern.Candidate, fn *source.Function, loop a
 		}
 		var stages []parrt.Stage[felem]
 		for _, grp := range groups {
-			if len(grp) == 1 {
-				l := grp[0]
-				if len(stmtsOfLabel[l.name]) == 0 {
-					return nil, nil, fmt.Errorf("difftest: stage %s has no statements", l.name)
-				}
-				stages = append(stages, parrt.Stage[felem]{
-					Name: l.name, Fn: mkFn(stmtsOfLabel[l.name]), Replicable: l.repl,
-				})
-				continue
-			}
 			var fns []parrt.StageFunc[felem]
-			var names []string
-			anyRepl := false
-			for _, l := range grp {
-				if len(stmtsOfLabel[l.name]) == 0 {
-					return nil, nil, fmt.Errorf("difftest: stage %s has no statements", l.name)
+			for _, l := range grp.Labels {
+				if len(stmtsOfLabel[l]) == 0 {
+					return nil, nil, fmt.Errorf("difftest: stage %s has no statements", l)
 				}
-				fns = append(fns, mkFn(stmtsOfLabel[l.name]))
-				names = append(names, l.name)
-				anyRepl = anyRepl || l.repl
+				fns = append(fns, mkFn(stmtsOfLabel[l]))
 			}
-			stages = append(stages, parrt.Group(strings.Join(names, "_"), anyRepl, fns...))
+			if len(fns) == 1 {
+				stages = append(stages, parrt.Stage[felem]{Name: grp.Name(), Fn: fns[0], Replicable: grp.Replicable})
+			} else {
+				stages = append(stages, parrt.Group(grp.Name(), grp.Replicable, fns...))
+			}
 		}
 		// Inject only at the FIRST stage: a faulted item becomes a
 		// tombstone before any program statement has run, so a SkipItem

@@ -236,6 +236,26 @@ func F() int {
 	}
 	return s
 }`, "F", nil, "", ""},
+		{"array-zero-values", `package p
+const N = 3
+type T struct {
+	A [2]int
+	F [2]float64
+}
+func F() int {
+	var a [N]int
+	a[1] = 5
+	var t T
+	t.A[0] = 4
+	t.F[1] += 0.5
+	var g [2][2]int
+	g[1][0] = 7
+	s := a[0] + a[1] + a[2] + t.A[0] + t.A[1] + len(a) + g[1][0] + g[0][1]
+	if t.F[1] == 0.5 && t.F[0] == 0.0 {
+		s += 100
+	}
+	return s
+}`, "F", nil, "", "119"},
 		{"range-map-mutation", `package p
 func F() int {
 	m := map[string]int{"a": 1, "b": 2, "c": 3}

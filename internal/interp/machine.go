@@ -3,7 +3,10 @@ package interp
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
+	"go/types"
 	"math"
+	"strconv"
 
 	"patty/internal/source"
 )
@@ -413,8 +416,18 @@ func (m *Machine) zeroValueFor(texpr ast.Expr) Value {
 			}
 			return nil
 		}
-	case *ast.ArrayType, *ast.MapType:
-		return nil // nil slice/map
+	case *ast.ArrayType:
+		if t.Len == nil {
+			return nil // nil slice
+		}
+		n := m.arrayLen(t.Len)
+		elems := make([]Value, n)
+		for i := range elems {
+			elems[i] = m.zeroValueFor(t.Elt)
+		}
+		return &Slice{Elems: elems, base: m.alloc(len(elems) + 1)}
+	case *ast.MapType:
+		return nil // nil map
 	case *ast.StarExpr:
 		return nil
 	case *ast.SelectorExpr:
@@ -423,6 +436,40 @@ func (m *Machine) zeroValueFor(texpr ast.Expr) Value {
 		return nil
 	}
 	return nil
+}
+
+// arrayLen evaluates the length of an array type: an integer literal,
+// or a package-level constant (in parentheses or not) whose value is
+// one. It reads the declarations, not a run's globals, so both engines
+// see the same length.
+func (m *Machine) arrayLen(e ast.Expr) int {
+	switch x := e.(type) {
+	case *ast.ParenExpr:
+		return m.arrayLen(x.X)
+	case *ast.BasicLit:
+		if n, err := strconv.ParseInt(x.Value, 0, 64); err == nil && x.Kind == token.INT && n >= 0 {
+			return int(n)
+		}
+	case *ast.Ident:
+		for _, file := range m.prog.Files {
+			for _, decl := range file.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.CONST {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					vs := spec.(*ast.ValueSpec)
+					for i, name := range vs.Names {
+						if name.Name == x.Name && i < len(vs.Values) {
+							return m.arrayLen(vs.Values[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	fail("unsupported array length %s", types.ExprString(e))
+	return 0
 }
 
 // structType is a declared struct type: its field names in declaration

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"patty/internal/evalcache"
 	"patty/internal/obs"
 	"patty/internal/tuning"
 )
@@ -172,6 +173,38 @@ func TestGuardObjectiveHealsTransientFault(t *testing.T) {
 	}
 	if b.State(tuning.AssignKey(map[string]int{"x": 1})) != Closed {
 		t.Fatal("healed config must stay Closed")
+	}
+}
+
+// TestGuardObjectiveHealsTransientFaultWithStore: with the evaluation
+// store between the guard and the measurement, the guard's retry of a
+// transient fault measures again instead of being answered with the
+// stored fault; the healed cost is what the store keeps and answers.
+func TestGuardObjectiveHealsTransientFaultWithStore(t *testing.T) {
+	store, err := evalcache.Open(t.TempDir(), evalcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	memo := tuning.Memo{Store: store, Program: "p", Seed: 1}
+	b, _ := newTestBreaker(3, time.Minute)
+	attempts := 0
+	obj := GuardObjective(b, nil, memo.Wrap(func(a map[string]int) float64 {
+		attempts++
+		if attempts == 1 {
+			return math.Inf(1) // transient: first attempt faults
+		}
+		return 42
+	}))
+	a := map[string]int{"x": 1}
+	if got := obj(a); got != 42 {
+		t.Fatalf("transient fault must heal on retry with a store attached, cost = %v", got)
+	}
+	if b.State(tuning.AssignKey(a)) != Closed {
+		t.Fatal("healed config must stay Closed")
+	}
+	if got := obj(a); got != 42 || attempts != 2 {
+		t.Fatalf("second evaluation: cost %v after %d measurements, want 42 answered by the store after 2", got, attempts)
 	}
 }
 

@@ -39,7 +39,6 @@ type WorkerMetrics struct {
 	Index  int
 	Items  int64
 	BusyNs int64
-	IdleNs int64
 }
 
 // PatternAnalysis is the per-pattern-instance digest of a Snapshot:
@@ -72,7 +71,8 @@ type PatternAnalysis struct {
 	ReorderPending int64
 	ReorderHeld    int64
 
-	// ChunkNs is the chunk-latency distribution (parallelfor only).
+	// ChunkNs is the chunk-latency distribution (parallelfor and
+	// masterworker, whose tasks are chunks of one).
 	ChunkNs HistSnapshot
 
 	// Fault-layer counters: items that exhausted their fault policy,

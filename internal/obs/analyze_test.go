@@ -95,7 +95,6 @@ func TestAnalyzeWorkers(t *testing.T) {
 	for w, b := range busies {
 		pool.Workers[w].Busy.Add(b)
 		pool.Workers[w].Items.Add(10)
-		pool.Workers[w].Idle.Add(1_000_000 - b)
 	}
 	loop := c.Pattern(KindParallelFor, "loop", nil, 0)
 	loop.Wall.Add(500)

@@ -16,7 +16,7 @@ type Pattern struct {
 	QueueCap       *Gauge     // pipeline: inter-stage buffer capacity
 	ReorderPending *Gauge     // pipeline: elements the reorder buffer holds back
 	ReorderHeld    *Counter   // pipeline: out-of-order arrivals held
-	Chunk          *Histogram // parallelfor: chunk latency (ns)
+	Chunk          *Histogram // parallelfor and masterworker: chunk latency (ns); a task is a chunk of one
 	Faults         Faults
 
 	Stages  []Stage  // pipeline only, indexed by stage
@@ -37,7 +37,6 @@ type Stage struct {
 type Worker struct {
 	Items *Counter
 	Busy  *Counter // ns
-	Idle  *Counter // ns blocked waiting for the next task
 }
 
 // Faults are the fault-layer counters of a pattern instance.
@@ -85,7 +84,7 @@ func (c *Collector) Pattern(kind, name string, stages []string, workers int) Pat
 		p.Stages[i].Name = s
 	}
 	for len(p.Workers) < workers {
-		p.Workers = append(p.Workers, Worker{new(Counter), new(Counter), new(Counter)})
+		p.Workers = append(p.Workers, Worker{new(Counter), new(Counter)})
 	}
 	out := *p
 	out.Stages = append([]Stage(nil), p.Stages...)
@@ -110,7 +109,6 @@ func (p *Pattern) reset() {
 	for _, w := range p.Workers {
 		w.Items.v.Store(0)
 		w.Busy.v.Store(0)
-		w.Idle.v.Store(0)
 	}
 }
 
@@ -166,7 +164,7 @@ func (p *Pattern) snapshot() PatternSnapshot {
 		})
 	}
 	for w, wk := range p.Workers {
-		s.Workers = append(s.Workers, WorkerMetrics{Index: w, Items: wk.Items.Value(), BusyNs: wk.Busy.Value(), IdleNs: wk.Idle.Value()})
+		s.Workers = append(s.Workers, WorkerMetrics{Index: w, Items: wk.Items.Value(), BusyNs: wk.Busy.Value()})
 	}
 	return s
 }

@@ -16,6 +16,20 @@
 //   - ParallelFor:  data-parallel loops with static, dynamic or guided
 //     scheduling and reduction support.
 //
+// # One execution core
+//
+// Every pattern runs on the same core. One run skeleton serves ForCtx,
+// ReduceCtx, MasterWorker.ProcessCtx and Pipeline.ProcessCtx: it looks
+// up the fault policy, opens the fault run and the wall clock, decides
+// the sequential fallback, arms the stall watchdog, joins the parallel
+// body (or abandons it on a stall) and records an external
+// cancellation. Each pattern supplies only its parallel body. The data
+// patterns share one chunk runner as well: For and Reduce run the
+// loop's own schedule and chunk size, Reduce folding its chunks in
+// iteration-range order, and MasterWorker is a dynamic schedule of one
+// task per chunk. The pipeline keeps its stage graph. Every run
+// records into one place, the pattern's obs.Pattern (see Instrument).
+//
 // # Tuning parameters
 //
 // Every pattern registers its runtime-relevant knobs in a Params

@@ -5,11 +5,14 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"patty/internal/obs"
 )
 
 func TestMasterWorkerOrdered(t *testing.T) {
 	ps := NewParams()
-	mw := NewMasterWorker("t", ps, 4, func(x int) int { return x * x })
+	c := obs.New()
+	mw := NewMasterWorker("t", ps, 4, func(x int) int { return x * x }).Instrument(c)
 	tasks := make([]int, 50)
 	for i := range tasks {
 		tasks[i] = i
@@ -23,8 +26,16 @@ func TestMasterWorkerOrdered(t *testing.T) {
 			t.Errorf("out[%d] = %d, want %d", i, r, i*i)
 		}
 	}
-	if mw.ItemsProcessed() != 50 {
-		t.Fatalf("ItemsProcessed = %d, want 50", mw.ItemsProcessed())
+	as := obs.Analyze(c.Snapshot())
+	if len(as) != 1 || as[0].Items != 50 {
+		t.Fatalf("analyses = %+v, want one pattern with 50 items", as)
+	}
+	var perWorker int64
+	for _, w := range as[0].Workers {
+		perWorker += w.Items
+	}
+	if perWorker != 50 {
+		t.Fatalf("worker items sum to %d, want 50", perWorker)
 	}
 }
 

@@ -1,6 +1,8 @@
 package parrt
 
 import (
+	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -156,5 +158,41 @@ func TestScheduleString(t *testing.T) {
 	if StaticSchedule.String() != "static" || DynamicSchedule.String() != "dynamic" ||
 		GuidedSchedule.String() != "guided" || Schedule(9).String() != "unknown" {
 		t.Fatal("Schedule.String mismatch")
+	}
+}
+
+// TestReduceEveryScheduleMatchesSequential: Reduce runs on the loop's
+// own schedule, chunk size and worker count, and every combination
+// folds to the sequential result; a float reduction, whose combine is
+// not exactly associative, returns the same bits on repeated runs.
+func TestReduceEveryScheduleMatchesSequential(t *testing.T) {
+	const n = 1000
+	seqInt := 0
+	for i := 0; i < n; i++ {
+		seqInt += i*i - 3*i
+	}
+	for _, sched := range []Schedule{StaticSchedule, DynamicSchedule, GuidedSchedule} {
+		for _, chunk := range []int{1, 7, 64} {
+			for _, workers := range []int{1, 2, runtime.NumCPU()} {
+				ps := NewParams()
+				pf := NewParallelFor("r", ps, 8)
+				ps.Set("parallelfor.r.schedule", int(sched))
+				ps.Set("parallelfor.r.chunksize", chunk)
+				ps.Set("parallelfor.r.workers", workers)
+				got := Reduce(pf, n, 0, func(i int) int { return i*i - 3*i }, func(a, b int) int { return a + b })
+				if got != seqInt {
+					t.Errorf("%v chunk %d workers %d: int sum %d, want %d", sched, chunk, workers, got, seqInt)
+				}
+				fsum := func() float64 {
+					return Reduce(pf, n, 0.0, func(i int) float64 { return 1 / float64(i+1) }, func(a, b float64) float64 { return a + b })
+				}
+				first := fsum()
+				for r := 0; r < 5; r++ {
+					if again := fsum(); math.Float64bits(again) != math.Float64bits(first) {
+						t.Fatalf("%v chunk %d workers %d: float sum %v then %v", sched, chunk, workers, first, again)
+					}
+				}
+			}
+		}
 	}
 }

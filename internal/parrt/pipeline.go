@@ -77,46 +77,27 @@ func Group[T any](name string, replicable bool, fns ...StageFunc[T]) Stage[T] {
 	}
 }
 
-// StageStats reports per-stage runtime behaviour, the signal behind the
-// paper's runtime-distribution visualization (Fig. 4c) and the
-// auto-tuner's stage-imbalance feedback.
-type StageStats struct {
-	Name  string
-	Items int64         // elements processed
-	Busy  time.Duration // accumulated in-stage processing time
-}
-
-type stageCounters struct {
-	items     atomic.Int64
-	busyNanos atomic.Int64
-}
-
 // Pipeline is the tunable software-pipeline pattern. Stages are bound
 // to goroutines ("stage binding", paper §2.2) and connected by bounded
 // buffers. The zero value is not usable; construct with NewPipeline.
+//
+// The global parameters sequentialexecution and minparallellen (the
+// stream-length threshold below which Process runs sequentially) live
+// in the embedded core, like those of every other pattern.
 type Pipeline[T any] struct {
-	name   string
+	core
 	stages []Stage[T]
-	params *Params
 
 	repl  []*Param // per stage: replication degree
 	order []*Param // per stage: order preservation after replication
 	fuse  []*Param // per adjacent pair (i, i+1): execute in one goroutine
-	seq   *Param   // global: force sequential execution
 	buf   *Param   // global: inter-stage buffer capacity
-	minPl *Param   // global: stream-length threshold below which Process runs sequentially
-
-	counters []stageCounters
-	// m holds the observability instruments; zero (every instrument
-	// nil, each record a one-branch no-op) until Instrument.
-	m obs.Pattern
 }
 
 // Pipeline tuning-parameter key suffixes.
 const (
 	keyReplication  = "replication"
 	keyOrder        = "orderpreservation"
-	keyFusion       = "stagefusion"
 	keySequential   = "sequentialexecution"
 	keyBuffer       = "buffersize"
 	keyMinParallel  = "minparallellen"
@@ -139,14 +120,11 @@ func NewPipeline[T any](name string, ps *Params, stages ...Stage[T]) *Pipeline[T
 	if len(stages) == 0 {
 		panic("parrt: NewPipeline requires at least one stage")
 	}
-	p := &Pipeline[T]{
-		name:     name,
-		stages:   stages,
-		params:   ps,
-		counters: make([]stageCounters, len(stages)),
-		m:        obs.Pattern{Stages: make([]obs.Stage, len(stages))},
-	}
-	prefix := "pipeline." + name
+	p := &Pipeline[T]{core: newCore(obs.KindPipeline, name, ps, defaultMinParLn), stages: stages}
+	// Uninstrumented, every stage instrument is nil and each record a
+	// one-branch no-op.
+	p.m.Stages = make([]obs.Stage, len(stages))
+	prefix := p.prefix
 	for i, s := range stages {
 		maxRepl := s.MaxReplication
 		if maxRepl <= 0 {
@@ -170,17 +148,9 @@ func NewPipeline[T any](name string, ps *Params, stages ...Stage[T]) *Pipeline[T
 			Kind: BoolParam, Min: 0, Max: 1, Value: 0,
 		}))
 	}
-	p.seq = ps.Register(Param{
-		Key:  prefix + "." + keySequential,
-		Kind: BoolParam, Min: 0, Max: 1, Value: 0,
-	})
 	p.buf = ps.Register(Param{
 		Key:  prefix + "." + keyBuffer,
 		Kind: IntParam, Min: 1, Max: 1024, Step: 64, Value: defaultBufCap,
-	})
-	p.minPl = ps.Register(Param{
-		Key:  prefix + "." + keyMinParallel,
-		Kind: IntParam, Min: 0, Max: 1 << 20, Step: 1 << 14, Value: defaultMinParLn,
 	})
 	return p
 }
@@ -192,7 +162,7 @@ func NewPipeline[T any](name string, ps *Params, stages ...Stage[T]) *Pipeline[T
 // dequeue), the replica gauge and the stage name, plus wall time,
 // queue capacity, reorder-buffer pressure and the fault-layer
 // counters. A nil collector leaves the pipeline uninstrumented. Call
-// before Process/Run; instrumenting a running pipeline races with its
+// before Process/RunCtx; instrumenting a running pipeline races with its
 // workers.
 func (p *Pipeline[T]) Instrument(c *obs.Collector) *Pipeline[T] {
 	if c == nil {
@@ -206,32 +176,8 @@ func (p *Pipeline[T]) Instrument(c *obs.Collector) *Pipeline[T] {
 	return p
 }
 
-// Name returns the pipeline's name.
-func (p *Pipeline[T]) Name() string { return p.name }
-
 // NumStages returns the number of (pre-fusion) stages.
 func (p *Pipeline[T]) NumStages() int { return len(p.stages) }
-
-// Stats returns a snapshot of per-stage counters.
-func (p *Pipeline[T]) Stats() []StageStats {
-	out := make([]StageStats, len(p.stages))
-	for i := range p.stages {
-		out[i] = StageStats{
-			Name:  p.stages[i].Name,
-			Items: p.counters[i].items.Load(),
-			Busy:  time.Duration(p.counters[i].busyNanos.Load()),
-		}
-	}
-	return out
-}
-
-// ResetStats zeroes the per-stage counters.
-func (p *Pipeline[T]) ResetStats() {
-	for i := range p.counters {
-		p.counters[i].items.Store(0)
-		p.counters[i].busyNanos.Store(0)
-	}
-}
 
 // Process runs the pipeline over items and returns the processed
 // elements. If SequentialExecution is set, or the stream is shorter
@@ -267,56 +213,38 @@ func (p *Pipeline[T]) Process(items []*T) []*T {
 // channel is closed by the time ProcessCtx returns, provided stage
 // functions return; a permanently blocked stage function is abandoned
 // (its goroutine leaks until the function returns) and reported via
-// the watchdog.
+// the watchdog, with no results.
 func (p *Pipeline[T]) ProcessCtx(ctx context.Context, items []*T) ([]*T, []*ItemError, error) {
-	pol := policyFromParams(p.params, "pipeline."+p.name)
-	fr, finish := newFaultRun(ctx, p.name, pol, p.m.Faults)
-	defer finish()
-	if p.seq.Bool() || len(items) < p.minPl.Value {
-		res := p.processSequentialCtx(fr, items)
-		fr.finalizeCause()
-		return res, fr.report.Errors(), fr.report.Err()
-	}
-	in := make(chan *T, len(items))
-	for _, it := range items {
-		in <- it
-	}
-	close(in)
-	out := p.runCtx(fr, in)
-	res := make([]*T, 0, len(items))
-collect:
-	for {
-		select {
-		case v, ok := <-out:
-			if !ok {
-				break collect
-			}
-			res = append(res, v)
-		case <-fr.ctx.Done():
-			if _, stalled := context.Cause(fr.ctx).(*StallError); stalled {
-				// The stalled stage may never return; abandon the
-				// drain instead of hanging with it.
-				return res, fr.report.Errors(), fr.report.Err()
-			}
-			// Cooperative drain: the workers observe the cancel and
-			// the output closes once in-flight elements settle.
-			for v := range out {
-				res = append(res, v)
-			}
-			break collect
+	var res []*T
+	errs, err, joined := p.run(ctx, len(items), func(fr *faultRun) {
+		res = p.processSequentialCtx(fr, items)
+	}, func(fr *faultRun) (func(), func() string) {
+		in := make(chan *T, len(items))
+		for _, it := range items {
+			in <- it
 		}
+		close(in)
+		out, diag := p.graph(fr, in)
+		return func() {
+			res = make([]*T, 0, len(items))
+			for it := range out {
+				if !it.failed {
+					res = append(res, it.v)
+				}
+			}
+		}, diag
+	})
+	if !joined {
+		return nil, errs, err
 	}
-	fr.finalizeCause()
-	return res, fr.report.Errors(), fr.report.Err()
+	return res, errs, err
 }
 
 // processSequentialCtx is the inline fallback under the fault layer:
 // stages run in order on the caller's goroutine, honoring the policy
 // per element and stopping on cancellation or fail-fast abort.
 func (p *Pipeline[T]) processSequentialCtx(fr *faultRun, items []*T) []*T {
-	var wallStart time.Time
 	if p.m.Enabled() {
-		wallStart = time.Now()
 		for i := range p.stages {
 			p.m.Stages[i].Replicas.Set(1)
 		}
@@ -327,62 +255,70 @@ func (p *Pipeline[T]) processSequentialCtx(fr *faultRun, items []*T) []*T {
 			fr.fc.Drained.Add(int64(len(items) - idx))
 			break
 		}
-		ok := true
-		for i := range p.stages {
-			start := time.Now()
-			ok = fr.item(p.stages[i].Name, idx, func() { p.stages[i].Fn(it) })
-			d := time.Since(start)
-			p.counters[i].busyNanos.Add(int64(d))
-			p.m.Stages[i].Service.Record(int64(d))
-			if !ok {
-				break
-			}
-			p.counters[i].items.Add(1)
-		}
-		if ok {
+		if p.runStages(fr, 0, len(p.stages)-1, idx, it) {
 			res = append(res, it)
 		}
-	}
-	if p.m.Enabled() {
-		p.m.Wall.Add(int64(time.Since(wallStart)))
 	}
 	return res
 }
 
-// Run starts the parallel stage graph reading from in and returns the
-// output channel. The channel is closed after the last element has
-// left the final stage. Run always executes in parallel regardless of
-// the SequentialExecution parameter; use Process for the tunable entry
-// point and RunCtx for cancellation and fault reporting.
-//
-// Run preserves its historical crash contract: a fail-fast abort
-// (stage panic under the default policy) is re-panicked on the
-// forwarding goroutine once the stream has drained.
-func (p *Pipeline[T]) Run(in <-chan *T) <-chan *T {
-	out, rep := p.RunCtx(context.Background(), in)
-	proxy := make(chan *T, p.buf.Value)
-	go func() {
-		for v := range out {
-			proxy <- v
+// runStages runs stages lo..hi on element v (stream index idx) under
+// the fault policy, recording each stage's service time. It reports
+// false at the first faulted stage.
+func (p *Pipeline[T]) runStages(fr *faultRun, lo, hi, idx int, v *T) bool {
+	for k := lo; k <= hi; k++ {
+		var start time.Time
+		if p.m.Enabled() {
+			start = time.Now()
 		}
-		if err := rep.Err(); err != nil {
-			panic(err)
+		ok := fr.item(p.stages[k].Name, idx, func() { p.stages[k].Fn(v) })
+		if p.m.Enabled() {
+			p.m.Stages[k].Service.Record(int64(time.Since(start)))
 		}
-		close(proxy)
-	}()
-	return proxy
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // RunCtx starts the parallel stage graph under ctx and the pattern's
-// fault policy. It returns the output channel and the run's fault
-// Report; the report is complete once the output channel closes. The
-// caller must drain the output channel — on cancellation the runtime
-// stops forwarding and the channel closes after the in-flight
-// elements settle.
+// fault policy; it always runs in parallel, whatever the
+// SequentialExecution parameter says. It returns the output channel
+// and the run's fault Report; the report is complete once the output
+// channel closes. The caller must drain the output channel — on
+// cancellation the runtime stops forwarding and the channel closes
+// after the in-flight elements settle.
 func (p *Pipeline[T]) RunCtx(ctx context.Context, in <-chan *T) (<-chan *T, *Report) {
-	pol := policyFromParams(p.params, "pipeline."+p.name)
-	fr, _ := newFaultRun(ctx, p.name, pol, p.m.Faults)
-	return p.runCtx(fr, in), fr.report
+	fr, finish := newFaultRun(ctx, p.name, policyFromParams(p.params, p.prefix), p.m.Faults)
+	start := time.Now()
+	cur, diag := p.graph(fr, in)
+	stopWatchdog := fr.startWatchdog(diag)
+	out := make(chan *T, p.bufCap())
+	go func() {
+		for it := range cur {
+			if it.failed {
+				continue
+			}
+			if fr.canceled() {
+				fr.fc.Drained.Inc()
+				continue
+			}
+			select {
+			case out <- it.v:
+			case <-fr.ctx.Done():
+				fr.fc.Drained.Inc()
+			}
+		}
+		if p.m.Enabled() {
+			p.m.Wall.Add(int64(time.Since(start)))
+		}
+		stopWatchdog()
+		fr.finalizeCause()
+		finish()
+		close(out)
+	}()
+	return out, fr.report
 }
 
 // seqItem carries a stream element with its generation sequence
@@ -455,18 +391,16 @@ func (p *Pipeline[T]) segLabel(sg segment) string {
 	return strings.Join(names, "+")
 }
 
-// runCtx spins up the stage graph for one run. The returned channel
-// closes after every worker exited and the wall clock stopped; the
-// faultRun's context is released at that point.
-func (p *Pipeline[T]) runCtx(fr *faultRun, in <-chan *T) <-chan *T {
+// bufCap is the inter-stage buffer capacity, at least 1.
+func (p *Pipeline[T]) bufCap() int { return max(1, p.buf.Value) }
+
+// graph spins up the stage graph for one run over in. It returns the
+// last segment's output, which closes once every stage worker has
+// exited, and the stall diagnostic of the run.
+func (p *Pipeline[T]) graph(fr *faultRun, in <-chan *T) (chan seqItem[T], func() string) {
 	segs := p.plan()
-	bufCap := p.buf.Value
-	if bufCap < 1 {
-		bufCap = 1
-	}
-	var wallStart time.Time
+	bufCap := p.bufCap()
 	if p.m.Enabled() {
-		wallStart = time.Now()
 		p.m.QueueCap.Set(int64(bufCap))
 		for _, sg := range segs {
 			for k := sg.lo; k <= sg.hi; k++ {
@@ -499,50 +433,24 @@ func (p *Pipeline[T]) runCtx(fr *faultRun, in <-chan *T) <-chan *T {
 	}()
 	cur := gen
 	segIns := make([]chan seqItem[T], len(segs))
+	done := make([]atomic.Int64, len(segs))
 	for i, sg := range segs {
 		segIns[i] = cur
-		cur = p.runSegment(fr, sg, cur)
+		cur = p.runSegment(fr, sg, cur, &done[i])
 	}
-	stopWatchdog := fr.startWatchdog(func() string {
-		return p.stallDiag(segs, segIns, &generated)
-	})
-	out := make(chan *T, bufCap)
-	go func() {
-		for it := range cur {
-			if it.failed {
-				continue
-			}
-			if fr.canceled() {
-				fr.fc.Drained.Inc()
-				continue
-			}
-			select {
-			case out <- it.v:
-			case <-fr.ctx.Done():
-				fr.fc.Drained.Inc()
-			}
-		}
-		if p.m.Enabled() {
-			p.m.Wall.Add(int64(time.Since(wallStart)))
-		}
-		stopWatchdog()
-		fr.finalizeCause()
-		fr.cancel(nil)
-		close(out)
-	}()
-	return out
+	return cur, func() string { return p.stallDiag(segs, segIns, done, &generated) }
 }
 
 // stallDiag renders the watchdog's diagnostic dump: per segment the
 // completed-item count against what entered it plus the queued
 // backlog, and the first segment holding unfinished work is named as
 // the blocked stage.
-func (p *Pipeline[T]) stallDiag(segs []segment, segIns []chan seqItem[T], generated *atomic.Int64) string {
+func (p *Pipeline[T]) stallDiag(segs []segment, segIns []chan seqItem[T], done []atomic.Int64, generated *atomic.Int64) string {
 	var b strings.Builder
 	suspect := ""
 	prev := generated.Load()
 	for i, sg := range segs {
-		done := p.counters[sg.hi].items.Load()
+		done := done[i].Load()
 		queued := len(segIns[i])
 		if suspect == "" && done < prev {
 			suspect = p.segLabel(sg)
@@ -557,11 +465,11 @@ func (p *Pipeline[T]) stallDiag(segs []segment, segIns []chan seqItem[T], genera
 	return head + " progress: generated=" + fmt.Sprint(generated.Load()) + b.String()
 }
 
-func (p *Pipeline[T]) runSegment(fr *faultRun, sg segment, in chan seqItem[T]) chan seqItem[T] {
-	bufCap := p.buf.Value
-	if bufCap < 1 {
-		bufCap = 1
-	}
+// runSegment starts the workers of one segment reading in, and
+// returns the segment's output; done counts the elements that passed
+// every stage of the segment.
+func (p *Pipeline[T]) runSegment(fr *faultRun, sg segment, in chan seqItem[T], done *atomic.Int64) chan seqItem[T] {
+	bufCap := p.bufCap()
 	out := make(chan seqItem[T], bufCap)
 	var wg sync.WaitGroup
 	wg.Add(sg.replication)
@@ -604,17 +512,10 @@ func (p *Pipeline[T]) runSegment(fr *faultRun, sg segment, in chan seqItem[T]) c
 				}
 				queueSum.Add(int64(len(in)))
 				if !it.failed {
-					for k := sg.lo; k <= sg.hi; k++ {
-						start := time.Now()
-						ok := fr.item(p.stages[k].Name, int(it.seq), func() { p.stages[k].Fn(it.v) })
-						d := time.Since(start)
-						p.counters[k].busyNanos.Add(int64(d))
-						p.m.Stages[k].Service.Record(int64(d))
-						if !ok {
-							it.failed = true
-							break
-						}
-						p.counters[k].items.Add(1)
+					if p.runStages(fr, sg.lo, sg.hi, int(it.seq), it.v) {
+						done.Add(1)
+					} else {
+						it.failed = true
 					}
 				}
 				forward(it)

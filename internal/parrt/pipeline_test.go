@@ -1,12 +1,16 @@
 package parrt
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"patty/internal/obs"
 )
 
 // elem is the test stream element: a value transformed by stages that
@@ -212,23 +216,27 @@ func TestPipelineFusedAllReplicableTakesMaxDegree(t *testing.T) {
 	checkResults(t, out, 100, true)
 }
 
+// TestPipelineStats: the per-stage runtime distribution comes from the
+// pipeline's obs.Pattern — one service-time sample per element and
+// stage, zeroed by the collector's Reset.
 func TestPipelineStats(t *testing.T) {
 	ps := NewParams()
-	p := threeStage(ps, "t")
+	c := obs.New()
+	p := threeStage(ps, "t").Instrument(c)
 	p.Process(ints(50))
-	stats := p.Stats()
-	if len(stats) != 3 {
-		t.Fatalf("len(Stats) = %d, want 3", len(stats))
+	as := obs.Analyze(c.Snapshot())
+	if len(as) != 1 || len(as[0].Stages) != 3 {
+		t.Fatalf("analyses = %+v, want one pipeline with 3 stages", as)
 	}
-	for i, s := range stats {
-		if s.Items != 50 {
-			t.Errorf("stage %d processed %d items, want 50", i, s.Items)
+	for i, s := range as[0].Stages {
+		if s.Service.Count != 50 || s.Service.Sum <= 0 {
+			t.Errorf("stage %d: %d service samples summing to %d ns, want 50 and a positive sum", i, s.Service.Count, s.Service.Sum)
 		}
 	}
-	p.ResetStats()
-	for i, s := range p.Stats() {
-		if s.Items != 0 || s.Busy != 0 {
-			t.Errorf("stage %d stats not reset: %+v", i, s)
+	c.Reset()
+	for i, s := range obs.Analyze(c.Snapshot())[0].Stages {
+		if s.Service.Count != 0 || s.Service.Sum != 0 {
+			t.Errorf("stage %d not reset: %+v", i, s.Service)
 		}
 	}
 }
@@ -306,11 +314,15 @@ func TestPipelineRunStreaming(t *testing.T) {
 		}
 		close(in)
 	}()
+	out, rep := p.RunCtx(context.Background(), in)
 	var got []*elem
-	for e := range p.Run(in) {
+	for e := range out {
 		got = append(got, e)
 	}
 	checkResults(t, got, 30, true)
+	if err := rep.Err(); err != nil || len(rep.Errors()) != 0 {
+		t.Fatalf("report: err %v, item errors %v", err, rep.Errors())
+	}
 }
 
 // TestPipelineRandomTuningProperty: for any assignment of the tuning
@@ -351,29 +363,43 @@ func TestPipelineRandomTuningProperty(t *testing.T) {
 	}
 }
 
+// TestPipelineParamKeysRegistered pins what every pattern registers —
+// key, kind, bounds, step, choices and default — since tuning files and
+// the auto-tuner's dimension list are built from exactly these.
 func TestPipelineParamKeysRegistered(t *testing.T) {
 	ps := NewParams()
 	threeStage(ps, "vid")
-	wantKeys := []string{
-		"pipeline.vid.buffersize",
-		"pipeline.vid.fuse.0",
-		"pipeline.vid.fuse.1",
-		"pipeline.vid.minparallellen",
-		"pipeline.vid.sequentialexecution",
-		"pipeline.vid.stage.0.orderpreservation",
-		"pipeline.vid.stage.0.replication",
-		"pipeline.vid.stage.1.orderpreservation",
-		"pipeline.vid.stage.1.replication",
-		"pipeline.vid.stage.2.orderpreservation",
-		"pipeline.vid.stage.2.replication",
+	NewParallelFor("loop", ps, 4)
+	NewMasterWorker("pool", ps, 3, func(x int) int { return x })
+	want := []Param{
+		{Key: "masterworker.pool.minparallellen", Kind: IntParam, Min: 0, Max: 1 << 20, Step: 1 << 14, Value: 2},
+		{Key: "masterworker.pool.orderpreservation", Kind: BoolParam, Min: 0, Max: 1, Value: 1},
+		{Key: "masterworker.pool.sequentialexecution", Kind: BoolParam, Min: 0, Max: 1, Value: 0},
+		{Key: "masterworker.pool.workers", Kind: IntParam, Min: 1, Max: 3, Value: 3},
+		{Key: "parallelfor.loop.chunksize", Kind: IntParam, Min: 1, Max: 1 << 16, Step: 512, Value: 64},
+		{Key: "parallelfor.loop.minparallellen", Kind: IntParam, Min: 0, Max: 1 << 20, Step: 1 << 14, Value: 2},
+		{Key: "parallelfor.loop.schedule", Kind: EnumParam, Min: 0, Max: 2, Choices: ScheduleNames, Value: 0},
+		{Key: "parallelfor.loop.sequentialexecution", Kind: BoolParam, Min: 0, Max: 1, Value: 0},
+		{Key: "parallelfor.loop.workers", Kind: IntParam, Min: 1, Max: 4, Value: 4},
+		{Key: "pipeline.vid.buffersize", Kind: IntParam, Min: 1, Max: 1024, Step: 64, Value: 8},
+		{Key: "pipeline.vid.fuse.0", Kind: BoolParam, Min: 0, Max: 1, Value: 0},
+		{Key: "pipeline.vid.fuse.1", Kind: BoolParam, Min: 0, Max: 1, Value: 0},
+		{Key: "pipeline.vid.minparallellen", Kind: IntParam, Min: 0, Max: 1 << 20, Step: 1 << 14, Value: 4},
+		{Key: "pipeline.vid.sequentialexecution", Kind: BoolParam, Min: 0, Max: 1, Value: 0},
+		{Key: "pipeline.vid.stage.0.orderpreservation", Kind: BoolParam, Min: 0, Max: 1, Value: 1},
+		{Key: "pipeline.vid.stage.0.replication", Kind: IntParam, Min: 1, Max: 8, Value: 1},
+		{Key: "pipeline.vid.stage.1.orderpreservation", Kind: BoolParam, Min: 0, Max: 1, Value: 1},
+		{Key: "pipeline.vid.stage.1.replication", Kind: IntParam, Min: 1, Max: 8, Value: 1},
+		{Key: "pipeline.vid.stage.2.orderpreservation", Kind: BoolParam, Min: 0, Max: 1, Value: 1},
+		{Key: "pipeline.vid.stage.2.replication", Kind: IntParam, Min: 1, Max: 8, Value: 1},
 	}
 	all := ps.All()
-	if len(all) != len(wantKeys) {
-		t.Fatalf("registered %d params, want %d: %v", len(all), len(wantKeys), all)
+	if len(all) != len(want) {
+		t.Fatalf("registered %d params, want %d: %v", len(all), len(want), all)
 	}
 	for i, p := range all {
-		if p.Key != wantKeys[i] {
-			t.Errorf("param %d key = %q, want %q", i, p.Key, wantKeys[i])
+		if !reflect.DeepEqual(*p, want[i]) {
+			t.Errorf("param %d = %+v, want %+v", i, *p, want[i])
 		}
 	}
 }

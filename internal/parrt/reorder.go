@@ -41,8 +41,8 @@ func reorder[T any](in chan seqItem[T], bufCap int, pending *obs.Gauge, held *ob
 			pending.Set(int64(len(buf)))
 		}
 		// Drain any residue (possible only if the producer skipped
-		// sequence numbers, which Run never does; kept for robustness
-		// against misuse).
+		// sequence numbers, which the stream generator never does;
+		// kept for robustness against misuse).
 		for len(buf) > 0 {
 			if it, ok := buf[next]; ok {
 				delete(buf, next)

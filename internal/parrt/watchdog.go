@@ -1,6 +1,7 @@
 package parrt
 
 import (
+	"context"
 	"fmt"
 	"time"
 )
@@ -75,4 +76,33 @@ func (fr *faultRun) startWatchdog(diagnose func() string) (stop func()) {
 		}
 	}()
 	return func() { close(quit) }
+}
+
+// join waits for a parallel body and reports true, arming the stall
+// watchdog with diagnose when the policy sets a no-progress interval.
+// When the watchdog fires it abandons the join and reports false (the
+// stuck body's goroutines leak until it returns); on any other
+// cancellation the body exits at its next item or chunk boundary and
+// the join completes cooperatively.
+func (fr *faultRun) join(wait func(), diagnose func() string) bool {
+	if fr.pol.StallTimeout <= 0 {
+		wait()
+		return true
+	}
+	defer fr.startWatchdog(diagnose)()
+	done := make(chan struct{})
+	go func() {
+		wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return true
+	case <-fr.ctx.Done():
+		if _, stalled := context.Cause(fr.ctx).(*StallError); stalled {
+			return false
+		}
+		<-done
+		return true
+	}
 }

@@ -122,6 +122,56 @@ func Labels(n Node) []string {
 	return out
 }
 
+// Stage is one stage of the runtime pipeline an architecture
+// flattens to: a single label, or a parallel group (A || B) whose
+// labels run concurrently on the same element (Fig. 3d's
+// master/worker-in-a-pipeline).
+type Stage struct {
+	Labels []string
+	// Replicable marks the stage safe for replication: a "+" on its
+	// label, on any member of its group, or on the group itself.
+	Replicable bool
+}
+
+// Name is the runtime stage name: the labels joined with "_".
+func (s Stage) Name() string { return strings.Join(s.Labels, "_") }
+
+// Stages flattens a pipeline architecture into its runtime stages, in
+// order. A constructor call is unwrapped and a nested chain joins the
+// enclosing one; a group's branches must be labels. Code generation
+// and the differential executor both build their pipelines from it,
+// so the stage indexes of the tuning parameters agree.
+func Stages(arch Node) ([]Stage, error) {
+	switch n := arch.(type) {
+	case *Label:
+		return []Stage{{Labels: []string{n.Name}, Replicable: n.Replicable}}, nil
+	case *Call:
+		return Stages(n.Arg)
+	case *Par:
+		st := Stage{Replicable: n.Replicable}
+		for _, b := range n.Branches {
+			l, ok := b.(*Label)
+			if !ok {
+				return nil, fmt.Errorf("tadl: nested groups are not supported in pipeline stages: %s", n)
+			}
+			st.Labels = append(st.Labels, l.Name)
+			st.Replicable = st.Replicable || l.Replicable
+		}
+		return []Stage{st}, nil
+	case *Seq:
+		var out []Stage
+		for _, e := range n.Stages {
+			sub, err := Stages(e)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, sub...)
+		}
+		return out, nil
+	}
+	return nil, fmt.Errorf("tadl: unknown node %T", arch)
+}
+
 // --- parser ---
 
 type parser struct {

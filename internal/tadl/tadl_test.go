@@ -2,6 +2,7 @@ package tadl
 
 import (
 	"go/ast"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -229,5 +230,41 @@ func TestAnnotationString(t *testing.T) {
 	a := Annotation{Kind: "pipeline", Arch: arch}
 	if a.String() != "pipeline A => B" {
 		t.Fatalf("String = %q", a.String())
+	}
+}
+
+// TestStages pins the one flattening of an architecture into runtime
+// pipeline stages, a replicated group (A || B)+ included: every member
+// of a "+" group is replicable, whatever its own label says.
+func TestStages(t *testing.T) {
+	for _, tc := range []struct {
+		arch string
+		want []Stage
+	}{
+		{"A => B+ => C", []Stage{{[]string{"A"}, false}, {[]string{"B"}, true}, {[]string{"C"}, false}}},
+		{"(A || B || C+) => D => E", []Stage{{[]string{"A", "B", "C"}, true}, {[]string{"D"}, false}, {[]string{"E"}, false}}},
+		{"(A || B)+ => C", []Stage{{[]string{"A", "B"}, true}, {[]string{"C"}, false}}},
+		{"(A || B) => C+", []Stage{{[]string{"A", "B"}, false}, {[]string{"C"}, true}}},
+		{"A => (B => C+)", []Stage{{[]string{"A"}, false}, {[]string{"B"}, false}, {[]string{"C"}, true}}},
+		{"forall(A+)", []Stage{{[]string{"A"}, true}}},
+	} {
+		arch, err := Parse(tc.arch)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.arch, err)
+		}
+		got, err := Stages(arch)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.arch, err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Stages(%s) = %+v, want %+v", tc.arch, got, tc.want)
+		}
+	}
+	if got := (Stage{Labels: []string{"A", "B"}}).Name(); got != "A_B" {
+		t.Errorf("group name %q, want A_B", got)
+	}
+	nested := &Seq{Stages: []Node{&Par{Branches: []Node{&Label{Name: "A"}, &Seq{Stages: []Node{&Label{Name: "B"}}}}}}}
+	if _, err := Stages(nested); err == nil {
+		t.Error("a group with a chain branch flattened without error")
 	}
 }

@@ -12,16 +12,6 @@ import (
 	"patty/internal/tadl"
 )
 
-// stageSpec is one pipeline stage after resolving the TADL expression:
-// either a single label or a parallel group of labels (Fig. 3d's
-// master/worker-in-a-pipeline).
-type stageSpec struct {
-	labels     []string
-	replicable []bool
-}
-
-func (s stageSpec) name() string { return strings.Join(s.labels, "_") }
-
 // streamVar is one per-element value that crosses stage boundaries and
 // therefore becomes a field of the generated envelope struct.
 type streamVar struct {
@@ -43,7 +33,7 @@ func (t *Transformer) genPipeline(fn *source.Function, loop ast.Stmt, ann tadl.A
 	if body == nil {
 		return "", fmt.Errorf("transform: pipeline annotation on a non-loop")
 	}
-	specs, err := stageSpecs(ann.Arch)
+	specs, err := tadl.Stages(ann.Arch)
 	if err != nil {
 		return "", err
 	}
@@ -58,7 +48,7 @@ func (t *Transformer) genPipeline(fn *source.Function, loop ast.Stmt, ann tadl.A
 		stmtsOf[label] = append(stmtsOf[label], s)
 	}
 	for _, spec := range specs {
-		for _, l := range spec.labels {
+		for _, l := range spec.Labels {
 			if len(stmtsOf[l]) == 0 {
 				return "", fmt.Errorf("transform: stage %s has no statements", l)
 			}
@@ -92,7 +82,7 @@ func (t *Transformer) genPipeline(fn *source.Function, loop ast.Stmt, ann tadl.A
 	// Per-stage symbol sets.
 	stageOfLabel := make(map[string]int)
 	for i, spec := range specs {
-		for _, l := range spec.labels {
+		for _, l := range spec.Labels {
 			stageOfLabel[l] = i
 		}
 	}
@@ -226,23 +216,17 @@ func (t *Transformer) genPipeline(fn *source.Function, loop ast.Stmt, ann tadl.A
 		streamSyms[sv.sym] = sv
 	}
 	for _, spec := range specs {
-		if len(spec.labels) == 1 {
-			fnText, err := t.stageFn(fn, res, stmtsOf[spec.labels[0]], streamSyms)
+		if len(spec.Labels) == 1 {
+			fnText, err := t.stageFn(fn, res, stmtsOf[spec.Labels[0]], streamSyms)
 			if err != nil {
 				return "", err
 			}
 			fmt.Fprintf(&b, "parrt.Stage[pattyItem]{Name: %q, Replicable: %t, Fn: %s},\n",
-				spec.labels[0], spec.replicable[0], fnText)
+				spec.Labels[0], spec.Replicable, fnText)
 			continue
 		}
-		anyRepl := false
-		for _, r := range spec.replicable {
-			if r {
-				anyRepl = true
-			}
-		}
-		fmt.Fprintf(&b, "parrt.Group(%q, %t,\n", spec.name(), anyRepl)
-		for _, l := range spec.labels {
+		fmt.Fprintf(&b, "parrt.Group(%q, %t,\n", spec.Name(), spec.Replicable)
+		for _, l := range spec.Labels {
 			fnText, err := t.stageFn(fn, res, stmtsOf[l], streamSyms)
 			if err != nil {
 				return "", err
@@ -341,38 +325,6 @@ func (t *Transformer) headerText(fn *source.Function, loop ast.Stmt) (string, er
 		return "", err
 	}
 	return src[t.offset(loop.Pos()):t.offset(loopBody(loop).Lbrace)], nil
-}
-
-// stageSpecs flattens a TADL expression into the ordered stage list.
-func stageSpecs(arch tadl.Node) ([]stageSpec, error) {
-	var elems []tadl.Node
-	switch n := arch.(type) {
-	case *tadl.Seq:
-		elems = n.Stages
-	default:
-		elems = []tadl.Node{arch}
-	}
-	var specs []stageSpec
-	for _, e := range elems {
-		switch n := e.(type) {
-		case *tadl.Label:
-			specs = append(specs, stageSpec{labels: []string{n.Name}, replicable: []bool{n.Replicable}})
-		case *tadl.Par:
-			spec := stageSpec{}
-			for _, br := range n.Branches {
-				l, ok := br.(*tadl.Label)
-				if !ok {
-					return nil, fmt.Errorf("transform: nested groups are not supported in pipeline stages")
-				}
-				spec.labels = append(spec.labels, l.Name)
-				spec.replicable = append(spec.replicable, l.Replicable || n.Replicable)
-			}
-			specs = append(specs, spec)
-		default:
-			return nil, fmt.Errorf("transform: unsupported TADL node %T in pipeline", e)
-		}
-	}
-	return specs, nil
 }
 
 // topLevelDefs returns identifiers defined by := or var at the top

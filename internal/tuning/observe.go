@@ -58,6 +58,12 @@ func runObjective(obj Objective, a map[string]int) (cost float64) {
 // evaluation store: Program and Seed complete the (program, config,
 // seed) key of a configuration, and Tenant attributes hits for the
 // per-tenant counters. A Memo without a Store or a Program is off.
+//
+// The store holds measurements only: a faulted evaluation is never
+// stored, and a faulted entry already in the store is a miss. A fault
+// may be transient, so a retry must measure again rather than be
+// answered with the first attempt's fault — for this tenant and for
+// every other one sharing the store.
 type Memo struct {
 	Store   *evalcache.Store
 	Program string
@@ -67,24 +73,24 @@ type Memo struct {
 
 func (m Memo) on() bool { return m.Store != nil && m.Program != "" }
 
-// Get returns the stored record of a, counting a hit or a miss.
+// Get returns the stored measurement of a, counting a hit or a miss.
 func (m Memo) Get(a map[string]int) (EvalRecord, bool) {
 	if !m.on() {
 		return EvalRecord{}, false
 	}
 	e, ok := m.Store.Get(evalcache.Key{Program: m.Program, Config: assignKey(a), Seed: m.Seed}, m.Tenant)
-	if !ok {
+	if !ok || e.Faulted {
 		return EvalRecord{}, false
 	}
-	return EvalRecord{Assignment: CopyAssign(a), Cost: e.Cost, Faulted: e.Faulted}, true
+	return EvalRecord{Assignment: CopyAssign(a), Cost: e.Cost}, true
 }
 
-// Put journals rec into the store. Put is first-wins, so a concurrent
-// search writing the same key is harmless.
+// Put journals rec into the store unless it faulted. Put is
+// first-wins, so a concurrent search writing the same key is harmless.
 func (m Memo) Put(rec EvalRecord) {
-	if m.on() {
+	if m.on() && !rec.Faulted {
 		m.Store.Put(evalcache.Entry{Program: m.Program, Config: assignKey(rec.Assignment),
-			Seed: m.Seed, Cost: rec.Cost, Faulted: rec.Faulted, Tenant: m.Tenant})
+			Seed: m.Seed, Cost: rec.Cost, Tenant: m.Tenant})
 	}
 }
 
@@ -98,9 +104,10 @@ func (m Memo) Correct(rec EvalRecord) {
 }
 
 // Wrap returns an Objective that answers a stored configuration from
-// the store and measures every other one with obj, storing the result.
-// Costs are deterministic per (program, config, seed), so a hit leaves
-// the search trajectory unchanged and only skips the measuring.
+// the store and measures every other one with obj, storing the result
+// unless it faulted. Costs are deterministic per (program, config,
+// seed), so a hit leaves the search trajectory unchanged and only
+// skips the measuring.
 func (m Memo) Wrap(obj Objective) Objective {
 	if !m.on() {
 		return obj

@@ -45,9 +45,9 @@ func TestObservedFaultPenalized(t *testing.T) {
 }
 
 // TestMemoWrapAndCorrect: Memo.Wrap measures a configuration once and
-// answers it from the store afterwards, a fault included (stored as
-// Faulted, answered as +Inf); Correct replaces a stored cost; a Memo
-// without a Program never touches the store.
+// answers it from the store afterwards, except a fault, which is never
+// stored and so measured again every time; Correct replaces a stored
+// cost; a Memo without a Program never touches the store.
 func TestMemoWrapAndCorrect(t *testing.T) {
 	c := obs.New()
 	store, err := evalcache.Open(t.TempDir(), evalcache.Options{Collector: c})
@@ -73,8 +73,8 @@ func TestMemoWrapAndCorrect(t *testing.T) {
 		}
 	}
 	snap := c.Snapshot()
-	if calls != 2 || snap.Counters["cache.hits"] != 2 || snap.Counters["cache.misses"] != 2 ||
-		snap.CounterFamilies["cache.tenant.hits"]["alice"] != 2 {
+	if calls != 3 || snap.Counters["cache.hits"] != 1 || snap.Counters["cache.misses"] != 3 ||
+		snap.CounterFamilies["cache.tenant.hits"]["alice"] != 1 || store.Len() != 1 {
 		t.Fatalf("calls %d, counters %v, tenant hits %v", calls, snap.Counters, snap.CounterFamilies["cache.tenant.hits"])
 	}
 
@@ -82,9 +82,13 @@ func TestMemoWrapAndCorrect(t *testing.T) {
 	if rec, ok := m.Get(map[string]int{"x": 1}); !ok || rec.EffectiveCost() != 7 {
 		t.Fatalf("corrected record %+v (found %v), want cost 7", rec, ok)
 	}
+	m.Correct(NewRecord(map[string]int{"x": 1}, math.NaN()))
+	if _, ok := m.Get(map[string]int{"x": 1}); ok {
+		t.Fatal("a faulted correction was answered as a hit")
+	}
 	off := Memo{Store: store}
 	off.Put(NewRecord(map[string]int{"x": 9}, 1))
-	if _, ok := off.Get(map[string]int{"x": 9}); ok || store.Len() != 2 {
+	if _, ok := off.Get(map[string]int{"x": 9}); ok || store.Len() != 1 {
 		t.Fatalf("a Memo without a Program used the store (%d entries)", store.Len())
 	}
 }
