@@ -118,10 +118,20 @@ lint:
 	fi
 	$(GO) vet ./...
 
+# bench is CI's bench smoke: every benchmark compiles and runs once
+# (no perf gate; -benchmem shows allocations), then the benchmark
+# harness, a module of its own that ./... never reaches, is vetted and
+# its unit and smoke tests run.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x .
 	$(GO) test -bench 'BenchmarkEngine' -benchmem -benchtime 1x ./internal/interp/
+	$(GO) test -run '^$$' -bench Explore -benchmem -benchtime 1x ./internal/ptest
+	$(GO) test -run '^$$' -bench EnrichDynamic -benchtime 1x ./internal/model
+	$(GO) test -run '^$$' -bench 'BenchmarkCheck$$' -benchtime 25x -benchmem ./internal/difftest
+	$(GO) test -run '^$$' -bench FleetTune -benchtime 1x ./internal/fleet
 	$(GO) test -run '^$$' -bench ObservedWrap -benchmem -benchtime 1x ./internal/tuning/
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 eval:
 	$(GO) run ./cmd/patty eval

@@ -132,7 +132,7 @@ func TestServeJobMemoization(t *testing.T) {
 	srv.cache = cache
 
 	req := jobRequest{Kind: "study", Seed: 5, Tenant: "alice"}
-	run, _, err := srv.runnerFor(req)
+	run, err := srv.runnerFor(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestServeJobMemoization(t *testing.T) {
 
 	// Same job, different tenant: served from the shared store.
 	req.Tenant = "bob"
-	run, _, err = srv.runnerFor(req)
+	run, err = srv.runnerFor(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestServeJobMemoization(t *testing.T) {
 	defer cache2.Close()
 	srv2 := newServer(svc, "")
 	srv2.cache = cache2
-	run, _, err = srv2.runnerFor(req)
+	run, err = srv2.runnerFor(req)
 	if err != nil {
 		t.Fatal(err)
 	}

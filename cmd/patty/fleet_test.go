@@ -19,6 +19,7 @@ import (
 	"patty/internal/jobs"
 	"patty/internal/obs"
 	"patty/internal/ptest"
+	"patty/internal/tuning"
 )
 
 // startInprocWorker runs a fleet worker inside this process, so a test
@@ -104,7 +105,7 @@ func TestFleetTuneMatchesLocal(t *testing.T) {
 					stops = append(stops, stop)
 					fspec.Workers = append(fspec.Workers, url)
 				}
-				out, err := runFleetTune(context.Background(), fspec)
+				out, err := runTune(context.Background(), fspec)
 				for _, stop := range stops {
 					stop()
 				}
@@ -121,6 +122,87 @@ func TestFleetTuneMatchesLocal(t *testing.T) {
 				if out.Fleet == nil || out.Fleet.Workers != n {
 					t.Fatalf("%d workers: fleet stats missing or wrong: %+v", n, out.Fleet)
 				}
+			}
+		})
+	}
+}
+
+// TestFleetResumeReportsLikeLocal: `patty tune` resumed from a partial
+// journal reports the same outcome — Explored and Resumed included,
+// both counting the replayed prefix — whether the search runs here or
+// on the fleet, each from its own copy of the journal.
+func TestFleetResumeReportsLikeLocal(t *testing.T) {
+	t.Cleanup(ptest.NoLeaks(t))
+	t.Cleanup(http.DefaultClient.CloseIdleConnections)
+	for _, algo := range []string{"linear", "tabu"} {
+		t.Run(algo, func(t *testing.T) {
+			spec := tuneSpec{Algo: algo, Budget: 120, FaultRate: 10, FaultSeed: 3}.withDefaults()
+			dir := t.TempDir()
+			// The partial journal: runTune's stack (breaker included, so
+			// the journal carries its quarantine set), cut after 9 calls of
+			// the objective.
+			tn, err := tunerFor(spec.Algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dims, start, obj := spec.evalSpec().workload(context.Background())
+			partial := filepath.Join(dir, "partial.ckpt")
+			ck, _, err := tuning.NewCheckpointer(partial, tuning.SearchMeta{Algo: tn.Name(), Budget: spec.Budget, Dims: dims, Start: start})
+			if err != nil {
+				t.Fatal(err)
+			}
+			br := jobs.NewBreaker(spec.BreakerThreshold, time.Minute)
+			ck.Quarantine = br.Quarantined
+			ctx, cancel := context.WithCancel(context.Background())
+			fresh := 0
+			tn.TuneCtx(ctx, dims, start, ck.Wrap(jobs.GuardObjective(br, nil, func(a map[string]int) float64 {
+				if fresh++; fresh == 9 {
+					cancel()
+				}
+				return obj(a)
+			})), spec.Budget)
+			cancel()
+			if err := ck.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(partial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumeFrom := func(name string) tuneSpec {
+				s := spec
+				s.Checkpoint = filepath.Join(dir, name)
+				if err := os.WriteFile(s.Checkpoint, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+
+			local, err := runTune(context.Background(), resumeFrom("local.ckpt"))
+			if err != nil {
+				t.Fatalf("local resume: %v", err)
+			}
+			url, stop, err := startInprocWorker(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fspec := resumeFrom("fleet.ckpt")
+			fspec.Workers = []string{url}
+			out, err := runTune(context.Background(), fspec)
+			stop()
+			if err != nil {
+				t.Fatalf("fleet resume: %v", err)
+			}
+			if out.Fleet == nil {
+				t.Fatal("runTune with workers did not run on the fleet")
+			}
+			if local.Resumed != ck.Explored() || out.Resumed != local.Resumed || out.Explored != local.Explored {
+				t.Fatalf("fleet resumed %d, explored %d; local resumed %d, explored %d (want %d resumed and equal)",
+					out.Resumed, out.Explored, local.Resumed, local.Explored, ck.Explored())
+			}
+			if !reflect.DeepEqual(out.Best, local.Best) || out.Cost != local.Cost || out.Evaluations != local.Evaluations ||
+				!reflect.DeepEqual(out.Trace, local.Trace) || !reflect.DeepEqual(out.Quarantined, local.Quarantined) {
+				t.Fatalf("fleet resume diverged from local:\n got %+v\nwant %+v", out, local)
 			}
 		})
 	}
@@ -155,7 +237,7 @@ func TestFleetKillWorkerMidSearch(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		out, err := runFleetTune(context.Background(), fspec)
+		out, err := runTune(context.Background(), fspec)
 		done <- result{out, err}
 	}()
 

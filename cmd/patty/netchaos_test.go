@@ -38,7 +38,7 @@ func TestCLINetChaosByzantine(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	out, err := runFleetTune(ctx, fspec)
+	out, err := runTune(ctx, fspec)
 	if err != nil {
 		t.Fatalf("fleet run under chaos: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -144,21 +143,20 @@ func (s *server) memoize(req jobRequest, run jobs.Runner) jobs.Runner {
 	}
 }
 
-// runnerFor translates a validated request into the job's Runner and
-// the resume-checkpoint path it will use (journaled as a
-// checkpoint-ref record). Checkpoint paths default into
-// -checkpoint-dir, derived deterministically from the job parameters,
-// so a recovered job after a crash re-attaches to the same journal —
-// the tuner resumes its search instead of restarting it. With a store
-// attached, deterministic jobs are additionally memoized whole (see
-// memoize); recovery goes through this same path, so a resubmitted
-// unfinished job whose twin already finished answers from the store.
-func (s *server) runnerFor(req jobRequest) (jobs.Runner, string, error) {
-	run, ckpt, err := s.buildRunner(req)
+// runnerFor translates a validated request into the job's Runner.
+// Resume-checkpoint paths default into -checkpoint-dir, named by
+// journalName from the job parameters, so a recovered job after a
+// crash re-attaches to the same journal — the tuner resumes its search
+// instead of restarting it. With a store attached, deterministic jobs
+// are additionally memoized whole (see memoize); recovery goes through
+// this same path, so a resubmitted unfinished job whose twin already
+// finished answers from the store.
+func (s *server) runnerFor(req jobRequest) (jobs.Runner, error) {
+	run, err := s.buildRunner(req)
 	if err != nil || s.cache == nil {
-		return run, ckpt, err
+		return run, err
 	}
-	return s.memoize(req, run), ckpt, nil
+	return s.memoize(req, run), nil
 }
 
 // journalName is the file in -checkpoint-dir that a served tune or fuzz
@@ -177,13 +175,13 @@ func journalName(req jobRequest) string {
 }
 
 // buildRunner is runnerFor without the memoization layer.
-func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
+func (s *server) buildRunner(req jobRequest) (jobs.Runner, error) {
 	switch req.Kind {
 	case "tune":
 		spec := req.tuneSpec.withDefaults()
 		if spec.NetChaos != nil {
 			if err := spec.NetChaos.Validate(); err != nil {
-				return nil, "", err
+				return nil, err
 			}
 		}
 		if spec.Checkpoint == "" && s.ckptDir != "" {
@@ -196,16 +194,9 @@ func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
 			spec.cache = s.cache
 			spec.cacheTenant = req.Tenant
 		}
-		if len(spec.Workers) > 0 {
-			// A workers field shards the search across a fleet; the
-			// merged result is identical to the local run's.
-			return func(ctx context.Context) (any, error) {
-				return runFleetTune(ctx, spec)
-			}, spec.Checkpoint, nil
-		}
 		return func(ctx context.Context) (any, error) {
 			return runTune(ctx, spec)
-		}, spec.Checkpoint, nil
+		}, nil
 	case "fuzz":
 		if req.N <= 0 {
 			req.N = 50
@@ -235,7 +226,7 @@ func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
 				res.Seeds = append(res.Seeds, d.Div.Seed)
 			}
 			return res, nil
-		}, ckpt, nil
+		}, nil
 	case "study":
 		seed, measured := req.Seed, req.Measured
 		if seed == 0 {
@@ -262,14 +253,14 @@ func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
 				return nil, err
 			}
 			return study.Run(seed, outcome), nil
-		}, ckpt, nil
+		}, nil
 	case "bench":
 		// A calibrated sleep job: the serve, chaos and fairness tests
 		// load the queue with it, without dragging tuner cost variance
 		// into their timing. Honors cancellation.
 		sleep := time.Duration(req.SleepMs) * time.Millisecond
 		if sleep < 0 {
-			return nil, "", fmt.Errorf("sleep_ms must be >= 0")
+			return nil, fmt.Errorf("sleep_ms must be >= 0")
 		}
 		return func(ctx context.Context) (any, error) {
 			if sleep > 0 {
@@ -282,9 +273,9 @@ func (s *server) buildRunner(req jobRequest) (jobs.Runner, string, error) {
 				}
 			}
 			return map[string]int64{"slept_ms": sleep.Milliseconds()}, nil
-		}, "", nil
+		}, nil
 	default:
-		return nil, "", fmt.Errorf("unknown job kind %q (want tune, fuzz, study or bench)", req.Kind)
+		return nil, fmt.Errorf("unknown job kind %q (want tune, fuzz, study or bench)", req.Kind)
 	}
 }
 
@@ -339,7 +330,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Tenant = tenant
-	run, ckpt, err := s.runnerFor(req)
+	run, err := s.runnerFor(req)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, err)
 		return
@@ -352,11 +343,10 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id, err := s.svc.SubmitJob(jobs.Submission{
-		Tenant:     tenant,
-		Kind:       req.Kind,
-		Spec:       spec,
-		Checkpoint: ckpt,
-		Run:        run,
+		Tenant: tenant,
+		Kind:   req.Kind,
+		Spec:   spec,
+		Run:    run,
 	})
 	var qe *jobs.QuotaError
 	switch {
@@ -468,17 +458,7 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if s.svc.Draining() {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ready")
-	})
+	mountProbes(mux, s.svc)
 	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
 		snap := metrics.Snapshot()
 		h, _ := obs.AnalyzeService(snap)
@@ -491,9 +471,6 @@ func (s *server) mux() *http.ServeMux {
 		if ch, ok := obs.AnalyzeCache(snap); ok {
 			fmt.Fprint(w, report.CacheTable(ch))
 		}
-	})
-	mux.HandleFunc("GET /metricz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, metrics.Snapshot())
 	})
 	return mux
 }
@@ -522,7 +499,7 @@ func recoverJobs(svc *jobs.Service, srv *server, st *store.Store) (int, int) {
 		if uerr := json.Unmarshal(js.Spec, &req); uerr != nil {
 			err = fmt.Errorf("stored spec: %w", uerr)
 		} else {
-			run, _, err = srv.runnerFor(req)
+			run, err = srv.runnerFor(req)
 		}
 		if err != nil {
 			// The acknowledgment stands even if the spec no longer
@@ -591,23 +568,15 @@ func cmdServe(ctx context.Context, args []string) error {
 	}
 	svc := jobs.New(opts)
 	srv := newServer(svc, *ckptDir)
-	if *cacheDir != "" {
-		// The evaluation store opens — and finishes its own torn-tail /
-		// quarantine recovery — before job recovery replays the WAL, so
-		// a resubmitted unfinished job can already answer from it.
-		cache, err := evalcache.Open(*cacheDir, evalcache.Options{
-			MaxBytes: *cacheMaxBytes, Collector: metrics,
-		})
-		if err != nil {
-			return err
-		}
-		defer cache.Close()
-		if rec := cache.Recovery(); rec.TornBytes > 0 || len(rec.Quarantined) > 0 {
-			fmt.Printf("patty serve: cache repaired (%d entr(y/ies) recovered, %d torn byte(s) dropped, %d segment(s) quarantined)\n",
-				rec.Entries, rec.TornBytes, len(rec.Quarantined))
-		}
-		srv.cache = cache
+	// The evaluation store opens — and finishes its own torn-tail /
+	// quarantine recovery — before job recovery replays the WAL, so a
+	// resubmitted unfinished job can already answer from it.
+	cache, closeCache, err := openEvalStore("serve", *cacheDir, *cacheMaxBytes)
+	if err != nil {
+		return err
 	}
+	defer closeCache()
+	srv.cache = cache
 	if st != nil {
 		// Recovery completes before the listening banner, so a harness
 		// that saw the banner can immediately read restored state.
@@ -617,35 +586,5 @@ func cmdServe(ctx context.Context, args []string) error {
 		}
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	// Parseable by harnesses: the one line on stdout before serving.
-	fmt.Printf("patty serve: listening on http://%s\n", ln.Addr())
-	hs := &http.Server{Handler: srv.mux()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		svc.Close()
-		return err
-	case <-ctx.Done():
-	}
-
-	// Drain: stop admission, let in-flight jobs finish, hard-cancel at
-	// the deadline. The HTTP listener stays up until the drain ends so
-	// clients can still poll status/results while jobs wind down.
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := svc.Drain(dctx); err != nil {
-		fmt.Printf("patty serve: drain deadline hit, canceled remaining jobs\n")
-	} else {
-		fmt.Printf("patty serve: drained cleanly\n")
-	}
-	sctx, scancel := context.WithTimeout(context.Background(), time.Second)
-	defer scancel()
-	hs.Shutdown(sctx)
-	return nil
+	return serveUntilDone(ctx, "serve", *addr, srv.mux(), svc, *drainTimeout, "jobs")
 }

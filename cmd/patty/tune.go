@@ -188,15 +188,11 @@ func (s tuneSpec) cacheIdentity() (string, int64) {
 // none (the memo is off).
 func (s tuneSpec) openCache() (tuning.Memo, func(), error) {
 	cs, closer := s.cache, func() {}
-	if cs == nil && s.CacheDir != "" {
+	if cs == nil {
 		var err error
-		cs, err = evalcache.Open(s.CacheDir, evalcache.Options{
-			MaxBytes: s.CacheMaxBytes, Collector: metrics,
-		})
-		if err != nil {
+		if cs, closer, err = openEvalStore("tune", s.CacheDir, s.CacheMaxBytes); err != nil {
 			return tuning.Memo{}, nil, err
 		}
-		closer = func() { cs.Close() }
 	}
 	if cs == nil {
 		return tuning.Memo{}, closer, nil
@@ -274,14 +270,11 @@ func faultsConfig(a map[string]int, rate int, fseed int64) bool {
 	return int(h.Sum64()%100) < rate
 }
 
-// runTune executes one auto-tuning search with the full supervision
-// stack: Observed measurement, the evaluation store, circuit breaker
-// quarantine, and (optionally) the crash-safe evaluation journal. The
-// wrapper order, innermost first: raw objective → fault/delay shims →
-// Observed.Wrap (measures; a panic or lost work costs +Inf) → Memo.Wrap
-// (answers from the store, stores fresh costs) → GuardObjective
-// (retries a +Inf or NaN cost, quarantines) → Checkpointer.Wrap
-// (journals, replays) → the tuner's own evaluator.
+// runTune executes one auto-tuning search, in this process or sharded
+// across `patty worker` processes (spec.Workers), and reports the same
+// outcome either way. Both paths keep one tuning.Checkpointer as the
+// record of measured costs, journaled when spec.Checkpoint is set, so
+// Explored and Resumed count the replayed prefix on both.
 func runTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 	spec = spec.withDefaults()
 	tn, err := tunerFor(spec.Algo)
@@ -289,120 +282,80 @@ func runTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 		return nil, err
 	}
 	dims, start, obj := spec.evalSpec().workload(ctx)
-
 	memo, closeCache, err := spec.openCache()
 	if err != nil {
 		return nil, err
 	}
 	defer closeCache()
 
-	// The Observed gets a private collector: its per-evaluation Reset
-	// must not wipe the process-wide jobs.* instruments.
-	o := &tuning.Observed{Collector: obs.New()}
-	br := jobs.NewBreaker(spec.BreakerThreshold, 30*time.Second).Instrument(metrics)
-	obj = jobs.GuardObjective(br, nil, memo.Wrap(o.Wrap(obj)))
-
-	var ck *tuning.Checkpointer
-	if spec.Checkpoint != "" {
-		meta := tuning.SearchMeta{Algo: spec.Algo, Budget: spec.Budget, Dims: dims, Start: start}
-		var err error
-		ck, _, err = tuning.NewCheckpointer(spec.Checkpoint, meta)
+	out := &tuneOutcome{Algo: tn.Name()}
+	var res tuning.Result
+	var flushErr error
+	if len(spec.Workers) > 0 {
+		if res, out.Fleet, err = spec.fleetTune(ctx, tn, dims, start, obj, memo); err != nil {
+			return nil, err
+		}
+		st := out.Fleet
+		out.Explored, out.Resumed, out.Quarantined = st.Resumed+st.Merged+st.LocalEvals, st.Resumed, st.Quarantined
+	} else {
+		ck, _, err := tuning.NewCheckpointer(spec.Checkpoint, tuning.SearchMeta{Algo: tn.Name(), Budget: spec.Budget, Dims: dims, Start: start})
 		if err != nil {
 			return nil, err
 		}
+		// The wrapper order, innermost first: raw objective → fault/delay
+		// shims → Observed.Wrap (measures; a panic or lost work costs
+		// +Inf) → Memo.Wrap (answers from the store, stores fresh costs)
+		// → GuardObjective (retries a +Inf or NaN cost, quarantines) →
+		// Checkpointer.Wrap (records, journals, replays) → the tuner's
+		// own evaluator. The Observed gets a private collector: its
+		// per-evaluation Reset must not wipe the process-wide jobs.*
+		// instruments.
+		o := &tuning.Observed{Collector: obs.New()}
+		br := jobs.NewBreaker(spec.BreakerThreshold, 30*time.Second).Instrument(metrics)
 		br.Restore(ck.Quarantined())
 		ck.Quarantine = br.Quarantined
-		obj = ck.Wrap(obj)
+		res = tn.TuneCtx(ctx, dims, start, ck.Wrap(jobs.GuardObjective(br, nil, memo.Wrap(o.Wrap(obj)))), spec.Budget)
+		out.Explored, out.Resumed, out.Quarantined = ck.Explored(), ck.Resumed(), br.Quarantined()
+		flushErr = ck.Flush()
 	}
-
-	res := tn.TuneCtx(ctx, dims, start, obj, spec.Budget)
-	out := &tuneOutcome{
-		Algo:        tn.Name(),
-		Best:        res.Best,
-		Cost:        res.BestCost,
-		Evaluations: res.Evaluations,
-		Interrupted: res.Interrupted,
-		Quarantined: br.Quarantined(),
-		Trace:       res.Trace,
+	out.Best, out.Cost, out.Evaluations = res.Best, res.BestCost, res.Evaluations
+	out.Interrupted, out.Trace = res.Interrupted, res.Trace
+	if flushErr != nil {
+		return out, fmt.Errorf("checkpoint not durable: %w", flushErr)
 	}
-	if ck != nil {
-		if err := ck.Flush(); err != nil {
-			return out, fmt.Errorf("checkpoint not durable: %w", err)
-		}
-		out.Explored = ck.Explored()
-		out.Resumed = ck.Resumed()
-	}
-	if res.Err != nil {
-		return out, res.Err
-	}
-	return out, nil
+	return out, res.Err
 }
 
-// runFleetTune executes one auto-tuning search sharded across `patty
-// worker` processes (internal/fleet): the search algorithm runs locally
-// against a table of merged costs, and the coordinator leases each
-// batch the algorithm asks for to the workers before it reads the
-// costs. The outcome matches runTune's for the same spec by
-// construction; the Stats report what the fleet did to get there.
-func runFleetTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
-	spec = spec.withDefaults()
-	tn, err := tunerFor(spec.Algo)
+// fleetTune runs the search on the fleet (internal/fleet): the tuner
+// runs here against the merged record, and the coordinator leases each
+// batch it asks for to the workers before it reads the costs.
+func (s tuneSpec) fleetTune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[string]int, obj tuning.Objective, memo tuning.Memo) (tuning.Result, *fleet.Stats, error) {
+	specJSON, err := json.Marshal(s.evalSpec())
 	if err != nil {
-		return nil, err
-	}
-	es := spec.evalSpec()
-	dims, start, obj := es.workload(ctx)
-	specJSON, err := json.Marshal(es)
-	if err != nil {
-		return nil, err
+		return tuning.Result{}, nil, err
 	}
 	var client *http.Client
-	if spec.NetChaos != nil {
+	if s.NetChaos != nil {
 		// The injector is instrumented into the process-wide collector, so
 		// the fired fault classes (fleet.net.injected) land next to the
 		// coordinator's observed ones (fleet.net.faults) in the same report.
-		inj := netchaos.New(spec.NetChaos.Plan()).Instrument(metrics)
+		inj := netchaos.New(s.NetChaos.Plan()).Instrument(metrics)
 		client = &http.Client{Transport: inj.Transport(http.DefaultTransport)}
 		defer client.CloseIdleConnections()
 	}
-	memo, closeCache, err := spec.openCache()
-	if err != nil {
-		return nil, err
-	}
-	defer closeCache()
-	fopts := fleet.Options{
-		Workers:          spec.Workers,
+	return fleet.Tune(ctx, tn, dims, start, s.Budget, fleet.Options{
+		Workers:          s.Workers,
 		Spec:             specJSON,
 		LocalObjective:   obj,
-		Checkpoint:       spec.Checkpoint,
+		Checkpoint:       s.Checkpoint,
 		Collector:        metrics,
-		BreakerThreshold: spec.BreakerThreshold,
+		BreakerThreshold: s.BreakerThreshold,
 		Observed:         &tuning.Observed{Collector: obs.New()},
 		Client:           client,
-		CrossCheck:       spec.CrossCheck,
-		LeaseTTL:         time.Duration(spec.LeaseTTLMs) * time.Millisecond,
+		CrossCheck:       s.CrossCheck,
+		LeaseTTL:         time.Duration(s.LeaseTTLMs) * time.Millisecond,
 		Cache:            memo,
-	}
-	res, st, err := fleet.Tune(ctx, tn, dims, start, spec.Budget, fopts)
-	if err != nil {
-		return nil, err
-	}
-	out := &tuneOutcome{
-		Algo:        tn.Name(),
-		Best:        res.Best,
-		Cost:        res.BestCost,
-		Evaluations: res.Evaluations,
-		Interrupted: res.Interrupted,
-		Explored:    st.Merged + st.LocalEvals,
-		Resumed:     st.Resumed,
-		Quarantined: st.Quarantined,
-		Trace:       res.Trace,
-		Fleet:       st,
-	}
-	if res.Err != nil {
-		return out, res.Err
-	}
-	return out, nil
+	})
 }
 
 func cmdTune(ctx context.Context, args []string) error {
@@ -434,13 +387,7 @@ func cmdTune(ctx context.Context, args []string) error {
 	}
 	spec.LeaseTTLMs = int(leaseTTL.Milliseconds())
 
-	var out *tuneOutcome
-	var err error
-	if len(spec.Workers) > 0 {
-		out, err = runFleetTune(ctx, spec)
-	} else {
-		out, err = runTune(ctx, spec)
-	}
+	out, err := runTune(ctx, spec)
 	if err != nil && out == nil {
 		return err
 	}

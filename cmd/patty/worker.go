@@ -4,14 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"time"
 
-	"patty/internal/evalcache"
 	"patty/internal/fleet"
 	"patty/internal/jobs"
 	"patty/internal/netchaos"
+	"patty/internal/obs"
+	"patty/internal/report"
 	"patty/internal/tuning"
 )
 
@@ -52,21 +52,11 @@ func cmdWorker(ctx context.Context, args []string) error {
 	byzSeed := fs.Int64("byzantine-seed", 1, "seed selecting which evaluations lie")
 	fs.Parse(args)
 
-	var cache *evalcache.Store
-	if *cacheDir != "" {
-		var err error
-		cache, err = evalcache.Open(*cacheDir, evalcache.Options{
-			MaxBytes: *cacheMaxBytes, Collector: metrics,
-		})
-		if err != nil {
-			return err
-		}
-		defer cache.Close()
-		if rec := cache.Recovery(); rec.TornBytes > 0 || len(rec.Quarantined) > 0 {
-			fmt.Printf("patty worker: cache repaired (%d entr(y/ies) recovered, %d torn byte(s) dropped, %d segment(s) quarantined)\n",
-				rec.Entries, rec.TornBytes, len(rec.Quarantined))
-		}
+	cache, closeCache, err := openEvalStore("worker", *cacheDir, *cacheMaxBytes)
+	if err != nil {
+		return err
 	}
+	defer closeCache()
 	hook := workerObjective
 	if *byzRate > 0 {
 		// A drill liar: answer fast and well-formed, but corrupt a
@@ -92,41 +82,27 @@ func cmdWorker(ctx context.Context, args []string) error {
 		QueueDepth: *queue,
 		Collector:  metrics,
 	})
-	wk := fleet.NewWorker(svc, hook, cache, metrics)
+	mux := fleet.NewWorker(svc, hook, cache, metrics).Mux()
+	mountProbes(mux, svc)
+	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
+		snap := metrics.Snapshot()
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		if h, ok := obs.AnalyzeService(snap); ok {
+			fmt.Fprint(w, report.ServiceTable(h))
+		}
+		if fh, ok := obs.AnalyzeFleet(snap); ok {
+			fmt.Fprint(w, report.FleetTable(fh))
+		}
+		if ch, ok := obs.AnalyzeCache(snap); ok {
+			fmt.Fprint(w, report.CacheTable(ch))
+		}
+	})
 
-	var handler http.Handler = wk.Mux()
+	var handler http.Handler = mux
 	if ps, err := parseChaosPlan(*chaosFlag); err != nil {
 		return err
 	} else if ps != nil {
 		handler = netchaos.New(ps.Plan()).Instrument(metrics).Middleware(handler)
 	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	// Parseable by harnesses: the one line on stdout before serving.
-	fmt.Printf("patty worker: listening on http://%s\n", ln.Addr())
-	hs := &http.Server{Handler: handler}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		svc.Close()
-		return err
-	case <-ctx.Done():
-	}
-
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := svc.Drain(dctx); err != nil {
-		fmt.Printf("patty worker: drain deadline hit, canceled remaining shards\n")
-	} else {
-		fmt.Printf("patty worker: drained cleanly\n")
-	}
-	sctx, scancel := context.WithTimeout(context.Background(), time.Second)
-	defer scancel()
-	hs.Shutdown(sctx)
-	return nil
+	return serveUntilDone(ctx, "worker", *addr, handler, svc, *drainTimeout, "shards")
 }

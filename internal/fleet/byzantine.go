@@ -20,10 +20,10 @@ import (
 // diverges beyond tolerance is quarantined through the breaker, its
 // in-flight shard is re-queued for an honest worker, and every
 // evaluation it previously contributed is re-verified locally —
-// divergent records are corrected in both the merge table and the
-// checkpoint journal. The sample indices are a pure function of
-// (seed, search signature, shard id), so auditing never perturbs the
-// bit-identical-merge guarantee.
+// divergent records are corrected in the search's record of costs
+// (and its journal, when it has one). The sample indices are a pure
+// function of (seed, search signature, shard id), so auditing never
+// perturbs the bit-identical-merge guarantee.
 //
 // The sampling argument: a liar that corrupts a fraction f of its
 // evaluations escapes one shard's audit with probability (1-f)^K —
@@ -263,11 +263,11 @@ func (s *scheduler) crossCheck(worker string, req ShardRequest, resp *ShardRespo
 // damage: trip the byzantine breaker (so the worker stays out for the
 // rest of the search), then re-verify every evaluation the worker
 // previously contributed to the merge — records whose cost disagrees
-// with the locally re-measured truth are corrected in the table and
-// the checkpoint journal. After this the merged table contains only
-// honest costs; a correction of a cost the running search already read
-// marks the run stale, and Tune reruns it over the repaired table. That
-// is what keeps the result bit-identical to a local run.
+// with the locally re-measured truth are corrected in the record.
+// After this the record contains only honest costs; a correction of a
+// cost the running search already read marks the run stale, and Tune
+// reruns it over the repaired record. That is what keeps the result
+// bit-identical to a local run.
 func (s *scheduler) quarantine(worker string, opts Options) {
 	s.mu.Lock()
 	s.byz.Record(worker, true)
@@ -287,7 +287,8 @@ func (s *scheduler) quarantine(worker string, opts Options) {
 	var suspect []tuning.EvalRecord
 	for key, src := range s.source {
 		if src == worker {
-			suspect = append(suspect, s.table[key])
+			rec, _ := s.ck.Lookup(key)
+			suspect = append(suspect, rec)
 		}
 	}
 	s.mu.Unlock()
@@ -298,25 +299,21 @@ func (s *scheduler) quarantine(worker string, opts Options) {
 		s.stats.Reverified++
 		s.inst.reverified.Inc()
 		if !costsAgree(rec.EffectiveCost(), truth, opts.CrossCheckTol) {
-			fixed := tuning.NewRecord(rec.Assignment, truth)
 			key := tuning.AssignKey(rec.Assignment)
-			s.table[key] = fixed
+			s.ck.Correct(rec.Assignment, truth)
 			delete(s.source, key)            // now locally vouched for
 			s.stale = s.stale || s.read[key] // the running search used the lie
-			if s.ck != nil {
-				s.ck.Correct(rec.Assignment, truth)
-			}
 			// The liar's cost reached the shared store when its shard
 			// merged; a poisoned entry must not outlive the search, let
 			// alone answer another tenant's job.
-			s.cache.Correct(fixed)
+			s.cache.Correct(tuning.NewRecord(rec.Assignment, truth))
 			s.stats.Corrected++
 			s.inst.corrected.Inc()
 		}
 		s.mu.Unlock()
 	}
 	s.mu.Lock()
-	if s.ck != nil && s.stats.Corrected > 0 {
+	if s.stats.Corrected > 0 {
 		s.ck.Flush() // best effort; the final Flush reports errors
 	}
 	s.repairing--

@@ -31,9 +31,10 @@ type Options struct {
 	// byzantine audit measures with it, and so does a search step no
 	// batch announced (a tuner other than the stock four).
 	LocalObjective tuning.Objective
-	// Checkpoint, when non-empty, journals merged evaluations to this
-	// path in the `patty tune -checkpoint` format: a crashed coordinator
-	// resumes from it, and so does a plain local search.
+	// Checkpoint, when non-empty, journals the search's record of
+	// measured costs to this path in the `patty tune -checkpoint`
+	// format: a crashed coordinator resumes from it, and so does a plain
+	// local search.
 	Checkpoint string
 	// Collector receives the fleet.* metrics (nil: discarded).
 	Collector *obs.Collector
@@ -41,7 +42,7 @@ type Options struct {
 	// BreakerThreshold is the search's config-quarantine threshold
 	// (default 3), matching the local runTune breaker.
 	BreakerThreshold int
-	// Observed, when set, wraps the search's reads of the merged table
+	// Observed, when set, wraps the search's reads of the merged record
 	// (tuning.Observed.Wrap). It holds no state, so a rerun reuses it.
 	Observed *tuning.Observed
 	// ShardSize caps configurations per shard (default: a batch of n
@@ -64,7 +65,7 @@ type Options struct {
 
 	// Cache, when on, addresses the workload in the persistent
 	// content-addressed evaluation store: configurations a batch asks
-	// for that are already cached are merged into the table before
+	// for that are already cached are merged into the record before
 	// sharding (they never hit the wire), every fresh merged evaluation
 	// is journaled into it, and byzantine repairs correct it. Its
 	// Program and Seed also travel with every shard.
@@ -126,12 +127,12 @@ type Stats struct {
 	Workers      int      // workers the search started with
 	WorkersLost  int      // workers benched after repeated failures
 	Shards       int      // shards the asked batches were split into
-	Merged       int      // distinct evaluations merged into the table
+	Merged       int      // distinct evaluations merged into the record
 	Duplicates   int      // worker evaluations discarded as duplicates
 	Redispatched int      // lease expiries / failures re-queued
 	Stolen       int      // speculative duplicate dispatches
-	LocalEvals   int      // table misses (configs no batch asked for) evaluated locally
-	Resumed      int      // evaluations re-adopted from the checkpoint
+	LocalEvals   int      // record misses (configs no batch asked for) evaluated locally
+	Resumed      int      // evaluations replayed from the checkpoint
 	CacheHits    int      // configs answered from the shared store before sharding
 	Reruns       int      // searches discarded because a correction changed a cost they read
 	Quarantined  []string // configs the search's breaker quarantined
@@ -162,16 +163,18 @@ type scheduler struct {
 	live    int  // dispatchers of the running search still running
 	lost    bool // every dispatcher quit with a batch outstanding
 
-	read      map[string]bool // table keys the running search has read
+	read      map[string]bool // record keys the running search has read
 	stale     bool            // a correction changed one: rerun the search
 	repairing int             // quarantines still re-verifying
 
-	table  map[string]tuning.EvalRecord // merged costs by assignment key
-	source map[string]string            // eval key -> worker that produced the merged record
-	truth  map[string]*truthCell        // locally re-measured costs (single-flight audit cache)
-	health map[string]*workerHealth     // per-worker scorecards
-	byz    *jobs.Breaker                // byzantine quarantine (keyed by worker URL)
-	ck     *tuning.Checkpointer         // nil when checkpointing is off
+	// ck is the search's one record of measured costs (merged, replayed,
+	// measured locally or corrected), journaled when Options.Checkpoint
+	// names a file.
+	ck     *tuning.Checkpointer
+	source map[string]string        // eval key -> worker that produced the merged record
+	truth  map[string]*truthCell    // locally re-measured costs (single-flight audit cache)
+	health map[string]*workerHealth // per-worker scorecards
+	byz    *jobs.Breaker            // byzantine quarantine (keyed by worker URL)
 
 	stats Stats
 	inst  fleetInstruments
@@ -318,9 +321,8 @@ func (s *scheduler) release(id int, counted bool) {
 // duplicate (steal loser, or a re-dispatched shard whose original
 // eventually answered) contributes nothing and is counted as such.
 // Evaluations are deduplicated by canonical assignment key across the
-// whole search, and journaled through the checkpointer (one Flush per
-// merged shard bounds the re-evaluation window after a coordinator
-// crash).
+// whole search, and recorded in the checkpointer (one Flush per merged
+// shard bounds the re-evaluation window after a coordinator crash).
 func (s *scheduler) complete(id int, worker string, evals []tuning.EvalRecord, rtt time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -332,28 +334,25 @@ func (s *scheduler) complete(id int, worker string, evals []tuning.EvalRecord, r
 	fresh := 0
 	for _, rec := range evals {
 		key := tuning.AssignKey(rec.Assignment)
-		if _, ok := s.table[key]; ok {
+		if _, ok := s.ck.Lookup(key); ok {
 			s.stats.Duplicates++
 			s.inst.duplicate.Inc()
 			continue
 		}
-		s.table[key] = rec
+		s.ck.Record(rec.Assignment, rec.EffectiveCost())
 		s.source[key] = worker // provenance: re-verified if the worker turns byzantine
 		s.stats.Merged++
 		s.inst.merged.Inc()
 		h.evals++
 		h.inst.evals.Inc()
 		fresh++
-		if s.ck != nil {
-			s.ck.Record(rec.Assignment, rec.EffectiveCost())
-		}
 		s.cache.Put(rec)
 	}
 	if !s.done[id] {
 		s.done[id] = true
 		delete(s.lease, id)
 		s.inst.shardsDone.Inc()
-		if s.ck != nil && fresh > 0 {
+		if fresh > 0 {
 			s.ck.Flush() // best effort; the final Flush reports errors
 		}
 	}
@@ -433,11 +432,11 @@ type Shard struct {
 }
 
 // ask is the search's tuning.Ask hook. It merges the configurations
-// of batch the table lacks and the breaker has not quarantined, from
+// of batch the record lacks and the breaker has not quarantined, from
 // the evaluation store where it can and by sharding the rest
 // ⌈n/workers⌉ per shard (capped by capSize and maxShardConfigs), and
 // returns once all are merged and no quarantine is still repairing the
-// table, the search is canceled, or every worker is lost. It reports
+// record, the search is canceled, or every worker is lost. It reports
 // whether the running search may go on.
 func (s *scheduler) ask(ctx context.Context, batch []map[string]int, br *jobs.Breaker, workers, capSize int) bool {
 	s.mu.Lock()
@@ -448,24 +447,19 @@ func (s *scheduler) ask(ctx context.Context, batch []map[string]int, br *jobs.Br
 	var todo []map[string]int
 	for _, a := range batch {
 		key := tuning.AssignKey(a)
-		if _, ok := s.table[key]; ok || br.State(key) != jobs.Closed {
+		if _, ok := s.ck.Lookup(key); ok || br.State(key) != jobs.Closed {
 			continue
 		}
 		if rec, ok := s.cache.Get(a); ok {
-			s.table[key] = rec
+			s.ck.Record(a, rec.EffectiveCost())
 			s.stats.CacheHits++
 			s.stats.Merged++
 			s.inst.merged.Inc()
-			if s.ck != nil {
-				s.ck.Record(a, rec.EffectiveCost())
-			}
 			continue
 		}
 		todo = append(todo, tuning.CopyAssign(a)) // the search owns batch's maps
 	}
-	if s.ck != nil {
-		s.ck.Flush() // the store's hits, if any; the final Flush reports errors
-	}
+	s.ck.Flush() // the store's hits, if any; the final Flush reports errors
 	size := min((len(todo)+workers-1)/workers, maxShardConfigs)
 	if capSize > 0 {
 		size = min(size, capSize)
@@ -499,7 +493,7 @@ func (s *scheduler) ask(ctx context.Context, batch []map[string]int, br *jobs.Br
 }
 
 // Tune runs the distributed search: it runs tn against the merged cost
-// table, and every batch tn announces (see tuning.Ask) is measured on
+// record, and every batch tn announces (see tuning.Ask) is measured on
 // the workers before tn reads it. The returned Result is identical to
 // an uninterrupted local tn.TuneCtx run with the same inputs (see the
 // package comment for the argument); Stats reports what the fleet did
@@ -513,11 +507,17 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 	}
 	opts = opts.withDefaults()
 
+	// Resume: the record replays the merged prefix and the quarantine
+	// set from the journal; a batch then ships only what it lacks.
 	meta := tuning.SearchMeta{Algo: tn.Name(), Budget: budget, Dims: dims, Start: start}
+	ck, resumed, err := tuning.NewCheckpointer(opts.Checkpoint, meta)
+	if err != nil {
+		return tuning.Result{}, nil, err
+	}
 	sched := &scheduler{
 		lease:  make(map[int]*leaseIn),
 		done:   make(map[int]bool),
-		table:  make(map[string]tuning.EvalRecord),
+		ck:     ck,
 		source: make(map[string]string),
 		truth:  make(map[string]*truthCell),
 		health: make(map[string]*workerHealth),
@@ -530,24 +530,9 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 		now:   time.Now,
 	}
 	sched.stats.NetFaults = make(map[string]int)
+	sched.stats.Resumed = resumed
+	sched.inst.resumed.Add(int64(resumed))
 	sched.cond = sync.NewCond(&sched.mu)
-
-	// Resume: re-adopt the merged prefix and the quarantine set from the
-	// journal; a batch then ships only what the table lacks.
-	var restored []string
-	if opts.Checkpoint != "" {
-		ck, resumed, err := tuning.NewCheckpointer(opts.Checkpoint, meta)
-		if err != nil {
-			return tuning.Result{}, nil, err
-		}
-		sched.ck = ck
-		sched.stats.Resumed = resumed
-		for _, rec := range ck.Records() {
-			sched.table[tuning.AssignKey(rec.Assignment)] = rec
-			sched.inst.resumed.Inc()
-		}
-		restored = ck.Quarantined()
-	}
 	sched.stats.Workers = len(opts.Workers)
 	opts.Collector.Gauge("fleet.workers").Set(int64(len(opts.Workers)))
 
@@ -660,30 +645,27 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 		}
 	}
 
-	// The search reads the merged table, noting what it read. A
+	// The search reads the merged record, noting what it read. A
 	// configuration no batch asked for (a tuner other than the stock
 	// four) is measured locally, which purity keeps identical.
-	tableObj := func(a map[string]int) float64 {
+	recordObj := func(a map[string]int) float64 {
 		key := tuning.AssignKey(a)
 		sched.mu.Lock()
 		defer sched.mu.Unlock()
-		rec, ok := sched.table[key]
+		rec, ok := sched.ck.Lookup(key)
 		if !ok {
 			sched.mu.Unlock() // the objective may be slow
 			rec = tuning.NewRecord(a, opts.LocalObjective(a))
 			sched.mu.Lock()
 			sched.stats.LocalEvals++
 			sched.inst.local.Inc()
-			sched.table[key] = rec
-			if sched.ck != nil {
-				sched.ck.Record(a, rec.EffectiveCost())
-			}
+			sched.ck.Record(a, rec.EffectiveCost())
 			sched.cache.Put(rec)
 		}
 		sched.read[key] = true
 		return rec.EffectiveCost()
 	}
-	guarded := tableObj
+	guarded := recordObj
 	if opts.Observed != nil {
 		guarded = opts.Observed.Wrap(guarded)
 	}
@@ -691,7 +673,7 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 	// Run the search. Each run ends by stopping its dispatchers, which
 	// waits out every audit and quarantine in flight, so a correction of
 	// a cost the run read is never missed. Such a run is discarded, and
-	// the tuner reruns from start over the corrected table with a fresh
+	// the tuner reruns from start over the corrected record with a fresh
 	// breaker; each quarantined worker causes one rerun at most.
 	var res tuning.Result
 	var br *jobs.Breaker
@@ -700,7 +682,7 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 		sched.read = make(map[string]bool)
 		sched.stale = false
 		br = jobs.NewBreaker(opts.BreakerThreshold, 30*time.Second).Instrument(opts.Collector)
-		br.Restore(restored)
+		br.Restore(ck.Quarantined())
 		rctx, stop := context.WithCancel(ctx)
 		join := dispatchers(rctx)
 		ask := func(batch []map[string]int) {
@@ -734,21 +716,17 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 		// Every worker was benched or quarantined with a batch
 		// outstanding. The merged prefix is journaled; a re-run (fleet
 		// or local) resumes it.
-		if sched.ck != nil {
-			sched.ck.Flush()
-		}
+		ck.Flush()
 		st := sched.stats
 		return tuning.Result{}, &st, fmt.Errorf("fleet: all %d workers lost (%d benched, %d quarantined) with %d of %d shards unmerged",
 			len(opts.Workers), st.WorkersLost, len(st.ByzantineQuarantined), len(sched.shards)-len(sched.done), len(sched.shards))
 	}
 
 	sched.stats.Quarantined = br.Quarantined()
-	if sched.ck != nil {
-		sched.ck.Quarantine = br.Quarantined
-		if err := sched.ck.Flush(); err != nil {
-			st := sched.stats
-			return res, &st, fmt.Errorf("fleet: checkpoint not durable: %w", err)
-		}
+	ck.Quarantine = br.Quarantined
+	if err := ck.Flush(); err != nil {
+		st := sched.stats
+		return res, &st, fmt.Errorf("fleet: checkpoint not durable: %w", err)
 	}
 	st := sched.stats
 	return res, &st, nil

@@ -1,8 +1,8 @@
 // Package fleet shards an auto-tuning search across worker processes.
-// The coordinator runs the tuner in-process against a table of merged
-// per-configuration costs. Before each batch a stock tuner evaluates,
-// it announces the batch (tuning.Ask); the coordinator leases the
-// configurations the table lacks to `patty worker` instances over
+// The coordinator runs the tuner in-process against one record of
+// merged per-configuration costs (a tuning.Checkpointer). Before each
+// batch a stock tuner evaluates, it announces the batch (tuning.Ask);
+// the coordinator leases the configurations the record lacks to `patty worker` instances over
 // HTTP, merges their costs, and only then lets the tuner read them —
 // producing a tuning.Result that is bit-identical to an uninterrupted
 // single-process TuneCtx run.
@@ -33,11 +33,11 @@
 // re-dispatch. Idle workers steal: they duplicate-dispatch the oldest
 // slow in-flight shard (first result wins, the loser's evaluations are
 // deduped by assignment key). A worker that fails several dispatches
-// in a row is benched for good. The coordinator journals every
-// merged evaluation into the same checkpoint format `patty tune
-// -checkpoint` uses, so a crashed coordinator resumes by re-adopting
-// the merged prefix and asking the workers only for the remainder —
-// and a fleet checkpoint is even resumable by a plain local search.
+// in a row is benched for good. With a checkpoint path the record is
+// journaled in the format `patty tune -checkpoint` uses, so a crashed
+// coordinator resumes by replaying the merged prefix and asking the
+// workers only for the remainder — and a fleet checkpoint is even
+// resumable by a plain local search.
 package fleet
 
 import (

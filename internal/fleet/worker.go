@@ -11,7 +11,6 @@ import (
 	"patty/internal/evalcache"
 	"patty/internal/jobs"
 	"patty/internal/obs"
-	"patty/internal/report"
 	"patty/internal/tuning"
 )
 
@@ -35,9 +34,8 @@ type Worker struct {
 	// cooldown becomes the 503 Retry-After value.
 	intake *jobs.Breaker
 
-	shards  *obs.Counter
-	evals   *obs.Counter
-	statusz func() obs.Snapshot
+	shards *obs.Counter
+	evals  *obs.Counter
 }
 
 // NewWorker wires a Worker onto an admission service. newObjective
@@ -53,7 +51,6 @@ func NewWorker(svc *jobs.Service, newObjective func(json.RawMessage) (tuning.Obj
 		intake:       jobs.NewBreaker(3, time.Second),
 		shards:       c.Counter("fleet.worker.shards"),
 		evals:        c.Counter("fleet.worker.evals"),
-		statusz:      c.Snapshot,
 	}
 }
 
@@ -138,37 +135,10 @@ func (wk *Worker) handleShard(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, res)
 }
 
-// Mux returns the worker's HTTP surface: POST /shards plus the same
-// health/status endpoints `patty serve` exposes.
+// Mux returns the worker's HTTP surface: POST /shards. The process
+// that hosts it mounts its health and status endpoints beside it.
 func (wk *Worker) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /shards", wk.handleShard)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if wk.svc.Draining() {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ready")
-	})
-	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
-		snap := wk.statusz()
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if h, ok := obs.AnalyzeService(snap); ok {
-			fmt.Fprint(w, report.ServiceTable(h))
-		}
-		if fh, ok := obs.AnalyzeFleet(snap); ok {
-			fmt.Fprint(w, report.FleetTable(fh))
-		}
-		if ch, ok := obs.AnalyzeCache(snap); ok {
-			fmt.Fprint(w, report.CacheTable(ch))
-		}
-	})
-	mux.HandleFunc("GET /metricz", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, wk.statusz())
-	})
 	return mux
 }

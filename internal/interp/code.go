@@ -92,7 +92,7 @@ const (
 	// Composite construction (all stack-valued).
 	opNewStruct    // A: type name idx, B|C<<32: fields the literal sets — allocate struct, push
 	opSetField     // A: field name idx — pop value, peek struct, store event
-	opMakeSliceLit // A: element count — pop elements, allocate, push
+	opMakeSliceLit // A: element count, B: 1 + type index of an array — pop elements, pad an array (arrayLit), allocate, push
 	opNewMap       // push an empty map
 	opMapLitSet    // pop value, key; peek map; insert + allocate entry address
 

@@ -1301,7 +1301,11 @@ func (u *unitCompiler) compileComposite(ex *ast.CompositeLit) {
 		for _, el := range ex.Elts {
 			u.compileExpr(el)
 		}
-		u.emit(Op{Code: opMakeSliceLit, A: int32(len(ex.Elts))})
+		op := Op{Code: opMakeSliceLit, A: int32(len(ex.Elts))}
+		if t.Len != nil {
+			op.B = u.code.typeIdx(t) + 1 // an array: arrayLit pads it
+		}
+		u.emit(op)
 		u.depth -= len(ex.Elts) - 1
 	case *ast.MapType:
 		u.emit(Op{Code: opNewMap})

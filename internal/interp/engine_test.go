@@ -343,6 +343,41 @@ func helper() int { return b + 1 }
 func F() int { return a + b + c }`, "F", nil, "", ""},
 		{"min-max-varargs", `package p
 func F() int { return min(3, 1, 2)*100 + max(3, 1, 2) }`, "F", nil, "", ""},
+		{"float-int-equality", `package p
+func F() int {
+	var x float64
+	s := 0
+	if x == 0 {
+		s += 1
+	}
+	y := 2.0
+	if y != 2 {
+		s += 10
+	}
+	if 3 == y+1 {
+		s += 100
+	}
+	switch y {
+	case 1:
+		s += 1000
+	case 2:
+		s += 2000
+	}
+	return s
+}`, "F", nil, "", "2101"},
+		{"array-literal-length", `package p
+type P struct{ X int }
+func F() int {
+	a := [3]int{1}
+	b := [4]float64{1.5, 2}
+	ps := [2]P{P{X: 4}}
+	c := [...]int{5, 6}
+	s := []int{7}
+	n := len(a)*1000 + len(b)*100 + len(c)*10 + len(s)
+	t := a[0] + a[2] + int(b[1]+b[3]) + ps[0].X + ps[1].X + c[1] + s[0]
+	ps[1].X = 9
+	return n*100 + t + ps[1].X
+}`, "F", nil, "", "342129"},
 		{"duplicate-global", `package p
 var a = 1
 var b = a * 10

@@ -388,8 +388,8 @@ func (m *Machine) evalComposite(ex *ast.CompositeLit, env *env, fn *source.Funct
 		for _, el := range ex.Elts {
 			elems = append(elems, m.eval(el, env, fn))
 		}
-		s := &Slice{Elems: elems, base: m.alloc(len(elems) + 1)}
-		return s
+		elems = m.arrayLit(t, elems)
+		return &Slice{Elems: elems, base: m.alloc(len(elems) + 1)}
 	case *ast.MapType:
 		mp := &Map{M: make(map[Value]Value), addrs: make(map[Value]uint64)}
 		for _, el := range ex.Elts {

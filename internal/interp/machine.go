@@ -472,6 +472,24 @@ func (m *Machine) arrayLen(e ast.Expr) int {
 	return 0
 }
 
+// arrayLit gives an array literal the length of its type: the listed
+// elements, then the element type's zero value up to the length. A
+// slice literal, or an array of length [...], keeps what it lists.
+// Both engines build every array literal through it.
+func (m *Machine) arrayLit(t *ast.ArrayType, elems []Value) []Value {
+	if _, ok := t.Len.(*ast.Ellipsis); ok || t.Len == nil {
+		return elems
+	}
+	n := m.arrayLen(t.Len)
+	if len(elems) > n {
+		fail("array index %d out of bounds [0:%d]", n, n)
+	}
+	for len(elems) < n {
+		elems = append(elems, m.zeroValueFor(t.Elt))
+	}
+	return elems
+}
+
 // structType is a declared struct type: its field names in declaration
 // order with their indexes and type expressions. Its instances share
 // the names and the index.

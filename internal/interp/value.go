@@ -170,18 +170,30 @@ func truthy(v Value) (bool, error) {
 	return b, nil
 }
 
-// equalValues implements == for the subset.
+// equalValues implements == for the subset. An int64 and a float64
+// compare as numbers, as `<` does: the interpreter keeps an untyped
+// integer constant as int64, where Go converts it to the float.
 func equalValues(a, b Value) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
 	switch x := a.(type) {
 	case int64:
-		y, ok := b.(int64)
-		return ok && x == y
+		switch y := b.(type) {
+		case int64:
+			return x == y
+		case float64:
+			return float64(x) == y
+		}
+		return false
 	case float64:
-		y, ok := b.(float64)
-		return ok && x == y
+		switch y := b.(type) {
+		case float64:
+			return x == y
+		case int64:
+			return x == float64(y)
+		}
+		return false
 	case bool:
 		y, ok := b.(bool)
 		return ok && x == y

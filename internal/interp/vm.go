@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"go/ast"
 	"go/token"
 	"strings"
 
@@ -796,9 +797,10 @@ loop:
 			elems := make([]Value, n)
 			copy(elems, vm.stk[len(vm.stk)-n:])
 			vm.stk = vm.stk[:len(vm.stk)-n]
-			s := &Slice{Elems: elems}
-			s.base = m.alloc(n + 1)
-			vm.push(s)
+			if op.B > 0 {
+				elems = m.arrayLit(code.Types[op.B-1].(*ast.ArrayType), elems)
+			}
+			vm.push(&Slice{Elems: elems, base: m.alloc(len(elems) + 1)})
 		case opNewMap:
 			vm.push(&Map{M: make(map[Value]Value), addrs: make(map[Value]uint64)})
 		case opMapLitSet:

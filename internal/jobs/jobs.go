@@ -94,10 +94,6 @@ type Journal interface {
 	// id. spec is the opaque submission body a restarted service
 	// rebuilds the Runner from.
 	JobAccepted(info Info, spec []byte) error
-	// JobCheckpoint records the resume-journal path of a job, so a
-	// restarted service re-attaches the job to its tuning.Checkpointer
-	// snapshot instead of starting the search over.
-	JobCheckpoint(id, path string) error
 	// JobStarted records dispatch (diagnostic; recovery re-runs
 	// accepted-but-unfinalized jobs either way).
 	JobStarted(id string) error
@@ -117,9 +113,6 @@ type Submission struct {
 	Kind string
 	// Spec is the opaque request body journaled for crash recovery.
 	Spec []byte
-	// Checkpoint is the job's resume-journal path, journaled as a
-	// checkpoint-ref record.
-	Checkpoint string
 	// Run executes the job.
 	Run Runner
 }
@@ -316,11 +309,6 @@ func (s *Service) SubmitJob(sub Submission) (string, error) {
 		if err := s.opts.Journal.JobAccepted(j.info, sub.Spec); err != nil {
 			s.journalErr.Inc()
 			return "", fmt.Errorf("jobs: journal accept: %w", err)
-		}
-		if sub.Checkpoint != "" {
-			if err := s.opts.Journal.JobCheckpoint(j.info.ID, sub.Checkpoint); err != nil {
-				s.journalErr.Inc()
-			}
 		}
 	}
 

@@ -369,12 +369,11 @@ type journalRecorder struct {
 	accepted  []Info
 	started   []string
 	finalized []Info
-	ckpts     map[string]string
 	failNext  error
 }
 
 func newJournalRecorder() *journalRecorder {
-	return &journalRecorder{ckpts: make(map[string]string)}
+	return &journalRecorder{}
 }
 
 func (r *journalRecorder) JobAccepted(info Info, spec []byte) error {
@@ -386,13 +385,6 @@ func (r *journalRecorder) JobAccepted(info Info, spec []byte) error {
 		return err
 	}
 	r.accepted = append(r.accepted, info)
-	return nil
-}
-
-func (r *journalRecorder) JobCheckpoint(id, path string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ckpts[id] = path
 	return nil
 }
 
@@ -411,8 +403,8 @@ func (r *journalRecorder) JobFinalized(info Info, result any) error {
 }
 
 // TestJournalLifecycle: the journal sees accepted -> started ->
-// finalized for a normal job, checkpoint refs, and a failed accept
-// refuses the submission entirely.
+// finalized for a normal job, and a failed accept refuses the
+// submission entirely.
 func TestJournalLifecycle(t *testing.T) {
 	defer leakCheck(t)()
 	rec := newJournalRecorder()
@@ -420,11 +412,10 @@ func TestJournalLifecycle(t *testing.T) {
 	defer s.Close()
 
 	id, err := s.SubmitJob(Submission{
-		Tenant:     "acme",
-		Kind:       "tune",
-		Spec:       []byte(`{"algo":"tabu"}`),
-		Checkpoint: "/tmp/x.ckpt",
-		Run:        func(ctx context.Context) (any, error) { return "best", nil },
+		Tenant: "acme",
+		Kind:   "tune",
+		Spec:   []byte(`{"algo":"tabu"}`),
+		Run:    func(ctx context.Context) (any, error) { return "best", nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -437,10 +428,6 @@ func TestJournalLifecycle(t *testing.T) {
 	if len(rec.accepted) != 1 || rec.accepted[0].ID != id || rec.accepted[0].Tenant != "acme" {
 		rec.mu.Unlock()
 		t.Fatalf("accepted stream: %+v", rec.accepted)
-	}
-	if rec.ckpts[id] != "/tmp/x.ckpt" {
-		rec.mu.Unlock()
-		t.Fatalf("checkpoint refs: %v", rec.ckpts)
 	}
 	if len(rec.started) != 1 || rec.started[0] != id {
 		rec.mu.Unlock()

@@ -325,7 +325,9 @@ func (s *Store) JobAccepted(info jobs.Info, spec []byte) error {
 	return s.append(Record{Op: OpAccepted, Job: info, Spec: spec})
 }
 
-// JobCheckpoint journals the job's resume-journal path.
+// JobCheckpoint journals the job's resume-journal path. The job
+// service no longer writes it (a recovered job finds its journal by
+// name, from its spec); bench/serve.go's store probe still times it.
 func (s *Store) JobCheckpoint(id, path string) error {
 	return s.append(Record{Op: OpCheckpoint, ID: id, Path: path})
 }

@@ -70,14 +70,17 @@ type journalFrame struct {
 	Quarantined *[]string   `json:"quarantined,omitempty"`
 }
 
-// Checkpointer makes a search resumable by journaling every objective
-// evaluation to an append-only log. Wrap sits between the tuner and
-// the objective: a configuration already in the journal returns its
-// recorded cost instantly (no re-measurement), so a restarted
-// deterministic search fast-forwards through the completed prefix and
-// continues exactly where the killed run stopped.
+// Checkpointer is the record of a search's measured costs: one cost
+// per configuration, in the order configurations were first seen. With
+// a journal path it also makes the search resumable by appending every
+// evaluation to a durable log; with path "" it keeps the same table in
+// memory and writes nothing. Wrap sits between the tuner and the
+// objective: a configuration already recorded returns its cost
+// instantly (no re-measurement), so a restarted deterministic search
+// fast-forwards through the completed prefix and continues exactly
+// where the killed run stopped.
 type Checkpointer struct {
-	path string
+	path string // "": in memory only
 	// Quarantine, when non-nil, supplies the currently quarantined
 	// configuration keys (jobs.Breaker.Quarantined); a changed set is
 	// journaled with the next write.
@@ -92,7 +95,8 @@ type Checkpointer struct {
 }
 
 // NewCheckpointer opens or creates the journal at path for the given
-// search. resumed reports how many completed evaluations were loaded.
+// search; path "" records in memory only and loads nothing. resumed
+// reports how many completed evaluations were loaded.
 // A torn tail (a crash mid-append) is cut off and the search resumes
 // from the intact prefix. A journal for a different search fails with
 // ErrCheckpointMismatch; a damaged complete frame fails with
@@ -100,6 +104,9 @@ type Checkpointer struct {
 // over.
 func NewCheckpointer(path string, meta SearchMeta) (c *Checkpointer, resumed int, err error) {
 	c = &Checkpointer{path: path, cache: make(map[string]EvalRecord)}
+	if path == "" {
+		return c, 0, nil
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, 0, fmt.Errorf("tuning: %w", err)
@@ -170,8 +177,11 @@ func (c *Checkpointer) remember(rec EvalRecord) {
 	c.cache[key] = rec
 }
 
-// queue encodes one frame into the pending buffer.
+// queue encodes one frame into the pending buffer (none in memory).
 func (c *Checkpointer) queue(f journalFrame) {
+	if c.path == "" {
+		return
+	}
 	payload, err := json.Marshal(f)
 	if err != nil {
 		c.fail(fmt.Errorf("tuning: marshal journal frame: %w", err))
@@ -234,9 +244,9 @@ func (c *Checkpointer) Wrap(obj Objective) Objective {
 	}
 }
 
-// Record journals an externally produced evaluation — the fleet
+// Record adds an externally produced evaluation — the fleet
 // coordinator merges worker-computed costs through it — without
-// invoking an objective. A key already journaled is ignored, so merges
+// invoking an objective. A key already recorded is ignored, so merges
 // are idempotent under duplicate shard completions. The frame is
 // written by the next Flush; callers batch one Flush per merged shard
 // instead of one write per evaluation.
@@ -247,29 +257,28 @@ func (c *Checkpointer) Record(a map[string]int, cost float64) {
 	c.Correct(a, cost)
 }
 
-// Correct journals a cost for an assignment whether or not it is
+// Correct records a cost for an assignment whether or not it is
 // already known — the fleet coordinator's byzantine re-verification
 // replaces a quarantined worker's lied costs with locally re-measured
-// truth (Record alone cannot: it ignores keys already journaled, which
-// is right for idempotent merges and wrong for repairs). Replay is
-// last-wins, so the repair supersedes the lie. The frame is written by
-// the next Flush.
+// truth (Record alone cannot: it ignores keys already recorded, which
+// is right for idempotent merges and wrong for repairs). The last cost
+// wins, in memory and on replay, so the repair supersedes the lie. The
+// frame is written by the next Flush.
 func (c *Checkpointer) Correct(a map[string]int, cost float64) {
 	rec := NewRecord(a, cost)
 	c.remember(rec)
 	c.queue(journalFrame{Eval: &rec})
 }
 
-// Lookup returns the journaled record for a canonical assignment key.
+// Lookup returns the recorded evaluation for a canonical assignment key.
 func (c *Checkpointer) Lookup(key string) (EvalRecord, bool) {
 	rec, ok := c.cache[key]
 	return rec, ok
 }
 
-// Records returns every journaled evaluation, one per configuration
+// Records returns every recorded evaluation, one per configuration
 // with its latest cost, in the order the configurations were first
-// journaled — the fleet coordinator seeds its merge table from it on
-// resume.
+// recorded.
 func (c *Checkpointer) Records() []EvalRecord {
 	out := make([]EvalRecord, len(c.order))
 	for i, key := range c.order {

@@ -320,61 +320,110 @@ func TestJournalCrashShapes(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorrectOverwrites: Correct replaces an already-journaled
+// TestCheckpointCorrectOverwrites: Correct replaces an already-recorded
 // cost in place (Record ignores known keys by design); the repaired
 // value survives a flush/reload cycle and unknown keys fall through to
 // Record semantics. This is the fleet coordinator's byzantine repair
 // path: a quarantined worker's lied costs are overwritten with locally
-// re-measured truth.
+// re-measured truth. A Checkpointer opened on "" — the fleet's record
+// when no journal is asked for — behaves the same in memory (first-seen
+// order, last-wins Correct, Lookup, Records, Explored, Quarantined) and
+// creates no file.
 func TestCheckpointCorrectOverwrites(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "search.ckpt")
 	meta := SearchMeta{Algo: "linear", Budget: 10, Dims: bowlDims(), Start: bowlStart()}
-	ck, _, err := NewCheckpointer(path, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := map[string]int{"x": 1, "y": 2}
-	b := map[string]int{"x": 3, "y": 4}
-	ck.Record(a, 100) // the lie
-	ck.Record(b, 50)
+	for _, tc := range []struct {
+		name    string
+		journal bool
+	}{{"journal", true}, {"memory", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := ""
+			if tc.journal {
+				path = filepath.Join(dir, "search.ckpt")
+			}
+			cwd, _ := os.ReadDir(".")
+			ck, resumed, err := NewCheckpointer(path, meta)
+			if err != nil || resumed != 0 {
+				t.Fatalf("open: resumed %d, err %v", resumed, err)
+			}
+			a := map[string]int{"x": 1, "y": 2}
+			b := map[string]int{"x": 3, "y": 4}
+			ck.Record(a, 100) // the lie
+			ck.Record(b, 50)
 
-	// Record is merge-idempotent: it must NOT repair the lie.
-	ck.Record(a, 42)
-	if rec, _ := ck.Lookup(AssignKey(a)); rec.Cost != 100 {
-		t.Fatalf("Record overwrote a journaled key: %+v", rec)
-	}
+			// Record is merge-idempotent: it must NOT repair the lie.
+			ck.Record(a, 42)
+			if rec, _ := ck.Lookup(AssignKey(a)); rec.Cost != 100 {
+				t.Fatalf("Record overwrote a recorded key: %+v", rec)
+			}
 
-	ck.Correct(a, 42) // the repair
-	if rec, _ := ck.Lookup(AssignKey(a)); rec.Cost != 42 {
-		t.Fatalf("Correct did not overwrite: %+v", rec)
-	}
-	// Correcting to a faulted cost stores the flag, not the Inf.
-	ck.Correct(b, math.Inf(1))
-	if rec, _ := ck.Lookup(AssignKey(b)); !rec.Faulted || rec.Cost != 0 {
-		t.Fatalf("Correct to +Inf not stored as faulted: %+v", rec)
-	}
-	// Unknown key: Correct degrades to Record.
-	c := map[string]int{"x": 5, "y": 6}
-	ck.Correct(c, 7)
-	if rec, ok := ck.Lookup(AssignKey(c)); !ok || rec.Cost != 7 {
-		t.Fatalf("Correct on unknown key: %+v ok=%v", rec, ok)
-	}
-	if err := ck.Flush(); err != nil {
-		t.Fatal(err)
-	}
+			ck.Correct(a, 42) // the repair
+			if rec, _ := ck.Lookup(AssignKey(a)); rec.Cost != 42 {
+				t.Fatalf("Correct did not overwrite: %+v", rec)
+			}
+			// Correcting to a faulted cost stores the flag, not the Inf.
+			ck.Correct(b, math.Inf(1))
+			if rec, _ := ck.Lookup(AssignKey(b)); !rec.Faulted || rec.Cost != 0 {
+				t.Fatalf("Correct to +Inf not stored as faulted: %+v", rec)
+			}
+			// Unknown key: Correct degrades to Record.
+			c := map[string]int{"x": 5, "y": 6}
+			ck.Correct(c, 7)
+			if rec, ok := ck.Lookup(AssignKey(c)); !ok || rec.Cost != 7 {
+				t.Fatalf("Correct on unknown key: %+v ok=%v", rec, ok)
+			}
+			// Wrap replays a recorded cost and measures only new keys.
+			measured := 0
+			obj := ck.Wrap(func(m map[string]int) float64 { measured++; return bowl(m) })
+			if got := obj(a); got != 42 || measured != 0 {
+				t.Fatalf("Wrap re-measured a recorded key: cost %v, %d measured", got, measured)
+			}
+			d := map[string]int{"x": 7, "y": 3}
+			if got := obj(d); got != bowl(d) || measured != 1 {
+				t.Fatalf("Wrap on a new key: cost %v, %d measured", got, measured)
+			}
+			ck.Quarantine = func() []string { return []string{AssignKey(b)} }
+			if err := ck.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			check := func(ck *Checkpointer) {
+				t.Helper()
+				recs := ck.Records()
+				if ck.Explored() != 4 || len(recs) != 4 {
+					t.Fatalf("explored %d, records %v; want 4 (corrections must not duplicate entries)", ck.Explored(), recs)
+				}
+				for i, want := range []map[string]int{a, b, c, d} { // first-seen order
+					if AssignKey(recs[i].Assignment) != AssignKey(want) {
+						t.Fatalf("record %d is %v, want %v", i, recs[i].Assignment, want)
+					}
+				}
+				if recs[0].Cost != 42 || !recs[1].Faulted {
+					t.Fatalf("corrections lost: %+v", recs)
+				}
+				if q := ck.Quarantined(); len(q) != 1 || q[0] != AssignKey(b) {
+					t.Fatalf("quarantine set %v, want [%s]", q, AssignKey(b))
+				}
+			}
+			check(ck)
 
-	// The journal on disk holds the corrected values, once each.
-	ck2, resumed, err := NewCheckpointer(path, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed != 3 {
-		t.Fatalf("resumed %d evals, want 3 (corrections must not duplicate entries)", resumed)
-	}
-	if rec, _ := ck2.Lookup(AssignKey(a)); rec.Cost != 42 {
-		t.Fatalf("corrected cost not persisted: %+v", rec)
-	}
-	if rec, _ := ck2.Lookup(AssignKey(b)); !rec.Faulted {
-		t.Fatalf("corrected fault flag not persisted: %+v", rec)
+			if !tc.journal {
+				if files, _ := os.ReadDir(dir); len(files) != 0 {
+					t.Fatalf("in-memory record wrote %v", files)
+				}
+				if now, _ := os.ReadDir("."); len(now) != len(cwd) {
+					t.Fatalf("in-memory record created a file: %d entries, was %d", len(now), len(cwd))
+				}
+				return
+			}
+			// The journal on disk holds the corrected values, once each.
+			ck2, resumed, err := NewCheckpointer(path, meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed != 4 || ck2.Resumed() != 4 {
+				t.Fatalf("resumed %d evals, want 4", resumed)
+			}
+			check(ck2)
+		})
 	}
 }
