@@ -37,11 +37,12 @@ faults:
 # resume from their snapshots and converge to the same best
 # configuration as an uninterrupted run, with zero leaked goroutines;
 # plus the supervisor/breaker storm tests, the tuning journal's crash
-# shapes and the record-format corruption sweep. Budgeted well under
-# 60s.
+# shapes, the record-format corruption sweep and durable.Log's crash
+# and failed-append tests on the fake filesystem (the journal's too).
+# Budgeted well under 60s.
 chaos:
 	$(GO) test -race -count=1 -timeout 60s \
-		-run 'KillRestart|ServeChaos|FuzzCheckpoint|Storm|Breaker|CheckpointResume|JournalCrash|CorruptionEveryOffset' \
+		-run 'KillRestart|ServeChaos|FuzzCheckpoint|Storm|Breaker|CheckpointResume|JournalCrash|CorruptionEveryOffset|CrashEveryBoundary|FailedAppend' \
 		./cmd/patty/ ./internal/jobs/ ./internal/tuning/ ./internal/durable/
 
 # serve-chaos is the durable-serve gate: a `patty serve -store-dir`
@@ -49,12 +50,13 @@ chaos:
 # recover every acknowledged job exactly once on restart (finished
 # jobs restored from the WAL, interrupted searches resumed from their
 # journals); the WAL's record format survives a bit-flip/truncation
-# sweep at every offset; and under a 10-client hog every tenant must
-# finish jobs with max/min goodput <= 2.0
+# sweep at every offset and a crash at every write and fsync boundary
+# of the log (CrashEveryBoundary, FailedAppend); and under a 10-client
+# hog every tenant must finish jobs with max/min goodput <= 2.0
 # (TestServeTenantFairnessUnderSkew), all under -race.
 serve-chaos:
 	$(GO) test -race -count=1 -timeout 120s \
-		-run 'TrafficChaos|StoreRecovery|Quota429|TenantF|DurableCorruption|WALCorruptionEveryOffset|TornTail' \
+		-run 'TrafficChaos|StoreRecovery|Quota429|TenantF|DurableCorruption|WALCorruptionEveryOffset|TornTail|CrashEveryBoundary|FailedAppend' \
 		./cmd/patty/ ./internal/store/ ./internal/jobs/ ./internal/durable/
 
 # cachechaos is the evaluation-store gate: a `patty serve -cache-dir`
@@ -65,11 +67,12 @@ serve-chaos:
 # search to the same best as a cache-free run; every comment-perturbed
 # duplicate of a served tune job must hit the store
 # (TestServeJobMemoizationDuplicateTraffic); plus the record-format
-# and segment-recovery corruption sweeps, the canonical-hash invariance
-# suite, and the warm-vs-cold bit-identity gates, all under -race.
+# and segment-recovery corruption sweeps, the log's crash-boundary and
+# failed-append tests, the canonical-hash invariance suite, and the
+# warm-vs-cold bit-identity gates, all under -race.
 cachechaos:
 	$(GO) test -race -count=1 -timeout 120s \
-		-run 'CacheChaos|WarmCache|DurableCorruption|SegmentCorruption|StoreOpenCorruption|ProgramHash|CacheResume|AnalyzeCache|CacheTable|JobCacheKey|CacheIdentity|ServeJobMemoization' \
+		-run 'CacheChaos|WarmCache|DurableCorruption|SegmentCorruption|StoreOpenCorruption|CrashEveryBoundary|FailedAppend|ProgramHash|CacheResume|AnalyzeCache|CacheTable|JobCacheKey|CacheIdentity|ServeJobMemoization' \
 		./cmd/patty/ ./internal/evalcache/ ./internal/fleet/ ./internal/obs/ ./internal/report/ ./internal/durable/
 
 # fleet is the distributed-tuning gate: the coordinator/worker suite

@@ -7,11 +7,15 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	neturl "net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -353,5 +357,69 @@ func TestServeIntakeHardening(t *testing.T) {
 	// A well-formed submit still works after the refusals.
 	if _, code := postJob(t, ts.URL, `{"kind":"tune","algo":"linear","budget":20}`); code != http.StatusAccepted {
 		t.Fatalf("good submit after refusals: HTTP %d", code)
+	}
+}
+
+// TestFleetJournalCutKeepsQuarantine: a fleet coordinator killed
+// mid-search leaves a journal a local `patty tune` resumes to the
+// uninterrupted run's quarantine set. The journal is cut the way a
+// kill leaves it: copied as each shard reaches the only worker, so it
+// holds every earlier merge and no final flush.
+func TestFleetJournalCutKeepsQuarantine(t *testing.T) {
+	t.Cleanup(ptest.NoLeaks(t))
+	t.Cleanup(http.DefaultClient.CloseIdleConnections)
+	spec := tuneSpec{Algo: "tabu", Budget: 120, FaultRate: 10, FaultSeed: 3}
+	ref, err := runTune(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url, stop, err := startInprocWorker(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	dir := t.TempDir()
+	fspec := spec
+	fspec.Checkpoint = filepath.Join(dir, "fleet.ckpt")
+	var mu sync.Mutex // the proxy's handlers append, the test reads
+	var cuts [][]byte
+	target, err := neturl.Parse(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if raw, err := os.ReadFile(fspec.Checkpoint); err == nil {
+			mu.Lock()
+			cuts = append(cuts, raw)
+			mu.Unlock()
+		}
+		proxy.ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	fspec.Workers = []string{front.URL}
+	fspec.CrossCheck = -1
+	if _, err := runTune(context.Background(), fspec); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(cuts) < 3 {
+		t.Fatalf("%d cut(s): the search sent too few shards to cut mid-search", len(cuts))
+	}
+	for i, raw := range cuts {
+		local := spec
+		local.Checkpoint = filepath.Join(dir, fmt.Sprintf("cut%d.ckpt", i))
+		if err := os.WriteFile(local.Checkpoint, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := runTune(context.Background(), local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out.Quarantined, ref.Quarantined) || !reflect.DeepEqual(out.Best, ref.Best) {
+			t.Errorf("cut %d of %d (%d resumed): quarantined %v, best %v; uninterrupted %v, %v",
+				i, len(cuts), out.Resumed, out.Quarantined, out.Best, ref.Quarantined, ref.Best)
+		}
 	}
 }

@@ -302,6 +302,7 @@ func runTune(ctx context.Context, spec tuneSpec) (*tuneOutcome, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer ck.Close()
 		// The wrapper order, innermost first: raw objective → fault/delay
 		// shims → Observed.Wrap (measures; a panic or lost work costs
 		// +Inf) → Memo.Wrap (answers from the store, stores fresh costs)

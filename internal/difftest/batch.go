@@ -51,7 +51,7 @@ func NewBatch(path string, baseSeed int64, n int) (b *Batch, resumed int, err er
 	if path == "" {
 		return b, 0, nil
 	}
-	err = durable.Load(path, BatchKind, &b.state)
+	err = durable.Load(durable.OS, path, BatchKind, &b.state)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		// Fresh sweep.
@@ -75,7 +75,7 @@ func (b *Batch) save() error {
 	if b.path == "" {
 		return nil
 	}
-	return durable.Save(b.path, BatchKind, &b.state)
+	return durable.Save(durable.OS, b.path, BatchKind, &b.state)
 }
 
 // program generates program i of the sweep.

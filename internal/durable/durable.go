@@ -14,14 +14,16 @@
 // validated structurally (hex width, decimal length, exact trailing
 // newline), so every byte of a frame takes part in some check.
 //
-// Logs are sequences of frames appended in place. Decode returns the
-// maximal valid prefix of a log image and classifies damage: data that
-// simply ends mid-frame is ErrTornTail (the shape a crash during an
-// append leaves), bytes that are present but fail a check are
-// ErrCorrupt. Each caller picks its recovery policy from the class.
+// Logs are sequences of frames appended in place, and Log is the one
+// implementation of them (see OpenLog). Decode returns the maximal
+// valid prefix of a log image and classifies damage: data that simply
+// ends mid-frame is ErrTornTail (the shape a crash during an append
+// leaves), bytes that are present but fail a check are ErrCorrupt.
+// Each caller picks its recovery policy from the class.
 //
 // Snapshots (Save, Load) hold exactly one frame and are replaced
-// atomically: temp file, fsync, rename, directory fsync.
+// atomically: temp file, fsync, rename, directory fsync. Every file
+// operation goes through an FS.
 package durable
 
 import (
@@ -30,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -127,33 +128,6 @@ func Decode(magic string, raw []byte, apply func(payload []byte) error) (validLe
 	return off, nil
 }
 
-// TruncateSync cuts the file at path to n bytes and makes the cut
-// durable.
-func TruncateSync(path string, n int64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	err = f.Truncate(n)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// SyncDir fsyncs a directory so creations and renames in it are
-// durable. It is best-effort where the platform does not support fsync
-// on directories.
-func SyncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
-
 // snapMagic opens the one frame of every snapshot file.
 const snapMagic = "pattyckpt "
 
@@ -217,17 +191,16 @@ func decodeSnapshot(raw []byte, kind string, v any) error {
 // Save atomically replaces the snapshot at path with v, tagged kind:
 // temp file in the same directory, fsync, rename, directory fsync. A
 // crash at any instant leaves either the old snapshot or the new one.
-func Save(path, kind string, v any) error {
+func Save(fsys FS, path, kind string, v any) error {
 	raw, err := encodeSnapshot(kind, v)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmp, err := fsys.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	defer fsys.Remove(tmp.Name()) // no-op after a successful rename
 	_, err = tmp.Write(raw)
 	if err == nil {
 		err = tmp.Sync()
@@ -236,12 +209,11 @@ func Save(path, kind string, v any) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), path)
+		err = fsys.Rename(tmp.Name(), path)
 	}
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	SyncDir(dir)
 	return nil
 }
 
@@ -249,8 +221,8 @@ func Save(path, kind string, v any) error {
 // fs.ErrNotExist, a damaged one ErrCorrupt and a snapshot of another
 // kind ErrKindMismatch. v is filled only from a frame whose checksum
 // held, so damage never loads partial state.
-func Load(path, kind string, v any) error {
-	raw, err := os.ReadFile(path)
+func Load(fsys FS, path, kind string, v any) error {
+	raw, err := fsys.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}

@@ -179,18 +179,18 @@ func TestDurableCorruptionEveryOffset(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.ckpt")
-	if err := Save(path, "test-snap", sample()); err != nil {
+	if err := Save(OS, path, "test-snap", sample()); err != nil {
 		t.Fatal(err)
 	}
 	var out snap
-	if err := Load(path, "test-snap", &out); err != nil || !reflect.DeepEqual(out, sample()) {
+	if err := Load(OS, path, "test-snap", &out); err != nil || !reflect.DeepEqual(out, sample()) {
 		t.Fatalf("round trip: %+v, %v", out, err)
 	}
 }
 
 func TestLoadMissingFileIsNotExist(t *testing.T) {
 	var out snap
-	err := Load(filepath.Join(t.TempDir(), "nope.ckpt"), "test-snap", &out)
+	err := Load(OS, filepath.Join(t.TempDir(), "nope.ckpt"), "test-snap", &out)
 	if !errors.Is(err, fs.ErrNotExist) || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("missing file: %v, want fs.ErrNotExist and not ErrCorrupt", err)
 	}
@@ -198,11 +198,11 @@ func TestLoadMissingFileIsNotExist(t *testing.T) {
 
 func TestKindMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.ckpt")
-	if err := Save(path, "fuzz-sweep", sample()); err != nil {
+	if err := Save(OS, path, "fuzz-sweep", sample()); err != nil {
 		t.Fatal(err)
 	}
 	var out snap
-	if err := Load(path, "tuner-state", &out); !errors.Is(err, ErrKindMismatch) || errors.Is(err, ErrCorrupt) {
+	if err := Load(OS, path, "tuner-state", &out); !errors.Is(err, ErrKindMismatch) || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("kind mismatch: %v, want ErrKindMismatch and not ErrCorrupt", err)
 	}
 }
@@ -212,22 +212,22 @@ func TestKindMismatch(t *testing.T) {
 func TestSaveIsAtomicOverwrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.ckpt")
-	if err := Save(path, "test-snap", sample()); err != nil {
+	if err := Save(OS, path, "test-snap", sample()); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(path, "test-snap", func() {}); err == nil {
+	if err := Save(OS, path, "test-snap", func() {}); err == nil {
 		t.Fatal("saving an unmarshalable value must fail")
 	}
 	var out snap
-	if err := Load(path, "test-snap", &out); err != nil {
+	if err := Load(OS, path, "test-snap", &out); err != nil {
 		t.Fatalf("old snapshot damaged by failed save: %v", err)
 	}
 	next := sample()
 	next.Count = 99
-	if err := Save(path, "test-snap", next); err != nil {
+	if err := Save(OS, path, "test-snap", next); err != nil {
 		t.Fatal(err)
 	}
-	if err := Load(path, "test-snap", &out); err != nil || out.Count != 99 {
+	if err := Load(OS, path, "test-snap", &out); err != nil || out.Count != 99 {
 		t.Fatalf("overwrite: %+v, %v", out, err)
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {

@@ -32,7 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -142,6 +142,7 @@ type segment struct {
 // Store is the open cache. All methods are safe for concurrent use.
 type Store struct {
 	mu    sync.Mutex
+	fsys  durable.FS
 	dir   string
 	opts  Options
 	index map[string]Entry // key string -> live entry
@@ -149,7 +150,7 @@ type Store struct {
 	segs  map[int]*segment
 	order []int // seg seqs, ascending (order[len-1] == active)
 
-	active    *os.File
+	active    *durable.Log
 	activeSeq int
 	total     int64
 	rec       Recovery
@@ -166,17 +167,20 @@ type Store struct {
 // renamed aside with a .quarantined suffix and their valid prefix
 // re-appended to a fresh segment, so a damaged file can never satisfy
 // a lookup.
-func Open(dir string, opts Options) (*Store, error) {
+func Open(dir string, opts Options) (*Store, error) { return open(durable.OS, dir, opts) }
+
+func open(fsys durable.FS, dir string, opts Options) (*Store, error) {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = DefaultMaxBytes
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Store{
+		fsys:  fsys,
 		dir:   dir,
 		opts:  opts,
 		index: make(map[string]Entry),
@@ -194,43 +198,24 @@ func Open(dir string, opts Options) (*Store, error) {
 		segsG:    opts.Collector.Gauge("cache.segments"),
 	}
 
-	names, err := segmentFiles(dir)
+	names, _, err := segmentFiles(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
 	var reappend []Entry
 	maxSeq := 0
 	for _, sf := range names {
-		if sf.seq > maxSeq {
-			maxSeq = sf.seq
-		}
-		raw, err := os.ReadFile(sf.path)
+		maxSeq = max(maxSeq, sf.seq)
+		s.rec.Segments++
+		l, salvage, err := s.openSegment(sf.seq, sf.path)
 		if err != nil {
 			return nil, err
 		}
-		entries, validLen, derr := decodeSegment(raw)
-		s.rec.Segments++
-		switch {
-		case derr == nil:
-			s.adopt(sf.seq, sf.path, entries, int64(validLen))
-		case errors.Is(derr, durable.ErrTornTail):
-			// Expected crash damage: keep the valid prefix in place.
-			if err := durable.TruncateSync(sf.path, int64(validLen)); err != nil {
+		reappend = append(reappend, salvage...)
+		if l != nil {
+			if err := l.Close(); err != nil {
 				return nil, err
 			}
-			s.rec.TornBytes += int64(len(raw) - validLen)
-			s.adopt(sf.seq, sf.path, entries, int64(validLen))
-		default:
-			// Mid-file damage: quarantine the file, salvage the prefix
-			// into a fresh segment later so it survives the next restart.
-			qpath := sf.path + ".quarantined"
-			if err := os.Rename(sf.path, qpath); err != nil {
-				return nil, err
-			}
-			durable.SyncDir(dir)
-			s.corrupt.Inc()
-			s.rec.Quarantined = append(s.rec.Quarantined, filepath.Base(qpath))
-			reappend = append(reappend, entries...)
 		}
 	}
 	s.activeSeq = maxSeq // next append rotates to maxSeq+1
@@ -242,6 +227,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			continue
 		}
 		if err := s.append(e, false); err != nil {
+			s.Close()
 			return nil, err
 		}
 		// append counts an insert; recovery re-adoption is not new work.
@@ -250,6 +236,32 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.rec.Entries = len(s.index)
 	s.publish()
 	return s, nil
+}
+
+// openSegment replays segment seq at path (a missing file is an empty
+// segment) and applies the recovery policy. A torn tail is cut and the
+// intact prefix adopted, and the open log is returned. A segment
+// damaged mid-file is renamed aside and its intact entries are
+// returned for salvage instead.
+func (s *Store) openSegment(seq int, path string) (l *durable.Log, salvage []Entry, err error) {
+	var entries []Entry
+	l, tail, err := durable.OpenLog(s.fsys, path, segMagic, replaySegment(func(e Entry) { entries = append(entries, e) }))
+	switch {
+	case errors.Is(err, durable.ErrCorrupt):
+		l.Close()
+		qpath := path + ".quarantined"
+		if err := s.fsys.Rename(path, qpath); err != nil {
+			return nil, nil, err
+		}
+		s.corrupt.Inc()
+		s.rec.Quarantined = append(s.rec.Quarantined, filepath.Base(qpath))
+		return nil, entries, nil
+	case err != nil && !errors.Is(err, durable.ErrTornTail):
+		return nil, nil, err
+	}
+	s.rec.TornBytes += tail
+	s.adopt(seq, path, entries, l.Size())
+	return l, nil, nil
 }
 
 // adopt registers a cleanly decoded (or truncated-to-valid) segment.
@@ -331,11 +343,8 @@ func (s *Store) append(e Entry, overwrite bool) error {
 			return err
 		}
 	}
-	if _, err := s.active.Write(frame); err != nil {
-		return err
-	}
-	if err := s.active.Sync(); err != nil {
-		return err
+	if err := s.active.Append(frame); err != nil {
+		return fmt.Errorf("evalcache: %w", err)
 	}
 	sg := s.segs[s.activeSeq]
 	sg.size += int64(len(frame))
@@ -360,25 +369,21 @@ func (s *Store) append(e Entry, overwrite bool) error {
 // rotate seals the active segment and opens the next one.
 func (s *Store) rotate() error {
 	if s.active != nil {
-		if err := s.active.Sync(); err != nil {
-			return err
-		}
-		if err := s.active.Close(); err != nil {
-			return err
-		}
+		err := s.active.Close()
 		s.active = nil
+		if err != nil {
+			return err
+		}
 	}
 	seq := s.activeSeq + 1
-	path := filepath.Join(s.dir, segmentName(seq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	l, _, err := s.openSegment(seq, filepath.Join(s.dir, segmentName(seq)))
+	if err == nil && l == nil {
+		err = fmt.Errorf("evalcache: new segment %d holds damaged data", seq)
+	}
 	if err != nil {
 		return err
 	}
-	durable.SyncDir(s.dir)
-	s.active = f
-	s.activeSeq = seq
-	s.segs[seq] = &segment{seq: seq, path: path}
-	s.order = append(s.order, seq)
+	s.active, s.activeSeq = l, seq
 	return nil
 }
 
@@ -400,7 +405,7 @@ func (s *Store) evict() {
 				dropped++
 			}
 		}
-		os.Remove(sg.path)
+		s.fsys.Remove(sg.path)
 		s.total -= sg.size
 		delete(s.segs, seq)
 		s.order = s.order[1:]
@@ -456,9 +461,11 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("evalcache: store closed")
 	}
 	if s.active != nil {
-		s.active.Sync()
-		s.active.Close()
+		err := s.active.Close()
 		s.active = nil
+		if err != nil {
+			return err
+		}
 	}
 	old := s.segs
 	keys := make([]string, 0, len(s.index))
@@ -484,21 +491,22 @@ func (s *Store) Compact() error {
 		}
 		s.inserts.Add(-1) // rewrites are not new work
 	}
+	// Removals need not be durable: a segment that reappears after a
+	// crash replays before the rewritten ones, which win.
 	for _, sg := range old {
 		if s.segs[sg.seq] == nil {
-			os.Remove(sg.path)
+			s.fsys.Remove(sg.path)
 		}
 	}
-	q, _ := filepath.Glob(filepath.Join(s.dir, "*.quarantined"))
-	for _, p := range q {
-		os.Remove(p)
+	_, quarantined, _ := segmentFiles(s.fsys, s.dir)
+	for _, p := range quarantined {
+		s.fsys.Remove(p)
 	}
-	durable.SyncDir(s.dir)
 	s.publish()
 	return nil
 }
 
-// Close syncs and closes the active segment. The store rejects writes
+// Close closes the active segment. The store rejects writes
 // afterwards; lookups keep working (read-only shutdown path).
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -507,13 +515,10 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.active != nil {
-		if err := s.active.Sync(); err != nil {
-			return err
-		}
-		return s.active.Close()
+	if s.active == nil {
+		return nil
 	}
-	return nil
+	return s.active.Close()
 }
 
 // VerifyReport is the result of a read-only integrity scan.
@@ -529,12 +534,12 @@ type VerifyReport struct {
 // It never modifies the directory, so it is safe against a live store.
 func VerifyDir(dir string) (VerifyReport, error) {
 	var rep VerifyReport
-	names, err := segmentFiles(dir)
+	names, quarantined, err := segmentFiles(durable.OS, dir)
 	if err != nil {
 		return rep, err
 	}
 	for _, sf := range names {
-		raw, err := os.ReadFile(sf.path)
+		raw, err := durable.OS.ReadFile(sf.path)
 		if err != nil {
 			return rep, err
 		}
@@ -548,8 +553,7 @@ func VerifyDir(dir string) (VerifyReport, error) {
 					filepath.Base(sf.path), derr, len(entries), validLen, len(raw)))
 		}
 	}
-	q, _ := filepath.Glob(filepath.Join(dir, "*.quarantined"))
-	for _, p := range q {
+	for _, p := range quarantined {
 		rep.Problems = append(rep.Problems, fmt.Sprintf("%s: quarantined by a previous recovery", filepath.Base(p)))
 	}
 	return rep, nil
@@ -562,41 +566,48 @@ type segFile struct {
 
 func segmentName(seq int) string { return fmt.Sprintf("seg-%08d.cas", seq) }
 
-// segmentFiles lists dir's segments in ascending sequence order.
-func segmentFiles(dir string) ([]segFile, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
+// segmentFiles lists dir's segments in ascending sequence order, and
+// the paths of the segments an earlier recovery set aside.
+func segmentFiles(fsys durable.FS, dir string) (segs []segFile, quarantined []string, err error) {
+	ents, err := fsys.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, nil
 	}
-	var out []segFile
+	if err != nil {
+		return nil, nil, err
+	}
 	for _, de := range ents {
 		name := de.Name()
-		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".cas") {
-			continue
-		}
 		var seq int
-		if _, err := fmt.Sscanf(name, "seg-%08d.cas", &seq); err != nil {
-			continue
+		switch {
+		case strings.HasSuffix(name, ".quarantined"):
+			quarantined = append(quarantined, filepath.Join(dir, name))
+		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".cas"):
+			if _, err := fmt.Sscanf(name, "seg-%08d.cas", &seq); err == nil {
+				segs = append(segs, segFile{seq: seq, path: filepath.Join(dir, name)})
+			}
 		}
-		out = append(out, segFile{seq: seq, path: filepath.Join(dir, name)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out, nil
+	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
+	return segs, quarantined, nil
+}
+
+// replaySegment adapts fn to durable's replay callback: fn sees each
+// intact entry in order; a payload that is not an entry is damage.
+func replaySegment(fn func(Entry)) func(payload []byte) error {
+	return func(payload []byte) error {
+		var e Entry
+		if err := json.Unmarshal(payload, &e); err != nil {
+			return err
+		}
+		fn(e)
+		return nil
+	}
 }
 
 // decodeSegment parses a segment image into its maximal valid entry
 // prefix (see durable.Decode for validLen and the error classes).
 func decodeSegment(raw []byte) (entries []Entry, validLen int, err error) {
-	validLen, err = durable.Decode(segMagic, raw, func(payload []byte) error {
-		var e Entry
-		if err := json.Unmarshal(payload, &e); err != nil {
-			return err
-		}
-		entries = append(entries, e)
-		return nil
-	})
+	validLen, err = durable.Decode(segMagic, raw, replaySegment(func(e Entry) { entries = append(entries, e) }))
 	return entries, validLen, err
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"patty/internal/durable/durabletest"
 	"patty/internal/obs"
 )
 
@@ -319,5 +320,141 @@ func TestVerifyDir(t *testing.T) {
 	}
 	if rep.Segments != 1 || rep.Entries != 5 || len(rep.Problems) != 0 {
 		t.Fatalf("clean store verify: %+v", rep)
+	}
+}
+
+// TestStoreFileCounts pins the segments' cost on the fake filesystem:
+// each Put of a new key and each Correct is one write and one fsync, a
+// Put of a known key touches nothing, and opening a segment (the first
+// write, and each rotation) adds one directory fsync.
+func TestStoreFileCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		segBytes                int64
+		run                     func(s *Store)
+		writes, syncs, dirSyncs int
+	}{
+		{"put", 0, func(s *Store) {
+			for i := 0; i < 5; i++ {
+				s.Put(testEntry(i, 1))
+			}
+		}, 5, 5, 1},
+		{"put known key", 0, func(s *Store) {
+			for i := 0; i < 5; i++ {
+				s.Put(testEntry(0, float64(i)))
+			}
+		}, 1, 1, 1},
+		{"correct", 0, func(s *Store) {
+			for i := 0; i < 3; i++ {
+				s.Correct(testEntry(0, float64(i)))
+			}
+		}, 3, 3, 1},
+		{"rotation", 1, func(s *Store) {
+			for i := 0; i < 3; i++ {
+				s.Put(testEntry(i, 1))
+			}
+		}, 3, 3, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := durabletest.New()
+			s, err := open(fsys, "cache", Options{SegmentBytes: tc.segBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.run(s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if w, sy, d := fsys.Counts(); w != tc.writes || sy != tc.syncs || d != tc.dirSyncs {
+				t.Fatalf("%d write(s), %d fsync(s), %d directory fsync(s); want %d, %d, %d", w, sy, d, tc.writes, tc.syncs, tc.dirSyncs)
+			}
+		})
+	}
+}
+
+// TestStoreFailedAppend: after a segment write fails partway or its
+// fsync fails, every later Put is refused, and a reopened store holds
+// exactly the entries whose Put returned nil.
+func TestStoreFailedAppend(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		failWrite, failSync int
+	}{{"write fails partway", 3, 0}, {"fsync fails", 0, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := durabletest.New()
+			fsys.FailWrite, fsys.FailSync = tc.failWrite, tc.failSync
+			s, err := open(fsys, "cache", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := map[int]bool{}
+			for i := 0; i < 6; i++ {
+				if s.Put(testEntry(i, float64(i))) == nil {
+					acked[i] = true
+				}
+			}
+			if len(acked) != 2 {
+				t.Fatalf("acknowledged %v, want the two before the failure", acked)
+			}
+			r, err := open(fsys, "cache", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 6; i++ {
+				if _, ok := r.Get(testEntry(i, 0).Key(), ""); ok != acked[i] {
+					t.Fatalf("entry %d recovered %v, acknowledged %v", i, ok, acked[i])
+				}
+			}
+			if rec := r.Recovery(); len(rec.Quarantined) != 0 {
+				t.Fatalf("a failed append quarantined %v", rec.Quarantined)
+			}
+		})
+	}
+}
+
+// TestStoreCrashEveryBoundary kills the store at every write and fsync
+// boundary of a run of Puts across a segment rotation: the reopened
+// store holds exactly the acknowledged entries, plus at most the one in
+// flight, and quarantines nothing.
+func TestStoreCrashEveryBoundary(t *testing.T) {
+	const puts = 4
+	for _, cp := range durabletest.CrashPoints(puts) {
+		t.Run(cp.String(), func(t *testing.T) {
+			fsys := cp.Arm()
+			opts := Options{SegmentBytes: 200}
+			s, err := open(fsys, "cache", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := 0
+			for i := 0; i < puts && s.Put(testEntry(i, float64(i))) == nil; i++ {
+				acked++
+			}
+			after := fsys.Crash(cp.Keep)
+			r, err := open(after, "cache", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := r.Len()
+			if n != acked && n != acked+1 || n > puts {
+				t.Fatalf("recovered %d entries; %d were acknowledged", n, acked)
+			}
+			for i := 0; i < r.Len(); i++ {
+				if e, ok := r.Get(testEntry(i, 0).Key(), ""); !ok || e.Cost != float64(i) {
+					t.Fatalf("entry %d: %+v, %v", i, e, ok)
+				}
+			}
+			if rec := r.Recovery(); len(rec.Quarantined) != 0 {
+				t.Fatalf("a crash quarantined %v", rec.Quarantined)
+			}
+			// The recovered store takes a Put that survives the next restart.
+			if err := r.Put(testEntry(99, 99)); err != nil {
+				t.Fatal(err)
+			}
+			again, err := open(after, "cache", opts)
+			if err != nil || again.Len() != n+1 || len(again.Recovery().Quarantined) != 0 || again.Recovery().TornBytes != 0 {
+				t.Fatalf("after a Put past the recovery: %d entries, %+v, %v", again.Len(), again.Recovery(), err)
+			}
+		})
 	}
 }

@@ -514,6 +514,7 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 	if err != nil {
 		return tuning.Result{}, nil, err
 	}
+	defer ck.Close()
 	sched := &scheduler{
 		lease:  make(map[int]*leaseIn),
 		done:   make(map[int]bool),
@@ -675,14 +676,21 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 	// a cost the run read is never missed. Such a run is discarded, and
 	// the tuner reruns from start over the corrected record with a fresh
 	// breaker; each quarantined worker causes one rerun at most.
+	//
+	// Each run's breaker starts from the set the journal replayed (a
+	// discarded run's quarantines are not the search's) and journals its
+	// own as it changes, so a coordinator killed mid-search leaves the
+	// set a resume needs.
 	var res tuning.Result
 	var br *jobs.Breaker
 	var lost bool
+	replayed := ck.Quarantined()
 	for {
 		sched.read = make(map[string]bool)
 		sched.stale = false
 		br = jobs.NewBreaker(opts.BreakerThreshold, 30*time.Second).Instrument(opts.Collector)
-		br.Restore(ck.Quarantined())
+		br.Restore(replayed)
+		ck.Quarantine = br.Quarantined
 		rctx, stop := context.WithCancel(ctx)
 		join := dispatchers(rctx)
 		ask := func(batch []map[string]int) {
@@ -723,7 +731,6 @@ func Tune(ctx context.Context, tn tuning.Tuner, dims []tuning.Dim, start map[str
 	}
 
 	sched.stats.Quarantined = br.Quarantined()
-	ck.Quarantine = br.Quarantined
 	if err := ck.Flush(); err != nil {
 		st := sched.stats
 		return res, &st, fmt.Errorf("fleet: checkpoint not durable: %w", err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -69,11 +68,12 @@ type Recovery struct {
 // Store is the durable job store. It implements jobs.Journal, so
 // handing it to jobs.Options.Journal is the whole wiring.
 type Store struct {
+	fsys         durable.FS
 	dir          string
 	compactEvery int
 
 	mu           sync.Mutex
-	wal          *os.File
+	wal          *durable.Log
 	jobs         map[string]*JobState
 	maxSeq       int64
 	sinceCompact int
@@ -86,11 +86,14 @@ type Store struct {
 // refuses to start over repairable damage — a corrupt snapshot is
 // quarantined aside and a corrupt WAL is cut at its last valid record,
 // both reported in Recovery().
-func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func Open(dir string) (*Store, error) { return open(durable.OS, dir) }
+
+func open(fsys durable.FS, dir string) (*Store, error) {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
+		fsys:         fsys,
 		dir:          dir,
 		compactEvery: DefaultCompactEvery,
 		jobs:         make(map[string]*JobState),
@@ -99,7 +102,7 @@ func Open(dir string) (*Store, error) {
 	// Snapshot: the compacted prefix of history.
 	var snap snapshot
 	snapPath := filepath.Join(dir, snapName)
-	switch err := durable.Load(snapPath, snapshotKind, &snap); {
+	switch err := durable.Load(fsys, snapPath, snapshotKind, &snap); {
 	case err == nil:
 		for _, js := range snap.Jobs {
 			s.jobs[js.Info.ID] = js
@@ -112,33 +115,28 @@ func Open(dir string) (*Store, error) {
 		// rather than refuse to serve.
 		s.recovery.SnapshotCorrupt = true
 		s.recovery.SnapshotErr = err.Error()
-		os.Rename(snapPath, snapPath+".corrupt")
+		fsys.Rename(snapPath, snapPath+".corrupt")
 	}
 
-	// WAL: replay the tail of history, truncating any damage.
-	walPath := filepath.Join(dir, walName)
-	raw, err := os.ReadFile(walPath)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	recs, validLen, derr := decodeWAL(raw)
-	for _, rec := range recs {
+	// WAL: replay the tail of history, cutting any damage.
+	wal, tail, err := durable.OpenLog(fsys, filepath.Join(dir, walName), walMagic, replayWAL(func(rec Record) {
 		s.applyLocked(rec)
-	}
-	s.recovery.Records = len(recs)
-	if derr != nil {
-		s.recovery.WALErr = derr.Error()
-		s.recovery.WALTruncated = len(raw) - validLen
-		if err := durable.TruncateSync(walPath, int64(validLen)); err != nil {
-			return nil, fmt.Errorf("store: truncate damaged WAL: %w", err)
+		s.recovery.Records++
+	}))
+	if errors.Is(err, durable.ErrCorrupt) {
+		if terr := wal.Truncate(wal.Size() - tail); terr != nil {
+			wal.Close()
+			return nil, fmt.Errorf("store: truncate damaged WAL: %w", terr)
 		}
-	}
-	s.sinceCompact = s.recovery.Records
-
-	s.wal, err = os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	} else if err != nil && !errors.Is(err, durable.ErrTornTail) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	if err != nil {
+		s.recovery.WALErr = err.Error()
+		s.recovery.WALTruncated = int(tail)
+	}
+	s.wal = wal
+	s.sinceCompact = s.recovery.Records
 	return s, nil
 }
 
@@ -199,11 +197,8 @@ func (s *Store) append(rec Record) error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
-	if _, err := s.wal.Write(frame); err != nil {
-		return fmt.Errorf("store: append: %w", err)
-	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: fsync: %w", err)
+	if err := s.wal.Append(frame); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	s.applyLocked(rec)
 	s.sinceCompact++
@@ -219,11 +214,11 @@ func (s *Store) append(rec Record) error {
 // idempotent, so nothing is lost or doubled.
 func (s *Store) compactLocked() error {
 	snap := snapshot{MaxSeq: s.maxSeq, Jobs: s.sortedLocked()}
-	if err := durable.Save(filepath.Join(s.dir, snapName), snapshotKind, snap); err != nil {
+	if err := durable.Save(s.fsys, filepath.Join(s.dir, snapName), snapshotKind, snap); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("store: compact truncate: %w", err)
+		return fmt.Errorf("store: compact: %w", err)
 	}
 	s.sinceCompact = 0
 	return nil

@@ -7,10 +7,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"patty/internal/durable"
+	"patty/internal/durable/durabletest"
 	"patty/internal/jobs"
 )
 
@@ -513,4 +515,136 @@ func TestDecodeWALEdgeCases(t *testing.T) {
 			t.Fatalf("huge length = %v, %d, %v; want torn tail at 0", recs, n, err)
 		}
 	})
+}
+
+// TestStoreFileCounts pins the WAL's cost on the fake filesystem: one
+// write and one fsync per record, and three records per served job
+// (accepted, started, finalized) through jobs.Service.
+func TestStoreFileCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		run     func(t *testing.T, s *Store)
+		records int
+	}{
+		{"one per record", func(t *testing.T, s *Store) {
+			s.JobAccepted(info("j1", 1, jobs.StatusQueued), nil)
+			s.JobCheckpoint("j1", "j1.ckpt")
+			s.JobStarted("j1")
+			s.JobFinalized(info("j1", 1, jobs.StatusDone), "best")
+		}, 4},
+		{"three per served job", func(t *testing.T, s *Store) {
+			svc := jobs.New(jobs.Options{Workers: 1, QueueDepth: 16, Journal: s})
+			defer svc.Close()
+			for i := 0; i < 3; i++ {
+				id, err := svc.Submit("acme", func(ctx context.Context) (any, error) { return "ok", nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := svc.Wait(context.Background(), id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := durabletest.New()
+			s, err := open(fsys, "d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.run(t, s)
+			if w, sy, _ := fsys.Counts(); w != tc.records || sy != tc.records {
+				t.Fatalf("%d write(s), %d fsync(s); want %d each", w, sy, tc.records)
+			}
+			if rec := s.Recovery(); rec.Records != 0 {
+				t.Fatalf("fresh store replayed %d record(s)", rec.Records)
+			}
+		})
+	}
+}
+
+// TestStoreFailedAppend: after a WAL write fails partway or its fsync
+// fails, the store refuses every later submission, and a restart
+// recovers exactly the jobs whose admission was acknowledged.
+func TestStoreFailedAppend(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		failWrite, failSync int
+	}{{"write fails partway", 3, 0}, {"fsync fails", 0, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := durabletest.New()
+			fsys.FailWrite, fsys.FailSync = tc.failWrite, tc.failSync
+			s, err := open(fsys, "d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acked []string
+			for i := int64(1); i <= 6; i++ {
+				if s.JobAccepted(info(jobID(i), i, jobs.StatusQueued), nil) == nil {
+					acked = append(acked, jobID(i))
+				}
+			}
+			if len(acked) != 2 {
+				t.Fatalf("acknowledged %v, want the two before the failure", acked)
+			}
+			r, err := open(fsys, "d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, js := range r.Jobs() {
+				got = append(got, js.Info.ID)
+			}
+			if !reflect.DeepEqual(got, acked) {
+				t.Fatalf("recovered %v, want exactly the acknowledged %v", got, acked)
+			}
+		})
+	}
+}
+
+// TestStoreCrashEveryBoundary kills the store at every write and fsync
+// boundary of a record sequence: the restarted store replays exactly
+// the acknowledged records, plus at most the one in flight.
+func TestStoreCrashEveryBoundary(t *testing.T) {
+	appends := []func(s *Store) error{
+		func(s *Store) error { return s.JobAccepted(info("j1", 1, jobs.StatusQueued), nil) },
+		func(s *Store) error { return s.JobAccepted(info("j2", 2, jobs.StatusQueued), nil) },
+		func(s *Store) error { return s.JobStarted("j1") },
+		func(s *Store) error { return s.JobFinalized(info("j1", 1, jobs.StatusDone), "best") },
+	}
+	for _, cp := range durabletest.CrashPoints(len(appends)) {
+		t.Run(cp.String(), func(t *testing.T) {
+			fsys := cp.Arm()
+			s, err := open(fsys, "d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := 0
+			for _, app := range appends {
+				if app(s) != nil {
+					break
+				}
+				acked++
+			}
+			after := fsys.Crash(cp.Keep)
+			r, err := open(after, "d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := r.Recovery().Records
+			if n != acked && n != acked+1 || n > len(appends) {
+				t.Fatalf("replayed %d record(s); %d were acknowledged", n, acked)
+			}
+			if j1, _ := r.Get("j1"); acked == len(appends) && j1.Info.Status != jobs.StatusDone {
+				t.Fatalf("acknowledged finalize lost: %+v", j1.Info)
+			}
+			// The recovered WAL takes appends that survive the next restart.
+			if err := r.JobAccepted(info("j9", 9, jobs.StatusQueued), nil); err != nil {
+				t.Fatal(err)
+			}
+			if again, err := open(after, "d"); err != nil || again.Recovery().Records != n+1 || again.Recovery().WALErr != "" {
+				t.Fatalf("after an append past the recovery: %+v, %v", again.Recovery(), err)
+			}
+		})
+	}
 }

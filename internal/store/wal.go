@@ -1,10 +1,13 @@
 // Package store is the durable job store behind `patty serve
 // -store-dir`: a write-ahead log of job lifecycle records (accepted,
-// checkpoint-ref, started, finalized) periodically compacted into a
-// snapshot. Both files use internal/durable's record format, so a
-// SIGKILL at any byte leaves a log whose maximal valid prefix is
-// recoverable: recovery replays that prefix and truncates the rest —
-// never a panic, never a partial record applied.
+// started, finalized) periodically compacted into a snapshot. The
+// service writes those three per job; a fourth kind, the
+// checkpoint-ref, is only written by JobCheckpoint's callers outside
+// the service (bench/serve.go's store probe) and still replays. The
+// WAL is a durable.Log and the snapshot a durable.Save, so a SIGKILL
+// at any byte leaves a log whose maximal valid prefix is recoverable:
+// recovery replays that prefix and truncates the rest — never a
+// panic, never a partial record applied.
 package store
 
 import (
@@ -20,7 +23,9 @@ const (
 	// OpAccepted: the job was admitted; Job and Spec are set. Written
 	// before the submitter gets an id, so every acknowledgment is here.
 	OpAccepted = "accepted"
-	// OpCheckpoint: ID's resume journal lives at Path.
+	// OpCheckpoint: ID's resume journal lives at Path. jobs.Service does
+	// not write it (a recovered job finds its journal by name, from
+	// its spec); only JobCheckpoint's direct callers do.
 	OpCheckpoint = "ckpt"
 	// OpStarted: ID was dispatched to a worker (diagnostic).
 	OpStarted = "started"
@@ -45,16 +50,22 @@ type Record struct {
 // walMagic opens every WAL frame (internal/durable's record format).
 const walMagic = "walrec "
 
-// decodeWAL parses a WAL image into its maximal valid record prefix
-// (see durable.Decode for validLen and the error classes).
-func decodeWAL(raw []byte) (recs []Record, validLen int, err error) {
-	validLen, err = durable.Decode(walMagic, raw, func(payload []byte) error {
+// replayWAL adapts fn to durable's replay callback: fn sees each
+// intact record in order; a payload that is not a record is damage.
+func replayWAL(fn func(Record)) func(payload []byte) error {
+	return func(payload []byte) error {
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return err
 		}
-		recs = append(recs, rec)
+		fn(rec)
 		return nil
-	})
+	}
+}
+
+// decodeWAL parses a WAL image into its maximal valid record prefix
+// (see durable.Decode for validLen and the error classes).
+func decodeWAL(raw []byte) (recs []Record, validLen int, err error) {
+	validLen, err = durable.Decode(walMagic, raw, replayWAL(func(rec Record) { recs = append(recs, rec) }))
 	return recs, validLen, err
 }

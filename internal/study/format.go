@@ -62,7 +62,7 @@ func MeasuredOutcome() (ToolOutcome, error) {
 // the source of truth; the snapshot only saves time on restart).
 // resumed reports whether the outcome came from the snapshot.
 func MeasuredOutcomeCached(path string) (out ToolOutcome, resumed bool, err error) {
-	loadErr := durable.Load(path, OutcomeKind, &out)
+	loadErr := durable.Load(durable.OS, path, OutcomeKind, &out)
 	if loadErr == nil {
 		return out, true, nil
 	}
@@ -73,7 +73,7 @@ func MeasuredOutcomeCached(path string) (out ToolOutcome, resumed bool, err erro
 	if err != nil {
 		return ToolOutcome{}, false, err
 	}
-	if err := durable.Save(path, OutcomeKind, &out); err != nil {
+	if err := durable.Save(durable.OS, path, OutcomeKind, &out); err != nil {
 		return ToolOutcome{}, false, err
 	}
 	return out, false, nil

@@ -32,7 +32,7 @@ func TestMeasuredOutcomeCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	var probe ToolOutcome
-	if err := durable.Load(path, OutcomeKind, &probe); !errors.Is(err, durable.ErrCorrupt) {
+	if err := durable.Load(durable.OS, path, OutcomeKind, &probe); !errors.Is(err, durable.ErrCorrupt) {
 		t.Fatalf("sanity: snapshot should be corrupt, got %v", err)
 	}
 	healed, resumed, err := MeasuredOutcomeCached(path)

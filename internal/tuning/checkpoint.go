@@ -4,10 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 
@@ -80,7 +77,7 @@ type journalFrame struct {
 // fast-forwards through the completed prefix and continues exactly
 // where the killed run stopped.
 type Checkpointer struct {
-	path string // "": in memory only
+	log *durable.Log // nil: in memory only
 	// Quarantine, when non-nil, supplies the currently quarantined
 	// configuration keys (jobs.Breaker.Quarantined); a changed set is
 	// journaled with the next write.
@@ -91,7 +88,6 @@ type Checkpointer struct {
 	quarantined []string // the set last journaled or replayed
 	pending     []byte   // frames waiting for the next write
 	resumed     int
-	saveErr     error
 }
 
 // NewCheckpointer opens or creates the journal at path for the given
@@ -101,18 +97,18 @@ type Checkpointer struct {
 // from the intact prefix. A journal for a different search fails with
 // ErrCheckpointMismatch; a damaged complete frame fails with
 // durable.ErrCorrupt — the caller decides whether to delete and start
-// over.
+// over. Close releases the journal.
 func NewCheckpointer(path string, meta SearchMeta) (c *Checkpointer, resumed int, err error) {
-	c = &Checkpointer{path: path, cache: make(map[string]EvalRecord)}
+	return newCheckpointer(durable.OS, path, meta)
+}
+
+func newCheckpointer(fsys durable.FS, path string, meta SearchMeta) (c *Checkpointer, resumed int, err error) {
+	c = &Checkpointer{cache: make(map[string]EvalRecord)}
 	if path == "" {
 		return c, 0, nil
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, fmt.Errorf("tuning: %w", err)
-	}
 	var prev *SearchMeta
-	validLen, derr := durable.Decode(journalMagic, raw, func(payload []byte) error {
+	log, _, err := durable.OpenLog(fsys, path, journalMagic, func(payload []byte) error {
 		var f journalFrame
 		if err := json.Unmarshal(payload, &f); err != nil {
 			return err
@@ -121,7 +117,9 @@ func NewCheckpointer(path string, meta SearchMeta) (c *Checkpointer, resumed int
 		case (prev == nil) != (f.Meta != nil):
 			return errors.New("journal frame out of place")
 		case f.Meta != nil:
-			prev = f.Meta
+			if prev = f.Meta; prev.signature() != meta.signature() {
+				return ErrCheckpointMismatch
+			}
 		case f.Eval != nil:
 			c.remember(*f.Eval)
 		case f.Quarantined != nil:
@@ -132,24 +130,29 @@ func NewCheckpointer(path string, meta SearchMeta) (c *Checkpointer, resumed int
 		return nil
 	})
 	switch {
-	case errors.Is(derr, durable.ErrCorrupt):
-		return nil, 0, fmt.Errorf("tuning: journal %s: %w", path, derr)
 	case prev != nil && prev.signature() != meta.signature():
-		return nil, 0, fmt.Errorf("%w: journal %q holds %s, this run is %s",
+		err = fmt.Errorf("%w: journal %q holds %s, this run is %s",
 			ErrCheckpointMismatch, path, prev.signature(), meta.signature())
-	case derr != nil:
-		if err := durable.TruncateSync(path, int64(validLen)); err != nil {
-			return nil, 0, fmt.Errorf("tuning: %w", err)
-		}
+	case errors.Is(err, durable.ErrCorrupt):
+		err = fmt.Errorf("tuning: journal %s: %w", path, err)
+	case err != nil && !errors.Is(err, durable.ErrTornTail):
+		return nil, 0, fmt.Errorf("tuning: %w", err)
+	default:
+		err = nil
 	}
+	if err != nil {
+		log.Close()
+		return nil, 0, err
+	}
+	c.log = log
 	if prev == nil {
 		// Fresh (or torn before its first frame completed): the meta
-		// frame creates the journal, made durable with its directory.
+		// frame creates the journal.
 		c.queue(journalFrame{Meta: &meta})
-		if err := c.write(os.O_CREATE); err != nil {
+		if err := c.write(); err != nil {
+			log.Close()
 			return nil, 0, err
 		}
-		durable.SyncDir(filepath.Dir(path))
 	}
 	c.resumed = len(c.order)
 	return c, c.resumed, nil
@@ -178,54 +181,32 @@ func (c *Checkpointer) remember(rec EvalRecord) {
 }
 
 // queue encodes one frame into the pending buffer (none in memory).
+// A frame always marshals: NewRecord stores a fault as a flag, never as
+// a non-finite cost.
 func (c *Checkpointer) queue(f journalFrame) {
-	if c.path == "" {
-		return
-	}
-	payload, err := json.Marshal(f)
-	if err != nil {
-		c.fail(fmt.Errorf("tuning: marshal journal frame: %w", err))
-		return
-	}
-	c.pending = durable.AppendFrame(c.pending, journalMagic, payload)
-}
-
-// fail records the first journal error.
-func (c *Checkpointer) fail(err error) {
-	if err != nil && c.saveErr == nil {
-		c.saveErr = err
+	if c.log != nil {
+		payload, _ := json.Marshal(f)
+		c.pending = durable.AppendFrame(c.pending, journalMagic, payload)
 	}
 }
 
 // write appends the pending frames, plus a quarantine frame if the set
 // changed, with one write and one fsync. After a failed write the
-// journal stops growing, so it stays an intact prefix with at most a
-// torn tail.
-func (c *Checkpointer) write(flag int) error {
+// journal stops growing (durable.Log's rule), so it stays an intact
+// prefix with at most a torn tail.
+func (c *Checkpointer) write() error {
 	if c.Quarantine != nil {
 		if q := c.Quarantine(); !slices.Equal(q, c.quarantined) {
 			c.quarantined = append([]string{}, q...) // never null in JSON
 			c.queue(journalFrame{Quarantined: &c.quarantined})
 		}
 	}
-	if len(c.pending) == 0 || c.saveErr != nil {
-		return c.saveErr
+	if c.log == nil {
+		return nil
 	}
-	f, err := os.OpenFile(c.path, os.O_WRONLY|os.O_APPEND|flag, 0o644)
-	if err == nil {
-		_, err = f.Write(c.pending)
-		if err == nil {
-			err = f.Sync()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
+	err := c.log.Append(c.pending)
 	c.pending = c.pending[:0]
-	if err != nil {
-		c.fail(fmt.Errorf("tuning: journal: %w", err))
-	}
-	return c.saveErr
+	return err
 }
 
 // Wrap interposes the journal: cached assignments replay their
@@ -239,7 +220,7 @@ func (c *Checkpointer) Wrap(obj Objective) Objective {
 		rec := NewRecord(a, obj(a))
 		c.remember(rec)
 		c.queue(journalFrame{Eval: &rec})
-		c.write(0)
+		c.write()
 		return rec.EffectiveCost()
 	}
 }
@@ -300,7 +281,16 @@ func (r EvalRecord) EffectiveCost() float64 {
 // if it changed) and reports the first error any write hit; a search
 // whose journal could not be written must not advertise itself as
 // resumable.
-func (c *Checkpointer) Flush() error { return c.write(0) }
+func (c *Checkpointer) Flush() error { return c.write() }
+
+// Close releases the journal file; the record stays readable and
+// nothing more is journaled. Closing an in-memory record is a no-op.
+func (c *Checkpointer) Close() error {
+	if c.log == nil {
+		return nil
+	}
+	return c.log.Close()
+}
 
 // Explored is the number of distinct configurations measured across
 // all runs of this search (resumed prefix included).

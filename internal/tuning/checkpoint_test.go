@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"patty/internal/durable"
+	"patty/internal/durable/durabletest"
 )
 
 // rastrigin-ish deterministic objective with a unique optimum.
@@ -424,6 +425,99 @@ func TestCheckpointCorrectOverwrites(t *testing.T) {
 				t.Fatalf("resumed %d evals, want 4", resumed)
 			}
 			check(ck2)
+		})
+	}
+}
+
+// TestCheckpointFileCounts pins the journal's cost on the fake
+// filesystem: creating a journal is one write, one fsync and one
+// directory fsync (its meta frame); each fresh evaluation through Wrap
+// and each Flush batch is one write and one fsync; a replayed
+// evaluation and an empty Flush touch nothing.
+func TestCheckpointFileCounts(t *testing.T) {
+	meta := SearchMeta{Algo: "linear", Budget: 50, Dims: bowlDims(), Start: bowlStart()}
+	for _, tc := range []struct {
+		name          string
+		run           func(ck *Checkpointer)
+		writes, syncs int
+	}{
+		{"open", func(*Checkpointer) {}, 1, 1},
+		{"wrap fresh", func(ck *Checkpointer) {
+			for x := 0; x < 4; x++ {
+				ck.Wrap(bowl)(map[string]int{"x": x, "y": 0})
+			}
+		}, 5, 5},
+		{"wrap replayed", func(ck *Checkpointer) {
+			obj := ck.Wrap(bowl)
+			for i := 0; i < 4; i++ {
+				obj(bowlStart())
+			}
+		}, 2, 2},
+		{"flush batch", func(ck *Checkpointer) {
+			for x := 0; x < 4; x++ {
+				ck.Record(map[string]int{"x": x, "y": 1}, float64(x))
+			}
+			ck.Correct(map[string]int{"x": 0, "y": 1}, 9)
+			ck.Flush()
+			ck.Flush()
+		}, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := durabletest.New()
+			fsys.MkdirAll("d", 0o755)
+			ck, _, err := newCheckpointer(fsys, "d/search.ckpt", meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ck.Close()
+			tc.run(ck)
+			if err := ck.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if w, s, d := fsys.Counts(); w != tc.writes || s != tc.syncs || d != 1 {
+				t.Fatalf("%d write(s), %d fsync(s), %d directory fsync(s); want %d, %d, 1", w, s, d, tc.writes, tc.syncs)
+			}
+		})
+	}
+}
+
+// TestCheckpointCrashEveryBoundary kills a journaled search at every
+// write and fsync boundary of its journal (the meta frame, then one
+// frame per fresh evaluation): the reopened journal resumes exactly the
+// evaluations whose journaling succeeded, plus at most the one in
+// flight, and a crash before the meta frame is durable reopens as a
+// fresh journal.
+func TestCheckpointCrashEveryBoundary(t *testing.T) {
+	meta := SearchMeta{Algo: "linear", Budget: 50, Dims: bowlDims(), Start: bowlStart()}
+	const evals = 4
+	for _, cp := range durabletest.CrashPoints(1 + evals) {
+		t.Run(cp.String(), func(t *testing.T) {
+			fsys := cp.Arm()
+			fsys.MkdirAll("d", 0o755)
+			acked := 0
+			if ck, _, err := newCheckpointer(fsys, "d/search.ckpt", meta); err == nil {
+				obj := ck.Wrap(bowl)
+				for x := 0; x < evals; x++ {
+					obj(map[string]int{"x": x, "y": 0})
+					if ck.Flush() != nil {
+						break
+					}
+					acked++
+				}
+			}
+			ck, resumed, err := newCheckpointer(fsys.Crash(cp.Keep), "d/search.ckpt", meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ck.Close()
+			if resumed != acked && resumed != acked+1 || resumed > evals {
+				t.Fatalf("resumed %d evaluation(s); %d were journaled", resumed, acked)
+			}
+			for i, rec := range ck.Records() {
+				if rec.Assignment["x"] != i {
+					t.Fatalf("record %d is %v", i, rec.Assignment)
+				}
+			}
 		})
 	}
 }
