@@ -72,8 +72,8 @@ serve-chaos:
 # warm-vs-cold bit-identity gates, all under -race.
 cachechaos:
 	$(GO) test -race -count=1 -timeout 120s \
-		-run 'CacheChaos|WarmCache|DurableCorruption|SegmentCorruption|StoreOpenCorruption|CrashEveryBoundary|FailedAppend|ProgramHash|CacheResume|AnalyzeCache|CacheTable|JobCacheKey|CacheIdentity|ServeJobMemoization' \
-		./cmd/patty/ ./internal/evalcache/ ./internal/fleet/ ./internal/obs/ ./internal/report/ ./internal/durable/
+		-run 'CacheChaos|WarmCache|DurableCorruption|SegmentCorruption|StoreOpenCorruption|CrashEveryBoundary|FailedAppend|ProgramHash|CacheResume|CacheTable|JobCacheKey|CacheIdentity|ServeJobMemoization' \
+		./cmd/patty/ ./internal/evalcache/ ./internal/fleet/ ./internal/report/ ./internal/durable/
 
 # fleet is the distributed-tuning gate: the coordinator/worker suite
 # under -race — shard partitioning, lease expiry, work stealing,
@@ -98,8 +98,8 @@ fleet:
 netchaos:
 	$(GO) test -race -count=1 -timeout 180s ./internal/netchaos/
 	$(GO) test -race -count=1 -timeout 180s \
-		-run 'NetChaos|Byzantine|CrossCheck|CostsAgree|PickSample|RetryAfter|ContentLength|Jitter|CheckpointCorrect|DurableCorruption|DecodeWALEdge|FleetTableHostile|AnalyzeFleetHostile' \
-		./internal/fleet/ ./internal/jobs/ ./internal/store/ ./internal/durable/ ./internal/tuning/ ./internal/obs/ ./internal/report/ ./cmd/patty/
+		-run 'NetChaos|Byzantine|CrossCheck|CostsAgree|PickSample|RetryAfter|ContentLength|Jitter|CheckpointCorrect|DurableCorruption|DecodeWALEdge|FleetTableHostile' \
+		./internal/fleet/ ./internal/jobs/ ./internal/store/ ./internal/durable/ ./internal/tuning/ ./internal/report/ ./cmd/patty/
 
 # vm is the bytecode-engine gate: the VM must stay bit-identical to
 # the tree-walking oracle — engine equivalence and golden-disassembly

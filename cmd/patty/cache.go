@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"patty/internal/evalcache"
-	"patty/internal/obs"
 	"patty/internal/report"
 )
 
@@ -44,12 +43,7 @@ func cmdCache(args []string) error {
 			fmt.Printf("recovery: %d torn byte(s) dropped, %d segment(s) quarantined: %s\n",
 				rec.TornBytes, len(rec.Quarantined), strings.Join(rec.Quarantined, ", "))
 		}
-		if ch, ok := obs.AnalyzeCache(metrics.Snapshot()); ok {
-			fmt.Print(report.CacheTable(ch))
-		}
-		st := s.Stats()
-		fmt.Printf("store %s: %d entr(y/ies), %d byte(s) in %d segment(s)\n",
-			*dir, st.Entries, st.Bytes, st.Segments)
+		fmt.Print(report.Status(metrics.Snapshot()))
 		return nil
 	case "verify":
 		rep, err := evalcache.VerifyDir(*dir)
@@ -71,13 +65,13 @@ func cmdCache(args []string) error {
 			return err
 		}
 		defer s.Close()
-		before := s.Stats()
+		bytes := metrics.Gauge("cache.bytes")
+		before := bytes.Value()
 		if err := s.Compact(); err != nil {
 			return err
 		}
-		after := s.Stats()
 		fmt.Printf("compacted %s: %d -> %d byte(s) (%d entr(y/ies) live)\n",
-			*dir, before.Bytes, after.Bytes, after.Entries)
+			*dir, before, bytes.Value(), metrics.Gauge("cache.entries").Value())
 		return nil
 	default:
 		return fmt.Errorf("unknown cache operation %q (want stats, verify or gc)", op)

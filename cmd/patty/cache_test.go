@@ -122,7 +122,8 @@ func TestJobCacheKey(t *testing.T) {
 // answers the recorded bytes without running.
 func TestServeJobMemoization(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cas")
-	cache, err := evalcache.Open(dir, evalcache.Options{Collector: obs.New()})
+	c := obs.New()
+	cache, err := evalcache.Open(dir, evalcache.Options{Collector: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +145,8 @@ func TestServeJobMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Inserts != 1 {
-		t.Fatalf("first run recorded %d entries, want 1", st.Inserts)
+	if n := c.Counter("cache.inserts").Value(); n != 1 {
+		t.Fatalf("first run recorded %d entries, want 1", n)
 	}
 
 	// Same job, different tenant: served from the shared store.
@@ -165,8 +166,8 @@ func TestServeJobMemoization(t *testing.T) {
 	if string(raw) != string(want) {
 		t.Fatalf("cached bytes differ:\n got %s\nwant %s", raw, want)
 	}
-	if st := cache.Stats(); st.Hits != 1 {
-		t.Fatalf("hits = %d, want 1", st.Hits)
+	if n := c.Counter("cache.hits").Value(); n != 1 {
+		t.Fatalf("hits = %d, want 1", n)
 	}
 	if err := cache.Close(); err != nil {
 		t.Fatal(err)
@@ -227,7 +228,8 @@ func TestServeJobMemoizationDuplicateTraffic(t *testing.T) {
 	for i, p := range programs {
 		submit("t1", i, p.Source)
 	}
-	cold := cache.Stats().Hits
+	hits := c.Counter("cache.hits")
+	cold := hits.Value()
 	dups := 0
 	for i, p := range programs {
 		for k, tenant := range []string{"t1", "t2", "hog", "hog", "hog"} {
@@ -235,7 +237,7 @@ func TestServeJobMemoizationDuplicateTraffic(t *testing.T) {
 			dups++
 		}
 	}
-	if hits := cache.Stats().Hits - cold; hits != int64(dups) {
-		t.Fatalf("%d store hits for %d duplicates, want one each", hits, dups)
+	if n := hits.Value() - cold; n != int64(dups) {
+		t.Fatalf("%d store hits for %d duplicates, want one each", n, dups)
 	}
 }

@@ -423,3 +423,50 @@ func TestFleetJournalCutKeepsQuarantine(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetTuneCounts pins the work of the benchmark's tune-fleet op:
+// LinearSearch with budget 150 over tuneWorkload(cores), sharded over
+// two in-process workers of one evaluation slot each, for every core
+// count the workload cycles through. Each search merges exactly the
+// evaluations it reads and splits its asked batches into a fixed
+// number of shards; both are set by the search, not by timing, so they
+// are exact. The audit count (Stats.CrossChecked) is left out: it
+// counts cross-checked responses, and a shard stolen or re-dispatched
+// under scheduling can answer, and be audited, more than once.
+func TestFleetTuneCounts(t *testing.T) {
+	t.Cleanup(ptest.NoLeaks(t))
+	t.Cleanup(http.DefaultClient.CloseIdleConnections)
+	var urls []string
+	for i := 0; i < 2; i++ {
+		url, stop, err := startInprocWorker(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stop()
+		urls = append(urls, url)
+	}
+	for _, tc := range []struct{ cores, merged, shards int }{
+		{4, 26, 10}, {5, 26, 10}, {6, 18, 7}, {7, 18, 7},
+		{8, 18, 7}, {9, 18, 7}, {10, 18, 7}, {11, 18, 7},
+	} {
+		dims, start, obj := tuneWorkload(tc.cores)
+		spec, err := json.Marshal(evalSpec{Cores: tc.cores})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, st, err := fleet.Tune(context.Background(), tuning.LinearSearch{}, dims, start, 150, fleet.Options{
+			Workers:        urls,
+			Spec:           spec,
+			LocalObjective: obj,
+		})
+		if err != nil {
+			t.Fatalf("cores=%d: %v", tc.cores, err)
+		}
+		if st.Merged != tc.merged || st.Shards != tc.shards {
+			t.Errorf("cores=%d: merged %d in %d shard(s), want %d in %d", tc.cores, st.Merged, st.Shards, tc.merged, tc.shards)
+		}
+		if st.Merged != res.Evaluations {
+			t.Errorf("cores=%d: merged %d evaluations, the search read %d", tc.cores, st.Merged, res.Evaluations)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 
 	"patty/internal/evalcache"
 	"patty/internal/jobs"
+	"patty/internal/report"
 )
 
 // The skeleton `patty serve` and `patty worker` share: the probes they
@@ -16,8 +17,8 @@ import (
 // listen → banner → serve → drain → shutdown sequence.
 
 // mountProbes adds the endpoints every patty server process answers:
-// liveness, readiness (503 while svc drains) and the metrics snapshot.
-// Each process mounts its own /statusz page.
+// liveness, readiness (503 while svc drains), the metrics snapshot and
+// the status page that renders it.
 func mountProbes(mux *http.ServeMux, svc *jobs.Service) {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -32,6 +33,10 @@ func mountProbes(mux *http.ServeMux, svc *jobs.Service) {
 	})
 	mux.HandleFunc("GET /metricz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, metrics.Snapshot())
+	})
+	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprint(w, report.Status(metrics.Snapshot()))
 	})
 }
 

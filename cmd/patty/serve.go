@@ -16,8 +16,6 @@ import (
 	"patty/internal/evalcache"
 	"patty/internal/fleet"
 	"patty/internal/jobs"
-	"patty/internal/obs"
-	"patty/internal/report"
 	"patty/internal/store"
 	"patty/internal/study"
 )
@@ -459,19 +457,6 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mountProbes(mux, s.svc)
-	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
-		snap := metrics.Snapshot()
-		h, _ := obs.AnalyzeService(snap)
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, report.ServiceTable(h))
-		fmt.Fprint(w, report.TenantTable(obs.AnalyzeTenants(snap)))
-		if fh, ok := obs.AnalyzeFleet(snap); ok {
-			fmt.Fprint(w, report.FleetTable(fh))
-		}
-		if ch, ok := obs.AnalyzeCache(snap); ok {
-			fmt.Fprint(w, report.CacheTable(ch))
-		}
-	})
 	return mux
 }
 

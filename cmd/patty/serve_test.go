@@ -16,6 +16,7 @@ import (
 	"patty/internal/jobs"
 	"patty/internal/obs"
 	"patty/internal/ptest"
+	"patty/internal/report"
 	"patty/internal/store"
 )
 
@@ -308,18 +309,20 @@ func TestServeTenantFairnessUnderSkew(t *testing.T) {
 	}
 	wg.Wait()
 
-	ths := obs.AnalyzeTenants(c.Snapshot())
-	for _, th := range ths {
-		t.Logf("%-4s %2d client(s): %4d done, %d x 429, %d x 503",
-			th.Tenant, clients[th.Tenant], th.Goodput(), th.QuotaDenied, th.Shed)
-		if th.Goodput() == 0 {
-			t.Errorf("tenant %s finished no job", th.Tenant)
+	snap := c.Snapshot()
+	cf := snap.CounterFamilies
+	for tenant, n := range clients {
+		t.Logf("%-4s %2d client(s): %4d done, %d x 429, %d x 503", tenant, n,
+			cf["jobs.tenant.done"][tenant], cf["jobs.tenant.quota"][tenant], cf["jobs.tenant.shed"][tenant])
+		if cf["jobs.tenant.done"][tenant] == 0 {
+			t.Errorf("tenant %s finished no job", tenant)
 		}
 	}
-	if len(ths) != len(clients) {
-		t.Fatalf("digest covers %d tenants, want %d", len(ths), len(clients))
+	// A tenant registers every jobs.tenant.* series at once.
+	if tenants := cf["jobs.tenant.submitted"]; len(tenants) != len(clients) {
+		t.Fatalf("jobs.tenant.submitted covers %d tenants, want %d: %v", len(tenants), len(clients), tenants)
 	}
-	if ratio := obs.FairnessRatio(ths); ratio > 2.0 {
+	if ratio := report.FairnessRatio(snap); ratio > 2.0 {
 		t.Fatalf("fairness: max/min goodput %.2f > 2.0", ratio)
 	}
 }

@@ -399,19 +399,10 @@ func cmdTune(ctx context.Context, args []string) error {
 		fmt.Printf("algorithm %s: best %v, cost %.0f after %d evaluations\n",
 			out.Algo, out.Best, out.Cost, out.Evaluations)
 	}
-	if out.Fleet != nil {
-		if n := out.Fleet.CacheHits; n > 0 {
-			fmt.Printf("fleet: %d config(s) answered by the evaluation store before dispatch\n", n)
-		}
-		if fh, ok := obs.AnalyzeFleet(metrics.Snapshot()); ok {
-			fmt.Print(report.FleetTable(fh))
-		}
+	if out.Fleet != nil && out.Fleet.CacheHits > 0 {
+		fmt.Printf("fleet: %d config(s) answered by the evaluation store before dispatch\n", out.Fleet.CacheHits)
 	}
-	if spec.CacheDir != "" {
-		if ch, ok := obs.AnalyzeCache(metrics.Snapshot()); ok {
-			fmt.Print(report.CacheTable(ch))
-		}
-	}
+	fmt.Print(report.Status(metrics.Snapshot()))
 	if spec.Checkpoint != "" {
 		fmt.Printf("checkpoint %s: %d configs explored (%d replayed from a previous run)\n",
 			spec.Checkpoint, out.Explored, out.Resumed)

@@ -10,8 +10,6 @@ import (
 	"patty/internal/fleet"
 	"patty/internal/jobs"
 	"patty/internal/netchaos"
-	"patty/internal/obs"
-	"patty/internal/report"
 	"patty/internal/tuning"
 )
 
@@ -84,19 +82,6 @@ func cmdWorker(ctx context.Context, args []string) error {
 	})
 	mux := fleet.NewWorker(svc, hook, cache, metrics).Mux()
 	mountProbes(mux, svc)
-	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
-		snap := metrics.Snapshot()
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if h, ok := obs.AnalyzeService(snap); ok {
-			fmt.Fprint(w, report.ServiceTable(h))
-		}
-		if fh, ok := obs.AnalyzeFleet(snap); ok {
-			fmt.Fprint(w, report.FleetTable(fh))
-		}
-		if ch, ok := obs.AnalyzeCache(snap); ok {
-			fmt.Fprint(w, report.CacheTable(ch))
-		}
-	})
 
 	var handler http.Handler = mux
 	if ps, err := parseChaosPlan(*chaosFlag); err != nil {

@@ -15,17 +15,9 @@
 // size-bounded: when the on-disk footprint exceeds MaxBytes the oldest
 // sealed segments are evicted whole, FIFO.
 //
-// Metrics (on the Collector passed in Options):
-//
-//	cache.hits                 counter  lookups answered from the store
-//	cache.misses               counter  lookups that fell through to measurement
-//	cache.inserts              counter  entries appended (first write of a key)
-//	cache.evictions            counter  entries dropped by segment eviction
-//	cache.corrupt              counter  segments quarantined during recovery
-//	cache.entries              gauge    live entries in the index
-//	cache.bytes                gauge    on-disk footprint across segments
-//	cache.segments             gauge    segment files (incl. active)
-//	cache.tenant.hits{tenant}  counter  per-tenant hit attribution, labelled by tenant id
+// The store publishes the cache.* metrics on the Collector passed in
+// Options (report.CacheTable documents and renders them); `patty
+// cache` reads the store's traffic and size there.
 package evalcache
 
 import (
@@ -118,18 +110,6 @@ type Recovery struct {
 	Entries     int      // live entries recovered into the index
 	TornBytes   int64    // bytes truncated from torn tails
 	Quarantined []string // damaged segment files renamed aside
-}
-
-// Stats is a point-in-time snapshot for `patty cache stats` and tests.
-type Stats struct {
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	Segments  int   `json:"segments"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Inserts   int64 `json:"inserts"`
-	Evictions int64 `json:"evictions"`
-	Corrupt   int64 `json:"corrupt"`
 }
 
 type segment struct {
@@ -413,7 +393,9 @@ func (s *Store) evict() {
 	}
 }
 
-// publish refreshes the gauges. Caller holds s.mu.
+// publish sets the cache.entries, cache.bytes and cache.segments
+// gauges to the store's current size; Open, every append and Compact
+// end with it. Caller holds s.mu.
 func (s *Store) publish() {
 	s.entriesG.Set(int64(len(s.index)))
 	s.bytesG.Set(s.total)
@@ -432,22 +414,6 @@ func (s *Store) Recovery() Recovery {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rec
-}
-
-// Stats snapshots the store for reporting.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		Entries:   len(s.index),
-		Bytes:     s.total,
-		Segments:  len(s.order),
-		Hits:      s.hits.Value(),
-		Misses:    s.misses.Value(),
-		Inserts:   s.inserts.Value(),
-		Evictions: s.evicts.Value(),
-		Corrupt:   s.corrupt.Value(),
-	}
 }
 
 // Compact rewrites all live entries into fresh segments and removes

@@ -129,17 +129,17 @@ func TestStoreEvictionBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
+	snap := c.Snapshot()
 	// The bound allows the active segment to exceed transiently by one
 	// frame; sealed-segment FIFO keeps the footprint near MaxBytes.
-	if st.Bytes > 2048+512 {
-		t.Fatalf("store grew past its bound: %d bytes", st.Bytes)
+	if n := snap.Gauges["cache.bytes"]; n > 2048+512 {
+		t.Fatalf("store grew past its bound: %d bytes", n)
 	}
-	if st.Evictions == 0 {
+	if snap.Counters["cache.evictions"] == 0 {
 		t.Fatal("no evictions recorded under a tiny budget")
 	}
-	if c.Snapshot().Counters["cache.evictions"] != st.Evictions {
-		t.Fatal("cache.evictions counter disagrees with Stats")
+	if n := snap.Gauges["cache.entries"]; n != int64(s.Len()) {
+		t.Fatalf("cache.entries gauge = %d, index holds %d", n, s.Len())
 	}
 	// Recent keys survive; the oldest are gone.
 	if _, ok := s.Get(testEntry(199, 0).Key(), ""); !ok {
@@ -261,7 +261,8 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 
 func TestStoreCompact(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
-	s, err := Open(dir, Options{SegmentBytes: 256})
+	c := obs.New()
+	s, err := Open(dir, Options{SegmentBytes: 256, Collector: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,16 +278,16 @@ func TestStoreCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := s.Stats()
+	entries, bytes := c.Gauge("cache.entries"), c.Gauge("cache.bytes")
+	beforeEntries, beforeBytes := entries.Value(), bytes.Value()
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	after := s.Stats()
-	if after.Entries != before.Entries {
-		t.Fatalf("compact changed entry count: %d -> %d", before.Entries, after.Entries)
+	if entries.Value() != beforeEntries {
+		t.Fatalf("compact changed entry count: %d -> %d", beforeEntries, entries.Value())
 	}
-	if after.Bytes >= before.Bytes {
-		t.Fatalf("compact did not shrink the store: %d -> %d bytes", before.Bytes, after.Bytes)
+	if bytes.Value() >= beforeBytes {
+		t.Fatalf("compact did not shrink the store: %d -> %d bytes", beforeBytes, bytes.Value())
 	}
 	s.Close()
 	s2, err := Open(dir, Options{})

@@ -560,8 +560,7 @@ func TestQuarantinedLiarShardNotRedispatched(t *testing.T) {
 	if st.Redispatched != 0 {
 		t.Fatalf("redispatched = %d, want 0: no lease expired or failed", st.Redispatched)
 	}
-	fh, _ := obs.AnalyzeFleet(c.Snapshot())
-	if table := report.FleetTable(fh); strings.Contains(table, "re-dispatched") {
+	if table := report.FleetTable(c.Snapshot()); strings.Contains(table, "re-dispatched") {
 		t.Fatalf("fleet table reports a re-dispatch:\n%s", table)
 	}
 }

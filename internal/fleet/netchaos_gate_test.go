@@ -386,9 +386,9 @@ func TestPeerScorecardsKeepWorkerURLs(t *testing.T) {
 	s.noteDispatch("http://h:1")
 	s.noteDispatch("http://h:1")
 	s.noteDispatch("https://h:1")
-	h, _ := obs.AnalyzeFleet(c.Snapshot())
-	want := []obs.PeerHealth{{Name: "http://h:1", Dispatched: 2}, {Name: "https://h:1", Dispatched: 1}}
-	if !reflect.DeepEqual(h.Peers, want) {
-		t.Fatalf("Peers = %+v, want %+v", h.Peers, want)
+	got := c.Snapshot().CounterFamilies["fleet.peer.dispatched"]
+	want := map[string]int64{"http://h:1": 2, "https://h:1": 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet.peer.dispatched = %v, want %v", got, want)
 	}
 }

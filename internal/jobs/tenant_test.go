@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -217,16 +218,11 @@ func TestTenantIdsKeptAsGiven(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ths := obs.AnalyzeTenants(c.Snapshot())
-	if len(ths) != 2 {
-		t.Fatalf("analyzed %d tenants, want 2: %+v", len(ths), ths)
-	}
-	for i, want := range []struct {
-		id string
-		n  int64
-	}{{"a/b", 1}, {"a_b", 2}} {
-		if th := ths[i]; th.Tenant != want.id || th.Submitted != want.n || th.Done != want.n {
-			t.Fatalf("tenant %d: %+v, want %s with %d submitted and done", i, th, want.id, want.n)
+	cf := c.Snapshot().CounterFamilies
+	want := map[string]int64{"a/b": 1, "a_b": 2}
+	for _, name := range []string{"jobs.tenant.submitted", "jobs.tenant.done"} {
+		if !reflect.DeepEqual(cf[name], want) {
+			t.Fatalf("%s = %v, want %v", name, cf[name], want)
 		}
 	}
 }

@@ -25,12 +25,14 @@
 //   - A parrt pattern instance registers as one typed Pattern, keyed
 //     by its kind and its name as given, holding its stage and worker
 //     instruments; Analyze reads those instances, never a key string.
+//   - The service, tenant, fleet and cache series (jobs.*, fleet.*,
+//     cache.*) have no digest here: internal/report's status tables
+//     read them straight from a Snapshot, and document their grammar.
 package obs
 
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -399,23 +401,4 @@ func (c *Collector) Reset() {
 	for _, p := range c.patterns {
 		p.reset()
 	}
-}
-
-// members adds to ids the label values of the named families in fams.
-func members[V any](ids map[string]bool, fams map[string]map[string]V, names ...string) {
-	for _, name := range names {
-		for v := range fams[name] {
-			ids[v] = true
-		}
-	}
-}
-
-// sorted returns the keys of set in ascending order.
-func sorted(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -7,29 +7,55 @@ import (
 	"patty/internal/obs"
 )
 
-// CacheTable renders the evaluation-cache digest (obs.AnalyzeCache) in
-// the style of ServiceTable: the hit/miss ledger with the hit rate,
-// the store footprint, per-tenant hit attribution, and — only when
-// present — the damage line (quarantined segments) that tells an
-// operator to run `patty cache verify`. It joins the /statusz pages of
-// `patty serve` and `patty worker`.
-func CacheTable(h obs.CacheHealth) string {
+// Evaluation-cache metrics, published by internal/evalcache (the
+// persistent content-addressed store shared by tune, fleet and serve):
+//
+//	cache.hits                counter  (lookups answered from the store)
+//	cache.misses              counter  (lookups that fell through to measurement)
+//	cache.inserts             counter  (entries appended: first write of a key)
+//	cache.evictions           counter  (entries dropped by segment eviction)
+//	cache.corrupt             counter  (segments quarantined during recovery)
+//	cache.entries             gauge    (live entries in the index)
+//	cache.bytes               gauge    (on-disk footprint across segments)
+//	cache.segments            gauge    (segment files, incl. active)
+//	cache.tenant.hits{tenant} counter  (per-tenant hit attribution)
+//
+// Like the jobs.* and fleet.* metrics, these live beside the pattern
+// keys in one Collector; obs.Analyze skips them and CacheTable reads
+// them.
+
+// CacheTable renders the cache.* keys of s in the style of
+// ServiceTable: the hit/miss ledger with the hit rate, the store
+// footprint, per-tenant hit attribution sorted by tenant id, and —
+// only when present — the damage line (quarantined segments) that
+// tells an operator to run `patty cache verify`. It is "" when s holds
+// no cache.* signal (no store was attached, or it saw no traffic; the
+// byte gauge alone does not count).
+func CacheTable(s obs.Snapshot) string {
+	c, g := s.Counters, s.Gauges
+	hits, misses, inserts := c["cache.hits"], c["cache.misses"], c["cache.inserts"]
+	evictions, corrupt := c["cache.evictions"], c["cache.corrupt"]
+	entries, segments := g["cache.entries"], g["cache.segments"]
+	tenants := labels(nil, s.CounterFamilies, "cache.tenant.hits")
+	if hits <= 0 && misses <= 0 && inserts <= 0 && evictions <= 0 && corrupt <= 0 &&
+		entries <= 0 && segments <= 0 && len(tenants) == 0 {
+		return ""
+	}
 	var b strings.Builder
 	b.WriteString("=== evaluation cache (from internal/obs cache.* keys) ===\n")
 	fmt.Fprintf(&b, "lookups %d hit / %d miss (%.0f%% hit rate), %d inserted, %d evicted\n",
-		h.Hits, h.Misses, 100*h.HitRate(), h.Inserts, h.Evictions)
+		hits, misses, 100*ratio(hits, hits+misses), inserts, evictions)
 	fmt.Fprintf(&b, "store   %d entr(ies) in %d segment(s), %s on disk\n",
-		h.Entries, h.Segments, sizeOf(h.Bytes))
-	if len(h.TenantHits) > 0 {
-		parts := make([]string, 0, len(h.TenantHits))
-		for _, th := range h.TenantHits {
-			parts = append(parts, fmt.Sprintf("%s %d", clip(th.Tenant, 16), th.Hits))
+		entries, segments, sizeOf(g["cache.bytes"]))
+	if len(tenants) > 0 {
+		parts := make([]string, 0, len(tenants))
+		for _, id := range tenants {
+			parts = append(parts, fmt.Sprintf("%s %d", clip(id, 16), s.CounterFamilies["cache.tenant.hits"][id]))
 		}
 		fmt.Fprintf(&b, "tenant hits: %s\n", strings.Join(parts, ", "))
 	}
-	if h.Corrupt > 0 {
-		fmt.Fprintf(&b, "DAMAGE: %d segment(s) quarantined during recovery — run `patty cache verify`\n",
-			h.Corrupt)
+	if corrupt > 0 {
+		fmt.Fprintf(&b, "DAMAGE: %d segment(s) quarantined during recovery — run `patty cache verify`\n", corrupt)
 	}
 	return b.String()
 }

@@ -7,36 +7,19 @@ import (
 	"patty/internal/obs"
 )
 
-// The fleet table must render the hostile-network ledger, the
-// byzantine audit line, and a per-worker status column that singles
-// out quarantined and benched peers.
+// The fleet table must render the hostile-network ledger (an injected
+// fault under "injected.<class>"), the byzantine audit line, and a
+// per-worker status column that singles out quarantined and benched
+// peers.
 func TestFleetTableHostileNetwork(t *testing.T) {
-	h := obs.FleetHealth{
-		Workers: 3, ShardsTotal: 10, ShardsDone: 10,
-		EvalsMerged:     18,
-		NetFaults:       map[string]int64{"drop": 3, "timeout": 2, "injected.corrupt": 5},
-		ByzCrossChecked: 7, ByzDivergent: 2, ByzQuarantined: 1,
-		ByzReverified: 4, ByzCorrected: 3,
-		Peers: []obs.PeerHealth{
-			{Name: "127.0.0.1-4713", Dispatched: 9, Failed: 1, Evals: 40,
-				CrossChecked: 6, Divergent: 2, Quarantined: true},
-			{Name: "127.0.0.1-9000", Dispatched: 4, Benched: true},
-			{Name: "127.0.0.1-9100", Dispatched: 5, Evals: 30, CrossChecked: 4},
-		},
-	}
-	out := FleetTable(h)
-	for _, want := range []string{
+	out := FleetTable(fixture(t, "fleet-hostile"))
+	mustContain(t, out,
 		"net faults: drop 3, injected.corrupt 5, timeout 2",
 		"byzantine audit: 7 cross-checked, 2 divergent, 1 quarantined, 4 re-verified, 3 corrected",
 		"peers:",
 		"QUARANTINED",
 		"BENCHED",
-		"1 worker(s) quarantined for divergent costs",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FleetTable missing %q in:\n%s", want, out)
-		}
-	}
+		"1 worker(s) quarantined for divergent costs")
 	// The healthy peer renders status "ok", and rows keep their order.
 	var q, ben, okRow int
 	for i, line := range strings.Split(out, "\n") {
@@ -63,16 +46,63 @@ func TestFleetTableHostileNetwork(t *testing.T) {
 	}
 }
 
-// A quiet coordinator digest still renders the no-distress line and no
+// A snapshot with only hostile-network, byzantine and peer signal is
+// still fleet signal: no coordinator lines, every family on its row, a
+// peer named by its worker URL as given, and the liar as distress.
+func TestFleetTableHostileNetworkOnly(t *testing.T) {
+	out := FleetTable(fixture(t, "fleet-hostile-network-only"))
+	mustContain(t, out,
+		"net faults: drop 3, injected.corrupt 5, timeout 2\n",
+		"byzantine audit: 7 cross-checked, 2 divergent, 1 quarantined, 4 re-verified, 3 corrected\n",
+		"peers:\n   http://127.0.0.1:4713    dispatched 9    failed 1    evals 40    checked 6   divergent 2   QUARANTINED\n"+
+			"   http://127.0.0.1:9000    dispatched 4    failed 0    evals 0     checked 0   divergent 0   BENCHED\n",
+		"distress:\n   1 worker(s) quarantined")
+	if strings.Contains(out, "workers ") || strings.Contains(out, "no distress") {
+		t.Errorf("coordinator lines without coordinator signal:\n%s", out)
+	}
+}
+
+// A quiet coordinator still renders the no-distress line and no
 // hostile-network sections.
 func TestFleetTableQuiet(t *testing.T) {
-	out := FleetTable(obs.FleetHealth{Workers: 2, ShardsTotal: 4, ShardsDone: 4, EvalsMerged: 9})
-	if !strings.Contains(out, "no distress") {
-		t.Fatalf("missing no-distress line:\n%s", out)
-	}
+	out := FleetTable(fixture(t, "fleet-quiet"))
+	mustContain(t, out, "no distress")
 	for _, not := range []string{"net faults", "byzantine", "peers:"} {
 		if strings.Contains(out, not) {
 			t.Fatalf("unexpected %q section:\n%s", not, out)
 		}
+	}
+}
+
+// The section is present for coordinator, worker, network, peer or
+// audit signal, and only then.
+func TestFleetTablePresence(t *testing.T) {
+	for name, fill := range map[string]func(c *obs.Collector){
+		"workers":      func(c *obs.Collector) { c.Gauge("fleet.workers").Set(1) },
+		"shards":       func(c *obs.Collector) { c.Gauge("fleet.shards.total").Set(1) },
+		"worker shard": func(c *obs.Collector) { c.Counter("fleet.worker.shards").Inc() },
+		"worker eval":  func(c *obs.Collector) { c.Counter("fleet.worker.evals").Inc() },
+		"net fault":    func(c *obs.Collector) { c.CounterOf("fleet.net.faults", "drop").Inc() },
+		"injected":     func(c *obs.Collector) { c.CounterOf("fleet.net.injected", "drop").Inc() },
+		"peer":         func(c *obs.Collector) { c.GaugeOf("fleet.peer.benched", "w").Set(0) },
+		"audit":        func(c *obs.Collector) { c.Counter("fleet.byzantine.crosschecked").Inc() },
+	} {
+		if FleetTable(snapshot(fill)) == "" {
+			t.Errorf("%s: fleet section absent", name)
+		}
+	}
+	for name, s := range map[string]obs.Snapshot{
+		"pattern keys": {Counters: map[string]int64{"patterns.total": 3}},
+		"merged only":  {Counters: map[string]int64{"fleet.evals.merged": 3}},
+		"empty":        {},
+	} {
+		if out := FleetTable(s); out != "" {
+			t.Errorf("%s: rendered %q", name, out)
+		}
+	}
+	out := FleetTable(fixture(t, "fleet-worker"))
+	mustContain(t, out, "worker  3 shard(s) served, 12 eval(s) measured")
+	if strings.Contains(out, "distress") {
+		t.Errorf("a worker's own counters read as distress:\n%s", out)
 	}
 }

@@ -8,28 +8,57 @@ import (
 )
 
 func TestServiceTableCalm(t *testing.T) {
-	h := obs.ServiceHealth{QueueCap: 16, Workers: 2, Submitted: 3, Done: 3}
-	out := ServiceTable(h)
-	for _, want := range []string{"queue", "workers 2", "submitted 3", "no distress"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
-		}
-	}
+	out := ServiceTable(fixture(t, "service-calm"))
+	mustContain(t, out, "queue", "workers 2", "submitted 3", "no distress")
 }
 
 func TestServiceTableDistress(t *testing.T) {
-	h := obs.ServiceHealth{
-		QueueCap: 4, QueueDepth: 4, Workers: 1,
-		Submitted: 8, Shed: 2, Done: 5, Failed: 2, Canceled: 1,
-		WorkerRestarts: 3, BreakerOpen: 1, BreakerTrips: 1,
-	}
-	out := ServiceTable(h)
-	for _, want := range []string{"distress", "shed 2", "3 worker restart", "quarantined"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
-		}
-	}
+	out := ServiceTable(fixture(t, "service-distressed"))
+	mustContain(t, out, "distress", "shed 2", "3 worker restart", "quarantined")
 	if strings.Contains(out, "no distress") {
 		t.Fatalf("degraded service rendered calm:\n%s", out)
+	}
+}
+
+// The derived figures: queue fill, shed rate over all attempts, jobs
+// pending, and the latency histogram's count.
+func TestServiceTableLedger(t *testing.T) {
+	out := ServiceTable(fixture(t, "service-pending"))
+	mustContain(t, out,
+		"queue   3/4 (75% full)   workers 2 (2 running)",
+		"submitted 10, done 4, failed 1, canceled 1, pending 4",
+		"shed 2 submission(s) (17% of attempts)", // 2 of 12
+		"(submit->finish, 1 jobs)",
+		"breaker: 1 config(s) quarantined now")
+}
+
+// A failed journal write is distress even with nothing shed, no
+// crashes and the breaker closed.
+func TestServiceTableJournalErrors(t *testing.T) {
+	out := ServiceTable(fixture(t, "service-journal-errors"))
+	if out == "" || strings.Contains(out, "no distress") {
+		t.Fatalf("journal errors must render as distress:\n%s", out)
+	}
+}
+
+// The section is present when the queue bound, the pool size, an
+// admission or a shed submission is; a zero pool reads calm.
+func TestServiceTablePresence(t *testing.T) {
+	for _, key := range []string{"jobs.queue.cap", "jobs.workers"} {
+		out := ServiceTable(snapshot(func(c *obs.Collector) { c.Gauge(key).Set(1) }))
+		mustContain(t, out, "0% full", "pending 0", "no distress")
+	}
+	for _, key := range []string{"jobs.submitted", "jobs.shed"} {
+		if ServiceTable(snapshot(func(c *obs.Collector) { c.Counter(key).Inc() })) == "" {
+			t.Errorf("%s alone: service section absent", key)
+		}
+	}
+	for name, s := range map[string]obs.Snapshot{
+		"pattern keys and breaker only": fixture(t, "no-status-signal"),
+		"empty":                         {},
+	} {
+		if out := ServiceTable(s); out != "" {
+			t.Errorf("%s: rendered %q", name, out)
+		}
 	}
 }
