@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"patty/internal/evalcache"
+	"patty/internal/fleet"
 	"patty/internal/jobs"
 	"patty/internal/report"
 )
@@ -32,7 +33,7 @@ func mountProbes(mux *http.ServeMux, svc *jobs.Service) {
 		fmt.Fprintln(w, "ready")
 	})
 	mux.HandleFunc("GET /metricz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, metrics.Snapshot())
+		fleet.WriteJSON(w, http.StatusOK, metrics.Snapshot())
 	})
 	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -307,16 +307,6 @@ func tenantOf(r *http.Request, req jobRequest) (string, error) {
 	return id, nil
 }
 
-// writeJSON writes v with status code (shared with the fleet intakes).
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	fleet.WriteJSON(w, code, v)
-}
-
-// jsonError is the error envelope of every non-2xx JSON answer.
-func jsonError(w http.ResponseWriter, code int, err error) {
-	fleet.WriteError(w, code, err)
-}
-
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
 	if !fleet.DecodeJSON(w, r, fleet.MaxBodyBytes, &req) {
@@ -324,20 +314,20 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	tenant, err := tenantOf(r, req)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
+		fleet.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	req.Tenant = tenant
 	run, err := s.runnerFor(req)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
+		fleet.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The canonical body — not the raw wire bytes — is journaled, so
 	// recovery decodes exactly what admission validated.
 	spec, err := json.Marshal(req)
 	if err != nil {
-		jsonError(w, http.StatusInternalServerError, err)
+		fleet.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	id, err := s.svc.SubmitJob(jobs.Submission{
@@ -354,18 +344,18 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// intake breaker alone — its cooldown tracks overload, and one
 		// noisy tenant must not grow every caller's advertised backoff.
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(qe.RetryAfter)))
-		jsonError(w, http.StatusTooManyRequests, err)
+		fleet.WriteError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, jobs.ErrOverloaded), errors.Is(err, jobs.ErrDraining):
 		w.Header().Set("Retry-After", strconv.Itoa(jobs.ShedRetryAfter(s.intake)))
-		jsonError(w, http.StatusServiceUnavailable, err)
+		fleet.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		jsonError(w, http.StatusInternalServerError, err)
+		fleet.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.intake.Record(jobs.IntakeKey, false)
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": id})
+	fleet.WriteJSON(w, http.StatusAccepted, map[string]string{"id": id})
 }
 
 // retryAfterSecs renders a duration as whole Retry-After seconds,
@@ -386,7 +376,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			s.jobError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, info)
+		fleet.WriteJSON(w, http.StatusOK, info)
 		return
 	}
 	info, err := s.svc.Status(id)
@@ -394,7 +384,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		s.jobError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	fleet.WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -403,7 +393,7 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.jobError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"info": info, "result": res})
+	fleet.WriteJSON(w, http.StatusOK, map[string]any{"info": info, "result": res})
 }
 
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -417,20 +407,20 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.jobError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	fleet.WriteJSON(w, http.StatusOK, info)
 }
 
 // jobError maps service errors to status codes.
 func (s *server) jobError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, jobs.ErrUnknownJob):
-		jsonError(w, http.StatusNotFound, err)
+		fleet.WriteError(w, http.StatusNotFound, err)
 	case errors.Is(err, jobs.ErrNotFinished):
-		jsonError(w, http.StatusConflict, err)
+		fleet.WriteError(w, http.StatusConflict, err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		jsonError(w, http.StatusRequestTimeout, err)
+		fleet.WriteError(w, http.StatusRequestTimeout, err)
 	default:
-		jsonError(w, http.StatusInternalServerError, err)
+		fleet.WriteError(w, http.StatusInternalServerError, err)
 	}
 }
 
@@ -451,7 +441,7 @@ func (s *server) mux() *http.ServeMux {
 		if list == nil {
 			list = []jobs.Info{}
 		}
-		writeJSON(w, http.StatusOK, list)
+		fleet.WriteJSON(w, http.StatusOK, list)
 	})
 	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)

@@ -198,8 +198,10 @@ func (w *accessWalker) read(e ast.Expr) {
 	case *ast.CompositeLit:
 		for _, el := range ex.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				w.read(kv.Value)
-				continue
+				// A map or array key is read; a struct literal's
+				// field key resolves to no symbol.
+				w.read(kv.Key)
+				el = kv.Value
 			}
 			w.read(el)
 		}

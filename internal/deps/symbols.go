@@ -67,25 +67,45 @@ func (s *Symbol) String() string { return s.Name }
 type Resolution struct {
 	Fn   *source.Function
 	uses map[*ast.Ident]*Symbol
-	// DeclScope records, for locals, the statement that declared them
+	// declStmt records, for locals, the statement that declared them
 	// (nil for params/receivers/globals); loop analysis uses it to
 	// decide iteration-privacy.
 	declStmt map[*Symbol]ast.Stmt
+	declared []*Symbol
+	complete bool
 }
 
 // SymbolOf returns the symbol an identifier resolves to, or nil for
 // identifiers that are not variables of the analyzed program (types,
-// package names, imported functions, field names in selectors).
+// package names, imported functions, field names in selectors and
+// struct literals).
 func (r *Resolution) SymbolOf(id *ast.Ident) *Symbol { return r.uses[id] }
 
 // DeclStmt returns the statement that declared sym (nil for
 // non-locals).
 func (r *Resolution) DeclStmt(sym *Symbol) ast.Stmt { return r.declStmt[sym] }
 
+// Declared returns the function's receivers, parameters, named
+// results and locals, those of its function literals included, in the
+// order the resolver declared them: the signature left to right, then
+// the body in evaluation order (an assignment's right-hand side before
+// the names it declares). `_` declares nothing.
+func (r *Resolution) Declared() []*Symbol { return r.declared }
+
+// Complete reports whether the resolver modeled every construct of the
+// function. It does not model type switches, select statements, local
+// type declarations, or keyed composite literals whose type it cannot
+// see; identifiers inside those may be left unresolved.
+func (r *Resolution) Complete() bool { return r.complete }
+
 // scope is one lexical scope level.
 type scope struct {
 	parent *scope
 	names  map[string]*Symbol
+}
+
+func newScope(parent *scope) *scope {
+	return &scope{parent: parent, names: make(map[string]*Symbol)}
 }
 
 func (s *scope) lookup(name string) *Symbol {
@@ -102,7 +122,7 @@ func (s *scope) define(sym *Symbol) { s.names[sym.Name] = sym }
 // resolver walks the AST maintaining the scope stack.
 type resolver struct {
 	res     *Resolution
-	globals *scope
+	structs map[string]bool // the program's top-level struct type names
 	curStmt ast.Stmt
 }
 
@@ -114,69 +134,88 @@ func Resolve(fn *source.Function) *Resolution {
 		Fn:       fn,
 		uses:     make(map[*ast.Ident]*Symbol),
 		declStmt: make(map[*Symbol]ast.Stmt),
+		complete: true,
 	}
-	r := &resolver{res: res}
-	r.globals = &scope{names: make(map[string]*Symbol)}
+	r := &resolver{res: res, structs: make(map[string]bool)}
+	globals := newScope(nil)
 	for _, file := range fn.Prog.Files {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.GenDecl:
-				if d.Tok != token.VAR {
-					continue
-				}
 				for _, spec := range d.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					for _, name := range vs.Names {
-						r.globals.define(&Symbol{Name: name.Name, Kind: GlobalSym, Decl: name.Pos()})
+					switch sp := spec.(type) {
+					case *ast.ValueSpec:
+						if d.Tok != token.VAR {
+							continue
+						}
+						for _, name := range sp.Names {
+							globals.define(&Symbol{Name: name.Name, Kind: GlobalSym, Decl: name.Pos()})
+						}
+					case *ast.TypeSpec:
+						if _, ok := sp.Type.(*ast.StructType); ok {
+							r.structs[sp.Name.Name] = true
+						}
 					}
 				}
 			case *ast.FuncDecl:
 				if d.Recv == nil {
-					r.globals.define(&Symbol{Name: d.Name.Name, Kind: FuncSym, Decl: d.Name.Pos()})
+					globals.define(&Symbol{Name: d.Name.Name, Kind: FuncSym, Decl: d.Name.Pos()})
 				}
 			}
 		}
 	}
 
-	fnScope := &scope{parent: r.globals, names: make(map[string]*Symbol)}
-	if fn.Decl.Recv != nil {
-		for _, f := range fn.Decl.Recv.List {
-			for _, name := range f.Names {
-				sym := &Symbol{Name: name.Name, Kind: ReceiverSym, Decl: name.Pos()}
-				fnScope.define(sym)
-				res.uses[name] = sym
-			}
-		}
-	}
-	if fn.Decl.Type.Params != nil {
-		for _, f := range fn.Decl.Type.Params.List {
-			for _, name := range f.Names {
-				sym := &Symbol{Name: name.Name, Kind: ParamSym, Decl: name.Pos()}
-				fnScope.define(sym)
-				res.uses[name] = sym
-			}
-		}
-	}
-	if fn.Decl.Type.Results != nil {
-		for _, f := range fn.Decl.Type.Results.List {
-			for _, name := range f.Names {
-				sym := &Symbol{Name: name.Name, Kind: ParamSym, Decl: name.Pos()}
-				fnScope.define(sym)
-				res.uses[name] = sym
-			}
-		}
-	}
-	r.block(fn.Decl.Body, fnScope)
+	fnScope := newScope(globals)
+	r.params(fn.Decl.Recv, ReceiverSym, fnScope)
+	r.params(fn.Decl.Type.Params, ParamSym, fnScope)
+	r.params(fn.Decl.Type.Results, ParamSym, fnScope)
+	// The body shares the parameters' scope, as in Go: `a, x := …`
+	// with a parameter x assigns the parameter.
+	r.stmts(fn.Decl.Body.List, fnScope)
 	return res
+}
+
+// params declares the names of a receiver, parameter or result list in
+// sc; their types resolve in the enclosing scope.
+func (r *resolver) params(fl *ast.FieldList, kind SymKind, sc *scope) {
+	if fl == nil {
+		return
+	}
+	for _, f := range fl.List {
+		r.expr(f.Type, sc.parent)
+		for _, name := range f.Names {
+			r.declare(name, kind, sc)
+		}
+	}
+}
+
+// declare gives id a fresh symbol of the given kind in sc; `_`
+// declares nothing and yields nil.
+func (r *resolver) declare(id *ast.Ident, kind SymKind, sc *scope) *Symbol {
+	if id.Name == "_" {
+		return nil
+	}
+	sym := &Symbol{Name: id.Name, Kind: kind, Decl: id.Pos()}
+	sc.define(sym)
+	r.res.uses[id] = sym
+	r.res.declared = append(r.res.declared, sym)
+	return sym
+}
+
+// define declares a local variable of the current statement.
+func (r *resolver) define(id *ast.Ident, sc *scope) {
+	if sym := r.declare(id, LocalSym, sc); sym != nil {
+		r.res.declStmt[sym] = r.curStmt
+	}
 }
 
 // block resolves a statement block in a fresh child scope.
 func (r *resolver) block(b *ast.BlockStmt, parent *scope) {
-	sc := &scope{parent: parent, names: make(map[string]*Symbol)}
-	for _, s := range b.List {
+	r.stmts(b.List, newScope(parent))
+}
+
+func (r *resolver) stmts(list []ast.Stmt, sc *scope) {
+	for _, s := range list {
 		r.stmt(s, sc)
 	}
 }
@@ -186,6 +225,8 @@ func (r *resolver) stmt(s ast.Stmt, sc *scope) {
 	r.curStmt = s
 	defer func() { r.curStmt = prev }()
 	switch st := s.(type) {
+	case nil, *ast.BranchStmt, *ast.EmptyStmt:
+		// no identifiers (a branch label is not a variable)
 	case *ast.BlockStmt:
 		r.block(st, sc)
 	case *ast.DeclStmt:
@@ -196,105 +237,77 @@ func (r *resolver) stmt(s ast.Stmt, sc *scope) {
 		for _, spec := range gd.Specs {
 			vs, ok := spec.(*ast.ValueSpec)
 			if !ok {
+				// A local type: the struct-literal rule of key knows
+				// only top-level struct types.
+				r.res.complete = false
 				continue
 			}
-			for _, v := range vs.Values {
-				r.expr(v, sc)
-			}
+			r.expr(vs.Type, sc)
+			r.exprs(vs.Values, sc)
 			for _, name := range vs.Names {
 				r.define(name, sc)
 			}
 		}
 	case *ast.AssignStmt:
-		for _, rhs := range st.Rhs {
-			r.expr(rhs, sc)
-		}
+		r.exprs(st.Rhs, sc)
 		for _, lhs := range st.Lhs {
-			if st.Tok == token.DEFINE {
-				if id, ok := lhs.(*ast.Ident); ok {
-					// Go redeclaration rule: := reuses a variable
-					// already declared in the same scope.
-					if sym, exists := sc.names[id.Name]; exists {
-						r.res.uses[id] = sym
-						continue
-					}
-					r.define(id, sc)
-					continue
-				}
+			id, ok := lhs.(*ast.Ident)
+			if st.Tok != token.DEFINE || !ok {
+				r.expr(lhs, sc)
+				continue
 			}
-			r.expr(lhs, sc)
+			// Go redeclaration rule: := reuses a variable already
+			// declared in the same scope.
+			if sym, exists := sc.names[id.Name]; exists {
+				r.res.uses[id] = sym
+				continue
+			}
+			r.define(id, sc)
 		}
 	case *ast.ExprStmt:
 		r.expr(st.X, sc)
 	case *ast.IncDecStmt:
 		r.expr(st.X, sc)
 	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			r.expr(e, sc)
-		}
+		r.exprs(st.Results, sc)
 	case *ast.IfStmt:
-		inner := &scope{parent: sc, names: make(map[string]*Symbol)}
-		if st.Init != nil {
-			r.stmt(st.Init, inner)
-		}
+		inner := newScope(sc)
+		r.stmt(st.Init, inner)
 		r.expr(st.Cond, inner)
 		r.block(st.Body, inner)
-		if st.Else != nil {
-			r.stmt(st.Else, inner)
-		}
+		r.stmt(st.Else, inner)
 	case *ast.ForStmt:
-		inner := &scope{parent: sc, names: make(map[string]*Symbol)}
-		if st.Init != nil {
-			r.stmt(st.Init, inner)
-		}
-		if st.Cond != nil {
-			r.expr(st.Cond, inner)
-		}
-		if st.Post != nil {
-			r.stmt(st.Post, inner)
-		}
+		inner := newScope(sc)
+		r.stmt(st.Init, inner)
+		r.expr(st.Cond, inner)
+		r.stmt(st.Post, inner)
 		r.block(st.Body, inner)
 	case *ast.RangeStmt:
-		inner := &scope{parent: sc, names: make(map[string]*Symbol)}
+		inner := newScope(sc)
 		r.expr(st.X, inner)
 		if st.Tok == token.DEFINE {
-			if id, ok := st.Key.(*ast.Ident); ok && id.Name != "_" {
-				r.define(id, inner)
-			}
-			if id, ok := st.Value.(*ast.Ident); ok && id.Name != "_" {
-				r.define(id, inner)
+			for _, e := range []ast.Expr{st.Key, st.Value} {
+				if id, ok := e.(*ast.Ident); ok {
+					r.define(id, inner)
+				}
 			}
 		} else {
-			if st.Key != nil {
-				r.expr(st.Key, inner)
-			}
-			if st.Value != nil {
-				r.expr(st.Value, inner)
-			}
+			r.expr(st.Key, inner)
+			r.expr(st.Value, inner)
 		}
 		r.block(st.Body, inner)
 	case *ast.SwitchStmt:
-		inner := &scope{parent: sc, names: make(map[string]*Symbol)}
-		if st.Init != nil {
-			r.stmt(st.Init, inner)
-		}
-		if st.Tag != nil {
-			r.expr(st.Tag, inner)
-		}
+		inner := newScope(sc)
+		r.stmt(st.Init, inner)
+		r.expr(st.Tag, inner)
 		for _, cc := range st.Body.List {
 			clause := cc.(*ast.CaseClause)
-			caseScope := &scope{parent: inner, names: make(map[string]*Symbol)}
-			for _, e := range clause.List {
-				r.expr(e, caseScope)
-			}
-			for _, cs := range clause.Body {
-				r.stmt(cs, caseScope)
-			}
+			caseScope := newScope(inner)
+			r.exprs(clause.List, caseScope)
+			r.stmts(clause.Body, caseScope)
 		}
 	case *ast.LabeledStmt:
 		r.stmt(st.Stmt, sc)
-	case *ast.BranchStmt, *ast.EmptyStmt:
-		// no identifiers
 	case *ast.GoStmt:
 		r.expr(st.Call, sc)
 	case *ast.DeferStmt:
@@ -302,23 +315,23 @@ func (r *resolver) stmt(s ast.Stmt, sc *scope) {
 	case *ast.SendStmt:
 		r.expr(st.Chan, sc)
 		r.expr(st.Value, sc)
+	default:
+		// *ast.TypeSwitchStmt, *ast.SelectStmt: not modeled.
+		r.res.complete = false
 	}
 }
 
-func (r *resolver) define(id *ast.Ident, sc *scope) {
-	if id.Name == "_" {
-		return
+func (r *resolver) exprs(list []ast.Expr, sc *scope) {
+	for _, e := range list {
+		r.expr(e, sc)
 	}
-	sym := &Symbol{Name: id.Name, Kind: LocalSym, Decl: id.Pos()}
-	sc.define(sym)
-	r.res.uses[id] = sym
-	r.res.declStmt[sym] = r.curStmt
 }
 
 func (r *resolver) expr(e ast.Expr, sc *scope) {
 	switch ex := e.(type) {
+	case nil, *ast.BasicLit:
 	case *ast.Ident:
-		if ex.Name == "_" || ex.Name == "true" || ex.Name == "false" || ex.Name == "nil" || ex.Name == "iota" {
+		if ex.Name == "_" {
 			return
 		}
 		if sym := sc.lookup(ex.Name); sym != nil {
@@ -336,47 +349,91 @@ func (r *resolver) expr(e ast.Expr, sc *scope) {
 	case *ast.IndexExpr:
 		r.expr(ex.X, sc)
 		r.expr(ex.Index, sc)
+	case *ast.IndexListExpr:
+		r.expr(ex.X, sc)
+		r.exprs(ex.Indices, sc)
 	case *ast.SliceExpr:
 		r.expr(ex.X, sc)
-		for _, idx := range []ast.Expr{ex.Low, ex.High, ex.Max} {
-			if idx != nil {
-				r.expr(idx, sc)
-			}
-		}
+		r.expr(ex.Low, sc)
+		r.expr(ex.High, sc)
+		r.expr(ex.Max, sc)
 	case *ast.SelectorExpr:
 		// Only the base resolves; the field name is not a variable.
 		r.expr(ex.X, sc)
 	case *ast.CallExpr:
 		r.expr(ex.Fun, sc)
-		for _, a := range ex.Args {
-			r.expr(a, sc)
-		}
+		r.exprs(ex.Args, sc)
 	case *ast.CompositeLit:
+		r.expr(ex.Type, sc)
 		for _, el := range ex.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				r.expr(kv.Value, sc)
-				continue
+				r.key(kv.Key, ex.Type, sc)
+				el = kv.Value
 			}
 			r.expr(el, sc)
 		}
-	case *ast.KeyValueExpr:
-		r.expr(ex.Key, sc)
-		r.expr(ex.Value, sc)
 	case *ast.TypeAssertExpr:
 		r.expr(ex.X, sc)
+		r.expr(ex.Type, sc)
 	case *ast.FuncLit:
 		// Free variables inside the literal resolve against the
-		// enclosing scope; bound ones get fresh symbols.
-		inner := &scope{parent: sc, names: make(map[string]*Symbol)}
-		if ex.Type.Params != nil {
-			for _, f := range ex.Type.Params.List {
-				for _, name := range f.Names {
-					sym := &Symbol{Name: name.Name, Kind: LocalSym, Decl: name.Pos()}
-					inner.define(sym)
-					r.res.uses[name] = sym
-				}
-			}
+		// enclosing scope; its parameters, named results and body
+		// share one fresh scope.
+		inner := newScope(sc)
+		r.params(ex.Type.Params, LocalSym, inner)
+		r.params(ex.Type.Results, LocalSym, inner)
+		r.stmts(ex.Body.List, inner)
+	// Type expressions: an array length may name a local constant.
+	case *ast.ArrayType:
+		r.expr(ex.Len, sc)
+		r.expr(ex.Elt, sc)
+	case *ast.MapType:
+		r.expr(ex.Key, sc)
+		r.expr(ex.Value, sc)
+	case *ast.ChanType:
+		r.expr(ex.Value, sc)
+	case *ast.Ellipsis:
+		r.expr(ex.Elt, sc)
+	case *ast.FuncType:
+		r.fieldTypes(ex.Params, sc)
+		r.fieldTypes(ex.Results, sc)
+	case *ast.StructType:
+		r.fieldTypes(ex.Fields, sc)
+	case *ast.InterfaceType:
+		r.fieldTypes(ex.Methods, sc)
+	default:
+		r.res.complete = false
+	}
+}
+
+// key resolves one composite-literal key. A struct literal's key is a
+// field name, not a variable; as in the interpreter's compileComposite,
+// a literal whose type is the name of a top-level struct type is a
+// struct literal. An array, slice or map literal's key is an
+// expression. When the literal's type is elided or qualified the
+// resolver cannot tell which, and leaves the key unresolved.
+func (r *resolver) key(k, typ ast.Expr, sc *scope) {
+	switch t := typ.(type) {
+	case *ast.Ident:
+		if r.structs[t.Name] {
+			return
 		}
-		r.block(ex.Body, inner)
+	case *ast.ArrayType, *ast.MapType:
+	default:
+		r.res.complete = false
+		return
+	}
+	r.expr(k, sc)
+}
+
+// fieldTypes resolves the types of a field list; the names it lists
+// (struct fields, a function type's parameters) are not variables of
+// the function.
+func (r *resolver) fieldTypes(fl *ast.FieldList, sc *scope) {
+	if fl == nil {
+		return
+	}
+	for _, f := range fl.List {
+		r.expr(f.Type, sc)
 	}
 }

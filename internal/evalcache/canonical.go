@@ -10,6 +10,10 @@ import (
 	"go/token"
 	"reflect"
 	"sort"
+	"strconv"
+
+	"patty/internal/deps"
+	"patty/internal/source"
 )
 
 // ProgramHash returns the content address of an interp program: a
@@ -22,34 +26,70 @@ import (
 //     ParseComments drops them, which is what makes the tadl
 //     annotate→parse round-trip a fixed point of the hash — an
 //     annotated resubmission of a previously tuned program hits.
-//   - Function-local names: parameters, results, receivers, locals and
-//     range/loop variables are alpha-renamed to positional _v0, _v1, …
-//     per function, so `for i := range xs` and `for idx := range xs`
+//   - Function-local names: the receivers, parameters, named results
+//     and locals deps.Resolve finds in a function (its function
+//     literals' included) are renamed _v0, _v1, … in the order it
+//     declared them, so `for i := range xs` and `for idx := range xs`
 //     address the same cached evaluations.
 //
 // Top-level names (functions, types, globals) are kept verbatim: they
 // are the program's interface — entry points are selected by name, so
-// renaming a function is a semantic change and must miss.
+// renaming a function is a semantic change and must miss. So are the
+// names of a function holding a construct the resolver does not model
+// (deps.Resolution.Complete): an identifier it left unresolved would
+// keep its name while its declaration was renamed, and two programs
+// that read different variables could share an address. Such a
+// function costs hits, never a wrong one.
 func ProgramHash(sources map[string]string) (string, error) {
 	names := make([]string, 0, len(sources))
 	for name := range sources {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fset := token.NewFileSet()
-	h := sha256.New()
+	prog := &source.Program{Fset: token.NewFileSet()}
 	for _, name := range names {
-		f, err := parser.ParseFile(fset, name, sources[name], parser.SkipObjectResolution)
+		f, err := parser.ParseFile(prog.Fset, name, sources[name], parser.SkipObjectResolution)
 		if err != nil {
 			return "", fmt.Errorf("evalcache: parse %s: %w", name, err)
 		}
-		canonicalizeFile(f)
-		fmt.Fprintf(h, "-- %s --\n", name)
+		prog.Files = append(prog.Files, f)
+	}
+	for _, f := range prog.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				canonicalize(deps.Resolve(&source.Function{Name: source.FuncName(fd), Decl: fd, File: f, Prog: prog}))
+			}
+		}
+	}
+	h := sha256.New()
+	for i, f := range prog.Files {
+		fmt.Fprintf(h, "-- %s --\n", names[i])
 		if err := ast.Fprint(h, nil, f, canonicalFilter); err != nil {
-			return "", fmt.Errorf("evalcache: dump %s: %w", name, err)
+			return "", fmt.Errorf("evalcache: dump %s: %w", names[i], err)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// canonicalize renames one resolved function's own symbols, every use
+// with its declaration. Each function numbers from _v0, so editing one
+// never shifts another's canonical form.
+func canonicalize(res *deps.Resolution) {
+	if !res.Complete() {
+		return
+	}
+	canon := make(map[*deps.Symbol]string, len(res.Declared()))
+	for i, sym := range res.Declared() {
+		canon[sym] = "_v" + strconv.Itoa(i)
+	}
+	ast.Inspect(res.Fn.Decl, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if name, ok := canon[res.SymbolOf(id)]; ok {
+				id.Name = name
+			}
+		}
+		return true
+	})
 }
 
 // SpecHash addresses a non-program workload (e.g. the built-in tune
@@ -77,346 +117,4 @@ func canonicalFilter(name string, v reflect.Value) bool {
 		return false
 	}
 	return v.Type() != posType
-}
-
-// canonicalizeFile alpha-renames function-local identifiers in every
-// function declaration. Each function renames independently from _v0,
-// so editing one function never shifts another's canonical form.
-func canonicalizeFile(f *ast.File) {
-	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		r := &renamer{}
-		r.push()
-		if fd.Recv != nil {
-			for _, fld := range fd.Recv.List {
-				for _, id := range fld.Names {
-					r.declare(id)
-				}
-			}
-		}
-		r.declareFieldList(fd.Type.Params)
-		r.declareFieldList(fd.Type.Results)
-		// The body's statements share the parameter scope (Go puts
-		// parameters in the function's block), so no extra push here —
-		// `x := 1` with a parameter x is the same redeclaration error in
-		// the canonical form as in the original.
-		for _, st := range fd.Body.List {
-			r.stmt(st)
-		}
-		r.pop()
-	}
-}
-
-// renamer performs scope-aware alpha-renaming. Only identifiers it has
-// seen declared get renamed; everything else (top-level names,
-// builtins, selector fields) passes through untouched, so an unknown
-// construct degrades to "hash the original name" — never to a wrong
-// merge of two distinct programs.
-type renamer struct {
-	scopes []map[string]string // original name -> canonical name
-	n      int
-}
-
-func (r *renamer) push() { r.scopes = append(r.scopes, map[string]string{}) }
-func (r *renamer) pop()  { r.scopes = r.scopes[:len(r.scopes)-1] }
-
-func (r *renamer) lookup(name string) (string, bool) {
-	for i := len(r.scopes) - 1; i >= 0; i-- {
-		if c, ok := r.scopes[i][name]; ok {
-			return c, true
-		}
-	}
-	return "", false
-}
-
-// declare binds id in the innermost scope and renames it in place.
-func (r *renamer) declare(id *ast.Ident) {
-	if id == nil || id.Name == "_" {
-		return
-	}
-	canon := fmt.Sprintf("_v%d", r.n)
-	r.n++
-	r.scopes[len(r.scopes)-1][id.Name] = canon
-	id.Name = canon
-}
-
-func (r *renamer) declareFieldList(fl *ast.FieldList) {
-	if fl == nil {
-		return
-	}
-	for _, fld := range fl.List {
-		r.expr(fld.Type)
-		for _, id := range fld.Names {
-			r.declare(id)
-		}
-	}
-}
-
-func (r *renamer) ref(id *ast.Ident) {
-	if id == nil {
-		return
-	}
-	if canon, ok := r.lookup(id.Name); ok {
-		id.Name = canon
-	}
-}
-
-func (r *renamer) stmts(list []ast.Stmt) {
-	for _, st := range list {
-		r.stmt(st)
-	}
-}
-
-func (r *renamer) stmt(s ast.Stmt) {
-	switch st := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		r.push()
-		r.stmts(st.List)
-		r.pop()
-	case *ast.AssignStmt:
-		// RHS evaluates before the LHS names exist (`x := x + 1` reads
-		// the outer x), so rename it first.
-		r.exprs(st.Rhs)
-		if st.Tok == token.DEFINE {
-			for _, lhs := range st.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					r.expr(lhs)
-					continue
-				}
-				// `a, b := …` redeclares a if it already lives in this
-				// block — that is assignment, not a fresh variable.
-				if canon, ok := r.scopes[len(r.scopes)-1][id.Name]; ok {
-					id.Name = canon
-				} else {
-					r.declare(id)
-				}
-			}
-		} else {
-			r.exprs(st.Lhs)
-		}
-	case *ast.DeclStmt:
-		gd, ok := st.Decl.(*ast.GenDecl)
-		if !ok {
-			return
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			r.expr(vs.Type)
-			r.exprs(vs.Values)
-			for _, id := range vs.Names {
-				r.declare(id)
-			}
-		}
-	case *ast.ExprStmt:
-		r.expr(st.X)
-	case *ast.IncDecStmt:
-		r.expr(st.X)
-	case *ast.ReturnStmt:
-		r.exprs(st.Results)
-	case *ast.IfStmt:
-		r.push()
-		r.stmt(st.Init)
-		r.expr(st.Cond)
-		r.stmt(st.Body)
-		r.stmt(st.Else)
-		r.pop()
-	case *ast.ForStmt:
-		r.push()
-		r.stmt(st.Init)
-		r.expr(st.Cond)
-		r.stmt(st.Post)
-		r.stmt(st.Body)
-		r.pop()
-	case *ast.RangeStmt:
-		r.push()
-		r.expr(st.X)
-		if st.Tok == token.DEFINE {
-			if id, ok := st.Key.(*ast.Ident); ok {
-				r.declare(id)
-			}
-			if id, ok := st.Value.(*ast.Ident); ok {
-				r.declare(id)
-			}
-		} else {
-			r.expr(st.Key)
-			r.expr(st.Value)
-		}
-		r.stmt(st.Body)
-		r.pop()
-	case *ast.SwitchStmt:
-		r.push()
-		r.stmt(st.Init)
-		r.expr(st.Tag)
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CaseClause)
-			r.push()
-			r.exprs(cc.List)
-			r.stmts(cc.Body)
-			r.pop()
-		}
-		r.pop()
-	case *ast.TypeSwitchStmt:
-		r.push()
-		r.stmt(st.Init)
-		r.stmt(st.Assign)
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CaseClause)
-			r.push()
-			r.exprs(cc.List)
-			r.stmts(cc.Body)
-			r.pop()
-		}
-		r.pop()
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CommClause)
-			r.push()
-			r.stmt(cc.Comm)
-			r.stmts(cc.Body)
-			r.pop()
-		}
-	case *ast.LabeledStmt:
-		r.stmt(st.Stmt)
-	case *ast.GoStmt:
-		r.expr(st.Call)
-	case *ast.DeferStmt:
-		r.expr(st.Call)
-	case *ast.SendStmt:
-		r.expr(st.Chan)
-		r.expr(st.Value)
-	case *ast.BranchStmt:
-		// Labels are not value identifiers; leave them alone.
-	case *ast.EmptyStmt:
-	default:
-		// Unknown statement kind: rename references only, conservatively.
-		ast.Inspect(s, r.inspectRef)
-	}
-}
-
-func (r *renamer) exprs(list []ast.Expr) {
-	for _, e := range list {
-		r.expr(e)
-	}
-}
-
-func (r *renamer) expr(e ast.Expr) {
-	switch ex := e.(type) {
-	case nil:
-	case *ast.Ident:
-		r.ref(ex)
-	case *ast.BasicLit:
-	case *ast.SelectorExpr:
-		// Only the receiver can be a local; the selected name is a
-		// field/method and must keep its spelling.
-		r.expr(ex.X)
-	case *ast.ParenExpr:
-		r.expr(ex.X)
-	case *ast.StarExpr:
-		r.expr(ex.X)
-	case *ast.UnaryExpr:
-		r.expr(ex.X)
-	case *ast.BinaryExpr:
-		r.expr(ex.X)
-		r.expr(ex.Y)
-	case *ast.CallExpr:
-		r.expr(ex.Fun)
-		r.exprs(ex.Args)
-	case *ast.IndexExpr:
-		r.expr(ex.X)
-		r.expr(ex.Index)
-	case *ast.IndexListExpr:
-		r.expr(ex.X)
-		r.exprs(ex.Indices)
-	case *ast.SliceExpr:
-		r.expr(ex.X)
-		r.expr(ex.Low)
-		r.expr(ex.High)
-		r.expr(ex.Max)
-	case *ast.TypeAssertExpr:
-		r.expr(ex.X)
-		r.expr(ex.Type)
-	case *ast.CompositeLit:
-		r.expr(ex.Type)
-		for _, el := range ex.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				// A struct-literal field key is an unresolved ident and
-				// passes through lookup untouched; a map key is a real
-				// expression and renames normally.
-				r.expr(kv.Key)
-				r.expr(kv.Value)
-				continue
-			}
-			r.expr(el)
-		}
-	case *ast.KeyValueExpr:
-		r.expr(ex.Key)
-		r.expr(ex.Value)
-	case *ast.FuncLit:
-		r.push()
-		r.declareFieldList(ex.Type.Params)
-		r.declareFieldList(ex.Type.Results)
-		for _, st := range ex.Body.List {
-			r.stmt(st)
-		}
-		r.pop()
-	case *ast.ArrayType:
-		r.expr(ex.Len)
-		r.expr(ex.Elt)
-	case *ast.MapType:
-		r.expr(ex.Key)
-		r.expr(ex.Value)
-	case *ast.ChanType:
-		r.expr(ex.Value)
-	case *ast.StructType:
-		// Field names are part of the type; only their type exprs could
-		// reference locals (they can't in the interp subset, but stay
-		// general).
-		if ex.Fields != nil {
-			for _, fld := range ex.Fields.List {
-				r.expr(fld.Type)
-			}
-		}
-	case *ast.InterfaceType:
-		if ex.Methods != nil {
-			for _, fld := range ex.Methods.List {
-				r.expr(fld.Type)
-			}
-		}
-	case *ast.FuncType:
-		if ex.Params != nil {
-			for _, fld := range ex.Params.List {
-				r.expr(fld.Type)
-			}
-		}
-		if ex.Results != nil {
-			for _, fld := range ex.Results.List {
-				r.expr(fld.Type)
-			}
-		}
-	case *ast.Ellipsis:
-		r.expr(ex.Elt)
-	default:
-		ast.Inspect(e, r.inspectRef)
-	}
-}
-
-// inspectRef is the conservative fallback for AST kinds the explicit
-// walk doesn't know: rename plain references, never selector fields.
-func (r *renamer) inspectRef(n ast.Node) bool {
-	switch nd := n.(type) {
-	case *ast.SelectorExpr:
-		r.expr(nd.X)
-		return false
-	case *ast.Ident:
-		r.ref(nd)
-	}
-	return true
 }

@@ -1,14 +1,21 @@
 package evalcache_test
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"patty"
 	"patty/internal/corpus"
+	"patty/internal/difftest"
 	"patty/internal/evalcache"
 	"patty/internal/source"
 	"patty/internal/tadl"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/program_hash.golden")
 
 // hash is a fatal-on-error helper.
 func hash(t *testing.T, src string) string {
@@ -266,5 +273,246 @@ func TestSpecHash(t *testing.T) {
 	}
 	if h4, _ := evalcache.SpecHash("tune/v1", spec{8, 0}); h4 == h1 {
 		t.Error("spec change does not change the hash")
+	}
+}
+
+// TestProgramHashGolden pins the address of every corpus program and
+// of 300 generated ones. A persisted store is keyed by these hashes:
+// a change to the canonical form silently turns every stored
+// evaluation into a miss, so it must be deliberate (-update).
+func TestProgramHashGolden(t *testing.T) {
+	var b strings.Builder
+	add := func(label, name, src string) {
+		h, err := evalcache.ProgramHash(map[string]string{name: src})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		fmt.Fprintf(&b, "%s %s\n", label, h)
+	}
+	for _, p := range corpus.All() {
+		add("corpus/"+p.Name, p.Name+".go", p.Source)
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		add(fmt.Sprintf("gen/%d", seed), "prog.go", difftest.Generate(seed, difftest.GenOptions{}).Render())
+	}
+	const path = "testdata/program_hash.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	if len(got) != len(wantLines) {
+		t.Fatalf("%d hashes, golden has %d", len(got), len(wantLines))
+	}
+	for i := range got {
+		if got[i] != wantLines[i] {
+			t.Errorf("hash moved:\n got  %s\n want %s", got[i], wantLines[i])
+		}
+	}
+}
+
+// TestProgramHashWrongMergeGuards: each pair differs only in which
+// variable one identifier reads, so the two programs compute different
+// things and must never share an address. A resolver that left that
+// identifier unresolved would keep its spelling while renaming the
+// declarations around it, and hash both programs alike. Renaming a
+// program's locals consistently must still hit.
+func TestProgramHashWrongMergeGuards(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// a and b differ in which variable one identifier reads;
+		// renamed is a with its locals renamed consistently.
+		a, b, renamed string
+	}{
+		{
+			// a's key reads the inner k, b's the outer one.
+			name: "map-literal-key",
+			a: `package main
+
+func F(a []int) map[int]int {
+	k := 0
+	{
+		k := 1
+		return map[int]int{k: a[0]}
+	}
+}
+`,
+			b: `package main
+
+func F(a []int) map[int]int {
+	k := 0
+	{
+		j := 1
+		return map[int]int{k: a[0]}
+	}
+}
+`,
+			renamed: `package main
+
+func F(xs []int) map[int]int {
+	p := 0
+	{
+		q := 1
+		return map[int]int{q: xs[0]}
+	}
+}
+`,
+		},
+		{
+			// a's literal returns its named result, b's the
+			// enclosing local.
+			name: "closure-named-result",
+			a: `package main
+
+func F() int {
+	r := 5
+	f := func() (r int) {
+		return r
+	}
+	return f()
+}
+`,
+			b: `package main
+
+func F() int {
+	s := 5
+	f := func() (r int) {
+		return s
+	}
+	return f()
+}
+`,
+			renamed: `package main
+
+func F() int {
+	v := 5
+	g := func() (res int) {
+		return res
+	}
+	return g()
+}
+`,
+		},
+		{
+			// A field key is not a variable: a sets field x, b
+			// field y.
+			name: "struct-literal-key",
+			a: `package main
+
+type P struct{ x, y int }
+
+func F() P {
+	x := 1
+	return P{x: x}
+}
+`,
+			b: `package main
+
+type P struct{ x, y int }
+
+func F() P {
+	y := 1
+	return P{y: y}
+}
+`,
+			renamed: `package main
+
+type P struct{ x, y int }
+
+func F() P {
+	v := 1
+	return P{x: v}
+}
+`,
+		},
+		{
+			// The resolver does not model type switches, so F keeps
+			// its names; G, which holds none, is still canonical.
+			name: "type-switch",
+			a: `package main
+
+func F(v any) int {
+	x := 1
+	{
+		x := 2
+		switch v.(type) {
+		case int:
+			return x
+		}
+	}
+	return x
+}
+
+func G(n int) int { m := n + 1; return m }
+`,
+			b: `package main
+
+func F(v any) int {
+	x := 1
+	{
+		y := 2
+		switch v.(type) {
+		case int:
+			return x
+		}
+	}
+	return x
+}
+
+func G(n int) int { m := n + 1; return m }
+`,
+			renamed: `package main
+
+func F(v any) int {
+	x := 1
+	{
+		x := 2
+		switch v.(type) {
+		case int:
+			return x
+		}
+	}
+	return x
+}
+
+func G(k int) int { s := k + 1; return s }
+`,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := hash(t, tc.a)
+			if a == hash(t, tc.b) {
+				t.Error("programs reading different variables share a hash")
+			}
+			if a != hash(t, tc.renamed) {
+				t.Error("a consistent rename of the locals changed the hash")
+			}
+		})
+	}
+}
+
+// TestProgramHashUnmodeledKeepsNames: a function holding a construct
+// the resolver does not model keeps its original names, so renaming
+// its locals costs a hit rather than risking a wrong one.
+func TestProgramHashUnmodeledKeepsNames(t *testing.T) {
+	const src = `package main
+
+func F(c chan int) int {
+	%s := 0
+	%[1]s++
+	select {
+	case v := <-c:
+		return v
+	}
+}
+`
+	if hash(t, fmt.Sprintf(src, "x")) == hash(t, fmt.Sprintf(src, "y")) {
+		t.Error("a function with a select statement was renamed")
 	}
 }

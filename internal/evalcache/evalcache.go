@@ -4,6 +4,9 @@
 // A resubmitted or reformatted program whose canonical hash matches a
 // prior submission answers from cache instead of re-running the
 // measurement — the cross-job memoization leg of ROADMAP item 2.
+// ProgramHash names a function's locals through deps.Resolve, the
+// lexical resolver of the dependence analysis; the package keeps no
+// scope rules of its own.
 //
 // Entries live in append-only segment files (seg-NNNNNNNN.cas) of
 // internal/durable's record format: a SIGKILL at any byte leaves a

@@ -10,8 +10,8 @@ const (
 )
 
 // SaturationThreshold is the utilization above which a stage counts
-// as saturated: adding capacity elsewhere cannot improve throughput,
-// which is exactly the dominance test the tuner's early-stop uses.
+// as saturated: adding capacity elsewhere cannot improve throughput.
+// The bottleneck table (internal/report) marks such a stage.
 const SaturationThreshold = 0.95
 
 // StageMetrics summarizes one pipeline stage from a snapshot.
@@ -42,8 +42,9 @@ type WorkerMetrics struct {
 }
 
 // PatternAnalysis is the per-pattern-instance digest of a Snapshot:
-// the inputs to the bottleneck table (internal/report) and the
-// tuner's early-stop test (internal/tuning).
+// the inputs to the bottleneck table (internal/report) and to the
+// tuning loop's fault test (tuning.Observed, which costs a run that
+// lost work +Inf).
 type PatternAnalysis struct {
 	Kind   string // KindPipeline, KindMasterWorker or KindParallelFor
 	Name   string

@@ -119,6 +119,38 @@ func Scan(a []int) {
 	}
 }
 
+// A local read only as a map-literal key is read like any other: the
+// loop that carries k into the next iteration through a key is as
+// sequential as the one that carries it through k + a[i].
+func TestPLDDReadsMapLiteralKeys(t *testing.T) {
+	for name, src := range map[string]string{
+		"sum": `package p
+func F(a, out []int) {
+	k := 0
+	for i := 0; i < len(a); i++ {
+		out[i] = k + a[i]
+		k = a[i]
+	}
+}`,
+		"map-key": `package p
+func F(a []int, out []map[int]int) {
+	k := 0
+	for i := 0; i < len(a); i++ {
+		out[i] = map[int]int{k: a[i]}
+		k = a[i]
+	}
+}`,
+	} {
+		rep := detect(t, src, Options{})
+		if len(rep.Candidates) != 0 {
+			t.Errorf("%s: loop carrying k must not parallelize: %+v", name, rep.Candidates)
+		}
+		if len(rep.Rejected) != 1 || !strings.Contains(rep.Rejected[0].Reason, "PLDD: carried dependences span the whole body") {
+			t.Errorf("%s: rejections = %+v", name, rep.Rejected)
+		}
+	}
+}
+
 const videoSrc = `package p
 type Image struct{ px int }
 type Stream struct{ imgs []Image }

@@ -42,11 +42,12 @@ func Status(s obs.Snapshot) string {
 
 // ServiceTable renders the jobs.* keys of s the way BottleneckTable
 // renders the pattern layer: one queue/worker summary line, the job
-// ledger, end-to-end latency quantiles, and — only when present — the
-// distress signals (shed load, worker restarts, quarantined
-// configurations; a failed journal write counts as distress too). It
-// is "" when s holds no jobs.* signal (the collector never served
-// jobs).
+// ledger, the jobs recovered from the store and the submissions a
+// tenant quota denied (only when one of them is non-zero), end-to-end
+// latency quantiles, and — only when present — the distress signals
+// (shed load, worker restarts, quarantined configurations, failed
+// journal writes). It is "" when s holds no jobs.* signal (the
+// collector never served jobs).
 func ServiceTable(s obs.Snapshot) string {
 	c, g := s.Counters, s.Gauges
 	depth, capacity, workers := g["jobs.queue.depth"], g["jobs.queue.cap"], g["jobs.workers"]
@@ -56,6 +57,8 @@ func ServiceTable(s obs.Snapshot) string {
 	}
 	done, failed, canceled := c["jobs.done"], c["jobs.failed"], c["jobs.canceled"]
 	restarts, breakerOpen, trips := c["jobs.worker.restarts"], g["jobs.breaker.open"], c["jobs.breaker.trips"]
+	restored, resubmitted, denied := c["jobs.restored"], c["jobs.resubmitted"], c["jobs.quota_denied"]
+	journalErrs := c["jobs.journal.errors"]
 
 	var b strings.Builder
 	b.WriteString("=== job service (from internal/obs jobs.* keys) ===\n")
@@ -63,11 +66,15 @@ func ServiceTable(s obs.Snapshot) string {
 		depth, capacity, 100*ratio(depth, capacity), workers, g["jobs.running"])
 	fmt.Fprintf(&b, "jobs    submitted %d, done %d, failed %d, canceled %d, pending %d\n",
 		submitted, done, failed, canceled, max(submitted-done-failed-canceled, 0))
+	if restored > 0 || resubmitted > 0 || denied > 0 {
+		fmt.Fprintf(&b, "recovery restored %d, resubmitted %d from the store; %d submission(s) denied by tenant quota\n",
+			restored, resubmitted, denied)
+	}
 	if lat := s.Histograms["jobs.latency_ns"]; lat.Count > 0 {
 		fmt.Fprintf(&b, "latency p50 %.1f ms, p95 %.1f ms, max %.1f ms (submit->finish, %d jobs)\n",
 			lat.Quantile(0.5)/1e6, lat.Quantile(0.95)/1e6, float64(lat.Max)/1e6, lat.Count)
 	}
-	if shed <= 0 && restarts <= 0 && breakerOpen <= 0 && c["jobs.journal.errors"] <= 0 {
+	if shed <= 0 && restarts <= 0 && breakerOpen <= 0 && journalErrs <= 0 {
 		b.WriteString("no distress: nothing shed, no worker crashes, breaker closed\n")
 		return b.String()
 	}
@@ -82,6 +89,9 @@ func ServiceTable(s obs.Snapshot) string {
 	if breakerOpen > 0 || trips > 0 {
 		fmt.Fprintf(&b, "   breaker: %d config(s) quarantined now, %d trip(s), %d call(s) short-circuited\n",
 			breakerOpen, trips, c["jobs.breaker.shortcircuits"])
+	}
+	if journalErrs > 0 {
+		fmt.Fprintf(&b, "   %d journal write(s) failed — a restart may re-run finished jobs\n", journalErrs)
 	}
 	return b.String()
 }

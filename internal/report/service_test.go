@@ -39,6 +39,24 @@ func TestServiceTableJournalErrors(t *testing.T) {
 	if out == "" || strings.Contains(out, "no distress") {
 		t.Fatalf("journal errors must render as distress:\n%s", out)
 	}
+	mustContain(t, out, "1 journal write(s) failed")
+}
+
+// Jobs recovered from the store and quota refusals share one line,
+// printed only when one of them is non-zero.
+func TestServiceTableRecovery(t *testing.T) {
+	mustContain(t, ServiceTable(fixture(t, "service-journal-errors")),
+		"recovery restored 4, resubmitted 1 from the store; 2 submission(s) denied by tenant quota")
+	for _, key := range []string{"jobs.restored", "jobs.resubmitted", "jobs.quota_denied"} {
+		out := ServiceTable(snapshot(func(c *obs.Collector) {
+			c.Counter("jobs.submitted").Inc()
+			c.Counter(key).Inc()
+		}))
+		mustContain(t, out, "recovery ")
+	}
+	if out := ServiceTable(fixture(t, "service-calm")); strings.Contains(out, "recovery") {
+		t.Errorf("recovery line without a recovered or denied job:\n%s", out)
+	}
 }
 
 // The section is present when the queue bound, the pool size, an
