@@ -129,7 +129,7 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x .
 	$(GO) test -bench 'BenchmarkEngine' -benchmem -benchtime 1x ./internal/interp/
 	$(GO) test -run '^$$' -bench Explore -benchmem -benchtime 1x ./internal/ptest
-	$(GO) test -run '^$$' -bench EnrichDynamic -benchtime 1x ./internal/model
+	$(GO) test -run '^$$' -bench EnrichDynamic -benchmem -benchtime 1x ./internal/model
 	$(GO) test -run '^$$' -bench 'BenchmarkCheck$$' -benchtime 25x -benchmem ./internal/difftest
 	$(GO) test -run '^$$' -bench FleetTune -benchtime 1x ./internal/fleet
 	$(GO) test -run '^$$' -bench ObservedWrap -benchmem -benchtime 1x ./internal/tuning/

@@ -322,6 +322,12 @@ func (g *Graph) CallEffects(call *ast.CallExpr, res *deps.Resolution) []deps.Acc
 	return out
 }
 
+// Resolution returns the lexical resolution of the named function
+// that the graph's summaries were computed over, or nil. The semantic
+// model shares it, so the call graph and the model see the same
+// *deps.Symbol for every variable.
+func (g *Graph) Resolution(name string) *deps.Resolution { return g.resolutions[name] }
+
 // Callees returns the resolved callees of the named function.
 func (g *Graph) Callees(name string) []string {
 	if s, ok := g.Summaries[name]; ok {

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"patty/internal/corpus"
@@ -104,5 +105,35 @@ func BenchmarkEnrichDynamic(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// enrichBytesBound caps the heap bytes one raytrace enrichment
+// allocates. The pairer's shadow pages bring it to about 11.5 MiB on
+// linux/amd64 (12.8 MiB under -race); a map per traced loop took
+// about 38 MiB, and 48-byte shadow entries about 23 MiB.
+const enrichBytesBound = 18 << 20
+
+// TestEnrichDynamicBytes is the byte gate of dynamic model creation:
+// it reads the heap bytes allocated by EnrichDynamic on raytrace, the
+// corpus's largest trace, and fails above enrichBytesBound.
+func TestEnrichDynamicBytes(t *testing.T) {
+	p := corpus.Get("raytrace")
+	prog, err := p.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := model.Build(prog)
+	w := p.Workload()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := m.EnrichDynamic(w); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("EnrichDynamic(raytrace) allocated %.1f MiB", float64(got)/(1<<20))
+	if got > enrichBytesBound {
+		t.Fatalf("allocation above the bound of %.1f MiB", float64(enrichBytesBound)/(1<<20))
 	}
 }

@@ -79,7 +79,7 @@ func Build(prog *source.Program) *Model {
 		fm := &FuncModel{
 			Fn:  fn,
 			CFG: cfg.Build(fn),
-			Res: deps.Resolve(fn),
+			Res: m.CG.Resolution(fn.Name),
 		}
 		loops := fn.Loops()
 		spans := make([][2]int, 0, len(loops))
@@ -112,7 +112,9 @@ func Build(prog *source.Program) *Model {
 // gives the hot-loop ranking and per-statement times. Tracing never
 // changes virtual time, so every summary equals what a separate run
 // per loop would observe. Loops the workload never executes keep a nil
-// Dynamic.
+// Dynamic. A loop whose iterations outgrow the pairer's shadow memory
+// fails the enrichment with profile.ErrIterOverflow and leaves the
+// model as it was.
 func (m *Model) EnrichDynamic(w Workload) error {
 	if w.Entry == "" || w.Args == nil {
 		return fmt.Errorf("model: workload needs Entry and Args")
@@ -122,16 +124,27 @@ func (m *Model) EnrichDynamic(w Workload) error {
 		w.Configure(im)
 	}
 	loops := m.AllLoops()
+	refs := make([]interp.Ref, len(loops))
 	pairers := make([]*profile.Pairer, len(loops))
 	sinks := make(map[interp.Ref]interp.TraceSink, len(loops))
 	for i, lm := range loops {
+		refs[i] = interp.Ref{Fn: lm.Fn.Name, Stmt: lm.LoopID}
 		pairers[i] = profile.NewPairer()
-		sinks[interp.Ref{Fn: lm.Fn.Name, Stmt: lm.LoopID}] = pairers[i]
+		sinks[refs[i]] = pairers[i]
 	}
 	im.TraceLoops(sinks)
 	_, prof, err := im.Run(w.Entry, w.Args(im), interp.Options{MaxTicks: w.MaxTicks})
 	if err != nil {
 		return fmt.Errorf("model: workload run: %w", err)
+	}
+	dynamic := make([]*profile.LoopProfile, len(loops))
+	for i, lm := range loops {
+		if prof.Count[refs[i]] == 0 {
+			continue // never executed: no dynamic information
+		}
+		if dynamic[i], err = pairers[i].Loop(prof, lm.Fn, lm.Loop); err != nil {
+			return fmt.Errorf("model: %s loop %d: %w", lm.Fn.Name, lm.LoopID, err)
+		}
 	}
 	m.TotalTime = prof.Total
 	hot := make(map[interp.Ref]float64)
@@ -139,12 +152,8 @@ func (m *Model) EnrichDynamic(w Workload) error {
 		hot[h.Ref] = h.Share
 	}
 	for i, lm := range loops {
-		ref := interp.Ref{Fn: lm.Fn.Name, Stmt: lm.LoopID}
-		lm.HotShare = hot[ref]
-		if prof.Count[ref] == 0 {
-			continue // never executed: no dynamic information
-		}
-		lm.Dynamic = pairers[i].Loop(prof, lm.Fn, lm.Loop)
+		lm.HotShare = hot[refs[i]]
+		lm.Dynamic = dynamic[i]
 	}
 	m.Profiled = true
 	return nil

@@ -88,6 +88,19 @@ func TestBuildStaticModel(t *testing.T) {
 	}
 }
 
+// TestBuildSharesCallGraphResolution checks that every function is
+// resolved once: the model's resolution is the one the call graph's
+// effect summaries were computed over, so both hold the same
+// *deps.Symbol for each variable.
+func TestBuildSharesCallGraphResolution(t *testing.T) {
+	m := build(t)
+	for name, fm := range m.Funcs {
+		if fm.Res == nil || fm.Res != m.CG.Resolution(name) {
+			t.Fatalf("%s: model resolution %p, call graph resolution %p", name, fm.Res, m.CG.Resolution(name))
+		}
+	}
+}
+
 func TestAllLoopsDeterministicOrder(t *testing.T) {
 	m := build(t)
 	a := m.AllLoops()

@@ -13,8 +13,10 @@
 package profile
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"math"
 	"sort"
 
 	"patty/internal/interp"
@@ -104,7 +106,7 @@ func (lp *LoopProfile) HasCarried(stmt int) bool {
 // AnalyzeLoop derives the dynamic summary of the target loop from a
 // profile collected with Options.TargetLoop set to that loop, by
 // replaying its memory trace through a Pairer.
-func AnalyzeLoop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) *LoopProfile {
+func AnalyzeLoop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) (*LoopProfile, error) {
 	p := NewPairer()
 	for _, ev := range prof.Mem {
 		p.Access(ev)
@@ -112,6 +114,12 @@ func AnalyzeLoop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) *Loop
 	p.Leave(prof.TargetIters)
 	return p.Loop(prof, fn, loop)
 }
+
+// ErrIterOverflow reports a traced access whose iteration or statement
+// id does not fit a shadow entry's 32-bit fields. The pairer stops
+// pairing at the first such access rather than let the counter wrap
+// and alias an earlier iteration.
+var ErrIterOverflow = errors.New("profile: traced access does not fit the shadow memory's 32-bit iteration and statement fields")
 
 // Pairer pairs one loop's memory accesses into carried dependences as
 // they happen: it is the interp.TraceSink a traced run streams the
@@ -123,23 +131,43 @@ func AnalyzeLoop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) *Loop
 // dependences and reset the address: the pattern transformation
 // re-implements loop control as the stream generator, so control-only
 // state never crosses stages.
+//
+// The per-address state is shadow memory: interpreter addresses are
+// dense (the machine hands them out by bumping a counter from 1), so
+// entries live in fixed-size pages indexed by Addr >> pageBits, and a
+// page is allocated the first time the loop touches one of its
+// addresses.
 type Pairer struct {
-	last  map[uint64]lastAccess
+	pages []*shadowPage
 	pairs map[pairKey]*CarriedPair
 	iters int
+	err   error
 }
 
-type access struct {
-	iter int
-	stmt int
-	ok   bool
-}
+const (
+	pageBits = 10
+	pageSize = 1 << pageBits
+)
 
-// lastAccess is one address's pairing state: one map entry holds both
-// sides, so each access costs one lookup and one assignment.
+// shadowPage holds the pairing state of pageSize consecutive
+// addresses: 16 KB, a small-object allocation.
+type shadowPage [pageSize]lastAccess
+
+// lastAccess is one address's pairing state: one entry holds both
+// sides, so each access costs one page lookup and one assignment.
 type lastAccess struct {
 	write, read access
 }
+
+// access is one side of an address's state. iter1 is the iteration
+// plus one, so a zeroed page means "no access yet".
+type access struct {
+	iter1 uint32
+	stmt  int32
+}
+
+// maxIter is the largest iteration an access entry holds.
+const maxIter = math.MaxUint32 - 1
 
 type pairKey struct {
 	from, to int
@@ -148,37 +176,61 @@ type pairKey struct {
 
 // NewPairer returns an empty pairer.
 func NewPairer() *Pairer {
-	return &Pairer{
-		last:  make(map[uint64]lastAccess),
-		pairs: make(map[pairKey]*CarriedPair),
-	}
+	return &Pairer{pairs: make(map[pairKey]*CarriedPair)}
 }
 
 // Access pairs one load or store with the address's last accesses.
 func (p *Pairer) Access(ev interp.MemEvent) {
-	last := p.last[ev.Addr]
+	if p.err != nil {
+		return
+	}
+	if uint64(ev.Iter) > maxIter || ev.TopStmt != int(int32(ev.TopStmt)) {
+		p.err = fmt.Errorf("%w: iteration %d, statement %d", ErrIterOverflow, ev.Iter, ev.TopStmt)
+		return
+	}
+	last := p.entry(ev.Addr)
+	cur := access{uint32(ev.Iter) + 1, int32(ev.TopStmt)}
 	switch ev.Kind {
 	case interp.MemLoad:
-		if w := last.write; w.ok && w.iter != ev.Iter {
-			p.record(w.stmt, ev.TopStmt, Flow, abs(ev.Iter-w.iter))
+		if w := last.write; w.iter1 != 0 && w.iter1 != cur.iter1 {
+			p.record(int(w.stmt), ev.TopStmt, Flow, iterDist(w, cur))
 		}
-		last.read = access{ev.Iter, ev.TopStmt, true}
+		last.read = cur
 	case interp.MemStore:
 		if ev.TopStmt < 0 {
 			// Loop-control store: reset tracking so control state
 			// does not seed body dependences.
-			last = lastAccess{}
-			break
+			*last = lastAccess{}
+			return
 		}
-		if w := last.write; w.ok && w.iter != ev.Iter {
-			p.record(w.stmt, ev.TopStmt, Output, abs(ev.Iter-w.iter))
+		if w := last.write; w.iter1 != 0 && w.iter1 != cur.iter1 {
+			p.record(int(w.stmt), ev.TopStmt, Output, iterDist(w, cur))
 		}
-		if r := last.read; r.ok && r.iter != ev.Iter && r.stmt >= 0 {
-			p.record(r.stmt, ev.TopStmt, Anti, abs(ev.Iter-r.iter))
+		if r := last.read; r.iter1 != 0 && r.iter1 != cur.iter1 && r.stmt >= 0 {
+			p.record(int(r.stmt), ev.TopStmt, Anti, iterDist(r, cur))
 		}
-		last.write = access{ev.Iter, ev.TopStmt, true}
+		last.write = cur
 	}
-	p.last[ev.Addr] = last
+}
+
+// entry returns addr's shadow entry, growing the page table and
+// allocating the page on first touch.
+func (p *Pairer) entry(addr uint64) *lastAccess {
+	pi := addr >> pageBits
+	if pi >= uint64(len(p.pages)) {
+		p.pages = append(p.pages, make([]*shadowPage, pi+1-uint64(len(p.pages)))...)
+	}
+	pg := p.pages[pi]
+	if pg == nil {
+		pg = new(shadowPage)
+		p.pages[pi] = pg
+	}
+	return &pg[addr&(pageSize-1)]
+}
+
+// iterDist is the iteration distance between two accesses.
+func iterDist(a, b access) int {
+	return abs(int(a.iter1) - int(b.iter1))
 }
 
 // Leave records the iteration count of the loop's latest outermost
@@ -200,8 +252,12 @@ func (p *Pairer) record(from, to int, kind DepKind, dist int) {
 
 // Loop returns the dynamic summary of loop: the pairer's iteration
 // count and carried dependences, and each top-level body statement's
-// time and count from the run's profile.
-func (p *Pairer) Loop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) *LoopProfile {
+// time and count from the run's profile. It fails with ErrIterOverflow
+// if an access did not fit the shadow memory.
+func (p *Pairer) Loop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) (*LoopProfile, error) {
+	if p.err != nil {
+		return nil, p.err
+	}
 	lp := &LoopProfile{
 		Loop:     interp.Ref{Fn: fn.Name, Stmt: fn.StmtID(loop)},
 		Iters:    p.iters,
@@ -216,7 +272,7 @@ func (p *Pairer) Loop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) 
 	case *ast.RangeStmt:
 		body = l.Body
 	default:
-		return lp
+		return lp, nil
 	}
 
 	for _, s := range body.List {
@@ -232,7 +288,7 @@ func (p *Pairer) Loop(prof *interp.Profile, fn *source.Function, loop ast.Stmt) 
 		}
 	}
 	lp.Carried = p.carried()
-	return lp
+	return lp, nil
 }
 
 // carried returns the observed pairs sorted by (from, to, kind).

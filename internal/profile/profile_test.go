@@ -28,7 +28,11 @@ func profileLoop(t *testing.T, src, fnName string, mk func(m *interp.Machine) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	return AnalyzeLoop(prof, fn, loop), fn, loop
+	lp, err := AnalyzeLoop(prof, fn, loop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lp, fn, loop
 }
 
 func TestIndependentLoopNoCarried(t *testing.T) {
@@ -311,7 +315,10 @@ func F(a []int, n int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := AnalyzeLoop(prof, fn, loop)
+	replayed, err := AnalyzeLoop(prof, fn, loop)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	m = interp.NewMachine(prog)
 	p := NewPairer()
@@ -320,7 +327,10 @@ func F(a []int, n int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed := p.Loop(prof, fn, loop)
+	streamed, err := p.Loop(prof, fn, loop)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(streamed, replayed) {
 		t.Fatalf("streamed %+v\nreplayed %+v", streamed, replayed)
 	}
