@@ -38,7 +38,7 @@ func corpusUnitTest(b testing.TB, prog, test string) *ptest.UnitTest {
 // pipeline's 4608 traces), and a data-parallel loop. The plain cases
 // run the bounded search, the reduced ones patty.Validate's
 // partial-order-reduced search. Beside the per-exploration figures it
-// reports ns and allocations per schedule.
+// reports ns, allocations and baton hand-offs per schedule.
 func BenchmarkExplore(b *testing.B) {
 	bounded := sched.Options{PreemptionBound: 2, MaxSchedules: 5000}
 	for _, bc := range []struct {
@@ -56,14 +56,17 @@ func BenchmarkExplore(b *testing.B) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
-			schedules := 0
+			schedules, grants := 0, 0
 			for i := 0; i < b.N; i++ {
-				schedules += ut.Run(opt).Schedules
+				res, st := sched.ExploreStats(opt, ut.Body)
+				schedules += res.Schedules
+				grants += st.Grants
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(schedules), "ns/schedule")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(schedules), "allocs/schedule")
+			b.ReportMetric(float64(grants)/float64(schedules), "grants/schedule")
 		})
 	}
 }

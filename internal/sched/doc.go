@@ -17,13 +17,20 @@
 //     when it is chosen again, and hands the baton to the chosen
 //     thread with one channel send otherwise.
 //   - Explore performs a depth-first search over scheduling decisions,
-//     re-executing the program once per interleaving. The unbounded
-//     search, which every production caller runs, is pruned by
-//     partial-order reduction to one interleaving per Mazurkiewicz
-//     trace (por.go). Preemption bounding (CHESS's key scalability
-//     insight: most bugs surface within <= 2 preemptions) gives an
-//     unreduced search that tests and the E10 bound table use as a
-//     reference.
+//     re-executing the program once per interleaving. A run repeats
+//     the previous run's steps up to the one it branches at without
+//     the scheduler: the explorer keeps a log of executed steps, the
+//     threads fast-forward concurrently through their logged
+//     operations on the logged responses, each request checked
+//     against the log, and the explorer brings the shared state to the
+//     branch in one pass over the logged steps, each response checked
+//     again. Thread functions must therefore share state only through
+//     the World. The unbounded search, which every production caller
+//     runs, is pruned by partial-order reduction to one interleaving
+//     per Mazurkiewicz trace (por.go). Preemption bounding (CHESS's
+//     key scalability insight: most bugs surface within <= 2
+//     preemptions) gives an unreduced search that tests and the E10
+//     bound table use as a reference.
 //   - A vector-clock happens-before detector (Djit+-style) flags data
 //     races on Vars even in interleavings where the race happens to be
 //     benign, and the engine additionally reports deadlocks and

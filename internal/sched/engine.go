@@ -49,24 +49,41 @@ type request struct {
 	val int
 }
 
+// String describes the operation for nondeterministic-replay reports.
+func (r request) String() string {
+	var name string
+	switch {
+	case r.v != nil:
+		name = r.v.name
+	case r.m != nil:
+		name = r.m.name
+	case r.ch != nil:
+		name = r.ch.name
+	default:
+		return r.op.String()
+	}
+	if r.op == opWrite || r.op == opSend {
+		return fmt.Sprintf("%s %q %d", r.op, name, r.val)
+	}
+	return fmt.Sprintf("%s %q", r.op, name)
+}
+
 type response struct {
 	val   int
 	ok    bool
 	abort bool
 }
 
-// message is a thread's first report to the explorer: its first
-// request is waiting in thread.req, or the thread finished without
-// yielding at all.
-type message struct {
-	tid  int
-	done bool
-}
-
 // thread is one thread of the program under test. An exploration
 // keeps its threads, and their goroutines, from run to run: between
 // runs a thread's goroutine waits for its next function on job,
 // keeping its grown stack.
+//
+// A run starts with its threads fast-forwarding, concurrently, through
+// the prefix of steps it repeats from the explorer's log: each thread
+// takes the logged response of each of its operations there, touching
+// only its own fields and reading the log, which nothing writes until
+// every thread has reported.
 type thread struct {
 	id    int
 	name  string
@@ -76,10 +93,14 @@ type thread struct {
 	vc    vclock
 	// req is the thread's pending operation while pending[id] points
 	// here.
-	req     request
-	started bool // the first request went to the explorer
-	done    bool // finished, or ended the run itself: never granted again
-	aborted bool // unwinding: any further operation panics at once
+	req request
+	// next is where the thread's fast-forward resumes its search of
+	// the log; diverged is the log step at which the thread did other
+	// than the log says, -1 while it has not.
+	next, diverged int
+	started        bool // reported its first request after the prefix
+	done           bool // finished, or ended the run itself: never granted again
+	aborted        bool // unwinding: any further operation panics at once
 }
 
 // abortPanic unwinds a thread whose interleaving was abandoned
@@ -90,15 +111,18 @@ type abortPanic struct{}
 // from run to run. One goroutine at a time, the baton holder, reads
 // and writes it: the explorer until it makes the first decision, then
 // each thread in turn while it runs. The baton passes only through a
-// channel operation (a grant, or the end signal), so every access is
-// ordered after the previous holder's.
+// synchronizing operation (the threads' first reports, a grant, or the
+// end signal), so every access is ordered after the previous holder's.
 type execution struct {
 	e       *explorer
 	world   *World
 	threads []*thread
-	first   chan message  // first requests, collected by the explorer
-	end     chan struct{} // the holder that ends the run signals here
-	wg      sync.WaitGroup
+	// reported counts down the threads' first reports: a thread's
+	// first request after the replayed prefix waits in its req, or it
+	// finished without reaching one.
+	reported sync.WaitGroup
+	end      chan struct{} // the holder that ends the run signals here
+	wg       sync.WaitGroup
 	// pending[tid] is tid's next operation, nil while it has none.
 	pending []*request
 	live    int // threads not yet finished
@@ -111,8 +135,6 @@ type execution struct {
 	races []Race
 	// failure of this run, if any
 	failure *Failure
-	// the schedule so far: granted thread ids in order
-	trace []int
 	// how the run ended; sleepBlocked: every enabled thread slept
 	deadlock, nondet, aborted, sleepBlocked bool
 	// slab is the block the objects' clocks are carved from
@@ -148,14 +170,14 @@ func (ex *execution) reset(world *World) {
 	ex.world = world
 	ex.races = ex.races[:0]
 	ex.failure = nil
-	ex.trace = ex.trace[:0]
 	ex.branch, ex.step, ex.lastTid, ex.preemptions = 0, 0, -1, 0
 	ex.deadlock, ex.nondet, ex.aborted, ex.sleepBlocked = false, false, false, false
 }
 
 // start hands every thread its function for this run, starting the
-// goroutines the exploration does not have yet. Each thread runs up to
-// its first operation, reports it to the explorer and waits for its
+// goroutines the exploration does not have yet. Each thread
+// fast-forwards through the replayed prefix up to its first operation
+// after it, reports that operation to the explorer and waits for its
 // first grant.
 func (ex *execution) start() {
 	e := ex.e
@@ -179,9 +201,11 @@ func (ex *execution) start() {
 		t.name = ex.world.threads[i].name
 		t.vc = t.vc.reset(n)
 		t.vc[i] = 1
+		t.next, t.diverged = 0, -1
 		t.started, t.done, t.aborted = false, false, false
 	}
 	ex.wg.Add(n)
+	ex.reported.Add(n)
 	for i, t := range ex.threads {
 		t.job <- ex.world.threads[i].fn
 	}
@@ -211,23 +235,33 @@ func (t *thread) run(fn func(*Context)) {
 	ex.finish(t)
 }
 
-// yield is the thread side of the scheduling protocol. The calling
-// thread holds the baton: it posts its request and makes the next
-// decision itself. Chosen again, it continues at once; otherwise it
-// grants the chosen thread and waits for its own turn.
+// yield is the thread side of the scheduling protocol. Before its
+// first report a thread fast-forwards: an operation the log holds for
+// it in the replayed prefix returns the logged response at once, and
+// the first other operation goes to the explorer. After that the
+// calling thread holds the baton: it posts its request and makes the
+// next decision itself. Chosen again, it continues at once; otherwise
+// it grants the chosen thread and waits for its own turn.
 func (c *Context) yield(req request) response {
 	t, ex := c.t, c.ex
 	if t.aborted {
 		panic(abortPanic{}) // an operation deferred in an unwinding thread
 	}
-	t.req = req
 	if !t.started {
+		if k := t.nextLogged(ex.e.log); k >= 0 {
+			if s := &ex.e.log[k]; s.req == req {
+				return s.resp
+			}
+			t.diverged = k
+		}
+		t.req = req
 		t.started = true
-		ex.first <- message{tid: t.id}
+		ex.reported.Done()
 		return t.wait()
 	}
+	t.req = req
 	ex.pending[t.id] = &t.req
-	if p := ex.e.por; p != nil && ex.step > p.replay {
+	if p := ex.e.por; p != nil {
 		p.posted(ex, t.id)
 	}
 	next, resp := ex.schedule()
@@ -241,15 +275,32 @@ func (c *Context) yield(req request) response {
 		ex.end <- struct{}{}
 		panic(abortPanic{})
 	}
+	ex.e.grants++
 	ex.threads[next].grant <- resp
 	return t.wait()
+}
+
+// nextLogged returns the index of t's next step in log, the replayed
+// prefix, or -1 when t has no step left there.
+func (t *thread) nextLogged(log []logStep) int {
+	for k := t.next; k < len(log); k++ {
+		if log[k].tid == t.id {
+			t.next = k + 1
+			return k
+		}
+	}
+	t.next = len(log)
+	return -1
 }
 
 // finish retires t once its function has returned, then makes the
 // next decision with the baton it still holds.
 func (ex *execution) finish(t *thread) {
 	if !t.started {
-		ex.first <- message{tid: t.id, done: true}
+		// A step the log still holds for t, if any, never happened.
+		t.diverged = t.nextLogged(ex.e.log)
+		t.done = true
+		ex.reported.Done()
 		return
 	}
 	t.done = true
@@ -363,9 +414,30 @@ func (ex *execution) fail(format string, args ...any) {
 	if ex.failure == nil {
 		ex.failure = &Failure{
 			Msg:      fmt.Sprintf(format, args...),
-			Schedule: append([]int(nil), ex.trace...),
+			Schedule: ex.path(),
 		}
 	}
+}
+
+// nondeterministic abandons a run that diverged from the one it
+// replays, recording the failure format describes.
+func (ex *execution) nondeterministic(format string, args ...any) {
+	ex.nondet = true
+	ex.aborted = true
+	ex.fail(format, args...)
+}
+
+// path returns the threads granted so far, in order: the schedule that
+// leads to the current state.
+func (ex *execution) path() []int {
+	if ex.step == 0 {
+		return nil
+	}
+	out := make([]int, ex.step)
+	for k := range out {
+		out[k] = ex.e.log[k].tid
+	}
+	return out
 }
 
 // checkRead flags a write-read race: the last write to v by another
@@ -410,6 +482,6 @@ func (ex *execution) race(v *Var, kind string, a, b int) {
 		Var:      v.name,
 		Kind:     kind,
 		Threads:  [2]int{a, b},
-		Schedule: append([]int(nil), ex.trace...),
+		Schedule: ex.path(),
 	})
 }

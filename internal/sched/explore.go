@@ -90,40 +90,37 @@ type decision struct {
 	step    int   // global step index at which the decision occurred
 }
 
-// opSig fingerprints one executed operation for replay validation: a
-// deterministic program must execute identical operations along a
-// replayed decision prefix.
-type opSig struct {
-	tid    int
-	op     opKind
-	target string
-	val    int
+// logStep is one executed step of a run: the thread that ran, its
+// request, the response it got, and the decision state after the
+// step.
+type logStep struct {
+	tid                 int
+	req                 request
+	resp                response
+	branch, preemptions int
 }
 
-func sigOf(tid int, req *request) opSig {
-	s := opSig{tid: tid, op: req.op, val: req.val}
-	switch {
-	case req.v != nil:
-		s.target = req.v.name
-	case req.m != nil:
-		s.target = req.m.name
-	case req.ch != nil:
-		s.target = req.ch.name
-	}
-	return s
+// Stats counts the scheduling work of an exploration.
+type Stats struct {
+	// Decisions is the number of times a run asked the scheduler for
+	// its next step, including the last time, which ends the run.
+	Decisions int
+	// Grants is the number of baton hand-offs: a thread at a yield
+	// point passing the baton to another thread.
+	Grants int
 }
 
 // explorer is the state that outlives one interleaving: the DFS
-// stack, the previous run's operation log, the step buffers every run
-// reuses, and the world, execution and threads each run resets.
+// stack, the log of executed steps, the step buffers every run reuses,
+// and the world, execution and threads each run resets.
 type explorer struct {
 	opt   Options
 	stack []decision
-	// prevOps is the operation log of the previous run; steps below
-	// replayLimit are a replayed prefix and must match it exactly.
-	// oplog is the current run's log; the two swap after each run.
-	prevOps, oplog []opSig
-	replayLimit    int
+	// log holds the steps of the current run. A run repeats the steps
+	// below replay from the previous one, keeping their entries, and
+	// overwrites the rest.
+	log    []logStep
+	replay int
 	// raceSeen deduplicates races across interleavings.
 	raceSeen map[raceKey]bool
 	// per-step scratch: the enabled set and the ordered candidates
@@ -138,6 +135,8 @@ type explorer struct {
 	// counts their goroutines.
 	pool    []*thread
 	workers sync.WaitGroup
+	// scheduling work so far, as Stats counts it
+	decisions, grants int
 }
 
 // Explore systematically executes body under every schedule (subject
@@ -146,9 +145,16 @@ type explorer struct {
 // interleaving, with a World that hands back the previous run's
 // objects, reset, while body declares the same ones.
 func Explore(opt Options, body func(*World)) Result {
+	res, _ := ExploreStats(opt, body)
+	return res
+}
+
+// ExploreStats is Explore that also counts the scheduling work.
+func ExploreStats(opt Options, body func(*World)) (Result, Stats) {
 	e := newExplorer(opt)
 	defer e.close()
-	return e.run(body)
+	res := e.run(body)
+	return res, Stats{Decisions: e.decisions, Grants: e.grants}
 }
 
 // newExplorer fills in opt's defaults and picks the search.
@@ -159,10 +165,9 @@ func newExplorer(opt Options) *explorer {
 	e := &explorer{
 		opt:      opt,
 		raceSeen: make(map[raceKey]bool),
-		prevOps:  make([]opSig, 0, stepHint),
-		oplog:    make([]opSig, 0, stepHint),
+		log:      make([]logStep, 0, stepHint),
 	}
-	e.ex = execution{e: e, first: make(chan message), end: make(chan struct{}), trace: make([]int, 0, stepHint)}
+	e.ex = execution{e: e, end: make(chan struct{})}
 	if opt.PreemptionBound < 0 {
 		e.por = newPOR()
 	}
@@ -223,14 +228,14 @@ func (e *explorer) advance() bool {
 		if !e.por.advance() {
 			return false
 		}
-		e.replayLimit = e.por.replay
+		e.replay = e.por.replay
 		return true
 	}
 	for len(e.stack) > 0 {
 		d := &e.stack[len(e.stack)-1]
 		d.chosen++
 		if d.chosen < len(d.enabled) {
-			e.replayLimit = d.step
+			e.replay = d.step
 			return true
 		}
 		e.stack = e.stack[:len(e.stack)-1]
@@ -253,36 +258,47 @@ func (e *explorer) push(cands []int, step int) {
 	d.step = step
 }
 
-// runOnce executes body under one schedule. The explorer holds the
-// baton until it makes the first decision; after that the threads
-// schedule each other, and the explorer waits for the end of the run,
-// unwinds the threads still waiting and waits for each to finish its
-// run.
+// runOnce executes body under one schedule. The threads fast-forward
+// through the replayed prefix while the explorer waits for their
+// first reports; then the explorer brings the shared state to the end
+// of the prefix and holds the baton until it makes the first decision.
+// After that the threads schedule each other, and the explorer waits
+// for the end of the run, unwinds the threads still waiting and waits
+// for each to finish its run.
 func (e *explorer) runOnce(body func(*World)) *execution {
 	w := &e.world
 	w.reset()
 	body(w)
 	ex := &e.ex
 	ex.reset(w)
-	e.oplog = e.oplog[:0]
+	e.log = e.log[:e.replay]
 	if e.por != nil && !e.por.begin(len(w.threads), w.objects) {
-		ex.nondet = true
-		ex.fail("nondeterministic replay: %d threads, expected %d", len(w.threads), e.por.threads)
+		ex.nondeterministic("nondeterministic replay: %d threads, expected %d", len(w.threads), e.por.threads)
 		return ex
 	}
 	ex.start()
-	for range ex.threads {
-		msg := <-ex.first
-		if msg.done {
-			ex.threads[msg.tid].done = true
+	ex.reported.Wait()
+	var diverged *thread // the thread that left the log first
+	for _, t := range ex.threads {
+		if t.done {
 			ex.live--
 		} else {
-			ex.pending[msg.tid] = &ex.threads[msg.tid].req
+			ex.pending[t.id] = &t.req
+		}
+		if t.diverged >= 0 && (diverged == nil || t.diverged < diverged.diverged) {
+			diverged = t
 		}
 	}
-	if next, resp := ex.schedule(); next >= 0 {
-		ex.threads[next].grant <- resp
-		<-ex.end
+	if diverged != nil {
+		ex.diverge(diverged)
+	} else {
+		ex.restore()
+	}
+	if !ex.nondet {
+		if next, resp := ex.schedule(); next >= 0 {
+			ex.threads[next].grant <- resp
+			<-ex.end
+		}
 	}
 	for _, t := range ex.threads {
 		if !t.done {
@@ -295,12 +311,10 @@ func (e *explorer) runOnce(body func(*World)) *execution {
 	// explorer is following; ending a run before the stack is consumed
 	// means the program changed behaviour between runs.
 	if !ex.nondet && ex.branch < len(e.stack) {
-		ex.nondet = true
-		ex.fail("nondeterministic replay: run ended after %d branch points, expected %d", ex.branch, len(e.stack))
+		ex.nondeterministic("nondeterministic replay: run ended after %d branch points, expected %d", ex.branch, len(e.stack))
 	}
 	if e.por != nil && !ex.nondet && ex.step <= e.por.replay {
-		ex.nondet = true
-		ex.fail("nondeterministic replay: run ended after %d steps, expected more than %d", ex.step, e.por.replay)
+		ex.nondeterministic("nondeterministic replay: run ended after %d steps, expected more than %d", ex.step, e.por.replay)
 	}
 	if ex.sleepBlocked {
 		e.por.blocked++
@@ -310,8 +324,44 @@ func (e *explorer) runOnce(body func(*World)) *execution {
 			ex.fail("oracle: %v", err)
 		}
 	}
-	e.prevOps, e.oplog = e.oplog, e.prevOps
 	return ex
+}
+
+// diverge reports the run nondeterministic because thread t, while
+// fast-forwarding, did other than the log's step t.diverged.
+func (ex *execution) diverge(t *thread) {
+	k := t.diverged
+	did := "finished"
+	if !t.done {
+		did = "executed " + t.req.String()
+	}
+	ex.step = k // the failure's schedule: the steps before k
+	ex.nondeterministic("nondeterministic replay at step %d: thread %d %s, expected %s", k, t.id, did, ex.e.log[k].req)
+}
+
+// restore brings the shared state, the threads' clocks and the
+// decision state to the end of the replayed prefix, which the threads
+// have fast-forwarded through: it applies the logged steps in order
+// and checks every response against the one the thread was handed.
+func (ex *execution) restore() {
+	log := ex.e.log
+	for k := range log {
+		s := &log[k]
+		if s.tid >= len(ex.threads) {
+			ex.step = k
+			ex.nondeterministic("nondeterministic replay at step %d: no thread %d", k, s.tid)
+			return
+		}
+		ex.step = k + 1
+		if resp := ex.apply(ex.threads[s.tid], &s.req); resp != s.resp {
+			ex.nondeterministic("nondeterministic replay at step %d: thread %d's %s answered %+v, expected %+v", k, s.tid, s.req, resp, s.resp)
+			return
+		}
+	}
+	if r := len(log); r > 0 {
+		last := &log[r-1]
+		ex.lastTid, ex.branch, ex.preemptions = last.tid, last.branch, last.preemptions
+	}
 }
 
 // schedule makes one scheduling decision for the baton holder: it
@@ -320,10 +370,11 @@ func (e *explorer) runOnce(body func(*World)) *execution {
 // run is over: every thread finished, or the run was abandoned on a
 // deadlock, a nondeterministic replay or an illegal operation.
 func (ex *execution) schedule() (int, response) {
+	e := ex.e
+	e.decisions++
 	if ex.live == 0 {
 		return -1, response{}
 	}
-	e := ex.e
 	enabled := ex.enabledSet()
 	if len(enabled) == 0 {
 		ex.deadlock = true
@@ -334,11 +385,7 @@ func (ex *execution) schedule() (int, response) {
 	var chosen int
 	if e.por != nil {
 		if chosen = e.por.choose(ex, ex.step, enabled); chosen < 0 {
-			if ex.nondet {
-				ex.aborted = true
-			} else {
-				ex.sleepBlocked = true
-			}
+			ex.sleepBlocked = !ex.nondet
 			return -1, response{}
 		}
 	} else if chosen = ex.choose(enabled); chosen < 0 {
@@ -350,36 +397,25 @@ func (ex *execution) schedule() (int, response) {
 
 	req := ex.pending[chosen]
 	ex.pending[chosen] = nil
-	ex.trace = append(ex.trace, chosen)
-	sig := sigOf(chosen, req)
-	if ex.step < e.replayLimit && (ex.step >= len(e.prevOps) || e.prevOps[ex.step] != sig) {
-		ex.nondet = true
-		ex.fail("nondeterministic replay at step %d: executed %+v", ex.step, sig)
-		ex.aborted = true
-		return -1, response{}
-	}
-	e.oplog = append(e.oplog, sig)
 	k := ex.step
 	ex.step++
-	if e.por == nil || k < e.por.replay {
-		// The unreduced search, or a replayed step whose event the
-		// reduction kept from the run it repeats.
-		resp := ex.apply(ex.threads[chosen], req)
-		if resp.abort {
-			ex.aborted = true
-			return -1, response{}
-		}
-		ex.lastTid = chosen
-		return chosen, resp
+	e.log = append(e.log, logStep{tid: chosen, req: *req, branch: ex.branch, preemptions: ex.preemptions})
+	idx := -1
+	if e.por != nil {
+		idx = e.por.record(chosen, req)
 	}
-	idx := e.por.record(chosen, req)
 	resp := ex.apply(ex.threads[chosen], req)
 	if resp.abort {
 		ex.aborted = true
-		e.por.aborted(ex, idx)
+		if e.por != nil {
+			e.por.aborted(ex, idx)
+		}
 		return -1, response{}
 	}
-	e.por.executed(ex, idx, req)
+	e.log[k].resp = resp
+	if e.por != nil {
+		e.por.executed(ex, idx, req)
+	}
 	ex.lastTid = chosen
 	return chosen, resp
 }
@@ -401,11 +437,10 @@ func (ex *execution) choose(enabled []int) int {
 		return cands[0]
 	}
 	if ex.branch < len(e.stack) {
+		// the branch point the run replays to take its next choice
 		d := &e.stack[ex.branch]
 		if !equalInts(d.enabled, cands) {
-			ex.nondet = true
-			ex.fail("nondeterministic replay: enabled set %v, expected %v", cands, d.enabled)
-			ex.aborted = true
+			ex.nondeterministic("nondeterministic replay: enabled set %v, expected %v", cands, d.enabled)
 			return -1
 		}
 		ex.branch++

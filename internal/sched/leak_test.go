@@ -14,7 +14,7 @@ import (
 // an interleaving can end — normal completion, deadlock, a first-bug
 // stop, an illegal operation, every nondeterministic-replay check
 // (including a run with more and one with fewer threads than the run
-// it replays), an oracle failure and schedule-budget truncation, with
+// it replays, and a replayed read that answers differently), an oracle failure and schedule-budget truncation, with
 // and without partial-order reduction — and requires each exploration
 // to return with every pooled thread goroutine gone and, under the
 // reduction, no run sleep-blocked.
@@ -45,6 +45,18 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 			c := w.Var("c", 0)
 			w.Spawn("a", func(ctx *sched.Context) { ctx.Add(c, 1) })
 			w.Spawn("b", func(ctx *sched.Context) { ctx.Add(c, 1) })
+		}
+	}
+	// The initial value of x changes between runs: every operation
+	// repeats, but a replayed read answers other than in the run it
+	// repeats.
+	changingInit := func() func(*sched.World) {
+		runs := 0
+		return func(w *sched.World) {
+			runs++
+			x, y := w.Var("x", runs), w.Var("y", 0)
+			w.Spawn("a", func(ctx *sched.Context) { ctx.Read(x); ctx.Write(y, 1) })
+			w.Spawn("b", func(ctx *sched.Context) { ctx.Write(y, 2) })
 		}
 	}
 	cases := []struct {
@@ -180,6 +192,54 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 				}
 			},
 			want: nondetWith("nondeterministic replay at step"),
+		},
+		{
+			// From the third run on, b is gone, but the prefix the run
+			// replays holds a step of b.
+			name: "nondeterministic-fewer-threads",
+			opt:  unbounded,
+			body: func() func(*sched.World) {
+				runs := 0
+				return func(w *sched.World) {
+					runs++
+					x := w.Var("x", 0)
+					w.Spawn("a", func(ctx *sched.Context) { ctx.Read(x); ctx.Read(x) })
+					if runs <= 2 {
+						w.Spawn("b", func(ctx *sched.Context) { ctx.Read(x); ctx.Read(x) })
+					}
+				}
+			},
+			want: nondetWith("nondeterministic replay at step 1: no thread 1"),
+		},
+		{
+			// From the second run on, a finishes after one read, before
+			// the steps of it the replayed prefix still holds.
+			name: "nondeterministic-early-finish",
+			opt:  unbounded,
+			body: func() func(*sched.World) {
+				runs := 0
+				return func(w *sched.World) {
+					runs++
+					x := w.Var("x", 0)
+					reads := 3
+					if runs > 1 {
+						reads = 1
+					}
+					w.Spawn("a", func(ctx *sched.Context) {
+						for range reads {
+							ctx.Read(x)
+						}
+					})
+					w.Spawn("b", func(ctx *sched.Context) { ctx.Read(x) })
+				}
+			},
+			want: nondetWith("nondeterministic replay at step 1: thread 0 finished, expected read \"x\""),
+		},
+		{
+			name: "nondeterministic-response",
+			opt:  unbounded,
+			body: changingInit,
+			want: nondetWith("nondeterministic replay at step 0: thread 0's read \"x\" answered"),
 		},
 		{
 			// Later runs lose a thread, so they end before consuming the
@@ -393,6 +453,12 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 				}
 			},
 			want: nondetWith("nondeterministic replay: run ended after 1 steps, expected more than 1"),
+		},
+		{
+			name: "reduced-nondeterministic-response",
+			opt:  reduced,
+			body: changingInit,
+			want: nondetWith("nondeterministic replay at step 0: thread 0's read \"x\" answered"),
 		},
 	}
 	for _, tc := range cases {

@@ -307,22 +307,18 @@ func abortsBefore(ev *event, req *request) bool {
 
 // choose picks the thread to run at step k of the current run, which
 // has the given enabled threads, and propagates the sleep set to the
-// next step. Replayed steps repeat the previous run's choice; a new
-// step takes the first branch of its wakeup tree, else prefers the
-// running thread, then the lowest enabled thread that does not sleep.
-// It returns -1 when every enabled thread sleeps.
+// next step. The run's first step, k = replay, takes the branch
+// advance set; a new step takes the first branch of its wakeup tree,
+// else prefers the running thread, then the lowest enabled thread that
+// does not sleep. It returns -1 when every enabled thread sleeps.
 func (p *por) choose(ex *execution, k int, enabled []int) int {
 	var chosen int
-	if k <= p.replay {
+	if k == p.replay {
 		if !sameEnabled(p.row(k), enabled) {
-			ex.nondet = true
-			ex.fail("nondeterministic replay: enabled set %v at step %d differs from the replayed run", enabled, k)
+			ex.nondeterministic("nondeterministic replay: enabled set %v at step %d differs from the replayed run", enabled, k)
 			return -1
 		}
 		chosen = int(p.choice[k])
-		if k < p.replay {
-			return chosen // the next step's sleep set is unchanged
-		}
 	} else {
 		p.setRows(k + 1)
 		row := p.row(k)
@@ -334,8 +330,7 @@ func (p *por) choose(ex *execution, k int, enabled []int) int {
 			nd := p.nodes[c]
 			chosen = int(nd.tid)
 			if row[chosen]&nodeEnabled == 0 {
-				ex.nondet = true
-				ex.fail("nondeterministic replay: thread %d is not enabled at step %d, as the reversed race requires", chosen, k)
+				ex.nondeterministic("nondeterministic replay: thread %d is not enabled at step %d, as the reversed race requires", chosen, k)
 				return -1
 			}
 			p.wut[k], child = nd.next, nd.child

@@ -52,7 +52,9 @@ type chanMsg struct {
 // Name returns the channel's diagnostic name.
 func (c *Chan) Name() string { return c.name }
 
-// Len returns the current number of buffered messages.
+// Len returns the current number of buffered messages. A thread's
+// function must not depend on it: while the thread fast-forwards
+// through a replayed prefix, the channel is not yet in that state.
 func (c *Chan) Len() int { return c.n }
 
 // World is the per-run universe of a program under test: its shared
