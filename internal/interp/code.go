@@ -15,8 +15,13 @@ import (
 // preallocated stacks and the identical virtual-time cost model, so
 // profiles and memory traces are bit-for-bit those of the tree-walker.
 //
-// Closures capture Lua-style: a slot that a function literal names
-// lives in a heap cell, which the closure value shares with its frame.
+// Every identifier binds at compile time through the enclosing
+// function's deps.Resolution, which the tree-walker binds through too:
+// a local variable is one frame slot, the names deps leaves to the
+// package level are a global, a program function, an intrinsic or
+// undefined. Closures capture Lua-style: a slot that a function literal
+// names lives in a heap cell, which the closure value shares with its
+// frame.
 
 // OpCode enumerates the VM instructions.
 type OpCode uint8
@@ -44,16 +49,13 @@ const (
 	opOrShort  // A: target — ||: pop bool; when true push true and jump
 	opBool     // the top of stack must be a bool (&&/|| right operand)
 
-	// Variables. Slots are frame-local cells resolved lexically at
-	// compile time; each define allocates a fresh traced address,
-	// exactly like the tree-walker's per-scope cells. Undefined slots
-	// fall through the compiled resolution chain (outer slot, global,
-	// program function, intrinsic, "undefined identifier").
-	opLoadName     // A: resolution idx — load event + push (or fallback)
-	opNameLVGet    // A: resolution idx — lvalue get: store-resolve, then load
-	opStoreName    // A: resolution idx — pop + store event
-	opStoreNameAt  // A: resolution idx, B: depth of the value from the top
-	opCheckName    // A: resolution idx — multi-assign resolve phase
+	// Variables. Each local variable is one frame slot; each define
+	// allocates a fresh traced address, exactly like the tree-walker's
+	// defines.
+	opLoadName     // A: binding idx — load event + push
+	opNameLVGet    // A: binding idx — lvalue get: the variable's load
+	opStoreName    // A: binding idx — pop + store event
+	opStoreNameAt  // A: binding idx, B: depth of the value from the top
 	opDefineSlot   // A: slot — pop, allocate a fresh address, store event
 	opDefineSlotAt // A: slot, B: depth of the value
 	opStoreSlotAt  // A: slot, B: depth of the value — := redeclaration
@@ -64,9 +66,6 @@ const (
 	opDefineGlobal // A: global index — pop, allocate (no event: init semantics)
 	opIntrFuncVal  // A: name idx — fresh *Func for a qualified intrinsic
 	opZeroVal      // A: type expr idx — push zero value (allocates for structs)
-	opClearSlots   // A: first slot — undefine frame slots [A, NumSlots); a
-	// loop body's scopes are fresh per iteration in the tree-walker, so
-	// slots belonging to re-entered scopes must forget their bindings
 
 	// Operators (shared with the tree-walker's binop/truthy helpers).
 	opBinop // A: token.Token
@@ -91,7 +90,7 @@ const (
 
 	// Composite construction (all stack-valued).
 	opNewStruct    // A: type name idx, B|C<<32: fields the literal sets — allocate struct, push
-	opSetField     // A: field name idx — pop value, peek struct, store event
+	opSetField     // A: field name idx, B: field index — pop value, peek struct, store event
 	opMakeSliceLit // A: element count, B: 1 + type index of an array — pop elements, pad an array (arrayLit), allocate, push
 	opNewMap       // push an empty map
 	opMapLitSet    // pop value, key; peek map; insert + allocate entry address
@@ -113,7 +112,7 @@ const (
 
 	// Calls. Callees are pushed below the arguments; results go to the
 	// result register, consumed by opExpect1/opExpectN/opRes-aware ops.
-	opLoadCallee    // A: resolution idx — resolve a called identifier
+	opLoadCallee    // A: binding idx — a called identifier
 	opCheckFunc     // peek: an arbitrary callee expression must be a *Func
 	opMethodResolve // A: method name idx — pop base, push bound callee
 	opCallValue     // B: arg count (-1: fan-out) — args above the callee
@@ -131,8 +130,7 @@ const (
 	opRangeStart // A: loop index, B: key slot or -1, C: value slot or -1
 	opRangeNext  // A: exit target, B: loop index — step or jump out
 	opRangeKey   // A: loop index — push the current key
-	opRangeVal   // A: loop index — push the current value
-	opRangeHasV  // A: skip target, B: loop index — jump when kind has no value
+	opRangeVal   // A: loop index — push the current value (a range over an int has none)
 
 	// Switch dispatch: pop the case value, compare to the tag below it;
 	// on a match pop the tag too and jump.
@@ -149,27 +147,29 @@ type Op struct {
 	A, B, C int32
 }
 
-// Resolution kinds: how an identifier binds, with dynamic fallback for
-// slots that are lexically visible but unbound on the executed path
-// (the value variable of a range over an integer).
-type resKind uint8
+// Binding kinds: what an identifier denotes.
+type bindKind uint8
 
 const (
-	resSlot  resKind = iota
-	resCell          // a captured slot, through its heap cell
-	resUpval         // a cell the running closure captured
-	resGlobal
-	resFunc
-	resIntrinsic
-	resUndef
+	bindSlot   bindKind = iota
+	bindCell            // a captured slot, through its heap cell
+	bindUpval           // a cell the running closure captured
+	bindGlobal          // a package-level var or const; fails until initialized
+	bindFunc
+	bindIntrinsic
+	bindUndef
 )
 
-type resolution struct {
-	kind resKind
+// binding is the one thing an identifier denotes in a unit.
+type binding struct {
+	kind bindKind
 	idx  int32 // slot / cell / global / unit / intrinsic index
 	name string
-	next *resolution // tried when a slot or global is undefined
 }
+
+// variable reports whether b can hold a value: functions, intrinsics
+// and undefined names cannot be assigned.
+func (b binding) variable() bool { return b.kind <= bindGlobal }
 
 // Code is one compiled unit: a function, a method, or the
 // package-level variable initializer.
@@ -181,8 +181,8 @@ type Code struct {
 	Consts []Value
 	Names  []string
 	Msgs   []string
-	Types  []ast.Expr    // opZeroVal / named-result zero values
-	Res    []*resolution // identifier resolution chains
+	Types  []ast.Expr // opZeroVal / named-result zero values
+	Res    []binding  // identifier bindings
 
 	NumSlots  int
 	NumLoops  int      // concurrently live loops (static nesting depth)
@@ -231,8 +231,8 @@ func (c *Code) typeIdx(t ast.Expr) int32 {
 	return int32(len(c.Types) - 1)
 }
 
-func (c *Code) resIdx(r *resolution) int32 {
-	c.Res = append(c.Res, r)
+func (c *Code) resIdx(b binding) int32 {
+	c.Res = append(c.Res, b)
 	return int32(len(c.Res) - 1)
 }
 

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"strconv"
 
+	"patty/internal/deps"
 	"patty/internal/source"
 )
 
@@ -118,37 +119,45 @@ func (c *progCompiler) compileInit() *Code {
 		}
 	}
 	u.emit(Op{Code: opReturnBare})
-	u.finish()
 	return code
 }
 
 // compileFunc lowers one function or method.
-func (c *progCompiler) compileFunc(fn *source.Function) *Code {
-	code := &Code{Name: fn.Name, fn: fn}
-	u := &unitCompiler{c: c, code: code, fn: fn}
-	u.scope = &cscope{names: make(map[string]int32)}
-	if fn.Decl.Recv != nil {
-		code.recvSlots = u.fieldSlots(fn.Decl.Recv)
-	}
-	u.compileBody(fn.Decl.Type, fn.Decl.Body)
+func (c *progCompiler) compileFunc(pf *source.Function) *Code {
+	code := &Code{Name: pf.Name, fn: pf}
+	u := &unitCompiler{c: c, code: code, fn: c.m.function(pf)}
+	u.compileBody(pf.Decl.Recv, pf.Decl.Type, pf.Decl.Body)
 	return code
 }
 
-// compileClosure lowers a function literal recorded by outer. The
-// closure runs as its own unit; its statements keep the enclosing
-// function's ids.
-func (c *progCompiler) compileClosure(outer *unitCompiler, site litSite) *Code {
-	code := &Code{Name: "closure", fn: outer.fn}
-	u := &unitCompiler{c: c, code: code, fn: outer.fn, outer: outer, outerScope: site.scope}
-	u.scope = &cscope{names: make(map[string]int32)}
+// compileClosure lowers a function literal of outer's unit where it
+// appears, so that the slots and cells its free variables have in outer
+// are known. The closure runs as its own unit; its statements keep the
+// enclosing function's ids.
+func (c *progCompiler) compileClosure(outer *unitCompiler, lit *ast.FuncLit) *Code {
+	code := &Code{Name: "closure"}
+	u := &unitCompiler{c: c, code: code, fn: outer.fn, upvals: make(map[*deps.Symbol]int32)}
 	if outer.fn == nil {
 		// A literal in a package-level initializer has no enclosing
 		// function; the tree-walker fails once the call is set up.
-		code.paramSlots = u.fieldSlots(site.lit.Type.Params)
+		code.paramSlots = u.fieldSlots(lit.Type.Params)
 		u.emitFail("closure outside any function")
 		return code
 	}
-	u.compileBody(site.lit.Type, site.lit.Body)
+	code.fn = outer.fn.Function
+	for _, sym := range c.m.lits[lit].free {
+		var from capture
+		if slot, ok := outer.slots[sym]; ok {
+			from = capture{idx: slot}
+		} else if up, ok := outer.upvals[sym]; ok {
+			from = capture{upval: true, idx: up}
+		} else {
+			continue // declared on no path that reaches lit
+		}
+		u.upvals[sym] = int32(len(code.captures))
+		code.captures = append(code.captures, from)
+	}
+	u.compileBody(nil, lit.Type, lit.Body)
 	return code
 }
 
@@ -158,7 +167,7 @@ func (u *unitCompiler) fieldSlots(fl *ast.FieldList) []int32 {
 	if fl != nil {
 		for _, f := range fl.List {
 			for _, name := range f.Names {
-				slots = append(slots, u.newSlot(name.Name))
+				slots = append(slots, u.newSlot(name))
 			}
 		}
 	}
@@ -166,10 +175,25 @@ func (u *unitCompiler) fieldSlots(fl *ast.FieldList) []int32 {
 }
 
 // compileBody lays out the frame of a function or closure (slots for
-// parameters, then named results, replicating call's allocation
-// order), lowers its body, then compiles the closures it creates.
-func (u *unitCompiler) compileBody(ft *ast.FuncType, body *ast.BlockStmt) {
+// the receiver, parameters, then named results, replicating call's
+// allocation order) and lowers its body. The variables that the
+// function literals in the body capture are known first, so that their
+// slots are heap cells from the start.
+func (u *unitCompiler) compileBody(recv *ast.FieldList, ft *ast.FuncType, body *ast.BlockStmt) {
 	code := u.code
+	u.slots = make(map[*deps.Symbol]int32)
+	u.boxed = make(map[int32]bool)
+	u.captured = make(map[*deps.Symbol]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		lit, ok := n.(*ast.FuncLit)
+		if ok {
+			for _, sym := range u.c.m.lits[lit].free {
+				u.captured[sym] = true
+			}
+		}
+		return !ok
+	})
+	code.recvSlots = u.fieldSlots(recv)
 	code.paramSlots = u.fieldSlots(ft.Params)
 	code.resultSlots = u.fieldSlots(ft.Results)
 	if ft.Results != nil {
@@ -179,51 +203,17 @@ func (u *unitCompiler) compileBody(ft *ast.FuncType, body *ast.BlockStmt) {
 			}
 		}
 	}
-	u.pushScope()
+	for _, slots := range [][]int32{code.recvSlots, code.paramSlots, code.resultSlots} {
+		for _, si := range slots {
+			if u.boxed[si] {
+				code.boxedFrame = append(code.boxedFrame, si)
+			}
+		}
+	}
 	for _, s := range body.List {
 		u.compileStmt(s)
 	}
-	u.popScope()
 	u.emit(Op{Code: opReturnBare})
-	u.finish()
-}
-
-// finish compiles the closures the unit creates, then reroutes every
-// access to a slot that one of them captured through the slot's heap
-// cell. Only captured slots change, so a closure-free unit keeps
-// exactly the ops it was emitted with.
-func (u *unitCompiler) finish() {
-	for _, site := range u.sites {
-		u.code.Lits = append(u.code.Lits, u.c.compileClosure(u, site))
-	}
-	if len(u.captured) == 0 {
-		return
-	}
-	for _, r := range u.code.Res {
-		for ; r != nil; r = r.next {
-			if r.kind == resSlot && u.captured[r.idx] {
-				r.kind = resCell
-			}
-		}
-	}
-	boxed := map[OpCode]OpCode{opDefineSlot: opDefineCell, opDefineSlotAt: opDefineCellAt, opStoreSlotAt: opStoreCellAt}
-	for i, op := range u.code.Ops {
-		if to, ok := boxed[op.Code]; ok && u.captured[op.A] {
-			u.code.Ops[i].Code = to
-		}
-	}
-	for _, slots := range [][]int32{u.code.recvSlots, u.code.paramSlots, u.code.resultSlots} {
-		for _, si := range slots {
-			if u.captured[si] {
-				u.code.boxedFrame = append(u.code.boxedFrame, si)
-			}
-		}
-	}
-}
-
-type cscope struct {
-	parent *cscope
-	names  map[string]int32
 }
 
 // flowCtx is one enclosing break/continue target during compilation.
@@ -251,27 +241,15 @@ func (c capture) String() string {
 	return fmt.Sprintf("s%d", c.idx)
 }
 
-// litSite is a function literal met while compiling a unit, with the
-// scope it appears in; the closure compiles once the unit is done, so
-// that it sees every name those scopes ever bind, as the tree-walker's
-// lookup at call time does.
-type litSite struct {
-	lit   *ast.FuncLit
-	scope *cscope
-}
-
 type unitCompiler struct {
-	c        *progCompiler
-	code     *Code
-	fn       *source.Function
-	scope    *cscope
-	sites    []litSite      // function literals, indexed like code.Lits
-	captured map[int32]bool // slots a closure of this unit captures
+	c    *progCompiler
+	code *Code
+	fn   *function // nil for the initializer
 
-	// For a closure: the unit that creates it and the scope of the
-	// literal there, where the closure's free names resolve.
-	outer      *unitCompiler
-	outerScope *cscope
+	slots    map[*deps.Symbol]int32 // the unit's own variables
+	upvals   map[*deps.Symbol]int32 // for a closure: its captured cells
+	captured map[*deps.Symbol]bool  // variables the unit's literals capture
+	boxed    map[int32]bool         // slots of captured variables: heap cells
 
 	pendTick int64 // merged opTick accumulator
 	depth    int   // static value-stack depth
@@ -333,115 +311,67 @@ func (u *unitCompiler) emitPopRefs(n int) {
 // at converts an absolute stack position to a depth-from-top operand.
 func (u *unitCompiler) at(pos int) int32 { return int32(u.depth - 1 - pos) }
 
-// --- scopes and resolution --------------------------------------------
+// --- variables and bindings -------------------------------------------
 
-func (u *unitCompiler) pushScope() {
-	u.scope = &cscope{parent: u.scope, names: make(map[string]int32)}
-}
-
-func (u *unitCompiler) popScope() { u.scope = u.scope.parent }
-
-func (u *unitCompiler) newSlot(name string) int32 {
+// newSlot allocates the slot of the variable id declares; it is a heap
+// cell when a closure captures the variable.
+func (u *unitCompiler) newSlot(id *ast.Ident) int32 {
 	idx := int32(u.code.NumSlots)
 	u.code.NumSlots++
-	u.code.SlotNames = append(u.code.SlotNames, name)
-	u.scope.names[name] = idx
+	u.code.SlotNames = append(u.code.SlotNames, id.Name)
+	if sym := u.fn.local(id); sym != nil {
+		u.slots[sym] = idx
+		u.boxed[idx] = u.captured[sym]
+	}
 	return idx
 }
 
-// resolve builds the dynamic-fallback chain for an identifier at the
-// current compile position. The snapshot of scope bindings mirrors the
-// tree-walker's env chain exactly: a cell exists dynamically iff the
-// binding is in the compile-time scope map and the slot's define has
-// executed, which the VM tracks with per-slot defined flags. In a
-// closure the chain continues with the captured cells of every binding
-// of the name in the scopes around the literal.
-func (u *unitCompiler) resolve(name string) *resolution {
-	var head, tail *resolution
-	add := func(r *resolution) {
-		if tail == nil {
-			head = r
-		} else {
-			tail.next = r
-		}
-		tail = r
+// cellForm maps a slot op to the op that does the same through the
+// slot's heap cell.
+var cellForm = map[OpCode]OpCode{opDefineSlot: opDefineCell, opDefineSlotAt: opDefineCellAt, opStoreSlotAt: opStoreCellAt}
+
+// emitSlot emits a slot op, in its cell form when the slot is captured.
+func (u *unitCompiler) emitSlot(op Op) {
+	if u.boxed[op.A] {
+		op.Code = cellForm[op.Code]
 	}
-	for s := u.scope; s != nil; s = s.parent {
-		if idx, ok := s.names[name]; ok {
-			add(&resolution{kind: resSlot, idx: idx, name: name})
-		}
-	}
-	if u.outer != nil {
-		for _, c := range u.outer.captures(name, u.outerScope) {
-			add(&resolution{kind: resUpval, idx: u.upval(c), name: name})
-		}
-	}
-	if gi, ok := u.c.globals[name]; ok {
-		add(&resolution{kind: resGlobal, idx: gi, name: name})
-	}
-	if ui, ok := u.c.fnIdx[name]; ok {
-		add(&resolution{kind: resFunc, idx: ui, name: name})
-	}
-	if ii, ok := u.c.intrinsic(name); ok {
-		add(&resolution{kind: resIntrinsic, idx: ii, name: name})
-	}
-	add(&resolution{kind: resUndef, name: name})
-	return head
+	u.emit(op)
 }
 
-// captures lists, innermost first, where a closure created at scope s
-// of this unit finds each binding of name: a slot of this unit, which
-// becomes captured, or for a closure one of its own captured cells.
-func (u *unitCompiler) captures(name string, s *cscope) []capture {
-	var out []capture
-	for ; s != nil; s = s.parent {
-		if idx, ok := s.names[name]; ok {
-			if u.captured == nil {
-				u.captured = make(map[int32]bool)
+// bind returns what id denotes in this unit: the slot, cell or upvalue
+// of a local variable, or for any other name the package-level binding
+// the tree-walker's lookup finds (global, program function, intrinsic,
+// or undefined).
+func (u *unitCompiler) bind(id *ast.Ident) binding {
+	b := binding{kind: bindUndef, name: id.Name}
+	if sym := u.fn.local(id); sym != nil {
+		if slot, ok := u.slots[sym]; ok {
+			b.kind, b.idx = bindSlot, slot
+			if u.boxed[slot] {
+				b.kind = bindCell
 			}
-			u.captured[idx] = true
-			out = append(out, capture{idx: idx})
+		} else if up, ok := u.upvals[sym]; ok {
+			b.kind, b.idx = bindUpval, up
 		}
+		return b
 	}
-	if u.outer != nil {
-		for _, c := range u.outer.captures(name, u.outerScope) {
-			out = append(out, capture{upval: true, idx: u.upval(c)})
-		}
+	if gi, ok := u.c.globals[id.Name]; ok {
+		b.kind, b.idx = bindGlobal, gi
+	} else if ui, ok := u.c.fnIdx[id.Name]; ok {
+		b.kind, b.idx = bindFunc, ui
+	} else if ii, ok := u.c.intrinsic(id.Name); ok {
+		b.kind, b.idx = bindIntrinsic, ii
 	}
-	return out
+	return b
 }
 
-// upval returns the index of the closure's cell taken from c,
-// adding it on first use.
-func (u *unitCompiler) upval(c capture) int32 {
-	for i, have := range u.code.captures {
-		if have == c {
-			return int32(i)
-		}
-	}
-	u.code.captures = append(u.code.captures, c)
-	return int32(len(u.code.captures) - 1)
-}
+func (u *unitCompiler) bindIdx(id *ast.Ident) int32 { return u.code.resIdx(u.bind(id)) }
 
-func (u *unitCompiler) resolveIdx(name string) int32 {
-	return u.code.resIdx(u.resolve(name))
-}
-
-// lexicallyBound reports whether name has any slot, captured or global
-// binding — the static analogue of env.lookup(name) != nil for the
-// package-qualifier checks.
-func (u *unitCompiler) lexicallyBound(name string) bool {
-	if _, ok := u.c.globals[name]; ok {
-		return true
-	}
-	for v, s := u, u.scope; v != nil; v, s = v.outer, v.outerScope {
-		for ; s != nil; s = s.parent {
-			if _, ok := s.names[name]; ok {
-				return true
-			}
-		}
-	}
-	return false
+// qualifier reports whether id, the X of a selector, is a package name
+// rather than a value: it names no variable or program function.
+func (u *unitCompiler) qualifier(id *ast.Ident) bool {
+	k := u.bind(id).kind
+	return k == bindIntrinsic || k == bindUndef
 }
 
 // --- statements -------------------------------------------------------
@@ -457,11 +387,9 @@ func (u *unitCompiler) compileStmt(s ast.Stmt) {
 func (u *unitCompiler) compileStmtBody(s ast.Stmt) {
 	switch st := s.(type) {
 	case *ast.BlockStmt:
-		u.pushScope()
 		for _, inner := range st.List {
 			u.compileStmt(inner)
 		}
-		u.popScope()
 	case *ast.AssignStmt:
 		u.compileAssign(st)
 	case *ast.IncDecStmt:
@@ -503,18 +431,15 @@ func (u *unitCompiler) compileStmtBody(s ast.Stmt) {
 }
 
 func (u *unitCompiler) compileIf(st *ast.IfStmt) {
-	u.pushScope()
 	if st.Init != nil {
 		u.compileStmt(st.Init)
 	}
 	u.compileExpr(st.Cond)
 	jf := u.emitJump(Op{Code: opJfalse})
 	u.depth--
-	u.pushScope()
 	for _, s := range st.Body.List {
 		u.compileStmt(s)
 	}
-	u.popScope()
 	if st.Else != nil {
 		jend := u.emitJump(Op{Code: opJump})
 		u.patch(jf)
@@ -523,19 +448,16 @@ func (u *unitCompiler) compileIf(st *ast.IfStmt) {
 	} else {
 		u.patch(jf)
 	}
-	u.popScope()
 }
 
 // compileLoopBody compiles the top-level statements of a loop body with
 // target-loop top-statement tagging, mirroring execBodyStmts.
 func (u *unitCompiler) compileLoopBody(body *ast.BlockStmt, li int32) {
-	u.pushScope()
 	for _, s := range body.List {
 		u.emit(Op{Code: opSetTop, A: li, B: int32(u.fn.StmtID(s))})
 		u.compileStmt(s)
 		u.emit(Op{Code: opSetTop, A: li, B: -1})
 	}
-	u.popScope()
 }
 
 func (u *unitCompiler) enterLoop(isRange bool) (int32, *flowCtx) {
@@ -555,16 +477,11 @@ func (u *unitCompiler) leaveLoop() {
 }
 
 func (u *unitCompiler) compileFor(st *ast.ForStmt) {
-	u.pushScope()
 	li, ctx := u.enterLoop(false)
 	u.emit(Op{Code: opLoopEnter, A: int32(u.fn.StmtID(st)), B: li})
 	if st.Init != nil {
 		u.compileStmt(st.Init)
 	}
-	// Slots created from here on live in per-iteration scopes: the
-	// tree-walker gives the body a fresh environment every time around,
-	// so each iteration starts with those bindings forgotten.
-	iterSlots := int32(u.code.NumSlots)
 	lcond := u.label()
 	jf := -1
 	if st.Cond != nil {
@@ -572,7 +489,6 @@ func (u *unitCompiler) compileFor(st *ast.ForStmt) {
 		jf = u.emitJump(Op{Code: opJfalse})
 		u.depth--
 	}
-	u.emit(Op{Code: opClearSlots, A: iterSlots})
 	u.compileLoopBody(st.Body, li)
 	// Continue target: iter++, post, loop-bottom tick.
 	lcont := u.label()
@@ -594,63 +510,44 @@ func (u *unitCompiler) compileFor(st *ast.ForStmt) {
 	}
 	u.emit(Op{Code: opLoopLeave, A: li})
 	u.leaveLoop()
-	u.popScope()
 }
 
 func (u *unitCompiler) compileRange(st *ast.RangeStmt) {
-	u.pushScope()
 	li, ctx := u.enterLoop(true)
 	u.emit(Op{Code: opLoopEnter, A: int32(u.fn.StmtID(st)), B: li})
 	u.compileExpr(st.X)
 
-	// The key/value variables of a := range live in a per-iteration
-	// scope between the loop scope and the body scope.
-	iterSlots := int32(u.code.NumSlots)
 	keySlot, valSlot := int32(-1), int32(-1)
 	define := st.Tok == token.DEFINE
 	if define {
-		u.pushScope()
 		if id, ok := st.Key.(*ast.Ident); ok && id.Name != "_" {
-			keySlot = u.newSlot(id.Name)
+			keySlot = u.newSlot(id)
 		}
-		if st.Value != nil {
-			if id, ok := st.Value.(*ast.Ident); ok && id.Name != "_" {
-				valSlot = u.newSlot(id.Name)
-			}
+		if id, ok := st.Value.(*ast.Ident); ok && id.Name != "_" {
+			valSlot = u.newSlot(id)
 		}
 	}
 	u.emit(Op{Code: opRangeStart, A: li, B: keySlot, C: valSlot})
 	u.depth--
 
 	lnext := u.label()
-	// Key/value and body slots are per-iteration scopes in the
-	// tree-walker; forget them before each step.
-	u.emit(Op{Code: opClearSlots, A: iterSlots})
 	jexit := u.emitJump(Op{Code: opRangeNext, B: li})
 
 	if define {
 		if keySlot >= 0 {
 			u.emit(Op{Code: opRangeKey, A: li})
-			u.depth++
-			u.emit(Op{Code: opDefineSlot, A: keySlot})
-			u.depth--
+			u.emitSlot(Op{Code: opDefineSlot, A: keySlot})
 		}
 		if valSlot >= 0 {
-			hv := u.emitJump(Op{Code: opRangeHasV, B: li})
 			u.emit(Op{Code: opRangeVal, A: li})
-			u.depth++
-			u.emit(Op{Code: opDefineSlot, A: valSlot})
-			u.depth--
-			u.patch(hv)
+			u.emitSlot(Op{Code: opDefineSlot, A: valSlot})
 		}
 	} else {
 		if st.Key != nil && !isBlankIdent(st.Key) {
 			u.compileRangeAssign(st.Key, Op{Code: opRangeKey, A: li})
 		}
 		if st.Value != nil && !isBlankIdent(st.Value) {
-			hv := u.emitJump(Op{Code: opRangeHasV, B: li})
 			u.compileRangeAssign(st.Value, Op{Code: opRangeVal, A: li})
-			u.patch(hv)
 		}
 	}
 
@@ -674,10 +571,6 @@ func (u *unitCompiler) compileRange(st *ast.RangeStmt) {
 	u.patchTo(jexit, lexit)
 	u.emit(Op{Code: opLoopLeave, A: li})
 	u.leaveLoop()
-	if define {
-		u.popScope()
-	}
-	u.popScope()
 }
 
 func isBlankIdent(e ast.Expr) bool {
@@ -693,7 +586,7 @@ func (u *unitCompiler) compileRangeAssign(target ast.Expr, push Op) {
 	case *ast.Ident:
 		u.emit(push)
 		u.depth++
-		u.emit(Op{Code: opStoreName, A: u.resolveIdx(lv.Name)})
+		u.emit(Op{Code: opStoreName, A: u.bindIdx(lv)})
 		u.depth--
 	case *ast.IndexExpr:
 		base := u.depth
@@ -720,7 +613,6 @@ func (u *unitCompiler) compileRangeAssign(target ast.Expr, push Op) {
 }
 
 func (u *unitCompiler) compileSwitch(st *ast.SwitchStmt) {
-	u.pushScope()
 	if st.Init != nil {
 		u.compileStmt(st.Init)
 	}
@@ -785,15 +677,12 @@ func (u *unitCompiler) compileSwitch(st *ast.SwitchStmt) {
 	}
 	u.ctxs = u.ctxs[:len(u.ctxs)-1]
 	u.depth = baseDepth
-	u.popScope()
 }
 
 func (u *unitCompiler) compileClauseBody(clause *ast.CaseClause) {
-	u.pushScope()
 	for _, s := range clause.Body {
 		u.compileStmt(s)
 	}
-	u.popScope()
 }
 
 func (u *unitCompiler) compileBranch(st *ast.BranchStmt) {
@@ -902,18 +791,14 @@ func (u *unitCompiler) compileDecl(st *ast.DeclStmt) {
 			u.compileTuple(vs.Values, n)
 			base := u.depth - n
 			for i, name := range vs.Names {
-				slot := u.newSlot(name.Name)
-				u.emit(Op{Code: opDefineSlotAt, A: slot, B: u.at(base + i)})
+				u.emitSlot(Op{Code: opDefineSlotAt, A: u.newSlot(name), B: u.at(base + i)})
 			}
 			u.emit(Op{Code: opDropN, A: int32(n)})
 			u.depth = base
 		} else {
 			for _, name := range vs.Names {
 				u.emit(Op{Code: opZeroVal, A: u.code.typeIdx(vs.Type)})
-				u.depth++
-				slot := u.newSlot(name.Name)
-				u.emit(Op{Code: opDefineSlot, A: slot})
-				u.depth--
+				u.emitSlot(Op{Code: opDefineSlot, A: u.newSlot(name)})
 			}
 		}
 	}
@@ -947,12 +832,12 @@ func (u *unitCompiler) compileAssign(st *ast.AssignStmt) {
 			if id.Name == "_" {
 				continue
 			}
-			if slot, exists := u.scope.names[id.Name]; exists {
-				// Go redeclaration: reuse the cell from this scope.
-				u.emit(Op{Code: opStoreSlotAt, A: slot, B: u.at(base + i)})
+			if sym := u.fn.local(id); sym != nil && sym.Decl != id.Pos() {
+				// Go redeclaration: := assigns a variable an earlier
+				// declaration of its scope declared.
+				u.emitSlot(Op{Code: opStoreSlotAt, A: u.slots[sym], B: u.at(base + i)})
 			} else {
-				slot := u.newSlot(id.Name)
-				u.emit(Op{Code: opDefineSlotAt, A: slot, B: u.at(base + i)})
+				u.emitSlot(Op{Code: opDefineSlotAt, A: u.newSlot(id), B: u.at(base + i)})
 			}
 		}
 		u.emit(Op{Code: opDropN, A: int32(n)})
@@ -983,9 +868,11 @@ func (u *unitCompiler) compileAssign(st *ast.AssignStmt) {
 					plans = append(plans, plan{kind: lvBlank})
 					continue
 				}
-				res := u.resolveIdx(lv.Name)
-				u.emit(Op{Code: opCheckName, A: res})
-				plans = append(plans, plan{kind: lvIdent, res: res})
+				b := u.bind(lv)
+				if !b.variable() {
+					u.emitFail(fmt.Sprintf("assignment to undefined variable %q", lv.Name))
+				}
+				plans = append(plans, plan{kind: lvIdent, res: u.code.resIdx(b)})
 			case *ast.IndexExpr:
 				p := plan{kind: lvIndex, opndBase: u.depth}
 				u.compileExpr(lv.X)
@@ -1051,7 +938,7 @@ func (u *unitCompiler) compileLValueModify(target ast.Expr, modify func()) {
 			u.depth--
 			return
 		}
-		res := u.resolveIdx(lv.Name)
+		res := u.bindIdx(lv)
 		u.emit(Op{Code: opNameLVGet, A: res})
 		u.depth++
 		modify()
@@ -1124,10 +1011,8 @@ func (u *unitCompiler) compileExpr(e ast.Expr) {
 	case *ast.CompositeLit:
 		u.compileComposite(ex)
 	case *ast.FuncLit:
-		// The closure's unit compiles in finish, once this unit's
-		// scopes are complete.
-		u.emit(Op{Code: opClosure, A: int32(len(u.sites))})
-		u.sites = append(u.sites, litSite{lit: ex, scope: u.scope})
+		u.emit(Op{Code: opClosure, A: int32(len(u.code.Lits))})
+		u.code.Lits = append(u.code.Lits, u.c.compileClosure(u, ex))
 		u.depth++
 	default:
 		u.emitFail(fmt.Sprintf("unsupported expression %T", e))
@@ -1184,7 +1069,7 @@ func (u *unitCompiler) compileIdent(id *ast.Ident) {
 	case "nil":
 		u.emit(Op{Code: opConst, A: u.code.constIdx(nil)})
 	default:
-		u.emit(Op{Code: opLoadName, A: u.resolveIdx(id.Name)})
+		u.emit(Op{Code: opLoadName, A: u.bindIdx(id)})
 	}
 	u.depth++
 }
@@ -1250,14 +1135,12 @@ func (u *unitCompiler) compileSliceExpr(ex *ast.SliceExpr) {
 // intrinsic reference when the qualifier is statically unbound,
 // otherwise a struct field load or method-value bind.
 func (u *unitCompiler) compileSelector(ex *ast.SelectorExpr) {
-	if id, ok := ex.X.(*ast.Ident); ok && !u.lexicallyBound(id.Name) {
-		if _, isFn := u.c.fnIdx[id.Name]; !isFn {
-			qual := id.Name + "." + ex.Sel.Name
-			if _, ok := u.c.m.intrinsics[qual]; ok {
-				u.emit(Op{Code: opIntrFuncVal, A: u.code.nameIdx(qual)})
-				u.depth++
-				return
-			}
+	if id, ok := ex.X.(*ast.Ident); ok && u.qualifier(id) {
+		qual := id.Name + "." + ex.Sel.Name
+		if _, ok := u.c.m.intrinsics[qual]; ok {
+			u.emit(Op{Code: opIntrFuncVal, A: u.code.nameIdx(qual)})
+			u.depth++
+			return
 		}
 	}
 	u.compileExpr(ex.X)
@@ -1273,7 +1156,6 @@ func (u *unitCompiler) compileComposite(ex *ast.CompositeLit) {
 			u.depth++
 			return
 		}
-		fields := typ.fields
 		set := typ.literalSet(ex.Elts)
 		u.emit(Op{Code: opNewStruct, A: u.code.nameIdx(t.Name), B: int32(uint32(set)), C: int32(uint32(set >> 32))})
 		u.depth++
@@ -1284,17 +1166,17 @@ func (u *unitCompiler) compileComposite(ex *ast.CompositeLit) {
 					u.emitFail(errStructKey)
 					return
 				}
-				u.compileExpr(kv.Value)
-				u.emit(Op{Code: opSetField, A: u.code.nameIdx(key.Name)})
-				u.depth--
-				continue
-			}
-			if i >= len(fields) {
+				if i, ok = typ.index[key.Name]; !ok {
+					u.emitFail(fmt.Sprintf("unknown field %s in struct literal of type %s", key.Name, t.Name))
+					return
+				}
+				el = kv.Value
+			} else if i >= len(typ.fields) {
 				u.emitFail(fmt.Sprintf("too many values in %s literal", t.Name))
 				return
 			}
 			u.compileExpr(el)
-			u.emit(Op{Code: opSetField, A: u.code.nameIdx(fields[i])})
+			u.emit(Op{Code: opSetField, A: u.code.nameIdx(typ.fields[i]), B: int32(i)})
 			u.depth--
 		}
 	case *ast.ArrayType:
@@ -1341,18 +1223,16 @@ func (u *unitCompiler) compileCall(call *ast.CallExpr) {
 		}
 	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if id, ok := sel.X.(*ast.Ident); ok && !u.lexicallyBound(id.Name) {
-			if _, isFn := u.c.fnIdx[id.Name]; !isFn {
-				qual := id.Name + "." + sel.Sel.Name
-				if ii, ok := u.c.intrinsic(qual); ok {
-					n := u.compileArgs(call.Args)
-					u.emit(Op{Code: opCallIntrinsic, A: ii, B: n})
-					u.dropArgs(n)
-					return
-				}
-				u.emitFail(fmt.Sprintf("unknown qualified call %s", qual))
+		if id, ok := sel.X.(*ast.Ident); ok && u.qualifier(id) {
+			qual := id.Name + "." + sel.Sel.Name
+			if ii, ok := u.c.intrinsic(qual); ok {
+				n := u.compileArgs(call.Args)
+				u.emit(Op{Code: opCallIntrinsic, A: ii, B: n})
+				u.dropArgs(n)
 				return
 			}
+			u.emitFail(fmt.Sprintf("unknown qualified call %s", qual))
+			return
 		}
 		// Method call: resolve the bound callee before the arguments.
 		u.compileExpr(sel.X)
@@ -1364,7 +1244,7 @@ func (u *unitCompiler) compileCall(call *ast.CallExpr) {
 		return
 	}
 	if id, ok := call.Fun.(*ast.Ident); ok {
-		u.emit(Op{Code: opLoadCallee, A: u.resolveIdx(id.Name)})
+		u.emit(Op{Code: opLoadCallee, A: u.bindIdx(id)})
 		u.depth++
 		n := u.compileArgs(call.Args)
 		u.emit(Op{Code: opCallValue, B: n})

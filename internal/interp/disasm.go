@@ -53,10 +53,10 @@ func operands(c *Code, op Op) string {
 		return fmt.Sprintf(" %d", op.A)
 	case opJump, opJfalse, opAndShort, opOrShort, opCaseEq:
 		return fmt.Sprintf(" -> %d", op.A)
-	case opLoadName, opNameLVGet, opStoreName, opCheckName, opLoadCallee:
-		return fmt.Sprintf(" %s", resRepr(c.Res[op.A]))
+	case opLoadName, opNameLVGet, opStoreName, opLoadCallee:
+		return fmt.Sprintf(" %s", c.Res[op.A])
 	case opStoreNameAt:
-		return fmt.Sprintf(" %s @%d", resRepr(c.Res[op.A]), op.B)
+		return fmt.Sprintf(" %s @%d", c.Res[op.A], op.B)
 	case opDefineSlot, opDefineCell:
 		return fmt.Sprintf(" %s", slotRepr(c, op.A))
 	case opDefineSlotAt, opStoreSlotAt, opDefineCellAt, opStoreCellAt:
@@ -71,8 +71,6 @@ func operands(c *Code, op Op) string {
 		return fmt.Sprintf(" val@%d base@%d", op.A, op.B)
 	case opZeroVal:
 		return fmt.Sprintf(" type%d", op.A)
-	case opClearSlots:
-		return fmt.Sprintf(" from %d", op.A)
 	case opBinop:
 		return fmt.Sprintf(" %s", token.Token(op.A))
 	case opSliceExpr:
@@ -99,7 +97,7 @@ func operands(c *Code, op Op) string {
 		return fmt.Sprintf(" loop=%d top=%d", op.A, op.B)
 	case opRangeStart:
 		return fmt.Sprintf(" loop=%d kslot=%d vslot=%d", op.A, op.B, op.C)
-	case opRangeNext, opRangeHasV:
+	case opRangeNext:
 		return fmt.Sprintf(" -> %d loop=%d", op.A, op.B)
 	case opFail:
 		return fmt.Sprintf(" %q", c.Msgs[op.A])
@@ -121,27 +119,22 @@ func slotRepr(c *Code, slot int32) string {
 	return fmt.Sprintf("s%d", slot)
 }
 
-func resRepr(r *resolution) string {
-	var parts []string
-	for ; r != nil; r = r.next {
-		switch r.kind {
-		case resSlot:
-			parts = append(parts, fmt.Sprintf("s%d", r.idx))
-		case resCell:
-			parts = append(parts, fmt.Sprintf("cell s%d", r.idx))
-		case resUpval:
-			parts = append(parts, fmt.Sprintf("up%d", r.idx))
-		case resGlobal:
-			parts = append(parts, fmt.Sprintf("g%d", r.idx))
-		case resFunc:
-			parts = append(parts, "func "+r.name)
-		case resIntrinsic:
-			parts = append(parts, "intr "+r.name)
-		case resUndef:
-			parts = append(parts, "undef "+r.name)
-		}
+func (b binding) String() string {
+	switch b.kind {
+	case bindSlot:
+		return fmt.Sprintf("s%d", b.idx)
+	case bindCell:
+		return fmt.Sprintf("cell s%d", b.idx)
+	case bindUpval:
+		return fmt.Sprintf("up%d", b.idx)
+	case bindGlobal:
+		return fmt.Sprintf("g%d", b.idx)
+	case bindFunc:
+		return "func " + b.name
+	case bindIntrinsic:
+		return "intr " + b.name
 	}
-	return strings.Join(parts, "|")
+	return "undef " + b.name
 }
 
 // opNames is indexed by OpCode; kept sorted here only for readability.
@@ -165,7 +158,6 @@ var opNames = map[OpCode]string{
 	opNameLVGet:     "namelvget",
 	opStoreName:     "storename",
 	opStoreNameAt:   "storenameat",
-	opCheckName:     "checkname",
 	opDefineSlot:    "defineslot",
 	opDefineSlotAt:  "defineslotat",
 	opStoreSlotAt:   "storeslotat",
@@ -176,7 +168,6 @@ var opNames = map[OpCode]string{
 	opDefineGlobal:  "defineglobal",
 	opIntrFuncVal:   "intrfuncval",
 	opZeroVal:       "zeroval",
-	opClearSlots:    "clearslots",
 	opBinop:         "binop",
 	opNeg:           "neg",
 	opNot:           "not",
@@ -226,7 +217,6 @@ var opNames = map[OpCode]string{
 	opRangeNext:     "rangenext",
 	opRangeKey:      "rangekey",
 	opRangeVal:      "rangeval",
-	opRangeHasV:     "rangehasv",
 	opCaseEq:        "caseeq",
 	opFail:          "fail",
 }

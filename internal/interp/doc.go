@@ -16,6 +16,17 @@
 //     struct field, map entry) has a unique address, so the dependence
 //     profiler sees exact may-alias-free accesses.
 //
+// # Identifiers
+//
+// Both engines bind identifiers lexically, as Go does, through one
+// deps.Resolution per function, computed once per Machine: the resolver
+// that is checked against go/types. A local variable is a frame slot
+// in the VM (a heap cell when a closure captures it) and a frame entry
+// keyed by its *deps.Symbol in the tree walker; a closure captures the
+// cells of its free variables when it is created. Every other name
+// binds at the package level: a global var or const, a program
+// function, an intrinsic, or "undefined".
+//
 // # Supported subset
 //
 // Types: int (int64), float64, bool, string, slices, maps, structs

@@ -553,15 +553,26 @@ func F() int {
 		f := func() int { return x }
 		x := 2
 		_ = x
-		g := func(n int) int {
-			if n == 0 {
-				return 0
-			}
-			return g(n-1) + 1
-		}
-		return f()*10 + g(3)
+		return f()
 	}
-}`, "F", nil, "", ""},
+}`, "F", nil, "", "1"},
+	{"closure-shadow-in-loop", `package p
+func F() int {
+	s := 0
+	y := 100
+	for i := 0; i < 3; i++ {
+		g := func() int { return y }
+		y := i
+		s += g() + y
+	}
+	return s
+}`, "F", nil, "", "303"},
+	{"result-redeclare", `package p
+func F() (x int) {
+	a, x := 1, 2
+	_ = a
+	return
+}`, "F", nil, "", "2"},
 	{"closure-depth-guard", `package p
 func F() int {
 	var f func(int) int
@@ -607,4 +618,26 @@ func F(n int) int { a := make([]int, n); return len(a) }`, "F", []Value{int64(-1
 	{"struct-key-expression", `package p
 type T struct{ A int }
 func F() int { t := T{A: 1, 1 + 1: 3}; return t.A }`, "F", nil, "struct literal key must be a field name", ""},
+	{"struct-unknown-field", `package p
+type T struct{ A int }
+func F() int { t := T{A: 1, B: 2}; return t.A }`, "F", nil, "unknown field B in struct literal of type T", ""},
+	{"closure-self-reference", `package p
+func F() int {
+	g := func(n int) int {
+		if n == 0 {
+			return 0
+		}
+		return g(n-1) + 1
+	}
+	return g(3)
+}`, "F", nil, `undefined function "g"`, ""},
+	{"range-int-value", `package p
+func F() int {
+	s := 0
+	for i, v := range 3 {
+		s += i
+		_ = v
+	}
+	return s
+}`, "F", nil, "range over int permits only one iteration variable", ""},
 }

@@ -3,13 +3,14 @@ package interp
 import (
 	"go/ast"
 	"go/token"
+	"maps"
 
 	"patty/internal/source"
 )
 
 // eval evaluates an expression to exactly one value.
-func (m *Machine) eval(e ast.Expr, env *env, fn *source.Function) Value {
-	vals := m.evalMulti(e, env, fn)
+func (m *Machine) eval(e ast.Expr, fr frame, fn *function) Value {
+	vals := m.evalMulti(e, fr, fn)
 	if len(vals) != 1 {
 		fail("expression yields %d values where one is required", len(vals))
 	}
@@ -17,42 +18,49 @@ func (m *Machine) eval(e ast.Expr, env *env, fn *source.Function) Value {
 }
 
 // evalMulti evaluates an expression, allowing multi-value calls.
-func (m *Machine) evalMulti(e ast.Expr, env *env, fn *source.Function) []Value {
+func (m *Machine) evalMulti(e ast.Expr, fr frame, fn *function) []Value {
 	if call, ok := e.(*ast.CallExpr); ok {
-		return m.evalCallMulti(call, env, fn)
+		return m.evalCallMulti(call, fr, fn)
 	}
-	return []Value{m.evalSingle(e, env, fn)}
+	return []Value{m.evalSingle(e, fr, fn)}
 }
 
-func (m *Machine) evalSingle(e ast.Expr, env *env, fn *source.Function) Value {
+func (m *Machine) evalSingle(e ast.Expr, fr frame, fn *function) Value {
 	m.tick(1)
 	switch ex := e.(type) {
 	case *ast.BasicLit:
 		return m.evalLit(ex)
 	case *ast.Ident:
-		return m.evalIdent(ex, env)
+		return m.evalIdent(ex, fr, fn)
 	case *ast.ParenExpr:
-		return m.eval(ex.X, env, fn)
+		return m.eval(ex.X, fr, fn)
 	case *ast.BinaryExpr:
-		return m.evalBinary(ex, env, fn)
+		return m.evalBinary(ex, fr, fn)
 	case *ast.UnaryExpr:
-		return m.evalUnary(ex, env, fn)
+		return m.evalUnary(ex, fr, fn)
 	case *ast.StarExpr:
 		// Reference semantics: *p is p for struct references.
-		v := m.eval(ex.X, env, fn)
+		v := m.eval(ex.X, fr, fn)
 		return v
 	case *ast.IndexExpr:
-		return m.evalIndex(ex, env, fn)
+		return m.evalIndex(ex, fr, fn)
 	case *ast.SliceExpr:
-		return m.evalSliceExpr(ex, env, fn)
+		return m.evalSliceExpr(ex, fr, fn)
 	case *ast.SelectorExpr:
-		return m.evalSelector(ex, env, fn)
+		return m.evalSelector(ex, fr, fn)
 	case *ast.CompositeLit:
-		return m.evalComposite(ex, env, fn)
+		return m.evalComposite(ex, fr, fn)
 	case *ast.FuncLit:
-		return &Func{Name: "closure", decl: funcLit{ex}, env: env}
+		var cells frame
+		if info := m.lits[ex]; info != nil {
+			cells = make(frame, len(info.free))
+			for _, s := range info.free {
+				cells[s] = fr[s]
+			}
+		}
+		return &Func{Name: "closure", decl: funcLit{ex}, captured: cells}
 	case *ast.CallExpr:
-		vals := m.evalCallMulti(ex, env, fn)
+		vals := m.evalCallMulti(ex, fr, fn)
 		if len(vals) != 1 {
 			fail("call yields %d values where one is required", len(vals))
 		}
@@ -71,7 +79,7 @@ func (m *Machine) evalLit(lit *ast.BasicLit) Value {
 	return v
 }
 
-func (m *Machine) evalIdent(id *ast.Ident, env *env) Value {
+func (m *Machine) evalIdent(id *ast.Ident, fr frame, fn *function) Value {
 	switch id.Name {
 	case "true":
 		return true
@@ -80,24 +88,36 @@ func (m *Machine) evalIdent(id *ast.Ident, env *env) Value {
 	case "nil":
 		return nil
 	}
-	if c := env.lookup(id.Name); c != nil {
+	c, pkg := m.variable(id, fr, fn)
+	if c != nil {
 		m.load(c.addr)
 		return c.val
 	}
-	if f := m.prog.Func(id.Name); f != nil {
-		return &Func{Name: id.Name, decl: funcDecl{f.Decl}}
-	}
-	if in, ok := m.intrinsics[id.Name]; ok {
-		name := in.Name
-		return &Func{Name: name, decl: nil} // resolved at call time
+	if pkg {
+		if f := m.prog.Func(id.Name); f != nil {
+			return &Func{Name: id.Name, decl: funcDecl{f.Decl}}
+		}
+		if in, ok := m.intrinsics[id.Name]; ok {
+			return &Func{Name: in.Name} // resolved at call time
+		}
 	}
 	fail("undefined identifier %q", id.Name)
 	return nil
 }
 
-func (m *Machine) evalBinary(ex *ast.BinaryExpr, env *env, fn *source.Function) Value {
+// variable returns the cell id names: a local of fn, or an initialized
+// global. pkg reports that id is not a local, so that, when it names no
+// global, it may name a program function or an intrinsic.
+func (m *Machine) variable(id *ast.Ident, fr frame, fn *function) (c *cell, pkg bool) {
+	if sym := fn.local(id); sym != nil {
+		return fr[sym], false
+	}
+	return m.globals[id.Name], true
+}
+
+func (m *Machine) evalBinary(ex *ast.BinaryExpr, fr frame, fn *function) Value {
 	if ex.Op == token.LAND || ex.Op == token.LOR {
-		l, err := truthy(m.eval(ex.X, env, fn))
+		l, err := truthy(m.eval(ex.X, fr, fn))
 		if err != nil {
 			fail("%v", err)
 		}
@@ -107,14 +127,14 @@ func (m *Machine) evalBinary(ex *ast.BinaryExpr, env *env, fn *source.Function) 
 		if ex.Op == token.LOR && l {
 			return true
 		}
-		r, err := truthy(m.eval(ex.Y, env, fn))
+		r, err := truthy(m.eval(ex.Y, fr, fn))
 		if err != nil {
 			fail("%v", err)
 		}
 		return r
 	}
-	a := m.eval(ex.X, env, fn)
-	b := m.eval(ex.Y, env, fn)
+	a := m.eval(ex.X, fr, fn)
+	b := m.eval(ex.Y, fr, fn)
 	return m.binop(ex.Op, a, b)
 }
 
@@ -230,13 +250,13 @@ func stringOp(op token.Token, x, y string) Value {
 	return nil
 }
 
-func (m *Machine) evalUnary(ex *ast.UnaryExpr, env *env, fn *source.Function) Value {
+func (m *Machine) evalUnary(ex *ast.UnaryExpr, fr frame, fn *function) Value {
 	switch ex.Op {
 	case token.AND:
 		// &x / &T{...}: reference semantics make this the value itself.
-		return m.eval(ex.X, env, fn)
+		return m.eval(ex.X, fr, fn)
 	case token.SUB:
-		v := m.eval(ex.X, env, fn)
+		v := m.eval(ex.X, fr, fn)
 		switch x := v.(type) {
 		case int64:
 			return -x
@@ -245,23 +265,23 @@ func (m *Machine) evalUnary(ex *ast.UnaryExpr, env *env, fn *source.Function) Va
 		}
 		fail("cannot negate %s", formatValue(v))
 	case token.ADD:
-		return m.eval(ex.X, env, fn)
+		return m.eval(ex.X, fr, fn)
 	case token.NOT:
-		v, err := truthy(m.eval(ex.X, env, fn))
+		v, err := truthy(m.eval(ex.X, fr, fn))
 		if err != nil {
 			fail("%v", err)
 		}
 		return !v
 	case token.XOR:
-		return ^toInt(m.eval(ex.X, env, fn))
+		return ^toInt(m.eval(ex.X, fr, fn))
 	}
 	fail("unsupported unary operator %s", ex.Op)
 	return nil
 }
 
-func (m *Machine) evalIndex(ex *ast.IndexExpr, env *env, fn *source.Function) Value {
-	base := m.eval(ex.X, env, fn)
-	idx := m.eval(ex.Index, env, fn)
+func (m *Machine) evalIndex(ex *ast.IndexExpr, fr frame, fn *function) Value {
+	base := m.eval(ex.X, fr, fn)
+	idx := m.eval(ex.Index, fr, fn)
 	switch b := base.(type) {
 	case *Slice:
 		i := toInt(idx)
@@ -300,14 +320,14 @@ func (m *Machine) evalIndex(ex *ast.IndexExpr, env *env, fn *source.Function) Va
 // corpus (counting maps).
 func mapZero(_ Value) Value { return int64(0) }
 
-func (m *Machine) evalSliceExpr(ex *ast.SliceExpr, env *env, fn *source.Function) Value {
-	base := m.eval(ex.X, env, fn)
+func (m *Machine) evalSliceExpr(ex *ast.SliceExpr, fr frame, fn *function) Value {
+	base := m.eval(ex.X, fr, fn)
 	lo, hi := int64(0), int64(-1)
 	if ex.Low != nil {
-		lo = toInt(m.eval(ex.Low, env, fn))
+		lo = toInt(m.eval(ex.Low, fr, fn))
 	}
 	if ex.High != nil {
-		hi = toInt(m.eval(ex.High, env, fn))
+		hi = toInt(m.eval(ex.High, fr, fn))
 	}
 	switch b := base.(type) {
 	case *Slice:
@@ -331,22 +351,22 @@ func (m *Machine) evalSliceExpr(ex *ast.SliceExpr, env *env, fn *source.Function
 	return nil
 }
 
-func (m *Machine) evalSelector(ex *ast.SelectorExpr, env *env, fn *source.Function) Value {
+func (m *Machine) evalSelector(ex *ast.SelectorExpr, fr frame, fn *function) Value {
 	// Package-qualified intrinsic reference (math.Sqrt as a value).
-	if id, ok := ex.X.(*ast.Ident); ok && env.lookup(id.Name) == nil && m.prog.Func(id.Name) == nil {
+	if id, ok := ex.X.(*ast.Ident); ok && m.qualifier(id, fr, fn) {
 		qual := id.Name + "." + ex.Sel.Name
 		if _, ok := m.intrinsics[qual]; ok {
 			return &Func{Name: qual}
 		}
 	}
-	base := m.eval(ex.X, env, fn)
+	base := m.eval(ex.X, fr, fn)
 	st, ok := base.(*Struct)
 	if !ok {
 		fail("cannot select %s from %s", ex.Sel.Name, formatValue(base))
 	}
-	if v, ok := st.Get(ex.Sel.Name); ok {
-		m.load(st.fieldAddr(ex.Sel.Name))
-		return v
+	if i, ok := st.typ.index[ex.Sel.Name]; ok {
+		m.load(st.base + uint64(i))
+		return st.fields[i]
 	}
 	// Method value: bind the receiver.
 	if mf := m.prog.Func(st.Type + "." + ex.Sel.Name); mf != nil {
@@ -356,14 +376,13 @@ func (m *Machine) evalSelector(ex *ast.SelectorExpr, env *env, fn *source.Functi
 	return nil
 }
 
-func (m *Machine) evalComposite(ex *ast.CompositeLit, env *env, fn *source.Function) Value {
+func (m *Machine) evalComposite(ex *ast.CompositeLit, fr frame, fn *function) Value {
 	switch t := ex.Type.(type) {
 	case *ast.Ident:
 		typ, ok := m.structTypes[t.Name]
 		if !ok {
 			fail("unknown composite type %s", t.Name)
 		}
-		fields := typ.fields
 		st := m.newStruct(typ, typ.literalSet(ex.Elts))
 		for i, el := range ex.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
@@ -371,22 +390,21 @@ func (m *Machine) evalComposite(ex *ast.CompositeLit, env *env, fn *source.Funct
 				if !ok {
 					fail(errStructKey)
 				}
-				key := id.Name
-				st.fields[key] = m.eval(kv.Value, env, fn)
-				m.store(st.fieldAddr(key))
-				continue
-			}
-			if i >= len(fields) {
+				if i, ok = typ.index[id.Name]; !ok {
+					fail("unknown field %s in struct literal of type %s", id.Name, t.Name)
+				}
+				el = kv.Value
+			} else if i >= len(typ.fields) {
 				fail("too many values in %s literal", t.Name)
 			}
-			st.fields[fields[i]] = m.eval(el, env, fn)
-			m.store(st.fieldAddr(fields[i]))
+			st.fields[i] = m.eval(el, fr, fn)
+			m.store(st.base + uint64(i))
 		}
 		return st
 	case *ast.ArrayType:
 		elems := make([]Value, 0, len(ex.Elts))
 		for _, el := range ex.Elts {
-			elems = append(elems, m.eval(el, env, fn))
+			elems = append(elems, m.eval(el, fr, fn))
 		}
 		elems = m.arrayLit(t, elems)
 		return &Slice{Elems: elems, base: m.alloc(len(elems) + 1)}
@@ -397,8 +415,8 @@ func (m *Machine) evalComposite(ex *ast.CompositeLit, env *env, fn *source.Funct
 			if !ok {
 				fail("map literal requires key:value")
 			}
-			k := m.eval(kv.Key, env, fn)
-			mp.M[k] = m.eval(kv.Value, env, fn)
+			k := m.eval(kv.Key, fr, fn)
+			mp.M[k] = m.eval(kv.Value, fr, fn)
 			mp.addrs[k] = m.alloc(1)
 		}
 		return mp
@@ -408,25 +426,25 @@ func (m *Machine) evalComposite(ex *ast.CompositeLit, env *env, fn *source.Funct
 }
 
 // lvalue resolves an assignable expression to getter/setter closures.
-func (m *Machine) lvalue(e ast.Expr, env *env, fn *source.Function) (func() Value, func(Value)) {
+func (m *Machine) lvalue(e ast.Expr, fr frame, fn *function) (func() Value, func(Value)) {
 	switch ex := e.(type) {
 	case *ast.Ident:
 		if ex.Name == "_" {
 			return func() Value { return nil }, func(Value) {}
 		}
-		c := env.lookup(ex.Name)
+		c, _ := m.variable(ex, fr, fn)
 		if c == nil {
 			fail("assignment to undefined variable %q", ex.Name)
 		}
 		return func() Value { m.load(c.addr); return c.val },
 			func(v Value) { c.val = v; m.store(c.addr) }
 	case *ast.ParenExpr:
-		return m.lvalue(ex.X, env, fn)
+		return m.lvalue(ex.X, fr, fn)
 	case *ast.StarExpr:
-		return m.lvalue(ex.X, env, fn)
+		return m.lvalue(ex.X, fr, fn)
 	case *ast.IndexExpr:
-		base := m.eval(ex.X, env, fn)
-		idx := m.eval(ex.Index, env, fn)
+		base := m.eval(ex.X, fr, fn)
+		idx := m.eval(ex.Index, fr, fn)
 		switch b := base.(type) {
 		case *Slice:
 			i := toInt(idx)
@@ -460,42 +478,43 @@ func (m *Machine) lvalue(e ast.Expr, env *env, fn *source.Function) (func() Valu
 			fail("cannot index-assign %s", formatValue(base))
 		}
 	case *ast.SelectorExpr:
-		base := m.eval(ex.X, env, fn)
+		base := m.eval(ex.X, fr, fn)
 		st, ok := base.(*Struct)
 		if !ok {
 			fail("cannot assign field %s of %s", ex.Sel.Name, formatValue(base))
 		}
-		name := ex.Sel.Name
-		if _, ok := st.fields[name]; !ok {
-			fail("type %s has no field %s", st.Type, name)
+		i, ok := st.typ.index[ex.Sel.Name]
+		if !ok {
+			fail("type %s has no field %s", st.Type, ex.Sel.Name)
 		}
-		return func() Value { m.load(st.fieldAddr(name)); return st.fields[name] },
-			func(v Value) { st.fields[name] = v; m.store(st.fieldAddr(name)) }
+		addr := st.base + uint64(i)
+		return func() Value { m.load(addr); return st.fields[i] },
+			func(v Value) { st.fields[i] = v; m.store(addr) }
 	}
 	fail("unsupported assignment target %T", e)
 	return nil, nil
 }
 
 // evalCallMulti evaluates a call expression, returning all results.
-func (m *Machine) evalCallMulti(call *ast.CallExpr, env *env, fn *source.Function) []Value {
+func (m *Machine) evalCallMulti(call *ast.CallExpr, fr frame, fn *function) []Value {
 	m.tick(1)
 	// Builtins and conversions by identifier.
 	if id, ok := call.Fun.(*ast.Ident); ok {
-		if vals, handled := m.builtinCall(id.Name, call, env, fn); handled {
+		if vals, handled := m.builtinCall(id.Name, call, fr, fn); handled {
 			return vals
 		}
 	}
 	// Qualified intrinsics: pkg.Fn(...)
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if id, ok := sel.X.(*ast.Ident); ok && env.lookup(id.Name) == nil && m.prog.Func(id.Name) == nil {
+		if id, ok := sel.X.(*ast.Ident); ok && m.qualifier(id, fr, fn) {
 			qual := id.Name + "." + sel.Sel.Name
 			if in, ok := m.intrinsics[qual]; ok {
-				return []Value{m.callIntrinsic(in, m.evalArgs(call.Args, env, fn))}
+				return []Value{m.callIntrinsic(in, m.evalArgs(call.Args, fr, fn))}
 			}
 			fail("unknown qualified call %s", qual)
 		}
 		// Method call.
-		base := m.eval(sel.X, env, fn)
+		base := m.eval(sel.X, fr, fn)
 		st, ok := base.(*Struct)
 		if !ok {
 			fail("cannot call method %s on %s", sel.Sel.Name, formatValue(base))
@@ -505,49 +524,52 @@ func (m *Machine) evalCallMulti(call *ast.CallExpr, env *env, fn *source.Functio
 			// Maybe a func-typed field.
 			if fv, ok := st.Get(sel.Sel.Name); ok {
 				if f, ok := fv.(*Func); ok {
-					return m.callFuncValue(f, m.evalArgs(call.Args, env, fn))
+					return m.callFuncValue(f, m.evalArgs(call.Args, fr, fn))
 				}
 			}
 			fail("type %s has no method %s", st.Type, sel.Sel.Name)
 		}
-		return m.callFunction(mf, st, m.evalArgs(call.Args, env, fn))
+		return m.callFunction(mf, st, m.evalArgs(call.Args, fr, fn))
 	}
-	// Plain identifier: local func value, program function, intrinsic.
+	// Plain identifier: func-valued variable, program function, intrinsic.
 	if id, ok := call.Fun.(*ast.Ident); ok {
-		if c := env.lookup(id.Name); c != nil {
+		c, pkg := m.variable(id, fr, fn)
+		if c != nil {
 			f, ok := c.val.(*Func)
 			if !ok {
 				fail("%q is not a function", id.Name)
 			}
 			m.load(c.addr)
-			return m.callFuncValue(f, m.evalArgs(call.Args, env, fn))
+			return m.callFuncValue(f, m.evalArgs(call.Args, fr, fn))
 		}
-		if pf := m.prog.Func(id.Name); pf != nil {
-			return m.callFunction(pf, nil, m.evalArgs(call.Args, env, fn))
-		}
-		if in, ok := m.intrinsics[id.Name]; ok {
-			return []Value{m.callIntrinsic(in, m.evalArgs(call.Args, env, fn))}
+		if pkg {
+			if pf := m.prog.Func(id.Name); pf != nil {
+				return m.callFunction(pf, nil, m.evalArgs(call.Args, fr, fn))
+			}
+			if in, ok := m.intrinsics[id.Name]; ok {
+				return []Value{m.callIntrinsic(in, m.evalArgs(call.Args, fr, fn))}
+			}
 		}
 		fail("undefined function %q", id.Name)
 	}
 	// Arbitrary callable expression (func literal, returned func).
-	v := m.eval(call.Fun, env, fn)
+	v := m.eval(call.Fun, fr, fn)
 	f, ok := v.(*Func)
 	if !ok {
 		fail("cannot call %s", formatValue(v))
 	}
-	return m.callFuncValue(f, m.evalArgs(call.Args, env, fn))
+	return m.callFuncValue(f, m.evalArgs(call.Args, fr, fn))
 }
 
-func (m *Machine) evalArgs(args []ast.Expr, env *env, fn *source.Function) []Value {
+func (m *Machine) evalArgs(args []ast.Expr, fr frame, fn *function) []Value {
 	if len(args) == 1 {
 		if call, ok := args[0].(*ast.CallExpr); ok {
-			return m.evalCallMulti(call, env, fn)
+			return m.evalCallMulti(call, fr, fn)
 		}
 	}
 	out := make([]Value, len(args))
 	for i, a := range args {
-		out[i] = m.eval(a, env, fn)
+		out[i] = m.eval(a, fr, fn)
 	}
 	return out
 }
@@ -576,30 +598,34 @@ func (m *Machine) callFuncValue(f *Func, args []Value) []Value {
 	}
 }
 
-// callClosure invokes a function literal with its captured
-// environment. Its statements are attributed to the lexically
-// enclosing function, which numbers them as its own.
+// callClosure invokes a function literal in a frame that starts with
+// the cells it captured. Its statements are attributed to the
+// lexically enclosing function, which numbers them as its own.
 func (m *Machine) callClosure(f *Func, lit *ast.FuncLit, args []Value) []Value {
-	return m.call(f.Name, lit.Type, lit.Body, newEnv(f.env), m.enclosingFunction(lit), args)
+	var fn *function
+	if info := m.lits[lit]; info != nil {
+		fn = info.fn
+	}
+	fr := make(frame, len(f.captured))
+	maps.Copy(fr, f.captured)
+	return m.call(f.Name, lit.Type, lit.Body, fr, fn, args)
 }
 
-func (m *Machine) enclosingFunction(lit *ast.FuncLit) *source.Function {
-	for _, f := range m.prog.Functions() {
-		if lit.Pos() >= f.Decl.Pos() && lit.End() <= f.Decl.End() {
-			return f
-		}
-	}
-	return nil
+// qualifier reports whether id, the X of a selector, is a package name
+// rather than a value: it names no local, global or program function.
+func (m *Machine) qualifier(id *ast.Ident, fr frame, fn *function) bool {
+	c, pkg := m.variable(id, fr, fn)
+	return c == nil && pkg && m.prog.Func(id.Name) == nil
 }
 
 // builtinCall implements the supported builtins; the bool result
 // reports whether name was handled. The helpers it shares with the VM
 // (builtins.go) raise the same failures on both engines.
-func (m *Machine) builtinCall(name string, call *ast.CallExpr, env *env, fn *source.Function) ([]Value, bool) {
+func (m *Machine) builtinCall(name string, call *ast.CallExpr, fr frame, fn *function) ([]Value, bool) {
 	switch name {
 	case "len", "cap", "int", "int64", "byte", "rune", "int32", "float64", "string":
 		needArgs(name, len(call.Args), 1)
-		v := m.eval(call.Args[0], env, fn)
+		v := m.eval(call.Args[0], fr, fn)
 		switch name {
 		case "len":
 			return []Value{lenOf(v)}, true
@@ -612,22 +638,22 @@ func (m *Machine) builtinCall(name string, call *ast.CallExpr, env *env, fn *sou
 		}
 		return []Value{toInt(v)}, true
 	case "append":
-		ns := m.appendSlice(m.evalArgs(call.Args, env, fn))
+		ns := m.appendSlice(m.evalArgs(call.Args, fr, fn))
 		for i := range ns.Elems {
 			m.store(ns.base + uint64(i))
 		}
 		return []Value{ns}, true
 	case "copy":
-		dst, n := copySlices(m.evalArgs(call.Args, env, fn))
+		dst, n := copySlices(m.evalArgs(call.Args, fr, fn))
 		for i := 0; i < n; i++ {
 			m.store(dst.base + uint64(i))
 		}
 		return []Value{int64(n)}, true
 	case "delete":
-		deleteEntry(m.evalArgs(call.Args, env, fn))
+		deleteEntry(m.evalArgs(call.Args, fr, fn))
 		return nil, true
 	case "make":
-		return []Value{m.makeValue(call, env, fn)}, true
+		return []Value{m.makeValue(call, fr, fn)}, true
 	case "new":
 		if len(call.Args) == 1 {
 			if id, ok := call.Args[0].(*ast.Ident); ok {
@@ -638,18 +664,18 @@ func (m *Machine) builtinCall(name string, call *ast.CallExpr, env *env, fn *sou
 		}
 		fail("unsupported new()")
 	case "min", "max":
-		return []Value{minMax(name == "max", m.evalArgs(call.Args, env, fn))}, true
+		return []Value{minMax(name == "max", m.evalArgs(call.Args, fr, fn))}, true
 	case "println", "print":
-		m.println(m.evalArgs(call.Args, env, fn))
+		m.println(m.evalArgs(call.Args, fr, fn))
 		m.tick(10)
 		return nil, true
 	case "panic":
-		programPanic(m.evalArgs(call.Args, env, fn))
+		programPanic(m.evalArgs(call.Args, fr, fn))
 	}
 	return nil, false
 }
 
-func (m *Machine) makeValue(call *ast.CallExpr, env *env, fn *source.Function) Value {
+func (m *Machine) makeValue(call *ast.CallExpr, fr frame, fn *function) Value {
 	if len(call.Args) == 0 {
 		fail("make requires a type")
 	}
@@ -657,7 +683,7 @@ func (m *Machine) makeValue(call *ast.CallExpr, env *env, fn *source.Function) V
 	case *ast.ArrayType:
 		n := int64(0)
 		if len(call.Args) > 1 {
-			n = toInt(m.eval(call.Args[1], env, fn))
+			n = toInt(m.eval(call.Args[1], fr, fn))
 		}
 		return m.makeSlice(n)
 	case *ast.MapType:

@@ -3,8 +3,6 @@ package interp
 import (
 	"go/ast"
 	"go/token"
-
-	"patty/internal/source"
 )
 
 type ctrlKind int
@@ -26,12 +24,10 @@ type control struct {
 
 var ctrlNothing = control{}
 
-// execBlock runs a block in a fresh child scope.
-func (m *Machine) execBlock(b *ast.BlockStmt, parent *env, fn *source.Function) control {
-	scope := newEnv(parent)
-	for _, s := range b.List {
-		ctrl := m.execStmt(s, scope, fn)
-		if ctrl.kind != ctrlNone {
+// execStmts runs a statement list until one transfers control.
+func (m *Machine) execStmts(list []ast.Stmt, fr frame, fn *function) control {
+	for _, s := range list {
+		if ctrl := m.execStmt(s, fr, fn); ctrl.kind != ctrlNone {
 			return ctrl
 		}
 	}
@@ -39,7 +35,7 @@ func (m *Machine) execBlock(b *ast.BlockStmt, parent *env, fn *source.Function) 
 }
 
 // execStmt runs one statement with profiling attribution.
-func (m *Machine) execStmt(s ast.Stmt, env *env, fn *source.Function) control {
+func (m *Machine) execStmt(s ast.Stmt, fr frame, fn *function) control {
 	ref := Ref{Fn: fn.Name, Stmt: fn.StmtID(s)}
 	if m.prof != nil {
 		m.prof.Count[ref]++
@@ -50,12 +46,12 @@ func (m *Machine) execStmt(s ast.Stmt, env *env, fn *source.Function) control {
 
 	switch st := s.(type) {
 	case *ast.BlockStmt:
-		return m.execBlock(st, env, fn)
+		return m.execStmts(st.List, fr, fn)
 	case *ast.AssignStmt:
-		m.execAssign(st, env, fn)
+		m.execAssign(st, fr, fn)
 		return ctrlNothing
 	case *ast.IncDecStmt:
-		get, set := m.lvalue(st.X, env, fn)
+		get, set := m.lvalue(st.X, fr, fn)
 		v := toInt(get())
 		if st.Tok == token.INC {
 			set(v + 1)
@@ -73,7 +69,7 @@ func (m *Machine) execStmt(s ast.Stmt, env *env, fn *source.Function) control {
 			if !ok {
 				continue
 			}
-			vals := m.evalTuple(vs.Values, len(vs.Names), env, fn)
+			vals := m.evalTuple(vs.Values, len(vs.Names), fr, fn)
 			for i, name := range vs.Names {
 				var v Value
 				if len(vs.Values) > 0 {
@@ -81,49 +77,48 @@ func (m *Machine) execStmt(s ast.Stmt, env *env, fn *source.Function) control {
 				} else {
 					v = m.zeroValueFor(vs.Type)
 				}
-				m.defineVar(name, v, env)
+				m.defineVar(name, v, fr, fn)
 			}
 		}
 		return ctrlNothing
 	case *ast.ExprStmt:
-		m.evalMulti(st.X, env, fn) // results (possibly none) are discarded
+		m.evalMulti(st.X, fr, fn) // results (possibly none) are discarded
 		return ctrlNothing
 	case *ast.ReturnStmt:
 		if len(st.Results) == 0 {
 			return control{kind: ctrlReturn}
 		}
-		vals := m.evalTuple(st.Results, -1, env, fn)
+		vals := m.evalTuple(st.Results, -1, fr, fn)
 		return control{kind: ctrlReturn, values: vals, hasValues: true}
 	case *ast.IfStmt:
-		scope := newEnv(env)
 		if st.Init != nil {
-			if ctrl := m.execStmt(st.Init, scope, fn); ctrl.kind != ctrlNone {
+			if ctrl := m.execStmt(st.Init, fr, fn); ctrl.kind != ctrlNone {
 				return ctrl
 			}
 		}
-		cond, err := truthy(m.eval(st.Cond, scope, fn))
+		cond, err := truthy(m.eval(st.Cond, fr, fn))
 		if err != nil {
 			fail("%v", err)
 		}
 		if cond {
-			return m.execBlock(st.Body, scope, fn)
+			return m.execStmts(st.Body.List, fr, fn)
 		}
 		if st.Else != nil {
-			return m.execStmt(st.Else, scope, fn)
+			return m.execStmt(st.Else, fr, fn)
 		}
 		return ctrlNothing
 	case *ast.ForStmt:
 		lt := m.enterLoop(ref)
-		ctrl := m.execFor(st, env, fn, lt)
+		ctrl := m.execFor(st, fr, fn, lt)
 		m.leaveLoop(lt)
 		return ctrl
 	case *ast.RangeStmt:
 		lt := m.enterLoop(ref)
-		ctrl := m.execRange(st, env, fn, lt)
+		ctrl := m.execRange(st, fr, fn, lt)
 		m.leaveLoop(lt)
 		return ctrl
 	case *ast.SwitchStmt:
-		return m.execSwitch(st, env, fn)
+		return m.execSwitch(st, fr, fn)
 	case *ast.BranchStmt:
 		switch st.Tok {
 		case token.BREAK:
@@ -140,7 +135,7 @@ func (m *Machine) execStmt(s ast.Stmt, env *env, fn *source.Function) control {
 			fail("unsupported branch statement %s", st.Tok)
 		}
 	case *ast.LabeledStmt:
-		return m.execStmt(st.Stmt, env, fn)
+		return m.execStmt(st.Stmt, fr, fn)
 	case *ast.EmptyStmt:
 		return ctrlNothing
 	default:
@@ -169,13 +164,12 @@ func (m *Machine) leaveLoop(lt *loopTrace) {
 
 // execBodyStmts runs a loop body, tagging the memory events of a
 // traced loop's outermost activation with the top-level statement id.
-func (m *Machine) execBodyStmts(body *ast.BlockStmt, scope *env, fn *source.Function, lt *loopTrace) control {
-	inner := newEnv(scope)
+func (m *Machine) execBodyStmts(body *ast.BlockStmt, fr frame, fn *function, lt *loopTrace) control {
 	for _, s := range body.List {
 		if lt != nil && lt.depth == 1 {
 			lt.top = fn.StmtID(s)
 		}
-		ctrl := m.execStmt(s, inner, fn)
+		ctrl := m.execStmt(s, fr, fn)
 		if lt != nil && lt.depth == 1 {
 			lt.top = -1
 		}
@@ -186,16 +180,15 @@ func (m *Machine) execBodyStmts(body *ast.BlockStmt, scope *env, fn *source.Func
 	return ctrlNothing
 }
 
-func (m *Machine) execFor(st *ast.ForStmt, parent *env, fn *source.Function, lt *loopTrace) control {
-	scope := newEnv(parent)
+func (m *Machine) execFor(st *ast.ForStmt, fr frame, fn *function, lt *loopTrace) control {
 	if st.Init != nil {
-		if ctrl := m.execStmt(st.Init, scope, fn); ctrl.kind != ctrlNone {
+		if ctrl := m.execStmt(st.Init, fr, fn); ctrl.kind != ctrlNone {
 			return ctrl
 		}
 	}
 	for {
 		if st.Cond != nil {
-			cond, err := truthy(m.eval(st.Cond, scope, fn))
+			cond, err := truthy(m.eval(st.Cond, fr, fn))
 			if err != nil {
 				fail("%v", err)
 			}
@@ -203,7 +196,7 @@ func (m *Machine) execFor(st *ast.ForStmt, parent *env, fn *source.Function, lt 
 				break
 			}
 		}
-		ctrl := m.execBodyStmts(st.Body, scope, fn, lt)
+		ctrl := m.execBodyStmts(st.Body, fr, fn, lt)
 		if ctrl.kind == ctrlBreak {
 			break
 		}
@@ -214,7 +207,7 @@ func (m *Machine) execFor(st *ast.ForStmt, parent *env, fn *source.Function, lt 
 			lt.iter++
 		}
 		if st.Post != nil {
-			if c := m.execStmt(st.Post, scope, fn); c.kind != ctrlNone {
+			if c := m.execStmt(st.Post, fr, fn); c.kind != ctrlNone {
 				return c
 			}
 		}
@@ -223,44 +216,40 @@ func (m *Machine) execFor(st *ast.ForStmt, parent *env, fn *source.Function, lt 
 	return ctrlNothing
 }
 
-func (m *Machine) execRange(st *ast.RangeStmt, parent *env, fn *source.Function, lt *loopTrace) control {
-	scope := newEnv(parent)
-	x := m.eval(st.X, scope, fn)
+func (m *Machine) execRange(st *ast.RangeStmt, fr frame, fn *function, lt *loopTrace) control {
+	x := m.eval(st.X, fr, fn)
 
-	assignKV := func(iterScope *env, k, v Value, hasV bool) {
+	// A range over an integer has no value: naming one fails where the
+	// value would be assigned.
+	assignKV := func(k, v Value, hasV bool) {
 		if st.Tok == token.DEFINE {
 			if id, ok := st.Key.(*ast.Ident); ok && id.Name != "_" {
-				m.defineVar(id, k, iterScope)
+				m.defineVar(id, k, fr, fn)
 			}
-			if hasV && st.Value != nil {
-				if id, ok := st.Value.(*ast.Ident); ok && id.Name != "_" {
-					m.defineVar(id, v, iterScope)
+			if id, ok := st.Value.(*ast.Ident); ok && id.Name != "_" {
+				if !hasV {
+					fail(errRangeIntValue)
 				}
+				m.defineVar(id, v, fr, fn)
 			}
 			return
 		}
-		if st.Key != nil {
-			if id, ok := st.Key.(*ast.Ident); !ok || id.Name != "_" {
-				_, set := m.lvalue(st.Key, iterScope, fn)
-				set(k)
-			}
+		if st.Key != nil && !isBlankIdent(st.Key) {
+			_, set := m.lvalue(st.Key, fr, fn)
+			set(k)
 		}
-		if hasV && st.Value != nil {
-			if id, ok := st.Value.(*ast.Ident); !ok || id.Name != "_" {
-				_, set := m.lvalue(st.Value, iterScope, fn)
-				set(v)
+		if st.Value != nil && !isBlankIdent(st.Value) {
+			_, set := m.lvalue(st.Value, fr, fn)
+			if !hasV {
+				fail(errRangeIntValue)
 			}
+			set(v)
 		}
-	}
-
-	runBody := func(iterScope *env) control {
-		return m.execBodyStmts(st.Body, iterScope, fn, lt)
 	}
 
 	iterate := func(k, v Value, hasV bool) (stop bool, ret control) {
-		iterScope := newEnv(scope)
-		assignKV(iterScope, k, v, hasV)
-		ctrl := runBody(iterScope)
+		assignKV(k, v, hasV)
+		ctrl := m.execBodyStmts(st.Body, fr, fn, lt)
 		if lt != nil && lt.depth == 1 {
 			lt.iter++
 		}
@@ -278,7 +267,7 @@ func (m *Machine) execRange(st *ast.RangeStmt, parent *env, fn *source.Function,
 	case *Slice:
 		for i := 0; i < len(xs.Elems); i++ {
 			m.load(xs.base + uint64(i))
-			stop, ret := iterate(int64(i), xs.Elems[i], st.Value != nil)
+			stop, ret := iterate(int64(i), xs.Elems[i], true)
 			if stop {
 				return ret
 			}
@@ -291,14 +280,14 @@ func (m *Machine) execRange(st *ast.RangeStmt, parent *env, fn *source.Function,
 			if a, ok := xs.addrs[k]; ok {
 				m.load(a)
 			}
-			stop, ret := iterate(k, xs.M[k], st.Value != nil)
+			stop, ret := iterate(k, xs.M[k], true)
 			if stop {
 				return ret
 			}
 		}
 	case string:
 		for i, r := range xs {
-			stop, ret := iterate(int64(i), int64(r), st.Value != nil)
+			stop, ret := iterate(int64(i), int64(r), true)
 			if stop {
 				return ret
 			}
@@ -318,16 +307,15 @@ func (m *Machine) execRange(st *ast.RangeStmt, parent *env, fn *source.Function,
 	return ctrlNothing
 }
 
-func (m *Machine) execSwitch(st *ast.SwitchStmt, parent *env, fn *source.Function) control {
-	scope := newEnv(parent)
+func (m *Machine) execSwitch(st *ast.SwitchStmt, fr frame, fn *function) control {
 	if st.Init != nil {
-		if ctrl := m.execStmt(st.Init, scope, fn); ctrl.kind != ctrlNone {
+		if ctrl := m.execStmt(st.Init, fr, fn); ctrl.kind != ctrlNone {
 			return ctrl
 		}
 	}
 	var tag Value = true
 	if st.Tag != nil {
-		tag = m.eval(st.Tag, scope, fn)
+		tag = m.eval(st.Tag, fr, fn)
 	}
 	var defaultClause *ast.CaseClause
 	for _, cc := range st.Body.List {
@@ -337,37 +325,31 @@ func (m *Machine) execSwitch(st *ast.SwitchStmt, parent *env, fn *source.Functio
 			continue
 		}
 		for _, e := range clause.List {
-			v := m.eval(e, scope, fn)
+			v := m.eval(e, fr, fn)
 			if equalValues(tag, v) {
-				return m.execClause(clause, scope, fn)
+				return m.execClause(clause, fr, fn)
 			}
 		}
 	}
 	if defaultClause != nil {
-		return m.execClause(defaultClause, scope, fn)
+		return m.execClause(defaultClause, fr, fn)
 	}
 	return ctrlNothing
 }
 
-func (m *Machine) execClause(clause *ast.CaseClause, parent *env, fn *source.Function) control {
-	scope := newEnv(parent)
-	for _, s := range clause.Body {
-		ctrl := m.execStmt(s, scope, fn)
-		if ctrl.kind == ctrlBreak {
-			return ctrlNothing // break inside switch leaves the switch
-		}
-		if ctrl.kind != ctrlNone {
-			return ctrl
-		}
+func (m *Machine) execClause(clause *ast.CaseClause, fr frame, fn *function) control {
+	ctrl := m.execStmts(clause.Body, fr, fn)
+	if ctrl.kind == ctrlBreak {
+		return ctrlNothing // break inside switch leaves the switch
 	}
-	return ctrlNothing
+	return ctrl
 }
 
 // execAssign handles =, := and compound assignments.
-func (m *Machine) execAssign(st *ast.AssignStmt, env *env, fn *source.Function) {
+func (m *Machine) execAssign(st *ast.AssignStmt, fr frame, fn *function) {
 	switch st.Tok {
 	case token.DEFINE:
-		vals := m.evalTuple(st.Rhs, len(st.Lhs), env, fn)
+		vals := m.evalTuple(st.Rhs, len(st.Lhs), fr, fn)
 		for i, lhs := range st.Lhs {
 			id, ok := lhs.(*ast.Ident)
 			if !ok {
@@ -376,23 +358,25 @@ func (m *Machine) execAssign(st *ast.AssignStmt, env *env, fn *source.Function) 
 			if id.Name == "_" {
 				continue
 			}
-			// Go redeclaration: reuse a cell declared in this scope.
-			if c, exists := env.vars[id.Name]; exists {
+			// Go redeclaration: := assigns a variable an earlier
+			// declaration of its scope declared.
+			if sym := fn.local(id); sym != nil && sym.Decl != id.Pos() {
+				c := fr[sym]
 				c.val = vals[i]
 				m.store(c.addr)
 				continue
 			}
-			m.defineVar(id, vals[i], env)
+			m.defineVar(id, vals[i], fr, fn)
 		}
 	case token.ASSIGN:
-		vals := m.evalTuple(st.Rhs, len(st.Lhs), env, fn)
+		vals := m.evalTuple(st.Rhs, len(st.Lhs), fr, fn)
 		setters := make([]func(Value), len(st.Lhs))
 		for i, lhs := range st.Lhs {
 			if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
 				setters[i] = func(Value) {}
 				continue
 			}
-			_, set := m.lvalue(lhs, env, fn)
+			_, set := m.lvalue(lhs, fr, fn)
 			setters[i] = set
 		}
 		for i, set := range setters {
@@ -403,9 +387,9 @@ func (m *Machine) execAssign(st *ast.AssignStmt, env *env, fn *source.Function) 
 		if len(st.Lhs) != 1 || len(st.Rhs) != 1 {
 			fail("invalid compound assignment")
 		}
-		get, set := m.lvalue(st.Lhs[0], env, fn)
+		get, set := m.lvalue(st.Lhs[0], fr, fn)
 		cur := get()
-		rhs := m.eval(st.Rhs[0], env, fn)
+		rhs := m.eval(st.Rhs[0], fr, fn)
 		op, ok := compoundOp(st.Tok)
 		if !ok {
 			fail("unsupported assignment operator %s", st.Tok)
@@ -417,13 +401,13 @@ func (m *Machine) execAssign(st *ast.AssignStmt, env *env, fn *source.Function) 
 // evalTuple evaluates an expression list that must produce want values
 // (want < 0: as many as the list produces). A single call expression
 // may fan out to multiple results.
-func (m *Machine) evalTuple(exprs []ast.Expr, want int, env *env, fn *source.Function) []Value {
+func (m *Machine) evalTuple(exprs []ast.Expr, want int, fr frame, fn *function) []Value {
 	if len(exprs) == 0 {
 		return nil
 	}
 	if len(exprs) == 1 {
 		if call, ok := exprs[0].(*ast.CallExpr); ok {
-			vals := m.evalCallMulti(call, env, fn)
+			vals := m.evalCallMulti(call, fr, fn)
 			if want >= 0 && len(vals) != want {
 				fail("assignment mismatch: %d values, %d targets", len(vals), want)
 			}
@@ -432,7 +416,7 @@ func (m *Machine) evalTuple(exprs []ast.Expr, want int, env *env, fn *source.Fun
 	}
 	vals := make([]Value, len(exprs))
 	for i, e := range exprs {
-		vals[i] = m.eval(e, env, fn)
+		vals[i] = m.eval(e, fr, fn)
 	}
 	if want >= 0 && len(vals) != want {
 		fail("assignment mismatch: %d values, %d targets", len(vals), want)
@@ -440,8 +424,9 @@ func (m *Machine) evalTuple(exprs []ast.Expr, want int, env *env, fn *source.Fun
 	return vals
 }
 
-func (m *Machine) defineVar(id *ast.Ident, v Value, env *env) {
+// defineVar gives the variable id declares a fresh cell holding v.
+func (m *Machine) defineVar(id *ast.Ident, v Value, fr frame, fn *function) {
 	c := &cell{addr: m.alloc(1), val: v}
-	env.define(id.Name, c)
+	fr.bind(fn, id, c)
 	m.store(c.addr)
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"strconv"
 
+	"patty/internal/deps"
 	"patty/internal/source"
 )
 
@@ -94,9 +95,14 @@ type Options struct {
 // Machine interprets one program.
 type Machine struct {
 	prog        *source.Program
-	globals     *env
+	globals     map[string]*cell // the tree walker's initialized globals
 	structTypes map[string]*structType
 	intrinsics  map[string]*Intrinsic
+
+	// Both engines bind identifiers through these, filled as functions
+	// are first run or compiled.
+	funcs map[*source.Function]*function
+	lits  map[*ast.FuncLit]*litInfo
 
 	clock    uint64
 	maxTicks uint64
@@ -126,6 +132,71 @@ type funcLit struct{ l *ast.FuncLit } // a tree-walker closure
 func (funcDecl) isDecl() {}
 func (funcLit) isDecl()  {}
 
+// function is a program function with its lexical resolution.
+type function struct {
+	*source.Function
+	res *deps.Resolution
+}
+
+// litInfo is what both engines know of a function literal: the
+// function that encloses it and its free variables, the locals of that
+// function it names but does not declare, in first-use order. A
+// closure captures the cells of its free variables when it is created.
+type litInfo struct {
+	fn   *function
+	free []*deps.Symbol
+}
+
+// function returns pf with its resolution, resolving it and its
+// function literals on first use.
+func (m *Machine) function(pf *source.Function) *function {
+	if f, ok := m.funcs[pf]; ok {
+		return f
+	}
+	f := &function{Function: pf, res: deps.Resolve(pf)}
+	m.funcs[pf] = f
+	ast.Inspect(pf.Decl.Body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			m.lits[lit] = &litInfo{fn: f, free: f.free(lit)}
+		}
+		return true
+	})
+	return f
+}
+
+// local returns the variable id denotes when it is a local of f (a
+// receiver, parameter, named result or local, those of its function
+// literals included). It returns nil for every other identifier: those
+// resolve against the package-level names.
+func (f *function) local(id *ast.Ident) *deps.Symbol {
+	if f == nil {
+		return nil
+	}
+	s := f.res.SymbolOf(id)
+	if s == nil || s.Kind == deps.GlobalSym || s.Kind == deps.FuncSym {
+		return nil
+	}
+	return s
+}
+
+// free lists the free variables of lit, a function literal of f.
+func (f *function) free(lit *ast.FuncLit) []*deps.Symbol {
+	var out []*deps.Symbol
+	seen := make(map[*deps.Symbol]bool)
+	ast.Inspect(lit, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		if s := f.local(id); s != nil && !seen[s] && (s.Decl < lit.Pos() || s.Decl >= lit.End()) {
+			seen[s] = true
+			out = append(out, s)
+		}
+		return true
+	})
+	return out
+}
+
 // NewMachine prepares an interpreter for prog. Standard intrinsics
 // (math.Sqrt, math.Abs, math.Pow, math.Floor, math.Ceil, math.Sin,
 // math.Cos, math.Inf) are pre-registered.
@@ -134,6 +205,8 @@ func NewMachine(prog *source.Program) *Machine {
 		prog:        prog,
 		structTypes: make(map[string]*structType),
 		intrinsics:  make(map[string]*Intrinsic),
+		funcs:       make(map[*source.Function]*function),
+		lits:        make(map[*ast.FuncLit]*litInfo),
 		nextAddr:    1,
 	}
 	m.collectTypes()
@@ -290,7 +363,7 @@ func (m *Machine) runTree(fnName string, args []Value, opts Options) (results []
 		}
 	}()
 
-	m.globals = newEnv(nil)
+	m.globals = make(map[string]*cell)
 	m.initGlobals()
 
 	ret := m.callFunction(m.prog.Func(fnName), nil, args)
@@ -314,11 +387,11 @@ func (m *Machine) initGlobals() {
 				for i, name := range vs.Names {
 					var v Value
 					if i < len(vs.Values) {
-						v = m.eval(vs.Values[i], m.globals, nil)
+						v = m.eval(vs.Values[i], nil, nil)
 					} else {
 						v = m.zeroValueFor(vs.Type)
 					}
-					m.globals.define(name.Name, &cell{addr: m.alloc(1), val: v})
+					m.globals[name.Name] = &cell{addr: m.alloc(1), val: v}
 				}
 			}
 		}
@@ -326,25 +399,33 @@ func (m *Machine) initGlobals() {
 }
 
 // callFunction invokes a program function or method.
-func (m *Machine) callFunction(fn *source.Function, recv Value, args []Value) []Value {
-	frame := newEnv(m.globals)
+func (m *Machine) callFunction(pf *source.Function, recv Value, args []Value) []Value {
+	fn := m.function(pf)
+	fr := make(frame)
 	decl := fn.Decl
 	if decl.Recv != nil {
 		for _, f := range decl.Recv.List {
 			for _, name := range f.Names {
-				frame.define(name.Name, &cell{addr: m.alloc(1), val: recv})
+				fr.bind(fn, name, &cell{addr: m.alloc(1), val: recv})
 			}
 		}
 	}
-	return m.call(fn.Name, decl.Type, decl.Body, frame, fn, args)
+	return m.call(fn.Name, decl.Type, decl.Body, fr, fn, args)
 }
 
-// call runs a function, method or closure body in frame: parameters
+// bind gives the variable id declares the cell c.
+func (fr frame) bind(fn *function, id *ast.Ident, c *cell) {
+	if sym := fn.local(id); sym != nil {
+		fr[sym] = c
+	}
+}
+
+// call runs a function, method or closure body in frame fr: parameters
 // and named results get cells in declaration order, the call counts
 // against the depth guard and costs 5 ticks. fn attributes the body's
-// statements; it is nil only for a closure declared outside every
-// function, which fails once called.
-func (m *Machine) call(name string, ft *ast.FuncType, body *ast.BlockStmt, frame *env, fn *source.Function, args []Value) []Value {
+// statements and resolves its identifiers; it is nil only for a
+// closure declared outside every function, which fails once called.
+func (m *Machine) call(name string, ft *ast.FuncType, body *ast.BlockStmt, fr frame, fn *function, args []Value) []Value {
 	idx := 0
 	if ft.Params != nil {
 		for _, f := range ft.Params.List {
@@ -352,7 +433,7 @@ func (m *Machine) call(name string, ft *ast.FuncType, body *ast.BlockStmt, frame
 				if idx >= len(args) {
 					fail("too few arguments calling %s", name)
 				}
-				frame.define(pn.Name, &cell{addr: m.alloc(1), val: args[idx]})
+				fr.bind(fn, pn, &cell{addr: m.alloc(1), val: args[idx]})
 				idx++
 			}
 		}
@@ -361,10 +442,13 @@ func (m *Machine) call(name string, ft *ast.FuncType, body *ast.BlockStmt, frame
 		fail("argument count mismatch calling %s: have %d, want %d", name, len(args), idx)
 	}
 	// Named results start at zero values.
+	var results []*cell
 	if ft.Results != nil {
 		for _, f := range ft.Results.List {
 			for _, rn := range f.Names {
-				frame.define(rn.Name, &cell{addr: m.alloc(1), val: m.zeroValueFor(f.Type)})
+				c := &cell{addr: m.alloc(1), val: m.zeroValueFor(f.Type)}
+				fr.bind(fn, rn, c)
+				results = append(results, c)
 			}
 		}
 	}
@@ -378,19 +462,15 @@ func (m *Machine) call(name string, ft *ast.FuncType, body *ast.BlockStmt, frame
 	if fn == nil {
 		fail("closure outside any function")
 	}
-	ctrl := m.execBlock(body, frame, fn)
+	ctrl := m.execStmts(body.List, fr, fn)
 
 	if ctrl.kind == ctrlReturn && ctrl.hasValues {
 		return ctrl.values
 	}
 	// Bare return or fell off the end: collect named results.
 	var out []Value
-	if ft.Results != nil {
-		for _, f := range ft.Results.List {
-			for _, rn := range f.Names {
-				out = append(out, frame.lookup(rn.Name).val)
-			}
-		}
+	for _, c := range results {
+		out = append(out, c.val)
 	}
 	return out
 }
@@ -526,27 +606,15 @@ func (st *structType) literalSet(elts []ast.Expr) uint64 {
 // first 64), which the caller assigns next: a literal's fields get no
 // zero value first.
 func (m *Machine) newStruct(st *structType, set uint64) *Struct {
-	s := &Struct{
-		Type:   st.name,
-		order:  st.fields,
-		fields: make(map[string]Value, len(st.fields)),
-		index:  st.index,
-	}
+	s := &Struct{Type: st.name, typ: st, fields: make([]Value, len(st.fields))}
 	s.base = m.alloc(len(st.fields) + 1)
-	for i, f := range st.fields {
+	for i := range st.fields {
 		if i < 64 && set&(1<<i) != 0 {
 			continue
 		}
-		s.fields[f] = m.zeroValueFor(st.types[i])
+		s.fields[i] = m.zeroValueFor(st.types[i])
 	}
 	return s
-}
-
-func (s *Struct) fieldAddr(name string) uint64 {
-	if i, ok := s.index[name]; ok {
-		return s.base + uint64(i)
-	}
-	return s.base
 }
 
 // NewSlice builds a host-provided slice value (for passing inputs).
@@ -568,11 +636,7 @@ func (m *Machine) NewStructValue(typeName string, fieldValues ...Value) *Struct 
 		set |= 1 << i
 	}
 	s := m.newStruct(st, set)
-	for i, v := range fieldValues {
-		if i < len(st.fields) {
-			s.fields[st.fields[i]] = v
-		}
-	}
+	copy(s.fields, fieldValues)
 	return s
 }
 

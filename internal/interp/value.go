@@ -3,6 +3,8 @@ package interp
 import (
 	"fmt"
 	"sort"
+
+	"patty/internal/deps"
 )
 
 // Value is any interpreter value: int64, float64, bool, string, nil,
@@ -55,29 +57,33 @@ func lessValue(a, b Value) bool {
 // Struct is a struct instance. Structs have reference semantics in the
 // interpreter (like the C# objects of the original system): assignment
 // aliases rather than copies, and &T{...} is the same value as T{...}.
+// Its field values are indexed like its type's field list, and field i
+// lives at address base+i.
 type Struct struct {
 	Type   string
-	order  []string
-	fields map[string]Value
+	typ    *structType
+	fields []Value
 	base   uint64
-	index  map[string]int
 }
 
 // Get returns field name's value.
 func (s *Struct) Get(name string) (Value, bool) {
-	v, ok := s.fields[name]
-	return v, ok
+	i, ok := s.typ.index[name]
+	if !ok {
+		return nil, false
+	}
+	return s.fields[i], true
 }
 
 // FieldNames returns the declared field order.
-func (s *Struct) FieldNames() []string { return s.order }
+func (s *Struct) FieldNames() []string { return s.typ.fields }
 
 // Func is a callable program function, method or closure.
 type Func struct {
-	Name string
-	decl declLike
-	env  *env
-	recv Value // bound receiver for method values
+	Name     string
+	decl     declLike
+	captured frame // a tree-walker closure's captured cells
+	recv     Value // bound receiver for method values
 }
 
 func (f *Func) String() string { return "func " + f.Name }
@@ -91,24 +97,12 @@ type cell struct {
 	val  Value
 }
 
-// env is a lexical environment frame.
-type env struct {
-	parent *env
-	vars   map[string]*cell
-}
-
-func newEnv(parent *env) *env { return &env{parent: parent, vars: make(map[string]*cell)} }
-
-func (e *env) lookup(name string) *cell {
-	for s := e; s != nil; s = s.parent {
-		if c, ok := s.vars[name]; ok {
-			return c
-		}
-	}
-	return nil
-}
-
-func (e *env) define(name string, c *cell) { e.vars[name] = c }
+// frame holds the cells of one tree-walker call, keyed by the variable
+// each identifier resolves to (deps.Resolve). Every name is bound
+// lexically, so a call needs one frame and no nested scopes: a
+// declaration executed again (a loop body's next iteration) replaces
+// its variable's cell, and a closure keeps the cells it captured.
+type frame map[*deps.Symbol]*cell
 
 // FormatValue renders a value for diagnostics and differential
 // comparison (deep, deterministic: map keys are sorted).
@@ -147,11 +141,11 @@ func formatValue(v Value) string {
 		return out + "]"
 	case *Struct:
 		out := x.Type + "{"
-		for i, f := range x.order {
+		for i, f := range x.typ.fields {
 			if i > 0 {
 				out += " "
 			}
-			out += f + ":" + formatValue(x.fields[f])
+			out += f + ":" + formatValue(x.fields[i])
 		}
 		return out + "}"
 	case *Func:

@@ -15,13 +15,12 @@ import (
 // to the tree-walker. The tree-walker remains the differential oracle
 // (internal/difftest exercises both engines over the generator space).
 
-// slotCell is one frame-local variable cell. Undefined cells make the
-// resolution chain fall through to outer bindings, mirroring the
-// tree-walker's nested environments.
+// slotCell is one variable cell: a frame slot, a global, or the heap
+// cell of a captured slot (held in the slot's val). Addresses start at
+// 1, so a global whose cell has none is not initialized yet.
 type slotCell struct {
-	val     Value
-	addr    uint64
-	defined bool
+	val  Value
+	addr uint64
 }
 
 // loopState is the per-activation state of one loop (indexed by static
@@ -296,93 +295,88 @@ func (vm *vmState) setRes1(v Value) {
 	vm.res = vm.res1[:1]
 }
 
-// variable walks the variable entries of r — slots, captured cells
-// and globals, which lead every chain — and returns the first defined
-// one, or nil and the first entry that is not a variable.
-func (vm *vmState) variable(r *resolution, sbase int, cells []*slotCell) (*slotCell, *resolution) {
-	for ; r != nil; r = r.next {
-		var c *slotCell
-		switch r.kind {
-		case resSlot:
-			c = &vm.slots[sbase+int(r.idx)]
-		case resCell:
-			c, _ = vm.slots[sbase+int(r.idx)].val.(*slotCell)
-		case resUpval:
-			c = cells[r.idx]
-		case resGlobal:
-			c = &vm.gSlots[r.idx]
-		default:
-			return nil, r
-		}
-		if c != nil && c.defined {
-			return c, r
+// variable returns the cell b denotes, or nil when b is no variable or
+// an uninitialized global.
+func (vm *vmState) variable(b *binding, sbase int, cells []*slotCell) *slotCell {
+	switch b.kind {
+	case bindSlot:
+		return &vm.slots[sbase+int(b.idx)]
+	case bindCell:
+		return vm.cell(sbase + int(b.idx))
+	case bindUpval:
+		return cells[b.idx]
+	case bindGlobal:
+		if c := &vm.gSlots[b.idx]; c.addr != 0 {
+			return c
 		}
 	}
-	return nil, nil
-}
-
-// loadName resolves an identifier in value position: defined variable
-// (with load event), else program function, intrinsic function value,
-// or failure — the compiled image of evalIdent's lookup chain.
-func (vm *vmState) loadName(r *resolution, sbase int, cells []*slotCell) Value {
-	c, r := vm.variable(r, sbase, cells)
-	if c != nil {
-		vm.load(c.addr)
-		return c.val
-	}
-	switch r.kind {
-	case resFunc:
-		u := vm.vmc.units[r.idx]
-		return &Func{Name: r.name, decl: funcDecl{u.fn.Decl}}
-	case resIntrinsic:
-		return &Func{Name: vm.vmc.intrinsics[r.idx].Name}
-	}
-	fail("undefined identifier %q", r.name)
 	return nil
 }
 
-// storeTarget resolves an identifier in assignment position: only
-// variable cells qualify; functions and intrinsics are not cells, so
-// the chain skips them exactly like env.lookup missing them.
-func (vm *vmState) storeTarget(r *resolution, sbase int, cells []*slotCell) *slotCell {
-	c, r := vm.variable(r, sbase, cells)
+// loadName evaluates an identifier in value position: a variable (with
+// load event), a program function, an intrinsic function value, or
+// failure — the compiled image of evalIdent.
+func (vm *vmState) loadName(b *binding, sbase int, cells []*slotCell) Value {
+	if c := vm.variable(b, sbase, cells); c != nil {
+		vm.load(c.addr)
+		return c.val
+	}
+	switch b.kind {
+	case bindFunc:
+		u := vm.vmc.units[b.idx]
+		return &Func{Name: b.name, decl: funcDecl{u.fn.Decl}}
+	case bindIntrinsic:
+		return &Func{Name: vm.vmc.intrinsics[b.idx].Name}
+	}
+	fail("undefined identifier %q", b.name)
+	return nil
+}
+
+// storeTarget returns the cell an identifier in assignment position
+// denotes; functions and intrinsics are not cells.
+func (vm *vmState) storeTarget(b *binding, sbase int, cells []*slotCell) *slotCell {
+	c := vm.variable(b, sbase, cells)
 	if c == nil {
-		fail("assignment to undefined variable %q", r.name)
+		fail("assignment to undefined variable %q", b.name)
 	}
 	return c
 }
 
-// resolveCallee resolves a called identifier: the compiled image of
+// resolveCallee evaluates a called identifier: the compiled image of
 // evalCallMulti's plain-ident dispatch, including the "value is not a
 // function" check firing before the load event.
-func (vm *vmState) resolveCallee(r *resolution, sbase int, cells []*slotCell) Value {
-	c, r := vm.variable(r, sbase, cells)
-	if c != nil {
+func (vm *vmState) resolveCallee(b *binding, sbase int, cells []*slotCell) Value {
+	if c := vm.variable(b, sbase, cells); c != nil {
 		f, ok := c.val.(*Func)
 		if !ok {
-			fail("%q is not a function", r.name)
+			fail("%q is not a function", b.name)
 		}
 		vm.load(c.addr)
 		return f
 	}
-	switch r.kind {
-	case resFunc:
-		return calleeFunc{code: vm.vmc.units[r.idx]}
-	case resIntrinsic:
-		return calleeIntr{in: vm.vmc.intrinsics[r.idx]}
+	switch b.kind {
+	case bindFunc:
+		return calleeFunc{code: vm.vmc.units[b.idx]}
+	case bindIntrinsic:
+		return calleeIntr{in: vm.vmc.intrinsics[b.idx]}
 	}
-	fail("undefined function %q", r.name)
+	fail("undefined function %q", b.name)
 	return nil
 }
 
-// cell returns the heap cell of the captured slot i, creating an
-// undefined one the first time the current scope activation needs it.
+// cell returns the heap cell of the captured slot i, nil before the
+// slot's declaration has run.
 func (vm *vmState) cell(i int) *slotCell {
-	if c, ok := vm.slots[i].val.(*slotCell); ok {
-		return c
-	}
+	c, _ := vm.slots[i].val.(*slotCell)
+	return c
+}
+
+// newCell gives the captured slot i a fresh heap cell: each execution
+// of a declaration makes a new variable, which the closures created
+// after it share.
+func (vm *vmState) newCell(i int) *slotCell {
 	c := &slotCell{}
-	vm.slots[i] = slotCell{val: c}
+	vm.slots[i].val = c
 	return c
 }
 
@@ -444,14 +438,14 @@ func (vm *vmState) runUnit(code *Code, recv Value, cells []*slotCell, args []Val
 	// Frame setup replays call's allocation order: receiver,
 	// parameters, then named results (cell address before zero value).
 	for _, si := range code.recvSlots {
-		vm.slots[sbase+int(si)] = slotCell{val: recv, addr: m.alloc(1), defined: true}
+		vm.slots[sbase+int(si)] = slotCell{val: recv, addr: m.alloc(1)}
 	}
 	idx := 0
 	for _, si := range code.paramSlots {
 		if idx >= len(args) {
 			fail("too few arguments calling %s", code.Name)
 		}
-		vm.slots[sbase+int(si)] = slotCell{val: args[idx], addr: m.alloc(1), defined: true}
+		vm.slots[sbase+int(si)] = slotCell{val: args[idx], addr: m.alloc(1)}
 		idx++
 	}
 	if !isInit && idx != len(args) {
@@ -459,7 +453,7 @@ func (vm *vmState) runUnit(code *Code, recv Value, cells []*slotCell, args []Val
 	}
 	for i, si := range code.resultSlots {
 		a := m.alloc(1)
-		vm.slots[sbase+int(si)] = slotCell{val: m.zeroValueFor(code.Types[code.resultTypes[i]]), addr: a, defined: true}
+		vm.slots[sbase+int(si)] = slotCell{val: m.zeroValueFor(code.Types[code.resultTypes[i]]), addr: a}
 	}
 	for _, si := range code.boxedFrame {
 		c := vm.slots[sbase+int(si)]
@@ -544,39 +538,27 @@ loop:
 			vm.stk[len(vm.stk)-1] = b
 
 		case opLoadName:
-			vm.push(vm.loadName(code.Res[op.A], sbase, cells))
+			vm.push(vm.loadName(&code.Res[op.A], sbase, cells))
 		case opNameLVGet:
-			c := vm.storeTarget(code.Res[op.A], sbase, cells)
+			c := vm.storeTarget(&code.Res[op.A], sbase, cells)
 			vm.load(c.addr)
 			vm.push(c.val)
 		case opStoreName:
-			c := vm.storeTarget(code.Res[op.A], sbase, cells)
-			c.val = vm.pop()
-			vm.store(c.addr)
+			vm.assign(vm.storeTarget(&code.Res[op.A], sbase, cells), vm.pop())
 		case opStoreNameAt:
-			c := vm.storeTarget(code.Res[op.A], sbase, cells)
-			c.val = vm.stk[len(vm.stk)-1-int(op.B)]
-			vm.store(c.addr)
-		case opCheckName:
-			vm.storeTarget(code.Res[op.A], sbase, cells)
+			vm.assign(vm.storeTarget(&code.Res[op.A], sbase, cells), vm.stk[len(vm.stk)-1-int(op.B)])
 		case opDefineSlot:
-			v := vm.pop()
-			c := &vm.slots[sbase+int(op.A)]
-			*c = slotCell{val: v, addr: m.alloc(1), defined: true}
-			vm.store(c.addr)
+			vm.define(&vm.slots[sbase+int(op.A)], vm.pop())
 		case opDefineSlotAt:
-			v := vm.stk[len(vm.stk)-1-int(op.B)]
-			c := &vm.slots[sbase+int(op.A)]
-			*c = slotCell{val: v, addr: m.alloc(1), defined: true}
-			vm.store(c.addr)
+			vm.define(&vm.slots[sbase+int(op.A)], vm.stk[len(vm.stk)-1-int(op.B)])
 		case opStoreSlotAt:
-			vm.redeclare(&vm.slots[sbase+int(op.A)], vm.stk[len(vm.stk)-1-int(op.B)])
+			vm.assign(&vm.slots[sbase+int(op.A)], vm.stk[len(vm.stk)-1-int(op.B)])
 		case opDefineCell:
-			vm.define(vm.cell(sbase+int(op.A)), vm.pop())
+			vm.define(vm.newCell(sbase+int(op.A)), vm.pop())
 		case opDefineCellAt:
-			vm.define(vm.cell(sbase+int(op.A)), vm.stk[len(vm.stk)-1-int(op.B)])
+			vm.define(vm.newCell(sbase+int(op.A)), vm.stk[len(vm.stk)-1-int(op.B)])
 		case opStoreCellAt:
-			vm.redeclare(vm.cell(sbase+int(op.A)), vm.stk[len(vm.stk)-1-int(op.B)])
+			vm.assign(vm.cell(sbase+int(op.A)), vm.stk[len(vm.stk)-1-int(op.B)])
 		case opClosure:
 			lit := code.Lits[op.A]
 			clo := &vmClosure{code: lit, cells: make([]*slotCell, len(lit.captures))}
@@ -590,15 +572,11 @@ loop:
 			vm.push(&Func{Name: lit.Name, decl: clo})
 		case opDefineGlobal:
 			v := vm.pop()
-			vm.gSlots[op.A] = slotCell{val: v, addr: m.alloc(1), defined: true}
+			vm.gSlots[op.A] = slotCell{val: v, addr: m.alloc(1)}
 		case opIntrFuncVal:
 			vm.push(&Func{Name: code.Names[op.A]})
 		case opZeroVal:
 			vm.push(m.zeroValueFor(code.Types[op.A]))
-		case opClearSlots:
-			for i := sbase + int(op.A); i < sbase+code.NumSlots; i++ {
-				vm.slots[i] = slotCell{}
-			}
 
 		case opBinop:
 			b := vm.pop()
@@ -722,9 +700,9 @@ loop:
 			if !ok {
 				fail("cannot select %s from %s", name, formatValue(base))
 			}
-			if v, ok := st.Get(name); ok {
-				vm.load(st.fieldAddr(name))
-				vm.push(v)
+			if i, ok := st.typ.index[name]; ok {
+				vm.load(st.base + uint64(i))
+				vm.push(st.fields[i])
 				break
 			}
 			if mf := m.prog.Func(st.Type + "." + name); mf != nil {
@@ -738,21 +716,19 @@ loop:
 			if !ok {
 				fail("cannot assign field %s of %s", name, formatValue(vm.stk[len(vm.stk)-1]))
 			}
-			if _, ok := st.Get(name); !ok {
+			if _, ok := st.typ.index[name]; !ok {
 				fail("type %s has no field %s", st.Type, name)
 			}
 		case opFieldLVGet:
-			name := code.Names[op.A]
 			st := vm.stk[len(vm.stk)-1].(*Struct)
-			vm.load(st.fieldAddr(name))
-			v, _ := st.Get(name)
-			vm.push(v)
+			i := st.typ.index[code.Names[op.A]]
+			vm.load(st.base + uint64(i))
+			vm.push(st.fields[i])
 		case opFieldSetAt:
-			name := code.Names[op.A]
-			v := vm.stk[len(vm.stk)-1-int(op.B)]
 			st := vm.stk[len(vm.stk)-1-int(op.C)].(*Struct)
-			st.fields[name] = v
-			vm.store(st.fieldAddr(name))
+			i := st.typ.index[code.Names[op.A]]
+			st.fields[i] = vm.stk[len(vm.stk)-1-int(op.B)]
+			vm.store(st.base + uint64(i))
 		case opSliceExpr:
 			var lo, hi int64 = 0, -1
 			if op.B == 1 {
@@ -787,11 +763,10 @@ loop:
 			name := code.Names[op.A]
 			vm.push(m.newStruct(m.structTypes[name], uint64(uint32(op.B))|uint64(uint32(op.C))<<32))
 		case opSetField:
-			name := code.Names[op.A]
 			v := vm.pop()
 			st := vm.stk[len(vm.stk)-1].(*Struct)
-			st.fields[name] = v
-			vm.store(st.fieldAddr(name))
+			st.fields[op.B] = v
+			vm.store(st.base + uint64(op.B))
 		case opMakeSliceLit:
 			n := int(op.A)
 			elems := make([]Value, n)
@@ -856,7 +831,7 @@ loop:
 			vm.setRes1(m.newStruct(m.structTypes[name], 0))
 
 		case opLoadCallee:
-			vm.push(vm.resolveCallee(code.Res[op.A], sbase, cells))
+			vm.push(vm.resolveCallee(&code.Res[op.A], sbase, cells))
 		case opCheckFunc:
 			if _, ok := vm.stk[len(vm.stk)-1].(*Func); !ok {
 				fail("cannot call %s", formatValue(vm.stk[len(vm.stk)-1]))
@@ -1018,12 +993,11 @@ loop:
 		case opRangeKey:
 			vm.push(vm.loops[lbase+int(op.A)].rng.curK)
 		case opRangeVal:
-			vm.push(vm.loops[lbase+int(op.A)].rng.curV)
-		case opRangeHasV:
-			k := vm.loops[lbase+int(op.B)].rng.kind
-			if k == rangeInt || k == rangeEmpty {
-				pc = int(op.A)
+			rng := &vm.loops[lbase+int(op.A)].rng
+			if rng.kind == rangeInt {
+				fail(errRangeIntValue)
 			}
+			vm.push(rng.curV)
 
 		case opCaseEq:
 			v := vm.pop()
@@ -1052,18 +1026,12 @@ loop:
 
 // define gives c a fresh address and value, with a store event.
 func (vm *vmState) define(c *slotCell, v Value) {
-	*c = slotCell{val: v, addr: vm.m.alloc(1), defined: true}
+	*c = slotCell{val: v, addr: vm.m.alloc(1)}
 	vm.store(c.addr)
 }
 
-// redeclare implements := redeclaration: reuse the live cell (its
-// address is stable) or, when the slot was cleared by loop re-entry,
-// define a fresh cell — exactly execAssign's dynamic env.vars check.
-func (vm *vmState) redeclare(c *slotCell, v Value) {
-	if !c.defined {
-		vm.define(c, v)
-		return
-	}
+// assign stores v in c, with a store event.
+func (vm *vmState) assign(c *slotCell, v Value) {
 	c.val = v
 	vm.store(c.addr)
 }
@@ -1083,6 +1051,10 @@ func notEnoughArgs(name string) string { return "not enough arguments in call to
 // errStructKey is the failure of a struct literal whose key is not a
 // field name.
 const errStructKey = "struct literal key must be a field name"
+
+// errRangeIntValue is the failure of a range over an integer that
+// names a value variable, which Go rejects.
+const errRangeIntValue = "range over int permits only one iteration variable"
 
 func lenOf(v Value) int64 {
 	switch x := v.(type) {

@@ -109,9 +109,11 @@ func BenchmarkEnrichDynamic(b *testing.B) {
 }
 
 // enrichBytesBound caps the heap bytes one raytrace enrichment
-// allocates. The pairer's shadow pages bring it to about 11.5 MiB on
-// linux/amd64 (12.8 MiB under -race); a map per traced loop took
-// about 38 MiB, and 48-byte shadow entries about 23 MiB.
+// allocates. The pairer's shadow pages and the interpreter's
+// slice-backed struct fields bring it to about 9.0 MiB on linux/amd64
+// (10.3 MiB under -race); a map of fields per struct took about
+// 11.5 MiB, a map per traced loop about 38 MiB, and 48-byte shadow
+// entries about 23 MiB.
 const enrichBytesBound = 18 << 20
 
 // TestEnrichDynamicBytes is the byte gate of dynamic model creation:
