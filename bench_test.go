@@ -592,6 +592,29 @@ func BenchmarkInterpreter(b *testing.B) {
 	b.ReportMetric(float64(ticks)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mticks/s")
 }
 
+// lockedIncrement is a thread that increments c under m: lock, read,
+// write the value read plus one, unlock.
+type lockedIncrement struct {
+	c  *sched.Var
+	m  *sched.Mutex
+	pc int
+}
+
+func (t *lockedIncrement) Step(prev sched.Response) sched.Op {
+	t.pc++
+	switch t.pc {
+	case 1:
+		return sched.Lock(t.m)
+	case 2:
+		return sched.Read(t.c)
+	case 3:
+		return sched.Write(t.c, prev.Val+1)
+	case 4:
+		return sched.Unlock(t.m)
+	}
+	return sched.Exit
+}
+
 func BenchmarkSchedExploration(b *testing.B) {
 	var total int
 	for i := 0; i < b.N; i++ {
@@ -599,11 +622,7 @@ func BenchmarkSchedExploration(b *testing.B) {
 			c := w.Var("c", 0)
 			m := w.Mutex("m")
 			for t := 0; t < 3; t++ {
-				w.Spawn(fmt.Sprint("t", t), func(ctx *sched.Context) {
-					ctx.Lock(m)
-					ctx.Add(c, 1)
-					ctx.Unlock(m)
-				})
+				w.Spawn(fmt.Sprint("t", t), &lockedIncrement{c: c, m: m})
 			}
 		})
 		total = res.Schedules

@@ -130,15 +130,54 @@ type resolver struct {
 // Package-level variables and function names of the whole program are
 // visible as globals.
 func Resolve(fn *source.Function) *Resolution {
-	res := &Resolution{
-		Fn:       fn,
-		uses:     make(map[*ast.Ident]*Symbol),
-		declStmt: make(map[*Symbol]ast.Stmt),
-		complete: true,
+	r := newResolver(fn)
+	fnScope := newScope(r.globals(fn.Prog))
+	r.params(fn.Decl.Recv, ReceiverSym, fnScope)
+	r.params(fn.Decl.Type.Params, ParamSym, fnScope)
+	r.params(fn.Decl.Type.Results, ParamSym, fnScope)
+	// The body shares the parameters' scope, as in Go: `a, x := …`
+	// with a parameter x assigns the parameter.
+	r.stmts(fn.Decl.Body.List, fnScope)
+	return r.res
+}
+
+// ResolvePackage computes the symbol resolution of the initializers of
+// prog's package-level var and const declarations, which see the same
+// globals a function body does. Its Fn is nil.
+func ResolvePackage(prog *source.Program) *Resolution {
+	r := newResolver(nil)
+	globals := r.globals(prog)
+	for _, file := range prog.Files {
+		for _, decl := range file.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok {
+				for _, spec := range gd.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok {
+						r.exprs(vs.Values, globals)
+					}
+				}
+			}
+		}
 	}
-	r := &resolver{res: res, structs: make(map[string]bool)}
+	return r.res
+}
+
+func newResolver(fn *source.Function) *resolver {
+	return &resolver{
+		res: &Resolution{
+			Fn:       fn,
+			uses:     make(map[*ast.Ident]*Symbol),
+			declStmt: make(map[*Symbol]ast.Stmt),
+			complete: true,
+		},
+		structs: make(map[string]bool),
+	}
+}
+
+// globals returns the scope of prog's package-level variables and
+// functions, and records its top-level struct type names.
+func (r *resolver) globals(prog *source.Program) *scope {
 	globals := newScope(nil)
-	for _, file := range fn.Prog.Files {
+	for _, file := range prog.Files {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.GenDecl:
@@ -164,15 +203,7 @@ func Resolve(fn *source.Function) *Resolution {
 			}
 		}
 	}
-
-	fnScope := newScope(globals)
-	r.params(fn.Decl.Recv, ReceiverSym, fnScope)
-	r.params(fn.Decl.Type.Params, ParamSym, fnScope)
-	r.params(fn.Decl.Type.Results, ParamSym, fnScope)
-	// The body shares the parameters' scope, as in Go: `a, x := …`
-	// with a parameter x assigns the parameter.
-	r.stmts(fn.Decl.Body.List, fnScope)
-	return res
+	return globals
 }
 
 // params declares the names of a receiver, parameter or result list in

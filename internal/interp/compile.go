@@ -28,7 +28,7 @@ func (m *Machine) compileProgram() *vmCompiled {
 	}
 
 	// The initializer compiles first: expressions in it see only the
-	// globals declared before them, exactly like initGlobals.
+	// globals initialized before them, exactly like initGlobals.
 	c.vmc.initCode = c.compileInit()
 
 	for _, fn := range fns {
@@ -82,41 +82,28 @@ func (c *progCompiler) intrinsic(name string) (int32, bool) {
 	return idx, true
 }
 
-// compileInit lowers package-level var declarations in file order. A
-// redeclared global reuses its index, so that, as in initGlobals, the
-// last definition replaces the earlier cell.
+// compileInit lowers package-level var declarations in
+// initialization order (initOrder). A redeclared global reuses its
+// index, so that, as in initGlobals, the last definition replaces the
+// earlier cell.
 func (c *progCompiler) compileInit() *Code {
 	code := &Code{Name: "init"}
 	u := &unitCompiler{c: c, code: code}
-	for _, file := range c.m.prog.Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if i < len(vs.Values) {
-						u.compileExpr(vs.Values[i])
-					} else {
-						u.emit(Op{Code: opZeroVal, A: code.typeIdx(vs.Type)})
-						u.depth++
-					}
-					gi, dup := c.globals[name.Name]
-					if !dup {
-						gi = int32(len(c.vmc.globalNames))
-						c.vmc.globalNames = append(c.vmc.globalNames, name.Name)
-						c.globals[name.Name] = gi
-					}
-					u.emit(Op{Code: opDefineGlobal, A: gi})
-					u.depth--
-				}
-			}
+	for _, v := range c.m.packageVars() {
+		if v.value != nil {
+			u.compileExpr(v.value)
+		} else {
+			u.emit(Op{Code: opZeroVal, A: code.typeIdx(v.typ)})
+			u.depth++
 		}
+		gi, dup := c.globals[v.name.Name]
+		if !dup {
+			gi = int32(len(c.vmc.globalNames))
+			c.vmc.globalNames = append(c.vmc.globalNames, v.name.Name)
+			c.globals[v.name.Name] = gi
+		}
+		u.emit(Op{Code: opDefineGlobal, A: gi})
+		u.depth--
 	}
 	u.emit(Op{Code: opReturnBare})
 	return code

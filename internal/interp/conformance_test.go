@@ -23,10 +23,11 @@ var goDivergences = map[string]struct{ interp, golang string }{
 	"closure-for-clause-var": {interp: "1323", golang: "1012"},
 }
 
-// TestEngineGoConformance pins the closure panel to Go itself: every
-// closure case with a result is compiled as one package of a generated
-// module (go 1.22), built once with the local toolchain, and each value
-// its main prints must equal the VM's result for the case.
+// TestEngineGoConformance pins the closure and package-initialization
+// panels to Go itself: every such case with a result is compiled as one
+// package of a generated module (go 1.22), built once with the local
+// toolchain, and each value its main prints must equal the VM's result
+// for the case.
 func TestEngineGoConformance(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) {
@@ -41,7 +42,7 @@ func TestEngineGoConformance(t *testing.T) {
 	write("go.mod", "module conformance\n\ngo 1.22\n")
 	var imports, calls strings.Builder
 	var cases []panelCase
-	for _, tc := range closureCases {
+	for _, tc := range append(closureCases[:len(closureCases):len(closureCases)], initCases...) {
 		if tc.wantErr != "" {
 			continue
 		}
@@ -105,7 +106,7 @@ func TestEngineGoConformance(t *testing.T) {
 	}
 	for name := range goDivergences {
 		if _, ok := golden[name]; !ok {
-			t.Errorf("listed divergence %s is no closure case with a result", name)
+			t.Errorf("listed divergence %s is no panel case with a result", name)
 		}
 	}
 }

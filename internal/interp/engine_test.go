@@ -385,6 +385,7 @@ var a = 2
 func F() int { return a + b }`, "F", nil, "", ""},
 	}
 	cases = append(cases, closureCases...)
+	cases = append(cases, initCases...)
 	cases = append(cases, illFormedCases...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -587,6 +588,27 @@ func F() int {
 	{"closure-outside-function", `package p
 var g = func() int { return 1 }
 func F() int { return g() }`, "F", nil, "closure outside any function", ""},
+}
+
+// initCases initialize package-level variables in Go's dependency
+// order, not in declaration order.
+var initCases = []panelCase{
+	{"init-through-function", `package p
+var a = f()
+var b = 2
+func f() int { return b }
+func F() int { return a }`, "F", nil, "", "2"},
+	{"init-chain", `package p
+var x = y * 10
+var y = z + 1
+var z = 4
+func F() int { return x + y + z }`, "F", nil, "", "59"},
+	{"init-through-method", `package p
+type T struct{ k int }
+func (t T) Get() int { return t.k + base }
+var v = T{k: 1}.Get()
+var base = 40
+func F() int { return v }`, "F", nil, "", "41"},
 }
 
 // illFormedCases must each fail with the same runtime error on both

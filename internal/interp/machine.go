@@ -103,6 +103,9 @@ type Machine struct {
 	// are first run or compiled.
 	funcs map[*source.Function]*function
 	lits  map[*ast.FuncLit]*litInfo
+	// inits is the package-level vars and consts in initialization
+	// order, filled by the first run or compile.
+	inits []pkgVar
 
 	clock    uint64
 	maxTicks uint64
@@ -371,30 +374,17 @@ func (m *Machine) runTree(fnName string, args []Value, opts Options) (results []
 	return ret, m.prof, nil
 }
 
-// initGlobals evaluates package-level var declarations in file order.
+// initGlobals evaluates package-level var declarations in
+// initialization order (initOrder).
 func (m *Machine) initGlobals() {
-	for _, file := range m.prog.Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					var v Value
-					if i < len(vs.Values) {
-						v = m.eval(vs.Values[i], nil, nil)
-					} else {
-						v = m.zeroValueFor(vs.Type)
-					}
-					m.globals[name.Name] = &cell{addr: m.alloc(1), val: v}
-				}
-			}
+	for _, v := range m.packageVars() {
+		var val Value
+		if v.value != nil {
+			val = m.eval(v.value, nil, nil)
+		} else {
+			val = m.zeroValueFor(v.typ)
 		}
+		m.globals[v.name.Name] = &cell{addr: m.alloc(1), val: val}
 	}
 }
 

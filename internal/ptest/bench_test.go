@@ -38,7 +38,7 @@ func corpusUnitTest(b testing.TB, prog, test string) *ptest.UnitTest {
 // pipeline's 4608 traces), and a data-parallel loop. The plain cases
 // run the bounded search, the reduced ones patty.Validate's
 // partial-order-reduced search. Beside the per-exploration figures it
-// reports ns, allocations and baton hand-offs per schedule.
+// reports ns, allocations and scheduler decisions per schedule.
 func BenchmarkExplore(b *testing.B) {
 	bounded := sched.Options{PreemptionBound: 2, MaxSchedules: 5000}
 	for _, bc := range []struct {
@@ -56,30 +56,31 @@ func BenchmarkExplore(b *testing.B) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
-			schedules, grants := 0, 0
+			schedules, decisions := 0, 0
 			for i := 0; i < b.N; i++ {
 				res, st := sched.ExploreStats(opt, ut.Body)
 				schedules += res.Schedules
-				grants += st.Grants
+				decisions += st.Decisions
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(schedules), "ns/schedule")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(schedules), "allocs/schedule")
-			b.ReportMetric(float64(grants)/float64(schedules), "grants/schedule")
+			b.ReportMetric(float64(decisions)/float64(schedules), "decisions/schedule")
 		})
 	}
 }
 
 // TestExploreAllocsPerSchedule bounds the garbage of patty.Validate's
-// search on the video pipeline at 12 allocations per schedule. A
+// search on the video pipeline at 5 allocations per schedule. A
 // schedule cost 114.8 while every run set up fresh threads, objects
-// and clocks; runs now reuse them, and the search measures 10.03 per
-// schedule over the pipeline's 4608 (2 vCPUs, Go 1.24, with and
-// without -race), most of them the test body's own closures. The bound
-// leaves about two allocations per schedule, a fifth of the measured
-// count, as slack for the runtime and the toolchain; two more
-// allocations per schedule fail it.
+// and clocks, and 10.03 once runs reused them but the test body still
+// made a closure per thread. Threads are now step functions the body
+// spawns from one block of thread states, and the search measures 4.02
+// per schedule over the pipeline's 4608 (2 vCPUs, Go 1.24): the body's
+// cell and buffer slices, its run record and its replica states. The
+// bound leaves about a fifth of the measured count as slack for the
+// runtime and the toolchain; one more allocation per schedule fails it.
 func TestExploreAllocsPerSchedule(t *testing.T) {
 	ut := corpusUnitTest(t, "video", "Process.L1.pipeline")
 	schedules := 0
@@ -88,7 +89,7 @@ func TestExploreAllocsPerSchedule(t *testing.T) {
 	})
 	per := allocs / float64(schedules)
 	t.Logf("%.2f allocations per schedule over %d schedules", per, schedules)
-	if per > 12 {
-		t.Errorf("%.1f allocations per schedule over %d schedules, want at most 12", per, schedules)
+	if per > 5 {
+		t.Errorf("%.1f allocations per schedule over %d schedules, want at most 5", per, schedules)
 	}
 }

@@ -230,15 +230,66 @@ func (c *cells) declare(w *sched.World) []*sched.Var {
 	return vars
 }
 
-// replay performs one iteration's resolved accesses.
-func replay(ctx *sched.Context, vars []*sched.Var, accs []cellAccess, iter int) {
+// scriptOp is one operation of a script: a read or write of cell obj
+// (a write stores val), a send of val on buffer obj, or its close.
+type scriptOp struct {
+	kind     scriptKind
+	obj, val int
+}
+
+type scriptKind uint8
+
+const (
+	scriptRead scriptKind = iota
+	scriptWrite
+	scriptSend
+	scriptClose
+)
+
+// op is o's operation in a run whose cells are vars and whose buffers
+// are chans.
+func (o scriptOp) op(vars []*sched.Var, chans []*sched.Chan) sched.Op {
+	switch o.kind {
+	case scriptRead:
+		return sched.Read(vars[o.obj])
+	case scriptWrite:
+		return sched.Write(vars[o.obj], o.val)
+	case scriptSend:
+		return sched.Send(chans[o.obj], o.val)
+	default:
+		return sched.Close(chans[o.obj])
+	}
+}
+
+// accessOps appends the script operations of iteration iter's
+// accesses to ops: a write stores iter+1.
+func accessOps(ops []scriptOp, accs []cellAccess, iter int) []scriptOp {
 	for _, a := range accs {
 		if a.write {
-			ctx.Write(vars[a.cell], iter+1)
+			ops = append(ops, scriptOp{kind: scriptWrite, obj: a.cell, val: iter + 1})
 		} else {
-			ctx.Read(vars[a.cell])
+			ops = append(ops, scriptOp{kind: scriptRead, obj: a.cell})
 		}
 	}
+	return ops
+}
+
+// script is a thread whose operations do not depend on any response:
+// Generate builds its list once, and each run's thread walks it over
+// that run's cells and buffers.
+type script struct {
+	ops   []scriptOp
+	vars  []*sched.Var
+	chans []*sched.Chan
+	next  int
+}
+
+func (s *script) Step(sched.Response) sched.Op {
+	if s.next == len(s.ops) {
+		return sched.Exit
+	}
+	s.next++
+	return s.ops[s.next-1].op(s.vars, s.chans)
 }
 
 // generateWorkers models the data-parallel / master-worker execution:
@@ -248,8 +299,12 @@ func generateWorkers(name string, c pattern.Candidate, lm *model.LoopModel, perS
 	cs := resolveCells(perStmt, body, opt.Iters)
 	perIter := cs.accesses(perStmt, body, opt.Iters)
 	workers := make([]string, opt.Threads)
+	ops := make([][]scriptOp, opt.Threads)
 	for t := range workers {
 		workers[t] = fmt.Sprintf("worker%d", t)
+		for i := t; i < opt.Iters; i += opt.Threads {
+			ops[t] = accessOps(ops[t], perIter[i], i)
+		}
 	}
 	return &UnitTest{
 		Name: name,
@@ -258,13 +313,10 @@ func generateWorkers(name string, c pattern.Candidate, lm *model.LoopModel, perS
 			opt.Threads, opt.Iters, c.Fn),
 		Body: func(w *sched.World) {
 			vars := cs.declare(w)
-			for t := 0; t < opt.Threads; t++ {
-				tid := t
-				w.Spawn(workers[tid], func(ctx *sched.Context) {
-					for i := tid; i < opt.Iters; i += opt.Threads {
-						replay(ctx, vars, perIter[i], i)
-					}
-				})
+			threads := make([]script, len(workers))
+			for t := range threads {
+				threads[t] = script{ops: ops[t], vars: vars}
+				w.Spawn(workers[t], &threads[t])
 			}
 		},
 	}, nil
@@ -274,9 +326,95 @@ func generateWorkers(name string, c pattern.Candidate, lm *model.LoopModel, perS
 // by Generate.
 type pipelineStage struct {
 	replicas int
-	threads  []string       // one name per replica
-	done, mu string         // the shutdown counter and its lock
-	perItem  [][]cellAccess // the stage's accesses per element
+	threads  []string     // one name per replica
+	done, mu string       // the shutdown counter and its lock
+	perItem  [][]scriptOp // the stage's accesses per element
+}
+
+// replica is one stage replica's thread: it receives elements until
+// its input is closed and drained, performs the stage's accesses on
+// each and passes it on; then it counts itself done under the stage's
+// lock, and the last replica done closes the stage's output.
+type replica struct {
+	stage   *pipelineStage
+	vars    []*sched.Var
+	in, out *sched.Chan
+	closer  *sched.Var
+	mu      *sched.Mutex
+	// pc is the replica's next step; item is the element it holds
+	// and next its next access of that element; done is the
+	// shutdown count it wrote.
+	pc, item, next, done int
+}
+
+// A replica's steps.
+const (
+	replicaRecv   = iota // receive an element
+	replicaItem          // process the element received, or shut down
+	replicaAccess        // the element's next access, or its send
+	replicaRead          // read the shutdown counter under the lock
+	replicaWrite         // write it back, plus one
+	replicaUnlock        // release the lock
+	replicaClose         // the last replica closes the output
+	replicaExit
+)
+
+func (r *replica) Step(prev sched.Response) sched.Op {
+	switch r.pc {
+	case replicaRecv:
+		r.pc = replicaItem
+		return sched.Recv(r.in)
+	case replicaItem:
+		if !prev.OK {
+			r.pc = replicaRead
+			return sched.Lock(r.mu)
+		}
+		r.item, r.next, r.pc = prev.Val, 0, replicaAccess
+		fallthrough
+	case replicaAccess:
+		if ops := r.stage.perItem[r.item]; r.next < len(ops) {
+			r.next++
+			return ops[r.next-1].op(r.vars, nil)
+		}
+		r.pc = replicaRecv
+		return sched.Send(r.out, r.item)
+	case replicaRead:
+		r.pc = replicaWrite
+		return sched.Read(r.closer)
+	case replicaWrite:
+		r.done, r.pc = prev.Val+1, replicaUnlock
+		return sched.Write(r.closer, r.done)
+	case replicaUnlock:
+		r.pc = replicaClose
+		return sched.Unlock(r.mu)
+	case replicaClose:
+		r.pc = replicaExit
+		if r.done == r.stage.replicas {
+			return sched.Close(r.out)
+		}
+	}
+	return sched.Exit
+}
+
+// sink is the thread that drains the last buffer.
+type sink struct {
+	in      *sched.Chan
+	started bool
+}
+
+func (s *sink) Step(prev sched.Response) sched.Op {
+	if s.started && !prev.OK {
+		return sched.Exit
+	}
+	s.started = true
+	return sched.Recv(s.in)
+}
+
+// pipelineRun holds one run's threads of a pipeline test.
+type pipelineRun struct {
+	generator script
+	replicas  []replica
+	sink      sink
 }
 
 // generatePipeline models the stage-bound pipeline: one thread per
@@ -297,6 +435,7 @@ func generatePipeline(name string, c pattern.Candidate, lm *model.LoopModel, per
 		bufs[i] = fmt.Sprintf("buf%d", i)
 	}
 	ps := make([]pipelineStage, len(stages))
+	replicas := 0
 	for si, st := range stages {
 		p := &ps[si]
 		p.replicas = 1
@@ -306,10 +445,20 @@ func generatePipeline(name string, c pattern.Candidate, lm *model.LoopModel, per
 		for r := 0; r < p.replicas; r++ {
 			p.threads = append(p.threads, fmt.Sprintf("stage%d.%s.r%d", si, st.Label, r))
 		}
+		replicas += p.replicas
 		p.done = fmt.Sprintf("stage%d.done", si)
 		p.mu = fmt.Sprintf("stage%d.mu", si)
-		p.perItem = cs.accesses(perStmt, st.Stmts, opt.Iters)
+		for i, accs := range cs.accesses(perStmt, st.Stmts, opt.Iters) {
+			p.perItem = append(p.perItem, accessOps(nil, accs, i))
+		}
 	}
+	// The StreamGenerator sends every element id, then closes the
+	// first buffer.
+	generate := make([]scriptOp, 0, opt.Iters+1)
+	for i := 0; i < opt.Iters; i++ {
+		generate = append(generate, scriptOp{kind: scriptSend, val: i})
+	}
+	generate = append(generate, scriptOp{kind: scriptClose})
 	return &UnitTest{
 		Name: name,
 		Kind: c.Kind,
@@ -323,52 +472,28 @@ func generatePipeline(name string, c pattern.Candidate, lm *model.LoopModel, per
 				chans[i] = w.Chan(bufs[i], opt.BufCap)
 			}
 
-			// StreamGenerator.
-			w.Spawn("generator", func(ctx *sched.Context) {
-				for i := 0; i < opt.Iters; i++ {
-					ctx.Send(chans[0], i)
-				}
-				ctx.Close(chans[0])
-			})
-
+			run := &pipelineRun{
+				generator: script{ops: generate, chans: chans},
+				replicas:  make([]replica, 0, replicas),
+				sink:      sink{in: chans[len(chans)-1]},
+			}
+			w.Spawn("generator", &run.generator)
 			for si := range ps {
 				p := &ps[si]
-				in, out := chans[si], chans[si+1]
 				// Replica shutdown coordination is part of the runtime
 				// (not the user pattern), so it is lock-protected here
 				// just as parrt uses a WaitGroup.
 				closer := w.Var(p.done, 0)
 				closeMu := w.Mutex(p.mu)
 				for _, thread := range p.threads {
-					w.Spawn(thread, func(ctx *sched.Context) {
-						for {
-							item, ok := ctx.Recv(in)
-							if !ok {
-								break
-							}
-							replay(ctx, vars, p.perItem[item], item)
-							ctx.Send(out, item)
-						}
-						// The last replica closes downstream.
-						ctx.Lock(closeMu)
-						done := ctx.Read(closer) + 1
-						ctx.Write(closer, done)
-						ctx.Unlock(closeMu)
-						if done == p.replicas {
-							ctx.Close(out)
-						}
+					run.replicas = append(run.replicas, replica{
+						stage: p, vars: vars, in: chans[si], out: chans[si+1],
+						closer: closer, mu: closeMu,
 					})
+					w.Spawn(thread, &run.replicas[len(run.replicas)-1])
 				}
 			}
-
-			// Sink drains the last buffer.
-			w.Spawn("sink", func(ctx *sched.Context) {
-				for {
-					if _, ok := ctx.Recv(chans[len(chans)-1]); !ok {
-						return
-					}
-				}
-			})
+			w.Spawn("sink", &run.sink)
 		},
 	}, nil
 }

@@ -7,30 +7,29 @@
 //
 //   - Test programs are written against a controlled World: shared
 //     variables (Var), mutexes (Mutex) and bounded channels (Chan) are
-//     manipulated exclusively through a per-thread Context, making every
-//     access a scheduling yield point.
-//   - A cooperative scheduler runs exactly one thread at a time and
-//     owns all shared state, so each run is deterministic and fully
-//     replayable from its decision sequence. The scheduler runs on
-//     whichever goroutine holds the baton: a thread that reaches a
-//     yield point makes the next decision itself, continues at once
-//     when it is chosen again, and hands the baton to the chosen
-//     thread with one channel send otherwise.
+//     touched only through operations (Read, Write, Lock, Send, ...),
+//     each a scheduling point. A thread is a step function (Thread):
+//     given the response to its previous operation, it returns its
+//     next one, or Exit.
+//   - The explorer runs every thread on the goroutine that called
+//     Explore, one step at a time: it picks a thread whose pending
+//     operation can execute, applies the operation to the shared
+//     state, and asks that thread for its next one. Explore starts no
+//     goroutine, so each run is deterministic, fully replayable from
+//     its decision sequence, and costs no thread switch.
 //   - Explore performs a depth-first search over scheduling decisions,
 //     re-executing the program once per interleaving. A run repeats
 //     the previous run's steps up to the one it branches at without
-//     the scheduler: the explorer keeps a log of executed steps, the
-//     threads fast-forward concurrently through their logged
-//     operations on the logged responses, each request checked
-//     against the log, and the explorer brings the shared state to the
-//     branch in one pass over the logged steps, each response checked
-//     again. Thread functions must therefore share state only through
-//     the World. The unbounded search, which every production caller
-//     runs, is pruned by partial-order reduction to one interleaving
-//     per Mazurkiewicz trace (por.go). Preemption bounding (CHESS's
-//     key scalability insight: most bugs surface within <= 2
-//     preemptions) gives an unreduced search that tests and the E10
-//     bound table use as a reference.
+//     the scheduler, in one pass over the explorer's log of executed
+//     steps: each step's thread must return the logged operation,
+//     which is applied to the shared state and the clocks, and its
+//     response must be the logged one. Threads must therefore
+//     share state only through the World. The unbounded search, which
+//     every production caller runs, is pruned by partial-order
+//     reduction to one interleaving per Mazurkiewicz trace (por.go).
+//     Preemption bounding (CHESS's key scalability insight: most bugs
+//     surface within <= 2 preemptions) gives an unreduced search that
+//     tests and the E10 bound table use as a reference.
 //   - A vector-clock happens-before detector (Djit+-style) flags data
 //     races on Vars even in interleavings where the race happens to be
 //     benign, and the engine additionally reports deadlocks and

@@ -1,14 +1,12 @@
 package sched
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 type opKind int
 
 const (
-	opRead opKind = iota
+	opExit opKind = iota // Exit's kind: the zero Op
+	opRead
 	opWrite
 	opLock
 	opUnlock
@@ -20,6 +18,8 @@ const (
 
 func (k opKind) String() string {
 	switch k {
+	case opExit:
+		return "exit"
 	case opRead:
 		return "read"
 	case opWrite:
@@ -41,16 +41,8 @@ func (k opKind) String() string {
 	}
 }
 
-type request struct {
-	op  opKind
-	v   *Var
-	m   *Mutex
-	ch  *Chan
-	val int
-}
-
 // String describes the operation for nondeterministic-replay reports.
-func (r request) String() string {
+func (r Op) String() string {
 	var name string
 	switch {
 	case r.v != nil:
@@ -60,71 +52,36 @@ func (r request) String() string {
 	case r.ch != nil:
 		name = r.ch.name
 	default:
-		return r.op.String()
+		return r.kind.String()
 	}
-	if r.op == opWrite || r.op == opSend {
-		return fmt.Sprintf("%s %q %d", r.op, name, r.val)
+	if r.kind == opWrite || r.kind == opSend {
+		return fmt.Sprintf("%s %q %d", r.kind, name, r.val)
 	}
-	return fmt.Sprintf("%s %q", r.op, name)
+	return fmt.Sprintf("%s %q", r.kind, name)
 }
 
-type response struct {
-	val   int
-	ok    bool
-	abort bool
-}
-
-// thread is one thread of the program under test. An exploration
-// keeps its threads, and their goroutines, from run to run: between
-// runs a thread's goroutine waits for its next function on job,
-// keeping its grown stack.
-//
-// A run starts with its threads fast-forwarding, concurrently, through
-// the prefix of steps it repeats from the explorer's log: each thread
-// takes the logged response of each of its operations there, touching
-// only its own fields and reading the log, which nothing writes until
-// every thread has reported.
+// thread is one thread of the program under test in the current run:
+// the Thread the world spawned and the engine's state for it. An
+// exploration keeps its threads from run to run, clocks included.
 type thread struct {
-	id    int
-	name  string
-	ctx   Context
-	job   chan func(*Context) // the thread's function for the next run
-	grant chan response       // receiving a grant hands this thread the baton
-	vc    vclock
+	Thread
+	id   int
+	name string
+	vc   vclock
 	// req is the thread's pending operation while pending[id] points
 	// here.
-	req request
-	// next is where the thread's fast-forward resumes its search of
-	// the log; diverged is the log step at which the thread did other
-	// than the log says, -1 while it has not.
-	next, diverged int
-	started        bool // reported its first request after the prefix
-	done           bool // finished, or ended the run itself: never granted again
-	aborted        bool // unwinding: any further operation panics at once
+	req  Op
+	done bool // returned Exit
 }
 
-// abortPanic unwinds a thread whose interleaving was abandoned
-// (deadlock, first-bug stop, or oracle abort).
-type abortPanic struct{}
-
 // execution is the per-run engine state, which an exploration reuses
-// from run to run. One goroutine at a time, the baton holder, reads
-// and writes it: the explorer until it makes the first decision, then
-// each thread in turn while it runs. The baton passes only through a
-// synchronizing operation (the threads' first reports, a grant, or the
-// end signal), so every access is ordered after the previous holder's.
+// from run to run.
 type execution struct {
 	e       *explorer
 	world   *World
-	threads []*thread
-	// reported counts down the threads' first reports: a thread's
-	// first request after the replayed prefix waits in its req, or it
-	// finished without reaching one.
-	reported sync.WaitGroup
-	end      chan struct{} // the holder that ends the run signals here
-	wg       sync.WaitGroup
+	threads []thread
 	// pending[tid] is tid's next operation, nil while it has none.
-	pending []*request
+	pending []*Op
 	live    int // threads not yet finished
 
 	// decision state: branch points replayed or pushed, operations
@@ -174,158 +131,45 @@ func (ex *execution) reset(world *World) {
 	ex.deadlock, ex.nondet, ex.aborted, ex.sleepBlocked = false, false, false, false
 }
 
-// start hands every thread its function for this run, starting the
-// goroutines the exploration does not have yet. Each thread
-// fast-forwards through the replayed prefix up to its first operation
-// after it, reports that operation to the explorer and waits for its
-// first grant.
+// start takes the world's threads for this run and asks each for its
+// first operation.
 func (ex *execution) start() {
-	e := ex.e
-	n := len(ex.world.threads)
-	for len(e.pool) < n {
-		t := &thread{
-			id:    len(e.pool),
-			job:   make(chan func(*Context), 1),
-			grant: make(chan response),
-		}
-		t.ctx = Context{ex: ex, t: t}
-		e.pool = append(e.pool, t)
-		e.workers.Add(1)
-		go t.serve(&e.workers)
-	}
-	ex.threads = e.pool[:n]
+	specs := ex.world.threads
+	n := len(specs)
+	ex.threads = grow(ex.threads, n)
 	ex.pending = grow(ex.pending, n)
 	clear(ex.pending)
 	ex.live = n
-	for i, t := range ex.threads {
-		t.name = ex.world.threads[i].name
+	for i := range ex.threads {
+		t := &ex.threads[i]
+		t.Thread, t.id, t.name = specs[i].thread, i, specs[i].name
 		t.vc = t.vc.reset(n)
 		t.vc[i] = 1
-		t.next, t.diverged = 0, -1
-		t.started, t.done, t.aborted = false, false, false
+		t.done = false
 	}
-	ex.wg.Add(n)
-	ex.reported.Add(n)
-	for i, t := range ex.threads {
-		t.job <- ex.world.threads[i].fn
+	for i := range ex.threads {
+		ex.next(&ex.threads[i], Response{})
 	}
 }
 
-// serve runs t's function once per run until the exploration closes
-// job.
-func (t *thread) serve(workers *sync.WaitGroup) {
-	defer workers.Done()
-	for fn := range t.job {
-		t.run(fn)
+// next asks t for its operation after one that answered resp and
+// makes it t's pending operation, or retires t once it returns Exit.
+// It reports whether t posted an operation.
+func (ex *execution) next(t *thread, resp Response) bool {
+	op := t.Step(resp)
+	if op.kind == opExit {
+		t.done = true
+		ex.live--
+		return false
 	}
-}
-
-// run runs fn as t for one run and retires t.
-func (t *thread) run(fn func(*Context)) {
-	ex := t.ctx.ex
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(abortPanic); !ok {
-				panic(r)
-			}
-		}
-		ex.wg.Done()
-	}()
-	fn(&t.ctx)
-	ex.finish(t)
-}
-
-// yield is the thread side of the scheduling protocol. Before its
-// first report a thread fast-forwards: an operation the log holds for
-// it in the replayed prefix returns the logged response at once, and
-// the first other operation goes to the explorer. After that the
-// calling thread holds the baton: it posts its request and makes the
-// next decision itself. Chosen again, it continues at once; otherwise
-// it grants the chosen thread and waits for its own turn.
-func (c *Context) yield(req request) response {
-	t, ex := c.t, c.ex
-	if t.aborted {
-		panic(abortPanic{}) // an operation deferred in an unwinding thread
-	}
-	if !t.started {
-		if k := t.nextLogged(ex.e.log); k >= 0 {
-			if s := &ex.e.log[k]; s.req == req {
-				return s.resp
-			}
-			t.diverged = k
-		}
-		t.req = req
-		t.started = true
-		ex.reported.Done()
-		return t.wait()
-	}
-	t.req = req
+	t.req = op
 	ex.pending[t.id] = &t.req
-	if p := ex.e.por; p != nil {
-		p.posted(ex, t.id)
-	}
-	next, resp := ex.schedule()
-	if next == t.id {
-		return resp
-	}
-	if next < 0 {
-		// The run is over; the explorer unwinds the others.
-		t.done = true
-		t.aborted = true
-		ex.end <- struct{}{}
-		panic(abortPanic{})
-	}
-	ex.e.grants++
-	ex.threads[next].grant <- resp
-	return t.wait()
-}
-
-// nextLogged returns the index of t's next step in log, the replayed
-// prefix, or -1 when t has no step left there.
-func (t *thread) nextLogged(log []logStep) int {
-	for k := t.next; k < len(log); k++ {
-		if log[k].tid == t.id {
-			t.next = k + 1
-			return k
-		}
-	}
-	t.next = len(log)
-	return -1
-}
-
-// finish retires t once its function has returned, then makes the
-// next decision with the baton it still holds.
-func (ex *execution) finish(t *thread) {
-	if !t.started {
-		// A step the log still holds for t, if any, never happened.
-		t.diverged = t.nextLogged(ex.e.log)
-		t.done = true
-		ex.reported.Done()
-		return
-	}
-	t.done = true
-	ex.live--
-	next, resp := ex.schedule()
-	if next < 0 {
-		ex.end <- struct{}{}
-		return
-	}
-	ex.threads[next].grant <- resp
-}
-
-// wait blocks until t is granted the baton.
-func (t *thread) wait() response {
-	resp := <-t.grant
-	if resp.abort {
-		t.aborted = true
-		panic(abortPanic{})
-	}
-	return resp
+	return true
 }
 
 // enabled reports whether a pending request can execute now.
-func enabled(req *request) bool {
-	switch req.op {
+func enabled(req *Op) bool {
+	switch req.kind {
 	case opLock:
 		return req.m.holder == -1
 	case opSend:
@@ -337,44 +181,49 @@ func enabled(req *request) bool {
 	}
 }
 
-// apply executes t's pending request against the shared state, runs
-// the race detector, and builds the response. A response with
-// abort=true also records the failure that caused it. Clocks owned by
-// a Var, Mutex or Chan are updated in place once they have grown to
-// the thread count, so a step allocates nothing.
-func (ex *execution) apply(t *thread, req *request) response {
-	switch req.op {
+// apply executes t's operation req against the shared state and the
+// clocks and builds the response; with check set it also runs the race
+// detector. It reports false for an illegal operation, after recording
+// the failure. Clocks owned by a Var, Mutex or Chan are updated in
+// place once they have grown to the thread count, so a step allocates
+// nothing.
+func (ex *execution) apply(t *thread, req *Op, check bool) (Response, bool) {
+	switch req.kind {
 	case opYield:
-		return response{}
+		return Response{}, true
 	case opRead:
-		ex.checkRead(t, req.v)
+		if check {
+			ex.checkRead(t, req.v)
+		}
 		req.v.readVC = ex.fit(req.v.readVC)
 		req.v.readVC[t.id] = t.vc.at(t.id)
-		return response{val: req.v.value}
+		return Response{Val: req.v.value}, true
 	case opWrite:
-		ex.checkWrite(t, req.v)
+		if check {
+			ex.checkWrite(t, req.v)
+		}
 		req.v.writeVC = ex.fit(req.v.writeVC)
 		req.v.writeVC[t.id] = t.vc.at(t.id)
 		req.v.value = req.val
-		return response{}
+		return Response{}, true
 	case opLock:
 		req.m.holder = t.id
 		t.vc = t.vc.join(req.m.vc)
-		return response{}
+		return Response{}, true
 	case opUnlock:
 		if req.m.holder != t.id {
 			ex.fail("thread %d (%s) unlocked mutex %q held by %d", t.id, t.name, req.m.name, req.m.holder)
-			return response{abort: true}
+			return Response{}, false
 		}
 		req.m.holder = -1
 		req.m.vc = ex.fit(req.m.vc).join(t.vc)
 		t.vc = t.vc.tick(t.id)
-		return response{}
+		return Response{}, true
 	case opSend:
 		ch := req.ch
 		if ch.closed {
 			ex.fail("thread %d (%s) sent on closed channel %q", t.id, t.name, ch.name)
-			return response{abort: true}
+			return Response{}, false
 		}
 		slot := &ch.slots[(ch.head+ch.n)%len(ch.slots)]
 		slot.val = req.val
@@ -384,12 +233,12 @@ func (ex *execution) apply(t *thread, req *request) response {
 		// Order this send after the receives that freed buffer space.
 		t.vc = t.vc.join(ch.spaceVC)
 		t.vc = t.vc.tick(t.id)
-		return response{}
+		return Response{}, true
 	case opRecv:
 		ch := req.ch
 		if ch.n == 0 {
 			// enabled only because the channel is closed
-			return response{ok: false}
+			return Response{}, true
 		}
 		msg := &ch.slots[ch.head]
 		ch.head = (ch.head + 1) % len(ch.slots)
@@ -397,16 +246,16 @@ func (ex *execution) apply(t *thread, req *request) response {
 		t.vc = t.vc.join(msg.vc)
 		ch.spaceVC = ex.fit(ch.spaceVC).join(t.vc)
 		t.vc = t.vc.tick(t.id)
-		return response{val: msg.val, ok: true}
+		return Response{Val: msg.val, OK: true}, true
 	case opClose:
 		if req.ch.closed {
 			ex.fail("thread %d (%s) closed channel %q twice", t.id, t.name, req.ch.name)
-			return response{abort: true}
+			return Response{}, false
 		}
 		req.ch.closed = true
-		return response{}
+		return Response{}, true
 	default:
-		panic("sched: unknown op " + req.op.String())
+		panic("sched: unknown op " + req.kind.String())
 	}
 }
 
@@ -427,7 +276,7 @@ func (ex *execution) nondeterministic(format string, args ...any) {
 	ex.fail(format, args...)
 }
 
-// path returns the threads granted so far, in order: the schedule that
+// path returns the threads run so far, in order: the schedule that
 // leads to the current state.
 func (ex *execution) path() []int {
 	if ex.step == 0 {

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Options configures an exploration.
 type Options struct {
@@ -42,7 +39,7 @@ type Race struct {
 	Var      string
 	Kind     string // "write-write", "read-write" or "write-read"
 	Threads  [2]int // offending thread ids (prior access first)
-	Schedule []int  // granted-thread trace of the exhibiting interleaving
+	Schedule []int  // the threads run, in order, in the exhibiting interleaving
 }
 
 // String formats the race for reports.
@@ -95,8 +92,8 @@ type decision struct {
 // step.
 type logStep struct {
 	tid                 int
-	req                 request
-	resp                response
+	req                 Op
+	resp                Response
 	branch, preemptions int
 }
 
@@ -105,14 +102,11 @@ type Stats struct {
 	// Decisions is the number of times a run asked the scheduler for
 	// its next step, including the last time, which ends the run.
 	Decisions int
-	// Grants is the number of baton hand-offs: a thread at a yield
-	// point passing the baton to another thread.
-	Grants int
 }
 
 // explorer is the state that outlives one interleaving: the DFS
 // stack, the log of executed steps, the step buffers every run reuses,
-// and the world, execution and threads each run resets.
+// and the world and execution each run resets.
 type explorer struct {
 	opt   Options
 	stack []decision
@@ -131,19 +125,17 @@ type explorer struct {
 
 	world World
 	ex    execution
-	// pool holds a thread per thread id any run has spawned; workers
-	// counts their goroutines.
-	pool    []*thread
-	workers sync.WaitGroup
 	// scheduling work so far, as Stats counts it
-	decisions, grants int
+	decisions int
 }
 
 // Explore systematically executes body under every schedule (subject
 // to Options) and aggregates all bugs found. body must be
 // deterministic apart from scheduling: it is re-invoked for every
 // interleaving, with a World that hands back the previous run's
-// objects, reset, while body declares the same ones.
+// objects, reset, while body declares the same ones. Explore starts no
+// goroutine: body and every thread's steps run on the caller's, so a
+// panic in either reaches the caller.
 func Explore(opt Options, body func(*World)) Result {
 	res, _ := ExploreStats(opt, body)
 	return res
@@ -152,9 +144,8 @@ func Explore(opt Options, body func(*World)) Result {
 // ExploreStats is Explore that also counts the scheduling work.
 func ExploreStats(opt Options, body func(*World)) (Result, Stats) {
 	e := newExplorer(opt)
-	defer e.close()
 	res := e.run(body)
-	return res, Stats{Decisions: e.decisions, Grants: e.grants}
+	return res, Stats{Decisions: e.decisions}
 }
 
 // newExplorer fills in opt's defaults and picks the search.
@@ -167,19 +158,11 @@ func newExplorer(opt Options) *explorer {
 		raceSeen: make(map[raceKey]bool),
 		log:      make([]logStep, 0, stepHint),
 	}
-	e.ex = execution{e: e, end: make(chan struct{})}
+	e.ex = execution{e: e}
 	if opt.PreemptionBound < 0 {
 		e.por = newPOR()
 	}
 	return e
-}
-
-// close ends the thread goroutines and waits for them to exit.
-func (e *explorer) close() {
-	for _, t := range e.pool {
-		close(t.job)
-	}
-	e.workers.Wait()
 }
 
 // run explores body and aggregates the runs' results.
@@ -258,13 +241,9 @@ func (e *explorer) push(cands []int, step int) {
 	d.step = step
 }
 
-// runOnce executes body under one schedule. The threads fast-forward
-// through the replayed prefix while the explorer waits for their
-// first reports; then the explorer brings the shared state to the end
-// of the prefix and holds the baton until it makes the first decision.
-// After that the threads schedule each other, and the explorer waits
-// for the end of the run, unwinds the threads still waiting and waits
-// for each to finish its run.
+// runOnce executes body under one schedule: it replays the prefix the
+// run repeats from the log, then schedules the new steps one at a time
+// until the run ends.
 func (e *explorer) runOnce(body func(*World)) *execution {
 	w := &e.world
 	w.reset()
@@ -277,35 +256,17 @@ func (e *explorer) runOnce(body func(*World)) *execution {
 		return ex
 	}
 	ex.start()
-	ex.reported.Wait()
-	var diverged *thread // the thread that left the log first
-	for _, t := range ex.threads {
-		if t.done {
-			ex.live--
-		} else {
-			ex.pending[t.id] = &t.req
-		}
-		if t.diverged >= 0 && (diverged == nil || t.diverged < diverged.diverged) {
-			diverged = t
-		}
-	}
-	if diverged != nil {
-		ex.diverge(diverged)
-	} else {
-		ex.restore()
-	}
-	if !ex.nondet {
-		if next, resp := ex.schedule(); next >= 0 {
-			ex.threads[next].grant <- resp
-			<-ex.end
+	if ex.replay() {
+		for {
+			next, resp := ex.schedule()
+			if next < 0 {
+				break
+			}
+			if ex.next(&ex.threads[next], resp) && e.por != nil {
+				e.por.posted(ex, next)
+			}
 		}
 	}
-	for _, t := range ex.threads {
-		if !t.done {
-			t.grant <- response{abort: true}
-		}
-	}
-	ex.wg.Wait()
 
 	// A deterministic program replays the entire decision prefix the
 	// explorer is following; ending a run before the stack is consumed
@@ -327,69 +288,72 @@ func (e *explorer) runOnce(body func(*World)) *execution {
 	return ex
 }
 
-// diverge reports the run nondeterministic because thread t, while
-// fast-forwarding, did other than the log's step t.diverged.
-func (ex *execution) diverge(t *thread) {
-	k := t.diverged
-	did := "finished"
-	if !t.done {
-		did = "executed " + t.req.String()
-	}
-	ex.step = k // the failure's schedule: the steps before k
-	ex.nondeterministic("nondeterministic replay at step %d: thread %d %s, expected %s", k, t.id, did, ex.e.log[k].req)
-}
-
-// restore brings the shared state, the threads' clocks and the
-// decision state to the end of the replayed prefix, which the threads
-// have fast-forwarded through: it applies the logged steps in order
-// and checks every response against the one the thread was handed.
-func (ex *execution) restore() {
+// replay brings the run to the end of the prefix it repeats from the
+// log, in one pass in log order. Each logged step's thread must have
+// the logged operation pending; the operation is applied to the shared
+// state and the clocks, its response checked against the log, and the
+// thread asked for its next operation. The race detector is not run:
+// the run that first executed a step recorded its races. replay
+// reports false when the run diverged from the log.
+func (ex *execution) replay() bool {
 	log := ex.e.log
 	for k := range log {
 		s := &log[k]
+		ex.step = k // a divergence's schedule: the steps before k
 		if s.tid >= len(ex.threads) {
-			ex.step = k
 			ex.nondeterministic("nondeterministic replay at step %d: no thread %d", k, s.tid)
-			return
+			return false
 		}
+		t := &ex.threads[s.tid]
+		if t.done {
+			ex.nondeterministic("nondeterministic replay at step %d: thread %d finished, expected %s", k, t.id, s.req)
+			return false
+		}
+		if t.req != s.req {
+			ex.nondeterministic("nondeterministic replay at step %d: thread %d executed %s, expected %s", k, t.id, t.req, s.req)
+			return false
+		}
+		ex.pending[t.id] = nil
 		ex.step = k + 1
-		if resp := ex.apply(ex.threads[s.tid], &s.req); resp != s.resp {
-			ex.nondeterministic("nondeterministic replay at step %d: thread %d's %s answered %+v, expected %+v", k, s.tid, s.req, resp, s.resp)
-			return
+		if resp, ok := ex.apply(t, &t.req, false); !ok || resp != s.resp {
+			ex.nondeterministic("nondeterministic replay at step %d: thread %d's %s answered %+v, expected %+v", k, t.id, s.req, resp, s.resp)
+			return false
 		}
+		ex.next(t, s.resp)
 	}
 	if r := len(log); r > 0 {
 		last := &log[r-1]
 		ex.lastTid, ex.branch, ex.preemptions = last.tid, last.branch, last.preemptions
 	}
+	return true
 }
 
-// schedule makes one scheduling decision for the baton holder: it
-// picks the next thread, executes that thread's pending operation and
-// returns the thread's id with its response. It returns -1 when the
-// run is over: every thread finished, or the run was abandoned on a
-// deadlock, a nondeterministic replay or an illegal operation.
-func (ex *execution) schedule() (int, response) {
+// schedule makes one scheduling decision: it picks the next thread,
+// executes that thread's pending operation and returns the thread's id
+// with its response. It returns -1 when the run is over: every thread
+// finished, or the run was abandoned on a deadlock, a nondeterministic
+// replay or an illegal operation.
+func (ex *execution) schedule() (int, Response) {
 	e := ex.e
 	e.decisions++
 	if ex.live == 0 {
-		return -1, response{}
+		return -1, Response{}
 	}
 	enabled := ex.enabledSet()
 	if len(enabled) == 0 {
 		ex.deadlock = true
 		ex.fail("deadlock: %s", ex.blockedSummary())
 		ex.aborted = true
-		return -1, response{}
+		return -1, Response{}
 	}
 	var chosen int
 	if e.por != nil {
 		if chosen = e.por.choose(ex, ex.step, enabled); chosen < 0 {
 			ex.sleepBlocked = !ex.nondet
-			return -1, response{}
+			return -1, Response{}
 		}
 	} else if chosen = ex.choose(enabled); chosen < 0 {
-		return -1, response{}
+		return -1, Response{}
 	}
 	if ex.lastTid != -1 && chosen != ex.lastTid && containsInt(enabled, ex.lastTid) {
 		ex.preemptions++
@@ -404,13 +368,13 @@ func (ex *execution) schedule() (int, response) {
 	if e.por != nil {
 		idx = e.por.record(chosen, req)
 	}
-	resp := ex.apply(ex.threads[chosen], req)
-	if resp.abort {
+	resp, ok := ex.apply(&ex.threads[chosen], req, true)
+	if !ok {
 		ex.aborted = true
 		if e.por != nil {
 			e.por.aborted(ex, idx)
 		}
-		return -1, response{}
+		return -1, Response{}
 	}
 	e.log[k].resp = resp
 	if e.por != nil {
@@ -474,7 +438,7 @@ func (ex *execution) blockedSummary() string {
 		if s != "" {
 			s += "; "
 		}
-		switch req.op {
+		switch req.kind {
 		case opLock:
 			s += fmt.Sprintf("thread %d waits for mutex %q (held by %d)", tid, req.m.name, req.m.holder)
 		case opSend:
@@ -482,7 +446,7 @@ func (ex *execution) blockedSummary() string {
 		case opRecv:
 			s += fmt.Sprintf("thread %d waits to receive on empty channel %q", tid, req.ch.name)
 		default:
-			s += fmt.Sprintf("thread %d blocked at %s", tid, req.op)
+			s += fmt.Sprintf("thread %d blocked at %s", tid, req.kind)
 		}
 	}
 	return s

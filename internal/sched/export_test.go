@@ -10,7 +10,6 @@ import (
 // change every recorded exploration.
 func ExploreBlocked(opt Options, body func(*World)) (Result, int) {
 	e := newExplorer(opt)
-	defer e.close()
 	res := e.run(body)
 	if e.por == nil {
 		return res, 0
@@ -27,7 +26,6 @@ func ExploreBlocked(opt Options, body func(*World)) (Result, int) {
 // exactly when they are equivalent.
 func ExploreTraces(body func(*World)) []string {
 	e := newExplorer(Options{PreemptionBound: -1})
-	defer e.close()
 	var traces []string
 	for {
 		ex := e.runOnce(body)
@@ -70,3 +68,49 @@ func canonical(evs []step) string {
 	}
 	return b.String()
 }
+
+// StepFunc is a Thread written as one function.
+type StepFunc func(prev Response) Op
+
+// Step calls f.
+func (f StepFunc) Step(prev Response) Op { return f(prev) }
+
+// Step is one step of a Seq thread: its operation, computed from the
+// response to the step before.
+type Step = func(prev Response) Op
+
+// Seq returns a thread that takes steps in order and then exits; a
+// step that returns Exit ends the thread early.
+func Seq(steps ...Step) Thread {
+	k := 0
+	return StepFunc(func(prev Response) Op {
+		if k == len(steps) {
+			return Exit
+		}
+		k++
+		return steps[k-1](prev)
+	})
+}
+
+// Ops returns a thread that performs ops in order and then exits.
+func Ops(ops ...Op) Thread {
+	steps := make([]Step, len(ops))
+	for i, op := range ops {
+		steps[i] = Do(op)
+	}
+	return Seq(steps...)
+}
+
+// Do is the step that performs op whatever the response before.
+func Do(op Op) Step { return func(Response) Op { return op } }
+
+// WriteSum is the step that writes the value the step before read
+// plus x into v: after Do(Read(v)), the second half of an
+// unsynchronized v += x, two scheduling points as in real code.
+func WriteSum(v *Var, x int) Step {
+	return func(prev Response) Op { return Write(v, prev.Val+x) }
+}
+
+// Add returns a thread that performs v += x as an unsynchronized
+// read-modify-write.
+func Add(v *Var, x int) Thread { return Seq(Do(Read(v)), WriteSum(v, x)) }

@@ -3,10 +3,10 @@ package sched_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
-	"patty/internal/ptest"
 	"patty/internal/sched"
 )
 
@@ -14,10 +14,12 @@ import (
 // an interleaving can end — normal completion, deadlock, a first-bug
 // stop, an illegal operation, every nondeterministic-replay check
 // (including a run with more and one with fewer threads than the run
-// it replays, and a replayed read that answers differently), an oracle failure and schedule-budget truncation, with
-// and without partial-order reduction — and requires each exploration
-// to return with every pooled thread goroutine gone and, under the
-// reduction, no run sleep-blocked.
+// it replays, and a replayed read that answers differently), an oracle
+// failure and schedule-budget truncation, with and without
+// partial-order reduction — and checks each Result. Explore starts no
+// goroutine: no run of any exploration sees more goroutines than there
+// were before it, nor does its caller afterwards. Under the reduction,
+// no run may end sleep-blocked.
 func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 	// unbounded is the full search (a preemption bound no run
 	// reaches), reduced the partial-order-reduced one.
@@ -26,25 +28,15 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 	lockInversion := func() func(*sched.World) {
 		return func(w *sched.World) {
 			m1, m2 := w.Mutex("m1"), w.Mutex("m2")
-			w.Spawn("a", func(ctx *sched.Context) {
-				ctx.Lock(m1)
-				ctx.Lock(m2)
-				ctx.Unlock(m2)
-				ctx.Unlock(m1)
-			})
-			w.Spawn("b", func(ctx *sched.Context) {
-				ctx.Lock(m2)
-				ctx.Lock(m1)
-				ctx.Unlock(m1)
-				ctx.Unlock(m2)
-			})
+			w.Spawn("a", sched.Ops(sched.Lock(m1), sched.Lock(m2), sched.Unlock(m2), sched.Unlock(m1)))
+			w.Spawn("b", sched.Ops(sched.Lock(m2), sched.Lock(m1), sched.Unlock(m1), sched.Unlock(m2)))
 		}
 	}
 	racyAdds := func() func(*sched.World) {
 		return func(w *sched.World) {
 			c := w.Var("c", 0)
-			w.Spawn("a", func(ctx *sched.Context) { ctx.Add(c, 1) })
-			w.Spawn("b", func(ctx *sched.Context) { ctx.Add(c, 1) })
+			w.Spawn("a", sched.Add(c, 1))
+			w.Spawn("b", sched.Add(c, 1))
 		}
 	}
 	// The initial value of x changes between runs: every operation
@@ -55,8 +47,8 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 		return func(w *sched.World) {
 			runs++
 			x, y := w.Var("x", runs), w.Var("y", 0)
-			w.Spawn("a", func(ctx *sched.Context) { ctx.Read(x); ctx.Write(y, 1) })
-			w.Spawn("b", func(ctx *sched.Context) { ctx.Write(y, 2) })
+			w.Spawn("a", sched.Ops(sched.Read(x), sched.Write(y, 1)))
+			w.Spawn("b", sched.Ops(sched.Write(y, 2)))
 		}
 	}
 	cases := []struct {
@@ -73,13 +65,9 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 			body: func() func(*sched.World) {
 				return func(w *sched.World) {
 					x := w.Var("x", 0)
-					w.Spawn("idle", func(*sched.Context) {})
-					w.Spawn("once", func(ctx *sched.Context) { ctx.Yield() })
-					w.Spawn("many", func(ctx *sched.Context) {
-						ctx.Write(x, 1)
-						ctx.Read(x)
-						ctx.Yield()
-					})
+					w.Spawn("idle", sched.Ops())
+					w.Spawn("once", sched.Ops(sched.Yield()))
+					w.Spawn("many", sched.Ops(sched.Write(x, 1), sched.Read(x), sched.Yield()))
 				}
 			},
 			want: func(r sched.Result) error {
@@ -101,8 +89,8 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 			body: func() func(*sched.World) {
 				return func(w *sched.World) {
 					c := w.Var("c", 0)
-					w.Spawn("a", func(ctx *sched.Context) { ctx.Write(c, 1); ctx.Yield() })
-					w.Spawn("b", func(ctx *sched.Context) { ctx.Write(c, 2); ctx.Yield() })
+					w.Spawn("a", sched.Ops(sched.Write(c, 1), sched.Yield()))
+					w.Spawn("b", sched.Ops(sched.Write(c, 2), sched.Yield()))
 				}
 			},
 			want: func(r sched.Result) error {
@@ -119,8 +107,8 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 				return func(w *sched.World) {
 					m := w.Mutex("m")
 					x, y := w.Var("x", 0), w.Var("y", 0)
-					w.Spawn("a", func(ctx *sched.Context) { ctx.Write(x, 1); ctx.Unlock(m) })
-					w.Spawn("b", func(ctx *sched.Context) { ctx.Write(y, 1); ctx.Write(y, 2) })
+					w.Spawn("a", sched.Ops(sched.Write(x, 1), sched.Unlock(m)))
+					w.Spawn("b", sched.Ops(sched.Write(y, 1), sched.Write(y, 2)))
 				}
 			},
 			want: failureWith("unlocked mutex"),
@@ -132,8 +120,8 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 				return func(w *sched.World) {
 					ch := w.Chan("ch", 1)
 					y := w.Var("y", 0)
-					w.Spawn("a", func(ctx *sched.Context) { ctx.Close(ch); ctx.Send(ch, 1) })
-					w.Spawn("b", func(ctx *sched.Context) { ctx.Write(y, 1); ctx.Write(y, 2) })
+					w.Spawn("a", sched.Ops(sched.Close(ch), sched.Send(ch, 1)))
+					w.Spawn("b", sched.Ops(sched.Write(y, 1), sched.Write(y, 2)))
 				}
 			},
 			want: failureWith("sent on closed channel"),
@@ -145,8 +133,8 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 				return func(w *sched.World) {
 					ch := w.Chan("ch", 1)
 					y := w.Var("y", 0)
-					w.Spawn("a", func(ctx *sched.Context) { ctx.Close(ch); ctx.Close(ch) })
-					w.Spawn("b", func(ctx *sched.Context) { ctx.Write(y, 1); ctx.Write(y, 2) })
+					w.Spawn("a", sched.Ops(sched.Close(ch), sched.Close(ch)))
+					w.Spawn("b", sched.Ops(sched.Write(y, 1), sched.Write(y, 2)))
 				}
 			},
 			want: failureWith("closed channel \"ch\" twice"),
@@ -166,7 +154,7 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 						n = 3
 					}
 					for i := 0; i < n; i++ {
-						w.Spawn(fmt.Sprintf("t%d", i), func(ctx *sched.Context) { ctx.Read(x); ctx.Read(x) })
+						w.Spawn(fmt.Sprintf("t%d", i), sched.Ops(sched.Read(x), sched.Read(x)))
 					}
 				}
 			},
@@ -183,12 +171,8 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 					runs++
 					x, y := w.Var("x", 0), w.Var("y", 0)
 					local := runs
-					w.Spawn("a", func(ctx *sched.Context) {
-						ctx.Write(x, local%2)
-						ctx.Write(x, 9)
-						ctx.Write(x, 9)
-					})
-					w.Spawn("b", func(ctx *sched.Context) { ctx.Write(y, 1); ctx.Write(y, 2); ctx.Write(y, 3) })
+					w.Spawn("a", sched.Ops(sched.Write(x, local%2), sched.Write(x, 9), sched.Write(x, 9)))
+					w.Spawn("b", sched.Ops(sched.Write(y, 1), sched.Write(y, 2), sched.Write(y, 3)))
 				}
 			},
 			want: nondetWith("nondeterministic replay at step"),
@@ -203,9 +187,9 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 				return func(w *sched.World) {
 					runs++
 					x := w.Var("x", 0)
-					w.Spawn("a", func(ctx *sched.Context) { ctx.Read(x); ctx.Read(x) })
+					w.Spawn("a", sched.Ops(sched.Read(x), sched.Read(x)))
 					if runs <= 2 {
-						w.Spawn("b", func(ctx *sched.Context) { ctx.Read(x); ctx.Read(x) })
+						w.Spawn("b", sched.Ops(sched.Read(x), sched.Read(x)))
 					}
 				}
 			},
@@ -225,12 +209,12 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 					if runs > 1 {
 						reads = 1
 					}
-					w.Spawn("a", func(ctx *sched.Context) {
-						for range reads {
-							ctx.Read(x)
-						}
-					})
-					w.Spawn("b", func(ctx *sched.Context) { ctx.Read(x) })
+					ops := make([]sched.Op, reads)
+					for i := range ops {
+						ops[i] = sched.Read(x)
+					}
+					w.Spawn("a", sched.Ops(ops...))
+					w.Spawn("b", sched.Ops(sched.Read(x)))
 				}
 			},
 			want: nondetWith("nondeterministic replay at step 1: thread 0 finished, expected read \"x\""),
@@ -251,9 +235,9 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 				return func(w *sched.World) {
 					runs++
 					x := w.Var("x", 0)
-					w.Spawn("a", func(ctx *sched.Context) { ctx.Read(x) })
+					w.Spawn("a", sched.Ops(sched.Read(x)))
 					if runs == 1 {
-						w.Spawn("b", func(ctx *sched.Context) { ctx.Read(x) })
+						w.Spawn("b", sched.Ops(sched.Read(x)))
 					}
 				}
 			},
@@ -265,8 +249,8 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 			body: func() func(*sched.World) {
 				return func(w *sched.World) {
 					c := w.Var("c", 0)
-					w.Spawn("a", func(ctx *sched.Context) { ctx.Add(c, 1) })
-					w.Spawn("b", func(ctx *sched.Context) { ctx.Add(c, 1) })
+					w.Spawn("a", sched.Add(c, 1))
+					w.Spawn("b", sched.Add(c, 1))
 					w.Check(func(get func(*sched.Var) int) error {
 						if get(c) != 2 {
 							return fmt.Errorf("lost update: c = %d", get(c))
@@ -296,8 +280,8 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 				return func(w *sched.World) {
 					m := w.Mutex("m")
 					x, y := w.Var("x", 0), w.Var("y", 0)
-					w.Spawn("a", func(ctx *sched.Context) { ctx.Write(x, 1); ctx.Unlock(m) })
-					w.Spawn("b", func(ctx *sched.Context) { ctx.Lock(m); ctx.Write(y, 1); ctx.Unlock(m) })
+					w.Spawn("a", sched.Ops(sched.Write(x, 1), sched.Unlock(m)))
+					w.Spawn("b", sched.Ops(sched.Lock(m), sched.Write(y, 1), sched.Unlock(m)))
 				}
 			},
 			want: failureWith("unlocked mutex \"m\" held by 1"),
@@ -308,8 +292,8 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 			body: func() func(*sched.World) {
 				return func(w *sched.World) {
 					c := w.Var("c", 0)
-					w.Spawn("a", func(ctx *sched.Context) { ctx.Add(c, 1) })
-					w.Spawn("b", func(ctx *sched.Context) { ctx.Add(c, 1) })
+					w.Spawn("a", sched.Add(c, 1))
+					w.Spawn("b", sched.Add(c, 1))
 					w.Check(func(get func(*sched.Var) int) error {
 						if get(c) != 2 {
 							return fmt.Errorf("lost update: c = %d", get(c))
@@ -350,8 +334,8 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 				return func(w *sched.World) {
 					x := w.Var("x", 0)
 					ch := w.Chan("ch", 1)
-					w.Spawn("a", func(ctx *sched.Context) { ctx.Send(ch, 1); ctx.Close(ch) })
-					w.Spawn("b", func(ctx *sched.Context) { ctx.Write(x, 1); ctx.Send(ch, 2) })
+					w.Spawn("a", sched.Ops(sched.Send(ch, 1), sched.Close(ch)))
+					w.Spawn("b", sched.Ops(sched.Write(x, 1), sched.Send(ch, 2)))
 				}
 			},
 			want: func(r sched.Result) error {
@@ -376,7 +360,7 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 						n = 3
 					}
 					for i := 0; i < n; i++ {
-						w.Spawn(fmt.Sprintf("t%d", i), func(ctx *sched.Context) { ctx.Write(x, i) })
+						w.Spawn(fmt.Sprintf("t%d", i), sched.Ops(sched.Write(x, i)))
 					}
 				}
 			},
@@ -396,7 +380,7 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 						n = 1
 					}
 					for i := 0; i < n; i++ {
-						w.Spawn(fmt.Sprintf("t%d", i), func(ctx *sched.Context) { ctx.Write(x, i) })
+						w.Spawn(fmt.Sprintf("t%d", i), sched.Ops(sched.Write(x, i)))
 					}
 				}
 			},
@@ -414,13 +398,12 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 					x := w.Var("x", 0)
 					ch := w.Chan("ch", 1)
 					later := runs > 1
-					w.Spawn("a", func(ctx *sched.Context) { ctx.Write(x, 1) })
-					w.Spawn("b", func(ctx *sched.Context) {
-						if later {
-							ctx.Recv(ch)
-						}
-						ctx.Write(x, 2)
-					})
+					w.Spawn("a", sched.Ops(sched.Write(x, 1)))
+					if later {
+						w.Spawn("b", sched.Ops(sched.Recv(ch), sched.Write(x, 2)))
+					} else {
+						w.Spawn("b", sched.Ops(sched.Write(x, 2)))
+					}
 				}
 			},
 			want: nondetWith("differs from the replayed run"),
@@ -438,18 +421,13 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 					x := w.Var("x", 0)
 					ch := w.Chan("ch", 1)
 					first := runs == 1
-					w.Spawn("a", func(ctx *sched.Context) {
-						ctx.Send(ch, 1)
-						if first {
-							ctx.Write(x, 1)
-						}
-					})
-					w.Spawn("b", func(ctx *sched.Context) {
-						if first {
-							ctx.Recv(ch)
-							ctx.Write(x, 2)
-						}
-					})
+					if first {
+						w.Spawn("a", sched.Ops(sched.Send(ch, 1), sched.Write(x, 1)))
+						w.Spawn("b", sched.Ops(sched.Recv(ch), sched.Write(x, 2)))
+					} else {
+						w.Spawn("a", sched.Ops(sched.Send(ch, 1)))
+						w.Spawn("b", sched.Ops())
+					}
 				}
 			},
 			want: nondetWith("nondeterministic replay: run ended after 1 steps, expected more than 1"),
@@ -463,10 +441,17 @@ func TestEveryRunEndingLeavesNoGoroutine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			defer ptest.NoLeaks(t)()
-			res, blocked := sched.ExploreBlocked(tc.opt, tc.body())
+			before := runtime.NumGoroutine()
+			body, most := tc.body(), 0
+			res, blocked := sched.ExploreBlocked(tc.opt, func(w *sched.World) {
+				most = max(most, runtime.NumGoroutine())
+				body(w)
+			})
 			if err := tc.want(res); err != nil {
 				t.Fatalf("%v, got %+v", err, res)
+			}
+			if after := runtime.NumGoroutine(); most > before || after > before {
+				t.Fatalf("Explore started goroutines: %d before, up to %d during its runs, %d after", before, most, after)
 			}
 			if blocked != 0 {
 				t.Fatalf("%d of %d runs ended sleep-blocked", blocked, res.Schedules)

@@ -237,7 +237,7 @@ func (p *por) objClocks(obj int) (all, writes []uint32) {
 }
 
 // objOf returns the dense id of the object req touches, -1 for Yield.
-func objOf(req *request) int {
+func objOf(req *Op) int {
 	switch {
 	case req.v != nil:
 		return req.v.id
@@ -249,13 +249,13 @@ func objOf(req *request) int {
 	return -1
 }
 
-func stepOf(tid int, req *request) step {
-	return step{tid: int32(tid), obj: int32(objOf(req)), op: req.op}
+func stepOf(tid int, req *Op) step {
+	return step{tid: int32(tid), obj: int32(objOf(req)), op: req.kind}
 }
 
 // dependent reports whether two requests of different threads are
 // dependent.
-func dependent(a, b *request) bool {
+func dependent(a, b *Op) bool {
 	return stepOf(0, a).dependsOn(stepOf(0, b))
 }
 
@@ -265,15 +265,15 @@ func dependent(a, b *request) bool {
 // and a legal unlock of one mutex never can: the unlocking thread
 // holds it. A receive needs a message or a closed channel, a send
 // buffer space or a closed channel.
-func reversible(ev *event, req *request, tid int) bool {
+func reversible(ev *event, req *Op, tid int) bool {
 	switch {
-	case ev.op == opLock && req.op == opUnlock:
+	case ev.op == opLock && req.kind == opUnlock:
 		return req.m.holder != tid
-	case ev.op == opUnlock && req.op == opLock:
+	case ev.op == opUnlock && req.kind == opLock:
 		return false
-	case req.op == opRecv:
+	case req.kind == opRecv:
 		return ev.pre&(preEmpty|preClosed) != preEmpty
-	case req.op == opSend:
+	case req.kind == opSend:
 		return ev.pre&(preFull|preClosed) != preFull
 	}
 	return true
@@ -281,8 +281,8 @@ func reversible(ev *event, req *request, tid int) bool {
 
 // aborts reports whether thread tid's request req is an illegal
 // operation in the current state.
-func aborts(req *request, tid int) bool {
-	switch req.op {
+func aborts(req *Op, tid int) bool {
+	switch req.kind {
 	case opUnlock:
 		return req.m.holder != tid
 	case opSend, opClose:
@@ -295,8 +295,8 @@ func aborts(req *request, tid int) bool {
 // in the state before the earlier event ev of another thread on its
 // object. Before that thread's lock or unlock of a mutex, req's thread
 // does not hold it.
-func abortsBefore(ev *event, req *request) bool {
-	switch req.op {
+func abortsBefore(ev *event, req *Op) bool {
+	switch req.kind {
 	case opUnlock:
 		return true
 	case opSend, opClose:
@@ -387,7 +387,7 @@ func sameEnabled(row []uint8, enabled []int) bool {
 // record appends tid's operation req to the run's events and computes
 // its clock: the join of tid's previous event and every earlier event
 // req depends on. It returns the event's index.
-func (p *por) record(tid int, req *request) int {
+func (p *por) record(tid int, req *Op) int {
 	n := p.threads
 	idx := len(p.events)
 	ev := event{step: stepOf(tid, req), seq: int32(len(p.byThread[tid]) + 1), prevObj: -1}
@@ -417,12 +417,12 @@ func (p *por) record(tid int, req *request) int {
 		// A read joins the object's clock; any other event already
 		// follows every earlier event on the object.
 		all, writes := p.objClocks(obj)
-		if req.op == opRead {
+		if req.kind == opRead {
 			join(all, clk)
 		} else {
 			copy(all, clk)
 		}
-		if req.op == opWrite {
+		if req.kind == opWrite {
 			copy(writes, clk)
 		}
 		ev.prevObj = p.objLast[obj]
@@ -468,14 +468,14 @@ func (p *por) posted(ex *execution, tid int) {
 // executed checks event idx, which executed req, against the requests
 // other threads have pending on the same object: it is their latest
 // possible partner.
-func (p *por) executed(ex *execution, idx int, req *request) {
+func (p *por) executed(ex *execution, idx int, req *Op) {
 	obj := objOf(req)
 	if obj < 0 {
 		return
 	}
 	ev := &p.events[idx]
 	for u, r := range ex.pending {
-		if r == nil || objOf(r) != obj || (ev.op == opRead && r.op == opRead) {
+		if r == nil || objOf(r) != obj || (ev.op == opRead && r.kind == opRead) {
 			continue
 		}
 		prev := p.lastClock(u)
@@ -491,14 +491,14 @@ func (p *por) executed(ex *execution, idx int, req *request) {
 // pendingClock returns, in a scratch buffer, the clock a pending
 // request req on obj would have: its thread's last clock prev joined
 // with the events on obj it depends on.
-func (p *por) pendingClock(req *request, obj int, prev []uint32) []uint32 {
+func (p *por) pendingClock(req *Op, obj int, prev []uint32) []uint32 {
 	if prev != nil {
 		copy(p.jclk, prev)
 	} else {
 		clear(p.jclk)
 	}
 	all, writes := p.objClocks(obj)
-	if req.op == opRead {
+	if req.kind == opRead {
 		join(p.jclk, writes)
 	} else {
 		join(p.jclk, all)
@@ -526,7 +526,7 @@ func (p *por) aborted(ex *execution, i int) {
 // to another thread, is dependent on req, could run with req in its
 // place and does not happen before tid's last event (whose clock is
 // prev, nil for none). It returns -1 when there is none.
-func (p *por) partner(tid int, req *request, prev []uint32, start int) int {
+func (p *por) partner(tid int, req *Op, prev []uint32, start int) int {
 	for e := start; e >= 0; e = int(p.events[e].prevObj) {
 		ev := &p.events[e]
 		// Any event but a read depends on every earlier event on its
@@ -539,7 +539,7 @@ func (p *por) partner(tid int, req *request, prev []uint32, start int) int {
 			}
 			continue
 		}
-		if ev.op == opRead && req.op == opRead {
+		if ev.op == opRead && req.kind == opRead {
 			continue
 		}
 		if reversible(ev, req, tid) {
@@ -556,7 +556,7 @@ func (p *por) partner(tid int, req *request, prev []uint32, start int) int {
 // when a thread asleep or already explored at node i is a weak initial
 // of v: the traces that start with v are then covered by that thread's
 // exploration.
-func (p *por) reverse(ex *execution, i, q int, req *request, abort bool) {
+func (p *por) reverse(ex *execution, i, q int, req *Op, abort bool) {
 	ti, si := int(p.events[i].tid), uint32(p.events[i].seq)
 	v := p.seq[:0]
 	for e := i + 1; e < len(p.events); e++ {

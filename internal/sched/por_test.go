@@ -91,40 +91,41 @@ func randomProgram(seed int64) (string, func(*sched.World)) {
 		mus := []*sched.Mutex{w.Mutex("m0"), w.Mutex("m1")}
 		chans := []*sched.Chan{w.Chan("c1", 1), w.Chan("c2", 2)}
 		for t, acts := range prog {
-			w.Spawn(fmt.Sprintf("t%d", t), func(ctx *sched.Context) {
-				for k, a := range acts {
-					v := vars[a.a]
-					switch a.kind {
-					case 0:
-						ctx.Read(v)
-					case 1:
-						ctx.Write(v, 10*t+k)
-					case 2: // a write under one lock
-						ctx.Lock(mus[a.b])
-						ctx.Write(v, 10*t+k)
-						ctx.Unlock(mus[a.b])
-					case 3: // two locks, in either order
-						ctx.Lock(mus[a.b])
-						ctx.Lock(mus[1-a.b])
-						ctx.Unlock(mus[1-a.b])
-						ctx.Unlock(mus[a.b])
-					case 4:
-						ctx.Send(chans[a.b], 10*t+k)
-					case 5:
-						if x, ok := ctx.Recv(chans[a.b]); ok {
-							ctx.Write(v, x)
-						}
-					case 6:
-						ctx.Close(chans[a.b])
-					case 7:
-						ctx.Yield()
-					case 8: // unlocking a mutex the thread may not hold
-						ctx.Unlock(mus[a.b])
-					case 9: // locking a mutex for the rest of the run
-						ctx.Lock(mus[a.b])
-					}
+			th := &optionalSteps{}
+			do := func(ops ...sched.Op) {
+				for _, op := range ops {
+					th.steps = append(th.steps, func(sched.Response) (sched.Op, bool) { return op, true })
 				}
-			})
+			}
+			for k, a := range acts {
+				v := vars[a.a]
+				switch a.kind {
+				case 0:
+					do(sched.Read(v))
+				case 1:
+					do(sched.Write(v, 10*t+k))
+				case 2: // a write under one lock
+					do(sched.Lock(mus[a.b]), sched.Write(v, 10*t+k), sched.Unlock(mus[a.b]))
+				case 3: // two locks, in either order
+					do(sched.Lock(mus[a.b]), sched.Lock(mus[1-a.b]), sched.Unlock(mus[1-a.b]), sched.Unlock(mus[a.b]))
+				case 4:
+					do(sched.Send(chans[a.b], 10*t+k))
+				case 5: // a receive, and a write of what it got, if anything
+					do(sched.Recv(chans[a.b]))
+					th.steps = append(th.steps, func(prev sched.Response) (sched.Op, bool) {
+						return sched.Write(v, prev.Val), prev.OK
+					})
+				case 6:
+					do(sched.Close(chans[a.b]))
+				case 7:
+					do(sched.Yield())
+				case 8: // unlocking a mutex the thread may not hold
+					do(sched.Unlock(mus[a.b]))
+				case 9: // locking a mutex for the rest of the run
+					do(sched.Lock(mus[a.b]))
+				}
+			}
+			w.Spawn(fmt.Sprintf("t%d", t), th)
 		}
 		w.Check(func(get func(*sched.Var) int) error {
 			if x, y := get(vars[0]), get(vars[1]); x > y {
@@ -134,6 +135,24 @@ func randomProgram(seed int64) (string, func(*sched.World)) {
 		})
 	}
 	return strings.Join(desc, " | "), body
+}
+
+// optionalSteps is a thread that takes its steps in order, skipping
+// each step that reports false, and then exits.
+type optionalSteps struct {
+	steps []func(prev sched.Response) (sched.Op, bool)
+	next  int
+}
+
+func (th *optionalSteps) Step(prev sched.Response) sched.Op {
+	for th.next < len(th.steps) {
+		op, ok := th.steps[th.next](prev)
+		th.next++
+		if ok {
+			return op
+		}
+	}
+	return sched.Exit
 }
 
 // TestReductionMatchesFullSearch is the reduction's differential
@@ -238,11 +257,11 @@ func TestReductionScheduleCounts(t *testing.T) {
 				y = x
 			}
 			for _, v := range []*sched.Var{x, y} {
-				w.Spawn(v.Name(), func(ctx *sched.Context) {
-					for i := range tc.k {
-						ctx.Write(v, i)
-					}
-				})
+				ops := make([]sched.Op, tc.k)
+				for i := range ops {
+					ops[i] = sched.Write(v, i)
+				}
+				w.Spawn(v.Name(), sched.Ops(ops...))
 			}
 		})
 		if res.Schedules != tc.want || blocked != 0 || !res.Exhausted {

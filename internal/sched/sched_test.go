@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -14,9 +16,8 @@ func unbounded() Options { return Options{PreemptionBound: math.MaxInt} }
 func TestRacyCounterFound(t *testing.T) {
 	res := Explore(unbounded(), func(w *World) {
 		c := w.Var("counter", 0)
-		inc := func(ctx *Context) { ctx.Add(c, 1) }
-		w.Spawn("a", inc)
-		w.Spawn("b", inc)
+		w.Spawn("a", Add(c, 1))
+		w.Spawn("b", Add(c, 1))
 		w.Check(func(get func(*Var) int) error {
 			if get(c) != 2 {
 				return fmt.Errorf("counter = %d, want 2", get(c))
@@ -42,13 +43,9 @@ func TestLockedCounterClean(t *testing.T) {
 	res := Explore(unbounded(), func(w *World) {
 		c := w.Var("counter", 0)
 		m := w.Mutex("m")
-		inc := func(ctx *Context) {
-			ctx.Lock(m)
-			ctx.Add(c, 1)
-			ctx.Unlock(m)
-		}
-		w.Spawn("a", inc)
-		w.Spawn("b", inc)
+		inc := func() Thread { return Seq(Do(Lock(m)), Do(Read(c)), WriteSum(c, 1), Do(Unlock(m))) }
+		w.Spawn("a", inc())
+		w.Spawn("b", inc())
 		w.Check(func(get func(*Var) int) error {
 			if get(c) != 2 {
 				return fmt.Errorf("counter = %d, want 2", get(c))
@@ -69,18 +66,8 @@ func TestDeadlockDetected(t *testing.T) {
 	res := Explore(unbounded(), func(w *World) {
 		m1 := w.Mutex("m1")
 		m2 := w.Mutex("m2")
-		w.Spawn("a", func(ctx *Context) {
-			ctx.Lock(m1)
-			ctx.Lock(m2)
-			ctx.Unlock(m2)
-			ctx.Unlock(m1)
-		})
-		w.Spawn("b", func(ctx *Context) {
-			ctx.Lock(m2)
-			ctx.Lock(m1)
-			ctx.Unlock(m1)
-			ctx.Unlock(m2)
-		})
+		w.Spawn("a", Ops(Lock(m1), Lock(m2), Unlock(m2), Unlock(m1)))
+		w.Spawn("b", Ops(Lock(m2), Lock(m1), Unlock(m1), Unlock(m2)))
 	})
 	if len(res.Deadlocks) == 0 {
 		t.Fatalf("expected deadlock, got %+v", res)
@@ -95,22 +82,30 @@ func TestProducerConsumerClean(t *testing.T) {
 		data := w.Var("data", 0)
 		sum := w.Var("sum", 0)
 		ch := w.Chan("ch", 2)
-		w.Spawn("producer", func(ctx *Context) {
-			for i := 1; i <= 3; i++ {
-				ctx.Write(data, i*10)
-				ctx.Send(ch, i)
-			}
-			ctx.Close(ch)
-		})
-		w.Spawn("consumer", func(ctx *Context) {
-			for {
-				v, ok := ctx.Recv(ch)
-				if !ok {
-					return
+		var produce []Op
+		for i := 1; i <= 3; i++ {
+			produce = append(produce, Write(data, i*10), Send(ch, i))
+		}
+		w.Spawn("producer", Ops(append(produce, Close(ch))...))
+		// The consumer receives until the channel is closed and adds
+		// each message to sum: receive, read sum, write it, repeat.
+		pc, msg := 0, 0
+		w.Spawn("consumer", StepFunc(func(prev Response) Op {
+			switch pc {
+			case 0:
+				pc = 1
+				return Recv(ch)
+			case 1:
+				if !prev.OK {
+					return Exit
 				}
-				ctx.Add(sum, v)
+				pc, msg = 2, prev.Val
+				return Read(sum)
+			default:
+				pc = 0
+				return Write(sum, prev.Val+msg)
 			}
-		})
+		}))
 		w.Check(func(get func(*Var) int) error {
 			if get(sum) != 6 {
 				return fmt.Errorf("sum = %d, want 6", get(sum))
@@ -134,16 +129,13 @@ func TestChannelHandoffOrdersAccesses(t *testing.T) {
 	res := Explore(unbounded(), func(w *World) {
 		x := w.Var("x", 0)
 		ch := w.Chan("ch", 1)
-		w.Spawn("producer", func(ctx *Context) {
-			ctx.Write(x, 42)
-			ctx.Send(ch, 1)
-		})
-		w.Spawn("consumer", func(ctx *Context) {
-			ctx.Recv(ch)
-			if got := ctx.Read(x); got != 42 {
+		w.Spawn("producer", Ops(Write(x, 42), Send(ch, 1)))
+		w.Spawn("consumer", Seq(Do(Recv(ch)), Do(Read(x)), func(prev Response) Op {
+			if prev.Val != 42 {
 				panic("hand-off broken")
 			}
-		})
+			return Exit
+		}))
 	})
 	if res.Buggy() {
 		t.Fatalf("channel hand-off should order accesses, got %+v", res)
@@ -153,8 +145,8 @@ func TestChannelHandoffOrdersAccesses(t *testing.T) {
 func TestMissingHandoffIsRace(t *testing.T) {
 	res := Explore(unbounded(), func(w *World) {
 		x := w.Var("x", 0)
-		w.Spawn("writer", func(ctx *Context) { ctx.Write(x, 42) })
-		w.Spawn("reader", func(ctx *Context) { ctx.Read(x) })
+		w.Spawn("writer", Ops(Write(x, 42)))
+		w.Spawn("reader", Ops(Read(x)))
 	})
 	if len(res.Races) == 0 {
 		t.Fatal("unsynchronized write/read must race")
@@ -165,23 +157,28 @@ func TestRecvOnClosedChannel(t *testing.T) {
 	res := Explore(unbounded(), func(w *World) {
 		ch := w.Chan("ch", 1)
 		got := w.Var("got", -1)
-		w.Spawn("closer", func(ctx *Context) {
-			ctx.Send(ch, 7)
-			ctx.Close(ch)
-		})
-		w.Spawn("reader", func(ctx *Context) {
-			v, ok := ctx.Recv(ch)
-			if !ok {
-				ctx.Write(got, 100) // closed before the value: impossible (FIFO)
-				return
-			}
-			_, ok = ctx.Recv(ch)
-			if ok {
-				ctx.Write(got, 200)
-				return
-			}
-			ctx.Write(got, v)
-		})
+		w.Spawn("closer", Ops(Send(ch, 7), Close(ch)))
+		first, early := 0, false
+		w.Spawn("reader", Seq(
+			Do(Recv(ch)),
+			func(prev Response) Op {
+				if !prev.OK {
+					early = true
+					return Write(got, 100) // closed before the value: impossible (FIFO)
+				}
+				first = prev.Val
+				return Recv(ch)
+			},
+			func(prev Response) Op {
+				switch {
+				case early:
+					return Exit
+				case prev.OK:
+					return Write(got, 200)
+				}
+				return Write(got, first)
+			},
+		))
 		w.Check(func(get func(*Var) int) error {
 			if get(got) != 7 {
 				return fmt.Errorf("got = %d, want 7", get(got))
@@ -197,10 +194,7 @@ func TestRecvOnClosedChannel(t *testing.T) {
 func TestSendOnClosedChannelFails(t *testing.T) {
 	res := Explore(Options{PreemptionBound: math.MaxInt, StopAtFirstBug: true}, func(w *World) {
 		ch := w.Chan("ch", 1)
-		w.Spawn("a", func(ctx *Context) {
-			ctx.Close(ch)
-			ctx.Send(ch, 1)
-		})
+		w.Spawn("a", Ops(Close(ch), Send(ch, 1)))
 	})
 	if len(res.Failures) == 0 {
 		t.Fatalf("send on closed channel must fail, got %+v", res)
@@ -210,10 +204,7 @@ func TestSendOnClosedChannelFails(t *testing.T) {
 func TestDoubleCloseFails(t *testing.T) {
 	res := Explore(unbounded(), func(w *World) {
 		ch := w.Chan("ch", 1)
-		w.Spawn("a", func(ctx *Context) {
-			ctx.Close(ch)
-			ctx.Close(ch)
-		})
+		w.Spawn("a", Ops(Close(ch), Close(ch)))
 	})
 	if len(res.Failures) == 0 {
 		t.Fatal("double close must fail")
@@ -223,7 +214,7 @@ func TestDoubleCloseFails(t *testing.T) {
 func TestUnlockUnheldFails(t *testing.T) {
 	res := Explore(unbounded(), func(w *World) {
 		m := w.Mutex("m")
-		w.Spawn("a", func(ctx *Context) { ctx.Unlock(m) })
+		w.Spawn("a", Ops(Unlock(m)))
 	})
 	if len(res.Failures) == 0 {
 		t.Fatal("unlock of unheld mutex must fail")
@@ -245,15 +236,12 @@ func TestPreemptionBoundReducesSchedules(t *testing.T) {
 	body := func(w *World) {
 		c := w.Var("c", 0)
 		m := w.Mutex("m")
-		inc := func(ctx *Context) {
-			for i := 0; i < 2; i++ {
-				ctx.Lock(m)
-				ctx.Add(c, 1)
-				ctx.Unlock(m)
-			}
+		inc := func() Thread {
+			return Seq(Do(Lock(m)), Do(Read(c)), WriteSum(c, 1), Do(Unlock(m)),
+				Do(Lock(m)), Do(Read(c)), WriteSum(c, 1), Do(Unlock(m)))
 		}
-		w.Spawn("a", inc)
-		w.Spawn("b", inc)
+		w.Spawn("a", inc())
+		w.Spawn("b", inc())
 	}
 	full := Explore(unbounded(), body)
 	b0 := Explore(Options{PreemptionBound: 0}, body)
@@ -271,8 +259,8 @@ func TestPreemptionBoundStillFindsSimpleRace(t *testing.T) {
 	// (between the read and the write of one Add).
 	res := Explore(Options{PreemptionBound: 1}, func(w *World) {
 		c := w.Var("c", 0)
-		w.Spawn("a", func(ctx *Context) { ctx.Add(c, 1) })
-		w.Spawn("b", func(ctx *Context) { ctx.Add(c, 1) })
+		w.Spawn("a", Add(c, 1))
+		w.Spawn("b", Add(c, 1))
 		w.Check(func(get func(*Var) int) error {
 			if get(c) != 2 {
 				return fmt.Errorf("lost update: c = %d", get(c))
@@ -288,8 +276,8 @@ func TestPreemptionBoundStillFindsSimpleRace(t *testing.T) {
 func TestStopAtFirstBug(t *testing.T) {
 	res := Explore(Options{PreemptionBound: math.MaxInt, StopAtFirstBug: true}, func(w *World) {
 		c := w.Var("c", 0)
-		w.Spawn("a", func(ctx *Context) { ctx.Write(c, 1) })
-		w.Spawn("b", func(ctx *Context) { ctx.Write(c, 2) })
+		w.Spawn("a", Ops(Write(c, 1)))
+		w.Spawn("b", Ops(Write(c, 2)))
 	})
 	if !res.Buggy() {
 		t.Fatal("expected a bug")
@@ -302,8 +290,8 @@ func TestStopAtFirstBug(t *testing.T) {
 func TestMaxSchedulesTruncates(t *testing.T) {
 	res := Explore(Options{PreemptionBound: math.MaxInt, MaxSchedules: 3}, func(w *World) {
 		c := w.Var("c", 0)
-		w.Spawn("a", func(ctx *Context) { ctx.Add(c, 1) })
-		w.Spawn("b", func(ctx *Context) { ctx.Add(c, 1) })
+		w.Spawn("a", Add(c, 1))
+		w.Spawn("b", Add(c, 1))
 	})
 	if !res.Truncated || res.Schedules != 3 {
 		t.Fatalf("expected truncation at 3 schedules, got %+v", res)
@@ -316,8 +304,8 @@ func TestScheduleCountTwoIndependentOps(t *testing.T) {
 	res := Explore(unbounded(), func(w *World) {
 		x := w.Var("x", 0)
 		y := w.Var("y", 0)
-		w.Spawn("a", func(ctx *Context) { ctx.Write(x, 1) })
-		w.Spawn("b", func(ctx *Context) { ctx.Write(y, 1) })
+		w.Spawn("a", Ops(Write(x, 1)))
+		w.Spawn("b", Ops(Write(y, 1)))
 	})
 	if res.Schedules != 2 {
 		t.Fatalf("Schedules = %d, want 2", res.Schedules)
@@ -334,16 +322,13 @@ func TestScheduleCountInterleavingsFormula(t *testing.T) {
 		res := Explore(unbounded(), func(w *World) {
 			x := w.Var("x", 0)
 			y := w.Var("y", 0)
-			w.Spawn("a", func(ctx *Context) {
-				for i := 0; i < tc.k; i++ {
-					ctx.Write(x, i)
-				}
-			})
-			w.Spawn("b", func(ctx *Context) {
-				for i := 0; i < tc.k; i++ {
-					ctx.Write(y, i)
-				}
-			})
+			var as, bs []Op
+			for i := 0; i < tc.k; i++ {
+				as = append(as, Write(x, i))
+				bs = append(bs, Write(y, i))
+			}
+			w.Spawn("a", Ops(as...))
+			w.Spawn("b", Ops(bs...))
 		})
 		if res.Schedules != tc.want {
 			t.Errorf("k=%d: Schedules = %d, want %d", tc.k, res.Schedules, tc.want)
@@ -356,11 +341,7 @@ func TestThreeThreadLockedSumAllInterleavings(t *testing.T) {
 		c := w.Var("c", 0)
 		m := w.Mutex("m")
 		for i := 0; i < 3; i++ {
-			w.Spawn(fmt.Sprintf("t%d", i), func(ctx *Context) {
-				ctx.Lock(m)
-				ctx.Add(c, 1)
-				ctx.Unlock(m)
-			})
+			w.Spawn(fmt.Sprintf("t%d", i), Seq(Do(Lock(m)), Do(Read(c)), WriteSum(c, 1), Do(Unlock(m))))
 		}
 		w.Check(func(get func(*Var) int) error {
 			if get(c) != 3 {
@@ -377,9 +358,9 @@ func TestThreeThreadLockedSumAllInterleavings(t *testing.T) {
 func TestRaceKindsReported(t *testing.T) {
 	res := Explore(unbounded(), func(w *World) {
 		x := w.Var("x", 0)
-		w.Spawn("w1", func(ctx *Context) { ctx.Write(x, 1) })
-		w.Spawn("w2", func(ctx *Context) { ctx.Write(x, 2) })
-		w.Spawn("r", func(ctx *Context) { ctx.Read(x) })
+		w.Spawn("w1", Ops(Write(x, 1)))
+		w.Spawn("w2", Ops(Write(x, 2)))
+		w.Spawn("r", Ops(Read(x)))
 	})
 	kinds := map[string]bool{}
 	for _, rc := range res.Races {
@@ -403,14 +384,10 @@ func TestNondeterministicBodyDetected(t *testing.T) {
 		x := w.Var("x", 0)
 		y := w.Var("y", 0)
 		local := n // varies between runs: nondeterministic
-		w.Spawn("a", func(ctx *Context) {
-			// The first operation differs between runs, so any replayed
-			// prefix that schedules thread a first diverges.
-			ctx.Write(x, local%2)
-			ctx.Write(x, 9)
-			ctx.Write(x, 9)
-		})
-		w.Spawn("b", func(ctx *Context) { ctx.Write(y, 1); ctx.Write(y, 2); ctx.Write(y, 3) })
+		// The first operation differs between runs, so any replayed
+		// prefix that schedules thread a first diverges.
+		w.Spawn("a", Ops(Write(x, local%2), Write(x, 9), Write(x, 9)))
+		w.Spawn("b", Ops(Write(y, 1), Write(y, 2), Write(y, 3)))
 	})
 	if !res.Nondeterministic {
 		t.Fatalf("expected nondeterminism detection after %d runs, got %+v", n, res)
@@ -425,13 +402,7 @@ func TestMutexProtectsAgainstRaceDetectorFalsePositive(t *testing.T) {
 		x := w.Var("x", 0)
 		m := w.Mutex("m")
 		for i := 0; i < 2; i++ {
-			w.Spawn(fmt.Sprintf("t%d", i), func(ctx *Context) {
-				ctx.Lock(m)
-				ctx.Write(x, ctx.ThreadID())
-				v := ctx.Read(x)
-				ctx.Unlock(m)
-				_ = v
-			})
+			w.Spawn(fmt.Sprintf("t%d", i), Ops(Lock(m), Write(x, i), Read(x), Unlock(m)))
 		}
 	})
 	if len(res.Races) != 0 {
@@ -466,7 +437,7 @@ func TestVClockOps(t *testing.T) {
 
 func TestOpKindString(t *testing.T) {
 	for k, want := range map[opKind]string{
-		opRead: "read", opWrite: "write", opLock: "lock", opUnlock: "unlock",
+		opExit: "exit", opRead: "read", opWrite: "write", opLock: "lock", opUnlock: "unlock",
 		opSend: "send", opRecv: "recv", opClose: "close", opYield: "yield",
 	} {
 		if k.String() != want {
@@ -486,12 +457,70 @@ func TestYieldAndNames(t *testing.T) {
 		if v.Name() != "v" || m.Name() != "mx" || ch.Name() != "cc" || ch.Len() != 0 {
 			panic("accessor broken")
 		}
-		w.Spawn("a", func(ctx *Context) {
-			ctx.Yield()
-			ctx.Yield()
-		})
+		w.Spawn("a", Ops(Yield(), Yield()))
 	})
 	if res.Buggy() || !res.Exhausted {
 		t.Fatalf("unexpected %+v", res)
 	}
+}
+
+// TestPanickingThreadReachesCaller: a thread's step runs on the
+// caller's goroutine, so its panic reaches Explore's caller, who can
+// recover it, and a later exploration runs normally.
+func TestPanickingThreadReachesCaller(t *testing.T) {
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		Explore(unbounded(), func(w *World) {
+			x := w.Var("x", 0)
+			w.Spawn("a", Ops(Write(x, 1)))
+			w.Spawn("b", Seq(Do(Read(x)), func(Response) Op { panic("step failed") }))
+		})
+		return nil
+	}()
+	if got != "step failed" {
+		t.Fatalf("recovered %v, want the thread's panic", got)
+	}
+	res := Explore(unbounded(), func(w *World) {
+		x := w.Var("x", 0)
+		w.Spawn("a", Ops(Write(x, 1)))
+		w.Spawn("b", Ops(Read(x)))
+	})
+	if !res.Exhausted || res.Schedules != 2 || len(res.Races) != 2 {
+		t.Fatalf("exploration after a panic: %+v", res)
+	}
+}
+
+// TestThreadsRunOnCallersGoroutine: Explore starts no goroutine; every
+// thread's steps run on the goroutine that called it.
+func TestThreadsRunOnCallersGoroutine(t *testing.T) {
+	caller := goroutine()
+	steps := 0
+	on := func(op Op) Step {
+		return func(Response) Op {
+			if g := goroutine(); g != caller {
+				t.Errorf("a step ran on goroutine %s, Explore was called on %s", g, caller)
+			}
+			steps++
+			return op
+		}
+	}
+	res := Explore(Options{PreemptionBound: -1}, func(w *World) {
+		x := w.Var("x", 0)
+		ch := w.Chan("ch", 1)
+		w.Spawn("a", Seq(on(Write(x, 1)), on(Send(ch, 1)), on(Exit)))
+		w.Spawn("b", Seq(on(Recv(ch)), on(Read(x)), on(Exit)))
+		w.Spawn("c", Seq(on(Write(x, 2)), on(Exit)))
+	})
+	if !res.Exhausted || res.Schedules < 2 || steps == 0 {
+		t.Fatalf("want an exhaustive search of several runs, got %+v after %d steps", res, steps)
+	}
+}
+
+// goroutine returns the id of the calling goroutine, as its stack
+// trace's header names it.
+func goroutine() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := bytes.Cut(bytes.TrimPrefix(buf, []byte("goroutine ")), []byte(" "))
+	return string(id)
 }

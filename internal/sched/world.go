@@ -2,9 +2,9 @@ package sched
 
 import "fmt"
 
-// Var is a shared integer variable under scheduler control. All reads
-// and writes go through a Context and are yield points as well as
-// inputs to the happens-before race detector.
+// Var is a shared integer variable under scheduler control. Its reads
+// and writes are operations (Read, Write): scheduling points as well
+// as inputs to the happens-before race detector.
 type Var struct {
 	name    string
 	id      int // dense object id, in declaration order
@@ -52,9 +52,9 @@ type chanMsg struct {
 // Name returns the channel's diagnostic name.
 func (c *Chan) Name() string { return c.name }
 
-// Len returns the current number of buffered messages. A thread's
-// function must not depend on it: while the thread fast-forwards
-// through a replayed prefix, the channel is not yet in that state.
+// Len returns the current number of buffered messages. A thread must
+// not depend on it: a thread learns the World's state only from the
+// responses to its operations.
 func (c *Chan) Len() int { return c.n }
 
 // World is the per-run universe of a program under test: its shared
@@ -82,8 +82,8 @@ type decl struct {
 }
 
 type threadSpec struct {
-	name string
-	fn   func(*Context)
+	name   string
+	thread Thread
 }
 
 // reset empties w for the next run, keeping its declared objects.
@@ -158,8 +158,8 @@ func (w *World) Chan(name string, capacity int) *Chan {
 
 // Spawn registers a thread. Threads start when the body function
 // returns; their ids are assigned in spawn order starting at 0.
-func (w *World) Spawn(name string, fn func(*Context)) {
-	w.threads = append(w.threads, threadSpec{name: name, fn: fn})
+func (w *World) Spawn(name string, t Thread) {
+	w.threads = append(w.threads, threadSpec{name: name, thread: t})
 }
 
 // Check registers the final-state oracle, evaluated after all threads
@@ -168,69 +168,66 @@ func (w *World) Spawn(name string, fn func(*Context)) {
 // tests compare the parallel outcome against the sequential result.
 func (w *World) Check(fn func(get func(*Var) int) error) { w.check = fn }
 
-// Context is a thread's handle to the controlled world. Every method
-// is a yield point: the calling thread surrenders control to the
-// scheduler, which decides when (and whether) the operation proceeds.
-type Context struct {
-	ex *execution
-	t  *thread
+// Thread is one thread of the program under test, as a step function.
+// The explorer calls Step, always on the goroutine that called
+// Explore, with the response to the thread's previous operation (the
+// zero Response on the first call); Step returns the thread's next
+// operation, or Exit once the thread has finished, and is called again
+// only after that operation has executed. body declares its threads
+// anew on every run, so a thread keeps its state in the value body
+// spawns, and shares state with other threads only through the World.
+// A Thread is an interface, not a func, so that a body can spawn
+// pointers into one block of thread states instead of allocating a
+// closure per thread per run.
+type Thread interface {
+	Step(prev Response) Op
 }
 
-// ThreadID returns the calling thread's id.
-func (c *Context) ThreadID() int { return c.t.id }
-
-// Read returns the current value of v.
-func (c *Context) Read(v *Var) int {
-	resp := c.yield(request{op: opRead, v: v})
-	return resp.val
+// Op is one operation of a thread on the World, and a scheduling
+// point: the explorer decides when, and whether, it executes.
+type Op struct {
+	kind opKind
+	v    *Var
+	m    *Mutex
+	ch   *Chan
+	val  int
 }
+
+// Response is what an executed operation returned to its thread: the
+// value a Read or Recv got and, for a Recv, whether a message arrived
+// (false once the channel is closed and drained).
+type Response struct {
+	Val int
+	OK  bool
+}
+
+// Exit is the operation a thread returns once it has finished.
+var Exit = Op{}
+
+// Read reads v; the response carries its value.
+func Read(v *Var) Op { return Op{kind: opRead, v: v} }
 
 // Write stores x into v.
-func (c *Context) Write(v *Var, x int) {
-	c.yield(request{op: opWrite, v: v, val: x})
-}
-
-// Add performs v += x as an unsynchronized read-modify-write: two
-// distinct yield points, exactly like `v = v + x` in real code. A
-// concurrent Add on the same Var without a lock is a data race and a
-// lost-update bug, which both the race detector and a final-state
-// oracle can observe.
-func (c *Context) Add(v *Var, x int) {
-	cur := c.Read(v)
-	c.Write(v, cur+x)
-}
+func Write(v *Var, x int) Op { return Op{kind: opWrite, v: v, val: x} }
 
 // Lock acquires m, blocking while another thread holds it.
-func (c *Context) Lock(m *Mutex) {
-	c.yield(request{op: opLock, m: m})
-}
+func Lock(m *Mutex) Op { return Op{kind: opLock, m: m} }
 
-// Unlock releases m. Unlocking a mutex not held by the caller records
-// a Failure and aborts the interleaving.
-func (c *Context) Unlock(m *Mutex) {
-	c.yield(request{op: opUnlock, m: m})
-}
+// Unlock releases m. Unlocking a mutex the thread does not hold
+// records a Failure and aborts the interleaving.
+func Unlock(m *Mutex) Op { return Op{kind: opUnlock, m: m} }
 
 // Send enqueues x on ch, blocking while the buffer is full. Sending on
 // a closed channel records a Failure and aborts the interleaving.
-func (c *Context) Send(ch *Chan, x int) {
-	c.yield(request{op: opSend, ch: ch, val: x})
-}
+func Send(ch *Chan, x int) Op { return Op{kind: opSend, ch: ch, val: x} }
 
-// Recv dequeues from ch, blocking while it is empty. When ch is closed
-// and drained, Recv returns (0, false).
-func (c *Context) Recv(ch *Chan) (int, bool) {
-	resp := c.yield(request{op: opRecv, ch: ch})
-	return resp.val, resp.ok
-}
+// Recv dequeues from ch, blocking while it is empty. Once ch is closed
+// and drained, the response is (0, false).
+func Recv(ch *Chan) Op { return Op{kind: opRecv, ch: ch} }
 
-// Close closes ch. Subsequent sends fail; receives drain the buffer
-// and then return ok=false.
-func (c *Context) Close(ch *Chan) {
-	c.yield(request{op: opClose, ch: ch})
-}
+// Close closes ch. Later sends fail; receives drain the buffer and
+// then answer ok=false.
+func Close(ch *Chan) Op { return Op{kind: opClose, ch: ch} }
 
 // Yield is a pure scheduling point with no shared-state effect.
-func (c *Context) Yield() {
-	c.yield(request{op: opYield})
-}
+func Yield() Op { return Op{kind: opYield} }
