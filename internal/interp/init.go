@@ -71,7 +71,8 @@ func (m *Machine) initOrder() []pkgVar {
 	for i, v := range vars {
 		needs[i] = m.references(v.value, res, methods)
 	}
-	ready := func(i int, inited map[string]bool) bool {
+	inited := make(map[string]bool)
+	ready := func(i int) bool {
 		for name := range needs[i] {
 			if !inited[name] {
 				return false
@@ -81,11 +82,10 @@ func (m *Machine) initOrder() []pkgVar {
 	}
 	order := make([]pkgVar, 0, len(vars))
 	done := make([]bool, len(vars))
-	inited := make(map[string]bool)
 	for len(order) < len(vars) {
 		next := -1
 		for i := range vars {
-			if !done[i] && ready(i, inited) {
+			if !done[i] && ready(i) {
 				next = i
 				break
 			}
