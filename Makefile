@@ -17,7 +17,9 @@ race:
 
 # fuzz is the differential gate CI runs on every PR: generated
 # programs through detect -> transform -> execute against the
-# sequential oracle, then short native fuzzing bursts.
+# sequential oracle (one VM run checked against the IR's native
+# reference), then short native fuzzing bursts. It compares no
+# engines: the VM-vs-tree-walker differential is the vm target's.
 fuzz:
 	$(GO) run ./cmd/patty fuzz -seed 1 -n 50
 	$(GO) test ./internal/difftest -run '^$$' -fuzz 'FuzzDifferential$$' -fuzztime 30s
@@ -101,11 +103,13 @@ netchaos:
 		-run 'NetChaos|Byzantine|CrossCheck|CostsAgree|PickSample|RetryAfter|ContentLength|Jitter|CheckpointCorrect|DurableCorruption|DecodeWALEdge|FleetTableHostile' \
 		./internal/fleet/ ./internal/jobs/ ./internal/store/ ./internal/durable/ ./internal/tuning/ ./internal/report/ ./cmd/patty/
 
-# vm is the bytecode-engine gate: the VM must stay bit-identical to
-# the tree-walking oracle — engine equivalence and golden-disassembly
-# suites under -race, the VM-vs-tree fuzz corpus replay, and a CLI
-# fuzzing smoke (model creation runs on the VM, the only production
-# engine).
+# vm is the bytecode-engine gate and the one that compares the
+# engines: the VM must stay bit-identical to the tree walker —
+# engine equivalence (AllLoopsDiff in TestEngineAllLoopsSweep, the
+# "engine" regression seeds and TestCorpusEngineEquivalence) and
+# golden-disassembly suites under -race, a FuzzVMvsTreeWalker burst,
+# and a CLI fuzzing smoke (Check and model creation run on the VM, the
+# only production engine).
 vm:
 	$(GO) test -race -count=1 -run 'Engine|CorpusEngineEquivalence|GoldenDisassembly|RegressionSeeds' \
 		./internal/interp/ ./internal/difftest/

@@ -120,12 +120,13 @@ func fuzzOne(p *difftest.Prog, opt difftest.Options, shrink bool, reproDir strin
 	return reportDivergence(p, res.Div, opt, shrink, reproDir)
 }
 
-// reportDivergence shrinks a divergent program (when shrink is set),
-// writes its reproducer file and returns the divergence as an error.
+// reportDivergence shrinks a divergent program against the check that
+// found it (when shrink is set), writes its reproducer file and returns
+// the divergence as an error.
 func reportDivergence(p *difftest.Prog, d *difftest.Divergence, opt difftest.Options, shrink bool, reproDir string) error {
 	small := p
 	if shrink {
-		small, d = difftest.Shrink(p, opt, 0)
+		small, d = difftest.Shrink(p, func(q *difftest.Prog) *difftest.Divergence { return checkFn(q, opt).Div }, 0)
 	}
 	path, err := difftest.WriteRepro(reproDir, small, d)
 	if err != nil {

@@ -37,6 +37,7 @@ type jobRequest struct {
 	// from the evaluation store without re-running.
 	Sources map[string]string `json:"sources,omitempty"`
 	tuneSpec
+	cliOnly
 	// Fuzz fields.
 	Seed    int64 `json:"seed,omitempty"`
 	N       int   `json:"n,omitempty"`
@@ -45,6 +46,29 @@ type jobRequest struct {
 	Measured bool `json:"measured,omitempty"`
 	// Bench fields: a calibrated no-op job for load harnesses.
 	SleepMs int64 `json:"sleep_ms,omitempty"`
+}
+
+// cliOnly catches the `patty tune` settings that name server files: a
+// journal path (checkpoint) and an evaluation store (cache_dir,
+// cache_max_bytes). tuneSpec never decodes them; a body that names one
+// is refused (runnerFor), so they are never set and never journaled.
+type cliOnly struct {
+	Checkpoint    json.RawMessage `json:"checkpoint,omitempty"`
+	CacheDir      json.RawMessage `json:"cache_dir,omitempty"`
+	CacheMaxBytes json.RawMessage `json:"cache_max_bytes,omitempty"`
+}
+
+// err names the first CLI-only setting the body set, or is nil.
+func (c cliOnly) err() error {
+	for _, f := range []struct {
+		name string
+		raw  json.RawMessage
+	}{{"checkpoint", c.Checkpoint}, {"cache_dir", c.CacheDir}, {"cache_max_bytes", c.CacheMaxBytes}} {
+		if f.raw != nil {
+			return fmt.Errorf("%q is a patty tune flag, not a job field: the server chooses its own files", f.name)
+		}
+	}
+	return nil
 }
 
 // fuzzJobResult is the JSON result of a serve fuzz job.
@@ -150,6 +174,9 @@ func (s *server) memoize(req jobRequest, run jobs.Runner) jobs.Runner {
 // this same path, so a resubmitted unfinished job whose twin already
 // finished answers from the store.
 func (s *server) runnerFor(req jobRequest) (jobs.Runner, error) {
+	if err := req.cliOnly.err(); err != nil {
+		return nil, err
+	}
 	run, err := s.buildRunner(req)
 	if err != nil || s.cache == nil {
 		return run, err
@@ -182,7 +209,7 @@ func (s *server) buildRunner(req jobRequest) (jobs.Runner, error) {
 				return nil, err
 			}
 		}
-		if spec.Checkpoint == "" && s.ckptDir != "" {
+		if s.ckptDir != "" {
 			spec.Checkpoint = filepath.Join(s.ckptDir, journalName(req))
 		}
 		if s.cache != nil {

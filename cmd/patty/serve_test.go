@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -85,6 +86,44 @@ func TestServeChaosJournalPerSpec(t *testing.T) {
 	fuzz, err := filepath.Glob(filepath.Join(dir, "fuzz-*"))
 	if err != nil || len(fuzz) != 2 {
 		t.Fatalf("fuzz jobs with different configs share a journal: %v (%v)", fuzz, err)
+	}
+}
+
+// TestServeRefusesServerFiles: checkpoint, cache_dir and
+// cache_max_bytes are `patty tune` flags. A job body that names one is
+// refused with 400 before anything is opened, so no file appears where
+// it points; the fields the benchmark's traffic sends are accepted.
+func TestServeRefusesServerFiles(t *testing.T) {
+	srv, ts := newTestServer(t, jobs.Options{Workers: 1})
+	dir := t.TempDir()
+	for _, body := range []string{
+		fmt.Sprintf(`{"kind":"tune","algo":"linear","budget":30,"checkpoint":%q}`, filepath.Join(dir, "ck", "j.ckpt")),
+		fmt.Sprintf(`{"kind":"tune","algo":"linear","budget":30,"cache_dir":%q}`, filepath.Join(dir, "cache")),
+		fmt.Sprintf(`{"kind":"tune","cache_dir":%q,"cache_max_bytes":4096}`, dir),
+		`{"kind":"tune","cache_max_bytes":4096}`,
+		fmt.Sprintf(`{"kind":"fuzz","seed":1,"n":1,"Checkpoint":%q}`, filepath.Join(dir, "f.ckpt")),
+		`{"kind":"tune","checkpoint":""}`,
+	} {
+		if id, code := postJob(t, ts.URL, body); code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d (job %q), want 400", body, code, id)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("refused bodies left files under their paths: %v (%v)", entries, err)
+	}
+	if jobs := srv.svc.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused bodies were admitted: %+v", jobs)
+	}
+	for _, body := range []string{
+		`{"kind":"tune","algo":"linear","budget":30}`,
+		`{"kind":"tune","algo":"linear","budget":31,"cores":4,"sources":{"p.go":"package p\n"}}`,
+		`{"kind":"fuzz","seed":7,"n":1,"configs":1}`,
+	} {
+		id, code := postJob(t, ts.URL, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: HTTP %d, want 202", body, code)
+		}
+		waitJobDone(t, ts.URL, id)
 	}
 }
 

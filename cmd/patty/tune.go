@@ -21,7 +21,9 @@ import (
 )
 
 // tuneSpec is one auto-tuning request — the CLI flags of `patty tune`
-// and the JSON body of a serve tune job share it.
+// and the JSON body of a serve tune job share it. Checkpoint, CacheDir
+// and CacheMaxBytes name files of the machine the search runs on, so
+// they are CLI flags only and never JSON.
 type tuneSpec struct {
 	Algo   string `json:"algo"`
 	Budget int    `json:"budget"`
@@ -30,7 +32,7 @@ type tuneSpec struct {
 	// resumes from it: a killed search restarted with the same spec
 	// fast-forwards through the completed prefix and converges to the
 	// same best as an uninterrupted run.
-	Checkpoint string `json:"checkpoint,omitempty"`
+	Checkpoint string `json:"-"`
 	// EvalDelayMs stretches each fresh evaluation (kill-and-restart
 	// harnesses use it to land a SIGKILL mid-search).
 	EvalDelayMs int `json:"eval_delay_ms,omitempty"`
@@ -63,8 +65,8 @@ type tuneSpec struct {
 	// before any restart — answer from the store instead of being
 	// re-evaluated. CacheMaxBytes bounds the store on disk (0: the
 	// evalcache default of 64 MiB).
-	CacheDir      string `json:"cache_dir,omitempty"`
-	CacheMaxBytes int64  `json:"cache_max_bytes,omitempty"`
+	CacheDir      string `json:"-"`
+	CacheMaxBytes int64  `json:"-"`
 
 	// cache and cacheTenant are the serve path's injection points: the
 	// server's long-lived shared store and the submitting tenant (hit

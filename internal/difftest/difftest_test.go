@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"patty/internal/seed"
-	"patty/internal/source"
 )
 
 // TestGenerateDeterministic: the same (seed, shape) pair must yield a
@@ -62,7 +61,7 @@ func TestDifferential(t *testing.T) {
 	if len(sum.Divergences) > 0 {
 		first := sum.Divergences[0]
 		p := Generate(first.Seed, GenOptions{})
-		small, d := Shrink(p, opt, 150)
+		small, d := Shrink(p, divOf(opt), 150)
 		t.Fatalf("%d/%d programs diverged; first: %s\nshrunk reproducer (%d loop lines):\n%s",
 			len(sum.Divergences), n, first.Div, small.LoopLines(), reproSource(small, d))
 	}
@@ -72,6 +71,11 @@ func TestDifferential(t *testing.T) {
 			t.Errorf("no generated program reached verdict %q (distribution: %v)", kind, sum.Kinds)
 		}
 	}
+}
+
+// divOf is Check with opt as a shrink predicate.
+func divOf(opt Options) func(*Prog) *Divergence {
+	return func(p *Prog) *Divergence { return Check(p, opt).Div }
 }
 
 func reproSource(p *Prog, d *Divergence) string {
@@ -100,7 +104,7 @@ func TestDifferentialSched(t *testing.T) {
 type regressionSeed struct {
 	seed   int64
 	faults bool // replay with the fault-injection legs enabled
-	engine bool // recorded for the VM-vs-tree engine leg
+	engine bool // replayed through AllLoopsDiff at several sizes
 }
 
 // regressionSeeds reads testdata/seeds.txt: one program seed per line,
@@ -149,8 +153,8 @@ func regressionSeeds(t *testing.T) []regressionSeed {
 // enabled — deeper than the random sweep, affordable because the
 // corpus is small. Seeds tagged "faults" additionally run the
 // fault-injection legs they were recorded against; seeds tagged
-// "engine" additionally sweep the VM-vs-tree differential across
-// several workload sizes (the in-Check leg runs a single size).
+// "engine" additionally run the VM-vs-tree differential, AllLoopsDiff,
+// at several workload sizes (Check runs only the VM).
 func TestRegressionSeeds(t *testing.T) {
 	for _, rs := range regressionSeeds(t) {
 		p := Generate(rs.seed, GenOptions{})
@@ -159,14 +163,11 @@ func TestRegressionSeeds(t *testing.T) {
 			t.Errorf("regression seed %d: %s", rs.seed, res.Div)
 		}
 		if rs.engine {
-			prog, err := source.ParseSources(map[string]string{"fz.go": p.Render()})
-			if err != nil {
-				t.Errorf("regression seed %d: parse: %v", rs.seed, err)
-				continue
-			}
-			for _, n := range []int64{1, 2, 5, 13} {
-				if _, msg, _ := engineLeg(prog, "Kernel", kernelArgs(n)); msg != "" {
-					t.Errorf("regression seed %d (engine, n=%d): %s", rs.seed, n, msg)
+			for _, n := range []int{1, 2, 5, 13} {
+				q := p.Clone()
+				q.N = n
+				if d := engineDiff(q); d != nil {
+					t.Errorf("regression seed %d (engine, n=%d): %s", rs.seed, n, d)
 				}
 			}
 		}
@@ -235,7 +236,7 @@ func TestSchedLegCatchesForgottenReduction(t *testing.T) {
 			t.Errorf("seed %d: divergence kind %q, want sched: %s", s, res.Div.Kind, res.Div)
 			continue
 		}
-		small, d := Shrink(p, opt, 0)
+		small, d := Shrink(p, divOf(opt), 0)
 		if d == nil || d.Kind != "sched" {
 			t.Errorf("seed %d: shrink lost the sched divergence (got %v)", s, d)
 			continue
@@ -259,7 +260,7 @@ func TestMutationShrinks(t *testing.T) {
 	if Check(p, opt).Div == nil {
 		t.Fatal("seed 3 no longer diverges under MutIgnoreCarried; pick a new seed")
 	}
-	small, d := Shrink(p, opt, 0)
+	small, d := Shrink(p, divOf(opt), 0)
 	if d == nil {
 		t.Fatal("shrink lost the divergence")
 	}
@@ -299,7 +300,7 @@ func TestShrinkPreservesValidity(t *testing.T) {
 		if Check(p, opt).Div == nil {
 			continue
 		}
-		small, d := Shrink(p, opt, 60)
+		small, d := Shrink(p, divOf(opt), 60)
 		if d == nil {
 			t.Errorf("seed %d: shrink lost the divergence", s)
 			continue
@@ -310,6 +311,36 @@ func TestShrinkPreservesValidity(t *testing.T) {
 		if small.Lines() > p.Lines() {
 			t.Errorf("seed %d: shrink grew the program (%d -> %d lines)", s, p.Lines(), small.Lines())
 		}
+	}
+}
+
+// TestShrinkAgainstGivenCheck: Shrink reduces against the check it is
+// given, not against Check. The stand-in check fails every program with
+// a carried dependence, which Check accepts, so only a shrink that runs
+// the given check can find a smaller failing program.
+func TestShrinkAgainstGivenCheck(t *testing.T) {
+	carried := func(q *Prog) *Divergence {
+		if q.HasCarried() {
+			return &Divergence{Kind: "engine", Seed: q.Seed, Detail: "loop-carried dependence"}
+		}
+		return nil
+	}
+	p := Generate(3, GenOptions{Shape: ShapePipeline})
+	if d := Check(p, Options{Configs: 1}).Div; d != nil {
+		t.Fatalf("seed 3 diverges under Check (%s); pick a seed Check accepts", d)
+	}
+	if carried(p) == nil {
+		t.Fatal("pipeline seed 3 has no carried dependence")
+	}
+	small, d := Shrink(p, carried, 0)
+	if d == nil || carried(small) == nil {
+		t.Fatalf("shrunk program no longer fails the given check (%v):\n%s", d, small.Render())
+	}
+	if small.Lines() >= p.Lines() {
+		t.Errorf("shrink did not reduce the program (%d -> %d lines)", p.Lines(), small.Lines())
+	}
+	if small.N >= p.N {
+		t.Errorf("shrink kept the iteration count (%d -> %d)", p.N, small.N)
 	}
 }
 

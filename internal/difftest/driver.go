@@ -64,12 +64,6 @@ type Options struct {
 	// match) and fatal faults under SkipItem (must drop exactly the
 	// injected items). See checkFaultLegs.
 	Faults bool
-	// FaultPanicRate, FaultTransientRate and FaultDelayRate set the
-	// per-item injection probabilities of the fault legs (defaults
-	// 0.06 / 0.08 / 0.04 when Faults is on).
-	FaultPanicRate     float64
-	FaultTransientRate float64
-	FaultDelayRate     float64
 }
 
 func (o Options) withDefaults() Options {
@@ -82,17 +76,6 @@ func (o Options) withDefaults() Options {
 	if o.Mut == MutIgnoreCarried {
 		o.Static = true
 	}
-	if o.Faults {
-		if o.FaultPanicRate <= 0 {
-			o.FaultPanicRate = 0.06
-		}
-		if o.FaultTransientRate <= 0 {
-			o.FaultTransientRate = 0.08
-		}
-		if o.FaultDelayRate <= 0 {
-			o.FaultDelayRate = 0.04
-		}
-	}
 	return o
 }
 
@@ -101,7 +84,9 @@ func (o Options) withDefaults() Options {
 type Divergence struct {
 	// Kind classifies the failure:
 	//   harness      - generator/oracle self-check failed (a difftest bug)
-	//   engine       - bytecode VM disagrees with the tree-walking oracle
+	//   engine       - the VM disagrees with the tree walker; reported
+	//                  only by the engine gates' AllLoopsDiff check,
+	//                  never by Check
 	//   phase        - a process phase errored out
 	//   verdict      - detector classification contradicts ground truth
 	//   transform    - no code generated for the target candidate
@@ -249,10 +234,11 @@ func verdictMismatch(p *Prog, carried bool, cand *pattern.Candidate) string {
 }
 
 // Check runs the full differential pipeline on one generated program:
-// interpreter oracle, native reference, model → detect → TADL →
-// transform, deterministic independence check, parrt execution across
-// sampled configs, and (optionally) schedule exploration. The first
-// divergence stops the check.
+// the VM's run checked against the native reference, model → detect →
+// TADL → transform, deterministic independence check, parrt execution
+// across sampled configs, and (optionally) schedule exploration. It
+// makes two interpreter runs, both on the VM: the oracle run and the
+// model's profiling run. The first divergence stops the check.
 func Check(p *Prog, opt Options) *Result {
 	opt = opt.withDefaults()
 	res := &Result{Seed: p.Seed}
@@ -263,25 +249,22 @@ func Check(p *Prog, opt Options) *Result {
 		return res
 	}
 
-	// 1. Sequential interpreter oracle: the tree-walker's run of the
-	// engine leg, which the bytecode VM must reproduce bit-for-bit —
-	// values, virtual time, profile and every loop's load/store trace
-	// (engineleg.go).
+	// 1. Sequential interpreter oracle: one untraced run on the VM,
+	// the production engine. The VM-vs-tree-walker comparison is
+	// AllLoopsDiff's (engineleg.go), run by the engine gates, not here.
 	oracleProg, err := source.ParseSources(sources)
 	if err != nil {
 		return div("harness", "generated source does not parse: %v", err)
 	}
-	vals, msg, err := engineLeg(oracleProg, "Kernel", kernelArgs(int64(p.N)))
-	if msg != "" {
-		return div("engine", "vm disagrees with tree-walker: %s", msg)
-	}
+	vals, _, err := interp.NewMachine(oracleProg).Run("Kernel", []interp.Value{int64(p.N)}, interp.Options{})
 	if err != nil {
 		return div("harness", "oracle run failed: %v", err)
 	}
 
-	// 2. The native reference executor must agree with the
-	// interpreter bit-for-bit; it is the comparison basis for the
-	// parallel legs (the interpreter itself is not thread-safe).
+	// 2. The native reference executor, the IR's own semantics, must
+	// agree with the interpreter bit-for-bit; it is the comparison
+	// basis for the parallel legs (the interpreter itself is not
+	// thread-safe).
 	ref := p.runSeq(nil)
 	if msg := compareOracle(p, vals, ref); msg != "" {
 		return div("harness", "native reference disagrees with oracle: %s", msg)

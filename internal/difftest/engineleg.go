@@ -7,15 +7,18 @@ import (
 	"patty/internal/source"
 )
 
-// The engine leg: every generated program runs once on the
+// The engine differential: a generated program runs once on the
 // tree-walking interpreter and once on the bytecode VM, each run with
 // every loop of the program traced at the same time, and the two runs
 // must agree bit-for-bit — return values, error text, total virtual
 // time, per-statement profile, and for every loop the full load/store
 // event stream and the iteration count of each activation. The
-// tree-walker is the oracle: its run records, the VM's run checks each
-// event against that record as it arrives. Any disagreement is an
-// "engine" divergence and shrinks like any other difftest finding.
+// tree-walker's run records, the VM's run checks each event against
+// that record as it arrives. AllLoopsDiff makes this comparison and
+// then checks the untraced and single-target runs against it; it runs
+// in the engine gates (TestEngineAllLoopsSweep, FuzzVMvsTreeWalker,
+// the "engine" seeds of TestRegressionSeeds and interp's
+// TestCorpusEngineEquivalence), not in Check.
 
 // loopRefs lists every loop of prog, in function and source order.
 func loopRefs(prog *source.Program) []interp.Ref {
@@ -100,7 +103,7 @@ func runOn(prog *source.Program, eng interp.Engine, sinks map[interp.Ref]interp.
 }
 
 // treeRecord is the tree-walker's all-loops run: what the VM's run is
-// checked against, and the oracle's values.
+// checked against.
 type treeRecord struct {
 	runResult
 	refs  []interp.Ref
@@ -139,14 +142,6 @@ func (r *treeRecord) checkVM(prog *source.Program, entry string, args func(*inte
 		}
 	}
 	return ""
-}
-
-// engineLeg runs entry once on each engine with every loop of prog
-// traced. It returns the tree-walker's values and error, which are the
-// oracle's, and the first disagreement of the VM with them, or "".
-func engineLeg(prog *source.Program, entry string, args func(*interp.Machine) []interp.Value) ([]interp.Value, string, error) {
-	r := recordTree(prog, entry, args)
-	return r.vals, r.checkVM(prog, entry, args), r.err
 }
 
 // compareRuns checks the run-wide observables of two runs for exact
@@ -198,8 +193,8 @@ func errText(err error) string {
 // AllLoopsDiff checks the all-loops profiling run that model creation
 // makes against untraced runs and the single-target runs it replaced.
 // entry runs once per engine with every loop of the program traced at
-// the same time, and the VM must agree with the tree-walker as in the
-// engine leg. Then entry runs on each engine untraced, and once with
+// the same time, and the VM must agree with the tree-walker (checkVM).
+// Then entry runs on each engine untraced, and once with
 // each loop as Options.TargetLoop, and every such run must equal the
 // tree-walker's all-loops run: the same values, virtual time and
 // profile, and for a single-target run the loop's stream as

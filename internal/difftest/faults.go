@@ -20,6 +20,14 @@ const (
 	faultSkipSalt  = 0xFA02
 )
 
+// Per-item injection probabilities of the fault legs: transient faults
+// and delays in the retry leg, fatal panics in the skip leg.
+const (
+	faultTransientRate = 0.08
+	faultDelayRate     = 0.04
+	faultPanicRate     = 0.06
+)
+
 // faultPrefix returns the tuning-parameter prefix under which the
 // runtime reads the fault policy for the given pattern kind.
 func faultPrefix(kind pattern.Kind, patName string) string {
@@ -84,9 +92,9 @@ func checkFaultLegs(p *Prog, cand *pattern.Candidate, fn *source.Function, loop 
 	}}
 	injR := faultinject.New(faultinject.Plan{
 		Seed:           seed.Mix(p.Seed, faultRetrySalt),
-		TransientRate:  opt.FaultTransientRate,
+		TransientRate:  faultTransientRate,
 		TransientTries: 2,
-		DelayRate:      opt.FaultDelayRate,
+		DelayRate:      faultDelayRate,
 		Delay:          200 * time.Microsecond,
 	})
 	o, ok := run(retryCfg, injR)
@@ -110,7 +118,7 @@ func checkFaultLegs(p *Prog, cand *pattern.Candidate, fn *source.Function, loop 
 	}}
 	injS := faultinject.New(faultinject.Plan{
 		Seed:      seed.Mix(p.Seed, faultSkipSalt),
-		PanicRate: opt.FaultPanicRate,
+		PanicRate: faultPanicRate,
 	})
 	fatal := injS.FatalItems(faultSite, p.N)
 	o, ok = run(skipCfg, injS)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"patty/internal/seed"
-	"patty/internal/source"
 )
 
 // fuzzCheck is the shared fuzz body: derive a program seed from the
@@ -14,9 +13,10 @@ import (
 // space, so coverage feedback steers which program shapes get explored.
 func fuzzCheck(t *testing.T, shape Shape, base, index int64) {
 	p := Generate(seed.Mix(base, index), GenOptions{Shape: shape})
-	res := Check(p, Options{Configs: 2})
+	opt := Options{Configs: 2}
+	res := Check(p, opt)
 	if res.Div != nil {
-		small, d := Shrink(p, Options{Configs: 2}, 100)
+		small, d := Shrink(p, divOf(opt), 100)
 		t.Fatalf("divergence: %s\nshrunk reproducer (seed %d, %d loop lines):\n%s",
 			res.Div, small.Seed, small.LoopLines(), reproSource(small, d))
 	}
@@ -46,13 +46,15 @@ func FuzzDifferentialPipeline(f *testing.F) {
 }
 
 // FuzzVMvsTreeWalker focuses exclusively on the engine differential:
-// generate a program and run AllLoopsDiff on it — the engine leg's
-// all-loops run on the tree-walking interpreter and the bytecode VM,
-// then every loop as the single target on both — and crash on any
+// generate a program and run AllLoopsDiff on it — the all-loops run on
+// the tree-walking interpreter and the bytecode VM, then untraced and
+// every loop as the single target on both — and crash on any
 // disagreement in values, error text, virtual time, profile, iteration
-// counts or memory trace. Much faster per input than the full pipeline
-// targets, so it covers far more of the generator space per fuzzing
-// minute. A divergence Check also sees is shrunk.
+// counts or memory trace, shrunk against AllLoopsDiff itself. Much
+// faster per input than the full pipeline targets, so it covers far
+// more of the generator space per fuzzing minute. It is, with
+// TestEngineAllLoopsSweep and the "engine" regression seeds, where the
+// engines are compared: Check runs only the VM.
 // Run with: go test ./internal/difftest -fuzz FuzzVMvsTreeWalker
 func FuzzVMvsTreeWalker(f *testing.F) {
 	for i := int64(0); i < 8; i++ {
@@ -60,14 +62,10 @@ func FuzzVMvsTreeWalker(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, base, index int64) {
 		p := Generate(seed.Mix(base, index), GenOptions{})
-		prog, err := source.ParseSources(map[string]string{"fz.go": p.Render()})
-		if err != nil {
-			t.Fatalf("generated source does not parse: %v", err)
-		}
-		if msg := AllLoopsDiff(prog, "Kernel", kernelArgs(int64(p.N))); msg != "" {
-			small, d := Shrink(p, Options{Configs: 1}, 100)
+		if div := engineDiff(p); div != nil {
+			small, d := Shrink(p, engineDiff, 100)
 			t.Fatalf("engine divergence: %s\nshrunk reproducer (seed %d, %d loop lines):\n%s",
-				msg, small.Seed, small.LoopLines(), reproSource(small, d))
+				div, small.Seed, small.LoopLines(), reproSource(small, d))
 		}
 	})
 }

@@ -37,17 +37,18 @@ func removable(body []*Stmt, i int) bool {
 	return true
 }
 
-// Shrink delta-debugs a diverging program to a minimal reproducer:
-// it halves the iteration count, drops body statements and collapses
-// expression trees to their operands, keeping each reduction only
-// when the divergence survives. budget caps predicate evaluations
-// (each is a full Check); 0 means the default of 300.
-func Shrink(orig *Prog, opt Options, budget int) (*Prog, *Divergence) {
+// Shrink delta-debugs a program that fails check to a minimal
+// reproducer: it halves the iteration count, drops body statements and
+// collapses expression trees to their operands, keeping each reduction
+// only when check still fails. check is the check that found the
+// divergence (Check with the options of the run, or an engine gate's
+// check); budget caps its calls; 0 means the default of 300.
+func Shrink(orig *Prog, check func(*Prog) *Divergence, budget int) (*Prog, *Divergence) {
 	if budget <= 0 {
 		budget = 300
 	}
 	best := orig.Clone()
-	bestDiv := Check(best, opt).Div
+	bestDiv := check(best)
 	if !shrinkAccepts(bestDiv) {
 		return best, bestDiv
 	}
@@ -62,7 +63,7 @@ func Shrink(orig *Prog, opt Options, budget int) (*Prog, *Divergence) {
 			return false
 		}
 		evals++
-		if d := Check(q, opt).Div; shrinkAccepts(d) {
+		if d := check(q); shrinkAccepts(d) {
 			best, bestDiv = q, d
 			return true
 		}

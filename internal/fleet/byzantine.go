@@ -163,6 +163,10 @@ func pickSample(seedBase int64, search string, shard, n, k int) []int {
 	return out
 }
 
+// crossCheckTol is the relative tolerance separating float noise from a
+// lie: the objective is pure, so honest divergence is at most rounding.
+const crossCheckTol = 1e-9
+
 // costsAgree compares a reported cost against the local truth. Faulted
 // evaluations (Inf/NaN) agree only with faulted evaluations; finite
 // costs agree within a relative tolerance (the objective is pure, so
@@ -247,7 +251,7 @@ func (s *scheduler) crossCheck(worker string, req ShardRequest, resp *ShardRespo
 		h.inst.crosschecked.Inc()
 		s.stats.CrossChecked++
 		s.inst.crosschecked.Inc()
-		if !costsAgree(reported, truth, opts.CrossCheckTol) {
+		if !costsAgree(reported, truth, crossCheckTol) {
 			divergent = true
 			h.divergent++
 			h.inst.divergent.Inc()
@@ -298,7 +302,7 @@ func (s *scheduler) quarantine(worker string, opts Options) {
 		s.mu.Lock()
 		s.stats.Reverified++
 		s.inst.reverified.Inc()
-		if !costsAgree(rec.EffectiveCost(), truth, opts.CrossCheckTol) {
+		if !costsAgree(rec.EffectiveCost(), truth, crossCheckTol) {
 			key := tuning.AssignKey(rec.Assignment)
 			s.ck.Correct(rec.Assignment, truth)
 			delete(s.source, key)            // now locally vouched for

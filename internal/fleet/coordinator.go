@@ -79,10 +79,6 @@ type Options struct {
 	// (default seed.Default); the sample is a pure function of
 	// (seed, search signature, shard id).
 	CrossCheckSeed int64
-	// CrossCheckTol is the relative tolerance separating float noise
-	// from a lie (default 1e-9; the objective is pure, so honest
-	// divergence is at most rounding).
-	CrossCheckTol float64
 	// RetryJitterSeed seeds the per-worker retry/backoff jitter
 	// (default seed.Default). Jitter spreads synchronized retries; the
 	// seed keeps tests deterministic.
@@ -110,9 +106,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CrossCheckSeed == 0 {
 		o.CrossCheckSeed = seed.Default
-	}
-	if o.CrossCheckTol <= 0 {
-		o.CrossCheckTol = 1e-9
 	}
 	if o.RetryJitterSeed == 0 {
 		o.RetryJitterSeed = seed.Default

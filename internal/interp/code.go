@@ -52,20 +52,21 @@ const (
 	// Variables. Each local variable is one frame slot; each define
 	// allocates a fresh traced address, exactly like the tree-walker's
 	// defines.
-	opLoadName     // A: binding idx — load event + push
-	opNameLVGet    // A: binding idx — lvalue get: the variable's load
-	opStoreName    // A: binding idx — pop + store event
-	opStoreNameAt  // A: binding idx, B: depth of the value from the top
-	opDefineSlot   // A: slot — pop, allocate a fresh address, store event
-	opDefineSlotAt // A: slot, B: depth of the value
-	opStoreSlotAt  // A: slot, B: depth of the value — := redeclaration
-	opDefineCell   // opDefineSlot for a captured slot: fills its heap cell
-	opDefineCellAt // opDefineSlotAt for a captured slot
-	opStoreCellAt  // opStoreSlotAt for a captured slot
-	opClosure      // A: index into Lits — push a closure over its captured cells
-	opDefineGlobal // A: global index — pop, allocate (no event: init semantics)
-	opIntrFuncVal  // A: name idx — fresh *Func for a qualified intrinsic
-	opZeroVal      // A: type expr idx — push zero value (allocates for structs)
+	opLoadName       // A: binding idx — load event + push
+	opNameLVGet      // A: binding idx — lvalue get: the variable's load
+	opStoreName      // A: binding idx — pop + store event
+	opStoreNameAt    // A: binding idx, B: depth of the value from the top
+	opDefineSlot     // A: slot — pop, allocate a fresh address, store event
+	opDefineSlotAt   // A: slot, B: depth of the value
+	opStoreSlotAt    // A: slot, B: depth of the value — := redeclaration
+	opDefineCell     // opDefineSlot for a captured slot: fills its heap cell
+	opDefineCellAt   // opDefineSlotAt for a captured slot
+	opStoreCellAt    // opStoreSlotAt for a captured slot
+	opClosure        // A: index into Lits — push a closure over its captured cells
+	opDefineGlobal   // A: global index — pop, allocate (no event: init semantics)
+	opDefineGlobalAt // A: global index, B: depth of the value — allocate (no event)
+	opIntrFuncVal    // A: name idx — fresh *Func for a qualified intrinsic
+	opZeroVal        // A: type expr idx — push zero value (allocates for structs)
 
 	// Operators (shared with the tree-walker's binop/truthy helpers).
 	opBinop // A: token.Token

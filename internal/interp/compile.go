@@ -89,20 +89,33 @@ func (c *progCompiler) intrinsic(name string) (int32, bool) {
 func (c *progCompiler) compileInit() *Code {
 	code := &Code{Name: "init"}
 	u := &unitCompiler{c: c, code: code}
+	global := func(name string) int32 {
+		gi, dup := c.globals[name]
+		if !dup {
+			gi = int32(len(c.vmc.globalNames))
+			c.vmc.globalNames = append(c.vmc.globalNames, name)
+			c.globals[name] = gi
+		}
+		return gi
+	}
 	for _, v := range c.m.packageVars() {
+		if n := len(v.names); n > 1 {
+			u.compileTuple([]ast.Expr{v.value}, n)
+			base := u.depth - n
+			for i, name := range v.names {
+				u.emit(Op{Code: opDefineGlobalAt, A: global(name.Name), B: u.at(base + i)})
+			}
+			u.emit(Op{Code: opDropN, A: int32(n)})
+			u.depth = base
+			continue
+		}
 		if v.value != nil {
 			u.compileExpr(v.value)
 		} else {
 			u.emit(Op{Code: opZeroVal, A: code.typeIdx(v.typ)})
 			u.depth++
 		}
-		gi, dup := c.globals[v.name.Name]
-		if !dup {
-			gi = int32(len(c.vmc.globalNames))
-			c.vmc.globalNames = append(c.vmc.globalNames, v.name.Name)
-			c.globals[v.name.Name] = gi
-		}
-		u.emit(Op{Code: opDefineGlobal, A: gi})
+		u.emit(Op{Code: opDefineGlobal, A: global(v.names[0].Name)})
 		u.depth--
 	}
 	u.emit(Op{Code: opReturnBare})

@@ -63,6 +63,8 @@ func operands(c *Code, op Op) string {
 		return fmt.Sprintf(" %s @%d", slotRepr(c, op.A), op.B)
 	case opDefineGlobal:
 		return fmt.Sprintf(" g%d", op.A)
+	case opDefineGlobalAt:
+		return fmt.Sprintf(" g%d @%d", op.A, op.B)
 	case opIntrFuncVal, opSelect, opFieldLVCheck, opFieldLVGet, opNewStruct, opSetField, opNewNamed, opMethodResolve:
 		return fmt.Sprintf(" %s", c.Names[op.A])
 	case opFieldSetAt:
@@ -139,86 +141,87 @@ func (b binding) String() string {
 
 // opNames is indexed by OpCode; kept sorted here only for readability.
 var opNames = map[OpCode]string{
-	opInvalid:       "invalid",
-	opConst:         "const",
-	opDrop:          "drop",
-	opDropN:         "dropn",
-	opRes1:          "res1",
-	opExpect1:       "expect1",
-	opExpectN:       "expectn",
-	opTick:          "tick",
-	opPushRef:       "pushref",
-	opPopRefs:       "poprefs",
-	opJump:          "jump",
-	opJfalse:        "jfalse",
-	opAndShort:      "andshort",
-	opOrShort:       "orshort",
-	opBool:          "bool",
-	opLoadName:      "loadname",
-	opNameLVGet:     "namelvget",
-	opStoreName:     "storename",
-	opStoreNameAt:   "storenameat",
-	opDefineSlot:    "defineslot",
-	opDefineSlotAt:  "defineslotat",
-	opStoreSlotAt:   "storeslotat",
-	opDefineCell:    "definecell",
-	opDefineCellAt:  "definecellat",
-	opStoreCellAt:   "storecellat",
-	opClosure:       "closure",
-	opDefineGlobal:  "defineglobal",
-	opIntrFuncVal:   "intrfuncval",
-	opZeroVal:       "zeroval",
-	opBinop:         "binop",
-	opNeg:           "neg",
-	opNot:           "not",
-	opBitNot:        "bitnot",
-	opToInt:         "toint",
-	opToFloat:       "tofloat",
-	opConvStr:       "convstr",
-	opIncDec:        "incdec",
-	opIndex:         "index",
-	opIndexLVCheck:  "indexlvcheck",
-	opIndexLVGet:    "indexlvget",
-	opIndexSetAt:    "indexsetat",
-	opSelect:        "select",
-	opFieldLVCheck:  "fieldlvcheck",
-	opFieldLVGet:    "fieldlvget",
-	opFieldSetAt:    "fieldsetat",
-	opSliceExpr:     "sliceexpr",
-	opNewStruct:     "newstruct",
-	opSetField:      "setfield",
-	opMakeSliceLit:  "makeslicelit",
-	opNewMap:        "newmap",
-	opMapLitSet:     "maplitset",
-	opLen:           "len",
-	opCap:           "cap",
-	opAppend:        "append",
-	opCopy:          "copy",
-	opDelete:        "delete",
-	opMin:           "minmax",
-	opPrintln:       "println",
-	opPanic:         "panic",
-	opMakeSlice:     "makeslice",
-	opMakeMap:       "makemap",
-	opNewNamed:      "newnamed",
-	opLoadCallee:    "loadcallee",
-	opCheckFunc:     "checkfunc",
-	opMethodResolve: "methodresolve",
-	opCallValue:     "callvalue",
-	opCallIntrinsic: "callintrinsic",
-	opReturnValues:  "returnvalues",
-	opReturnRes:     "returnres",
-	opReturnBare:    "returnbare",
-	opLoopEnter:     "loopenter",
-	opLoopLeave:     "loopleave",
-	opIterInc:       "iterinc",
-	opSetTop:        "settop",
-	opRangeStart:    "rangestart",
-	opRangeNext:     "rangenext",
-	opRangeKey:      "rangekey",
-	opRangeVal:      "rangeval",
-	opCaseEq:        "caseeq",
-	opFail:          "fail",
+	opInvalid:        "invalid",
+	opConst:          "const",
+	opDrop:           "drop",
+	opDropN:          "dropn",
+	opRes1:           "res1",
+	opExpect1:        "expect1",
+	opExpectN:        "expectn",
+	opTick:           "tick",
+	opPushRef:        "pushref",
+	opPopRefs:        "poprefs",
+	opJump:           "jump",
+	opJfalse:         "jfalse",
+	opAndShort:       "andshort",
+	opOrShort:        "orshort",
+	opBool:           "bool",
+	opLoadName:       "loadname",
+	opNameLVGet:      "namelvget",
+	opStoreName:      "storename",
+	opStoreNameAt:    "storenameat",
+	opDefineSlot:     "defineslot",
+	opDefineSlotAt:   "defineslotat",
+	opStoreSlotAt:    "storeslotat",
+	opDefineCell:     "definecell",
+	opDefineCellAt:   "definecellat",
+	opStoreCellAt:    "storecellat",
+	opClosure:        "closure",
+	opDefineGlobal:   "defineglobal",
+	opDefineGlobalAt: "defineglobalat",
+	opIntrFuncVal:    "intrfuncval",
+	opZeroVal:        "zeroval",
+	opBinop:          "binop",
+	opNeg:            "neg",
+	opNot:            "not",
+	opBitNot:         "bitnot",
+	opToInt:          "toint",
+	opToFloat:        "tofloat",
+	opConvStr:        "convstr",
+	opIncDec:         "incdec",
+	opIndex:          "index",
+	opIndexLVCheck:   "indexlvcheck",
+	opIndexLVGet:     "indexlvget",
+	opIndexSetAt:     "indexsetat",
+	opSelect:         "select",
+	opFieldLVCheck:   "fieldlvcheck",
+	opFieldLVGet:     "fieldlvget",
+	opFieldSetAt:     "fieldsetat",
+	opSliceExpr:      "sliceexpr",
+	opNewStruct:      "newstruct",
+	opSetField:       "setfield",
+	opMakeSliceLit:   "makeslicelit",
+	opNewMap:         "newmap",
+	opMapLitSet:      "maplitset",
+	opLen:            "len",
+	opCap:            "cap",
+	opAppend:         "append",
+	opCopy:           "copy",
+	opDelete:         "delete",
+	opMin:            "minmax",
+	opPrintln:        "println",
+	opPanic:          "panic",
+	opMakeSlice:      "makeslice",
+	opMakeMap:        "makemap",
+	opNewNamed:       "newnamed",
+	opLoadCallee:     "loadcallee",
+	opCheckFunc:      "checkfunc",
+	opMethodResolve:  "methodresolve",
+	opCallValue:      "callvalue",
+	opCallIntrinsic:  "callintrinsic",
+	opReturnValues:   "returnvalues",
+	opReturnRes:      "returnres",
+	opReturnBare:     "returnbare",
+	opLoopEnter:      "loopenter",
+	opLoopLeave:      "loopleave",
+	opIterInc:        "iterinc",
+	opSetTop:         "settop",
+	opRangeStart:     "rangestart",
+	opRangeNext:      "rangenext",
+	opRangeKey:       "rangekey",
+	opRangeVal:       "rangeval",
+	opCaseEq:         "caseeq",
+	opFail:           "fail",
 }
 
 func opName(c OpCode) string {

@@ -609,6 +609,15 @@ func (t T) Get() int { return t.k + base }
 var v = T{k: 1}.Get()
 var base = 40
 func F() int { return v }`, "F", nil, "", "41"},
+	{"init-const-declared-later", `package p
+var a = K + 1
+const K = 3
+func F() int { return a }`, "F", nil, "", "4"},
+	{"init-multi-value", `package p
+var a, b = two()
+func two() (int, int) { return c + 1, c + 2 }
+var c = 10
+func F() int { return a*100 + b }`, "F", nil, "", "1112"},
 }
 
 // illFormedCases must each fail with the same runtime error on both

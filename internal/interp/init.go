@@ -2,15 +2,18 @@ package interp
 
 import (
 	"go/ast"
+	"go/token"
 
 	"patty/internal/deps"
 	"patty/internal/source"
 )
 
-// pkgVar is one name of a package-level var or const declaration, with
-// its initializer, nil for the zero value of typ.
+// pkgVar is one initialization step of the package: one name of a
+// var or const declaration, or the names a multi-value initializer
+// (`var a, b = f()`) sets together, with the initializer, nil for the
+// zero value of typ.
 type pkgVar struct {
-	name  *ast.Ident
+	names []*ast.Ident
 	value ast.Expr
 	typ   ast.Expr
 }
@@ -24,18 +27,20 @@ func (m *Machine) packageVars() []pkgVar {
 	return m.inits
 }
 
-// initOrder orders the package-level vars and consts by Go's rule: each
-// step initializes the earliest in declaration order whose initializer
-// depends on no uninitialized variable. An initializer depends on the
-// package-level variables it refers to, directly or through the
-// functions and methods it refers to, as deps resolves the
+// initOrder orders the package-level consts and vars by Go's rule:
+// each step initializes the earliest in declaration order whose
+// initializer depends on no uninitialized variable, constants listed
+// first, since Go evaluates them before any variable. An initializer
+// depends on the package-level variables it refers to, directly or
+// through the functions and methods it refers to, as deps resolves the
 // initializers and the function bodies; a selector x.M refers to every
-// method named M. Constants refer to no variable, so they initialize in
-// declaration order. Go rejects an initialization cycle; here its
+// method named M. Constants refer to no variable, so they initialize
+// in declaration order. The names of a multi-value initializer
+// initialize in one step. Go rejects an initialization cycle; here its
 // variables initialize in declaration order, and the first to read an
 // uninitialized one fails.
 func (m *Machine) initOrder() []pkgVar {
-	vars := []pkgVar{} // not nil: packageVars keeps an empty order too
+	var consts, vars []pkgVar
 	for _, file := range m.prog.Files {
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -47,18 +52,27 @@ func (m *Machine) initOrder() []pkgVar {
 				if !ok {
 					continue
 				}
+				steps := &vars
+				if gd.Tok == token.CONST {
+					steps = &consts
+				}
+				if len(vs.Names) > 1 && len(vs.Values) == 1 {
+					*steps = append(*steps, pkgVar{names: vs.Names, value: vs.Values[0], typ: vs.Type})
+					continue
+				}
 				for i, name := range vs.Names {
-					v := pkgVar{name: name, typ: vs.Type}
+					v := pkgVar{names: []*ast.Ident{name}, typ: vs.Type}
 					if i < len(vs.Values) {
 						v.value = vs.Values[i]
 					}
-					vars = append(vars, v)
+					*steps = append(*steps, v)
 				}
 			}
 		}
 	}
-	if len(vars) < 2 {
-		return vars
+	steps := append(append([]pkgVar{}, consts...), vars...) // not nil: packageVars keeps an empty order too
+	if len(steps) < 2 {
+		return steps
 	}
 	res := deps.ResolvePackage(m.prog)
 	methods := make(map[string][]*source.Function)
@@ -67,8 +81,8 @@ func (m *Machine) initOrder() []pkgVar {
 			methods[fn.Decl.Name.Name] = append(methods[fn.Decl.Name.Name], fn)
 		}
 	}
-	needs := make([]map[string]bool, len(vars))
-	for i, v := range vars {
+	needs := make([]map[string]bool, len(steps))
+	for i, v := range steps {
 		needs[i] = m.references(v.value, res, methods)
 	}
 	inited := make(map[string]bool)
@@ -80,11 +94,11 @@ func (m *Machine) initOrder() []pkgVar {
 		}
 		return true
 	}
-	order := make([]pkgVar, 0, len(vars))
-	done := make([]bool, len(vars))
-	for len(order) < len(vars) {
+	order := make([]pkgVar, 0, len(steps))
+	done := make([]bool, len(steps))
+	for len(order) < len(steps) {
 		next := -1
-		for i := range vars {
+		for i := range steps {
 			if !done[i] && ready(i) {
 				next = i
 				break
@@ -95,8 +109,10 @@ func (m *Machine) initOrder() []pkgVar {
 			}
 		}
 		done[next] = true
-		inited[vars[next].name.Name] = true
-		order = append(order, vars[next])
+		for _, name := range steps[next].names {
+			inited[name.Name] = true
+		}
+		order = append(order, steps[next])
 	}
 	return order
 }

@@ -378,13 +378,20 @@ func (m *Machine) runTree(fnName string, args []Value, opts Options) (results []
 // initialization order (initOrder).
 func (m *Machine) initGlobals() {
 	for _, v := range m.packageVars() {
+		if len(v.names) > 1 {
+			vals := m.evalTuple([]ast.Expr{v.value}, len(v.names), nil, nil)
+			for i, name := range v.names {
+				m.globals[name.Name] = &cell{addr: m.alloc(1), val: vals[i]}
+			}
+			continue
+		}
 		var val Value
 		if v.value != nil {
 			val = m.eval(v.value, nil, nil)
 		} else {
 			val = m.zeroValueFor(v.typ)
 		}
-		m.globals[v.name.Name] = &cell{addr: m.alloc(1), val: val}
+		m.globals[v.names[0].Name] = &cell{addr: m.alloc(1), val: val}
 	}
 }
 

@@ -573,6 +573,8 @@ loop:
 		case opDefineGlobal:
 			v := vm.pop()
 			vm.gSlots[op.A] = slotCell{val: v, addr: m.alloc(1)}
+		case opDefineGlobalAt:
+			vm.gSlots[op.A] = slotCell{val: vm.stk[len(vm.stk)-1-int(op.B)], addr: m.alloc(1)}
 		case opIntrFuncVal:
 			vm.push(&Func{Name: code.Names[op.A]})
 		case opZeroVal:
